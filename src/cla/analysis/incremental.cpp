@@ -109,10 +109,11 @@ void IncrementalAnalyzer::refresh() {
 
   deadline.check("incremental-scan");
 
-  // Materialize the index from copies: O(records), not O(events), and the
-  // retained scans stay resumable for the next round.
-  std::vector<ThreadScanState> copies(scans_.begin(), scans_.end());
-  const TraceIndex index(view, std::move(copies), pool_.get());
+  // Extend the index in place: it re-sorts sections only from the
+  // earliest new record on, never before the boundary. The scans keep
+  // only their open records.
+  index_.extend(view, scans_, pool_.get());
+  const TraceIndex& index = index_;
   deadline.check("incremental-index");
 
   // --- prune retained segments past the boundary, re-resolve the tail ---

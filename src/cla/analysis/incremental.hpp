@@ -3,18 +3,27 @@
 // A long-running target flushes its trace in rounds; re-analyzing from
 // scratch each round is O(history). The IncrementalAnalyzer instead keeps
 //   - one resumable ThreadScanState per thread (the O(events) forward
-//     scan never revisits an event), and
+//     scan never revisits an event; it holds only open records),
+//   - one TraceIndex, extended in place every round, which holds each
+//     closed record once, and
 //   - the resolved per-thread segment vectors of the previous round.
 // On update it computes a *re-resolution boundary*: the earliest
 // timestamp whose wake-up resolution could have changed, which is the
 // minimum of (a) the first newly appended event's timestamp and (b) the
 // start of any record still open after the previous round (an open
 // critical section that closes later moves its waiters' releaser).
-// Segments beginning before the boundary are retained verbatim; the tail
-// is re-resolved against the refreshed index. The walk and the stats
-// assembly then run on the extended DAG, so reports are byte-identical to
-// a from-scratch cla::Pipeline over the same accumulated trace (the
-// determinism suite pins this).
+// The index keeps every mutex's sections acquired before the boundary in
+// place and re-sorts at most the tail; segments beginning before the
+// boundary are retained verbatim and the tail is re-resolved against the
+// extended index. The walk and the stats assembly then run on the
+// extended DAG, so reports are byte-identical to a from-scratch
+// cla::Pipeline over the same accumulated trace (the determinism suite and
+// the per-round incremental tests pin this).
+//
+// Per-refresh cost is O(appended + tail + locks) for the scan, the index
+// and the resolution. Barrier and condvar records are regrouped in full
+// when they grow, and compute_stats still walks every section, so stats
+// are the next O(history) term.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +53,11 @@ class IncrementalAnalyzer {
   /// Cheap — analysis happens lazily in result().
   void append(const trace::Trace& chunk);
 
-  /// The analysis of everything appended so far. Re-resolves only the
-  /// tail past the re-resolution boundary; unchanged rounds are free.
+  /// The analysis of everything appended so far. Extends the index and
+  /// re-resolves only the tail past the re-resolution boundary, then
+  /// rebuilds the DAG, walks it and recomputes the stats; unchanged rounds
+  /// are free. After a throw (a budget breach) the analyzer is spent:
+  /// callers discard it and start a fresh window.
   const AnalysisResult& result();
 
   /// Schema-2 JSON, byte-identical to cla::Pipeline::report_json() over
@@ -68,6 +80,7 @@ class IncrementalAnalyzer {
   std::unique_ptr<util::ThreadPool> pool_;
   trace::Trace trace_;
   std::vector<ThreadScanState> scans_;
+  TraceIndex index_;
   std::vector<std::vector<Segment>> segments_;
   std::optional<AnalysisResult> result_;
   DagWalkStats walk_stats_;

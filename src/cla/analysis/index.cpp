@@ -1,6 +1,7 @@
 #include "cla/analysis/index.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "cla/util/error.hpp"
 #include "cla/util/thread_pool.hpp"
@@ -29,6 +30,116 @@ bool is_sync_op(EventType type) noexcept {
     default:
       return false;
   }
+}
+
+/// Runs fn(0..n) across `pool`, or inline without one.
+void for_each_index(util::ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, fn);
+  } else {
+    for (std::size_t k = 0; k < n; ++k) fn(k);
+  }
+}
+
+/// Ownership order of a mutex's sections. It is a strict total order and
+/// equals a thread-id-ordered merge followed by a stable sort on
+/// acquired_ts (a thread's sections scan in acquired_idx order).
+bool owned_before(const CsRecord& a, const CsRecord& b) noexcept {
+  if (a.acquired_ts != b.acquired_ts) return a.acquired_ts < b.acquired_ts;
+  if (a.tid != b.tid) return a.tid < b.tid;
+  return a.acquired_idx < b.acquired_idx;
+}
+
+/// Time order of a condvar's signals, ties as for owned_before.
+bool signalled_before(const CondSignalRecord& a,
+                      const CondSignalRecord& b) noexcept {
+  if (a.ts != b.ts) return a.ts < b.ts;
+  if (a.tid != b.tid) return a.tid < b.tid;
+  return a.idx < b.idx;
+}
+
+template <typename Record>
+using RecordsByObject = std::map<trace::ObjectId, std::vector<Record>>;
+
+/// Moves every record of `from` onto the end of its object's list in `to`.
+template <typename Record>
+void drain_into(RecordsByObject<Record>& from, RecordsByObject<Record>& to) {
+  for (auto& [object, records] : from) {
+    auto& dst = to[object];
+    dst.insert(dst.end(), records.begin(), records.end());
+  }
+  from.clear();
+}
+
+/// Appends `added` (in thread-id order) to `records`, which are grouped by
+/// thread: each thread's new records land after its old ones, exactly
+/// where a thread-id-ordered merge from scratch puts them.
+template <typename Record>
+void merge_by_thread(std::vector<Record>& records,
+                     const std::vector<Record>& added) {
+  const auto old = static_cast<std::ptrdiff_t>(records.size());
+  records.insert(records.end(), added.begin(), added.end());
+  std::inplace_merge(records.begin(), records.begin() + old, records.end(),
+                     [](const Record& a, const Record& b) { return a.tid < b.tid; });
+}
+
+/// Groups a barrier's waits into episodes and finds each episode's last
+/// arriver. Episodes are numbered densely in order of first appearance:
+/// clipped traces keep the original generation counters, which need not
+/// start at zero.
+void build_episodes(BarrierIndex& bi) {
+  std::map<std::uint32_t, std::uint32_t> dense;  // generation -> episode
+  for (auto& w : bi.waits) {
+    w.episode = dense.try_emplace(w.generation,
+                                  static_cast<std::uint32_t>(dense.size()))
+                    .first->second;
+  }
+  bi.episodes.assign(dense.size(), BarrierEpisode{});
+  for (std::uint32_t wi = 0; wi < bi.waits.size(); ++wi) {
+    bi.episodes[bi.waits[wi].episode].waits.push_back(wi);
+  }
+  for (auto& ep : bi.episodes) {
+    ep.last_arriver = ep.waits.front();
+    for (std::uint32_t wi : ep.waits) {
+      const auto& cand = bi.waits[wi];
+      const auto& best = bi.waits[ep.last_arriver];
+      if (cand.arrive_ts > best.arrive_ts ||
+          (cand.arrive_ts == best.arrive_ts && cand.tid < best.tid)) {
+        ep.last_arriver = wi;
+      }
+    }
+  }
+}
+
+/// Rebuilds a position table from scratch over every record of `objects`.
+template <typename Table, typename Index, typename Records, typename EventIdx>
+void fill_positions(Table& table, std::size_t threads,
+                    const std::map<trace::ObjectId, Index>& objects,
+                    Records Index::*records, EventIdx event_idx) {
+  table.assign(threads, {});
+  for (const auto& [object, index] : objects) {
+    (void)object;
+    const auto& recs = index.*records;
+    for (std::uint32_t pos = 0; pos < recs.size(); ++pos) {
+      table[recs[pos].tid].push_back({event_idx(recs[pos]), pos});
+    }
+  }
+  for (auto& entries : table) {
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) { return a.idx < b.idx; });
+  }
+}
+
+template <typename Table>
+std::uint32_t find_position(const Table& table, trace::ThreadId tid,
+                            std::uint32_t idx) {
+  if (tid >= table.size()) return TraceIndex::npos32;
+  const auto& entries = table[tid];
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), idx,
+      [](const auto& e, std::uint32_t i) { return e.idx < i; });
+  return it != entries.end() && it->idx == idx ? it->pos : TraceIndex::npos32;
 }
 
 }  // namespace
@@ -124,7 +235,7 @@ void ThreadScanState::consume(const trace::EventsView& events,
           // An episode recorded by the producer is preferred, but it is
           // untrusted input: an absurd value (corrupt trace) falls back
           // to the per-thread wait ordinal, which is always coherent.
-          w.episode = p.recorded_episode != trace::kNoArg &&
+          w.generation = p.recorded_episode != trace::kNoArg &&
                               p.recorded_episode <= (1u << 24)
                           ? static_cast<std::uint32_t>(p.recorded_episode)
                           : p.ordinal;
@@ -199,187 +310,98 @@ TraceIndex::TraceIndex(const trace::TraceView& v)
 TraceIndex::TraceIndex(const trace::Trace& t, util::ThreadPool* pool)
     : TraceIndex(trace::TraceView(t), pool) {}
 
-TraceIndex::TraceIndex(const trace::TraceView& v, util::ThreadPool* pool)
-    : view_(v) {
-  const trace::TraceView& t = view_;
-  const auto thread_count = static_cast<trace::ThreadId>(t.thread_count());
-
+TraceIndex::TraceIndex(const trace::TraceView& v, util::ThreadPool* pool) {
   // --- per-thread scans: the O(events) part, fanned out across the pool.
   // Slot tid is written only by iteration tid, so scheduling order cannot
   // affect the result.
-  std::vector<ThreadScanState> scans(thread_count);
-  const auto scan_one = [&](std::size_t tid) {
-    scans[tid].consume(t.thread_events(static_cast<trace::ThreadId>(tid)),
+  std::vector<ThreadScanState> scans(v.thread_count());
+  for_each_index(pool, scans.size(), [&](std::size_t tid) {
+    scans[tid].consume(v.thread_events(static_cast<trace::ThreadId>(tid)),
                        static_cast<trace::ThreadId>(tid));
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(thread_count, scan_one);
-  } else {
-    for (trace::ThreadId tid = 0; tid < thread_count; ++tid) scan_one(tid);
-  }
-  assemble(std::move(scans), pool);
+  });
+  extend(v, scans, pool);
 }
 
-TraceIndex::TraceIndex(const trace::TraceView& v,
-                       std::vector<ThreadScanState> scans,
-                       util::ThreadPool* pool)
-    : view_(v) {
-  CLA_CHECK(scans.size() == view_.thread_count(),
+void TraceIndex::extend(const trace::TraceView& v,
+                        std::vector<ThreadScanState>& scans,
+                        util::ThreadPool* pool) {
+  CLA_CHECK(scans.size() == v.thread_count(),
             "scan states do not cover the trace's threads");
-  assemble(std::move(scans), pool);
-}
-
-void TraceIndex::assemble(std::vector<ThreadScanState> scans,
-                          util::ThreadPool* pool) {
-  const trace::TraceView& t = view_;
-  const auto thread_count = static_cast<trace::ThreadId>(t.thread_count());
+  CLA_CHECK(v.thread_count() >= threads_.size(),
+            "an extended trace cannot lose threads");
+  view_ = v;
+  const auto thread_count = static_cast<trace::ThreadId>(v.thread_count());
   threads_.resize(thread_count);
 
-  // Close any sections missing a release (thread exited holding a lock —
-  // tolerated: treat the exit as the release point). Done on the scans
-  // owned here, so a resumable caller's copy keeps them open.
-  for (auto& scan : scans) {
-    for (auto& [object, secs] : scan.sections) {
-      (void)object;
-      for (auto& cs : secs) {
-        if (cs.released_ts == kUnreleased) {
-          cs.released_ts = scan.info.exit_ts;
-          cs.released_idx = scan.info.exit_idx;
-        }
-      }
-    }
-  }
-
-  // --- merge in thread-id order (reproduces the single-scan ordering).
+  // --- drain the scans in thread-id order ---
+  RecordsByObject<CsRecord> sections;
+  RecordsByObject<BarrierWaitRecord> barrier_waits;
+  RecordsByObject<CondWaitRecord> cond_waits;
+  RecordsByObject<CondSignalRecord> signals;
   for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
     ThreadScanState& scan = scans[tid];
     threads_[tid] = scan.info;
-    for (const auto& [child, ref] : scan.creates) creates_[child] = ref;
-    for (auto& [object, secs] : scan.sections) {
-      auto& mi = mutexes_[object];
-      mi.id = object;
-      mi.sections.insert(mi.sections.end(), secs.begin(), secs.end());
+    // Of several creates of one child the latest (tid, index) wins, as a
+    // thread-ordered overwrite from scratch would have it.
+    for (const auto& [child, ref] : scan.creates) {
+      auto [it, inserted] = creates_.try_emplace(child, ref);
+      if (!inserted && it->second < ref) it->second = ref;
     }
-    for (auto& [object, waits] : scan.barrier_waits) {
-      auto& bi = barriers_[object];
-      bi.id = object;
-      for (const auto& w : waits) {
-        bi.waits.push_back(w);
-        leave_pos_[{tid, w.leave_idx}] =
-            static_cast<std::uint32_t>(bi.waits.size() - 1);
+    scan.creates.clear();
+    for (auto it = scan.sections.begin(); it != scan.sections.end();) {
+      // The key is drained even when empty: a mutex seen only released is
+      // still indexed.
+      std::vector<CsRecord>& out = sections[it->first];
+      std::vector<CsRecord>& secs = it->second;
+      auto open = secs.begin();
+      for (const CsRecord& cs : secs) {
+        out.push_back(cs);
+        if (cs.released_ts != kUnreleased) continue;
+        // Thread exited holding the lock — tolerated: the exit is the
+        // release point until the scan sees the real release.
+        out.back().released_ts = scan.info.exit_ts;
+        out.back().released_idx = scan.info.exit_idx;
+        out.back().provisional = true;
+        *open++ = cs;
       }
+      secs.erase(open, secs.end());
+      it = secs.empty() ? scan.sections.erase(it) : std::next(it);
     }
-    for (auto& [object, waits] : scan.cond_waits) {
-      auto& ci = conds_[object];
-      ci.id = object;
-      for (const auto& w : waits) {
-        ci.waits.push_back(w);
-        cond_end_pos_[{tid, w.end_idx}] =
-            static_cast<std::uint32_t>(ci.waits.size() - 1);
-      }
-    }
-    for (auto& [object, sigs] : scan.signals) {
-      auto& ci = conds_[object];
-      ci.id = object;
-      ci.signals.insert(ci.signals.end(), sigs.begin(), sigs.end());
-    }
-  }
-  scans.clear();
-
-  // --- per-primitive post-processing. Each iteration touches only its own
-  // primitive's records, so these loops fan out too; the shared position
-  // maps are filled sequentially afterwards.
-  std::vector<MutexIndex*> mutex_list;
-  mutex_list.reserve(mutexes_.size());
-  for (auto& [id, mi] : mutexes_) {
-    (void)id;
-    mutex_list.push_back(&mi);
-  }
-  const auto sort_mutex = [&](std::size_t k) {
-    auto& mi = *mutex_list[k];
-    std::stable_sort(mi.sections.begin(), mi.sections.end(),
-                     [](const CsRecord& a, const CsRecord& b) {
-                       return a.acquired_ts < b.acquired_ts;
-                     });
-  };
-
-  // Group barrier waits into episodes and find each episode's last
-  // arriver. Episode numbers are renumbered densely: clipped traces keep
-  // the original generation counters, which need not start at zero.
-  std::vector<BarrierIndex*> barrier_list;
-  barrier_list.reserve(barriers_.size());
-  for (auto& [id, bi] : barriers_) {
-    (void)id;
-    barrier_list.push_back(&bi);
-  }
-  const auto build_episodes = [&](std::size_t k) {
-    auto& bi = *barrier_list[k];
-    std::map<std::uint32_t, std::uint32_t> dense;  // recorded -> dense index
-    for (auto& w : bi.waits) {
-      auto [it, inserted] =
-          dense.try_emplace(w.episode, static_cast<std::uint32_t>(dense.size()));
-      (void)inserted;
-      w.episode = it->second;
-    }
-    bi.episodes.resize(dense.size());
-    for (std::uint32_t wi = 0; wi < bi.waits.size(); ++wi) {
-      bi.episodes[bi.waits[wi].episode].waits.push_back(wi);
-    }
-    for (auto& ep : bi.episodes) {
-      if (ep.waits.empty()) continue;
-      ep.last_arriver = ep.waits.front();
-      for (std::uint32_t wi : ep.waits) {
-        const auto& cand = bi.waits[wi];
-        const auto& best = bi.waits[ep.last_arriver];
-        if (cand.arrive_ts > best.arrive_ts ||
-            (cand.arrive_ts == best.arrive_ts && cand.tid < best.tid)) {
-          ep.last_arriver = wi;
-        }
-      }
-    }
-  };
-
-  // Sort condvar signals by time for binary-search matching.
-  std::vector<CondIndex*> cond_list;
-  cond_list.reserve(conds_.size());
-  for (auto& [id, ci] : conds_) {
-    (void)id;
-    cond_list.push_back(&ci);
-  }
-  const auto sort_signals = [&](std::size_t k) {
-    auto& ci = *cond_list[k];
-    std::stable_sort(ci.signals.begin(), ci.signals.end(),
-                     [](const CondSignalRecord& a, const CondSignalRecord& b) {
-                       return a.ts < b.ts;
-                     });
-  };
-
-  const std::size_t n_mutexes = mutex_list.size();
-  const std::size_t n_barriers = barrier_list.size();
-  const std::size_t n_conds = cond_list.size();
-  const auto post_process = [&](std::size_t k) {
-    if (k < n_mutexes) {
-      sort_mutex(k);
-    } else if (k < n_mutexes + n_barriers) {
-      build_episodes(k - n_mutexes);
-    } else {
-      sort_signals(k - n_mutexes - n_barriers);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(n_mutexes + n_barriers + n_conds, post_process);
-  } else {
-    for (std::size_t k = 0; k < n_mutexes + n_barriers + n_conds; ++k) {
-      post_process(k);
-    }
+    drain_into(scan.barrier_waits, barrier_waits);
+    drain_into(scan.cond_waits, cond_waits);
+    drain_into(scan.signals, signals);
   }
 
-  for (auto& [id, mi] : mutexes_) {
-    (void)id;
-    for (std::uint32_t pos = 0; pos < mi.sections.size(); ++pos) {
-      const auto& cs = mi.sections[pos];
-      acquired_pos_[{cs.tid, cs.acquired_idx}] = pos;
-    }
+  extend_mutexes(std::move(sections), pool);
+
+  // --- barriers and condvars: full regroup of every grown primitive ---
+  for (auto& [object, waits] : barrier_waits) {
+    BarrierIndex& bi = barriers_[object];
+    bi.id = object;
+    merge_by_thread(bi.waits, waits);
+    build_episodes(bi);
+  }
+  for (auto& [object, waits] : cond_waits) {
+    CondIndex& ci = conds_[object];
+    ci.id = object;
+    merge_by_thread(ci.waits, waits);
+  }
+  for (auto& [object, sigs] : signals) {
+    CondIndex& ci = conds_[object];
+    ci.id = object;
+    std::sort(sigs.begin(), sigs.end(), signalled_before);
+    const auto old = static_cast<std::ptrdiff_t>(ci.signals.size());
+    ci.signals.insert(ci.signals.end(), sigs.begin(), sigs.end());
+    std::inplace_merge(ci.signals.begin(), ci.signals.begin() + old,
+                       ci.signals.end(), signalled_before);
+  }
+  if (!barrier_waits.empty()) {
+    fill_positions(leave_pos_, thread_count, barriers_, &BarrierIndex::waits,
+                   [](const BarrierWaitRecord& w) { return w.leave_idx; });
+  }
+  if (!cond_waits.empty()) {
+    fill_positions(cond_end_pos_, thread_count, conds_, &CondIndex::waits,
+                   [](const CondWaitRecord& w) { return w.end_idx; });
   }
 
   // Last finished thread (max exit ts, ties toward lower tid). Empty
@@ -388,12 +410,117 @@ void TraceIndex::assemble(std::vector<ThreadScanState> scans,
   last_thread_ = 0;
   bool have_last = false;
   for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
-    if (t.thread_events(tid).empty()) continue;
+    if (v.thread_events(tid).empty()) continue;
     if (!have_last || threads_[tid].exit_ts > threads_[last_thread_].exit_ts) {
       last_thread_ = tid;
       have_last = true;
     }
   }
+}
+
+void TraceIndex::extend_mutexes(RecordsByObject<CsRecord> added,
+                                util::ThreadPool* pool) {
+  // --- the tail of every mutex: its sections acquired at or after the
+  // earliest drained section (of any mutex), plus the drained ones.
+  // Sections before that are final and keep their positions. Every
+  // provisional section lies in the tail, because each is drained again
+  // (same acquired_ts) until its real release. One cut time for all
+  // mutexes keeps each thread's stale position entries a suffix: with
+  // ordered timestamps, its final sections precede its tail ones.
+  std::uint64_t from_ts = ~static_cast<std::uint64_t>(0);
+  for (const auto& [object, secs] : added) {
+    mutexes_.try_emplace(object).first->second.id = object;
+    for (const CsRecord& cs : secs) from_ts = std::min(from_ts, cs.acquired_ts);
+  }
+  struct Tail {
+    MutexIndex* mutex;
+    std::size_t cut;
+    std::vector<CsRecord>* added;
+  };
+  std::vector<Tail> tails;
+  const std::size_t thread_count = threads_.size();
+  std::vector<std::uint32_t> first_stale(thread_count, npos32);
+  std::vector<std::size_t> stale(thread_count, 0);
+  auto next_added = added.begin();
+  for (auto& [object, mi] : mutexes_) {
+    std::vector<CsRecord>* more = nullptr;
+    if (next_added != added.end() && next_added->first == object) {
+      more = &(next_added++)->second;
+    }
+    const auto cut = static_cast<std::size_t>(
+        std::lower_bound(mi.sections.begin(), mi.sections.end(), from_ts,
+                         [](const CsRecord& cs, std::uint64_t ts) {
+                           return cs.acquired_ts < ts;
+                         }) -
+        mi.sections.begin());
+    if (cut == mi.sections.size() && (more == nullptr || more->empty())) {
+      continue;
+    }
+    for (std::size_t k = cut; k < mi.sections.size(); ++k) {
+      const CsRecord& cs = mi.sections[k];
+      first_stale[cs.tid] = std::min(first_stale[cs.tid], cs.acquired_idx);
+      ++stale[cs.tid];
+    }
+    if (more != nullptr) {
+      for (const CsRecord& cs : *more) {
+        first_stale[cs.tid] = std::min(first_stale[cs.tid], cs.acquired_idx);
+      }
+    }
+    tails.push_back(Tail{&mi, cut, more});
+  }
+
+  // --- rebuild the tails: drop provisional sections, add the drained
+  // ones, restore ownership order ---
+  for_each_index(pool, tails.size(), [&](std::size_t k) {
+    const Tail& tail = tails[k];
+    std::vector<CsRecord>& secs = tail.mutex->sections;
+    secs.erase(std::remove_if(secs.begin() + static_cast<std::ptrdiff_t>(tail.cut),
+                              secs.end(),
+                              [](const CsRecord& cs) { return cs.provisional; }),
+               secs.end());
+    if (tail.added != nullptr) {
+      if (secs.empty()) {
+        secs.swap(*tail.added);
+      } else {
+        secs.insert(secs.end(), tail.added->begin(), tail.added->end());
+      }
+    }
+    std::sort(secs.begin() + static_cast<std::ptrdiff_t>(tail.cut), secs.end(),
+              owned_before);
+  });
+
+  // --- re-point the stale position entries ---
+  acquired_pos_.resize(thread_count);
+  std::vector<std::size_t> kept(thread_count);
+  for (std::size_t tid = 0; tid < thread_count; ++tid) {
+    auto& entries = acquired_pos_[tid];
+    const auto from = std::lower_bound(
+        entries.begin(), entries.end(), first_stale[tid],
+        [](const Position& e, std::uint32_t idx) { return e.idx < idx; });
+    if (static_cast<std::size_t>(entries.end() - from) != stale[tid]) {
+      // A final section has a later event index than a tail one
+      // (regressing timestamps): re-index everything.
+      fill_positions(acquired_pos_, thread_count, mutexes_,
+                     &MutexIndex::sections,
+                     [](const CsRecord& cs) { return cs.acquired_idx; });
+      return;
+    }
+    entries.erase(from, entries.end());
+    kept[tid] = entries.size();
+  }
+  for (const Tail& tail : tails) {
+    const std::vector<CsRecord>& secs = tail.mutex->sections;
+    for (std::size_t pos = tail.cut; pos < secs.size(); ++pos) {
+      acquired_pos_[secs[pos].tid].push_back(
+          Position{secs[pos].acquired_idx, static_cast<std::uint32_t>(pos)});
+    }
+  }
+  for_each_index(pool, thread_count, [&](std::size_t tid) {
+    auto& entries = acquired_pos_[tid];
+    std::sort(entries.begin() + static_cast<std::ptrdiff_t>(kept[tid]),
+              entries.end(),
+              [](const Position& a, const Position& b) { return a.idx < b.idx; });
+  });
 }
 
 EventRef TraceIndex::create_event(trace::ThreadId child) const {
@@ -403,20 +530,17 @@ EventRef TraceIndex::create_event(trace::ThreadId child) const {
 
 std::uint32_t TraceIndex::section_of(trace::ThreadId tid,
                                      std::uint32_t acquired_idx) const {
-  auto it = acquired_pos_.find({tid, acquired_idx});
-  return it == acquired_pos_.end() ? npos32 : it->second;
+  return find_position(acquired_pos_, tid, acquired_idx);
 }
 
 std::uint32_t TraceIndex::barrier_wait_of(trace::ThreadId tid,
                                           std::uint32_t leave_idx) const {
-  auto it = leave_pos_.find({tid, leave_idx});
-  return it == leave_pos_.end() ? npos32 : it->second;
+  return find_position(leave_pos_, tid, leave_idx);
 }
 
 std::uint32_t TraceIndex::cond_wait_of(trace::ThreadId tid,
                                        std::uint32_t end_idx) const {
-  auto it = cond_end_pos_.find({tid, end_idx});
-  return it == cond_end_pos_.end() ? npos32 : it->second;
+  return find_position(cond_end_pos_, tid, end_idx);
 }
 
 }  // namespace cla::analysis

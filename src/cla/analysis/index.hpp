@@ -7,6 +7,8 @@
 //   - per-barrier episodes with their last arriver,
 //   - per-condvar signal lists and wait records,
 //   - thread lifecycle (create/join/exit) relations.
+// The index can also grow in place as a live trace appends (extend()),
+// which is how the incremental analyzer keeps one index across rounds.
 #pragma once
 
 #include <cstdint>
@@ -45,15 +47,18 @@ struct CsRecord {
   /// CallStacks table); 0 when the trace carries no callsite capture.
   std::uint64_t stack_id = 0;
   bool contended = false;
+  /// Still held at the end of the indexed stream, so closed at the
+  /// thread's exit for now; the next TraceIndex::extend() replaces it.
+  bool provisional = false;
 
   std::uint64_t wait_time() const noexcept { return acquired_ts - acquire_ts; }
   std::uint64_t hold_time() const noexcept { return released_ts - acquired_ts; }
 };
 
-/// All critical sections of one mutex, sorted by acquired_ts (the total
-/// order of ownership). sections[k-1] released the lock that sections[k]
-/// obtained — the paper's "thread holding the same lock adjacently before
-/// the blocked thread".
+/// All critical sections of one mutex in ownership order: sorted by
+/// (acquired_ts, tid, acquired_idx). sections[k-1] released the lock that
+/// sections[k] obtained — the paper's "thread holding the same lock
+/// adjacently before the blocked thread".
 struct MutexIndex {
   trace::ObjectId id = trace::kNoObject;
   std::vector<CsRecord> sections;
@@ -66,7 +71,10 @@ struct BarrierWaitRecord {
   std::uint32_t leave_idx = 0;
   std::uint64_t arrive_ts = 0;
   std::uint64_t leave_ts = 0;
-  std::uint32_t episode = 0;
+  std::uint32_t episode = 0;     ///< dense index into BarrierIndex::episodes
+  /// The producer's generation number, or the per-thread wait ordinal when
+  /// none was recorded; TraceIndex numbers episodes densely from it.
+  std::uint32_t generation = 0;
 };
 
 /// One barrier generation: which waits belong to it and who arrived last
@@ -123,13 +131,14 @@ struct ThreadInfo {
 ///
 /// consume() may be called repeatedly as the stream grows; it picks up at
 /// next_index(). Records whose closing event has not arrived yet stay
-/// open (a section's released_ts == kUnreleasedTs) — TraceIndex
-/// materialization closes them at thread exit on its *own copies*, so a
-/// record that closes for real in a later round is unharmed.
+/// open (a section's released_ts == kUnreleasedTs).
 ///
-/// Callers that only aggregate (the streaming engine) may drain closed
-/// records out of the public vectors between consume() calls: the scan
-/// itself only ever revisits open records.
+/// Callers drain closed records out of the public vectors between
+/// consume() calls: the scan itself only ever revisits open records.
+/// TraceIndex::extend() moves every closed record into the index and
+/// leaves only the open sections behind (it indexes *copies* of those,
+/// closed at thread exit, so a section that closes for real in a later
+/// round is unharmed); the streaming engine aggregates and discards.
 class ThreadScanState {
  public:
   /// released_ts sentinel of a section still held after the last
@@ -160,7 +169,8 @@ class ThreadScanState {
   /// Earliest start timestamp (acquire/arrive/begin) among records still
   /// open after the last consume; ~0 if none. The incremental analyzer's
   /// re-resolution boundary needs it: a record that closes later can
-  /// change resolutions from its start onwards.
+  /// change resolutions from its start onwards. O(open records) once the
+  /// closed ones are drained.
   std::uint64_t earliest_open_ts() const noexcept;
 
  private:
@@ -190,14 +200,20 @@ class ThreadScanState {
   std::uint32_t next_ = 0;
 };
 
-/// Immutable per-primitive index over one trace.
+/// Per-primitive index over one trace.
 ///
 /// The index consumes (and retains) a read-only TraceView, so it is
 /// storage-agnostic: an in-memory Trace, an mmap()ed file, and decoded
 /// v3 columns all index identically. Constructing from a Trace borrows
 /// it — the trace must outlive the index, exactly as before.
+///
+/// Every constructor scans the trace and then runs extend() on an empty
+/// index, so one-shot and live indexes share a single assembly path.
 class TraceIndex {
  public:
+  /// An empty index over no trace; extend() grows it.
+  TraceIndex() = default;
+
   explicit TraceIndex(const trace::Trace& trace);
   /// The index keeps a view of the trace: temporaries are rejected.
   explicit TraceIndex(trace::Trace&&) = delete;
@@ -212,14 +228,22 @@ class TraceIndex {
   TraceIndex(trace::Trace&&, util::ThreadPool*) = delete;
   TraceIndex(const trace::TraceView& view, util::ThreadPool* pool);
 
-  /// Materializes an index from externally progressed scans (one per
-  /// thread, fully caught up with `view`). The incremental analyzer keeps
-  /// its ThreadScanStates across rounds and passes copies here, so the
-  /// O(records) materialization replaces the O(events) rescan. Still-open
-  /// sections are closed at thread exit on the copies, exactly as the
-  /// one-shot constructors do.
-  TraceIndex(const trace::TraceView& view, std::vector<ThreadScanState> scans,
-             util::ThreadPool* pool);
+  /// Extends the index in place to `view`, a grown version of the trace
+  /// it covers, and drains `scans` (one per thread, caught up with `view`)
+  /// down to their open records.
+  ///
+  /// Sections acquired before the earliest drained one are final and keep
+  /// their positions; per mutex, only the tail from there on (retained
+  /// records plus drained ones) is re-sorted, and provisional sections are
+  /// replaced. In a live tail every drained section starts at or after the
+  /// incremental analyzer's re-resolution boundary, so the cost is
+  /// O(drained + tail + locks) for mutexes; barrier and condvar records
+  /// are regrouped in full whenever they grow. The result is identical to
+  /// constructing the index over `view` from scratch, even when a
+  /// thread's timestamps regress (then at the cost of a full re-index of
+  /// the section positions).
+  void extend(const trace::TraceView& view, std::vector<ThreadScanState>& scans,
+              util::ThreadPool* pool);
 
   /// The viewed trace this index was built over (valid while the view's
   /// backing store lives).
@@ -259,9 +283,17 @@ class TraceIndex {
   static constexpr std::uint32_t npos32 = ~static_cast<std::uint32_t>(0);
 
  private:
-  /// Shared tail of every constructor: apply the exit-closes, merge the
-  /// scans in thread-id order, post-process per primitive.
-  void assemble(std::vector<ThreadScanState> scans, util::ThreadPool* pool);
+  /// Event index -> position in the owning primitive's record vector.
+  struct Position {
+    std::uint32_t idx = 0;
+    std::uint32_t pos = 0;
+  };
+  /// One vector per thread, sorted by event index (lower_bound lookups).
+  using PositionTable = std::vector<std::vector<Position>>;
+
+  /// The mutex half of extend(): splices `added` into each mutex's tail.
+  void extend_mutexes(std::map<trace::ObjectId, std::vector<CsRecord>> added,
+                      util::ThreadPool* pool);
 
   trace::TraceView view_;
   std::map<trace::ObjectId, MutexIndex> mutexes_;
@@ -269,10 +301,9 @@ class TraceIndex {
   std::map<trace::ObjectId, CondIndex> conds_;
   std::vector<ThreadInfo> threads_;
   std::map<trace::ThreadId, EventRef> creates_;
-  // (tid, event_idx) -> position in the owning primitive's record vector.
-  std::map<std::pair<trace::ThreadId, std::uint32_t>, std::uint32_t> acquired_pos_;
-  std::map<std::pair<trace::ThreadId, std::uint32_t>, std::uint32_t> leave_pos_;
-  std::map<std::pair<trace::ThreadId, std::uint32_t>, std::uint32_t> cond_end_pos_;
+  PositionTable acquired_pos_;
+  PositionTable leave_pos_;
+  PositionTable cond_end_pos_;
   trace::ThreadId last_thread_ = 0;
 };
 

@@ -157,7 +157,6 @@ std::string MonitorCore::ranking_json() {
   out.precision(12);
   out << "{\"schema\":1,\"sources\":[";
   for (std::size_t i = 0; i < sources_.size(); ++i) {
-    Source& source = *sources_[i];
     SourceState& state = states_[i];
     if (i > 0) out << ',';
     out << "{\"path\":";

@@ -64,6 +64,61 @@ TEST(TraceIndex, SectionOfLookup) {
   // MutexAcquired is event index 2 (start, acquire, acquired, ...).
   EXPECT_EQ(index.section_of(0, 2), 0u);
   EXPECT_EQ(index.section_of(0, 1), TraceIndex::npos32);
+  // Positions are held per thread: a thread past the trace has none.
+  EXPECT_EQ(index.section_of(1, 2), TraceIndex::npos32);
+  EXPECT_EQ(index.section_of(trace::kNoThread, 2), TraceIndex::npos32);
+}
+
+TEST(TraceIndex, EqualAcquisitionTimesOrderByThreadThenEvent) {
+  TraceBuilder b;
+  // All three sections obtain lock 9 at t=4; thread 0 requested it last.
+  b.thread(0).start(0).lock(9, 3, 4, 4).exit(10);
+  b.thread(1).start(0, trace::kNoThread).lock(9, 1, 4, 4).lock(9, 4, 4, 4).exit(10);
+  const trace::Trace t = b.finish_unchecked();
+  const TraceIndex index(t);
+  // Ownership order is (acquired_ts, tid, acquired_idx); MutexAcquired
+  // events sit at indices 2 and 5.
+  EXPECT_EQ(index.section_of(0, 2), 0u);
+  EXPECT_EQ(index.section_of(1, 2), 1u);
+  EXPECT_EQ(index.section_of(1, 5), 2u);
+  const MutexIndex& mi = index.mutexes().at(9);
+  ASSERT_EQ(mi.sections.size(), 3u);
+  EXPECT_EQ(mi.sections[0].tid, 0u);
+  EXPECT_EQ(mi.sections[2].acquired_idx, 5u);
+}
+
+TEST(TraceIndex, ExtendMatchesOneShotWhenTimestampsRegress) {
+  TraceBuilder b;
+  // Thread 0's second section regresses to t=3, behind its first.
+  b.thread(0).start(0).lock(9, 10, 10, 12).lock(9, 3, 3, 4).lock(9, 8, 8, 9).exit(20);
+  b.thread(1).start(0, trace::kNoThread).lock(9, 5, 5, 6).exit(7);
+  const trace::Trace full = b.finish_unchecked();
+  trace::Trace prefix;  // thread 0 up to its third section
+  prefix.append_thread_events(0, full.thread_events(0).subspan(0, 7));
+  prefix.append_thread_events(1, full.thread_events(1));
+
+  TraceIndex index;
+  std::vector<ThreadScanState> scans(2);
+  const trace::TraceView first(prefix);
+  for (trace::ThreadId tid = 0; tid < 2; ++tid) {
+    scans[tid].consume(first.thread_events(tid), tid);
+  }
+  index.extend(first, scans, nullptr);
+  const trace::TraceView second(full);
+  scans[0].consume(second.thread_events(0), 0);
+  // The new section (t=8) re-sorts the one acquired at t=10, but not the
+  // one at t=3, which has a later event index.
+  index.extend(second, scans, nullptr);
+
+  const TraceIndex reference(full);
+  const auto& got = index.mutexes().at(9).sections;
+  const auto& want = reference.mutexes().at(9).sections;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].tid, want[k].tid) << k;
+    EXPECT_EQ(got[k].acquired_idx, want[k].acquired_idx) << k;
+    EXPECT_EQ(index.section_of(want[k].tid, want[k].acquired_idx), k);
+  }
 }
 
 TEST(TraceIndex, BarrierEpisodesGroupByRecordedGeneration) {

@@ -200,14 +200,7 @@ CriticalPath compute_critical_path(const SegmentDag& dag,
     --local;
   }
 
-  std::uint64_t jump_segments = 0;
-  for (trace::ThreadId tt = 0;
-       tt < static_cast<trace::ThreadId>(dag.thread_count()); ++tt) {
-    for (const Segment& s : dag.thread_segments(tt)) {
-      jump_segments += s.has_jump() ? 1 : 0;
-    }
-  }
-  stats.speculation_misses = jump_segments - stats.jumps_taken;
+  stats.speculation_misses = dag.hop_count() - stats.jumps_taken;
 
   finalize_path(path, t.thread_count(), pool);
   if (stats_out != nullptr) *stats_out = stats;

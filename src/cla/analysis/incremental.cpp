@@ -5,7 +5,6 @@
 
 #include "cla/analysis/critical_path.hpp"
 #include "cla/analysis/report.hpp"
-#include "cla/analysis/resolver.hpp"
 #include "cla/util/error.hpp"
 #include "cla/util/guard.hpp"
 #include "cla/util/thread_pool.hpp"
@@ -54,8 +53,8 @@ std::string IncrementalAnalyzer::report_json() {
   (void)result();
   JsonReportMeta meta;
   meta.has_dag = true;
-  meta.dag_segments = dag_segments_;
-  meta.dag_threads = dag_threads_;
+  meta.dag_segments = dag_.segment_count();
+  meta.dag_threads = dag_.thread_count();
   return render_json(*result_, meta);
 }
 
@@ -87,17 +86,17 @@ void IncrementalAnalyzer::refresh() {
   }
   pool_->set_deadline(deadline);
   scans_.resize(thread_count);
-  segments_.resize(thread_count);
 
   // --- the re-resolution boundary, from the *previous* round's state ---
   std::uint64_t boundary = ~static_cast<std::uint64_t>(0);
-  for (const ThreadScanState& scan : scans_) {
-    boundary = std::min(boundary, scan.earliest_open_ts());
-  }
+  std::vector<std::uint32_t> appended_from(thread_count);
   for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
+    const ThreadScanState& scan = scans_[tid];
+    boundary = std::min(boundary, scan.earliest_open_ts());
+    appended_from[tid] = scan.next_index();
     const trace::EventsView& events = view.thread_events(tid);
-    if (scans_[tid].next_index() < events.size()) {
-      boundary = std::min(boundary, events.ts_at(scans_[tid].next_index()));
+    if (appended_from[tid] < events.size()) {
+      boundary = std::min(boundary, events.ts_at(appended_from[tid]));
     }
   }
 
@@ -106,86 +105,35 @@ void IncrementalAnalyzer::refresh() {
     scans_[tid].consume(view.thread_events(static_cast<trace::ThreadId>(tid)),
                         static_cast<trace::ThreadId>(tid));
   });
+  // A thread whose timestamps regress can append records that start
+  // before its first new event.
+  for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
+    if (scans_[tid].info.ts_ordered) continue;
+    const trace::EventsView& events = view.thread_events(tid);
+    for (std::uint32_t i = appended_from[tid]; i < events.size(); ++i) {
+      boundary = std::min(boundary, events.ts_at(i));
+    }
+  }
 
   deadline.check("incremental-scan");
 
   // Extend the index in place: it re-sorts sections only from the
-  // earliest new record on, never before the boundary. The scans keep
-  // only their open records.
+  // earliest new record on, never before the boundary, and keeps the
+  // per-mutex totals. The scans keep only their open records.
   index_.extend(view, scans_, pool_.get());
-  const TraceIndex& index = index_;
   deadline.check("incremental-index");
 
-  // --- prune retained segments past the boundary, re-resolve the tail ---
-  std::uint64_t kept_total = 0;
-  pool_->parallel_for(thread_count, [&](std::size_t t) {
-    const auto tid = static_cast<trace::ThreadId>(t);
-    const trace::EventsView& events = view.thread_events(tid);
-    if (events.empty()) return;  // placeholder thread in a live tail
-    std::vector<Segment>& segs = segments_[tid];
-    if (segs.empty()) {
-      Segment initial;
-      initial.begin_idx = 0;
-      initial.begin_ts = events.ts_at(0);
-      initial.kind = events.type_at(0);
-      initial.object = events.object_at(0);
-      segs.push_back(initial);
-    }
-    auto keep_end = segs.begin() + 1;
-    for (auto it = segs.begin() + 1; it != segs.end(); ++it) {
-      if (it->begin_ts >= boundary) break;  // begin_ts ascending
-      *keep_end++ = *it;
-    }
-    segs.erase(keep_end, segs.end());
-    if (segs.front().begin_ts >= boundary) {
-      segs.front().jump_to = EventRef{};  // event 0 re-resolves below
-    }
-
-    // First event index whose resolution may have changed.
-    const auto n = static_cast<std::uint32_t>(events.size());
-    trace::ChunkCursor cursor = view.thread_cursor(tid);
-    cursor.seek_ts(boundary);
-    for (std::uint32_t i = cursor.position(); i < n; ++i) {
-      // Cooperative early-out; the throw happens on the main thread.
-      if ((i & 0xfff) == 0 && deadline.should_stop()) return;
-      if (!trace::is_wakeup(events.type_at(i))) continue;
-      const Resolution r = resolve_wakeup(index, tid, i);
-      if (!r.blocked || !r.releaser.valid()) continue;
-      if (i == 0) {
-        segs.front().jump_to = r.releaser;
-        continue;
-      }
-      Segment s;
-      s.begin_idx = i;
-      s.begin_ts = events.ts_at(i);
-      s.jump_to = r.releaser;
-      s.kind = events.type_at(i);
-      s.object = events.object_at(i);
-      segs.push_back(s);
-    }
-  });
-
-  deadline.check("incremental-resolve");
-
-  rescanned_ = 0;
-  for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
-    kept_total += segments_[tid].size();
-    for (const Segment& s : segments_[tid]) {
-      // Segments at or past the boundary were (re)resolved this round.
-      if (s.begin_ts >= boundary) ++rescanned_;
-    }
-  }
-  retained_ = kept_total - rescanned_;
-
-  // --- extend the DAG and walk it ---
-  SegmentDag dag(view, segments_, index.last_finished_thread(), pool_.get());
-  dag_segments_ = dag.segment_count();
-  dag_threads_ = dag.thread_count();
+  // Extend the DAG in place: segments beginning before the boundary are
+  // kept, the rest are rediscovered against the extended index.
+  dag_.extend(index_, boundary, pool_.get(), &deadline);
+  retained_ = dag_.retained_count();
+  rescanned_ = dag_.segment_count() - retained_;
   deadline.check("incremental-builddag");
+
   CriticalPath path =
-      compute_critical_path(dag, pool_.get(), nullptr, &walk_stats_);
+      compute_critical_path(dag_, pool_.get(), nullptr, &walk_stats_);
   deadline.check("incremental-walk");
-  result_ = compute_stats(index, std::move(path), options_.stats, pool_.get());
+  result_ = compute_stats(index_, std::move(path), options_.stats, pool_.get());
   dirty_ = false;
 }
 

@@ -5,25 +5,28 @@
 //   - one resumable ThreadScanState per thread (the O(events) forward
 //     scan never revisits an event; it holds only open records),
 //   - one TraceIndex, extended in place every round, which holds each
-//     closed record once, and
-//   - the resolved per-thread segment vectors of the previous round.
+//     closed record once and keeps running per-mutex TYPE 2 totals, and
+//   - one SegmentDag, extended in place every round.
 // On update it computes a *re-resolution boundary*: the earliest
 // timestamp whose wake-up resolution could have changed, which is the
-// minimum of (a) the first newly appended event's timestamp and (b) the
+// minimum of (a) the first newly appended event's timestamp (every
+// appended one, for a thread whose timestamps regress) and (b) the
 // start of any record still open after the previous round (an open
 // critical section that closes later moves its waiters' releaser).
 // The index keeps every mutex's sections acquired before the boundary in
-// place and re-sorts at most the tail; segments beginning before the
-// boundary are retained verbatim and the tail is re-resolved against the
-// extended index. The walk and the stats assembly then run on the
-// extended DAG, so reports are byte-identical to a from-scratch
-// cla::Pipeline over the same accumulated trace (the determinism suite and
-// the per-round incremental tests pin this).
+// place and re-sorts at most the tail; the DAG keeps the segments
+// beginning before the boundary, with their hops, and rediscovers the
+// rest against the extended index. The walk runs on the extended DAG and
+// compute_stats reads the index's totals plus the sections near the
+// path, so reports are byte-identical to a from-scratch cla::Pipeline
+// over the same accumulated trace (the determinism suite and the
+// per-round incremental tests pin this).
 //
-// Per-refresh cost is O(appended + tail + locks) for the scan, the index
-// and the resolution. Barrier and condvar records are regrouped in full
-// when they grow, and compute_stats still walks every section, so stats
-// are the next O(history) term.
+// Per-refresh cost is O(appended + tail + path + locks) end to end: no
+// step re-reads closed history. What still grows with history: the
+// barrier/condvar regroup in TraceIndex::extend() (in full whenever they
+// grow), the O(locks) LockStats assembly, and the walk's O(segments)
+// visited set — small next to the rest (one segment per tens of events).
 #pragma once
 
 #include <cstdint>
@@ -54,10 +57,10 @@ class IncrementalAnalyzer {
   void append(const trace::Trace& chunk);
 
   /// The analysis of everything appended so far. Extends the index and
-  /// re-resolves only the tail past the re-resolution boundary, then
-  /// rebuilds the DAG, walks it and recomputes the stats; unchanged rounds
-  /// are free. After a throw (a budget breach) the analyzer is spent:
-  /// callers discard it and start a fresh window.
+  /// the DAG, re-resolving only the tail past the re-resolution boundary,
+  /// then walks the DAG and recomputes the stats; unchanged rounds are
+  /// free. After a throw (a budget breach) the analyzer is spent: callers
+  /// discard it and start a fresh window.
   const AnalysisResult& result();
 
   /// Schema-2 JSON, byte-identical to cla::Pipeline::report_json() over
@@ -81,11 +84,9 @@ class IncrementalAnalyzer {
   trace::Trace trace_;
   std::vector<ThreadScanState> scans_;
   TraceIndex index_;
-  std::vector<std::vector<Segment>> segments_;
+  SegmentDag dag_;
   std::optional<AnalysisResult> result_;
   DagWalkStats walk_stats_;
-  std::uint64_t dag_segments_ = 0;
-  std::uint64_t dag_threads_ = 0;
   std::uint64_t retained_ = 0;
   std::uint64_t rescanned_ = 0;
   bool dirty_ = false;

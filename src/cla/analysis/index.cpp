@@ -112,6 +112,25 @@ void build_episodes(BarrierIndex& bi) {
   }
 }
 
+/// Adds `cs` to its mutex's running totals.
+void count_section(MutexIndex& mi, const CsRecord& cs) {
+  mi.totals.add(cs);
+  mi.wait_per_thread[cs.tid] += cs.wait_time();
+  mi.hold_per_thread[cs.tid] += cs.hold_time();
+  if (cs.stack_id != 0) mi.callsites[cs.stack_id].add(cs);
+}
+
+/// Takes `cs` back out of its mutex's running totals.
+void uncount_section(MutexIndex& mi, const CsRecord& cs) {
+  mi.totals.subtract(cs);
+  mi.wait_per_thread[cs.tid] -= cs.wait_time();
+  mi.hold_per_thread[cs.tid] -= cs.hold_time();
+  if (cs.stack_id == 0) return;
+  const auto it = mi.callsites.find(cs.stack_id);
+  it->second.subtract(cs);
+  if (it->second.invocations == 0) mi.callsites.erase(it);
+}
+
 /// Rebuilds a position table from scratch over every record of `objects`.
 template <typename Table, typename Index, typename Records, typename EventIdx>
 void fill_positions(Table& table, std::size_t threads,
@@ -169,6 +188,8 @@ void ThreadScanState::consume(const trace::EventsView& events,
 
   for (std::uint32_t i = next_; i < limit; ++i) {
     const Event e = events[i];
+    if (i != 0 && e.ts < last_ts_) info.ts_ordered = false;
+    last_ts_ = e.ts;
     if (is_sync_op(e.type)) ++info.sync_ops;
     switch (e.type) {
       case EventType::ThreadCreate:
@@ -186,8 +207,11 @@ void ThreadScanState::consume(const trace::EventsView& events,
         break;
       }
       case EventType::MutexAcquired: {
-        auto& p = pending_cs_[e.object];
-        if (p.open) {
+        // The pending acquire is done with: dropping it keeps pending_cs_
+        // down to the open ones (a later acquire starts a fresh entry).
+        const auto it = pending_cs_.find(e.object);
+        if (it != pending_cs_.end()) {
+          const PendingCs& p = it->second;
           CsRecord cs;
           cs.tid = tid;
           cs.acquire_idx = p.acquire_idx;
@@ -198,7 +222,7 @@ void ThreadScanState::consume(const trace::EventsView& events,
           cs.stack_id = p.stack_id;
           cs.contended = (e.arg != trace::kNoArg) && (e.arg & 1);
           sections[e.object].push_back(cs);
-          p.open = false;
+          pending_cs_.erase(it);
         }
         break;
       }
@@ -427,10 +451,15 @@ void TraceIndex::extend_mutexes(RecordsByObject<CsRecord> added,
   // (same acquired_ts) until its real release. One cut time for all
   // mutexes keeps each thread's stale position entries a suffix: with
   // ordered timestamps, its final sections precede its tail ones.
+  const std::size_t thread_count = threads_.size();
+  max_hold_.resize(thread_count, 0);
   std::uint64_t from_ts = ~static_cast<std::uint64_t>(0);
   for (const auto& [object, secs] : added) {
     mutexes_.try_emplace(object).first->second.id = object;
-    for (const CsRecord& cs : secs) from_ts = std::min(from_ts, cs.acquired_ts);
+    for (const CsRecord& cs : secs) {
+      from_ts = std::min(from_ts, cs.acquired_ts);
+      max_hold_[cs.tid] = std::max(max_hold_[cs.tid], cs.hold_time());
+    }
   }
   struct Tail {
     MutexIndex* mutex;
@@ -438,11 +467,12 @@ void TraceIndex::extend_mutexes(RecordsByObject<CsRecord> added,
     std::vector<CsRecord>* added;
   };
   std::vector<Tail> tails;
-  const std::size_t thread_count = threads_.size();
   std::vector<std::uint32_t> first_stale(thread_count, npos32);
   std::vector<std::size_t> stale(thread_count, 0);
   auto next_added = added.begin();
   for (auto& [object, mi] : mutexes_) {
+    mi.wait_per_thread.resize(thread_count, 0);
+    mi.hold_per_thread.resize(thread_count, 0);
     std::vector<CsRecord>* more = nullptr;
     if (next_added != added.end() && next_added->first == object) {
       more = &(next_added++)->second;
@@ -470,15 +500,21 @@ void TraceIndex::extend_mutexes(RecordsByObject<CsRecord> added,
   }
 
   // --- rebuild the tails: drop provisional sections, add the drained
-  // ones, restore ownership order ---
+  // ones, restore ownership order. The totals follow each section that
+  // leaves or joins. ---
   for_each_index(pool, tails.size(), [&](std::size_t k) {
     const Tail& tail = tails[k];
-    std::vector<CsRecord>& secs = tail.mutex->sections;
-    secs.erase(std::remove_if(secs.begin() + static_cast<std::ptrdiff_t>(tail.cut),
-                              secs.end(),
+    MutexIndex& mi = *tail.mutex;
+    std::vector<CsRecord>& secs = mi.sections;
+    const auto cut = secs.begin() + static_cast<std::ptrdiff_t>(tail.cut);
+    for (auto it = cut; it != secs.end(); ++it) {
+      if (it->provisional) uncount_section(mi, *it);
+    }
+    secs.erase(std::remove_if(cut, secs.end(),
                               [](const CsRecord& cs) { return cs.provisional; }),
                secs.end());
     if (tail.added != nullptr) {
+      for (const CsRecord& cs : *tail.added) count_section(mi, cs);
       if (secs.empty()) {
         secs.swap(*tail.added);
       } else {
@@ -521,6 +557,12 @@ void TraceIndex::extend_mutexes(RecordsByObject<CsRecord> added,
               entries.end(),
               [](const Position& a, const Position& b) { return a.idx < b.idx; });
   });
+}
+
+const std::vector<TraceIndex::Position>& TraceIndex::thread_sections(
+    trace::ThreadId tid) const {
+  static const std::vector<Position> kNone;
+  return tid < acquired_pos_.size() ? acquired_pos_[tid] : kNone;
 }
 
 EventRef TraceIndex::create_event(trace::ThreadId child) const {

@@ -55,13 +55,50 @@ struct CsRecord {
   std::uint64_t hold_time() const noexcept { return released_ts - acquired_ts; }
 };
 
+/// Integer sums over a set of critical sections — the inputs of the
+/// paper's TYPE 2 statistics. Sums wrap modulo 2^64 exactly like a fresh
+/// fold, so taking a section out and putting it back is exact.
+struct SectionTotals {
+  std::uint64_t invocations = 0;
+  std::uint64_t contended = 0;
+  std::uint64_t wait = 0;  ///< ns, summed wait_time()
+  std::uint64_t hold = 0;  ///< ns, summed hold_time()
+
+  void add(const CsRecord& cs) noexcept {
+    ++invocations;
+    contended += cs.contended ? 1 : 0;
+    wait += cs.wait_time();
+    hold += cs.hold_time();
+  }
+  void subtract(const CsRecord& cs) noexcept {
+    --invocations;
+    contended -= cs.contended ? 1 : 0;
+    wait -= cs.wait_time();
+    hold -= cs.hold_time();
+  }
+  friend bool operator==(const SectionTotals&, const SectionTotals&) = default;
+};
+
 /// All critical sections of one mutex in ownership order: sorted by
 /// (acquired_ts, tid, acquired_idx). sections[k-1] released the lock that
 /// sections[k] obtained — the paper's "thread holding the same lock
 /// adjacently before the blocked thread".
+///
+/// The totals are running sums over `sections`, kept by
+/// TraceIndex::extend(): it subtracts the sections it takes out of a
+/// mutex's tail (provisional ones) and adds the ones it puts in, so
+/// compute_stats reads TYPE 2 figures without visiting any section.
 struct MutexIndex {
   trace::ObjectId id = trace::kNoObject;
   std::vector<CsRecord> sections;
+  SectionTotals totals;
+  /// Summed wait and hold time per thread (index = tid), sized to the
+  /// index's thread count.
+  std::vector<std::uint64_t> wait_per_thread;
+  std::vector<std::uint64_t> hold_per_thread;
+  /// Totals per acquisition call stack (CsRecord::stack_id != 0). A stack
+  /// id whose sections all left the index has no entry.
+  std::map<std::uint64_t, SectionTotals> callsites;
 };
 
 /// One thread's passage through a barrier (Arrive .. Leave).
@@ -120,6 +157,10 @@ struct ThreadInfo {
   std::uint32_t exit_idx = 0;
   trace::ThreadId parent = trace::kNoThread;
   std::size_t sync_ops = 0;  ///< mutex/barrier/cond events (not lifecycle)
+  /// No event's timestamp is below its predecessor's. Lookups by time
+  /// (the stats' path-driven section visit) rely on it; a thread that
+  /// regresses is handled by visiting all of its records instead.
+  bool ts_ordered = true;
 
   std::uint64_t duration() const noexcept { return exit_ts - start_ts; }
 };
@@ -170,7 +211,8 @@ class ThreadScanState {
   /// open after the last consume; ~0 if none. The incremental analyzer's
   /// re-resolution boundary needs it: a record that closes later can
   /// change resolutions from its start onwards. O(open records) once the
-  /// closed ones are drained.
+  /// closed ones are drained: a pending acquire leaves the scan state when
+  /// its MutexAcquired arrives.
   std::uint64_t earliest_open_ts() const noexcept;
 
  private:
@@ -198,6 +240,7 @@ class ThreadScanState {
   PendingCond pending_cond_;  // waits cannot nest on one thread
   trace::ObjectId pending_cond_id_ = trace::kNoObject;
   std::uint32_t next_ = 0;
+  std::uint64_t last_ts_ = 0;  ///< timestamp of event next_ - 1
 };
 
 /// Per-primitive index over one trace.
@@ -235,13 +278,15 @@ class TraceIndex {
   /// Sections acquired before the earliest drained one are final and keep
   /// their positions; per mutex, only the tail from there on (retained
   /// records plus drained ones) is re-sorted, and provisional sections are
-  /// replaced. In a live tail every drained section starts at or after the
-  /// incremental analyzer's re-resolution boundary, so the cost is
-  /// O(drained + tail + locks) for mutexes; barrier and condvar records
-  /// are regrouped in full whenever they grow. The result is identical to
-  /// constructing the index over `view` from scratch, even when a
-  /// thread's timestamps regress (then at the cost of a full re-index of
-  /// the section positions).
+  /// replaced. Each MutexIndex's totals follow: the replaced provisional
+  /// sections are subtracted and the drained ones added. In a live tail
+  /// every drained section starts at or after the incremental analyzer's
+  /// re-resolution boundary, so the cost is O(drained + tail + locks) for
+  /// mutexes. Barrier and condvar records are still regrouped in full
+  /// whenever they grow, the remaining O(history) term of a live refresh
+  /// that uses them. The result is identical to constructing the index
+  /// over `view` from scratch, even when a thread's timestamps regress
+  /// (then at the cost of a full re-index of the section positions).
   void extend(const trace::TraceView& view, std::vector<ThreadScanState>& scans,
               util::ThreadPool* pool);
 
@@ -280,14 +325,28 @@ class TraceIndex {
   /// break toward the lowest tid). The paper's walk starts there.
   trace::ThreadId last_finished_thread() const noexcept { return last_thread_; }
 
-  static constexpr std::uint32_t npos32 = ~static_cast<std::uint32_t>(0);
-
- private:
   /// Event index -> position in the owning primitive's record vector.
   struct Position {
     std::uint32_t idx = 0;
     std::uint32_t pos = 0;
   };
+
+  /// `tid`'s critical sections in event order: each entry is a
+  /// MutexAcquired index and the section's position in the sections of
+  /// that event's mutex. Empty for a thread past the index.
+  const std::vector<Position>& thread_sections(trace::ThreadId tid) const;
+
+  /// An upper bound on the hold time of `tid`'s sections, provisional
+  /// ones included (it never shrinks, so a section that was replaced may
+  /// still widen it). A section of `tid` released after time T was
+  /// therefore acquired after T - max_hold(tid). 0 past the index.
+  std::uint64_t max_hold(trace::ThreadId tid) const noexcept {
+    return tid < max_hold_.size() ? max_hold_[tid] : 0;
+  }
+
+  static constexpr std::uint32_t npos32 = ~static_cast<std::uint32_t>(0);
+
+ private:
   /// One vector per thread, sorted by event index (lower_bound lookups).
   using PositionTable = std::vector<std::vector<Position>>;
 
@@ -304,6 +363,7 @@ class TraceIndex {
   PositionTable acquired_pos_;
   PositionTable leave_pos_;
   PositionTable cond_end_pos_;
+  std::vector<std::uint64_t> max_hold_;
   trace::ThreadId last_thread_ = 0;
 };
 

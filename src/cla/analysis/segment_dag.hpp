@@ -13,7 +13,9 @@
 //
 // Segments are built shard-parallel straight from the trace's columns
 // (one task per thread, plus a chunked hop-resolution pass), and the DAG
-// is storage-agnostic — it only keeps a TraceView. See DESIGN §12.
+// is storage-agnostic — it only keeps a TraceView. It can also grow in
+// place as a live trace appends (extend()), which is how the incremental
+// analyzer keeps one DAG across rounds. See DESIGN §12.
 #pragma once
 
 #include <cstdint>
@@ -56,24 +58,43 @@ struct DagWalkStats {
   std::uint64_t merge_steps = 0;        ///< merge-walk iterations
 };
 
-/// The segment DAG of one trace. Immutable once built; cheap to copy is a
-/// non-goal (it owns the per-thread segment vectors).
+/// The segment DAG of one trace. Cheap to copy is a non-goal (it owns the
+/// per-thread segment vectors).
 class SegmentDag {
  public:
+  /// An empty DAG over no trace; extend() grows it.
   SegmentDag() = default;
 
-  /// Builds the DAG from an index: one shard per thread scans that
-  /// thread's type column for blocking wake-ups (via resolve_wakeup), then
-  /// a chunked pass resolves every hop's landing segment. A null pool (or
-  /// a pool of size 1) runs inline; the result is bit-identical either
-  /// way. A non-null deadline is polled periodically.
+  /// Builds the DAG from an index: extend() from empty with boundary 0.
   static SegmentDag build(const TraceIndex& index, util::ThreadPool* pool,
                           const util::Deadline* deadline = nullptr);
 
+  /// Extends the DAG in place to `index`, built over a grown version of
+  /// the trace this DAG covers. Every segment that begins at or after
+  /// `boundary` is dropped (a binary search per thread: begin_ts ascends),
+  /// then one shard per thread scans its type column from `boundary` on
+  /// for blocking wake-ups (via resolve_wakeup), and a chunked pass
+  /// resolves the landing segment of each new hop. A retained segment
+  /// keeps its landing segment, which cannot move while the releaser
+  /// lies before the boundary, since dropping only ever removes segments
+  /// from a thread's end; a retained hop to a releaser at or after the
+  /// boundary is resolved again. The caller picks `boundary` so that no
+  /// wake-up before it resolves differently against `index`: the
+  /// incremental analyzer's re-resolution boundary, or 0.
+  ///
+  /// The cost is O(threads + rescanned events + new segments), plus a full
+  /// rediscovery of any thread whose timestamps regress (then every hop is
+  /// resolved again). The result is identical to build() over `index`. A
+  /// null pool (or a pool of size 1) runs inline, bit-identically. A
+  /// non-null deadline is polled periodically; after a throw the DAG is
+  /// unusable until rebuilt.
+  void extend(const TraceIndex& index, std::uint64_t boundary,
+              util::ThreadPool* pool, const util::Deadline* deadline = nullptr);
+
   /// Assembles a DAG from externally built per-thread segment vectors
-  /// (each sorted by begin_idx, hops unresolved) — the incremental and
-  /// bounded-RSS engines construct segments themselves and only need the
-  /// hop-resolution pass. `last_thread` is the walk's start thread.
+  /// (each sorted by begin_idx, hops unresolved) — the bounded-RSS engine
+  /// constructs segments itself and only needs the hop-resolution pass.
+  /// `last_thread` is the walk's start thread.
   SegmentDag(trace::TraceView view,
              std::vector<std::vector<Segment>> threads,
              trace::ThreadId last_thread, util::ThreadPool* pool,
@@ -83,6 +104,10 @@ class SegmentDag {
   std::size_t thread_count() const noexcept { return threads_.size(); }
   const std::vector<Segment>& thread_segments(trace::ThreadId tid) const;
   std::size_t segment_count() const noexcept { return total_; }
+  /// Segments with a blocking hop (has_jump()).
+  std::size_t hop_count() const noexcept { return hops_; }
+  /// Segments the last extend() kept rather than rediscovered.
+  std::size_t retained_count() const noexcept { return retained_; }
   trace::ThreadId last_finished_thread() const noexcept { return last_thread_; }
 
   /// Local index of the segment of `tid` containing event `idx`.
@@ -94,14 +119,25 @@ class SegmentDag {
   }
 
  private:
-  void resolve_hops(util::ThreadPool* pool, const util::Deadline* deadline);
-  void finish(util::ThreadPool* pool, const util::Deadline* deadline);
+  /// Resolves the landing segment of every hop in segments [from[tid],
+  /// end) of each thread and of the retained late hops whose releaser
+  /// lies at or after `boundary`; refreshes the offsets.
+  void resolve_hops(const std::vector<std::uint32_t>& from,
+                    std::uint64_t boundary, util::ThreadPool* pool,
+                    const util::Deadline* deadline);
+  void resolve_hop(Segment& s) const;
 
   trace::TraceView view_;
   std::vector<std::vector<Segment>> threads_;
   std::vector<std::size_t> offsets_;  ///< prefix sums of per-thread counts
+  /// Per thread, the local indices of segments whose releaser is later
+  /// than their begin (only malformed traces have them): the retained
+  /// hops extend() may have to resolve again.
+  std::vector<std::vector<std::uint32_t>> late_hops_;
   trace::ThreadId last_thread_ = 0;
   std::size_t total_ = 0;
+  std::size_t hops_ = 0;
+  std::size_t retained_ = 0;
 };
 
 }  // namespace cla::analysis

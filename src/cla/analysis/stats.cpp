@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
+#include <map>
 
 #include "cla/util/stats.hpp"
 #include "cla/util/thread_pool.hpp"
@@ -52,72 +52,110 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
 
   const double cp_len = static_cast<double>(path.length());
 
-  // --- per-lock stats ---
-  // One task per lock. Each task writes only its own pre-sized slot of
-  // result.locks; the per-thread lock wait/hold accumulation crosses locks,
-  // so it lands in result.threads under a mutex — integer additions
-  // commute, so the totals are scheduling-independent.
-  std::vector<const MutexIndex*> mutex_list;
+  // --- TYPE 1: the sections that can overlap the path ---
+  // Per thread, walk the merged path intervals and the thread's sections
+  // (event order = acquisition-time order) side by side. A section
+  // released after an interval's begin b was acquired after
+  // b - max_hold(tid), so each interval's window starts there; a cursor
+  // carried across intervals visits each section at most once. A thread
+  // whose timestamps regress has no time order to search: all of its
+  // sections are visited. The overlap arithmetic is CriticalPath::overlap,
+  // and the sums are integers, so the visit order cannot change a figure.
   std::vector<trace::ObjectId> mutex_ids;
-  mutex_list.reserve(index.mutexes().size());
+  std::vector<const MutexIndex*> mutex_list;
   mutex_ids.reserve(index.mutexes().size());
+  mutex_list.reserve(index.mutexes().size());
   for (const auto& [id, mi] : index.mutexes()) {
     mutex_ids.push_back(id);
     mutex_list.push_back(&mi);
   }
+  struct OnPath {
+    std::uint64_t hold = 0;
+    std::uint64_t invocations = 0;
+    std::uint64_t contended = 0;
+
+    void add(std::uint64_t on_path, bool was_contended) {
+      hold += on_path;
+      ++invocations;
+      if (was_contended) ++contended;
+    }
+  };
+  std::vector<OnPath> lock_on_path(mutex_list.size());
+  std::vector<std::map<std::uint64_t, OnPath>> callsite_on_path(mutex_list.size());
+  for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
+    if (tid >= path.per_thread.size() || path.per_thread[tid].empty()) continue;
+    const std::vector<TraceIndex::Position>& secs = index.thread_sections(tid);
+    const trace::EventsView& events = t.thread_events(tid);
+    const auto visit = [&](const TraceIndex::Position& p) {
+      const auto slot = static_cast<std::size_t>(
+          std::lower_bound(mutex_ids.begin(), mutex_ids.end(), events.object_at(p.idx)) -
+          mutex_ids.begin());
+      const CsRecord& cs = mutex_list[slot]->sections[p.pos];
+      const std::uint64_t on_path =
+          path.overlap(tid, cs.acquired_ts, cs.released_ts);
+      if (on_path == 0) return;
+      lock_on_path[slot].add(on_path, cs.contended);
+      if (cs.stack_id != 0) {
+        callsite_on_path[slot][cs.stack_id].add(on_path, cs.contended);
+      }
+    };
+    if (!index.threads()[tid].ts_ordered) {
+      for (const TraceIndex::Position& p : secs) visit(p);
+      continue;
+    }
+    const std::uint64_t reach = index.max_hold(tid);
+    auto next = secs.begin();
+    for (const PathInterval& iv : path.per_thread[tid]) {
+      const std::uint64_t from = iv.begin_ts > reach ? iv.begin_ts - reach : 0;
+      next = std::lower_bound(next, secs.end(), from,
+                              [&](const TraceIndex::Position& p, std::uint64_t ts) {
+                                return events.ts_at(p.idx) < ts;
+                              });
+      for (; next != secs.end() && events.ts_at(next->idx) < iv.end_ts; ++next) {
+        visit(*next);
+      }
+    }
+  }
+
+  // --- per-lock stats, from the index's running TYPE 2 totals ---
+  // One task per lock, each writing only its own pre-sized slot; tasks
+  // read but never write shared state, so the result is
+  // scheduling-independent.
   result.locks.resize(mutex_list.size());
-  // Per-lock callsite groups, keyed by stack id (slot per lock so the
+  // Per-lock callsite groups in stack-id order (slot per lock so the
   // fan-out stays write-disjoint); merged after the barrier below.
-  std::vector<std::map<std::uint64_t, CallsiteStats>> callsites_per_lock(
-      mutex_list.size());
-  std::mutex thread_totals_mutex;
+  std::vector<std::vector<CallsiteStats>> callsites_per_lock(mutex_list.size());
   const auto compute_lock = [&](std::size_t k) {
     const trace::ObjectId id = mutex_ids[k];
     const MutexIndex& mi = *mutex_list[k];
     LockStats ls;
     ls.id = id;
     ls.name = t.object_display_name(id, "mutex");
+    ls.invocations = mi.totals.invocations;
+    ls.contended = mi.totals.contended;
+    ls.total_wait = mi.totals.wait;
+    ls.total_hold = mi.totals.hold;
+    ls.cp_hold_time = lock_on_path[k].hold;
+    ls.cp_invocations = lock_on_path[k].invocations;
+    ls.cp_contended = lock_on_path[k].contended;
 
-    // Per-thread wait/hold accumulation for the TYPE 2 fractions.
-    std::vector<std::uint64_t> wait_per_thread(t.thread_count(), 0);
-    std::vector<std::uint64_t> hold_per_thread(t.thread_count(), 0);
-
-    std::map<std::uint64_t, CallsiteStats>& groups = callsites_per_lock[k];
-    for (const CsRecord& cs : mi.sections) {
-      ++ls.invocations;
-      if (cs.contended) ++ls.contended;
-      ls.total_wait += cs.wait_time();
-      ls.total_hold += cs.hold_time();
-      wait_per_thread[cs.tid] += cs.wait_time();
-      hold_per_thread[cs.tid] += cs.hold_time();
-
-      // TYPE 1: does this critical section lie on the critical path?
-      const std::uint64_t on_path =
-          path.overlap(cs.tid, cs.acquired_ts, cs.released_ts);
-      if (on_path > 0) {
-        ++ls.cp_invocations;
-        if (cs.contended) ++ls.cp_contended;
-        ls.cp_hold_time += on_path;
+    // Callsite breakdown — only for sections that carried a stack id.
+    for (const auto& [sid, totals] : mi.callsites) {
+      CallsiteStats g;
+      g.lock_id = id;
+      g.lock_name = ls.name;
+      g.stack_id = sid;
+      g.invocations = totals.invocations;
+      g.contended = totals.contended;
+      g.total_wait = totals.wait;
+      g.total_hold = totals.hold;
+      if (const auto it = callsite_on_path[k].find(sid);
+          it != callsite_on_path[k].end()) {
+        g.cp_hold_time = it->second.hold;
+        g.cp_invocations = it->second.invocations;
+        g.cp_contended = it->second.contended;
       }
-
-      // Callsite breakdown — only for sections that carried a stack id.
-      if (cs.stack_id != 0) {
-        CallsiteStats& g = groups[cs.stack_id];
-        if (g.invocations == 0) {
-          g.lock_id = id;
-          g.lock_name = ls.name;
-          g.stack_id = cs.stack_id;
-        }
-        ++g.invocations;
-        if (cs.contended) ++g.contended;
-        g.total_wait += cs.wait_time();
-        g.total_hold += cs.hold_time();
-        if (on_path > 0) {
-          ++g.cp_invocations;
-          if (cs.contended) ++g.cp_contended;
-          g.cp_hold_time += on_path;
-        }
-      }
+      callsites_per_lock[k].push_back(std::move(g));
     }
 
     double wait_fraction_sum = 0.0;
@@ -125,8 +163,10 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
     for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
       if (!is_worker[tid]) continue;
       const double dur = static_cast<double>(index.threads()[tid].duration());
-      wait_fraction_sum += safe_ratio(static_cast<double>(wait_per_thread[tid]), dur);
-      hold_fraction_sum += safe_ratio(static_cast<double>(hold_per_thread[tid]), dur);
+      wait_fraction_sum +=
+          safe_ratio(static_cast<double>(mi.wait_per_thread[tid]), dur);
+      hold_fraction_sum +=
+          safe_ratio(static_cast<double>(mi.hold_per_thread[tid]), dur);
     }
     const auto worker_count = static_cast<double>(workers);
     ls.avg_wait_fraction = wait_fraction_sum / worker_count;
@@ -143,20 +183,18 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
     ls.invocation_increase =
         safe_ratio(static_cast<double>(ls.cp_invocations), ls.avg_invocations);
     ls.hold_increase = safe_ratio(ls.cp_time_fraction, ls.avg_hold_fraction);
-
-    {
-      std::lock_guard<std::mutex> guard(thread_totals_mutex);
-      for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-        result.threads[tid].lock_wait_time += wait_per_thread[tid];
-        result.threads[tid].lock_hold_time += hold_per_thread[tid];
-      }
-    }
     result.locks[k] = std::move(ls);
   };
   if (pool != nullptr) {
     pool->parallel_for(mutex_list.size(), compute_lock);
   } else {
     for (std::size_t k = 0; k < mutex_list.size(); ++k) compute_lock(k);
+  }
+  for (const MutexIndex* mi : mutex_list) {
+    for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
+      result.threads[tid].lock_wait_time += mi->wait_per_thread[tid];
+      result.threads[tid].lock_hold_time += mi->hold_per_thread[tid];
+    }
   }
   std::sort(result.locks.begin(), result.locks.end(),
             [](const LockStats& a, const LockStats& b) {
@@ -173,7 +211,7 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
   const auto& stack_table = t.call_stacks();
   const auto& symbol_table = t.frame_symbols();
   for (auto& groups : callsites_per_lock)
-    for (auto& [sid, g] : groups) {
+    for (CallsiteStats& g : groups) {
       g.cp_time_fraction =
           safe_ratio(static_cast<double>(g.cp_hold_time), cp_len);
       if (auto it = stack_table.find(g.stack_id); it != stack_table.end()) {

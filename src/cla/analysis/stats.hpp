@@ -135,14 +135,23 @@ struct AnalysisResult {
 };
 
 /// Computes all statistics for a trace whose path was already walked.
+///
+/// Cost: O(path + near-path sections + locks × threads + barriers and
+/// condvars), independent of how many sections lie off the path. TYPE 2
+/// figures come from the index's running MutexIndex totals. TYPE 1 visits,
+/// per thread, only the sections whose time window can overlap one of the
+/// thread's path intervals (see TraceIndex::max_hold), each once, and
+/// measures it with CriticalPath::overlap; a thread whose timestamps
+/// regress has all of its sections visited. Barrier and condvar figures
+/// still fold every wait record.
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options = {});
 
-/// Pooled variant: the per-lock and per-barrier aggregations (TYPE 2 plus
-/// the TYPE 1 path overlaps) fan out across `pool`, one task per
-/// primitive, writing into pre-sized slots so the result — including the
-/// final ranking — is bit-identical to the sequential computation. A null
-/// pool (or a pool of size 1) runs inline.
+/// Pooled variant: the per-lock and per-barrier assembly fans out across
+/// `pool`, one task per primitive, writing into pre-sized slots so the
+/// result — including the final ranking — is bit-identical to the
+/// sequential computation. The TYPE 1 section visit runs on the caller. A
+/// null pool (or a pool of size 1) runs inline.
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options,
                              util::ThreadPool* pool);

@@ -129,7 +129,7 @@ void salvage_v2(BufReader& in, Trace& trace, SalvageReport& report) {
     }
 
     const std::size_t chunk_start = in.pos;
-    std::uint32_t kind, payload_bytes, crc;
+    std::uint32_t kind = 0, payload_bytes = 0, crc = 0;
     in.pos += 4;  // magic
     in.try_get(kind);
     in.try_get(payload_bytes);

@@ -2,12 +2,65 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+
 #include "cla/trace/builder.hpp"
+#include "support/lock_schedule.hpp"
 
 namespace cla::analysis {
 namespace {
 
 using trace::TraceBuilder;
+
+/// Every mutex's running totals equal a fresh fold over its sections, and
+/// max_hold() bounds every section's hold time.
+void expect_totals_fold(const TraceIndex& index, const std::string& label) {
+  for (const auto& [id, mi] : index.mutexes()) {
+    SectionTotals totals;
+    std::vector<std::uint64_t> wait(index.threads().size(), 0);
+    std::vector<std::uint64_t> hold(index.threads().size(), 0);
+    std::map<std::uint64_t, SectionTotals> callsites;
+    for (const CsRecord& cs : mi.sections) {
+      totals.add(cs);
+      wait[cs.tid] += cs.wait_time();
+      hold[cs.tid] += cs.hold_time();
+      if (cs.stack_id != 0) callsites[cs.stack_id].add(cs);
+      EXPECT_LE(cs.hold_time(), index.max_hold(cs.tid)) << label << " mutex " << id;
+    }
+    EXPECT_EQ(mi.totals, totals) << label << " mutex " << id;
+    EXPECT_EQ(mi.wait_per_thread, wait) << label << " mutex " << id;
+    EXPECT_EQ(mi.hold_per_thread, hold) << label << " mutex " << id;
+    EXPECT_EQ(mi.callsites, callsites) << label << " mutex " << id;
+  }
+}
+
+/// Extends one index over `rounds` growing prefixes of `full` (each
+/// thread cut at proportional points) and checks the totals every round.
+void expect_totals_fold_every_extend(const trace::Trace& full, std::size_t rounds,
+                                     const std::string& label) {
+  const auto thread_count = static_cast<trace::ThreadId>(full.thread_count());
+  std::vector<trace::Trace> prefixes(rounds);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
+      const auto events = full.thread_events(tid);
+      const std::size_t end =
+          std::max<std::size_t>(1, events.size() * (r + 1) / rounds);
+      prefixes[r].append_thread_events(tid, events.subspan(0, end));
+    }
+  }
+  TraceIndex index;
+  std::vector<ThreadScanState> scans(thread_count);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const trace::TraceView view(prefixes[r]);
+    for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
+      scans[tid].consume(view.thread_events(tid), tid);
+    }
+    index.extend(view, scans, nullptr);
+    expect_totals_fold(index, label + " round " + std::to_string(r));
+  }
+}
 
 TEST(TraceIndex, PairsCriticalSections) {
   TraceBuilder b;
@@ -119,6 +172,38 @@ TEST(TraceIndex, ExtendMatchesOneShotWhenTimestampsRegress) {
     EXPECT_EQ(got[k].acquired_idx, want[k].acquired_idx) << k;
     EXPECT_EQ(index.section_of(want[k].tid, want[k].acquired_idx), k);
   }
+}
+
+TEST(TraceIndex, RunningTotalsFoldEveryExtend) {
+  test_support::LockSchedule schedule;
+  schedule.stacks = true;
+  const trace::Trace callsites = test_support::scheduled_locks(schedule);
+  expect_totals_fold_every_extend(callsites, 9, "callsites");
+  expect_totals_fold_every_extend(
+      test_support::with_clock_step_back(callsites, 2, 40, callsites.end_ts() / 5),
+      9, "regressing thread 2");
+  schedule.long_hold = callsites.end_ts() / 3;
+  expect_totals_fold_every_extend(test_support::scheduled_locks(schedule), 9,
+                                  "long hold");
+  schedule = {};
+  schedule.nested = true;
+  expect_totals_fold_every_extend(test_support::scheduled_locks(schedule), 9,
+                                  "nested");
+}
+
+TEST(TraceIndex, RunningTotalsFoldAfterOneShotConstruction) {
+  TraceBuilder b;
+  b.thread(0).start(0).lock_at(9, 1, 1, 1, 4).lock_at(9, 2, 5, 6, 8).exit(10);
+  b.thread(1).start(0, trace::kNoThread).lock_at(9, 1, 2, 4, 5).acquire(9, 9).acquired(9, 9, false).exit(12);
+  const trace::Trace t = b.finish_unchecked();
+  const TraceIndex index(t);
+  expect_totals_fold(index, "one-shot");
+  const MutexIndex& mi = index.mutexes().at(9);
+  EXPECT_EQ(mi.totals.invocations, 4u);
+  EXPECT_EQ(mi.totals.contended, 2u);
+  ASSERT_EQ(mi.callsites.size(), 2u);
+  EXPECT_EQ(mi.callsites.at(1).invocations, 2u);
+  EXPECT_EQ(index.max_hold(1), 3u);  // the section held until exit at t=12
 }
 
 TEST(TraceIndex, BarrierEpisodesGroupByRecordedGeneration) {

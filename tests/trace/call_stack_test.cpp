@@ -26,6 +26,13 @@ std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// A per-format file: ctest runs the v2 and v3 instances of a test as
+/// separate processes at once, so they must not share one.
+std::string format_temp_path(const char* name, std::uint32_t version) {
+  return temp_path(
+      (std::string(name) + "_v" + std::to_string(version) + ".clat").c_str());
+}
+
 std::string file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::stringstream buf;
@@ -62,7 +69,7 @@ class CallStackRoundTrip : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CallStackRoundTrip, FileWriterAndReader) {
   const Trace trace = callsite_trace();
-  const std::string path = temp_path("cla_call_stack_rt.clat");
+  const std::string path = format_temp_path("cla_call_stack_rt", GetParam());
   write_trace_file(trace, path, GetParam());
 
   const Trace loaded = read_trace_file(path);
@@ -80,8 +87,8 @@ TEST_P(CallStackRoundTrip, FileWriterAndReader) {
 
 TEST_P(CallStackRoundTrip, SurvivesConversionAcrossVersions) {
   const Trace trace = callsite_trace();
-  const std::string src = temp_path("cla_call_stack_conv_src.clat");
-  const std::string dst = temp_path("cla_call_stack_conv_dst.clat");
+  const std::string src = format_temp_path("cla_call_stack_conv_src", GetParam());
+  const std::string dst = format_temp_path("cla_call_stack_conv_dst", GetParam());
   write_trace_file(trace, src, GetParam());
   const std::uint32_t other =
       GetParam() == kTraceVersionV3 ? kTraceVersion : kTraceVersionV3;
@@ -95,7 +102,7 @@ TEST_P(CallStackRoundTrip, SurvivesConversionAcrossVersions) {
 
 TEST_P(CallStackRoundTrip, SalvageKeepsStackTables) {
   const Trace trace = callsite_trace();
-  const std::string path = temp_path("cla_call_stack_salvage.clat");
+  const std::string path = format_temp_path("cla_call_stack_salvage", GetParam());
   write_trace_file(trace, path, GetParam());
   const SalvageResult salvaged = salvage_trace_file(path);
   EXPECT_EQ(salvaged.trace.call_stacks(), trace.call_stacks());
@@ -109,7 +116,7 @@ TEST_P(CallStackRoundTrip, StackFreeTraceWritesNoStackChunks) {
   TraceBuilder b;
   b.thread(0).start(0).lock_uncontended(1, 10, 20).exit(30);
   const Trace plain = b.finish();
-  const std::string path = temp_path("cla_call_stack_free.clat");
+  const std::string path = format_temp_path("cla_call_stack_free", GetParam());
   write_trace_file(plain, path, GetParam());
   const std::string bytes = file_bytes(path);
   // "CLCH" fourcc followed by u32 kind: scan every chunk header.

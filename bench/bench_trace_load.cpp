@@ -1,15 +1,13 @@
-// bench_trace_load: load+index throughput across trace encodings and
-// loaders — the perf baseline for the zero-copy mmap path (ROADMAP:
-// "runs as fast as the hardware allows").
+// bench_trace_load: load+index throughput across trace encodings — the
+// perf baseline for the zero-copy loader (ROADMAP: "runs as fast as the
+// hardware allows").
 //
 // For each workload (radiosity, ldap) the same recorded trace is written
 // as v2 (raw chunks) and v3 (compact varint), then loaded and indexed
-// through:
+// through Pipeline::load_file:
 //
-//   v2-copy   the chunked streaming reader into an owned Trace (baseline)
-//   v2-mmap   mmap + in-place AoS view
-//   v3-copy   the streaming reader decoding varint chunks
-//   v3-mmap   mmap + one-shot columnar (SoA) decode
+//   v2   mmap + in-place AoS view
+//   v3   mmap + one-shot columnar (SoA) decode
 //
 // Reported per variant: best-of-N load+index wall time, events/s, and
 // on-disk bytes/event. Results land in BENCH_trace_load.json (see
@@ -44,16 +42,13 @@ struct WorkloadResultRow {
   std::string workload;
   std::uint64_t events = 0;
   std::vector<VariantResult> variants;
-  double speedup_v3_mmap_over_v2_copy = 0.0;
 };
 
-std::uint64_t time_load_index(const std::string& path, bool use_mmap,
-                              int iterations) {
+std::uint64_t time_load_index(const std::string& path, int iterations) {
   std::uint64_t best = ~0ull;
   for (int i = 0; i < iterations; ++i) {
     cla::analysis::Options options;
     options.validate = false;  // isolate load+index
-    options.load.use_mmap = use_mmap;
     cla::analysis::Pipeline pipeline(options);
     const std::uint64_t start = cla::util::now_ns();
     pipeline.load_file(path);
@@ -65,12 +60,11 @@ std::uint64_t time_load_index(const std::string& path, bool use_mmap,
 }
 
 VariantResult run_variant(const std::string& name, const std::string& path,
-                          bool use_mmap, std::uint64_t events,
-                          int iterations) {
+                          std::uint64_t events, int iterations) {
   VariantResult r;
   r.name = name;
   r.file_bytes = std::filesystem::file_size(path);
-  r.best_ns = time_load_index(path, use_mmap, iterations);
+  r.best_ns = time_load_index(path, iterations);
   r.events_per_sec = r.best_ns > 0 ? static_cast<double>(events) * 1e9 /
                                          static_cast<double>(r.best_ns)
                                    : 0.0;
@@ -98,13 +92,8 @@ WorkloadResultRow bench_workload(const std::string& workload,
   WorkloadResultRow row;
   row.workload = workload;
   row.events = trace.event_count();
-  row.variants.push_back(run_variant("v2-copy", v2, false, row.events, iterations));
-  row.variants.push_back(run_variant("v2-mmap", v2, true, row.events, iterations));
-  row.variants.push_back(run_variant("v3-copy", v3, false, row.events, iterations));
-  row.variants.push_back(run_variant("v3-mmap", v3, true, row.events, iterations));
-  row.speedup_v3_mmap_over_v2_copy =
-      static_cast<double>(row.variants[0].best_ns) /
-      static_cast<double>(std::max<std::uint64_t>(1, row.variants[3].best_ns));
+  row.variants.push_back(run_variant("v2", v2, row.events, iterations));
+  row.variants.push_back(run_variant("v3", v3, row.events, iterations));
 
   std::printf("\n%s: %llu events\n", workload.c_str(),
               static_cast<unsigned long long>(row.events));
@@ -116,8 +105,6 @@ WorkloadResultRow bench_workload(const std::string& workload,
                 v.bytes_per_event, static_cast<double>(v.best_ns) / 1e6,
                 v.events_per_sec / 1e6);
   }
-  std::printf("  v3-mmap over v2-copy: %.2fx\n",
-              row.speedup_v3_mmap_over_v2_copy);
 
   std::filesystem::remove(v2);
   std::filesystem::remove(v3);
@@ -139,10 +126,7 @@ void append_json(std::string& out, const WorkloadResultRow& row, bool last) {
                   v.events_per_sec, i + 1 < row.variants.size() ? "," : "");
     out += buf;
   }
-  std::snprintf(buf, sizeof buf,
-                "    ], \"speedup_v3_mmap_over_v2_copy\": %.3f}%s\n",
-                row.speedup_v3_mmap_over_v2_copy, last ? "" : ",");
-  out += buf;
+  out += last ? "    ]}\n" : "    ]},\n";
 }
 
 }  // namespace

@@ -30,12 +30,7 @@ void IncrementalAnalyzer::append(const trace::Trace& chunk) {
     trace_.append_thread_events(tid, events);
     dirty_ = true;
   }
-  for (const auto& [object, name] : chunk.object_names()) {
-    trace_.set_object_name(object, name);
-  }
-  for (const auto& [tid, name] : chunk.thread_names()) {
-    trace_.set_thread_name(tid, name);
-  }
+  if (trace_.tables().merge(chunk.tables())) dirty_ = true;
   if (chunk.dropped_events() != 0) {
     trace_.set_dropped_events(trace_.dropped_events() +
                               chunk.dropped_events());

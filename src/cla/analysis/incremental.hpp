@@ -52,8 +52,10 @@ class IncrementalAnalyzer {
   IncrementalAnalyzer& operator=(const IncrementalAnalyzer&) = delete;
 
   /// Appends a chunk of trace: per-thread event spans (each sorted by
-  /// timestamp and extending that thread's stream) plus any new names.
-  /// Cheap — analysis happens lazily in result().
+  /// timestamp and extending that thread's stream) plus its tables, merged
+  /// last-write-wins (drop counts add up). A chunk that changes only the
+  /// tables still refreshes the next result(). Cheap — analysis happens
+  /// lazily in result().
   void append(const trace::Trace& chunk);
 
   /// The analysis of everything appended so far. Extends the index and

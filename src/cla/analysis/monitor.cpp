@@ -91,7 +91,9 @@ bool MonitorCore::step() {
     switch (status) {
       case trace::TraceTailer::PollStatus::Progress: {
         any_progress = true;
-        if (delta.events > 0) {
+        // A name or stack chunk can land in a poll without events; it
+        // still has to reach the analyzer.
+        if (delta.events > 0 || !delta.chunk.tables().empty()) {
           try {
             source.analyzer->append(delta.chunk);
             state.events += delta.events;

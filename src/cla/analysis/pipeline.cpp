@@ -1,7 +1,5 @@
 #include "cla/analysis/pipeline.hpp"
 
-#include <fstream>
-
 #include "cla/analysis/html_report.hpp"
 #include "cla/analysis/streaming.hpp"
 #include <sstream>
@@ -108,85 +106,53 @@ void Pipeline::reset_stages() {
   streaming_peak_bytes_ = 0;
 }
 
-Pipeline& Pipeline::load_file(const std::string& path) {
-  if (!options_.load.salvage && options_.load.use_mmap &&
-      trace::mmap_supported()) {
-    const std::uint64_t start = util::now_ns();
-    reset_stages();
-    salvage_report_.reset();
-    const util::Deadline& dl = deadline();
-    auto mapped = std::make_unique<trace::MappedTrace>(path);
-    dl.check("load");
-    check_event_budget(mapped->view().event_count());
-    owned_trace_.reset();
-    trace_ = nullptr;
-    mapped_ = std::move(mapped);
-    view_ = mapped_->view();
-    has_trace_ = true;
-    record(Stage::Load, start);
-    return *this;
-  }
-  std::ifstream in(path, std::ios::binary);
-  CLA_CHECK(in.is_open(), "cannot open trace file: " + path);
-  return load_stream(in);
-}
-
-Pipeline& Pipeline::load_stream(std::istream& in) {
+std::uint64_t Pipeline::begin_load() {
   const std::uint64_t start = util::now_ns();
   reset_stages();
   salvage_report_.reset();
-  const util::Deadline& dl = deadline();
+  (void)deadline();
+  return start;
+}
+
+Pipeline& Pipeline::load_file(const std::string& path) {
+  const std::uint64_t start = begin_load();
   if (options_.load.salvage) {
-    trace::SalvageResult salvaged = trace::salvage_trace(in);
-    check_event_budget(salvaged.trace.event_count());
-    salvage_report_ = std::move(salvaged.report);
-    owned_trace_ = std::move(salvaged.trace);
-    trace_ = &*owned_trace_;
-    adopt_trace_storage();
-    record(Stage::Load, start);
-    return *this;
+    adopt_salvaged(trace::salvage_trace_file(path));
+  } else {
+    adopt_mapped(std::make_unique<trace::MappedTrace>(path));
   }
-  trace::TraceStreamReader reader(in);
-  trace::Trace loaded;
-  const std::size_t chunk_events =
-      options_.load.chunk_events == 0 ? (1u << 16) : options_.load.chunk_events;
-  std::vector<trace::Event> buffer(chunk_events);
-  std::uint64_t total_events = 0;
-  while (auto block = reader.next_thread()) {
-    dl.check("load");
-    if (block->event_count <= (1u << 24)) {
-      loaded.reserve_thread_events(
-          block->tid, static_cast<std::size_t>(block->event_count));
-    }
-    for (std::size_t n;
-         (n = reader.read_events(buffer.data(), chunk_events)) > 0;) {
-      // Checked as each chunk lands, so an over-budget trace stops
-      // inflating memory right away instead of after a full load.
-      total_events += n;
-      check_event_budget(total_events);
-      loaded.append_thread_events(block->tid, {buffer.data(), n});
-    }
-  }
-  // Names and the dropped-event count can trail the event chunks in v2
-  // files, so they are applied only after the stream is drained.
-  for (const auto& [object, name] : reader.object_names()) {
-    loaded.set_object_name(object, name);
-  }
-  for (const auto& [tid, name] : reader.thread_names()) {
-    loaded.set_thread_name(tid, name);
-  }
-  loaded.set_dropped_events(reader.dropped_events());
-  for (const auto& [id, pcs] : reader.call_stacks()) {
-    loaded.set_call_stack(id, pcs);
-  }
-  for (const auto& [pc, name] : reader.frame_symbols()) {
-    loaded.set_frame_symbol(pc, name);
-  }
-  owned_trace_ = std::move(loaded);
-  trace_ = &*owned_trace_;
-  adopt_trace_storage();
   record(Stage::Load, start);
   return *this;
+}
+
+Pipeline& Pipeline::load_stream(std::istream& in) {
+  const std::uint64_t start = begin_load();
+  if (options_.load.salvage) {
+    adopt_salvaged(trace::salvage_trace(in));
+  } else {
+    adopt_mapped(
+        std::make_unique<trace::MappedTrace>(trace::read_trace_bytes(in)));
+  }
+  record(Stage::Load, start);
+  return *this;
+}
+
+void Pipeline::adopt_mapped(std::unique_ptr<trace::MappedTrace> mapped) {
+  deadline().check("load");
+  check_event_budget(mapped->view().event_count());
+  owned_trace_.reset();
+  trace_ = nullptr;
+  mapped_ = std::move(mapped);
+  view_ = mapped_->view();
+  has_trace_ = true;
+}
+
+void Pipeline::adopt_salvaged(trace::SalvageResult salvaged) {
+  check_event_budget(salvaged.trace.event_count());
+  salvage_report_ = std::move(salvaged.report);
+  owned_trace_ = std::move(salvaged.trace);
+  trace_ = &*owned_trace_;
+  adopt_trace_storage();
 }
 
 Pipeline& Pipeline::use_trace(trace::Trace&& trace) {
@@ -230,9 +196,9 @@ const trace::TraceView& Pipeline::view() const {
 const trace::Trace& Pipeline::trace() {
   CLA_CHECK(has_trace_,
             "pipeline has no trace: call load_file/load_stream/use_trace first");
-  // In mmap mode the first call materializes an owned copy; the mapping
-  // (and any views into it) stays alive, so existing stage results keep
-  // their backing store.
+  // After load_file/load_stream the first call materializes an owned
+  // copy; the loaded bytes (and any views into them) stay alive, so
+  // existing stage results keep their backing store.
   if (trace_ == nullptr) materialize_owned();
   return *trace_;
 }

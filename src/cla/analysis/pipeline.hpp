@@ -3,12 +3,13 @@
 //
 //   load -> validate -> index -> builddag -> walk -> stats -> report
 //
-// `load` streams a .clat file in bounded chunks (TraceStreamReader), so
-// large traces are ingested without a full intermediate copy. `index`,
-// `builddag` and `stats` fan out across an ExecutionPolicy-sized worker
-// pool and are bit-identical to the sequential computation at any thread
-// count. `builddag` condenses the trace into the segment DAG
-// (segment_dag.hpp) with every hop speculatively resolved in parallel;
+// `load` parses a .clat file (or stream) with the one strict loader,
+// trace::MappedTrace, and analyzes it in place without copying it into a
+// Trace. `index`, `builddag` and `stats` fan out across an
+// ExecutionPolicy-sized worker pool and are bit-identical to the
+// sequential computation at any thread count. `builddag` condenses the
+// trace into the segment DAG (segment_dag.hpp) with every hop
+// speculatively resolved in parallel;
 // `walk` then merges the hop chain into the critical path — byte-for-byte
 // the path the legacy sequential backward walk produces
 // (ExecutionPolicy::walk selects the engine; the `resolve` stage only
@@ -24,9 +25,6 @@
 // Each stage records its wall-clock cost; `profile()` is the analyzer's
 // own observability layer (`cla-analyze --profile`, and the JSON report's
 // "profile" array when ReportOptions::json_profile is set).
-//
-// The deprecated one-shot `cla::analyze()` is a thin wrapper over this
-// class (see README, MIGRATION).
 #pragma once
 
 #include <cstdint>
@@ -71,33 +69,24 @@ struct ExecutionPolicy {
   WalkEngine walk = WalkEngine::Dag;
 };
 
-/// Load-stage knobs (streaming .clat reader / mmap view).
+/// Load-stage options.
 struct LoadOptions {
-  /// Events per chunk handed from the streaming reader to the trace.
-  std::size_t chunk_events = 1u << 16;
   /// Route the load through salvage_trace(): recover the intact chunks of
   /// a torn/crashed recording, repair the event stream so validate()
   /// passes, and expose the SalvageReport via Pipeline::salvage_report().
   bool salvage = false;
-  /// load_file(): mmap the file and analyze it in place (zero-copy; v3
-  /// chunks decode once into columns). Falls back to the copying stream
-  /// reader on platforms without mmap; salvage always takes the copying
-  /// path (it must mutate). Disable to force the copying reader (the
-  /// bench's comparison baseline).
-  bool use_mmap = true;
 };
 
 /// One coherent options aggregate for the whole pipeline, with per-stage
-/// sub-structs. The historical scattered option structs survive:
-/// `AnalyzeOptions` is an alias of this type, and `StatsOptions` /
-/// `ReportOptions` are its per-stage sub-structs (see README, MIGRATION).
+/// sub-structs (`StatsOptions` / `ReportOptions` are the historical
+/// per-stage option structs; see README, MIGRATION).
 struct Options {
   /// Validate the trace's structural invariants before analyzing.
   bool validate = true;
   StatsOptions stats;        ///< stats stage (TYPE 1 / TYPE 2 aggregation)
   ReportOptions report;      ///< report stage (table rendering)
   ExecutionPolicy execution; ///< index/stats fan-out
-  LoadOptions load;          ///< load stage (streaming reader)
+  LoadOptions load;          ///< load stage
   /// How the validate stage reacts to semantic violations: Strict throws
   /// a ValidationError (historic behaviour), Repair/Lenient fix the trace
   /// deterministically and record every fix in diagnostics().
@@ -152,13 +141,13 @@ class Pipeline {
 
   // --- load stage (one of; each replaces any previously loaded trace) ---
 
-  /// Loads a .clat file. By default (options.load.use_mmap) the file is
-  /// mmap'd and analyzed in place through a TraceView — zero-copy for v2
-  /// event chunks, a single columnar decode for v3 — falling back to the
-  /// chunked streaming reader where mmap is unavailable or salvage is
-  /// requested.
+  /// Loads a .clat file through the strict loader (trace::MappedTrace):
+  /// the file is mmap'd and analyzed in place through a TraceView —
+  /// zero-copy for v1/v2 event arrays, a single columnar decode for v3.
+  /// With options.load.salvage it is salvaged (and repaired) instead.
   Pipeline& load_file(const std::string& path);
-  /// Same, from an already-open stream.
+  /// Same, from an already-open stream: the stream is read to its end and
+  /// the bytes are parsed by the same loader.
   Pipeline& load_stream(std::istream& in);
   /// Adopts an in-memory trace (no load cost recorded).
   Pipeline& use_trace(trace::Trace&& trace);
@@ -199,9 +188,9 @@ class Pipeline {
 
   /// The loaded trace as a storage-agnostic view (the analysis input).
   const trace::TraceView& view() const;
-  /// The loaded trace as an owned, mutable-representation Trace. In mmap
-  /// mode the first call materializes a copy (the view stays cheap); use
-  /// view() unless a Trace is specifically required.
+  /// The loaded trace as an owned, mutable-representation Trace. After
+  /// load_file/load_stream the first call materializes a copy (the view
+  /// stays cheap); use view() unless a Trace is specifically required.
   const trace::Trace& trace();
   const TraceIndex& trace_index();
   /// The segment DAG (builds it on demand, regardless of walk engine).
@@ -265,7 +254,14 @@ class Pipeline {
   /// Throws ResourceLimitError if `event_count` exceeds the event budget.
   void check_event_budget(std::uint64_t event_count) const;
 
-  /// Rebinds view_ (and drops any mmap) onto an owned/borrowed Trace.
+  /// Starts a load: clears every stage result and arms the deadline.
+  /// Returns the load's start time.
+  std::uint64_t begin_load();
+  /// Makes a parsed file / stream, or a salvaged trace, the input.
+  void adopt_mapped(std::unique_ptr<trace::MappedTrace> mapped);
+  void adopt_salvaged(trace::SalvageResult salvaged);
+  /// Rebinds view_ (and drops any loaded file) onto an owned/borrowed
+  /// Trace.
   void adopt_trace_storage();
   /// Ensures owned_trace_ holds a mutable copy of the current view (the
   /// repair path and trace() need one in mmap mode).

@@ -7,11 +7,11 @@
 //        - load a .clat file recorded via the LD_PRELOAD interposer
 //          (cla::trace::read_trace_file), or
 //        - record in-process with cla::rt wrappers;
-//   2. analyze it (cla::analyze -> TYPE 1 + TYPE 2 statistics);
+//   2. analyze it (cla::Pipeline -> TYPE 1 + TYPE 2 statistics);
 //   3. render reports (cla::analysis::render_report / tables / timeline).
 #pragma once
 
-#include "cla/analysis/analyzer.hpp"
+#include "cla/analysis/pipeline.hpp"
 #include "cla/analysis/report.hpp"
 #include "cla/analysis/timeline.hpp"
 #include "cla/analysis/model.hpp"
@@ -35,23 +35,11 @@ inline constexpr int kVersionMajor = 1;
 inline constexpr int kVersionMinor = 0;
 inline constexpr const char* kVersionString = "1.0.0";
 
-/// DEPRECATED one-shot entry point — use cla::Pipeline. The using-decl
-/// is exempted from the warning so including this umbrella stays clean;
-/// calling cla::analyze() still warns at the call site.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-using analysis::analyze;
-#pragma GCC diagnostic pop
 using analysis::AnalysisResult;
 
 /// Consolidated per-stage options aggregate (validate flag + stats /
-/// report / execution / load sub-structs). AnalyzeOptions is its
-/// historical alias — see README, MIGRATION.
+/// report / execution / load sub-structs).
 using analysis::Options;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-using analysis::AnalyzeOptions;
-#pragma GCC diagnostic pop
 
 /// Staged analysis executor: load -> validate -> index -> resolve ->
 /// walk -> stats -> report, with ExecutionPolicy-driven fan-out of the

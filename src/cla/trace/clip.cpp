@@ -18,12 +18,7 @@ enum class HoldState { Idle, Acquiring, Held };
 Trace clip_trace(const Trace& t, Window window) {
   CLA_CHECK(window.begin <= window.end, "clip window is inverted");
   Trace out;
-  for (const auto& [object, name] : t.object_names()) {
-    out.set_object_name(object, name);
-  }
-  for (const auto& [tid, name] : t.thread_names()) {
-    out.set_thread_name(tid, name);
-  }
+  out.tables() = t.tables();
 
   for (ThreadId tid = 0; tid < t.thread_count(); ++tid) {
     const auto events = t.thread_events(tid);

@@ -1,16 +1,11 @@
 #include "cla/trace/salvage.hpp"
 
-#include <algorithm>
-#include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <istream>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "cla/trace/trace_io.hpp"
+#include "cla/trace/trace_view.hpp"
 #include "cla/trace/validate.hpp"
 #include "cla/util/crc32.hpp"
 #include "cla/util/error.hpp"
@@ -19,270 +14,118 @@ namespace cla::trace {
 
 namespace {
 
-/// Bounds-checked cursor over the fully buffered file. Salvage reads the
-/// whole stream up front: recovery is a cold path, and resynchronising on
-/// chunk magics needs random access.
-struct BufReader {
-  const char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  std::size_t remaining() const { return size - pos; }
-
-  template <typename T>
-  bool try_get(T& out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (remaining() < sizeof(T)) return false;
-    std::memcpy(&out, data + pos, sizeof(T));
-    pos += sizeof(T);
-    return true;
-  }
-
-  bool try_get_bytes(void* dst, std::size_t n) {
-    if (remaining() < n) return false;
-    std::memcpy(dst, data + pos, n);
-    pos += n;
-    return true;
-  }
-
-  bool try_get_string(std::string& out) {
-    std::uint32_t len = 0;
-    if (!try_get(len) || len > (1u << 20) || remaining() < len) return false;
-    out.assign(data + pos, len);
-    pos += len;
-    return true;
-  }
-};
-
 // ---- v1 salvage ----------------------------------------------------------
 
-void salvage_v1(BufReader& in, Trace& trace, SalvageReport& report) {
-  auto torn = [&] {
+void salvage_v1(const unsigned char* data, std::size_t size, Trace& trace,
+                SalvageReport& report) {
+  const V1Layout layout = parse_v1(data, size, trace.tables());
+  std::vector<Event> buffer;
+  for (const EventsChunk& block : layout.blocks) {
+    buffer.resize(block.count);
+    unpack_events(block, buffer.data());
+    trace.append_thread_events(block.tid, buffer);
+    report.events_recovered += block.count;
+  }
+  if (layout.error != nullptr) {
     report.torn_tail = true;
-    report.bytes_dropped += in.remaining();
-    in.pos = in.size;
+    report.bytes_dropped += size - layout.end;
+  } else {
+    report.clean_close = true;  // a complete v1 file is a clean-exit flush
+  }
+}
+
+// ---- v2/v3 salvage -------------------------------------------------------
+
+void salvage_chunked(const unsigned char* data, std::size_t size, Trace& trace,
+                     SalvageReport& report) {
+  std::vector<Event> buffer;
+  std::size_t pos = 8;
+  // Drops everything from `from` up to the next chunk magic at or after
+  // `scan_from` (the rest of the file if there is none) as one lost chunk.
+  const auto resync = [&](std::size_t from, std::size_t scan_from) {
+    ++report.chunks_dropped;
+    const std::size_t next =
+        scan_from < size ? find_chunk_magic(data + scan_from, size - scan_from)
+                         : std::string::npos;
+    if (next == std::string::npos) {
+      report.torn_tail = true;
+      report.bytes_dropped += size - from;
+      pos = size;
+    } else {
+      report.bytes_dropped += scan_from + next - from;
+      pos = scan_from + next;
+    }
   };
 
-  std::uint32_t thread_count = 0;
-  if (!in.try_get(thread_count) || thread_count > (1u << 20)) return torn();
-
-  std::uint32_t object_names = 0;
-  if (!in.try_get(object_names)) return torn();
-  for (std::uint32_t i = 0; i < object_names; ++i) {
-    ObjectId object;
-    std::string name;
-    if (!in.try_get(object) || !in.try_get_string(name)) return torn();
-    trace.set_object_name(object, std::move(name));
-  }
-  std::uint32_t thread_names = 0;
-  if (!in.try_get(thread_names)) return torn();
-  for (std::uint32_t i = 0; i < thread_names; ++i) {
-    ThreadId tid;
-    std::string name;
-    if (!in.try_get(tid) || !in.try_get_string(name)) return torn();
-    trace.set_thread_name(tid, std::move(name));
-  }
-
-  for (std::uint32_t block = 0; block < thread_count; ++block) {
-    ThreadId tid;
-    std::uint64_t declared = 0;
-    if (!in.try_get(tid) || tid > (1u << 20) || !in.try_get(declared)) {
-      return torn();
-    }
-    // Keep every whole event that is actually present; a block cut short
-    // mid-event drops only the final partial record.
-    const std::uint64_t available = in.remaining() / sizeof(Event);
-    const std::uint64_t take = std::min(declared, available);
-    std::vector<Event> events(static_cast<std::size_t>(take));
-    in.try_get_bytes(events.data(), static_cast<std::size_t>(take) * sizeof(Event));
-    report.events_recovered += take;
-    trace.append_thread_events(tid, events);
-    if (take < declared) return torn();
-  }
-  report.clean_close = true;  // a complete v1 file is a clean-exit flush
-}
-
-// ---- v2 salvage ----------------------------------------------------------
-
-/// Index of the next chunk magic at or after `from`; npos if none.
-std::size_t find_chunk_magic(const BufReader& in, std::size_t from) {
-  if (from >= in.size) return std::string::npos;
-  std::string_view hay(in.data, in.size);
-  return hay.find(std::string_view(kChunkMagic, 4), from);
-}
-
-void salvage_v2(BufReader& in, Trace& trace, SalvageReport& report) {
-  while (in.pos < in.size) {
-    // Locate a plausible chunk header; resync past corruption.
-    if (in.remaining() < 16 ||
-        std::memcmp(in.data + in.pos, kChunkMagic, 4) != 0) {
-      const std::size_t next = find_chunk_magic(in, in.pos + 1);
-      ++report.chunks_dropped;
-      if (next == std::string::npos) {
-        report.torn_tail = true;
-        report.bytes_dropped += in.remaining();
-        return;
-      }
-      report.bytes_dropped += next - in.pos;
-      in.pos = next;
+  while (pos < size) {
+    ChunkHeader header;
+    if (size - pos < kChunkHeaderBytes ||
+        std::memcmp(data + pos, kChunkMagic, 4) != 0) {
+      resync(pos, pos + 1);  // no plausible header here
       continue;
     }
-
-    const std::size_t chunk_start = in.pos;
-    std::uint32_t kind = 0, payload_bytes = 0, crc = 0;
-    in.pos += 4;  // magic
-    in.try_get(kind);
-    in.try_get(payload_bytes);
-    in.try_get(crc);
-    if (payload_bytes > kMaxChunkPayload) {
-      // Corrupt size field: this "header" is garbage; resync after it.
-      in.pos = chunk_start + 4;
-      ++report.chunks_dropped;
-      const std::size_t next = find_chunk_magic(in, in.pos);
-      report.bytes_dropped += (next == std::string::npos ? in.size : next) - chunk_start;
-      if (next == std::string::npos) {
-        report.torn_tail = true;
-        in.pos = in.size;
-        return;
-      }
-      in.pos = next;
+    if (!parse_chunk_header(data + pos, header)) {
+      resync(pos, pos + 4);  // corrupt size field: the header is garbage
       continue;
     }
-    if (in.remaining() < payload_bytes) {
+    const std::size_t payload_at = pos + kChunkHeaderBytes;
+    if (size - payload_at < header.payload_bytes) {
       // Torn tail: the final chunk was cut mid-write.
       report.torn_tail = true;
       ++report.chunks_dropped;
-      report.bytes_dropped += in.size - chunk_start;
-      in.pos = in.size;
+      report.bytes_dropped += size - pos;
       return;
     }
-    const char* payload = in.data + in.pos;
-    if (util::crc32(payload, payload_bytes) != crc) {
-      // Checksum failure: drop this chunk and resync just past its magic
-      // (its size field is untrustworthy).
-      ++report.chunks_dropped;
-      const std::size_t next = find_chunk_magic(in, chunk_start + 4);
-      report.bytes_dropped += (next == std::string::npos ? in.size : next) - chunk_start;
-      if (next == std::string::npos) {
-        report.torn_tail = true;
-        in.pos = in.size;
-        return;
-      }
-      in.pos = next;
+    const unsigned char* payload = data + payload_at;
+    if (util::crc32(payload, header.payload_bytes) != header.crc) {
+      // Checksum failure: its size field is untrustworthy too.
+      resync(pos, pos + 4);
       continue;
     }
-    in.pos += payload_bytes;
+    pos = payload_at + header.payload_bytes;
 
-    BufReader body{payload, payload_bytes};
-    bool intact = true;
-    switch (static_cast<ChunkKind>(kind)) {
-      case ChunkKind::ObjectNames: {
-        std::uint32_t count = 0;
-        intact = body.try_get(count);
-        for (std::uint32_t i = 0; intact && i < count; ++i) {
-          ObjectId object;
-          std::string name;
-          intact = body.try_get(object) && body.try_get_string(name);
-          if (intact) trace.set_object_name(object, std::move(name));
-        }
-        break;
-      }
-      case ChunkKind::ThreadNames: {
-        std::uint32_t count = 0;
-        intact = body.try_get(count);
-        for (std::uint32_t i = 0; intact && i < count; ++i) {
-          ThreadId tid;
-          std::string name;
-          intact = body.try_get(tid) && body.try_get_string(name);
-          if (intact) trace.set_thread_name(tid, std::move(name));
-        }
-        break;
-      }
-      case ChunkKind::Events: {
-        ThreadId tid = 0;
-        std::uint32_t count = 0;
-        intact = body.try_get(tid) && body.try_get(count) && tid <= (1u << 20) &&
-                 body.remaining() == count * sizeof(Event);
-        if (intact) {
-          std::vector<Event> events(count);
-          body.try_get_bytes(events.data(), count * sizeof(Event));
-          trace.append_thread_events(tid, events);
-          report.events_recovered += count;
-        }
-        break;
-      }
-      case ChunkKind::EventsV3: {
-        ThreadId tid = 0;
-        std::uint32_t count = 0;
-        intact = peek_events_v3(payload, payload_bytes, tid, count);
-        if (intact) {
-          // The CRC already passed, so a decode failure means a writer
-          // bug, not a torn file — but salvage stays fail-soft either way
-          // and just drops the chunk.
-          std::vector<Event> events(count);
-          intact = decode_events_v3(payload, payload_bytes, events.data());
-          if (intact) {
-            trace.append_thread_events(tid, events);
-            report.events_recovered += count;
-          }
-        }
-        break;
-      }
-      case ChunkKind::Meta: {
-        std::uint32_t flags = 0;
-        intact = body.try_get(report.runtime_dropped_events) &&
-                 body.try_get(flags);
-        if (intact && (flags & kMetaFlagCleanClose)) report.clean_close = true;
-        break;
-      }
-      case ChunkKind::CallStacks: {
-        std::uint32_t count = 0;
-        intact = body.try_get(count);
-        for (std::uint32_t i = 0; intact && i < count; ++i) {
-          std::uint64_t id = 0;
-          std::uint32_t depth = 0;
-          intact = body.try_get(id) && body.try_get(depth) &&
-                   depth <= kMaxCallStackDepth;
-          if (!intact) break;
-          std::vector<std::uint64_t> pcs(depth);
-          for (std::uint32_t f = 0; intact && f < depth; ++f) {
-            intact = body.try_get(pcs[f]);
-          }
-          if (intact) trace.set_call_stack(id, std::move(pcs));
-        }
-        break;
-      }
-      case ChunkKind::FrameSymbols: {
-        std::uint32_t count = 0;
-        intact = body.try_get(count);
-        for (std::uint32_t i = 0; intact && i < count; ++i) {
-          std::uint64_t pc = 0;
-          std::string name;
-          intact = body.try_get(pc) && body.try_get_string(name);
-          if (intact) trace.set_frame_symbol(pc, std::move(name));
-        }
-        break;
-      }
-      case ChunkKind::RuntimeWarnings: {
-        std::uint32_t count = 0;
-        intact = body.try_get(count) && body.remaining() == count * 12ull;
-        for (std::uint32_t i = 0; intact && i < count; ++i) {
-          RuntimeWarning w;
-          intact = body.try_get(w.code) && body.try_get(w.value);
-          if (intact && w.code != 0) trace.set_runtime_warning(w.code, w.value);
-        }
-        break;
-      }
-      default:
-        break;  // unknown kind, CRC was valid: skip silently
+    // A CRC-valid chunk that fails to decode (a writer bug, not a torn
+    // file) applies nothing and is counted as dropped.
+    DecodedChunk chunk;
+    bool intact = decode_chunk(header.kind, payload, header.payload_bytes,
+                               trace.tables(), chunk);
+    if (intact && chunk.data != nullptr) {
+      buffer.resize(chunk.count);
+      intact = unpack_events(chunk, buffer.data());
     }
-    if (intact) {
-      ++report.chunks_recovered;
-    } else {
+    if (!intact) {
       ++report.chunks_dropped;
-      report.bytes_dropped += 16 + payload_bytes;
+      report.bytes_dropped += kChunkHeaderBytes + header.payload_bytes;
+      continue;
+    }
+    ++report.chunks_recovered;
+    report.clean_close |= chunk.clean_close;
+    if (chunk.data != nullptr) {
+      trace.append_thread_events(chunk.tid, buffer);
+      report.events_recovered += chunk.count;
     }
   }
+}
+
+SalvageResult salvage_bytes(const std::vector<unsigned char>& bytes) {
+  std::uint32_t version = 0;
+  CLA_CHECK(bytes.size() >= 4 && std::memcmp(bytes.data(), kTraceMagic, 4) == 0,
+            "not a CLA trace (bad magic)");
+  if (bytes.size() >= 8) std::memcpy(&version, bytes.data() + 4, 4);
+  CLA_CHECK(bytes.size() >= 8 && is_supported_trace_version(version),
+            "unsupported trace version " + std::to_string(version));
+
+  SalvageResult out;
+  if (version == kTraceVersionLegacy) {
+    salvage_v1(bytes.data(), bytes.size(), out.trace, out.report);
+  } else {
+    salvage_chunked(bytes.data(), bytes.size(), out.trace, out.report);
+  }
+  CLA_CHECK(out.report.events_recovered > 0,
+            "nothing to salvage: no intact events in trace");
+  out.report.runtime_dropped_events = out.trace.dropped_events();
+  repair_trace(out.trace, out.report);
+  return out;
 }
 
 }  // namespace
@@ -303,39 +146,11 @@ void repair_trace(Trace& trace, SalvageReport& report) {
 // ---- entry points --------------------------------------------------------
 
 SalvageResult salvage_trace(std::istream& in) {
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  BufReader reader{bytes.data(), bytes.size()};
-
-  char magic[4];
-  std::uint32_t version = 0;
-  CLA_CHECK(reader.try_get_bytes(magic, 4) &&
-                std::memcmp(magic, kTraceMagic, 4) == 0,
-            "not a CLA trace (bad magic)");
-  CLA_CHECK(reader.try_get(version) && is_supported_trace_version(version),
-            "unsupported trace version " + std::to_string(version));
-
-  SalvageResult out;
-  if (version == kTraceVersionLegacy) {
-    salvage_v1(reader, out.trace, out.report);
-  } else {
-    salvage_v2(reader, out.trace, out.report);
-  }
-  CLA_CHECK(out.report.events_recovered > 0,
-            "nothing to salvage: no intact events in trace");
-  out.trace.set_dropped_events(out.report.runtime_dropped_events);
-  repair_trace(out.trace, out.report);
-  return out;
+  return salvage_bytes(read_trace_bytes(in));
 }
 
 SalvageResult salvage_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    const int err = errno;
-    throw util::TraceIoError(
-        "cannot open trace file: " + path + ": " + std::strerror(err), err);
-  }
-  return salvage_trace(in);
+  return salvage_bytes(read_trace_bytes(path));
 }
 
 std::string SalvageReport::to_string() const {

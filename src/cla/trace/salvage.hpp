@@ -56,10 +56,12 @@ struct SalvageResult {
   SalvageReport report;
 };
 
-/// Recovers everything intact from `in` (v1 or v2). Throws
-/// cla::util::Error only if the stream is not recognisably a `.clat`
-/// file or holds no recoverable events at all; any partial content
-/// yields a validate()-clean trace plus a report.
+/// Recovers everything intact from `in` (v1, v2 or v3), decoding chunks
+/// with the same decode_chunk as the strict loader; a chunk that fails
+/// to decode is counted as dropped. Throws cla::util::Error only if the
+/// stream is not recognisably a `.clat` file or holds no recoverable
+/// events at all (and util::TraceIoError if the file cannot be opened);
+/// any partial content yields a validate()-clean trace plus a report.
 SalvageResult salvage_trace(std::istream& in);
 SalvageResult salvage_trace_file(const std::string& path);
 

@@ -17,7 +17,6 @@ namespace cla::trace {
 
 namespace {
 
-constexpr std::size_t kChunkHeaderBytes = 16;
 // Bytes scanned per resync step while hunting for the next chunk magic.
 constexpr std::size_t kResyncWindow = 64 * 1024;
 // Read-retry ladder for transient errors (EIO, EAGAIN): 4 attempts with
@@ -43,14 +42,6 @@ void backoff_sleep_ms(std::uint64_t ms) noexcept {
   struct timespec ts{static_cast<time_t>(ms / 1000),
                      static_cast<long>(ms % 1000) * 1'000'000};
   ::nanosleep(&ts, nullptr);
-}
-
-template <typename T>
-bool read_pod(const std::vector<unsigned char>& buf, std::size_t& pos, T& out) {
-  if (buf.size() - pos < sizeof(T) || pos > buf.size()) return false;
-  std::memcpy(&out, buf.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return true;
 }
 
 }  // namespace
@@ -133,99 +124,35 @@ bool TraceTailer::deadline_hit(std::uint64_t start_ns) const {
 }
 
 // Applies one CRC-valid chunk to the delta. Returns true when the chunk
-// changed anything the caller should report as progress. CRC-valid but
-// structurally malformed chunks are ignored (the writer never produces
-// them; a fuzzer might).
+// changed anything the caller should report as progress. A chunk that
+// fails to decode is skipped whole (the writer never produces one; a
+// fuzzer might). Meta and RuntimeWarnings feed the cumulative counters,
+// never delta.chunk.
 bool TraceTailer::consume_chunk(std::uint32_t kind,
                                 const std::vector<unsigned char>& payload,
                                 Delta& delta) {
-  std::size_t pos = 0;
+  TraceTables decoded;
+  DecodedChunk chunk;
+  if (!decode_chunk(kind, payload.data(), payload.size(), decoded, chunk)) {
+    return false;
+  }
   switch (static_cast<ChunkKind>(kind)) {
-    case ChunkKind::Events: {
-      std::uint32_t tid = 0;
-      std::uint32_t count = 0;
-      if (!read_pod(payload, pos, tid) || !read_pod(payload, pos, count)) {
-        return false;
-      }
-      if (tid > (1u << 20) ||
-          payload.size() - pos != static_cast<std::size_t>(count) * sizeof(Event)) {
-        return false;
-      }
-      if (count == 0) return false;
-      event_buf_.resize(count);
-      std::memcpy(event_buf_.data(), payload.data() + pos,
-                  static_cast<std::size_t>(count) * sizeof(Event));
-      delta.chunk.append_thread_events(tid, {event_buf_.data(), count});
-      delta.events += count;
+    case ChunkKind::Events:
+    case ChunkKind::EventsV3:
+      if (chunk.count == 0) return false;
+      event_buf_.resize(chunk.count);
+      if (!unpack_events(chunk, event_buf_.data())) return false;
+      delta.chunk.append_thread_events(chunk.tid, event_buf_);
+      delta.events += chunk.count;
       return true;
-    }
-    case ChunkKind::EventsV3: {
-      ThreadId tid = 0;
-      std::uint32_t count = 0;
-      if (!peek_events_v3(payload.data(), payload.size(), tid, count) ||
-          count == 0) {
-        return false;
-      }
-      event_buf_.resize(count);
-      if (!decode_events_v3(payload.data(), payload.size(),
-                            event_buf_.data())) {
-        return false;
-      }
-      delta.chunk.append_thread_events(tid, {event_buf_.data(), count});
-      delta.events += count;
-      return true;
-    }
-    case ChunkKind::ObjectNames: {
-      std::uint32_t count = 0;
-      if (!read_pod(payload, pos, count) || count > (1u << 20)) return false;
-      bool changed = false;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        ObjectId object = 0;
-        std::uint32_t len = 0;
-        if (!read_pod(payload, pos, object) || !read_pod(payload, pos, len) ||
-            payload.size() - pos < len) {
-          return changed;
-        }
-        delta.chunk.set_object_name(
-            object, std::string(reinterpret_cast<const char*>(payload.data()) + pos,
-                                len));
-        pos += len;
-        changed = true;
-      }
-      return changed;
-    }
-    case ChunkKind::ThreadNames: {
-      std::uint32_t count = 0;
-      if (!read_pod(payload, pos, count) || count > (1u << 20)) return false;
-      bool changed = false;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        ThreadId tid = 0;
-        std::uint32_t len = 0;
-        if (!read_pod(payload, pos, tid) || !read_pod(payload, pos, len) ||
-            payload.size() - pos < len) {
-          return changed;
-        }
-        delta.chunk.set_thread_name(
-            tid, std::string(reinterpret_cast<const char*>(payload.data()) + pos,
-                             len));
-        pos += len;
-        changed = true;
-      }
-      return changed;
-    }
     case ChunkKind::Meta: {
-      std::uint64_t dropped = 0;
-      std::uint32_t flags = 0;
-      if (!read_pod(payload, pos, dropped) || !read_pod(payload, pos, flags)) {
-        return false;
-      }
       bool changed = false;
-      if (dropped > dropped_events_) {
-        delta.dropped_delta += dropped - dropped_events_;
-        dropped_events_ = dropped;
+      if (decoded.dropped_events > dropped_events_) {
+        delta.dropped_delta += decoded.dropped_events - dropped_events_;
+        dropped_events_ = decoded.dropped_events;
         changed = true;
       }
-      if ((flags & kMetaFlagCleanClose) != 0 && !clean_close_) {
+      if (chunk.clean_close && !clean_close_) {
         clean_close_ = true;
         delta.clean_close = true;
         changed = true;
@@ -233,27 +160,19 @@ bool TraceTailer::consume_chunk(std::uint32_t kind,
       return changed;
     }
     case ChunkKind::RuntimeWarnings: {
-      std::uint32_t count = 0;
-      if (!read_pod(payload, pos, count) || count > 1024) return false;
       bool changed = false;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint32_t code = 0;
-        std::uint64_t value = 0;
-        if (!read_pod(payload, pos, code) || !read_pod(payload, pos, value)) {
-          return changed;
-        }
-        if (code == 0) continue;  // empty slot
+      for (const auto& [code, value] : decoded.runtime_warnings) {
         auto [it, inserted] = runtime_warnings_.try_emplace(code, value);
-        if (!inserted) {
-          if (it->second == value) continue;
+        if (!inserted && it->second != value) {
           it->second = value;
+          inserted = true;
         }
-        changed = true;
+        changed |= inserted;
       }
       return changed;
     }
-    default:
-      return false;  // unknown chunk kind: skip (forward compatibility)
+    default:  // names, call stacks, frame symbols; unknown kinds add nothing
+      return delta.chunk.tables().merge(decoded);
   }
 }
 
@@ -267,25 +186,20 @@ void TraceTailer::refresh_inplace_chunks(Delta& delta, bool& progress) {
     if (robust_pread(header, sizeof header, offset, got) != ReadResult::Ok) {
       continue;
     }
-    if (std::memcmp(header, kChunkMagic, 4) != 0) continue;
-    std::uint32_t kind = 0;
-    std::uint32_t payload_bytes = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&kind, header + 4, 4);
-    std::memcpy(&payload_bytes, header + 8, 4);
-    std::memcpy(&crc, header + 12, 4);
-    if (kind != static_cast<std::uint32_t>(ChunkKind::Meta) &&
-        kind != static_cast<std::uint32_t>(ChunkKind::RuntimeWarnings)) {
+    ChunkHeader h;
+    if (!parse_chunk_header(header, h) ||
+        (h.kind != static_cast<std::uint32_t>(ChunkKind::Meta) &&
+         h.kind != static_cast<std::uint32_t>(ChunkKind::RuntimeWarnings)) ||
+        h.payload_bytes > kMaxInplacePayload) {
       continue;
     }
-    if (payload_bytes > kMaxInplacePayload) continue;
-    payload_buf_.resize(payload_bytes);
-    if (robust_pread(payload_buf_.data(), payload_bytes,
+    payload_buf_.resize(h.payload_bytes);
+    if (robust_pread(payload_buf_.data(), h.payload_bytes,
                      offset + kChunkHeaderBytes, got) != ReadResult::Ok) {
       continue;
     }
-    if (util::crc32(payload_buf_.data(), payload_bytes) != crc) continue;
-    if (consume_chunk(kind, payload_buf_, delta)) progress = true;
+    if (util::crc32(payload_buf_.data(), h.payload_bytes) != h.crc) continue;
+    if (consume_chunk(h.kind, payload_buf_, delta)) progress = true;
   }
 }
 
@@ -371,34 +285,23 @@ TraceTailer::PollStatus TraceTailer::poll(Delta& delta) {
     }
     if (r == ReadResult::Short) break;
 
-    bool resync = false;
-    std::uint32_t kind = 0;
-    std::uint32_t payload_bytes = 0;
-    std::uint32_t crc = 0;
-    if (std::memcmp(header, kChunkMagic, 4) != 0) {
-      resync = true;
-    } else {
-      std::memcpy(&kind, header + 4, 4);
-      std::memcpy(&payload_bytes, header + 8, 4);
-      std::memcpy(&crc, header + 12, 4);
-      if (payload_bytes > kMaxChunkPayload) resync = true;
-    }
-
-    if (!resync) {
+    ChunkHeader h;
+    if (parse_chunk_header(header, h)) {
       const std::uint64_t chunk_end =
-          consumed_ + kChunkHeaderBytes + payload_bytes;
+          consumed_ + kChunkHeaderBytes + h.payload_bytes;
       if (chunk_end > size) break;  // partial tail: "not yet"
-      payload_buf_.resize(payload_bytes);
-      r = robust_pread(payload_buf_.data(), payload_bytes,
+      payload_buf_.resize(h.payload_bytes);
+      r = robust_pread(payload_buf_.data(), h.payload_bytes,
                        consumed_ + kChunkHeaderBytes, got);
       if (r == ReadResult::Failed) {
         return finish(progress ? PollStatus::Progress : PollStatus::IoError);
       }
       if (r == ReadResult::Short) break;
-      if (util::crc32(payload_buf_.data(), payload_bytes) == crc) {
-        if (consume_chunk(kind, payload_buf_, delta)) progress = true;
-        if ((kind == static_cast<std::uint32_t>(ChunkKind::Meta) ||
-             kind == static_cast<std::uint32_t>(ChunkKind::RuntimeWarnings)) &&
+      if (util::crc32(payload_buf_.data(), h.payload_bytes) == h.crc) {
+        if (consume_chunk(h.kind, payload_buf_, delta)) progress = true;
+        if ((h.kind == static_cast<std::uint32_t>(ChunkKind::Meta) ||
+             h.kind ==
+                 static_cast<std::uint32_t>(ChunkKind::RuntimeWarnings)) &&
             inplace_offsets_.size() < 8 &&
             std::find(inplace_offsets_.begin(), inplace_offsets_.end(),
                       consumed_) == inplace_offsets_.end()) {
@@ -408,7 +311,7 @@ TraceTailer::PollStatus TraceTailer::poll(Delta& delta) {
         continue;
       }
       if (chunk_end == size) break;  // torn final chunk: wait for the writer
-      resync = true;  // CRC-bad with data behind it: genuine corruption
+      // CRC-bad with data behind it: genuine corruption, resync below.
     }
 
     // Resync: scan forward for the next chunk magic, counting everything
@@ -427,13 +330,12 @@ TraceTailer::PollStatus TraceTailer::poll(Delta& delta) {
         return finish(progress ? PollStatus::Progress : PollStatus::IoError);
       }
       if (scan_got < 4) break;
-      for (std::size_t i = 0; i + 4 <= scan_got; ++i) {
-        if (std::memcmp(payload_buf_.data() + i, kChunkMagic, 4) == 0) {
-          found = scan + i;
-          break;
-        }
+      const std::size_t at = find_chunk_magic(payload_buf_.data(), scan_got);
+      if (at != std::string::npos) {
+        found = scan + at;
+      } else {
+        scan += scan_got - 3;  // keep a 3-byte overlap
       }
-      if (found == 0) scan += scan_got - 3;  // keep a 3-byte overlap
     }
     if (found == 0) {
       // No magic ahead: skip what we scanned and wait for more data.

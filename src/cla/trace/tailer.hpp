@@ -1,12 +1,12 @@
 // Fault-tolerant live tailer for a `.clat` file that is still being
 // written (the always-on loop's read side).
 //
-// The strict readers (TraceStreamReader, MappedTrace) treat a missing
-// clean-close marker or a torn final chunk as an error, because for an
-// offline file that *is* an error. For a live file it just means "the
-// writer has not caught up yet". TraceTailer makes that distinction: it
-// consumes complete CRC-valid chunks as they land and classifies
-// everything else —
+// The strict loader (MappedTrace) treats a missing clean-close marker or
+// a torn final chunk as an error, because for an offline file that *is*
+// an error. For a live file it just means "the writer has not caught up
+// yet". TraceTailer makes that distinction: it consumes complete
+// CRC-valid chunks as they land — decoded by the same decode_chunk as
+// every other reader — and classifies everything else —
 //
 //   * a partial chunk at end-of-file      -> Idle ("not yet", wait)
 //   * no new bytes at all                 -> Idle (back off)
@@ -32,8 +32,10 @@
 // a stuck filesystem can never hang the caller.
 //
 // Each Progress delta is a trace::Trace fragment whose per-thread event
-// runs append in on-disk order — exactly what IncrementalAnalyzer::append
-// expects. One tailer per file; not thread-safe.
+// runs append in on-disk order, plus the name, call-stack and
+// frame-symbol entries that landed — exactly what
+// IncrementalAnalyzer::append expects. A CRC-valid chunk that fails to
+// decode is skipped whole. One tailer per file; not thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -65,11 +67,12 @@ class TraceTailer {
     IoError,   ///< preamble corrupt or a read failed past the retry budget
   };
 
-  /// What one Progress poll delivered. Event/name data arrives as a Trace
-  /// fragment; the cumulative file-level counters (dropped events,
-  /// runtime warnings) are exposed both raw and as deltas.
+  /// What one Progress poll delivered. Events and table entries arrive as
+  /// a Trace fragment; the cumulative file-level counters (dropped events,
+  /// runtime warnings) stay out of it and are exposed both raw and as
+  /// deltas.
   struct Delta {
-    Trace chunk;                      ///< new per-thread event runs + names
+    Trace chunk;                      ///< new event runs + table entries
     std::uint64_t events = 0;         ///< events in `chunk`
     std::uint64_t dropped_delta = 0;  ///< growth of the Meta drop counter
     std::uint64_t skipped_bytes = 0;  ///< corrupt bytes resynced over

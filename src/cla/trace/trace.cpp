@@ -31,6 +31,41 @@ std::string_view to_string(EventType type) noexcept {
   return "Unknown";
 }
 
+namespace {
+
+// Last-write-wins insert of every entry of `from` into `into`; true when
+// any value was added or replaced.
+template <typename Map>
+bool merge_map(Map& into, const Map& from) {
+  bool changed = false;
+  for (const auto& [key, value] : from) {
+    auto [it, inserted] = into.try_emplace(key, value);
+    if (!inserted && it->second != value) {
+      it->second = value;
+      inserted = true;
+    }
+    changed |= inserted;
+  }
+  return changed;
+}
+
+}  // namespace
+
+bool TraceTables::empty() const noexcept {
+  return object_names.empty() && thread_names.empty() && call_stacks.empty() &&
+         frame_symbols.empty() && runtime_warnings.empty() &&
+         dropped_events == 0;
+}
+
+bool TraceTables::merge(const TraceTables& other) {
+  bool changed = merge_map(object_names, other.object_names);
+  changed |= merge_map(thread_names, other.thread_names);
+  changed |= merge_map(call_stacks, other.call_stacks);
+  changed |= merge_map(frame_symbols, other.frame_symbols);
+  changed |= merge_map(runtime_warnings, other.runtime_warnings);
+  return changed;
+}
+
 void Trace::add(const Event& event) {
   if (event.tid >= threads_.size()) threads_.resize(event.tid + 1);
   threads_[event.tid].push_back(event);
@@ -84,13 +119,9 @@ std::uint64_t Trace::end_ts() const noexcept {
   return ts;
 }
 
-void Trace::set_object_name(ObjectId object, std::string name) {
-  object_names_[object] = std::move(name);
-}
-
 const std::string* Trace::object_name(ObjectId object) const {
-  auto it = object_names_.find(object);
-  return it == object_names_.end() ? nullptr : &it->second;
+  auto it = tables_.object_names.find(object);
+  return it == tables_.object_names.end() ? nullptr : &it->second;
 }
 
 std::string Trace::object_display_name(ObjectId object,
@@ -99,13 +130,9 @@ std::string Trace::object_display_name(ObjectId object,
   return std::string(prefix) + "@" + std::to_string(object);
 }
 
-void Trace::set_thread_name(ThreadId tid, std::string name) {
-  thread_names_[tid] = std::move(name);
-}
-
 std::string Trace::thread_display_name(ThreadId tid) const {
-  auto it = thread_names_.find(tid);
-  if (it != thread_names_.end()) return it->second;
+  auto it = tables_.thread_names.find(tid);
+  if (it != tables_.thread_names.end()) return it->second;
   return "T" + std::to_string(tid);
 }
 

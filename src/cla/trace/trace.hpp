@@ -14,6 +14,33 @@
 
 namespace cla::trace {
 
+/// Everything a trace carries besides its event streams: the name,
+/// call-stack and frame-symbol tables, the producing runtime's warning
+/// counters and its dropped-event count. Trace, MappedTrace and every
+/// `.clat` reader hold exactly this value, so a table kind can never be
+/// carried by one path and lost by another.
+struct TraceTables {
+  std::map<ObjectId, std::string> object_names;
+  std::map<ThreadId, std::string> thread_names;
+  /// Acquisition call stacks: stack id -> return-address chain.
+  std::map<std::uint64_t, std::vector<std::uint64_t>> call_stacks;
+  /// Program counter -> "symbol+0xoff (module)".
+  std::map<std::uint64_t, std::string> frame_symbols;
+  /// Stable cla::util::DiagCode value (CLA_W_*) -> count/value.
+  std::map<std::uint32_t, std::uint64_t> runtime_warnings;
+  std::uint64_t dropped_events = 0;
+
+  /// True when no table holds an entry and nothing was dropped.
+  bool empty() const noexcept;
+
+  /// Last-write-wins merge of `other`'s five maps into these (entries of
+  /// `other` replace equal keys). dropped_events is left alone: each
+  /// caller has its own rule for it. Returns true when any entry changed.
+  bool merge(const TraceTables& other);
+
+  friend bool operator==(const TraceTables&, const TraceTables&) = default;
+};
+
 /// A complete execution trace of one program run.
 ///
 /// Invariants (checked by validate()):
@@ -35,12 +62,12 @@ class Trace {
   void add_thread_stream(ThreadId tid, std::vector<Event> events);
 
   /// Appends a chunk to a thread's stream without re-sorting; chunks must
-  /// arrive in timestamp order (the streaming reader's contract). Used to
-  /// ingest large traces chunk by chunk without an intermediate copy.
+  /// arrive in timestamp order (the on-disk order of a thread's event
+  /// chunks). Used by salvage, the live tailer and materialize().
   void append_thread_events(ThreadId tid, std::span<const Event> events);
 
-  /// Pre-sizes a thread's stream (streaming ingestion knows the count up
-  /// front from the file header, so the vector grows exactly once).
+  /// Pre-sizes a thread's stream (when the count is known up front, so
+  /// the vector grows exactly once).
   void reserve_thread_events(ThreadId tid, std::size_t count);
 
   std::size_t thread_count() const noexcept { return threads_.size(); }
@@ -55,37 +82,45 @@ class Trace {
 
   /// Attaches a human-readable name to a synchronization object (mutex,
   /// barrier, condvar). Anonymous objects render as "mutex@<id>" etc.
-  void set_object_name(ObjectId object, std::string name);
+  void set_object_name(ObjectId object, std::string name) {
+    tables_.object_names[object] = std::move(name);
+  }
   const std::string* object_name(ObjectId object) const;
 
   /// Name lookup that falls back to `<prefix>@<id>`.
   std::string object_display_name(ObjectId object, std::string_view prefix) const;
 
-  void set_thread_name(ThreadId tid, std::string name);
+  void set_thread_name(ThreadId tid, std::string name) {
+    tables_.thread_names[tid] = std::move(name);
+  }
   std::string thread_display_name(ThreadId tid) const;
 
   /// Events the producing runtime had to drop at record time (buffer
   /// overrun, recording after teardown). Carried in the `.clat` v2 meta
   /// chunk so the analyzer can report incomplete coverage.
-  void set_dropped_events(std::uint64_t count) noexcept { dropped_events_ = count; }
-  std::uint64_t dropped_events() const noexcept { return dropped_events_; }
+  void set_dropped_events(std::uint64_t count) noexcept {
+    tables_.dropped_events = count;
+  }
+  std::uint64_t dropped_events() const noexcept {
+    return tables_.dropped_events;
+  }
 
   /// Runtime warnings the producing process recorded in the `.clat`
   /// RuntimeWarnings chunk: stable cla::util::DiagCode value (CLA_W_*) ->
   /// count/value. The analyzer surfaces them in its trace-health section.
   void set_runtime_warning(std::uint32_t code, std::uint64_t value) {
-    runtime_warnings_[code] = value;
+    tables_.runtime_warnings[code] = value;
   }
   const std::map<std::uint32_t, std::uint64_t>& runtime_warnings()
       const noexcept {
-    return runtime_warnings_;
+    return tables_.runtime_warnings;
   }
 
   const std::map<ObjectId, std::string>& object_names() const noexcept {
-    return object_names_;
+    return tables_.object_names;
   }
   const std::map<ThreadId, std::string>& thread_names() const noexcept {
-    return thread_names_;
+    return tables_.thread_names;
   }
 
   /// Acquisition call-stack table (`.clat` CallStacks chunk): stack id ->
@@ -93,15 +128,15 @@ class Trace {
   /// kNoArg) mean "no stack recorded". MutexAcquire events carry the id of
   /// the acquiring callsite in their `arg` field when capture was enabled.
   void set_call_stack(std::uint64_t id, std::vector<std::uint64_t> pcs) {
-    call_stacks_[id] = std::move(pcs);
+    tables_.call_stacks[id] = std::move(pcs);
   }
   const std::vector<std::uint64_t>* call_stack(std::uint64_t id) const {
-    auto it = call_stacks_.find(id);
-    return it == call_stacks_.end() ? nullptr : &it->second;
+    auto it = tables_.call_stacks.find(id);
+    return it == tables_.call_stacks.end() ? nullptr : &it->second;
   }
   const std::map<std::uint64_t, std::vector<std::uint64_t>>& call_stacks()
       const noexcept {
-    return call_stacks_;
+    return tables_.call_stacks;
   }
 
   /// Frame-symbol table (`.clat` FrameSymbols chunk): program counter ->
@@ -109,11 +144,15 @@ class Trace {
   /// (dladdr at clean shutdown). Carried in the trace because raw PCs are
   /// meaningless in any other process's address space.
   void set_frame_symbol(std::uint64_t pc, std::string name) {
-    frame_symbols_[pc] = std::move(name);
+    tables_.frame_symbols[pc] = std::move(name);
   }
   const std::map<std::uint64_t, std::string>& frame_symbols() const noexcept {
-    return frame_symbols_;
+    return tables_.frame_symbols;
   }
+
+  /// All non-event tables as one value (copy, compare or merge them whole).
+  const TraceTables& tables() const noexcept { return tables_; }
+  TraceTables& tables() noexcept { return tables_; }
 
   /// Checks the structural invariants above; throws
   /// cla::util::ValidationError summarising the violations. The underlying
@@ -126,12 +165,7 @@ class Trace {
 
  private:
   std::vector<std::vector<Event>> threads_;
-  std::map<ObjectId, std::string> object_names_;
-  std::map<ThreadId, std::string> thread_names_;
-  std::uint64_t dropped_events_ = 0;
-  std::map<std::uint32_t, std::uint64_t> runtime_warnings_;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> call_stacks_;
-  std::map<std::uint64_t, std::string> frame_symbols_;
+  TraceTables tables_;
 };
 
 }  // namespace cla::trace

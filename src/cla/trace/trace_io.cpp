@@ -11,9 +11,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <istream>
 #include <limits>
 #include <ostream>
 
+#include "cla/trace/trace_view.hpp"
 #include "cla/trace/varint.hpp"
 #include "cla/util/crc32.hpp"
 #include "cla/util/error.hpp"
@@ -42,7 +44,6 @@ constexpr std::uint64_t kMaxBackoffNs = 64'000'000;
 // On-disk layout of the in-place region right after the 8-byte preamble:
 // a reserved RuntimeWarnings chunk, then a reserved Meta chunk. Appended
 // data starts at kFirstAppendOffset.
-constexpr std::size_t kChunkHeaderBytes = 16;
 constexpr std::size_t kWarnPayloadBytes = 4 + kRuntimeWarningSlots * 12;
 constexpr std::uint64_t kWarnChunkOffset = 8;
 constexpr std::uint64_t kMetaChunkOffset =
@@ -100,24 +101,6 @@ void put_string(std::ostream& out, const std::string& s) {
   CLA_CHECK(s.size() <= std::numeric_limits<std::uint32_t>::max(), "name too long");
   put(out, static_cast<std::uint32_t>(s.size()));
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-template <typename T>
-T get(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  CLA_CHECK(in.good(), "trace stream truncated");
-  return value;
-}
-
-std::string get_string(std::istream& in) {
-  const auto len = get<std::uint32_t>(in);
-  CLA_CHECK(len <= (1u << 20), "trace name record suspiciously large");
-  std::string s(len, '\0');
-  in.read(s.data(), len);
-  CLA_CHECK(in.good(), "trace stream truncated in name record");
-  return s;
 }
 
 // ---- v2 chunk helpers ----------------------------------------------------
@@ -854,277 +837,230 @@ void ChunkedTraceWriter::close() noexcept {
   fd_ = -1;
 }
 
-// ---- TraceStreamReader ---------------------------------------------------
+// ---- read side -----------------------------------------------------------
 
-TraceStreamReader::TraceStreamReader(std::istream& in) : in_(&in) {
-  char magic[4];
-  in.read(magic, sizeof magic);
-  CLA_CHECK(in.good() && std::memcmp(magic, kTraceMagic, 4) == 0,
-            "not a CLA trace (bad magic)");
-  version_ = get<std::uint32_t>(in);
-  CLA_CHECK(is_supported_trace_version(version_),
-            "unsupported trace version " + std::to_string(version_));
-  if (version_ != kTraceVersionLegacy) return;  // v2/v3: pure chunk stream
+namespace {
 
-  thread_count_ = get<std::uint32_t>(in);
-  CLA_CHECK(thread_count_ <= (1u << 20), "implausible thread count in trace");
+/// Bounds-checked forward reader over one payload. Every get consumes
+/// only on success, so a failed read leaves `pos` after the last whole
+/// field (salvage's bytes-dropped accounting relies on that).
+struct PayloadReader {
+  const unsigned char* data;
+  std::size_t size;
+  std::size_t pos = 0;
 
-  const auto object_names = get<std::uint32_t>(in);
-  for (std::uint32_t i = 0; i < object_names; ++i) {
-    const auto object = get<ObjectId>(in);
-    object_names_[object] = get_string(in);
+  std::size_t remaining() const noexcept { return size - pos; }
+
+  template <typename T>
+  bool get(T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (remaining() < sizeof value) return false;
+    std::memcpy(&value, data + pos, sizeof value);
+    pos += sizeof value;
+    return true;
   }
-  const auto thread_names = get<std::uint32_t>(in);
-  for (std::uint32_t i = 0; i < thread_names; ++i) {
-    const auto tid = get<ThreadId>(in);
-    thread_names_[tid] = get_string(in);
-  }
-}
 
-std::optional<TraceStreamReader::ThreadBlock> TraceStreamReader::next_thread() {
-  // Skip whatever the consumer left unread of the current block.
-  while (remaining_in_block_ > 0) {
-    Event discard[64];
-    read_events(discard, 64);
-  }
-  return version_ == kTraceVersionLegacy ? next_thread_v1() : next_thread_v2();
-}
-
-std::optional<TraceStreamReader::ThreadBlock> TraceStreamReader::next_thread_v1() {
-  if (threads_seen_ >= thread_count_) return std::nullopt;
-  ++threads_seen_;
-  ThreadBlock block;
-  block.tid = get<ThreadId>(*in_);
-  CLA_CHECK(block.tid <= (1u << 20), "implausible thread id in trace");
-  block.event_count = get<std::uint64_t>(*in_);
-  remaining_in_block_ = block.event_count;
-  return block;
-}
-
-std::optional<TraceStreamReader::ThreadBlock> TraceStreamReader::next_thread_v2() {
-  std::string payload;
-  for (;;) {
-    char magic[4];
-    in_->read(magic, sizeof magic);
-    if (in_->eof() && in_->gcount() == 0) {
-      // Every clean v2 writer ends with a clean-close Meta chunk, so a
-      // stream that merely *stops* — even at a tidy chunk boundary — is a
-      // crashed or truncated recording and must not load strictly.
-      CLA_CHECK(clean_close_,
-                "trace has no clean-close marker (crashed or truncated "
-                "recording; use --salvage)");
-      return std::nullopt;
+  /// Reads a u32-length-prefixed name; `out` may be null (validate only).
+  bool get_name(std::string* out) {
+    std::uint32_t len = 0;
+    if (!get(len) || len > kMaxNameBytes || remaining() < len) return false;
+    if (out != nullptr) {
+      out->assign(reinterpret_cast<const char*>(data + pos), len);
     }
-    CLA_CHECK(in_->good() && std::memcmp(magic, kChunkMagic, 4) == 0,
-              "corrupt trace: bad chunk magic");
-    const auto kind = get<std::uint32_t>(*in_);
-    const auto payload_bytes = get<std::uint32_t>(*in_);
-    const auto crc = get<std::uint32_t>(*in_);
-    CLA_CHECK(payload_bytes <= kMaxChunkPayload,
-              "corrupt trace: implausible chunk size");
-    payload.resize(payload_bytes);
-    in_->read(payload.data(), payload_bytes);
-    CLA_CHECK(payload_bytes == 0 || in_->good(),
-              "trace stream truncated inside chunk");
-    CLA_CHECK(util::crc32(payload.data(), payload.size()) == crc,
-              "corrupt trace: chunk CRC mismatch");
+    pos += len;
+    return true;
+  }
+};
 
-    const char* p = payload.data();
-    const char* end = p + payload.size();
-    auto take = [&](void* dst, std::size_t n) {
-      CLA_CHECK(static_cast<std::size_t>(end - p) >= n,
-                "corrupt trace: chunk payload too short");
-      std::memcpy(dst, p, n);
-      p += n;
-    };
-    switch (static_cast<ChunkKind>(kind)) {
-      case ChunkKind::ObjectNames: {
-        std::uint32_t count;
-        take(&count, 4);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          ObjectId object;
-          std::uint32_t len;
-          take(&object, 8);
-          take(&len, 4);
-          CLA_CHECK(len <= (1u << 20), "trace name record suspiciously large");
-          std::string name(len, '\0');
-          take(name.data(), len);
-          object_names_[object] = std::move(name);
+/// Applies the `u32 count | count * entry` body of a table chunk.
+/// `entry(reader, apply)` parses one entry and, with `apply`, stores it.
+/// Every entry is checked before any is stored, so a malformed chunk
+/// applies nothing.
+template <typename Entry>
+bool apply_entries(PayloadReader in, Entry entry) {
+  std::uint32_t count = 0;
+  if (!in.get(count)) return false;
+  PayloadReader check = in;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (!entry(check, false)) return false;
+  }
+  for (std::uint32_t i = 0; i < count; ++i) entry(in, true);
+  return true;
+}
+
+}  // namespace
+
+bool parse_chunk_header(const void* p, ChunkHeader& header) {
+  const auto* bytes = static_cast<const unsigned char*>(p);
+  if (std::memcmp(bytes, kChunkMagic, 4) != 0) return false;
+  std::memcpy(&header.kind, bytes + 4, 4);
+  std::memcpy(&header.payload_bytes, bytes + 8, 4);
+  std::memcpy(&header.crc, bytes + 12, 4);
+  return header.payload_bytes <= kMaxChunkPayload;
+}
+
+std::size_t find_chunk_magic(const void* p, std::size_t bytes) {
+  const std::string_view hay(static_cast<const char*>(p), bytes);
+  return hay.find(std::string_view(kChunkMagic, 4));
+}
+
+bool decode_chunk(std::uint32_t kind, const void* payload, std::size_t bytes,
+                  TraceTables& tables, DecodedChunk& out) {
+  out = DecodedChunk{};
+  PayloadReader in{static_cast<const unsigned char*>(payload), bytes};
+  switch (static_cast<ChunkKind>(kind)) {
+    case ChunkKind::ObjectNames:
+      return apply_entries(in, [&](PayloadReader& r, bool apply) {
+        ObjectId object = 0;
+        std::string name;
+        if (!r.get(object) || !r.get_name(apply ? &name : nullptr)) {
+          return false;
         }
-        break;
-      }
-      case ChunkKind::ThreadNames: {
-        std::uint32_t count;
-        take(&count, 4);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          ThreadId tid;
-          std::uint32_t len;
-          take(&tid, 4);
-          take(&len, 4);
-          CLA_CHECK(len <= (1u << 20), "trace name record suspiciously large");
-          std::string name(len, '\0');
-          take(name.data(), len);
-          thread_names_[tid] = std::move(name);
+        if (apply) tables.object_names[object] = std::move(name);
+        return true;
+      });
+    case ChunkKind::ThreadNames:
+      return apply_entries(in, [&](PayloadReader& r, bool apply) {
+        ThreadId tid = 0;
+        std::string name;
+        if (!r.get(tid) || !r.get_name(apply ? &name : nullptr)) {
+          return false;
         }
-        break;
-      }
-      case ChunkKind::Events: {
-        ThreadBlock block;
-        std::uint32_t count;
-        take(&block.tid, 4);
-        take(&count, 4);
-        CLA_CHECK(block.tid <= (1u << 20), "implausible thread id in trace");
-        CLA_CHECK(static_cast<std::size_t>(end - p) == count * sizeof(Event),
-                  "corrupt trace: events chunk size mismatch");
-        block.event_count = count;
-        v2_chunk_.resize(count);
-        std::memcpy(v2_chunk_.data(), p, count * sizeof(Event));
-        v2_chunk_offset_ = 0;
-        remaining_in_block_ = count;
-        if (!v2_tids_seen_.contains(block.tid)) {
-          v2_tids_seen_[block.tid] = true;
-          ++thread_count_;
+        if (apply) tables.thread_names[tid] = std::move(name);
+        return true;
+      });
+    case ChunkKind::FrameSymbols:
+      return apply_entries(in, [&](PayloadReader& r, bool apply) {
+        std::uint64_t pc = 0;
+        std::string name;
+        if (!r.get(pc) || !r.get_name(apply ? &name : nullptr)) {
+          return false;
         }
-        return block;
-      }
-      case ChunkKind::EventsV3: {
-        ThreadBlock block;
-        std::uint32_t count;
-        CLA_CHECK(peek_events_v3(payload.data(), payload.size(), block.tid,
-                                 count),
-                  "corrupt trace: bad v3 events chunk header");
-        block.event_count = count;
-        v2_chunk_.resize(count);
-        CLA_CHECK(
-            decode_events_v3(payload.data(), payload.size(), v2_chunk_.data()),
-            "corrupt trace: bad v3 events chunk encoding");
-        v2_chunk_offset_ = 0;
-        remaining_in_block_ = count;
-        if (!v2_tids_seen_.contains(block.tid)) {
-          v2_tids_seen_[block.tid] = true;
-          ++thread_count_;
+        if (apply) tables.frame_symbols[pc] = std::move(name);
+        return true;
+      });
+    case ChunkKind::CallStacks:
+      return apply_entries(in, [&](PayloadReader& r, bool apply) {
+        std::uint64_t id = 0;
+        std::uint32_t depth = 0;
+        if (!r.get(id) || !r.get(depth) || depth > kMaxCallStackDepth ||
+            r.remaining() < depth * sizeof(std::uint64_t)) {
+          return false;
         }
-        return block;
+        std::vector<std::uint64_t> pcs(depth);
+        for (std::uint64_t& pc : pcs) r.get(pc);
+        if (apply) tables.call_stacks[id] = std::move(pcs);
+        return true;
+      });
+    case ChunkKind::Events: {
+      if (!in.get(out.tid) || !in.get(out.count) || out.tid > kMaxThreadId ||
+          in.remaining() != std::size_t{out.count} * sizeof(Event)) {
+        return false;
       }
-      case ChunkKind::Meta: {
-        std::uint32_t flags;
-        take(&dropped_events_, 8);
-        take(&flags, 4);
-        if ((flags & kMetaFlagCleanClose) != 0) clean_close_ = true;
-        break;
+      out.data = in.data + in.pos;
+      out.bytes = in.remaining();
+      return true;
+    }
+    case ChunkKind::EventsV3:
+      if (!peek_events_v3(payload, bytes, out.tid, out.count)) return false;
+      out.data = in.data;
+      out.bytes = bytes;
+      out.v3 = true;
+      return true;
+    case ChunkKind::Meta: {
+      std::uint64_t dropped = 0;
+      std::uint32_t flags = 0;
+      if (!in.get(dropped) || !in.get(flags)) return false;
+      tables.dropped_events = dropped;
+      out.clean_close = (flags & kMetaFlagCleanClose) != 0;
+      return true;
+    }
+    case ChunkKind::RuntimeWarnings: {
+      std::uint32_t count = 0;
+      if (!in.get(count) || in.remaining() != count * 12ull) return false;
+      for (std::uint32_t i = 0; i < count; ++i) {
+        RuntimeWarning w;
+        in.get(w.code);
+        in.get(w.value);
+        // Code 0 marks an unused slot of the reserved in-place chunk.
+        if (w.code != 0) tables.runtime_warnings[w.code] = w.value;
       }
-      case ChunkKind::RuntimeWarnings: {
-        std::uint32_t count;
-        take(&count, 4);
-        CLA_CHECK(static_cast<std::size_t>(end - p) == count * 12ull,
-                  "corrupt trace: runtime-warnings chunk size mismatch");
-        for (std::uint32_t i = 0; i < count; ++i) {
-          RuntimeWarning w;
-          take(&w.code, 4);
-          take(&w.value, 8);
-          if (w.code == 0) continue;  // empty slot of the reserved chunk
-          runtime_warnings_[w.code] = w.value;
-        }
-        break;
-      }
-      case ChunkKind::CallStacks: {
-        std::uint32_t count;
-        take(&count, 4);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          std::uint64_t id;
-          std::uint32_t depth;
-          take(&id, 8);
-          take(&depth, 4);
-          CLA_CHECK(depth <= kMaxCallStackDepth,
-                    "corrupt trace: implausible call-stack depth");
-          std::vector<std::uint64_t> pcs(depth);
-          for (std::uint32_t f = 0; f < depth; ++f) take(&pcs[f], 8);
-          call_stacks_[id] = std::move(pcs);
-        }
-        break;
-      }
-      case ChunkKind::FrameSymbols: {
-        std::uint32_t count;
-        take(&count, 4);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          std::uint64_t pc;
-          std::uint32_t len;
-          take(&pc, 8);
-          take(&len, 4);
-          CLA_CHECK(len <= (1u << 20), "trace name record suspiciously large");
-          std::string name(len, '\0');
-          take(name.data(), len);
-          frame_symbols_[pc] = std::move(name);
-        }
-        break;
-      }
-      default:
-        // Unknown chunk kind from a newer minor writer: skip it.
-        break;
+      return true;
     }
   }
+  return true;  // unknown kind from a newer minor writer: nothing to apply
 }
 
-std::size_t TraceStreamReader::read_events(Event* buf, std::size_t max) {
-  const std::uint64_t now = std::min<std::uint64_t>(max, remaining_in_block_);
-  if (now == 0) return 0;
-  if (version_ == kTraceVersionLegacy) {
-    in_->read(reinterpret_cast<char*>(buf),
-              static_cast<std::streamsize>(now * sizeof(Event)));
-    CLA_CHECK(in_->good(), "trace stream truncated in event block");
-  } else {
-    std::copy_n(v2_chunk_.begin() + static_cast<std::ptrdiff_t>(v2_chunk_offset_),
-                now, buf);
-    v2_chunk_offset_ += now;
+bool unpack_events(const EventsChunk& chunk, Event* out) {
+  // An empty run may come with a null `out`; a v3 one must be bare.
+  if (chunk.count == 0) return !chunk.v3 || chunk.bytes == 8;
+  if (chunk.v3) return decode_events_v3(chunk.data, chunk.bytes, out);
+  std::memcpy(out, chunk.data, std::size_t{chunk.count} * sizeof(Event));
+  for (std::uint32_t i = 0; i < chunk.count; ++i) out[i].tid = chunk.tid;
+  return true;
+}
+
+V1Layout parse_v1(const unsigned char* p, std::size_t size,
+                  TraceTables& tables) {
+  PayloadReader in{p, size, 8};
+  V1Layout layout;
+  const auto stop = [&](const char* error) {
+    layout.end = in.pos;
+    layout.error = error;
+    return layout;
+  };
+
+  std::uint32_t thread_count = 0;
+  if (!in.get(thread_count)) return stop("trace stream truncated");
+  if (thread_count > kMaxThreadId) {
+    return stop("implausible thread count in trace");
   }
-  remaining_in_block_ -= now;
-  return static_cast<std::size_t>(now);
+  std::uint32_t names = 0;
+  if (!in.get(names)) return stop("trace stream truncated");
+  for (std::uint32_t i = 0; i < names; ++i) {
+    ObjectId object = 0;
+    std::string name;
+    if (!in.get(object) || !in.get_name(&name)) {
+      return stop("trace stream truncated in name record");
+    }
+    tables.object_names[object] = std::move(name);
+  }
+  if (!in.get(names)) return stop("trace stream truncated");
+  for (std::uint32_t i = 0; i < names; ++i) {
+    ThreadId tid = 0;
+    std::string name;
+    if (!in.get(tid) || !in.get_name(&name)) {
+      return stop("trace stream truncated in name record");
+    }
+    tables.thread_names[tid] = std::move(name);
+  }
+
+  for (std::uint32_t block = 0; block < thread_count; ++block) {
+    ThreadId tid = 0;
+    std::uint64_t declared = 0;
+    if (!in.get(tid)) return stop("trace stream truncated");
+    if (tid > kMaxThreadId) return stop("implausible thread id in trace");
+    if (!in.get(declared)) return stop("trace stream truncated");
+    // Keep every whole event that is actually present; a block cut short
+    // mid-event loses only its final partial record.
+    const std::uint64_t count =
+        std::min<std::uint64_t>(declared, in.remaining() / sizeof(Event));
+    layout.blocks.push_back(EventsChunk{in.data + in.pos,
+                                        count * sizeof(Event), tid,
+                                        static_cast<std::uint32_t>(count)});
+    in.pos += count * sizeof(Event);
+    if (count < declared) return stop("trace stream truncated in event block");
+  }
+  layout.end = in.pos;
+  return layout;
 }
 
 Trace read_trace(std::istream& in) {
-  TraceStreamReader reader(in);
-  Trace trace;
-  // Bounded chunks: a corrupted event count fails with a clean truncation
-  // error instead of attempting a gigantic up-front allocation.
-  constexpr std::size_t kChunk = 1u << 16;
-  std::vector<Event> buffer(kChunk);
-  while (auto block = reader.next_thread()) {
-    if (block->event_count <= (1u << 24)) {
-      trace.reserve_thread_events(
-          block->tid, static_cast<std::size_t>(block->event_count));
-    }
-    for (std::size_t n; (n = reader.read_events(buffer.data(), kChunk)) > 0;) {
-      trace.append_thread_events(block->tid, {buffer.data(), n});
-    }
-  }
-  // Names apply after the drain: v2 name chunks may follow event chunks.
-  for (const auto& [object, name] : reader.object_names()) {
-    trace.set_object_name(object, name);
-  }
-  for (const auto& [tid, name] : reader.thread_names()) {
-    trace.set_thread_name(tid, name);
-  }
-  trace.set_dropped_events(reader.dropped_events());
-  for (const auto& [code, value] : reader.runtime_warnings()) {
-    trace.set_runtime_warning(code, value);
-  }
-  for (const auto& [id, pcs] : reader.call_stacks()) {
-    trace.set_call_stack(id, pcs);
-  }
-  for (const auto& [pc, name] : reader.frame_symbols()) {
-    trace.set_frame_symbol(pc, name);
-  }
-  return trace;
+  return MappedTrace(read_trace_bytes(in)).view().materialize();
 }
 
 Trace read_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    const int err = errno;
-    throw util::TraceIoError(
-        "cannot open trace file: " + path + ": " + std::strerror(err), err);
-  }
-  return read_trace(in);
+  return MappedTrace(path).view().materialize();
 }
 
 void convert_trace_file(const std::string& in_path,

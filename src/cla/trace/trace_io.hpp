@@ -66,14 +66,14 @@
 //
 // The format is what the instrumentation runtime flushes (incrementally
 // in v2/v3) and what `cla-analyze` consumes (paper Fig. 3's trace file).
-// `TraceStreamReader` below is the copying istream reader; the zero-copy
-// mmap path lives in trace_view.hpp and shares the chunk/varint codecs.
+// The read side is one decoder (decode_chunk and parse_v1 below) behind
+// three readers that differ only in how they react to damage: the strict
+// loader MappedTrace (trace_view.hpp) throws, salvage (salvage.hpp) drops
+// the chunk, and the live tailer (tailer.hpp) skips it.
 #pragma once
 
 #include <atomic>
 #include <iosfwd>
-#include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -134,10 +134,10 @@ constexpr bool is_supported_trace_version(std::uint32_t version) noexcept {
 
 // ---- EventsV3 chunk codec ------------------------------------------------
 //
-// Shared by write_trace/ChunkedTraceWriter (encode) and by the strict
-// stream reader, the mmap TraceView loader, and salvage (decode). The
-// decoder is strictly bounds-checked and reports corruption by returning
-// false, so salvage can drop a bad chunk where the strict reader throws.
+// Shared by write_trace/ChunkedTraceWriter (encode) and by every reader
+// (decode). The decoder is strictly bounds-checked and reports corruption
+// by returning false, so salvage can drop a bad chunk where the strict
+// loader throws.
 
 /// Worst-case encoded payload size for `count` events (used to size
 /// preallocated scratch so the writer never allocates on a hot path).
@@ -365,107 +365,83 @@ class ChunkedTraceWriter {
   std::atomic_flag v3_scratch_busy_ = ATOMIC_FLAG_INIT;
 };
 
-/// Streaming/chunked `.clat` reader (pipeline load stage), v1/v2/v3.
-///
-/// Parses the preamble eagerly, then hands out per-thread event runs in
-/// bounded chunks so a consumer can ingest a large trace straight into
-/// its final storage — no full intermediate event array is ever
-/// materialised. For v2 a thread's events may arrive as several blocks
-/// (one per on-disk chunk) and name tables may grow until the stream is
-/// exhausted, so consumers should apply object_names()/thread_names()
-/// after draining all blocks. Throws cla::util::Error on malformed input
-/// (bad magic, unsupported version, implausible counts, truncation, CRC
-/// mismatch) exactly like read_trace; use salvage_trace() to recover
-/// what a torn file still holds.
-///
-/// Usage:
-///   TraceStreamReader reader(in);
-///   while (auto block = reader.next_thread()) {
-///     Event buf[4096];
-///     for (std::size_t n; (n = reader.read_events(buf, 4096)) > 0;)
-///       consume(block->tid, {buf, n});
-///   }
-class TraceStreamReader {
- public:
-  /// Reads and validates the preamble (and, for v1, the name tables).
-  explicit TraceStreamReader(std::istream& in);
+// ---- read side: one decoder for every reader -------------------------
+//
+// MappedTrace (strict), salvage (keeps what is intact) and TraceTailer
+// (live, skips what is malformed) parse chunk headers, resync on the
+// chunk magic and decode payloads only through the functions below.
 
-  std::uint32_t version() const noexcept { return version_; }
+inline constexpr std::size_t kChunkHeaderBytes = 16;
+/// Longest name (object, thread, frame symbol) a reader accepts.
+inline constexpr std::uint32_t kMaxNameBytes = 1u << 20;
+/// Largest thread id a reader accepts.
+inline constexpr std::uint32_t kMaxThreadId = 1u << 20;
 
-  /// v1: the header's thread count. v2: number of distinct threads seen
-  /// so far (final only after the stream is drained).
-  std::uint32_t thread_count() const noexcept { return thread_count_; }
-  const std::map<ObjectId, std::string>& object_names() const noexcept {
-    return object_names_;
-  }
-  const std::map<ThreadId, std::string>& thread_names() const noexcept {
-    return thread_names_;
-  }
-
-  /// Dropped-event count from the v2 Meta chunk (0 until seen).
-  std::uint64_t dropped_events() const noexcept { return dropped_events_; }
-
-  /// Runtime warnings from RuntimeWarnings chunks (CLA_W_* DiagCode value
-  /// -> count; empty slots skipped; last chunk read wins per code).
-  const std::map<std::uint32_t, std::uint64_t>& runtime_warnings()
-      const noexcept {
-    return runtime_warnings_;
-  }
-
-  /// Call-stack table from CallStacks chunks (stack id -> pc chain) and
-  /// frame symbols from FrameSymbols chunks (pc -> name). Like the name
-  /// tables, they may grow until the stream is drained.
-  const std::map<std::uint64_t, std::vector<std::uint64_t>>& call_stacks()
-      const noexcept {
-    return call_stacks_;
-  }
-  const std::map<std::uint64_t, std::string>& frame_symbols() const noexcept {
-    return frame_symbols_;
-  }
-
-  /// True once a Meta chunk with the clean-close flag was read. The v2
-  /// strict reader requires it at end-of-stream: every clean writer ends
-  /// with one, so its absence means the recording crashed or the file was
-  /// truncated at a chunk boundary — salvage territory.
-  bool clean_close() const noexcept { return clean_close_; }
-
-  struct ThreadBlock {
-    ThreadId tid = 0;
-    std::uint64_t event_count = 0;
-  };
-
-  /// Advances to the next event block (skipping any unread remainder of
-  /// the current one); nullopt once the stream is exhausted. v2 blocks
-  /// map 1:1 to on-disk Events chunks, so one tid can recur.
-  std::optional<ThreadBlock> next_thread();
-
-  /// Reads up to `max` events of the current block into `buf`; returns
-  /// the number read, 0 when the block is exhausted.
-  std::size_t read_events(Event* buf, std::size_t max);
-
- private:
-  std::optional<ThreadBlock> next_thread_v1();
-  std::optional<ThreadBlock> next_thread_v2();
-
-  std::istream* in_;
-  std::uint32_t version_ = kTraceVersionLegacy;
-  std::uint32_t thread_count_ = 0;
-  std::uint32_t threads_seen_ = 0;
-  std::uint64_t remaining_in_block_ = 0;
-  std::uint64_t dropped_events_ = 0;
-  bool clean_close_ = false;
-  std::map<std::uint32_t, std::uint64_t> runtime_warnings_;
-  std::map<ObjectId, std::string> object_names_;
-  std::map<ThreadId, std::string> thread_names_;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> call_stacks_;
-  std::map<std::uint64_t, std::string> frame_symbols_;
-  std::map<ThreadId, bool> v2_tids_seen_;
-  std::vector<Event> v2_chunk_;      // current v2/v3 Events chunk, decoded
-  std::size_t v2_chunk_offset_ = 0;  // events already handed out
+struct ChunkHeader {
+  std::uint32_t kind = 0;
+  std::uint32_t payload_bytes = 0;
+  std::uint32_t crc = 0;
 };
 
-/// Rewrites a `.clat` file in `version` (1, 2 or 3), preserving events,
-/// names and the dropped-event count. Backs `cla-analyze --convert`.
+/// Parses the kChunkHeaderBytes-byte header at `p`. False when the magic
+/// is wrong or the payload size exceeds kMaxChunkPayload.
+bool parse_chunk_header(const void* p, ChunkHeader& header);
+
+/// Offset of the first chunk magic within the `bytes` bytes at `p`;
+/// std::string::npos when there is none.
+std::size_t find_chunk_magic(const void* p, std::size_t bytes);
+
+/// One on-disk run of a thread's events, still encoded: raw 32-byte
+/// records (v1 blocks, kind-3 chunks) or a whole EventsV3 payload. Each
+/// reader decodes it straight into its own storage.
+struct EventsChunk {
+  const unsigned char* data = nullptr;
+  std::size_t bytes = 0;
+  ThreadId tid = 0;
+  std::uint32_t count = 0;
+  bool v3 = false;
+};
+
+/// What decode_chunk yields besides table entries: the event run of an
+/// Events/EventsV3 chunk (count 0 and null data for other kinds) and the
+/// clean-close flag of a Meta chunk.
+struct DecodedChunk : EventsChunk {
+  bool clean_close = false;
+};
+
+/// Decodes one CRC-checked chunk payload. Table entries (names, call
+/// stacks, frame symbols, runtime warnings) go into `tables`
+/// last-write-wins and a Meta chunk's drop count replaces
+/// tables.dropped_events; unknown kinds decode to nothing. Returns false
+/// on a malformed payload — a name longer than kMaxNameBytes, a stack
+/// deeper than kMaxCallStackDepth, a tid above kMaxThreadId, an Events or
+/// RuntimeWarnings payload of the wrong size, or entries cut short — and
+/// then applies nothing.
+bool decode_chunk(std::uint32_t kind, const void* payload, std::size_t bytes,
+                  TraceTables& tables, DecodedChunk& out);
+
+/// Copies `chunk`'s events into `out[0..chunk.count)` with their tid set,
+/// decoding v3 varints. False on a malformed v3 encoding.
+bool unpack_events(const EventsChunk& chunk, Event* out);
+
+/// A v1 file parsed as far as it is intact.
+struct V1Layout {
+  /// One per thread block; the last block of a cut file holds only the
+  /// whole events present.
+  std::vector<EventsChunk> blocks;
+  std::size_t end = 0;          ///< bytes consumed, preamble included
+  const char* error = nullptr;  ///< why parsing stopped early; null if whole
+};
+
+/// Parses a v1 file (`size` bytes at `p`, preamble included), filling
+/// the name tables of `tables` as it goes. The strict loader rejects any
+/// error; salvage keeps the prefix.
+V1Layout parse_v1(const unsigned char* p, std::size_t size,
+                  TraceTables& tables);
+
+/// Rewrites a `.clat` file in `version` (1, 2 or 3), preserving events
+/// and every table the target version carries. Backs `cla-analyze
+/// --convert`.
 void convert_trace_file(const std::string& in_path,
                         const std::string& out_path, std::uint32_t version);
 
@@ -473,8 +449,8 @@ void convert_trace_file(const std::string& in_path,
 /// trace version; false on anything else.
 bool parse_trace_format(std::string_view text, std::uint32_t& version);
 
-/// Reads a trace back (one-shot convenience over TraceStreamReader).
-/// Throws cla::util::Error on malformed input.
+/// Reads a trace back into an owned Trace through the strict loader
+/// (MappedTrace). Throws cla::util::Error on malformed input.
 Trace read_trace(std::istream& in);
 Trace read_trace_file(const std::string& path);
 

@@ -1,17 +1,19 @@
 #include "cla/trace/trace_view.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CLA_HAVE_MMAP 1
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
+
+#if defined(__unix__) || defined(__APPLE__)
+#define CLA_HAVE_MMAP 1
+#include <sys/mman.h>
 #else
 #define CLA_HAVE_MMAP 0
 #endif
 
 #include <cerrno>
 #include <cstring>
+#include <istream>
 
 #include "cla/trace/trace.hpp"
 #include "cla/trace/trace_io.hpp"
@@ -24,13 +26,7 @@ bool mmap_supported() noexcept { return CLA_HAVE_MMAP != 0; }
 
 // ---- TraceView -----------------------------------------------------------
 
-TraceView::TraceView(const Trace& trace)
-    : object_names_(&trace.object_names()),
-      thread_names_(&trace.thread_names()),
-      runtime_warnings_(&trace.runtime_warnings()),
-      call_stacks_(&trace.call_stacks()),
-      frame_symbols_(&trace.frame_symbols()),
-      dropped_events_(trace.dropped_events()) {
+TraceView::TraceView(const Trace& trace) : tables_(&trace.tables()) {
   threads_.reserve(trace.thread_count());
   for (ThreadId tid = 0; tid < trace.thread_count(); ++tid) {
     const auto events = trace.thread_events(tid);
@@ -65,14 +61,14 @@ std::uint64_t TraceView::end_ts() const noexcept {
 
 std::string TraceView::object_display_name(ObjectId object,
                                            std::string_view prefix) const {
-  auto it = object_names_->find(object);
-  if (it != object_names_->end()) return it->second;
+  auto it = tables_->object_names.find(object);
+  if (it != tables_->object_names.end()) return it->second;
   return std::string(prefix) + "@" + std::to_string(object);
 }
 
 std::string TraceView::thread_display_name(ThreadId tid) const {
-  auto it = thread_names_->find(tid);
-  if (it != thread_names_->end()) return it->second;
+  auto it = tables_->thread_names.find(tid);
+  if (it != tables_->thread_names.end()) return it->second;
   return "T" + std::to_string(tid);
 }
 
@@ -87,299 +83,183 @@ Trace TraceView::materialize() const {
     for (std::size_t i = 0; i < events.size(); ++i) buffer.push_back(events[i]);
     trace.append_thread_events(tid, buffer);
   }
-  for (const auto& [object, name] : *object_names_) {
-    trace.set_object_name(object, name);
-  }
-  for (const auto& [tid, name] : *thread_names_) {
-    trace.set_thread_name(tid, name);
-  }
-  trace.set_dropped_events(dropped_events_);
-  for (const auto& [code, value] : *runtime_warnings_) {
-    trace.set_runtime_warning(code, value);
-  }
-  for (const auto& [id, pcs] : *call_stacks_) {
-    trace.set_call_stack(id, pcs);
-  }
-  for (const auto& [pc, name] : *frame_symbols_) {
-    trace.set_frame_symbol(pc, name);
-  }
+  trace.tables() = *tables_;
   return trace;
 }
 
-const std::map<ObjectId, std::string>&
-TraceView::empty_object_names() noexcept {
-  static const std::map<ObjectId, std::string> empty;
+const TraceTables& TraceView::empty_tables() noexcept {
+  static const TraceTables empty;
   return empty;
 }
 
-const std::map<ThreadId, std::string>&
-TraceView::empty_thread_names() noexcept {
-  static const std::map<ThreadId, std::string> empty;
-  return empty;
+// ---- reading files -------------------------------------------------------
+
+namespace {
+
+/// The one place the read side opens a trace file by path.
+int open_trace_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    const int err = errno;
+    throw util::TraceIoError(
+        "cannot open trace file: " + path + ": " + std::strerror(err), err);
+  }
+  return fd;
 }
 
-const std::map<std::uint32_t, std::uint64_t>&
-TraceView::empty_runtime_warnings() noexcept {
-  static const std::map<std::uint32_t, std::uint64_t> empty;
-  return empty;
+[[noreturn]] void throw_io(const char* what, const std::string& path, int fd) {
+  const int err = errno;
+  ::close(fd);
+  throw util::TraceIoError(std::string(what) + " trace file: " + path + ": " +
+                               std::strerror(err),
+                           err);
 }
 
-const std::map<std::uint64_t, std::vector<std::uint64_t>>&
-TraceView::empty_call_stacks() noexcept {
-  static const std::map<std::uint64_t, std::vector<std::uint64_t>> empty;
-  return empty;
+std::size_t file_size(int fd, const std::string& path) {
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) throw_io("cannot stat", path, fd);
+  return static_cast<std::size_t>(st.st_size);
 }
 
-const std::map<std::uint64_t, std::string>&
-TraceView::empty_frame_symbols() noexcept {
-  static const std::map<std::uint64_t, std::string> empty;
-  return empty;
+}  // namespace
+
+std::vector<unsigned char> read_trace_bytes(const std::string& path) {
+  const int fd = open_trace_file(path);
+  std::vector<unsigned char> bytes(file_size(fd, path));
+  std::size_t got = 0;
+  for (;;) {
+    if (got == bytes.size()) bytes.resize(got + 64 * 1024);  // file grew
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw_io("cannot read", path, fd);
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(got);
+  return bytes;
+}
+
+std::vector<unsigned char> read_trace_bytes(std::istream& in) {
+  std::vector<unsigned char> bytes;
+  char block[64 * 1024];
+  while (in.read(block, sizeof block) || in.gcount() > 0) {
+    bytes.insert(bytes.end(), block, block + in.gcount());
+  }
+  return bytes;
 }
 
 // ---- MappedTrace ---------------------------------------------------------
 
-namespace {
-
-/// Bounds-checked forward cursor over the mapping (throwing, strict —
-/// this loader matches read_trace's behavior, not salvage's).
-struct Cursor {
-  const unsigned char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  std::size_t remaining() const noexcept { return size - pos; }
-
-  template <typename T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    CLA_CHECK(remaining() >= sizeof(T), "trace stream truncated");
-    T value;
-    std::memcpy(&value, data + pos, sizeof value);
-    pos += sizeof value;
-    return value;
-  }
-
-  std::string get_string() {
-    const auto len = get<std::uint32_t>();
-    CLA_CHECK(len <= (1u << 20), "trace name record suspiciously large");
-    CLA_CHECK(remaining() >= len, "trace stream truncated in name record");
-    std::string s(reinterpret_cast<const char*>(data + pos), len);
-    pos += len;
-    return s;
-  }
-};
-
-}  // namespace
-
-/// One on-disk events chunk: raw AoS bytes (v2 / v1 block) or an
-/// undecoded v3 payload. Ordered per thread as the chunks appear in the
-/// file — the writer's flush order, which is the timestamp order.
-struct MappedTrace::Segment {
-  const unsigned char* payload = nullptr;  // events bytes (v2) / payload (v3)
-  std::size_t bytes = 0;
-  std::uint32_t count = 0;
-  bool v3 = false;
-};
-
 MappedTrace::MappedTrace(const std::string& path) {
 #if CLA_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    throw util::TraceIoError(
-        "cannot open trace file: " + path + ": " + std::strerror(errno),
-        errno);
-  }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw util::TraceIoError(
-        "cannot stat trace file: " + path + ": " + std::strerror(err), err);
-  }
-  map_size_ = static_cast<std::size_t>(st.st_size);
-  if (map_size_ > 0) {
-    void* map = ::mmap(nullptr, map_size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map == MAP_FAILED) {
-      const int err = errno;
-      ::close(fd);
-      throw util::TraceIoError(
-          "cannot mmap trace file: " + path + ": " + std::strerror(err), err);
-    }
-    map_ = static_cast<const unsigned char*>(map);
+  const int fd = open_trace_file(path);
+  size_ = file_size(fd, path);
+  if (size_ > 0) {
+    void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map == MAP_FAILED) throw_io("cannot mmap", path, fd);
+    data_ = static_cast<const unsigned char*>(map);
+    mapped_ = true;
   }
   ::close(fd);
-
+#else
+  owned_ = read_trace_bytes(path);
+  data_ = owned_.data();
+  size_ = owned_.size();
+#endif
   try {
-    CLA_CHECK(map_size_ >= 8 && std::memcmp(map_, kTraceMagic, 4) == 0,
-              "not a CLA trace (bad magic)");
-    std::memcpy(&version_, map_ + 4, 4);
-    CLA_CHECK(is_supported_trace_version(version_),
-              "unsupported trace version " + std::to_string(version_));
-    if (version_ == kTraceVersionLegacy) {
-      load_v1(map_, map_size_);
-    } else {
-      load_chunked(map_, map_size_);
-    }
-    view_.object_names_ = &object_names_;
-    view_.thread_names_ = &thread_names_;
-    view_.runtime_warnings_ = &runtime_warnings_;
-    view_.call_stacks_ = &call_stacks_;
-    view_.frame_symbols_ = &frame_symbols_;
+    parse();
   } catch (...) {
-    if (map_ != nullptr) ::munmap(const_cast<unsigned char*>(map_), map_size_);
+#if CLA_HAVE_MMAP
+    // A throwing constructor skips the destructor.
+    if (mapped_) ::munmap(const_cast<unsigned char*>(data_), size_);
+#endif
     throw;
   }
-#else
-  CLA_CHECK(false, "mmap trace loading is not supported on this platform: " +
-                       path);
-#endif
+}
+
+MappedTrace::MappedTrace(std::vector<unsigned char> bytes)
+    : owned_(std::move(bytes)) {
+  data_ = owned_.data();
+  size_ = owned_.size();
+  parse();
 }
 
 MappedTrace::~MappedTrace() {
 #if CLA_HAVE_MMAP
-  if (map_ != nullptr) ::munmap(const_cast<unsigned char*>(map_), map_size_);
+  if (mapped_) ::munmap(const_cast<unsigned char*>(data_), size_);
 #endif
 }
 
-void MappedTrace::load_v1(const unsigned char* p, std::size_t size) {
-  Cursor in{p, size, 8};
-
-  const auto thread_count = in.get<std::uint32_t>();
-  CLA_CHECK(thread_count <= (1u << 20), "implausible thread count in trace");
-
-  const auto object_names = in.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < object_names; ++i) {
-    const auto object = in.get<ObjectId>();
-    object_names_[object] = in.get_string();
+void MappedTrace::parse() {
+  CLA_CHECK(size_ >= 8 && std::memcmp(data_, kTraceMagic, 4) == 0,
+            "not a CLA trace (bad magic)");
+  std::memcpy(&version_, data_ + 4, 4);
+  CLA_CHECK(is_supported_trace_version(version_),
+            "unsupported trace version " + std::to_string(version_));
+  if (version_ == kTraceVersionLegacy) {
+    load_v1();
+  } else {
+    load_chunked();
   }
-  const auto thread_names = in.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < thread_names; ++i) {
-    const auto tid = in.get<ThreadId>();
-    thread_names_[tid] = in.get_string();
-  }
+  view_.tables_ = &tables_;
+}
 
-  std::vector<std::vector<Segment>> segments;
-  for (std::uint32_t block = 0; block < thread_count; ++block) {
-    const auto tid = in.get<ThreadId>();
-    CLA_CHECK(tid <= (1u << 20), "implausible thread id in trace");
-    const auto count = in.get<std::uint64_t>();
-    const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(Event);
-    CLA_CHECK(in.remaining() >= bytes, "trace stream truncated in event block");
-    if (tid >= segments.size()) segments.resize(tid + 1);
-    segments[tid].push_back(Segment{in.data + in.pos, bytes,
-                                    static_cast<std::uint32_t>(count), false});
-    in.pos += bytes;
+void MappedTrace::load_v1() {
+  V1Layout layout = parse_v1(data_, size_, tables_);
+  CLA_CHECK(layout.error == nullptr, layout.error);
+  std::vector<std::vector<EventsChunk>> segments;
+  for (const EventsChunk& block : layout.blocks) {
+    if (block.tid >= segments.size()) segments.resize(block.tid + 1);
+    segments[block.tid].push_back(block);
   }
   build_views(segments);
 }
 
-void MappedTrace::load_chunked(const unsigned char* p, std::size_t size) {
-  std::vector<std::vector<Segment>> segments;
+namespace {
+
+/// Strict-load error for a CRC-valid chunk of `kind` that fails to decode.
+const char* malformed_chunk_message(std::uint32_t kind) {
+  switch (static_cast<ChunkKind>(kind)) {
+    case ChunkKind::Events: return "corrupt trace: events chunk size mismatch";
+    case ChunkKind::EventsV3:
+      return "corrupt trace: bad v3 events chunk header";
+    case ChunkKind::RuntimeWarnings:
+      return "corrupt trace: runtime-warnings chunk size mismatch";
+    case ChunkKind::CallStacks:
+      return "corrupt trace: implausible call-stack depth";
+    default: return "trace stream truncated";
+  }
+}
+
+}  // namespace
+
+void MappedTrace::load_chunked() {
+  std::vector<std::vector<EventsChunk>> segments;
   bool clean_close = false;
   std::size_t pos = 8;
-  while (pos < size) {
-    CLA_CHECK(size - pos >= 16 && std::memcmp(p + pos, kChunkMagic, 4) == 0,
+  while (pos < size_) {
+    ChunkHeader header;
+    CLA_CHECK(size_ - pos >= kChunkHeaderBytes &&
+                  std::memcmp(data_ + pos, kChunkMagic, 4) == 0,
               "corrupt trace: bad chunk magic");
-    std::uint32_t kind, payload_bytes, crc;
-    std::memcpy(&kind, p + pos + 4, 4);
-    std::memcpy(&payload_bytes, p + pos + 8, 4);
-    std::memcpy(&crc, p + pos + 12, 4);
-    CLA_CHECK(payload_bytes <= kMaxChunkPayload,
+    CLA_CHECK(parse_chunk_header(data_ + pos, header),
               "corrupt trace: implausible chunk size");
-    CLA_CHECK(size - pos - 16 >= payload_bytes,
+    CLA_CHECK(size_ - pos - kChunkHeaderBytes >= header.payload_bytes,
               "trace stream truncated inside chunk");
-    const unsigned char* payload = p + pos + 16;
-    CLA_CHECK(util::crc32(payload, payload_bytes) == crc,
+    const unsigned char* payload = data_ + pos + kChunkHeaderBytes;
+    CLA_CHECK(util::crc32(payload, header.payload_bytes) == header.crc,
               "corrupt trace: chunk CRC mismatch");
-    pos += 16 + payload_bytes;
+    pos += kChunkHeaderBytes + header.payload_bytes;
 
-    switch (static_cast<ChunkKind>(kind)) {
-      case ChunkKind::ObjectNames: {
-        Cursor body{payload, payload_bytes};
-        const auto count = body.get<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto object = body.get<ObjectId>();
-          object_names_[object] = body.get_string();
-        }
-        break;
-      }
-      case ChunkKind::ThreadNames: {
-        Cursor body{payload, payload_bytes};
-        const auto count = body.get<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto tid = body.get<ThreadId>();
-          thread_names_[tid] = body.get_string();
-        }
-        break;
-      }
-      case ChunkKind::Events: {
-        Cursor body{payload, payload_bytes};
-        const auto tid = body.get<ThreadId>();
-        const auto count = body.get<std::uint32_t>();
-        CLA_CHECK(tid <= (1u << 20), "implausible thread id in trace");
-        CLA_CHECK(body.remaining() == count * sizeof(Event),
-                  "corrupt trace: events chunk size mismatch");
-        if (tid >= segments.size()) segments.resize(tid + 1);
-        segments[tid].push_back(
-            Segment{payload + 8, count * sizeof(Event), count, false});
-        break;
-      }
-      case ChunkKind::EventsV3: {
-        ThreadId tid = 0;
-        std::uint32_t count = 0;
-        CLA_CHECK(peek_events_v3(payload, payload_bytes, tid, count),
-                  "corrupt trace: bad v3 events chunk header");
-        if (tid >= segments.size()) segments.resize(tid + 1);
-        segments[tid].push_back(Segment{payload, payload_bytes, count, true});
-        break;
-      }
-      case ChunkKind::Meta: {
-        Cursor body{payload, payload_bytes};
-        view_.dropped_events_ = body.get<std::uint64_t>();
-        if ((body.get<std::uint32_t>() & kMetaFlagCleanClose) != 0) {
-          clean_close = true;
-        }
-        break;
-      }
-      case ChunkKind::RuntimeWarnings: {
-        Cursor body{payload, payload_bytes};
-        const auto count = body.get<std::uint32_t>();
-        CLA_CHECK(body.remaining() == count * 12ull,
-                  "corrupt trace: runtime-warnings chunk size mismatch");
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto code = body.get<std::uint32_t>();
-          const auto value = body.get<std::uint64_t>();
-          if (code != 0) runtime_warnings_[code] = value;
-        }
-        break;
-      }
-      case ChunkKind::CallStacks: {
-        Cursor body{payload, payload_bytes};
-        const auto count = body.get<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto id = body.get<std::uint64_t>();
-          const auto depth = body.get<std::uint32_t>();
-          CLA_CHECK(depth <= kMaxCallStackDepth,
-                    "corrupt trace: implausible call-stack depth");
-          std::vector<std::uint64_t> pcs(depth);
-          for (std::uint32_t f = 0; f < depth; ++f) {
-            pcs[f] = body.get<std::uint64_t>();
-          }
-          call_stacks_[id] = std::move(pcs);
-        }
-        break;
-      }
-      case ChunkKind::FrameSymbols: {
-        Cursor body{payload, payload_bytes};
-        const auto count = body.get<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto pc = body.get<std::uint64_t>();
-          frame_symbols_[pc] = body.get_string();
-        }
-        break;
-      }
-      default:
-        break;  // unknown chunk kind from a newer minor writer: skip it
+    DecodedChunk chunk;
+    CLA_CHECK(decode_chunk(header.kind, payload, header.payload_bytes,
+                           tables_, chunk),
+              malformed_chunk_message(header.kind));
+    clean_close |= chunk.clean_close;
+    if (chunk.data != nullptr) {
+      if (chunk.tid >= segments.size()) segments.resize(chunk.tid + 1);
+      segments[chunk.tid].push_back(chunk);
     }
   }
   CLA_CHECK(clean_close,
@@ -389,7 +269,7 @@ void MappedTrace::load_chunked(const unsigned char* p, std::size_t size) {
 }
 
 void MappedTrace::build_views(
-    const std::vector<std::vector<Segment>>& segments) {
+    const std::vector<std::vector<EventsChunk>>& segments) {
   const std::size_t nthreads = segments.size();
   soa_.resize(nthreads);
   compacted_.resize(nthreads);
@@ -400,7 +280,7 @@ void MappedTrace::build_views(
     std::size_t total = 0;
     bool any_v3 = false;
     bool any_raw = false;
-    for (const Segment& s : segs) {
+    for (const EventsChunk& s : segs) {
       total += s.count;
       (s.v3 ? any_v3 : any_raw) = true;
     }
@@ -409,7 +289,7 @@ void MappedTrace::build_views(
       view_.threads_.emplace_back(nullptr, 0, tid);
     } else if (!any_v3 && segs.size() == 1) {
       // The common v1/v2 shape: one contiguous run, viewed in place.
-      view_.threads_.emplace_back(segs.front().payload, total, tid);
+      view_.threads_.emplace_back(segs.front().data, total, tid);
     } else if (any_v3 && !any_raw) {
       // Pure v3: decode each chunk once, straight into the final SoA
       // columns (chunk deltas are self-contained, so chunks decode
@@ -420,8 +300,8 @@ void MappedTrace::build_views(
       soa.arg.resize(total);
       soa.type.resize(total);
       std::size_t off = 0;
-      for (const Segment& s : segs) {
-        CLA_CHECK(decode_events_v3(s.payload, s.bytes, soa.ts.data() + off,
+      for (const EventsChunk& s : segs) {
+        CLA_CHECK(decode_events_v3(s.data, s.bytes, soa.ts.data() + off,
                                    soa.object.data() + off,
                                    soa.arg.data() + off, soa.type.data() + off),
                   "corrupt trace: bad v3 events chunk encoding");
@@ -435,16 +315,9 @@ void MappedTrace::build_views(
       std::vector<Event>& events = compacted_[tid];
       events.resize(total);
       std::size_t off = 0;
-      for (const Segment& s : segs) {
-        if (s.v3) {
-          CLA_CHECK(decode_events_v3(s.payload, s.bytes, events.data() + off),
-                    "corrupt trace: bad v3 events chunk encoding");
-        } else {
-          std::memcpy(events.data() + off, s.payload, s.bytes);
-          for (std::size_t i = 0; i < s.count; ++i) {
-            events[off + i].tid = tid;
-          }
-        }
+      for (const EventsChunk& s : segs) {
+        CLA_CHECK(unpack_events(s, events.data() + off),
+                  "corrupt trace: bad v3 events chunk encoding");
         off += s.count;
       }
       view_.threads_.emplace_back(events.data(), total, tid);

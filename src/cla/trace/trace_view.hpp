@@ -6,15 +6,16 @@
 // that through strided column accessors which uniformly describe
 //
 //   - a borrowed in-memory Trace (AoS, stride = sizeof(Event)),
-//   - event arrays mmap()ed straight out of a `.clat` v1/v2 file
-//     (AoS over file bytes, no alignment assumed — loads are memcpy),
+//   - event arrays viewed in place in the bytes of a `.clat` v1/v2 file,
+//     mapped or read from a stream (AoS, no alignment assumed — loads
+//     are memcpy),
 //   - SoA columns decoded from compact `.clat` v3 chunks
 //     (stride = element size).
 //
 // Lifetime/ownership rules (also DESIGN.md §10): a TraceView owns
 // nothing. It stays valid while its backing store lives and is not
 // modified — the Trace it borrows, or the MappedTrace that produced it
-// (which keeps the file mapping and any decoded columns alive). Paths
+// (which keeps the file bytes and any decoded columns alive). Paths
 // that must mutate (repair, phase clipping) call materialize() to get a
 // private Trace copy and drop the view.
 #pragma once
@@ -22,19 +23,20 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "cla/trace/event.hpp"
+#include "cla/trace/trace.hpp"
+#include "cla/trace/trace_io.hpp"
 
 namespace cla::trace {
 
-class Trace;
-
 /// True when this platform can mmap trace files (the zero-copy load
-/// path); false means callers should use the copying stream reader.
+/// path); false means MappedTrace reads files into memory instead.
 bool mmap_supported() noexcept;
 
 /// Strided read-only column. `operator[]` loads via memcpy, so the base
@@ -238,22 +240,24 @@ class TraceView {
   std::uint64_t end_ts() const noexcept;
 
   const std::map<ObjectId, std::string>& object_names() const noexcept {
-    return *object_names_;
+    return tables_->object_names;
   }
   const std::map<ThreadId, std::string>& thread_names() const noexcept {
-    return *thread_names_;
+    return tables_->thread_names;
   }
   std::string object_display_name(ObjectId object,
                                   std::string_view prefix) const;
   std::string thread_display_name(ThreadId tid) const;
 
-  std::uint64_t dropped_events() const noexcept { return dropped_events_; }
+  std::uint64_t dropped_events() const noexcept {
+    return tables_->dropped_events;
+  }
 
   /// Runtime warnings from the producing process (CLA_W_* DiagCode value
   /// -> count), mirroring Trace::runtime_warnings().
   const std::map<std::uint32_t, std::uint64_t>& runtime_warnings()
       const noexcept {
-    return *runtime_warnings_;
+    return tables_->runtime_warnings;
   }
 
   /// Acquisition call-stack table (stack id -> pc chain) and frame-symbol
@@ -261,11 +265,14 @@ class TraceView {
   /// Empty for traces recorded without callsite capture.
   const std::map<std::uint64_t, std::vector<std::uint64_t>>& call_stacks()
       const noexcept {
-    return *call_stacks_;
+    return tables_->call_stacks;
   }
   const std::map<std::uint64_t, std::string>& frame_symbols() const noexcept {
-    return *frame_symbols_;
+    return tables_->frame_symbols;
   }
+
+  /// All non-event tables of the viewed trace.
+  const TraceTables& tables() const noexcept { return *tables_; }
 
   /// Deep-copies the viewed events and names into an owning, mutable
   /// Trace (the escape hatch for repair / phase clipping).
@@ -274,42 +281,41 @@ class TraceView {
  private:
   friend class MappedTrace;
 
-  static const std::map<ObjectId, std::string>& empty_object_names() noexcept;
-  static const std::map<ThreadId, std::string>& empty_thread_names() noexcept;
-  static const std::map<std::uint32_t, std::uint64_t>&
-  empty_runtime_warnings() noexcept;
-  static const std::map<std::uint64_t, std::vector<std::uint64_t>>&
-  empty_call_stacks() noexcept;
-  static const std::map<std::uint64_t, std::string>&
-  empty_frame_symbols() noexcept;
+  static const TraceTables& empty_tables() noexcept;
 
   std::vector<EventsView> threads_;
-  const std::map<ObjectId, std::string>* object_names_ = &empty_object_names();
-  const std::map<ThreadId, std::string>* thread_names_ = &empty_thread_names();
-  const std::map<std::uint32_t, std::uint64_t>* runtime_warnings_ =
-      &empty_runtime_warnings();
-  const std::map<std::uint64_t, std::vector<std::uint64_t>>* call_stacks_ =
-      &empty_call_stacks();
-  const std::map<std::uint64_t, std::string>* frame_symbols_ =
-      &empty_frame_symbols();
-  std::uint64_t dropped_events_ = 0;
+  const TraceTables* tables_ = &empty_tables();
 };
 
-/// Owning, mmap-backed `.clat` loader — the zero-copy counterpart of
-/// read_trace_file, with identical strictness (bad magic, CRC mismatch,
-/// missing clean-close marker and truncation all throw cla::util::Error,
-/// so `--salvage` guidance stays consistent across load paths).
+/// Reads a whole trace file into memory. Trace files are opened in one
+/// place: this and MappedTrace(path) share it, and a failure throws
+/// cla::util::TraceIoError carrying errno.
+std::vector<unsigned char> read_trace_bytes(const std::string& path);
+/// Reads everything left in `in` (the byte source of the stream loaders).
+std::vector<unsigned char> read_trace_bytes(std::istream& in);
+
+/// The strict `.clat` loader (v1/v2/v3) behind every non-salvage read:
+/// read_trace, read_trace_file, Pipeline::load_file and load_stream all
+/// go through it. Bad magic, CRC mismatch, a missing clean-close marker
+/// and truncation all throw cla::util::Error, so `--salvage` guidance
+/// stays consistent across load paths.
 ///
-/// v1/v2 event arrays are viewed directly in the file mapping (a thread
-/// split across several v2 chunks is compacted into one owned buffer);
-/// v3 chunks are varint-decoded once into owned SoA columns. view() and
-/// everything it hands out remain valid exactly as long as this object
-/// lives; it is immovable so those interior pointers can never dangle.
+/// Chunk payloads go through decode_chunk (trace_io.hpp), the decoder
+/// salvage and the live tailer share. v1/v2 event arrays are viewed
+/// directly in the file bytes (a thread split across several v2 chunks
+/// is compacted into one owned buffer); v3 chunks are varint-decoded
+/// once into owned SoA columns. view() and everything it hands out
+/// remain valid exactly as long as this object lives; it is immovable so
+/// those interior pointers can never dangle.
 class MappedTrace {
  public:
-  /// Maps and parses `path`. Throws cla::util::Error on IO errors or
-  /// malformed input, and if mmap_supported() is false.
+  /// Maps and parses `path` (reads it into memory where mmap is not
+  /// available). Throws cla::util::TraceIoError when the file cannot be
+  /// opened and cla::util::Error on malformed input.
   explicit MappedTrace(const std::string& path);
+  /// Parses a trace already in memory (e.g. a stream read to its end).
+  /// The bytes are owned and viewed in place exactly like a mapping.
+  explicit MappedTrace(std::vector<unsigned char> bytes);
   ~MappedTrace();
 
   MappedTrace(const MappedTrace&) = delete;
@@ -318,15 +324,16 @@ class MappedTrace {
   const TraceView& view() const noexcept { return view_; }
   std::uint32_t version() const noexcept { return version_; }
 
-  /// Total mapped file size (bench reporting: bytes per event on disk).
-  std::size_t file_bytes() const noexcept { return map_size_; }
+  /// Total file size (bench reporting: bytes per event on disk).
+  std::size_t file_bytes() const noexcept { return size_; }
 
  private:
-  struct Segment;  // one on-disk events chunk belonging to a thread
-
-  void load_v1(const unsigned char* p, std::size_t size);
-  void load_chunked(const unsigned char* p, std::size_t size);
-  void build_views(const std::vector<std::vector<Segment>>& segments);
+  void parse();
+  void load_v1();
+  void load_chunked();
+  /// Builds the per-thread views from each thread's event runs, in file
+  /// order (the writer's flush order, which is timestamp order).
+  void build_views(const std::vector<std::vector<EventsChunk>>& segments);
 
   struct SoaColumns {
     std::vector<std::uint64_t> ts;
@@ -335,16 +342,14 @@ class MappedTrace {
     std::vector<std::uint16_t> type;
   };
 
-  const unsigned char* map_ = nullptr;
-  std::size_t map_size_ = 0;
+  const unsigned char* data_ = nullptr;
+  std::size_t size_ = 0;
+  bool mapped_ = false;                        // data_ is an mmap region
+  std::vector<unsigned char> owned_;           // data_ otherwise
   std::uint32_t version_ = 0;
   std::vector<SoaColumns> soa_;               // v3-decoded threads
   std::vector<std::vector<Event>> compacted_;  // multi-chunk / mixed threads
-  std::map<ObjectId, std::string> object_names_;
-  std::map<ThreadId, std::string> thread_names_;
-  std::map<std::uint32_t, std::uint64_t> runtime_warnings_;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> call_stacks_;
-  std::map<std::uint64_t, std::string> frame_symbols_;
+  TraceTables tables_;
   TraceView view_;
 };
 

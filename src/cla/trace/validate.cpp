@@ -447,22 +447,7 @@ RepairSummary repair_trace_semantics(Trace& trace, Strictness mode,
     repaired.add_thread_stream(tid, std::move(kept));
   }
 
-  for (const auto& [object, name] : trace.object_names()) {
-    repaired.set_object_name(object, name);
-  }
-  for (const auto& [tid, name] : trace.thread_names()) {
-    repaired.set_thread_name(tid, name);
-  }
-  repaired.set_dropped_events(trace.dropped_events());
-  for (const auto& [code, value] : trace.runtime_warnings()) {
-    repaired.set_runtime_warning(code, value);
-  }
-  for (const auto& [id, pcs] : trace.call_stacks()) {
-    repaired.set_call_stack(id, pcs);
-  }
-  for (const auto& [pc, name] : trace.frame_symbols()) {
-    repaired.set_frame_symbol(pc, name);
-  }
+  repaired.tables() = std::move(trace.tables());
   trace = std::move(repaired);
   return summary;
 }

@@ -95,6 +95,26 @@ TEST_F(MonitorCoreTest, RanksLocksFromALiveWriterAndFinishesOnCleanClose) {
   EXPECT_FALSE(core.lossy());
 }
 
+TEST_F(MonitorCoreTest, NameChunkInAnEventFreePollStillNamesTheLock) {
+  // The writer registers the lock name, the monitor polls before any
+  // event lands, and the events follow: the name must not be lost with
+  // the event-free delta.
+  MonitorCore core({path_}, MonitorCore::Options{});
+  ChunkedTraceWriter writer(path_, cla::trace::kTraceVersionV3);
+  writer.write_object_name(1, "lock_one");
+  EXPECT_TRUE(core.step());
+
+  std::vector<Event> batch = worker_stream(0, 10);
+  for (Event& e : batch) {
+    if (e.object == kLock) e.object = 1;
+  }
+  ASSERT_EQ(writer.write_events(0, batch.data(), batch.size()), batch.size());
+  EXPECT_TRUE(core.step());
+  const std::string json = core.ranking_json();
+  EXPECT_NE(json.find("\"lock_one\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("mutex@1"), std::string::npos) << json;
+}
+
 TEST_F(MonitorCoreTest, RotationResetsTheWindowAndCountsAsLoss) {
   {
     ChunkedTraceWriter writer(path_, cla::trace::kTraceVersion);

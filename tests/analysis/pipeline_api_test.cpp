@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "support/analyze.hpp"
-#include "cla/analysis/analyzer.hpp"
 #include "cla/analysis/pipeline.hpp"
 #include "cla/trace/trace_io.hpp"
 #include "cla/util/error.hpp"
@@ -140,27 +139,11 @@ TEST(PipelineApi, ExplicitValidateWinsOverDisabledOption) {
   EXPECT_THROW(pipeline.validate_stage(), util::Error);
 }
 
-TEST(PipelineApi, DeprecatedAnalyzeShimStillMatchesThePipeline) {
-  // The retired one-shot surface must keep working (with a warning)
-  // for one release and agree with the Pipeline it now wraps.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  AnalyzeOptions legacy;
-  legacy.validate = false;
-  legacy.stats.worker_threads_only = false;
-  static_assert(std::is_same_v<AnalyzeOptions, Options>);
-  const trace::Trace trace = micro_trace();
-  const AnalysisResult shimmed = analyze(trace, legacy);
-#pragma GCC diagnostic pop
-  const AnalysisResult staged = test_support::analyze(trace, legacy);
-  EXPECT_EQ(render_json(shimmed), render_json(staged));
-}
-
 TEST(PipelineApi, OptionsAggregateCarriesPerStageSubStructs) {
   Options options;
   options.report.top_locks = 3;
   options.execution.num_threads = 2;
-  options.load.chunk_events = 128;
+  options.load.salvage = false;
   const trace::Trace trace = micro_trace();
   const AnalysisResult a = test_support::analyze(trace);
   const AnalysisResult b = test_support::analyze(trace, options);

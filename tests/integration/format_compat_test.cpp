@@ -1,7 +1,7 @@
 // Cross-format compatibility: every `.clat` encoding of the same trace —
 // v1, v2 (raw chunks), v3 (compact varint) — must analyze to the
-// byte-identical report, whether loaded through the mmap view or the
-// copying stream reader. The golden fixtures in tests/data/ are files
+// byte-identical report, whether loaded from the file (mmap) or from a
+// stream. The golden fixtures in tests/data/ are files
 // written by an older build and checked in, so a decoder regression that
 // also changes the encoder cannot hide itself.
 #include <gtest/gtest.h>
@@ -19,11 +19,16 @@
 
 namespace {
 
-std::string report_for_file(const std::string& path, bool use_mmap) {
-  cla::analysis::Options options;
-  options.load.use_mmap = use_mmap;
-  cla::analysis::Pipeline pipeline(options);
+std::string report_for_file(const std::string& path) {
+  cla::analysis::Pipeline pipeline;
   pipeline.load_file(path);
+  return pipeline.report();
+}
+
+std::string report_for_stream(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  cla::analysis::Pipeline pipeline;
+  pipeline.load_stream(in);
   return pipeline.report();
 }
 
@@ -44,9 +49,9 @@ TEST(FormatCompat, ReportsIdenticalAcrossEncodingsAndLoaders) {
   for (std::uint32_t version : {1u, 2u, 3u}) {
     const std::string path = temp_path("cla_format_compat.clat");
     cla::trace::write_trace_file(trace, path, version);
-    const std::string mapped = report_for_file(path, /*use_mmap=*/true);
-    const std::string copied = report_for_file(path, /*use_mmap=*/false);
-    EXPECT_EQ(mapped, copied) << "loader mismatch for v" << version;
+    const std::string mapped = report_for_file(path);
+    const std::string streamed = report_for_stream(path);
+    EXPECT_EQ(mapped, streamed) << "loader mismatch for v" << version;
     if (reference.empty()) {
       reference = mapped;
       EXPECT_FALSE(reference.empty());
@@ -64,10 +69,10 @@ TEST(FormatCompat, GoldenFixturesProduceGoldenReport) {
   std::stringstream expected;
   expected << golden.rdbuf();
   for (const char* fixture : {"/golden_v1.clat", "/golden_v2.clat"}) {
-    for (bool use_mmap : {true, false}) {
-      EXPECT_EQ(report_for_file(data_dir + fixture, use_mmap), expected.str())
-          << fixture << " mmap=" << use_mmap;
-    }
+    EXPECT_EQ(report_for_file(data_dir + fixture), expected.str())
+        << fixture << " load_file";
+    EXPECT_EQ(report_for_stream(data_dir + fixture), expected.str())
+        << fixture << " load_stream";
   }
 }
 
@@ -92,9 +97,9 @@ TEST(FormatCompat, CallsiteTraceReportsIdenticalAcrossEncodingsAndLoaders) {
   for (std::uint32_t version : {2u, 3u}) {
     const std::string path = temp_path("cla_format_compat_cs.clat");
     cla::trace::write_trace_file(trace, path, version);
-    const std::string mapped = report_for_file(path, /*use_mmap=*/true);
-    const std::string copied = report_for_file(path, /*use_mmap=*/false);
-    EXPECT_EQ(mapped, copied) << "loader mismatch for v" << version;
+    const std::string mapped = report_for_file(path);
+    const std::string streamed = report_for_stream(path);
+    EXPECT_EQ(mapped, streamed) << "loader mismatch for v" << version;
     EXPECT_NE(mapped.find("enqueue+0x10 (demo)"), std::string::npos);
     if (reference.empty()) {
       reference = mapped;
@@ -126,8 +131,8 @@ TEST(FormatCompat, GoldenFixturesSurviveV3Conversion) {
   const std::string converted = temp_path("cla_golden_v3.clat");
   cla::trace::convert_trace_file(data_dir + "/golden_v1.clat", converted,
                                  cla::trace::kTraceVersionV3);
-  EXPECT_EQ(report_for_file(converted, true),
-            report_for_file(data_dir + "/golden_v2.clat", true));
+  EXPECT_EQ(report_for_file(converted),
+            report_for_file(data_dir + "/golden_v2.clat"));
   std::remove(converted.c_str());
 }
 

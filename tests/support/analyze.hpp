@@ -1,9 +1,6 @@
-// Test-local one-shot analysis helper.
-//
-// The public one-shot cla::analyze() is deprecated in favour of the
-// staged cla::analysis::Pipeline (see README "Migrating from analyze()").
-// The test suites still want the old one-liner ergonomics, so this
-// header provides it on top of the supported API.
+// Test-local one-shot analysis helper: the test suites want one-liner
+// ergonomics, so this header provides them on top of the staged
+// cla::analysis::Pipeline.
 #pragma once
 
 #include "cla/analysis/pipeline.hpp"

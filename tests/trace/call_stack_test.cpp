@@ -152,14 +152,12 @@ TEST(CallStackStreaming, ChunkedWriterStreamsStackAndSymbolChunks) {
     writer.write_meta(0, /*clean_close=*/true);
   }
   std::ifstream in(path, std::ios::binary);
-  TraceStreamReader reader(in);
-  while (reader.next_thread()) {
-  }
-  ASSERT_EQ(reader.call_stacks().size(), 1u);
-  EXPECT_EQ(reader.call_stacks().at(1),
+  const Trace loaded = read_trace(in);
+  ASSERT_EQ(loaded.call_stacks().size(), 1u);
+  EXPECT_EQ(loaded.call_stacks().at(1),
             (std::vector<std::uint64_t>{0xabc, 0xdef}));
-  ASSERT_EQ(reader.frame_symbols().size(), 1u);
-  EXPECT_EQ(reader.frame_symbols().at(0xabc), "f (m)");
+  ASSERT_EQ(loaded.frame_symbols().size(), 1u);
+  EXPECT_EQ(loaded.frame_symbols().at(0xabc), "f (m)");
   std::remove(path.c_str());
 }
 

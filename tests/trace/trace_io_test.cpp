@@ -173,7 +173,8 @@ TEST(TraceIo, V3IsSmallerThanV2) {
   // Delta+varint compression must pay off on a realistic stream: nearby
   // timestamps and a small object set. 4x is conservative (we see ~7x).
   TraceBuilder b;
-  auto& t = b.thread(0).start(0);
+  // A copy: thread() returns a temporary.
+  ThreadScript t = b.thread(0).start(0);
   std::uint64_t ts = 1'000'000'000;
   for (int i = 0; i < 5'000; ++i) {
     ts += 700 + (i % 13);
@@ -221,7 +222,8 @@ TEST(TraceIo, V3ExtremeFieldValuesRoundTrip) {
   // Worst-case varint inputs: kNoObject/kNoArg (all ones), backwards
   // object deltas, 10-byte zigzag encodings.
   TraceBuilder b;
-  auto& t = b.thread(0).start(0);
+  // A copy: thread() returns a temporary.
+  ThreadScript t = b.thread(0).start(0);
   t.lock(kNoObject - 1, 10, 11, 12);
   t.lock(1, 20, 21, 22);  // large negative object delta
   t.lock(0x8000'0000'0000'0000ull, 30, 31, 32);

@@ -1,19 +1,22 @@
-// TraceView / MappedTrace: the zero-copy read side must be
-// indistinguishable from the copying reader — same events, same
-// strictness, same failure modes — across v1, v2, v3 and mixed-chunk
-// files.
+// TraceView / MappedTrace: the zero-copy read side must reproduce the
+// written trace — same events, same strictness, same failure modes —
+// across v1, v2, v3 and mixed-chunk files, and agree with salvage
+// wherever strict loading succeeds.
 #include "cla/trace/trace_view.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cla/trace/builder.hpp"
+#include "cla/trace/salvage.hpp"
 #include "cla/trace/trace.hpp"
 #include "cla/trace/trace_io.hpp"
 #include "cla/util/crc32.hpp"
@@ -191,7 +194,7 @@ TEST(TraceView, MappedLoadHandlesMixedChunkKinds) {
     for (std::size_t i = 0; i < expected.size(); ++i)
       EXPECT_EQ(events[i], expected[i]);
   }
-  // The copying stream reader must agree on the same mixed file.
+  // The owning Trace read_trace_file materializes must agree too.
   const Trace streamed = read_trace_file(path);
   expect_view_equals_trace(mapped.view(), streamed);
   std::remove(path.c_str());
@@ -240,22 +243,43 @@ TEST(TraceView, MappedLoadIsStrict) {
 }
 
 TEST(TraceView, MappedTruncationFuzzNeverCrashes) {
-  // Every prefix of a valid v3 file must either load (only if it happens
-  // to end on a clean boundary — impossible without the Meta tail) or
-  // throw util::Error; never crash or over-read.
-  if (!mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
-  std::stringstream buffer;
-  write_trace(sample_trace(), buffer, kTraceVersionV3);
-  const std::string bytes = buffer.str();
-  const std::string path = temp_path("cla_view_fuzz.clat");
-  for (std::size_t len = 0; len < bytes.size(); len += 3) {
-    {
-      std::ofstream out(path, std::ios::binary);
-      out.write(bytes.data(), static_cast<std::streamsize>(len));
+  // Every prefix of a valid v2 and v3 file must either load or throw
+  // util::Error; never crash or over-read. Whenever the strict loader
+  // accepts a prefix, salvage must agree with it exactly and call the
+  // recovery lossless (strict success means nothing was torn).
+  for (std::uint32_t version : {kTraceVersion, kTraceVersionV3}) {
+    std::stringstream buffer;
+    write_trace(sample_trace(), buffer, version);
+    const std::string bytes = buffer.str();
+    std::size_t loaded = 0;
+    for (std::size_t len = 0; len <= bytes.size(); ++len) {
+      const std::vector<unsigned char> prefix(bytes.begin(),
+                                              bytes.begin() + len);
+      std::optional<Trace> strict;
+      try {
+        strict = MappedTrace(prefix).view().materialize();
+      } catch (const util::Error&) {
+        continue;
+      }
+      ++loaded;
+      std::stringstream in(std::string(bytes, 0, len));
+      const SalvageResult salvaged = salvage_trace(in);
+      EXPECT_FALSE(salvaged.report.lossy())
+          << "v" << version << " prefix " << len << "\n"
+          << salvaged.report.to_string();
+      EXPECT_EQ(salvaged.trace.tables(), strict->tables())
+          << "v" << version << " prefix " << len;
+      ASSERT_EQ(salvaged.trace.thread_count(), strict->thread_count());
+      for (ThreadId tid = 0; tid < strict->thread_count(); ++tid) {
+        const auto want = strict->thread_events(tid);
+        const auto got = salvaged.trace.thread_events(tid);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+            << "v" << version << " prefix " << len << " tid " << tid;
+      }
     }
-    EXPECT_THROW(MappedTrace{path}, util::Error) << "prefix " << len;
+    EXPECT_EQ(loaded, 1u) << "only the whole v" << version << " file loads";
   }
-  std::remove(path.c_str());
 }
 
 TEST(ChunkCursor, NextClaimsBoundedRangesUntilDone) {

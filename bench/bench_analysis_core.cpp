@@ -4,7 +4,6 @@
 //
 // For each workload the same in-memory trace is analyzed through:
 //
-//   sequential   legacy resolver + backward walk, 1 analysis thread
 //   dag-1        segment-DAG build + DAG walk, 1 analysis thread
 //   dag-8        segment-DAG build + DAG walk, 8 analysis threads
 //   incremental  IncrementalAnalyzer fed the trace in 8 appends
@@ -65,12 +64,10 @@ struct WorkloadResultRow {
   std::string workload;
   std::uint64_t events = 0;
   std::vector<VariantResult> variants;
-  double speedup_dag8_over_sequential = 0.0;
 };
 
 VariantResult run_pipeline_variant(const std::string& name,
                                    const cla::trace::Trace& trace,
-                                   cla::analysis::WalkEngine engine,
                                    unsigned workers, std::uint64_t max_rss_mb,
                                    int iterations) {
   VariantResult r;
@@ -78,7 +75,6 @@ VariantResult run_pipeline_variant(const std::string& name,
   r.best_ns = ~0ull;
   for (int i = 0; i < iterations; ++i) {
     cla::analysis::Options options;
-    options.execution.walk = engine;
     options.execution.num_threads = workers;
     options.limits.max_rss_mb = max_rss_mb;
     reset_peak_rss();
@@ -152,23 +148,14 @@ WorkloadResultRow bench_workload(const std::string& workload,
   const cla::trace::Trace trace =
       cla::workloads::run_workload(workload, config).trace;
 
-  using cla::analysis::WalkEngine;
   WorkloadResultRow row;
   row.workload = workload;
   row.events = trace.event_count();
-  row.variants.push_back(run_pipeline_variant(
-      "sequential", trace, WalkEngine::Sequential, 1, 0, iterations));
-  row.variants.push_back(
-      run_pipeline_variant("dag-1", trace, WalkEngine::Dag, 1, 0, iterations));
-  row.variants.push_back(
-      run_pipeline_variant("dag-8", trace, WalkEngine::Dag, 8, 0, iterations));
+  row.variants.push_back(run_pipeline_variant("dag-1", trace, 1, 0, iterations));
+  row.variants.push_back(run_pipeline_variant("dag-8", trace, 8, 0, iterations));
   row.variants.push_back(run_incremental_variant(trace, iterations));
-  row.variants.push_back(run_pipeline_variant("streaming", trace,
-                                              WalkEngine::Dag, 1, 4096,
-                                              iterations));
-  row.speedup_dag8_over_sequential =
-      static_cast<double>(row.variants[0].best_ns) /
-      static_cast<double>(std::max<std::uint64_t>(1, row.variants[2].best_ns));
+  row.variants.push_back(
+      run_pipeline_variant("streaming", trace, 1, 4096, iterations));
 
   std::printf("\n%s: %llu events\n", workload.c_str(),
               static_cast<unsigned long long>(row.events));
@@ -180,8 +167,6 @@ WorkloadResultRow bench_workload(const std::string& workload,
                 static_cast<double>(v.peak_rss) / (1024.0 * 1024.0),
                 static_cast<double>(v.engine_bytes) / (1024.0 * 1024.0));
   }
-  std::printf("  dag-8 over sequential: %.2fx\n",
-              row.speedup_dag8_over_sequential);
   return row;
 }
 
@@ -202,10 +187,7 @@ void append_json(std::string& out, const WorkloadResultRow& row, bool last) {
                   i + 1 < row.variants.size() ? "," : "");
     out += buf;
   }
-  std::snprintf(buf, sizeof buf,
-                "    ], \"speedup_dag8_over_sequential\": %.3f}%s\n",
-                row.speedup_dag8_over_sequential, last ? "" : ",");
-  out += buf;
+  out += last ? "    ]}\n" : "    ]},\n";
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "cla/analysis/critical_path.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "cla/util/error.hpp"
 #include "cla/util/thread_pool.hpp"
@@ -37,8 +36,8 @@ std::uint64_t CriticalPath::overlap(trace::ThreadId tid, std::uint64_t begin,
 
 namespace {
 
-/// Shared tail of both walk engines: reverse the emission order into
-/// chronological order and build the per-thread merged interval lists.
+/// Tail of the walk: reverse the emission order into chronological order
+/// and build the per-thread merged interval lists.
 /// Each thread's list depends only on that thread's intervals, so the
 /// merge fans out across `pool` (slot tid written only by task tid).
 void finalize_path(CriticalPath& path, std::size_t thread_count,
@@ -65,81 +64,10 @@ void finalize_path(CriticalPath& path, std::size_t thread_count,
     }
     ivs = std::move(merged);
   };
-  if (pool != nullptr) {
-    pool->parallel_for(thread_count, merge_thread);
-  } else {
-    for (std::size_t tid = 0; tid < thread_count; ++tid) merge_thread(tid);
-  }
+  util::for_each_index(pool, thread_count, merge_thread);
 }
 
 }  // namespace
-
-CriticalPath compute_critical_path(const TraceIndex& index,
-                                   const WakeupResolver& resolver,
-                                   const util::Deadline* deadline) {
-  const trace::TraceView& t = index.view();
-  CriticalPath path;
-  path.last_thread = index.last_finished_thread();
-
-  trace::ThreadId tid = path.last_thread;
-  trace::EventsView events = t.thread_events(tid);
-  std::uint32_t idx = static_cast<std::uint32_t>(events.size() - 1);
-  std::uint64_t cur_time = events[idx].ts;
-  path.end_ts = cur_time;
-
-  // Guards termination on malformed traces whose releaser relation has a
-  // cycle (impossible for a consistent happens-before order).
-  std::set<EventRef> jumped_from;
-
-  std::uint64_t steps = 0;
-  for (;;) {
-    // Polling every step would make steady_clock::now() dominate the walk.
-    if (deadline != nullptr && (++steps & 0xffff) == 0) {
-      deadline->check("critical-path walk");
-    }
-    const trace::Event& e = events[idx];
-    if (trace::is_wakeup(e.type)) {
-      const Resolution& r = resolver.resolve(tid, idx);
-      const EventRef here{tid, idx};
-      if (r.blocked && r.releaser.valid() && !jumped_from.contains(here)) {
-        jumped_from.insert(here);
-        if (cur_time > e.ts) {
-          path.intervals.push_back(PathInterval{tid, e.ts, cur_time});
-        }
-        path.jumps.push_back(PathJump{here, r.releaser, e.type, e.object});
-        tid = r.releaser.tid;
-        events = t.thread_events(tid);
-        idx = r.releaser.index;
-        cur_time = std::min(cur_time, events[idx].ts);
-        // The releasing event itself (Released / Arrive / Signal / Create /
-        // Exit) is never a wake-up, so continue scanning below it.
-        if (idx == 0) {
-          // Releaser is the thread's first event — can only be ThreadStart,
-          // which is a wake-up; loop once more to process it.
-          continue;
-        }
-        --idx;
-        continue;
-      }
-      if (r.blocked && r.releaser.valid()) {
-        // Cycle guard triggered: fall through and keep walking backwards.
-      }
-    }
-    if (idx == 0) {
-      // Reached the thread's ThreadStart with no (further) releaser:
-      // the beginning of the execution.
-      if (cur_time > e.ts) {
-        path.intervals.push_back(PathInterval{tid, events[0].ts, cur_time});
-      }
-      path.start_ts = events[0].ts;
-      break;
-    }
-    --idx;
-  }
-
-  finalize_path(path, t.thread_count(), nullptr);
-  return path;
-}
 
 CriticalPath compute_critical_path(const SegmentDag& dag,
                                    util::ThreadPool* pool,
@@ -159,9 +87,9 @@ CriticalPath compute_critical_path(const SegmentDag& dag,
       tid, static_cast<std::uint32_t>(t.thread_events(tid).size() - 1));
 
   // Merge walk: stitch the speculative hop chain into the path. visited
-  // plays the sequential walker's jumped_from role — segment begins and
-  // blocking wake-ups are in bijection, so guarding per segment guards
-  // exactly the same event set.
+  // is the event-level walk's cycle guard (paper Fig. 2 never jumps from
+  // the same wake-up twice) — segment begins and blocking wake-ups are in
+  // bijection, so guarding per segment guards exactly the same event set.
   std::vector<std::uint8_t> visited(dag.segment_count(), 0);
   DagWalkStats stats;
   stats.segments = dag.segment_count();
@@ -193,8 +121,8 @@ CriticalPath compute_critical_path(const SegmentDag& dag,
       path.start_ts = s.begin_ts;
       break;
     }
-    // Cycle guard: this segment's hop was already consumed; the sequential
-    // walker keeps scanning backwards, which lands in the previous segment
+    // Cycle guard: this segment's hop was already consumed; the event-level
+    // walk keeps scanning backwards, which lands in the previous segment
     // on the same thread (every segment with begin_idx > 0 has a hop, so
     // local 0 always takes the terminal branch above).
     --local;

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cla/analysis/index.hpp"
-#include "cla/analysis/resolver.hpp"
 #include "cla/analysis/segment_dag.hpp"
 #include "cla/util/guard.hpp"
 
@@ -60,19 +59,15 @@ struct CriticalPath {
                         std::uint64_t end) const;
 };
 
-/// Runs the backward walk. The trace must satisfy Trace::validate().
-/// A non-null `deadline` is polled periodically; when it expires the walk
-/// aborts with a cla::util::ResourceLimitError.
-CriticalPath compute_critical_path(const TraceIndex& index,
-                                   const WakeupResolver& resolver,
-                                   const util::Deadline* deadline = nullptr);
-
-/// DAG walk engine: reconciles the speculatively precomputed per-segment
-/// hops into the critical path. The hop table and the per-thread interval
+/// The walk: reconciles the speculatively precomputed per-segment hops
+/// into the critical path. The hop table and the per-thread interval
 /// finalization fan out across `pool`; the merge itself is a cheap
 /// O(path-segments) chain stitch. Produces output bit-identical to the
-/// sequential walk at any worker count (the determinism suite pins this).
-/// `stats_out` (optional) receives the speculation counters.
+/// paper's event-by-event walk at any worker count (the determinism suite
+/// pins this against a reference walk). A non-null `deadline` is polled
+/// periodically; when it expires the walk aborts with a
+/// cla::util::ResourceLimitError. `stats_out` (optional) receives the
+/// speculation counters.
 CriticalPath compute_critical_path(const SegmentDag& dag,
                                    util::ThreadPool* pool,
                                    const util::Deadline* deadline = nullptr,

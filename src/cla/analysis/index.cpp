@@ -1,12 +1,28 @@
 #include "cla/analysis/index.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "cla/util/error.hpp"
 #include "cla/util/thread_pool.hpp"
 
 namespace cla::analysis {
+
+void MutexIndex::count(const CsRecord& cs) {
+  totals.add(cs);
+  wait_per_thread[cs.tid] += cs.wait_time();
+  hold_per_thread[cs.tid] += cs.hold_time();
+  if (cs.stack_id != 0) callsites[cs.stack_id].add(cs);
+}
+
+void MutexIndex::uncount(const CsRecord& cs) {
+  totals.subtract(cs);
+  wait_per_thread[cs.tid] -= cs.wait_time();
+  hold_per_thread[cs.tid] -= cs.hold_time();
+  if (cs.stack_id == 0) return;
+  const auto it = callsites.find(cs.stack_id);
+  it->second.subtract(cs);
+  if (it->second.invocations == 0) callsites.erase(it);
+}
 
 namespace {
 
@@ -29,16 +45,6 @@ bool is_sync_op(EventType type) noexcept {
       return true;
     default:
       return false;
-  }
-}
-
-/// Runs fn(0..n) across `pool`, or inline without one.
-void for_each_index(util::ThreadPool* pool, std::size_t n,
-                    const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t k = 0; k < n; ++k) fn(k);
   }
 }
 
@@ -110,25 +116,6 @@ void build_episodes(BarrierIndex& bi) {
       }
     }
   }
-}
-
-/// Adds `cs` to its mutex's running totals.
-void count_section(MutexIndex& mi, const CsRecord& cs) {
-  mi.totals.add(cs);
-  mi.wait_per_thread[cs.tid] += cs.wait_time();
-  mi.hold_per_thread[cs.tid] += cs.hold_time();
-  if (cs.stack_id != 0) mi.callsites[cs.stack_id].add(cs);
-}
-
-/// Takes `cs` back out of its mutex's running totals.
-void uncount_section(MutexIndex& mi, const CsRecord& cs) {
-  mi.totals.subtract(cs);
-  mi.wait_per_thread[cs.tid] -= cs.wait_time();
-  mi.hold_per_thread[cs.tid] -= cs.hold_time();
-  if (cs.stack_id == 0) return;
-  const auto it = mi.callsites.find(cs.stack_id);
-  it->second.subtract(cs);
-  if (it->second.invocations == 0) mi.callsites.erase(it);
 }
 
 /// Rebuilds a position table from scratch over every record of `objects`.
@@ -339,7 +326,7 @@ TraceIndex::TraceIndex(const trace::TraceView& v, util::ThreadPool* pool) {
   // Slot tid is written only by iteration tid, so scheduling order cannot
   // affect the result.
   std::vector<ThreadScanState> scans(v.thread_count());
-  for_each_index(pool, scans.size(), [&](std::size_t tid) {
+  util::for_each_index(pool, scans.size(), [&](std::size_t tid) {
     scans[tid].consume(v.thread_events(static_cast<trace::ThreadId>(tid)),
                        static_cast<trace::ThreadId>(tid));
   });
@@ -502,19 +489,19 @@ void TraceIndex::extend_mutexes(RecordsByObject<CsRecord> added,
   // --- rebuild the tails: drop provisional sections, add the drained
   // ones, restore ownership order. The totals follow each section that
   // leaves or joins. ---
-  for_each_index(pool, tails.size(), [&](std::size_t k) {
+  util::for_each_index(pool, tails.size(), [&](std::size_t k) {
     const Tail& tail = tails[k];
     MutexIndex& mi = *tail.mutex;
     std::vector<CsRecord>& secs = mi.sections;
     const auto cut = secs.begin() + static_cast<std::ptrdiff_t>(tail.cut);
     for (auto it = cut; it != secs.end(); ++it) {
-      if (it->provisional) uncount_section(mi, *it);
+      if (it->provisional) mi.uncount(*it);
     }
     secs.erase(std::remove_if(cut, secs.end(),
                               [](const CsRecord& cs) { return cs.provisional; }),
                secs.end());
     if (tail.added != nullptr) {
-      for (const CsRecord& cs : *tail.added) count_section(mi, cs);
+      for (const CsRecord& cs : *tail.added) mi.count(cs);
       if (secs.empty()) {
         secs.swap(*tail.added);
       } else {
@@ -551,7 +538,7 @@ void TraceIndex::extend_mutexes(RecordsByObject<CsRecord> added,
           Position{secs[pos].acquired_idx, static_cast<std::uint32_t>(pos)});
     }
   }
-  for_each_index(pool, thread_count, [&](std::size_t tid) {
+  util::for_each_index(pool, thread_count, [&](std::size_t tid) {
     auto& entries = acquired_pos_[tid];
     std::sort(entries.begin() + static_cast<std::ptrdiff_t>(kept[tid]),
               entries.end(),

@@ -87,7 +87,8 @@ struct SectionTotals {
 /// The totals are running sums over `sections`, kept by
 /// TraceIndex::extend(): it subtracts the sections it takes out of a
 /// mutex's tail (provisional ones) and adds the ones it puts in, so
-/// compute_stats reads TYPE 2 figures without visiting any section.
+/// compute_stats reads TYPE 2 figures without visiting any section. The
+/// bounded-RSS engine fills the totals alone, leaving `sections` empty.
 struct MutexIndex {
   trace::ObjectId id = trace::kNoObject;
   std::vector<CsRecord> sections;
@@ -99,6 +100,12 @@ struct MutexIndex {
   /// Totals per acquisition call stack (CsRecord::stack_id != 0). A stack
   /// id whose sections all left the index has no entry.
   std::map<std::uint64_t, SectionTotals> callsites;
+
+  /// Adds `cs` to the running totals (not to `sections`). The per-thread
+  /// vectors must already cover cs.tid.
+  void count(const CsRecord& cs);
+  /// Takes `cs`, counted earlier, back out of the running totals.
+  void uncount(const CsRecord& cs);
 };
 
 /// One thread's passage through a barrier (Arrive .. Leave).

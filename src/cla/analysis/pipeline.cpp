@@ -19,7 +19,6 @@ std::string_view stage_name(Stage stage) noexcept {
     case Stage::Load: return "load";
     case Stage::Validate: return "validate";
     case Stage::Index: return "index";
-    case Stage::Resolve: return "resolve";
     case Stage::BuildDag: return "builddag";
     case Stage::Walk: return "walk";
     case Stage::Stats: return "stats";
@@ -96,13 +95,10 @@ void Pipeline::reset_stages() {
   repaired_ = false;
   sink_.clear();
   index_.reset();
-  resolver_.reset();
   dag_.reset();
   dag_stats_ = DagWalkStats{};
   path_.reset();
   result_.reset();
-  streaming_segments_ = 0;
-  streaming_threads_ = 0;
   streaming_peak_bytes_ = 0;
 }
 
@@ -267,16 +263,6 @@ Pipeline& Pipeline::index_stage() {
   return *this;
 }
 
-Pipeline& Pipeline::resolve_stage() {
-  if (resolver_.has_value()) return *this;
-  index_stage();
-  const std::uint64_t start = util::now_ns();
-  deadline().check("resolve");
-  resolver_.emplace(*index_);
-  record(Stage::Resolve, start);
-  return *this;
-}
-
 Pipeline& Pipeline::dag_stage() {
   if (dag_.has_value()) return *this;
   index_stage();
@@ -292,16 +278,6 @@ Pipeline& Pipeline::walk_stage() {
   if (path_.has_value() || result_.has_value()) return *this;
   if (bounded()) {
     streaming_stage();
-    return *this;
-  }
-  if (options_.execution.walk == WalkEngine::Sequential) {
-    resolve_stage();
-    const std::uint64_t start = util::now_ns();
-    const util::Deadline& dl = deadline();
-    dl.check("walk");
-    path_ = compute_critical_path(*index_, *resolver_,
-                                  dl.unlimited() ? nullptr : &dl);
-    record(Stage::Walk, start);
     return *this;
   }
   dag_stage();
@@ -341,8 +317,6 @@ void Pipeline::streaming_stage() {
       dl.unlimited() ? nullptr : &dl);
   result_ = std::move(outcome.result);
   dag_stats_ = outcome.walk_stats;
-  streaming_segments_ = outcome.dag_segments;
-  streaming_threads_ = outcome.dag_threads;
   streaming_peak_bytes_ = outcome.peak_bytes;
   profile_.stages.push_back(StageTiming{Stage::Index, outcome.timings.sweep_ns});
   profile_.stages.push_back(
@@ -410,23 +384,20 @@ std::string Pipeline::report() {
   return rendered;
 }
 
+JsonReportMeta Pipeline::dag_meta() const {
+  // The walk counted the DAG's segments; a bounded run discards its DAG
+  // after the walk, with the same counts as a full build.
+  JsonReportMeta meta;
+  meta.has_dag = true;
+  meta.dag_segments = dag_stats_.segments;
+  meta.dag_threads = view_.thread_count();
+  return meta;
+}
+
 std::string Pipeline::report_json() {
   stats_stage();
   const std::uint64_t start = util::now_ns();
-  JsonReportMeta meta;
-  meta.has_dag = true;
-  if (bounded()) {
-    // The streaming engine discarded its DAG after the walk; it recorded
-    // the counts (identical to a full build's — same boundary rules).
-    meta.dag_segments = streaming_segments_;
-    meta.dag_threads = streaming_threads_;
-  } else {
-    // Built on demand even under WalkEngine::Sequential so the payload is
-    // engine-independent (the determinism suite compares them bytewise).
-    dag_stage();
-    meta.dag_segments = dag_->segment_count();
-    meta.dag_threads = dag_->thread_count();
-  }
+  JsonReportMeta meta = dag_meta();
   if (options_.report.json_profile) {
     meta.include_profile = true;
     for (const auto& timing : profile_.stages) {
@@ -441,19 +412,9 @@ std::string Pipeline::report_json() {
 
 std::string Pipeline::report_html() {
   stats_stage();
-  JsonReportMeta meta;
-  meta.has_dag = true;
-  if (bounded()) {
-    meta.dag_segments = streaming_segments_;
-    meta.dag_threads = streaming_threads_;
-  } else {
-    dag_stage();
-    meta.dag_segments = dag_->segment_count();
-    meta.dag_threads = dag_->thread_count();
-  }
   const std::uint64_t start = util::now_ns();
   const TraceIndex* index = bounded() ? nullptr : &trace_index();
-  std::string rendered = render_html(*result_, meta, index);
+  std::string rendered = render_html(*result_, dag_meta(), index);
   record(Stage::Report, start);
   return rendered;
 }

@@ -17,8 +17,6 @@
 //   start   -> the parent's ThreadCreate.
 #pragma once
 
-#include <vector>
-
 #include "cla/analysis/index.hpp"
 
 namespace cla::analysis {
@@ -32,22 +30,9 @@ struct Resolution {
 /// Resolves the wake-up event at (tid, idx) directly against the index,
 /// reading only the event columns it needs (no per-event materialization).
 /// Events that are not wake-ups resolve to {invalid, false}. This is the
-/// single source of truth for the resolution rules: WakeupResolver and the
-/// segment-DAG builder both delegate here, so the two walk engines can
-/// never disagree on a releaser.
+/// single statement of the resolution rules: the segment-DAG builder
+/// resolves every hop here.
 Resolution resolve_wakeup(const TraceIndex& index, trace::ThreadId tid,
                           std::uint32_t idx);
-
-class WakeupResolver {
- public:
-  explicit WakeupResolver(const TraceIndex& index);
-
-  /// Resolution for the event at (tid, idx). Events that are not wake-ups
-  /// resolve to {invalid, false}.
-  const Resolution& resolve(trace::ThreadId tid, std::uint32_t idx) const;
-
- private:
-  std::vector<std::vector<Resolution>> per_thread_;
-};
 
 }  // namespace cla::analysis

@@ -127,11 +127,7 @@ void SegmentDag::extend(const TraceIndex& index, std::uint64_t boundary,
       segs.push_back(s);
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(thread_count, discover);
-  } else {
-    for (trace::ThreadId tid = 0; tid < thread_count; ++tid) discover(tid);
-  }
+  util::for_each_index(pool, thread_count, discover);
 
   retained_ = 0;
   bool all_ordered = true;

@@ -17,40 +17,21 @@ const LockStats* AnalysisResult::find_lock(const std::string& lock_name) const {
   return nullptr;
 }
 
-AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
-                             const StatsOptions& options) {
-  return compute_stats(index, std::move(path), options, nullptr);
+void LockPathTotals::add(const CsRecord& cs, std::uint64_t on_path) {
+  if (on_path == 0) return;
+  const auto count = [&](PathTotals& p) {
+    p.hold += on_path;
+    ++p.invocations;
+    if (cs.contended) ++p.contended;
+  };
+  count(lock);
+  if (cs.stack_id != 0) count(callsites[cs.stack_id]);
 }
 
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options,
                              util::ThreadPool* pool) {
   const trace::TraceView& t = index.view();
-  AnalysisResult result;
-  result.completion_time = path.length();
-
-  // --- thread stats & the TYPE 2 averaging denominator ---
-  std::vector<bool> is_worker(t.thread_count(), false);
-  for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-    const ThreadInfo& info = index.threads()[tid];
-    ThreadStats ts;
-    ts.tid = tid;
-    ts.name = t.thread_display_name(tid);
-    ts.duration = info.duration();
-    ts.cp_time = path.thread_time(tid);
-    ts.sync_ops = info.sync_ops;
-    result.threads.push_back(std::move(ts));
-    is_worker[tid] = !options.worker_threads_only || info.sync_ops > 0;
-  }
-  std::size_t workers = 0;
-  for (bool w : is_worker) workers += w ? 1 : 0;
-  if (workers == 0) {  // degenerate trace: average over everything
-    std::fill(is_worker.begin(), is_worker.end(), true);
-    workers = t.thread_count();
-  }
-  result.worker_threads = workers;
-
-  const double cp_len = static_cast<double>(path.length());
 
   // --- TYPE 1: the sections that can overlap the path ---
   // Per thread, walk the merged path intervals and the thread's sections
@@ -69,19 +50,7 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
     mutex_ids.push_back(id);
     mutex_list.push_back(&mi);
   }
-  struct OnPath {
-    std::uint64_t hold = 0;
-    std::uint64_t invocations = 0;
-    std::uint64_t contended = 0;
-
-    void add(std::uint64_t on_path, bool was_contended) {
-      hold += on_path;
-      ++invocations;
-      if (was_contended) ++contended;
-    }
-  };
-  std::vector<OnPath> lock_on_path(mutex_list.size());
-  std::vector<std::map<std::uint64_t, OnPath>> callsite_on_path(mutex_list.size());
+  std::vector<LockPathTotals> on_path(mutex_list.size());
   for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
     if (tid >= path.per_thread.size() || path.per_thread[tid].empty()) continue;
     const std::vector<TraceIndex::Position>& secs = index.thread_sections(tid);
@@ -91,13 +60,7 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
           std::lower_bound(mutex_ids.begin(), mutex_ids.end(), events.object_at(p.idx)) -
           mutex_ids.begin());
       const CsRecord& cs = mutex_list[slot]->sections[p.pos];
-      const std::uint64_t on_path =
-          path.overlap(tid, cs.acquired_ts, cs.released_ts);
-      if (on_path == 0) return;
-      lock_on_path[slot].add(on_path, cs.contended);
-      if (cs.stack_id != 0) {
-        callsite_on_path[slot][cs.stack_id].add(on_path, cs.contended);
-      }
+      on_path[slot].add(cs, path.overlap(tid, cs.acquired_ts, cs.released_ts));
     };
     if (!index.threads()[tid].ts_ordered) {
       for (const TraceIndex::Position& p : secs) visit(p);
@@ -117,17 +80,82 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
     }
   }
 
-  // --- per-lock stats, from the index's running TYPE 2 totals ---
+  // --- barrier and condvar totals: every wait record ---
+  std::map<trace::ObjectId, BarrierTotals> barriers;
+  for (const auto& [id, bi] : index.barriers()) {
+    BarrierTotals& bt = barriers[id];
+    bt.episodes = bi.episodes.size();
+    bt.wait_per_thread.assign(t.thread_count(), 0);
+    for (const auto& w : bi.waits) bt.add(w);
+  }
+  std::map<trace::ObjectId, CondTotals> conds;
+  for (const auto& [id, ci] : index.conds()) {
+    CondTotals& ct = conds[id];
+    ct.signals = ci.signals.size();
+    for (const auto& w : ci.waits) ct.add(w);
+  }
+
+  return assemble_stats(
+      t, StatsInputs{index.threads(), index.mutexes(), on_path, barriers, conds},
+      std::move(path), options, pool);
+}
+
+AnalysisResult assemble_stats(const trace::TraceView& t,
+                              const StatsInputs& inputs, CriticalPath path,
+                              const StatsOptions& options,
+                              util::ThreadPool* pool) {
+  AnalysisResult result;
+  result.completion_time = path.length();
+
+  // --- thread stats & the TYPE 2 averaging denominator ---
+  std::vector<bool> is_worker(t.thread_count(), false);
+  for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
+    const ThreadInfo& info = inputs.threads[tid];
+    ThreadStats ts;
+    ts.tid = tid;
+    ts.name = t.thread_display_name(tid);
+    ts.duration = info.duration();
+    ts.cp_time = path.thread_time(tid);
+    ts.sync_ops = info.sync_ops;
+    result.threads.push_back(std::move(ts));
+    is_worker[tid] = !options.worker_threads_only || info.sync_ops > 0;
+  }
+  std::size_t workers = 0;
+  for (bool w : is_worker) workers += w ? 1 : 0;
+  if (workers == 0) {  // degenerate trace: average over everything
+    std::fill(is_worker.begin(), is_worker.end(), true);
+    workers = t.thread_count();
+  }
+  result.worker_threads = workers;
+  const auto worker_count = static_cast<double>(workers);
+
+  // Mean over the worker threads of per_thread[tid] / duration(tid).
+  const auto avg_fraction = [&](const std::vector<std::uint64_t>& per_thread) {
+    double sum = 0.0;
+    for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
+      if (!is_worker[tid]) continue;
+      sum += safe_ratio(static_cast<double>(per_thread[tid]),
+                        static_cast<double>(inputs.threads[tid].duration()));
+    }
+    return sum / worker_count;
+  };
+
+  const double cp_len = static_cast<double>(path.length());
+
+  // --- per-lock stats ---
   // One task per lock, each writing only its own pre-sized slot; tasks
   // read but never write shared state, so the result is
   // scheduling-independent.
-  result.locks.resize(mutex_list.size());
+  std::vector<const std::pair<const trace::ObjectId, MutexIndex>*> mutexes;
+  mutexes.reserve(inputs.mutexes.size());
+  for (const auto& entry : inputs.mutexes) mutexes.push_back(&entry);
+  result.locks.resize(mutexes.size());
   // Per-lock callsite groups in stack-id order (slot per lock so the
   // fan-out stays write-disjoint); merged after the barrier below.
-  std::vector<std::vector<CallsiteStats>> callsites_per_lock(mutex_list.size());
+  std::vector<std::vector<CallsiteStats>> callsites_per_lock(mutexes.size());
   const auto compute_lock = [&](std::size_t k) {
-    const trace::ObjectId id = mutex_ids[k];
-    const MutexIndex& mi = *mutex_list[k];
+    const auto& [id, mi] = *mutexes[k];
+    const LockPathTotals& on_path = inputs.on_path[k];
     LockStats ls;
     ls.id = id;
     ls.name = t.object_display_name(id, "mutex");
@@ -135,9 +163,9 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
     ls.contended = mi.totals.contended;
     ls.total_wait = mi.totals.wait;
     ls.total_hold = mi.totals.hold;
-    ls.cp_hold_time = lock_on_path[k].hold;
-    ls.cp_invocations = lock_on_path[k].invocations;
-    ls.cp_contended = lock_on_path[k].contended;
+    ls.cp_hold_time = on_path.lock.hold;
+    ls.cp_invocations = on_path.lock.invocations;
+    ls.cp_contended = on_path.lock.contended;
 
     // Callsite breakdown — only for sections that carried a stack id.
     for (const auto& [sid, totals] : mi.callsites) {
@@ -149,8 +177,8 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
       g.contended = totals.contended;
       g.total_wait = totals.wait;
       g.total_hold = totals.hold;
-      if (const auto it = callsite_on_path[k].find(sid);
-          it != callsite_on_path[k].end()) {
+      if (const auto it = on_path.callsites.find(sid);
+          it != on_path.callsites.end()) {
         g.cp_hold_time = it->second.hold;
         g.cp_invocations = it->second.invocations;
         g.cp_contended = it->second.contended;
@@ -158,19 +186,8 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
       callsites_per_lock[k].push_back(std::move(g));
     }
 
-    double wait_fraction_sum = 0.0;
-    double hold_fraction_sum = 0.0;
-    for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-      if (!is_worker[tid]) continue;
-      const double dur = static_cast<double>(index.threads()[tid].duration());
-      wait_fraction_sum +=
-          safe_ratio(static_cast<double>(mi.wait_per_thread[tid]), dur);
-      hold_fraction_sum +=
-          safe_ratio(static_cast<double>(mi.hold_per_thread[tid]), dur);
-    }
-    const auto worker_count = static_cast<double>(workers);
-    ls.avg_wait_fraction = wait_fraction_sum / worker_count;
-    ls.avg_hold_fraction = hold_fraction_sum / worker_count;
+    ls.avg_wait_fraction = avg_fraction(mi.wait_per_thread);
+    ls.avg_hold_fraction = avg_fraction(mi.hold_per_thread);
     ls.avg_invocations = static_cast<double>(ls.invocations) / worker_count;
     ls.avg_contention_prob =
         safe_ratio(static_cast<double>(ls.contended),
@@ -185,15 +202,11 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
     ls.hold_increase = safe_ratio(ls.cp_time_fraction, ls.avg_hold_fraction);
     result.locks[k] = std::move(ls);
   };
-  if (pool != nullptr) {
-    pool->parallel_for(mutex_list.size(), compute_lock);
-  } else {
-    for (std::size_t k = 0; k < mutex_list.size(); ++k) compute_lock(k);
-  }
-  for (const MutexIndex* mi : mutex_list) {
+  util::for_each_index(pool, mutexes.size(), compute_lock);
+  for (const auto& [id, mi] : inputs.mutexes) {
     for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-      result.threads[tid].lock_wait_time += mi->wait_per_thread[tid];
-      result.threads[tid].lock_hold_time += mi->hold_per_thread[tid];
+      result.threads[tid].lock_wait_time += mi.wait_per_thread[tid];
+      result.threads[tid].lock_hold_time += mi.hold_per_thread[tid];
     }
   }
   std::sort(result.locks.begin(), result.locks.end(),
@@ -238,51 +251,24 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
               return a.stack_id < b.stack_id;
             });
 
-  // --- barrier stats (same fan-out shape as the locks) ---
-  std::vector<const BarrierIndex*> barrier_list;
-  std::vector<trace::ObjectId> barrier_ids;
-  barrier_list.reserve(index.barriers().size());
-  barrier_ids.reserve(index.barriers().size());
-  for (const auto& [id, bi] : index.barriers()) {
-    barrier_ids.push_back(id);
-    barrier_list.push_back(&bi);
-  }
-  result.barriers.resize(barrier_list.size());
-  const auto compute_barrier = [&](std::size_t k) {
-    const BarrierIndex& bi = *barrier_list[k];
+  // --- barrier and condvar stats ---
+  for (const auto& [id, bt] : inputs.barriers) {
     BarrierStats bs;
-    bs.id = barrier_ids[k];
-    bs.name = t.object_display_name(bs.id, "barrier");
-    bs.episodes = bi.episodes.size();
-    bs.waits = bi.waits.size();
-    std::vector<std::uint64_t> wait_per_thread(t.thread_count(), 0);
-    for (const auto& w : bi.waits) {
-      bs.total_wait_time += w.leave_ts - w.arrive_ts;
-      wait_per_thread[w.tid] += w.leave_ts - w.arrive_ts;
-    }
-    double fraction_sum = 0.0;
-    for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-      if (!is_worker[tid]) continue;
-      fraction_sum += safe_ratio(static_cast<double>(wait_per_thread[tid]),
-                                 static_cast<double>(index.threads()[tid].duration()));
-    }
-    bs.avg_wait_fraction = fraction_sum / static_cast<double>(workers);
-    result.barriers[k] = std::move(bs);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(barrier_list.size(), compute_barrier);
-  } else {
-    for (std::size_t k = 0; k < barrier_list.size(); ++k) compute_barrier(k);
+    bs.id = id;
+    bs.name = t.object_display_name(id, "barrier");
+    bs.episodes = bt.episodes;
+    bs.waits = bt.waits;
+    bs.total_wait_time = bt.wait;
+    bs.avg_wait_fraction = avg_fraction(bt.wait_per_thread);
+    result.barriers.push_back(std::move(bs));
   }
-
-  // --- condvar stats ---
-  for (const auto& [id, ci] : index.conds()) {
+  for (const auto& [id, ct] : inputs.conds) {
     CondStats cs;
     cs.id = id;
     cs.name = t.object_display_name(id, "cond");
-    cs.waits = ci.waits.size();
-    cs.signals = ci.signals.size();
-    for (const auto& w : ci.waits) cs.total_wait_time += w.end_ts - w.begin_ts;
+    cs.waits = ct.waits;
+    cs.signals = ct.signals;
+    cs.total_wait_time = ct.wait;
     result.conds.push_back(std::move(cs));
   }
 

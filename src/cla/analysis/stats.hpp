@@ -14,6 +14,7 @@
 //                      critical sections
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -134,26 +135,86 @@ struct AnalysisResult {
   const LockStats* find_lock(const std::string& name) const;
 };
 
+/// Integer sums over the critical sections that overlap the path — the
+/// inputs of the TYPE 1 statistics.
+struct PathTotals {
+  std::uint64_t hold = 0;  ///< ns of the sections' overlap with the path
+  std::uint64_t invocations = 0;
+  std::uint64_t contended = 0;
+};
+
+/// One mutex's on-path totals, whole and per acquisition call stack.
+struct LockPathTotals {
+  PathTotals lock;
+  std::map<std::uint64_t, PathTotals> callsites;  ///< by stack id (!= 0)
+
+  /// Counts `cs` if it overlaps the path by `on_path` > 0 ns.
+  void add(const CsRecord& cs, std::uint64_t on_path);
+};
+
+/// Integer sums over one barrier's waits.
+struct BarrierTotals {
+  std::uint64_t episodes = 0;
+  std::uint64_t waits = 0;
+  std::uint64_t wait = 0;                      ///< ns, summed
+  std::vector<std::uint64_t> wait_per_thread;  ///< index = tid, pre-sized
+
+  void add(const BarrierWaitRecord& w) {
+    ++waits;
+    wait += w.leave_ts - w.arrive_ts;
+    wait_per_thread[w.tid] += w.leave_ts - w.arrive_ts;
+  }
+};
+
+/// Integer sums over one condition variable's waits and signals.
+struct CondTotals {
+  std::uint64_t waits = 0;
+  std::uint64_t signals = 0;
+  std::uint64_t wait = 0;  ///< ns, summed
+
+  void add(const CondWaitRecord& w) {
+    ++waits;
+    wait += w.end_ts - w.begin_ts;
+  }
+};
+
+/// The integer totals every figure of an AnalysisResult derives from.
+/// compute_stats points these at a TraceIndex; the bounded-RSS engine
+/// fills its own from per-thread rescans (MutexIndex with empty
+/// `sections`).
+struct StatsInputs {
+  const std::vector<ThreadInfo>& threads;  ///< index = tid
+  const std::map<trace::ObjectId, MutexIndex>& mutexes;
+  /// One entry per mutex, in `mutexes` order.
+  const std::vector<LockPathTotals>& on_path;
+  const std::map<trace::ObjectId, BarrierTotals>& barriers;
+  const std::map<trace::ObjectId, CondTotals>& conds;
+};
+
+/// Turns the totals plus the walked path into the Table 2 figures: the
+/// per-thread averages, the ratios, the rankings, callsite frames and the
+/// path's barrier/condvar crossings. The only place those figures are
+/// computed, so every engine's floating-point sums run in one order. The
+/// per-lock assembly fans out across `pool` (null = inline), one task per
+/// lock writing its own slot, so the result is pool-independent.
+AnalysisResult assemble_stats(const trace::TraceView& view,
+                              const StatsInputs& inputs, CriticalPath path,
+                              const StatsOptions& options,
+                              util::ThreadPool* pool);
+
 /// Computes all statistics for a trace whose path was already walked.
 ///
 /// Cost: O(path + near-path sections + locks × threads + barriers and
 /// condvars), independent of how many sections lie off the path. TYPE 2
-/// figures come from the index's running MutexIndex totals. TYPE 1 visits,
-/// per thread, only the sections whose time window can overlap one of the
-/// thread's path intervals (see TraceIndex::max_hold), each once, and
-/// measures it with CriticalPath::overlap; a thread whose timestamps
-/// regress has all of its sections visited. Barrier and condvar figures
-/// still fold every wait record.
+/// figures come from the index's running MutexIndex totals, read in place.
+/// TYPE 1 visits, per thread, only the sections whose time window can
+/// overlap one of the thread's path intervals (see TraceIndex::max_hold),
+/// each once, and measures it with CriticalPath::overlap; a thread whose
+/// timestamps regress has all of its sections visited. Barrier and
+/// condvar figures still fold every wait record. `pool` is passed on to
+/// assemble_stats; the result is bit-identical at any pool size.
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
-                             const StatsOptions& options = {});
-
-/// Pooled variant: the per-lock and per-barrier assembly fans out across
-/// `pool`, one task per primitive, writing into pre-sized slots so the
-/// result — including the final ranking — is bit-identical to the
-/// sequential computation. The TYPE 1 section visit runs on the caller. A
-/// null pool (or a pool of size 1) runs inline.
-AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
-                             const StatsOptions& options,
-                             util::ThreadPool* pool);
+                             const StatsOptions& options = {},
+                             util::ThreadPool* pool = nullptr);
 
 }  // namespace cla::analysis

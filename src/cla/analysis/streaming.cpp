@@ -18,6 +18,7 @@
 #include <atomic>
 #include <deque>
 #include <map>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -25,7 +26,6 @@
 #include "cla/analysis/index.hpp"
 #include "cla/util/clock.hpp"
 #include "cla/util/error.hpp"
-#include "cla/util/stats.hpp"
 #include "cla/util/thread_pool.hpp"
 
 namespace cla::analysis {
@@ -33,7 +33,6 @@ namespace cla::analysis {
 namespace {
 
 using trace::EventType;
-using util::safe_ratio;
 
 /// Live barrier generations kept per barrier; the oldest retires beyond
 /// this (windowed carry-state retirement).
@@ -42,6 +41,8 @@ constexpr std::size_t kEpisodeWindow = 64;
 constexpr std::uint64_t kPollMask = 0xffff;
 /// Events per pass-2 rescan chunk (drain interval).
 constexpr std::uint32_t kRescanChunk = 1u << 16;
+/// Coarse bytes of a map node's tree links, on top of its payload.
+constexpr std::uint64_t kNodeBytes = 48;
 
 /// Coarse byte accounting of retained state, shared across pool tasks.
 class Budget {
@@ -160,37 +161,6 @@ struct JoinCandidate {
 struct StartCandidate {
   trace::ThreadId tid = 0;
   std::uint32_t idx = 0;
-};
-
-// --- pass 2 per-thread aggregates (integer, so merge order only matters
-// --- for map key creation — done in tid order like the full merge) ---
-
-struct LockAgg {
-  std::uint64_t invocations = 0;
-  std::uint64_t contended = 0;
-  std::uint64_t wait = 0;
-  std::uint64_t hold = 0;
-  std::uint64_t cp_invocations = 0;
-  std::uint64_t cp_contended = 0;
-  std::uint64_t cp_hold = 0;
-};
-struct BarAgg {
-  std::uint64_t waits = 0;
-  std::uint64_t wait_sum = 0;
-};
-struct CondAgg {
-  std::uint64_t waits = 0;
-  std::uint64_t wait_sum = 0;
-  std::uint64_t signals = 0;
-};
-struct ThreadAgg {
-  std::map<trace::ObjectId, LockAgg> locks;
-  std::map<trace::ObjectId, BarAgg> bars;
-  std::map<trace::ObjectId, CondAgg> conds;
-  std::uint64_t sync_ops = 0;
-  std::uint64_t lock_wait = 0;
-  std::uint64_t lock_hold = 0;
-  std::uint64_t duration = 0;
 };
 
 /// The sweep: resolves every blocking wake-up into per-thread segment
@@ -392,7 +362,6 @@ class Sweep {
 
   void on_acquired(trace::ThreadId tid, std::uint32_t idx, std::uint64_t ts,
                    const trace::EventsView& events) {
-    (void)ts;
     const trace::ObjectId object = events.object_at(idx);
     auto& st = mutex_states_[tid][object];
     if (!st.acquire_open) return;  // unpaired: no record in the full index
@@ -405,8 +374,7 @@ class Sweep {
       // release event. The sweep streams Acquired events in the sorted
       // section order, so carry == sections[pos-1].
       if (carry.last_released) {
-        emit_boundary(tid, idx, events.ts_at(idx), EventType::MutexAcquired,
-                      object,
+        emit_boundary(tid, idx, ts, EventType::MutexAcquired, object,
                       EventRef{carry.last_tid, carry.last_released_idx},
                       nullptr);
       } else {
@@ -415,8 +383,8 @@ class Sweep {
         auto& owner = mutex_states_[carry.last_tid][object];
         CLA_ASSERT(carry.last_open_pos < owner.open.size(),
                    "stale open-section reference");
-        emit_boundary(tid, idx, events.ts_at(idx), EventType::MutexAcquired,
-                      object, EventRef{},
+        emit_boundary(tid, idx, ts, EventType::MutexAcquired, object,
+                      EventRef{},
                       &owner.open[carry.last_open_pos].waiters);
       }
     }
@@ -665,19 +633,48 @@ class Sweep {
   std::uint64_t accounted_ = 0;
 };
 
-/// Pass 2: per-thread chunked rescan deriving the integer aggregates the
-/// stats assembly needs, draining closed records after every chunk so the
-/// transient footprint stays bounded by open records + one chunk.
-ThreadAgg rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
-                        const CriticalPath& path, Budget& budget) {
+/// Pass 2's output: the per-primitive totals the stats assembly reads,
+/// shared by the pool's rescan tasks. Every fold is an integer sum, so the
+/// order in which threads' chunks land cannot change a total; the
+/// floating-point figures are all computed afterwards, by assemble_stats.
+struct RescanTotals {
+  explicit RescanTotals(std::size_t thread_count) : threads(thread_count) {}
+
+  std::mutex mu;  ///< guards the maps (threads[tid] is per-task)
+  std::vector<ThreadInfo> threads;
+  std::map<trace::ObjectId, MutexIndex> mutexes;  ///< sections stay empty
+  std::map<trace::ObjectId, LockPathTotals> on_path;
+  std::map<trace::ObjectId, BarrierTotals> barriers;
+  std::map<trace::ObjectId, CondTotals> conds;
+};
+
+/// Pass 2: per-thread chunked rescan folding each closed record into the
+/// shared totals (MutexIndex::count, the fold TraceIndex::extend() uses),
+/// draining closed records after every chunk so the transient footprint
+/// stays bounded by open records + one chunk.
+void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
+                   const CriticalPath& path, Budget& budget,
+                   RescanTotals& totals) {
   const trace::EventsView& events = view.thread_events(tid);
-  ThreadAgg agg;
+  const std::size_t thread_count = view.thread_count();
   ThreadScanState state;
   std::uint64_t accounted = 0;
 
   const auto drain = [&](bool final_pass) {
+    const std::lock_guard<std::mutex> lock(totals.mu);
     for (auto& [object, secs] : state.sections) {
-      LockAgg& la = agg.locks[object];  // keeps empty keys, like the merge
+      // Keys are created even before a section closes, like the index.
+      auto [it, inserted] = totals.mutexes.try_emplace(object);
+      MutexIndex& mi = it->second;
+      LockPathTotals& on_path = totals.on_path[object];
+      if (inserted) {
+        mi.id = object;
+        mi.wait_per_thread.resize(thread_count, 0);
+        mi.hold_per_thread.resize(thread_count, 0);
+        budget.charge(sizeof(MutexIndex) + sizeof(LockPathTotals) +
+                      2 * kNodeBytes + 2 * thread_count * sizeof(std::uint64_t));
+      }
+      const std::size_t stacks = mi.callsites.size() + on_path.callsites.size();
       auto keep = secs.begin();
       for (auto& cs : secs) {
         if (cs.released_ts == ThreadScanState::kUnreleasedTs) {
@@ -690,38 +687,32 @@ ThreadAgg rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
           cs.released_ts = state.info.exit_ts;
           cs.released_idx = state.info.exit_idx;
         }
-        ++la.invocations;
-        if (cs.contended) ++la.contended;
-        la.wait += cs.wait_time();
-        la.hold += cs.hold_time();
-        const std::uint64_t on_path =
-            path.overlap(tid, cs.acquired_ts, cs.released_ts);
-        if (on_path > 0) {
-          ++la.cp_invocations;
-          if (cs.contended) ++la.cp_contended;
-          la.cp_hold += on_path;
-        }
+        mi.count(cs);
+        on_path.add(cs, path.overlap(tid, cs.acquired_ts, cs.released_ts));
       }
       secs.erase(keep, secs.end());
+      const std::size_t new_stacks =
+          mi.callsites.size() + on_path.callsites.size() - stacks;
+      budget.charge(new_stacks * (sizeof(SectionTotals) + kNodeBytes));
     }
     for (auto& [object, waits] : state.barrier_waits) {
-      BarAgg& ba = agg.bars[object];
-      for (const auto& w : waits) {
-        ++ba.waits;
-        ba.wait_sum += w.leave_ts - w.arrive_ts;
+      auto [it, inserted] = totals.barriers.try_emplace(object);
+      BarrierTotals& bt = it->second;
+      if (inserted) {
+        bt.wait_per_thread.resize(thread_count, 0);
+        budget.charge(sizeof(BarrierTotals) + kNodeBytes +
+                      thread_count * sizeof(std::uint64_t));
       }
+      for (const auto& w : waits) bt.add(w);
       waits.clear();
     }
     for (auto& [object, waits] : state.cond_waits) {
-      CondAgg& ca = agg.conds[object];
-      for (const auto& w : waits) {
-        ++ca.waits;
-        ca.wait_sum += w.end_ts - w.begin_ts;
-      }
+      CondTotals& ct = totals.conds[object];
+      for (const auto& w : waits) ct.add(w);
       waits.clear();
     }
     for (auto& [object, sigs] : state.signals) {
-      agg.conds[object].signals += sigs.size();
+      totals.conds[object].signals += sigs.size();
       sigs.clear();
     }
     state.creates.clear();
@@ -743,14 +734,7 @@ ThreadAgg rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
   }
   drain(true);
   budget.release(accounted);
-  agg.sync_ops = state.info.sync_ops;
-  agg.duration = state.info.duration();
-  for (const auto& [object, la] : agg.locks) {
-    (void)object;
-    agg.lock_wait += la.wait;
-    agg.lock_hold += la.hold;
-  }
-  return agg;
+  totals.threads[tid] = state.info;
 }
 
 }  // namespace
@@ -774,8 +758,6 @@ StreamingOutcome analyze_streaming(const trace::TraceView& view,
   // --- phase 2: hop resolution over the retained segments ---
   t0 = util::now_ns();
   SegmentDag dag(view, sweep.take_segments(), last_thread, pool, deadline);
-  out.dag_segments = dag.segment_count();
-  out.dag_threads = dag.thread_count();
   budget.charge(dag.segment_count() * sizeof(Segment));
   out.timings.dag_ns = util::now_ns() - t0;
 
@@ -789,180 +771,23 @@ StreamingOutcome analyze_streaming(const trace::TraceView& view,
 
   // --- phase 4: stats from per-thread rescans ---
   t0 = util::now_ns();
-  const auto thread_count = static_cast<trace::ThreadId>(view.thread_count());
-  std::vector<ThreadAgg> per_thread(thread_count);
-  const auto rescan_one = [&](std::size_t tid) {
-    per_thread[tid] =
-        rescan_thread(view, static_cast<trace::ThreadId>(tid), path, budget);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(thread_count, rescan_one);
-  } else {
-    for (trace::ThreadId tid = 0; tid < thread_count; ++tid) rescan_one(tid);
-  }
-
-  // Merge in tid order, then assemble the result with compute_stats'
-  // exact iteration order and floating-point expressions.
-  struct LockGlobal {
-    LockAgg tot;
-    std::vector<std::uint64_t> wait_per_tid, hold_per_tid;
-  };
-  std::map<trace::ObjectId, LockGlobal> locks;
-  struct BarGlobal {
-    std::uint64_t waits = 0, wait_sum = 0;
-    std::vector<std::uint64_t> wait_per_tid;
-  };
-  std::map<trace::ObjectId, BarGlobal> bars;
-  struct CondGlobal {
-    std::uint64_t waits = 0, wait_sum = 0, signals = 0;
-  };
-  std::map<trace::ObjectId, CondGlobal> conds;
-  for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
-    const ThreadAgg& agg = per_thread[tid];
-    for (const auto& [object, la] : agg.locks) {
-      LockGlobal& lg = locks[object];
-      if (lg.wait_per_tid.empty()) {
-        lg.wait_per_tid.resize(thread_count, 0);
-        lg.hold_per_tid.resize(thread_count, 0);
-      }
-      lg.tot.invocations += la.invocations;
-      lg.tot.contended += la.contended;
-      lg.tot.wait += la.wait;
-      lg.tot.hold += la.hold;
-      lg.tot.cp_invocations += la.cp_invocations;
-      lg.tot.cp_contended += la.cp_contended;
-      lg.tot.cp_hold += la.cp_hold;
-      lg.wait_per_tid[tid] = la.wait;
-      lg.hold_per_tid[tid] = la.hold;
-    }
-    for (const auto& [object, ba] : agg.bars) {
-      BarGlobal& bg = bars[object];
-      if (bg.wait_per_tid.empty()) bg.wait_per_tid.resize(thread_count, 0);
-      bg.waits += ba.waits;
-      bg.wait_sum += ba.wait_sum;
-      bg.wait_per_tid[tid] = ba.wait_sum;
-    }
-    for (const auto& [object, ca] : agg.conds) {
-      CondGlobal& cg = conds[object];
-      cg.waits += ca.waits;
-      cg.wait_sum += ca.wait_sum;
-      cg.signals += ca.signals;
-    }
-  }
-  budget.charge(locks.size() * 2 * thread_count * sizeof(std::uint64_t));
-
-  AnalysisResult result;
-  result.completion_time = path.length();
-  std::vector<bool> is_worker(thread_count, false);
-  for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
-    const ThreadAgg& agg = per_thread[tid];
-    ThreadStats ts;
-    ts.tid = tid;
-    ts.name = view.thread_display_name(tid);
-    ts.duration = agg.duration;
-    ts.cp_time = path.thread_time(tid);
-    ts.sync_ops = agg.sync_ops;
-    ts.lock_wait_time = agg.lock_wait;
-    ts.lock_hold_time = agg.lock_hold;
-    result.threads.push_back(std::move(ts));
-    is_worker[tid] = !options.worker_threads_only || agg.sync_ops > 0;
-  }
-  std::size_t workers = 0;
-  for (bool w : is_worker) workers += w ? 1 : 0;
-  if (workers == 0) {
-    std::fill(is_worker.begin(), is_worker.end(), true);
-    workers = thread_count;
-  }
-  result.worker_threads = workers;
-  const double cp_len = static_cast<double>(path.length());
-
-  for (const auto& [id, lg] : locks) {
-    LockStats ls;
-    ls.id = id;
-    ls.name = view.object_display_name(id, "mutex");
-    ls.invocations = lg.tot.invocations;
-    ls.contended = lg.tot.contended;
-    ls.total_wait = lg.tot.wait;
-    ls.total_hold = lg.tot.hold;
-    ls.cp_invocations = lg.tot.cp_invocations;
-    ls.cp_contended = lg.tot.cp_contended;
-    ls.cp_hold_time = lg.tot.cp_hold;
-    double wait_fraction_sum = 0.0;
-    double hold_fraction_sum = 0.0;
-    for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
-      if (!is_worker[tid]) continue;
-      const double dur = static_cast<double>(per_thread[tid].duration);
-      wait_fraction_sum +=
-          safe_ratio(static_cast<double>(lg.wait_per_tid[tid]), dur);
-      hold_fraction_sum +=
-          safe_ratio(static_cast<double>(lg.hold_per_tid[tid]), dur);
-    }
-    const auto worker_count = static_cast<double>(workers);
-    ls.avg_wait_fraction = wait_fraction_sum / worker_count;
-    ls.avg_hold_fraction = hold_fraction_sum / worker_count;
-    ls.avg_invocations = static_cast<double>(ls.invocations) / worker_count;
-    ls.avg_contention_prob = safe_ratio(static_cast<double>(ls.contended),
-                                        static_cast<double>(ls.invocations));
-    ls.cp_time_fraction =
-        safe_ratio(static_cast<double>(ls.cp_hold_time), cp_len);
-    ls.cp_contention_prob =
-        safe_ratio(static_cast<double>(ls.cp_contended),
-                   static_cast<double>(ls.cp_invocations));
-    ls.invocation_increase =
-        safe_ratio(static_cast<double>(ls.cp_invocations), ls.avg_invocations);
-    ls.hold_increase = safe_ratio(ls.cp_time_fraction, ls.avg_hold_fraction);
-    result.locks.push_back(std::move(ls));
-  }
-  std::sort(result.locks.begin(), result.locks.end(),
-            [](const LockStats& a, const LockStats& b) {
-              if (a.cp_hold_time != b.cp_hold_time)
-                return a.cp_hold_time > b.cp_hold_time;
-              if (a.total_wait != b.total_wait) return a.total_wait > b.total_wait;
-              return a.name < b.name;
-            });
-
-  for (const auto& [id, bg] : bars) {
-    BarrierStats bs;
-    bs.id = id;
-    bs.name = view.object_display_name(id, "barrier");
-    bs.episodes = sweep.episodes_of(id);
-    bs.waits = bg.waits;
-    bs.total_wait_time = bg.wait_sum;
-    double fraction_sum = 0.0;
-    for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
-      if (!is_worker[tid]) continue;
-      fraction_sum +=
-          safe_ratio(static_cast<double>(bg.wait_per_tid[tid]),
-                     static_cast<double>(per_thread[tid].duration));
-    }
-    bs.avg_wait_fraction = fraction_sum / static_cast<double>(workers);
-    result.barriers.push_back(std::move(bs));
-  }
-
-  for (const auto& [id, cg] : conds) {
-    CondStats cs;
-    cs.id = id;
-    cs.name = view.object_display_name(id, "cond");
-    cs.waits = cg.waits;
-    cs.signals = cg.signals;
-    cs.total_wait_time = cg.wait_sum;
-    result.conds.push_back(std::move(cs));
-  }
-
-  for (const PathJump& jump : path.jumps) {
-    if (jump.kind == EventType::BarrierLeave) {
-      for (auto& bs : result.barriers)
-        if (bs.id == jump.object) ++bs.cp_jumps;
-    } else if (jump.kind == EventType::CondWaitEnd) {
-      for (auto& cs : result.conds)
-        if (cs.id == jump.object) ++cs.cp_jumps;
-    }
-  }
-
-  result.path = std::move(path);
+  const std::size_t thread_count = view.thread_count();
+  RescanTotals totals(thread_count);
+  util::for_each_index(pool, thread_count, [&](std::size_t tid) {
+    rescan_thread(view, static_cast<trace::ThreadId>(tid), path, budget,
+                  totals);
+  });
+  for (auto& [id, bt] : totals.barriers) bt.episodes = sweep.episodes_of(id);
+  std::vector<LockPathTotals> on_path;
+  on_path.reserve(totals.on_path.size());
+  for (auto& [id, lock] : totals.on_path) on_path.push_back(std::move(lock));
+  out.result = assemble_stats(view,
+                              StatsInputs{totals.threads, totals.mutexes,
+                                          on_path, totals.barriers,
+                                          totals.conds},
+                              std::move(path), options, pool);
   out.timings.stats_ns = util::now_ns() - t0;
   out.peak_bytes = budget.peak();
-  out.result = std::move(result);
   return out;
 }
 

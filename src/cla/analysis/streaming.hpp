@@ -11,10 +11,11 @@
 //   2. dag     — the retained segments become a SegmentDag (hop
 //                resolution pass as usual);
 //   3. walk    — the speculative merge walk produces the critical path;
-//   4. stats   — per-thread rescans re-derive the TYPE 1 / TYPE 2
-//                aggregates with transient per-thread state, merged in
-//                tid order so every float sums in the exact order
-//                compute_stats uses.
+//   4. stats   — per-thread rescans fold every closed record into
+//                integer totals (MutexIndex with no sections, as the full
+//                index keeps them) using transient per-thread state;
+//                assemble_stats, the assembly compute_stats ends in,
+//                turns them into the report's figures.
 //
 // Retained state is byte-accounted against `budget_bytes`; exceeding the
 // budget aborts with a ResourceLimitError (CLI exit code 4). The report
@@ -47,9 +48,7 @@ struct StreamingTimings {
 
 struct StreamingOutcome {
   AnalysisResult result;
-  std::uint64_t dag_segments = 0;  ///< for the JSON "dag" block
-  std::uint64_t dag_threads = 0;
-  DagWalkStats walk_stats;
+  DagWalkStats walk_stats;  ///< includes the DAG's segment count
   std::uint64_t peak_bytes = 0;  ///< peak accounted retained bytes
   StreamingTimings timings;
 };

@@ -41,9 +41,9 @@ using analysis::AnalysisResult;
 /// report / execution / load sub-structs).
 using analysis::Options;
 
-/// Staged analysis executor: load -> validate -> index -> resolve ->
+/// Staged analysis executor: load -> validate -> index -> builddag ->
 /// walk -> stats -> report, with ExecutionPolicy-driven fan-out of the
-/// index/stats stages and per-stage self-profiling.
+/// index/builddag/stats stages and per-stage self-profiling.
 using analysis::ExecutionPolicy;
 using analysis::Pipeline;
 using analysis::PipelineProfile;

@@ -137,6 +137,15 @@ void ThreadPool::parallel_for_chunks(
   });
 }
 
+void for_each_index(ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, fn);
+  } else {
+    for (std::size_t k = 0; k < n; ++k) fn(k);
+  }
+}
+
 unsigned ThreadPool::resolve_num_threads(unsigned requested) noexcept {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();

@@ -65,4 +65,8 @@ class ThreadPool {
   Deadline deadline_;     ///< unlimited by default
 };
 
+/// pool->parallel_for(n, fn), or fn(0..n) inline when `pool` is null.
+void for_each_index(ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& fn);
+
 }  // namespace cla::util

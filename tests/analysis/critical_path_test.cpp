@@ -11,8 +11,7 @@ using trace::TraceBuilder;
 
 CriticalPath walk(const trace::Trace& t) {
   const TraceIndex index(t);
-  const WakeupResolver resolver(index);
-  return compute_critical_path(index, resolver);
+  return compute_critical_path(SegmentDag::build(index, nullptr), nullptr);
 }
 
 TEST(CriticalPath, SingleThreadCoversWholeExecution) {

@@ -28,7 +28,7 @@ TEST(PipelineApi, StageByStageMatchesOneShotAnalyze) {
   pipeline.use_trace(trace);
   pipeline.validate_stage();
   pipeline.index_stage();
-  pipeline.resolve_stage();
+  pipeline.dag_stage();
   pipeline.walk_stage();
   pipeline.stats_stage();
   const AnalysisResult& staged = pipeline.result();
@@ -66,19 +66,22 @@ TEST(PipelineApi, ProfileRecordsEveryStageInOrder) {
   }
 }
 
-TEST(PipelineApi, SequentialEngineProfilesAResolveStageInsteadOfBuildDag) {
-  Options options;
-  options.execution.walk = WalkEngine::Sequential;
+TEST(PipelineApi, NoProfileHasAResolveStage) {
+  // One walk: wake-ups resolve inside builddag, bounded or not.
   const trace::Trace trace = micro_trace();
-  Pipeline pipeline(options);
-  pipeline.use_trace(trace);
-  (void)pipeline.result();
-  bool saw_resolve = false;
-  for (const auto& timing : pipeline.profile().stages) {
-    saw_resolve = saw_resolve || timing.stage == Stage::Resolve;
-    EXPECT_NE(timing.stage, Stage::BuildDag);
+  for (const std::uint64_t max_rss_mb : {0u, 4096u}) {
+    Options options;
+    options.limits.max_rss_mb = max_rss_mb;
+    options.report.json_profile = true;
+    Pipeline pipeline(options);
+    pipeline.use_trace(trace);
+    const std::string json = pipeline.report_json();
+    EXPECT_EQ(pipeline.profile().to_string().find("resolve"),
+              std::string::npos)
+        << max_rss_mb;
+    EXPECT_EQ(json.find("resolve"), std::string::npos) << max_rss_mb;
+    EXPECT_GT(pipeline.profile().stage_ns(Stage::BuildDag), 0u) << max_rss_mb;
   }
-  EXPECT_TRUE(saw_resolve);
 }
 
 TEST(PipelineApi, StagesRunAtMostOnce) {

@@ -3,19 +3,19 @@
 // The DAG is the parallel engine's intermediate representation; these
 // tests pin (a) its structural contract (segment 0 at event 0, blocking
 // boundaries in bijection with segments past it, hop landing rules) and
-// (b) that the speculative merge walk reproduces the sequential backward
-// walk *exactly* — same intervals, same jumps, same endpoints — with and
-// without a thread pool.
+// (b) that the speculative merge walk reproduces the paper's event-level
+// backward walk (support/reference_walk.hpp) *exactly* — same intervals,
+// same jumps, same endpoints — with and without a thread pool.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "cla/analysis/critical_path.hpp"
 #include "cla/analysis/index.hpp"
-#include "cla/analysis/resolver.hpp"
 #include "cla/analysis/segment_dag.hpp"
 #include "cla/util/thread_pool.hpp"
 #include "cla/workloads/workload.hpp"
+#include "support/reference_walk.hpp"
 
 namespace cla::analysis {
 namespace {
@@ -125,23 +125,23 @@ TEST(SegmentDagTest, DagWalkMatchesSequentialWalk) {
     const trace::Trace trace = make_trace(workload);
     const trace::TraceView view(trace);
     const TraceIndex index(view);
-    const WakeupResolver resolver(index);
-    const CriticalPath sequential =
-        compute_critical_path(index, resolver, nullptr);
+    const CriticalPath reference = test_support::reference_walk(index);
 
     const SegmentDag dag = SegmentDag::build(index, nullptr);
     DagWalkStats stats;
     const CriticalPath inline_walk =
         compute_critical_path(dag, nullptr, nullptr, &stats);
-    expect_same_path(sequential, inline_walk, workload);
-    EXPECT_EQ(stats.jumps_taken, sequential.jumps.size()) << workload;
+    expect_same_path(reference, inline_walk, workload);
+    EXPECT_EQ(stats.jumps_taken, reference.jumps.size()) << workload;
     EXPECT_EQ(stats.segments, dag.segment_count()) << workload;
 
-    util::ThreadPool pool(8);
-    const SegmentDag pooled_dag = SegmentDag::build(index, &pool);
-    const CriticalPath pooled_walk =
-        compute_critical_path(pooled_dag, &pool, nullptr, nullptr);
-    expect_same_path(sequential, pooled_walk, workload);
+    for (unsigned workers : {2u, 8u}) {
+      util::ThreadPool pool(workers);
+      const SegmentDag pooled_dag = SegmentDag::build(index, &pool);
+      const CriticalPath pooled_walk =
+          compute_critical_path(pooled_dag, &pool, nullptr, nullptr);
+      expect_same_path(reference, pooled_walk, workload);
+    }
   }
 }
 

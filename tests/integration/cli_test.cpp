@@ -164,6 +164,21 @@ TEST(Cli, AnalyzeRejectsMissingFile) {
   EXPECT_NE(out.find("cannot open"), std::string::npos);
 }
 
+TEST(Cli, AnalyzeRejectsTheRemovedEngineOption) {
+  // There is one critical-path walk; --engine no longer exists.
+  const auto path =
+      (std::filesystem::temp_directory_path() / "cla_cli_engine.clat").string();
+  int rc = 0;
+  const std::string run_out = run_command(
+      tool("cla-run") + " micro --threads 2 --trace-out " + path, rc);
+  ASSERT_EQ(rc, 0) << run_out;
+  const std::string out =
+      run_command(tool("cla-analyze") + " " + path + " --engine dag", rc);
+  EXPECT_EQ(rc, 2) << out;
+  EXPECT_NE(out.find("unknown option"), std::string::npos) << out;
+  std::remove(path.c_str());
+}
+
 // Writes a well-formed .clat file whose event stream violates the
 // semantic protocol (an unpaired MutexReleased), so the strict validator
 // refuses it while repair mode can fix it.

@@ -1,7 +1,8 @@
 // Parallel-analysis determinism: the sharded executor and the segment-DAG
-// walk must be pure performance changes. For every bundled workload, every
-// (engine, worker-count) combination must produce report output that is
-// byte-identical to the sequential single-threaded reference, and the
+// walk must be pure performance changes. For every bundled workload, the
+// pipeline at every worker count, and bounded to a memory budget, must
+// produce report output byte-identical to the statistics of the paper's
+// event-level backward walk (support/reference_walk.hpp), and the
 // incremental analyzer fed the trace in halves must agree too.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 
 #include "cla/core/cla.hpp"
 #include "support/analyze.hpp"
+#include "support/reference_walk.hpp"
 #include "cla/analysis/incremental.hpp"
 #include "cla/util/rng.hpp"
 #include "cla/workloads/workload.hpp"
@@ -29,28 +31,36 @@ trace::Trace workload_trace(const char* name) {
 TEST_P(DeterminismTest, DagWalkIsByteIdenticalToSequentialAtAnyWorkerCount) {
   const trace::Trace trace = workload_trace(GetParam());
 
-  // Reference: sequential resolver walk, single analysis thread.
-  Options reference_options;
-  reference_options.execution.walk = analysis::WalkEngine::Sequential;
-  reference_options.execution.num_threads = 1;
-  Pipeline reference(reference_options);
-  reference.use_trace(trace);
-  const std::string expected = reference.report_json();
+  // Reference: the event-level walk, then the statistics over its path.
+  const trace::TraceView view(trace);
+  const analysis::TraceIndex index(view);
+  const analysis::AnalysisResult reference =
+      analysis::compute_stats(index, test_support::reference_walk(index));
+  const analysis::SegmentDag dag = analysis::SegmentDag::build(index, nullptr);
+  analysis::JsonReportMeta meta;
+  meta.has_dag = true;
+  meta.dag_segments = dag.segment_count();
+  meta.dag_threads = dag.thread_count();
+  const std::string expected_json = analysis::render_json(reference, meta);
+  const std::string expected_text = analysis::render_report(reference, {});
 
-  for (const analysis::WalkEngine engine :
-       {analysis::WalkEngine::Sequential, analysis::WalkEngine::Dag}) {
-    for (unsigned workers : {1u, 2u, 8u}) {
-      Options options;
-      options.execution.walk = engine;
-      options.execution.num_threads = workers;
-      Pipeline pipeline(options);
-      pipeline.use_trace(trace);
-      EXPECT_EQ(pipeline.report_json(), expected)
-          << GetParam() << " with "
-          << (engine == analysis::WalkEngine::Dag ? "dag" : "sequential")
-          << " walk and " << workers << " analysis threads";
-    }
+  for (unsigned workers : {1u, 2u, 8u}) {
+    Options options;
+    options.execution.num_threads = workers;
+    Pipeline pipeline(options);
+    pipeline.use_trace(trace);
+    EXPECT_EQ(pipeline.report_json(), expected_json)
+        << GetParam() << " with " << workers << " analysis threads";
+    EXPECT_EQ(pipeline.report(), expected_text)
+        << GetParam() << " with " << workers << " analysis threads";
   }
+
+  Options bounded;
+  bounded.limits.max_rss_mb = 4096;  // routes through the streaming engine
+  Pipeline pipeline(bounded);
+  pipeline.use_trace(trace);
+  EXPECT_EQ(pipeline.report_json(), expected_json) << GetParam() << " bounded";
+  EXPECT_EQ(pipeline.report(), expected_text) << GetParam() << " bounded";
 }
 
 TEST_P(DeterminismTest, IncrementalHalvesMatchTheOneShotWalk) {

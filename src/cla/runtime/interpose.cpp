@@ -11,14 +11,24 @@
 // object ids are the objects' addresses.
 //
 // Crash resilience: recording runs in the Recorder's streaming mode —
-// per-thread bounded buffers spill to $CLA_TRACE_FILE (default
-// cla_trace.clat) as checksummed `.clat` chunks while the app runs, so
-// the trace survives the process. $CLA_TRACE_FORMAT picks the chunk
-// encoding (v2 raw, v3 compact varint); $CLA_BUFFER_EVENTS bounds each
-// buffer half (default 16384 events). Fatal signals (SIGSEGV, SIGABRT, SIGBUS,
-// SIGTERM) and _exit/_Exit trigger an async-signal-safe best-effort spill
-// of the still-buffered tail before the process dies; a torn final chunk
-// is dropped by `cla-analyze --salvage`'s CRC check.
+// each thread appends raw clock ticks to its own bounded ring, and the
+// recorder's flusher thread drains the rings to $CLA_TRACE_FILE (default
+// cla_trace.clat) as checksummed `.clat` chunks while the app runs,
+// converting ticks to ns as it goes, so the trace survives the process.
+// The flusher also takes the recorder's fixed costs off the app: it runs
+// the TSC calibration and pre-faults each new ring. $CLA_TRACE_FORMAT
+// picks the chunk encoding (v2 raw, v3 compact varint);
+// $CLA_BUFFER_EVENTS sizes each thread's ring at twice that many events
+// (default 16384). Fatal signals (SIGSEGV, SIGABRT, SIGBUS, SIGTERM) and
+// _exit/_Exit trigger an async-signal-safe best-effort spill of the
+// rings' undrained tails before the process dies; a torn final chunk is
+// dropped by `cla-analyze --salvage`'s CRC check.
+//
+// The library is self-contained: it carries a private static copy of
+// libstdc++ and exports only the interposed entry points below (see
+// interpose.map), so it adds no libstdc++.so load to the host and a C++
+// host never binds to that private copy. The unwinder stays the shared
+// libgcc_s, the one pthread_cancel's forced unwind runs in.
 //
 // Re-entrancy: the recorder itself may take a std::mutex during thread
 // registration, which would recurse into these hooks; a thread-local
@@ -461,8 +471,9 @@ int missing_real(const char* name, std::atomic<bool>& warned) {
 // acquired and the caller must recover it). A failed lock (EDEADLK on an
 // error-checking mutex, EINVAL, ETIMEDOUT, ...) records nothing, so lock
 // pairing in the trace can't be corrupted by error paths. The wait-start
-// timestamp is taken before the call and back-dated via record_at, so
-// contended waits still measure from arrival, not from acquisition.
+// timestamp (raw ticks, like every hot-path timestamp) is taken before
+// the call and back-dated via record_at, so contended waits still
+// measure from arrival, not from acquisition.
 bool lock_acquired(int rc) { return rc == 0 || rc == EOWNERDEAD; }
 
 }  // namespace
@@ -478,7 +489,7 @@ int pthread_mutex_lock(pthread_mutex_t* mutex) {
   Recorder& recorder = Recorder::instance();
   std::uint64_t pcs[cla::trace::kMaxCallStackDepth];
   const std::size_t captured = capture_stack(pcs, stack_depth());
-  const std::uint64_t wait_start = cla::util::now_ns();
+  const std::uint64_t wait_start = cla::util::ticks();
   bool contended = false;
   int rc;
   if (real().mutex_trylock != nullptr) {
@@ -507,7 +518,7 @@ int pthread_mutex_trylock(pthread_mutex_t* mutex) {
   Recorder& recorder = Recorder::instance();
   std::uint64_t pcs[cla::trace::kMaxCallStackDepth];
   const std::size_t captured = capture_stack(pcs, stack_depth());
-  const std::uint64_t wait_start = cla::util::now_ns();
+  const std::uint64_t wait_start = cla::util::ticks();
   const int rc = real().mutex_trylock(mutex);
   if (lock_acquired(rc)) {
     recorder.record_at(EventType::MutexAcquire, wait_start, oid(mutex),
@@ -525,7 +536,7 @@ int pthread_mutex_timedlock(pthread_mutex_t* mutex,
   Recorder& recorder = Recorder::instance();
   std::uint64_t pcs[cla::trace::kMaxCallStackDepth];
   const std::size_t captured = capture_stack(pcs, stack_depth());
-  const std::uint64_t wait_start = cla::util::now_ns();
+  const std::uint64_t wait_start = cla::util::ticks();
   bool contended = false;
   int rc;
   if (real().mutex_trylock != nullptr) {

@@ -5,7 +5,10 @@
 #include "cla/runtime/recorder.hpp"
 
 #include <dlfcn.h>
+#include <linux/futex.h>
 #include <pthread.h>
+#include <sys/mman.h>
+#include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -97,6 +100,13 @@ std::string symbolize_pc(std::uint64_t pc) {
   return out;
 }
 
+constexpr std::size_t kPageBytes = 4096;
+constexpr std::size_t kPrefaultStep = 16 * kPageBytes;
+// Rings drain once this many events are pending (or half the ring, if
+// that is smaller), and every ring drains completely every kSweepNs.
+constexpr std::uint64_t kDrainThreshold = 4096;
+constexpr std::uint64_t kSweepNs = 50'000'000;
+
 }  // namespace
 
 bool Recorder::current_thread_internal() noexcept {
@@ -116,24 +126,44 @@ struct Recorder::ThreadBuffer {
   std::vector<trace::Event> events;
 };
 
-/// Streaming-mode double buffer. The owning thread appends to the active
-/// half and flips when it fills; the flusher (or the crash handler)
-/// drains published halves. All cross-thread hand-off is via the atomics,
-/// so the crash handler can read any half without locks.
+/// Streaming-mode ring: single producer (the owning thread), single
+/// drainer at a time (the flusher; finish_streaming and crash_spill once
+/// it is stopped or parked). The owner stores an event at `head` and
+/// publishes head + 1 with release; the drainer writes [tail, head) and
+/// then advances `tail`. Slots hold raw ticks until the drainer converts
+/// them in place. All hand-off is via the atomics, so the crash handler
+/// can read any ring without locks.
 struct Recorder::StreamBuffer {
-  trace::ThreadId tid = 0;
-  std::uint32_t capacity = 0;
-  std::unique_ptr<trace::Event[]> half[2];
-  std::atomic<std::uint32_t> count[2] = {0, 0};
-  std::atomic<bool> full[2] = {false, false};
-  std::atomic<bool> in_flight[2] = {false, false};
-  std::atomic<std::uint64_t> publish_seq[2] = {0, 0};  // flush ordering
-  std::atomic<std::uint64_t> last_ts{0};               // for exit synthesis
+  StreamBuffer(trace::ThreadId id, std::uint32_t slots_in_ring,
+               std::uint32_t wake_every)
+      : tid(id),
+        capacity(slots_in_ring),
+        bytes((slots_in_ring * sizeof(trace::Event) + kPageBytes - 1) /
+              kPageBytes * kPageBytes),
+        // Raw storage: value-initialising the events would zero-fill (and
+        // fault in) the whole ring on the registering application thread.
+        slots(static_cast<trace::Event*>(
+            ::operator new(bytes, std::align_val_t{kPageBytes}))),
+        until_wake(wake_every) {}
+  ~StreamBuffer() { ::operator delete(slots, std::align_val_t{kPageBytes}); }
+
+  const trace::ThreadId tid;
+  const std::uint32_t capacity;
+  const std::size_t bytes;
+  trace::Event* const slots;
+  std::atomic<std::uint64_t> head{0};
+  std::atomic<std::uint64_t> last_ts{0};  // ticks, for exit synthesis
   std::atomic<bool> saw_exit{false};
 
+  // Drainer side, on its own cache line: the owner only reads `tail` when
+  // its cached copy says the ring is full.
+  alignas(64) std::atomic<std::uint64_t> tail{0};
+  std::atomic<bool> draining{false};
+
   // Owner-thread-only state.
-  std::uint32_t active = 0;
-  std::uint64_t next_seq = 1;
+  alignas(64) std::uint64_t tail_cache = 0;
+  std::uint32_t head_slot = 0;
+  std::uint32_t until_wake;    // appends left before the next flusher wake
   std::uint64_t clamp_ts = 0;  // per-thread monotonic timestamp repair
 };
 
@@ -143,9 +173,6 @@ Recorder& Recorder::instance() {
 }
 
 Recorder::Recorder() {
-  // Calibrate the TSC up front: the lazy path would charge the ~200µs
-  // busy window to the first critical section that takes a timestamp.
-  util::calibrate_clock();
   util::fault::init();
   epoch_.store(next_binding_epoch(), std::memory_order_relaxed);
 }
@@ -167,11 +194,9 @@ void Recorder::bind_current_thread(trace::ThreadId tid, trace::ThreadId parent) 
   if (shutdown_.load(std::memory_order_acquire)) return;
   void* raw = nullptr;
   if (streaming_.load(std::memory_order_acquire)) {
-    auto buffer = std::make_unique<StreamBuffer>();
-    buffer->tid = tid;
-    buffer->capacity = static_cast<std::uint32_t>(stream_capacity_);
-    buffer->half[0] = std::make_unique<trace::Event[]>(stream_capacity_);
-    buffer->half[1] = std::make_unique<trace::Event[]>(stream_capacity_);
+    auto buffer = std::make_unique<StreamBuffer>(
+        tid, static_cast<std::uint32_t>(stream_capacity_),
+        static_cast<std::uint32_t>(drain_threshold_));
     StreamBuffer* sb = buffer.get();
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -181,6 +206,7 @@ void Recorder::bind_current_thread(trace::ThreadId tid, trace::ThreadId parent) 
       stream_registry_[slot].store(sb, std::memory_order_release);
       stream_count_.store(slot + 1, std::memory_order_release);
     }
+    wake_flusher();  // it pre-faults the new ring off this thread
     raw = sb;
     // Arm the per-thread exit destructor: if this thread is cancelled or
     // exits without reaching thread_exit(), the destructor records the
@@ -208,8 +234,8 @@ void Recorder::bind_current_thread(trace::ThreadId tid, trace::ThreadId parent) 
 
 trace::ThreadId Recorder::ensure_current_thread() {
   if (streaming_.load(std::memory_order_acquire)) {
-    if (StreamBuffer* buffer = current_stream_buffer()) return buffer->tid;
-  } else if (ThreadBuffer* buffer = current_buffer()) {
+    if (StreamBuffer* buffer = current_buffer<StreamBuffer>()) return buffer->tid;
+  } else if (ThreadBuffer* buffer = current_buffer<ThreadBuffer>()) {
     return buffer->tid;
   }
   const trace::ThreadId tid = allocate_thread();
@@ -217,22 +243,14 @@ trace::ThreadId Recorder::ensure_current_thread() {
   return tid;
 }
 
-Recorder::ThreadBuffer* Recorder::current_buffer() {
+template <typename Buffer>
+Buffer* Recorder::current_buffer() {
   const TlsBinding& binding = tls_binding;
   if (binding.recorder != this ||
       binding.epoch != epoch_.load(std::memory_order_relaxed)) {
     return nullptr;
   }
-  return static_cast<ThreadBuffer*>(binding.buffer);
-}
-
-Recorder::StreamBuffer* Recorder::current_stream_buffer() {
-  const TlsBinding& binding = tls_binding;
-  if (binding.recorder != this ||
-      binding.epoch != epoch_.load(std::memory_order_relaxed)) {
-    return nullptr;
-  }
-  return static_cast<StreamBuffer*>(binding.buffer);
+  return static_cast<Buffer*>(binding.buffer);
 }
 
 void Recorder::thread_exit() {
@@ -244,7 +262,7 @@ void Recorder::thread_exit_on_destroy() noexcept {
       shutdown_.load(std::memory_order_acquire)) {
     return;
   }
-  StreamBuffer* buffer = current_stream_buffer();
+  StreamBuffer* buffer = current_buffer<StreamBuffer>();
   if (buffer == nullptr || buffer->saw_exit.load(std::memory_order_relaxed)) {
     return;
   }
@@ -260,7 +278,7 @@ void Recorder::note_partial_interposition() noexcept {
 
 void Recorder::record(trace::EventType type, trace::ObjectId object,
                       std::uint64_t arg) {
-  record_at(type, util::now_ns(), object, arg);
+  record_at(type, util::ticks(), object, arg);
 }
 
 void Recorder::record_at(trace::EventType type, std::uint64_t ts,
@@ -271,64 +289,67 @@ void Recorder::record_at(trace::EventType type, std::uint64_t ts,
     return;
   }
   if (streaming_.load(std::memory_order_acquire)) {
-    StreamBuffer* buffer = current_stream_buffer();
+    StreamBuffer* ring = current_buffer<StreamBuffer>();
+    if (ring == nullptr) {
+      ensure_current_thread();
+      ring = current_buffer<StreamBuffer>();
+    }
+    if (ring != nullptr) {
+      stream_append(*ring, trace::Event{ts, object, arg, type, 0, ring->tid});
+      return;
+    }
+  } else {
+    ThreadBuffer* buffer = current_buffer<ThreadBuffer>();
     if (buffer == nullptr) {
       ensure_current_thread();
-      buffer = current_stream_buffer();
+      buffer = current_buffer<ThreadBuffer>();
     }
-    if (buffer == nullptr) {  // registry full or bound during teardown
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+    if (buffer != nullptr) {
+      buffer->events.push_back(
+          trace::Event{ts, object, arg, type, 0, buffer->tid});
       return;
     }
-    stream_append(*buffer,
-                  trace::Event{ts, object, arg, type, 0, buffer->tid});
-    return;
   }
-  ThreadBuffer* buffer = current_buffer();
-  if (buffer == nullptr) {
-    ensure_current_thread();
-    buffer = current_buffer();
-  }
-  if (buffer == nullptr) {  // binding failed mid-teardown: fail soft
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  buffer->events.push_back(trace::Event{ts, object, arg, type, 0, buffer->tid});
+  // Binding failed (registry full, or bound during teardown): fail soft.
+  dropped_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Recorder::stream_append(StreamBuffer& buffer, const trace::Event& event) {
+void Recorder::stream_append(StreamBuffer& ring, const trace::Event& event) {
   trace::Event e = event;
-  // Per-thread monotone clamp at record time: the clean-exit repair of
-  // collect() never runs when chunks are already on disk.
-  if (e.ts < buffer.clamp_ts) {
-    e.ts = buffer.clamp_ts;
+  // Per-thread monotone clamp at record time (on ticks: the drainer's
+  // conversion is monotone): the clean-exit repair of collect() never
+  // runs when chunks are already on disk.
+  if (e.ts < ring.clamp_ts) {
+    e.ts = ring.clamp_ts;
   } else {
-    buffer.clamp_ts = e.ts;
+    ring.clamp_ts = e.ts;
   }
-  std::uint32_t half = buffer.active;
-  std::uint32_t c = buffer.count[half].load(std::memory_order_relaxed);
-  if (c == buffer.capacity) {
-    // Publish the full half for the flusher and flip to the other one.
-    if (!buffer.full[half].load(std::memory_order_relaxed)) {
-      buffer.publish_seq[half].store(buffer.next_seq++,
-                                     std::memory_order_relaxed);
-      buffer.full[half].store(true, std::memory_order_release);
-    }
-    buffer.active ^= 1;
-    half = buffer.active;
-    if (buffer.full[half].load(std::memory_order_acquire)) {
-      // Flusher starved: both halves full. Drop instead of blocking.
+  const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
+  if (head - ring.tail_cache == ring.capacity) {
+    ring.tail_cache = ring.tail.load(std::memory_order_acquire);
+    if (head - ring.tail_cache == ring.capacity) {
+      // Flusher starved: the ring is full. Drop instead of blocking.
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    c = buffer.count[half].load(std::memory_order_relaxed);
   }
-  buffer.half[half][c] = e;
-  buffer.count[half].store(c + 1, std::memory_order_release);
-  buffer.last_ts.store(e.ts, std::memory_order_relaxed);
+  ring.slots[ring.head_slot] = e;
+  if (++ring.head_slot == ring.capacity) ring.head_slot = 0;
+  ring.head.store(head + 1, std::memory_order_release);
+  ring.last_ts.store(e.ts, std::memory_order_relaxed);
   if (e.type == trace::EventType::ThreadExit) {
-    buffer.saw_exit.store(true, std::memory_order_relaxed);
+    ring.saw_exit.store(true, std::memory_order_relaxed);
+    wake_flusher();  // drain the finished thread now, not at process exit
+  } else if (--ring.until_wake == 0) {
+    ring.until_wake = static_cast<std::uint32_t>(drain_threshold_);
+    wake_flusher();
   }
+}
+
+void Recorder::wake_flusher() noexcept {
+  flusher_wake_.fetch_add(1, std::memory_order_release);
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&flusher_wake_),
+          FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr, 0);
 }
 
 void Recorder::name_object(trace::ObjectId object, std::string name) {
@@ -383,8 +404,8 @@ std::size_t Recorder::event_count() const {
       const StreamBuffer* buffer =
           stream_registry_[i].load(std::memory_order_acquire);
       if (buffer == nullptr) continue;
-      total += buffer->count[0].load(std::memory_order_relaxed);
-      total += buffer->count[1].load(std::memory_order_relaxed);
+      total += buffer->head.load(std::memory_order_relaxed) -
+               buffer->tail.load(std::memory_order_relaxed);
     }
     return total;
   }
@@ -397,27 +418,25 @@ std::size_t Recorder::event_count() const {
 trace::Trace Recorder::collect() {
   CLA_CHECK(!streaming_.load(std::memory_order_acquire),
             "collect() is invalid in streaming mode (the trace is on disk)");
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   trace::Trace out;
 
   std::uint64_t min_ts = ~0ull;
-  for (const auto& buffer : buffers_) {
+  for (auto& buffer : buffers_) {
+    // Ticks to ns, then per-thread monotone repair: rdtsc can regress
+    // slightly on some VMs, and repairing before the shift below keeps it
+    // from propagating an underflow.
+    std::uint64_t floor = 0;
+    for (auto& event : buffer->events) {
+      event.ts = std::max(util::ticks_to_ns(event.ts), floor);
+      floor = event.ts;
+    }
     if (!buffer->events.empty()) min_ts = std::min(min_ts, buffer->events.front().ts);
   }
-  if (min_ts == ~0ull) min_ts = 0;
 
   for (auto& buffer : buffers_) {
     if (buffer->events.empty()) continue;
-    // Per-thread timestamps must be monotone; rdtsc can regress slightly
-    // on some VMs / across calibration, so repair the raw stream first —
-    // doing this after the shift would propagate an underflow instead.
-    for (std::size_t i = 1; i < buffer->events.size(); ++i) {
-      if (buffer->events[i].ts < buffer->events[i - 1].ts)
-        buffer->events[i].ts = buffer->events[i - 1].ts;
-    }
-    for (auto& event : buffer->events) {
-      event.ts = event.ts > min_ts ? event.ts - min_ts : 0;
-    }
+    for (auto& event : buffer->events) event.ts -= min_ts;
     if (buffer->events.back().type != trace::EventType::ThreadExit) {
       buffer->events.push_back(trace::Event{buffer->events.back().ts,
                                             trace::kNoObject, trace::kNoArg,
@@ -437,14 +456,8 @@ trace::Trace Recorder::collect() {
     }
   }
   out.set_dropped_events(dropped_.load(std::memory_order_relaxed));
-
-  buffers_.clear();
-  object_names_.clear();
-  thread_names_.clear();
-  call_stack_ids_.clear();
-  next_tid_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-  epoch_.store(next_binding_epoch(), std::memory_order_relaxed);
+  lock.unlock();
+  reset();  // the buffers are consumed; the next run starts at thread 0
   return out;
 }
 
@@ -470,7 +483,10 @@ void Recorder::start_streaming(const std::string& path,
             "recorder is already streaming");
   sink_ = std::make_unique<trace::ChunkedTraceWriter>(path, version,
                                                       ring_bytes);  // may throw
-  stream_capacity_ = std::clamp<std::size_t>(buffer_events, 64, 1u << 22);
+  // Twice the requested events per thread: `buffer_events` keeps its
+  // meaning of half a thread's buffer capacity.
+  stream_capacity_ = 2 * std::clamp<std::size_t>(buffer_events, 64, 1u << 22);
+  drain_threshold_ = std::min<std::size_t>(kDrainThreshold, stream_capacity_ / 2);
   stream_path_ = path;
   stream_version_ = version;
   stream_ring_bytes_ = ring_bytes;
@@ -590,77 +606,111 @@ void Recorder::flusher_main() {
   // The whole loop is recorder machinery: its flush_gate_ acquisitions
   // must not surface as trace events through the interposed hooks.
   ScopedInternal internal;
-  const struct timespec pause{0, 200'000};  // 200us between drain sweeps
-  std::uint64_t sweeps = 0;
-  while (!flusher_stop_.load(std::memory_order_acquire)) {
+  // The ~200µs TSC calibration runs here, before the first drain converts
+  // a tick, rather than on the thread that started the recorder.
+  util::calibrate_clock();
+  std::uint32_t prefaulted = 0;
+  std::uint64_t next_sweep = util::now_ns() + kSweepNs;
+  for (;;) {
+    const std::uint32_t wake = flusher_wake_.load(std::memory_order_acquire);
+    if (flusher_stop_.load(std::memory_order_acquire)) return;
     if (const std::uint32_t stall = util::fault::flusher_stall_ms();
         stall != 0) {
       const struct timespec ts{stall / 1000,
                                static_cast<long>(stall % 1000) * 1'000'000};
       nanosleep(&ts, nullptr);
     }
+    const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
+    // Fault in each new ring here so first-touch page faults land off
+    // the application thread. Best effort: on a kernel without
+    // MADV_POPULATE_WRITE the owner simply takes its own faults. In
+    // 64 KiB steps, so a short run's exit never waits for a whole ring.
+    for (; prefaulted < n; ++prefaulted) {
+      const StreamBuffer* ring =
+          stream_registry_[prefaulted].load(std::memory_order_acquire);
+      for (std::size_t off = 0; ring != nullptr && off < ring->bytes &&
+                                !flusher_stop_.load(std::memory_order_relaxed);
+           off += kPrefaultStep) {
+        (void)madvise(reinterpret_cast<char*>(ring->slots) + off,
+                      std::min(kPrefaultStep, ring->bytes - off),
+                      MADV_POPULATE_WRITE);
+      }
+    }
+    const std::uint64_t now = util::now_ns();
+    const bool sweep = now >= next_sweep;
     {
-      // The gate quiesces this sweep around fork(): the atfork prepare
+      // The gate quiesces this drain around fork(): the atfork prepare
       // handler takes it, so no writev is in flight while the file and
-      // the buffers get duplicated into the child.
+      // the rings get duplicated into the child.
       std::lock_guard<std::mutex> gate(flush_gate_);
-      const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
       for (std::uint32_t i = 0; i < n; ++i) {
-        StreamBuffer* buffer =
-            stream_registry_[i].load(std::memory_order_acquire);
-        if (buffer == nullptr) continue;
-        const bool full0 = buffer->full[0].load(std::memory_order_acquire);
-        const bool full1 = buffer->full[1].load(std::memory_order_acquire);
-        if (full0 && full1) {
-          // Keep per-thread chunk order: lower publish sequence first.
-          const std::uint64_t s0 =
-              buffer->publish_seq[0].load(std::memory_order_relaxed);
-          const std::uint64_t s1 =
-              buffer->publish_seq[1].load(std::memory_order_relaxed);
-          flush_half(*buffer, s0 < s1 ? 0 : 1);
-          flush_half(*buffer, s0 < s1 ? 1 : 0);
-        } else if (full0) {
-          flush_half(*buffer, 0);
-        } else if (full1) {
-          flush_half(*buffer, 1);
+        StreamBuffer* ring = stream_registry_[i].load(std::memory_order_acquire);
+        if (ring == nullptr) continue;
+        const std::uint64_t pending =
+            ring->head.load(std::memory_order_acquire) -
+            ring->tail.load(std::memory_order_relaxed);
+        if (pending >= drain_threshold_ ||
+            (pending > 0 &&
+             (sweep || ring->saw_exit.load(std::memory_order_relaxed)))) {
+          drain_ring(*ring);
         }
       }
-      // Refresh the in-place Meta/RuntimeWarnings chunks every ~50ms so
+      // Refresh the in-place Meta/RuntimeWarnings chunks on the sweep so
       // live tailers and point-in-time snapshots see current loss counts
       // (ring retirement, IO drops) instead of zeros until process exit.
       // Both are bounded pwrites of already-allocated bytes.
-      if (++sweeps % 256 == 0 &&
-          !shutdown_.load(std::memory_order_acquire)) {
-        write_stream_warnings();
-        sink_->write_meta(dropped_.load(std::memory_order_relaxed) +
-                              sink_->ring_retired_events(),
-                          /*clean_close=*/false);
+      if (sweep && !shutdown_.load(std::memory_order_acquire)) {
+        write_stream_status(/*clean_close=*/false);
       }
     }
-    nanosleep(&pause, nullptr);
+    if (sweep) next_sweep = now + kSweepNs;
+    // Sleep until a thread wakes us (flusher_wake_ moved past `wake`) or
+    // the next sweep is due; next_sweep - now < kSweepNs < 1 s.
+    const struct timespec timeout{
+        0, static_cast<long>(next_sweep - std::min(now, next_sweep))};
+    syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&flusher_wake_),
+            FUTEX_WAIT_PRIVATE, wake, &timeout, nullptr, 0);
   }
 }
 
-void Recorder::flush_half(StreamBuffer& buffer, unsigned half) {
-  buffer.in_flight[half].store(true, std::memory_order_seq_cst);
+void Recorder::drain_ring(StreamBuffer& ring) {
+  ring.draining.store(true, std::memory_order_seq_cst);
   if (shutdown_.load(std::memory_order_seq_cst)) {
-    // A crash handler owns the file now. Park with in_flight set so the
-    // handler never writes a half we may already have started.
+    // A crash handler owns the file now. Park with draining set so the
+    // handler never writes a ring we may already have started.
     return;
   }
-  const std::uint32_t c = buffer.count[half].load(std::memory_order_acquire);
-  const std::size_t wrote =
-      sink_->write_events(buffer.tid, buffer.half[half].get(), c);
-  if (wrote < c) {
+  write_pending(ring);
+  ring.draining.store(false, std::memory_order_release);
+}
+
+void Recorder::write_pending(StreamBuffer& ring) {
+  // Async-signal-safe: crash_spill calls this too.
+  const std::uint64_t head = ring.head.load(std::memory_order_acquire);
+  for (std::uint64_t pos = ring.tail.load(std::memory_order_relaxed);
+       pos < head;) {
+    // [tail, head) is contiguous but for one wrap: at most two chunks.
+    const std::uint64_t slot = pos % ring.capacity;
+    const std::size_t n = std::min(head - pos, ring.capacity - slot);
+    write_ticks(ring.tid, ring.slots + slot, n);
+    pos += n;
+  }
+  ring.tail.store(head, std::memory_order_release);
+}
+
+void Recorder::write_ticks(trace::ThreadId tid, trace::Event* events,
+                           std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    events[i].ts = util::ticks_to_ns(events[i].ts);  // in place
+  }
+  const std::size_t wrote = sink_->write_events(tid, events, n);
+  if (wrote < n) {
     // The sink ran out of retry budget (disk full past the backoff
     // window): the unwritten tail is gone — count it, both in the meta
     // drop counter and in the IO-specific warning.
-    dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
-    io_dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
+    dropped_.fetch_add(n - wrote, std::memory_order_relaxed);
+    io_dropped_.fetch_add(n - wrote, std::memory_order_relaxed);
   }
-  buffer.count[half].store(0, std::memory_order_release);
-  buffer.full[half].store(false, std::memory_order_release);
-  buffer.in_flight[half].store(false, std::memory_order_release);
 }
 
 void Recorder::finish_streaming() {
@@ -668,48 +718,20 @@ void Recorder::finish_streaming() {
   // Teardown joins the flusher and must not record its own pthread use.
   ScopedInternal internal;
   flusher_stop_.store(true, std::memory_order_release);
+  wake_flusher();
   if (flusher_.joinable()) flusher_.join();
   if (shutdown_.exchange(true, std::memory_order_seq_cst)) return;
 
   const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
   for (std::uint32_t i = 0; i < n; ++i) {
-    StreamBuffer* buffer = stream_registry_[i].load(std::memory_order_acquire);
-    if (buffer == nullptr) continue;
-    // Published halves first (they hold the older events), then the
-    // partial active half.
-    const std::uint64_t s0 = buffer->publish_seq[0].load(std::memory_order_relaxed);
-    const std::uint64_t s1 = buffer->publish_seq[1].load(std::memory_order_relaxed);
-    const bool full0 = buffer->full[0].load(std::memory_order_acquire);
-    const bool full1 = buffer->full[1].load(std::memory_order_acquire);
-    unsigned order[2] = {0, 1};
-    if (full0 && full1) {
-      order[0] = s0 < s1 ? 0 : 1;
-      order[1] = s0 < s1 ? 1 : 0;
-    } else if (full1) {
-      order[0] = 1;
-      order[1] = 0;
-    }
-    for (unsigned half : order) {
-      const std::uint32_t c = buffer->count[half].load(std::memory_order_acquire);
-      if (c > 0) {
-        const std::size_t wrote =
-            sink_->write_events(buffer->tid, buffer->half[half].get(), c);
-        if (wrote < c) {
-          dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
-          io_dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
-        }
-      }
-      buffer->count[half].store(0, std::memory_order_relaxed);
-      buffer->full[half].store(false, std::memory_order_relaxed);
-    }
-    if (!buffer->saw_exit.load(std::memory_order_relaxed)) {
-      const trace::Event exit_event{
-          buffer->last_ts.load(std::memory_order_relaxed), trace::kNoObject,
-          trace::kNoArg, trace::EventType::ThreadExit, 0, buffer->tid};
-      if (sink_->write_events(buffer->tid, &exit_event, 1) < 1) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        io_dropped_.fetch_add(1, std::memory_order_relaxed);
-      }
+    StreamBuffer* ring = stream_registry_[i].load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    write_pending(*ring);
+    if (!ring->saw_exit.load(std::memory_order_relaxed)) {
+      trace::Event exit_event{ring->last_ts.load(std::memory_order_relaxed),
+                              trace::kNoObject, trace::kNoArg,
+                              trace::EventType::ThreadExit, 0, ring->tid};
+      write_ticks(ring->tid, &exit_event, 1);
     }
   }
   // Lazy frame symbolization: resolve each distinct recorded PC exactly
@@ -728,14 +750,11 @@ void Recorder::finish_streaming() {
       }
     }
   }
-  write_stream_warnings();
-  sink_->write_meta(dropped_.load(std::memory_order_relaxed) +
-                        sink_->ring_retired_events(),
-                    /*clean_close=*/true);
+  write_stream_status(/*clean_close=*/true);
   sink_->close();
 }
 
-void Recorder::write_stream_warnings() {
+void Recorder::write_stream_status(bool clean_close) {
   // Fixed stack array, no allocation: this also runs on the crash-spill
   // path inside fatal-signal handlers.
   trace::RuntimeWarning warnings[trace::kRuntimeWarningSlots];
@@ -757,6 +776,9 @@ void Recorder::write_stream_warnings() {
   add(util::DiagCode::CLA_W_RING_COMPACTION_NOOP,
       sink_->ring_compaction_noops());
   if (n > 0) sink_->write_warnings(warnings, n);
+  sink_->write_meta(dropped_.load(std::memory_order_relaxed) +
+                        sink_->ring_retired_events(),
+                    clean_close);
 }
 
 void Recorder::crash_spill() {
@@ -772,41 +794,14 @@ void Recorder::crash_spill() {
 
   const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
   for (std::uint32_t i = 0; i < n; ++i) {
-    StreamBuffer* buffer = stream_registry_[i].load(std::memory_order_acquire);
-    if (buffer == nullptr) continue;
-    // Published-full halves carry the older events; write them (in
-    // publish order) before the partial active half.
-    const std::uint64_t s0 = buffer->publish_seq[0].load(std::memory_order_relaxed);
-    const std::uint64_t s1 = buffer->publish_seq[1].load(std::memory_order_relaxed);
-    const bool full0 = buffer->full[0].load(std::memory_order_acquire);
-    const bool full1 = buffer->full[1].load(std::memory_order_acquire);
-    unsigned order[2] = {0, 1};
-    if (full0 && full1) {
-      order[0] = s0 < s1 ? 0 : 1;
-      order[1] = s0 < s1 ? 1 : 0;
-    } else if (full1) {
-      order[0] = 1;
-      order[1] = 0;
+    StreamBuffer* ring = stream_registry_[i].load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    if (ring->draining.load(std::memory_order_seq_cst)) {
+      continue;  // the flusher may already be writing this ring
     }
-    for (unsigned half : order) {
-      if (buffer->in_flight[half].load(std::memory_order_seq_cst)) {
-        continue;  // the flusher may already be writing this half
-      }
-      const std::uint32_t c = buffer->count[half].load(std::memory_order_acquire);
-      if (c > 0) {
-        const std::size_t wrote =
-            sink_->write_events(buffer->tid, buffer->half[half].get(), c);
-        if (wrote < c) {
-          dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
-          io_dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
-        }
-      }
-    }
+    write_pending(*ring);
   }
-  write_stream_warnings();
-  sink_->write_meta(dropped_.load(std::memory_order_relaxed) +
-                        sink_->ring_retired_events(),
-                    /*clean_close=*/false);
+  write_stream_status(/*clean_close=*/false);
   // No close(): a concurrent flusher writev must not hit a recycled fd.
   // The kernel flushes and closes on process death either way.
 }

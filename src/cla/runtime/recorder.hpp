@@ -2,24 +2,39 @@
 // (paper §IV.A).
 //
 // Threads register once and then append events to a thread-local buffer
-// with one timestamp read and one store per MAGIC() point; no locks are
-// taken on the hot path.
+// with one raw clock read (util::ticks()) and one store per MAGIC()
+// point; no locks are taken on the hot path. Ticks become nanoseconds
+// only when a buffer is drained, with the one calibrated factor
+// (util::ticks_to_ns), so traces on disk and from collect() are in ns.
 //
 // Two collection modes:
 //
 //  * Legacy in-memory mode (default): buffers grow until the run ends and
-//    collect() stitches them into a trace::Trace.
+//    collect() converts and stitches them into a trace::Trace.
 //
-//  * Streaming mode (start_streaming): each thread owns a pair of bounded
-//    event buffers. When the active half fills, the thread publishes it
-//    and flips to the other half; a dedicated flusher thread drains
-//    published halves to a ChunkedTraceWriter (`.clat` v2 chunks), so app
-//    threads never block on IO. If both halves are full (flusher starved)
-//    the event is dropped and counted instead of blocking or growing.
-//    crash_spill() writes every published-and-partial buffer with only
+//  * Streaming mode (start_streaming): each thread owns one bounded SPSC
+//    ring. The thread stores an event and publishes its `head`; the
+//    drainer writes the pending range [tail, head) to a
+//    ChunkedTraceWriter (`.clat` v2/v3 chunks) and advances `tail`, so
+//    app threads never block on IO. A full ring drops and counts the
+//    event instead of blocking or growing. The drainer is a dedicated
+//    flusher thread that sleeps on a futex. A thread wakes it each time
+//    it has appended another drain threshold's worth of events (4096, or
+//    half the ring if that is less), and when it registers or exits. On a
+//    wake the flusher drains every ring holding at least the threshold,
+//    or whose thread has exited; every ~50 ms it drains every ring
+//    completely and refreshes the Meta/RuntimeWarnings chunks.
+//    crash_spill() writes every ring not mid-drain with only
 //    async-signal-safe operations, so a fatal-signal handler can save the
-//    run's tail; finish_streaming() is the clean-exit path (synthesizes
-//    missing ThreadExit events and a clean-close Meta chunk).
+//    run's tail; finish_streaming() is the clean-exit path (wakes and
+//    stops the flusher, drains the rest, synthesizes missing ThreadExit
+//    events and a clean-close Meta chunk).
+//
+//    The recorder's fixed costs stay off the application's threads and
+//    its start-up: ring storage is allocated raw (never zero-filled) and
+//    the flusher pre-faults each new ring with MADV_POPULATE_WRITE; the
+//    flusher, not the constructor, runs the TSC calibration before its
+//    first drain.
 //
 // Recording never aborts the host application: if a thread cannot be
 // bound (registration races teardown) or a buffer has no room, the event
@@ -111,12 +126,13 @@ class Recorder {
   /// (surfaced as a CLA_W_PARTIAL_INTERPOSITION runtime warning).
   void note_partial_interposition() noexcept;
 
-  /// Appends an event for the calling thread; timestamps with now_ns().
+  /// Appends an event for the calling thread, timestamped util::ticks().
   void record(trace::EventType type, trace::ObjectId object,
               std::uint64_t arg = trace::kNoArg);
 
-  /// Records with an explicit timestamp (used when the timestamp must be
-  /// taken before other bookkeeping, e.g. barrier arrival). Fails soft:
+  /// Records with an explicit timestamp in raw util::ticks() (used when
+  /// the timestamp must be taken before other bookkeeping, e.g. a lock's
+  /// wait start). Converted to ns when drained. Fails soft:
   /// if the thread cannot be bound or the buffers are full, the event is
   /// dropped and dropped_events() incremented — never UB, never a throw.
   void record_at(trace::EventType type, std::uint64_t ts,
@@ -146,10 +162,10 @@ class Recorder {
 
   // ---- legacy in-memory collection ----
 
-  /// Assembles the trace: timestamps are shifted so the earliest event is
-  /// at t=0, and any thread missing a ThreadExit gets one at its last
-  /// event's timestamp. Buffers are consumed. Only valid outside
-  /// streaming mode.
+  /// Assembles the trace: ticks are converted to ns and shifted so the
+  /// earliest event is at t=0, and any thread missing a ThreadExit gets
+  /// one at its last event's timestamp. Buffers are consumed. Only valid
+  /// outside streaming mode.
   trace::Trace collect();
 
   /// Drops all buffered events and thread bindings (between runs). The
@@ -160,8 +176,8 @@ class Recorder {
 
   /// Switches to streaming mode: opens `path` as a chunked trace (v2 raw
   /// chunks or compact v3 per `version`) and starts the flusher thread.
-  /// `buffer_events` bounds each half of every thread's double buffer
-  /// (clamped to [64, 1<<22]). A non-zero `ring_bytes` caps the trace's
+  /// Every thread's ring holds 2 x `buffer_events` events (clamped to
+  /// [64, 1<<22] first). A non-zero `ring_bytes` caps the trace's
   /// on-disk size: the writer retires the oldest complete chunks as
   /// counted loss (CLA_W_RING_RETIRED_EVENTS) when the file outgrows the
   /// cap. Must be called before any thread registers events to be
@@ -179,13 +195,13 @@ class Recorder {
   /// each child its own `<path>.<pid>`). Empty outside streaming mode.
   const std::string& stream_path() const noexcept { return stream_path_; }
 
-  /// Clean-exit path: stops the flusher, drains every buffer, synthesizes
+  /// Clean-exit path: stops the flusher, drains every ring, synthesizes
   /// missing ThreadExit events, writes the clean-close Meta chunk and
   /// closes the file. Idempotent.
   void finish_streaming();
 
   /// Best-effort crash-time spill; async-signal-safe (no locks, no
-  /// allocation, no iostreams). Writes all safely readable buffers plus a
+  /// allocation, no iostreams). Writes every ring not mid-drain plus a
   /// Meta chunk without the clean flag, then flags the recorder shut down
   /// so subsequent record() calls drop. Safe to call from a fatal-signal
   /// handler; also the `_exit` interposition path. Idempotent — the first
@@ -199,14 +215,18 @@ class Recorder {
 
  private:
   struct ThreadBuffer;    // legacy unbounded buffer
-  struct StreamBuffer;    // streaming double buffer
+  struct StreamBuffer;    // streaming ring
 
-  ThreadBuffer* current_buffer();
-  StreamBuffer* current_stream_buffer();
-  void stream_append(StreamBuffer& buffer, const trace::Event& event);
+  template <typename Buffer>
+  Buffer* current_buffer();  // the calling thread's, if bound to this recorder
+  void stream_append(StreamBuffer& ring, const trace::Event& event);
+  void wake_flusher() noexcept;
   void flusher_main();
-  void flush_half(StreamBuffer& buffer, unsigned half);
-  void write_stream_warnings();
+  void drain_ring(StreamBuffer& ring);
+  void write_pending(StreamBuffer& ring);
+  // Converts `events` from ticks to ns in place, writes them, counts loss.
+  void write_ticks(trace::ThreadId tid, trace::Event* events, std::size_t n);
+  void write_stream_status(bool clean_close);  // warnings + Meta chunks
 
   // pthread_atfork trampolines (dispatch to the streaming recorder).
   static void atfork_prepare();
@@ -236,7 +256,9 @@ class Recorder {
   std::atomic<bool> streaming_{false};
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> flusher_stop_{false};
-  std::size_t stream_capacity_ = 0;
+  std::atomic<std::uint32_t> flusher_wake_{0};  // futex word; bumped per wake
+  std::size_t stream_capacity_ = 0;  // ring slots per thread
+  std::size_t drain_threshold_ = 0;
   std::string stream_path_;
   std::uint32_t stream_version_ = trace::kTraceVersion;
   std::uint64_t stream_ring_bytes_ = 0;

@@ -1,5 +1,6 @@
 #include "cla/util/clock.hpp"
 
+#include <atomic>
 #include <ctime>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -34,21 +35,31 @@ double calibrate_ticks_per_ns() noexcept {
   const double dt = static_cast<double>(t1 - t0);
   return dns > 0 ? dt / dns : 1.0;
 }
+
+// 0 until the first calibration publishes its factor. An atomic rather
+// than a function-local static: a static's init guard would block (or
+// deadlock) a fatal-signal handler that interrupts the calibrating thread.
+std::atomic<double> g_ticks_per_ns{0.0};
 #endif
 
 }  // namespace
 
-std::uint64_t ticks() noexcept {
-#if CLA_HAVE_RDTSC
-  return __rdtsc();
-#else
-  return monotonic_ns();
+#if !CLA_HAVE_RDTSC
+std::uint64_t ticks() noexcept { return monotonic_ns(); }
 #endif
-}
 
 double ticks_per_ns() noexcept {
 #if CLA_HAVE_RDTSC
-  static const double factor = calibrate_ticks_per_ns();
+  double factor = g_ticks_per_ns.load(std::memory_order_acquire);
+  if (factor == 0.0) {
+    const double mine = calibrate_ticks_per_ns();
+    // First publisher wins; a loser adopts the winner's factor (loaded
+    // into `factor` by the failed exchange) so all conversions agree.
+    if (g_ticks_per_ns.compare_exchange_strong(factor, mine,
+                                               std::memory_order_acq_rel)) {
+      factor = mine;
+    }
+  }
   return factor;
 #else
   return 1.0;

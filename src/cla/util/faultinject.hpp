@@ -22,8 +22,8 @@
 //                                   writes reach N (no spill, no cleanup —
 //                                   stages a death at an exact byte offset
 //                                   inside an append or a compaction)
-//   CLA_FAULT_FLUSHER_STALL_MS=T    stall each flusher sweep by T ms
-//                                   (starves the double buffers)
+//   CLA_FAULT_FLUSHER_STALL_MS=T    stall the flusher T ms on each wake
+//                                   (starves the per-thread rings)
 //   CLA_FAULT_DIE_AT_EVENT=N        SIGKILL the process at the N-th
 //                                   recorded event (no spill, no cleanup)
 //

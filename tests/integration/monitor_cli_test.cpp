@@ -230,9 +230,16 @@ TEST(MonitorCli, SurvivalDemoRideThroughFaultsAndSigkill) {
     ::_exit(0);  // unreachable
   }
 
-  // Give the writer a head start so the preamble exists, then tail it
-  // under injected read faults until the SIGKILL goes quiet.
-  ::usleep(100'000);
+  // Start tailing as soon as the writer's preamble exists, under injected
+  // read faults, until the SIGKILL goes quiet. Polling instead of a fixed
+  // head start: the monitor must be attached before the ring starts
+  // retiring chunks (about a third into the run), or it never sees a
+  // rotation — and how soon that is depends on how fast the writer runs.
+  for (int i = 0; i < 2000; ++i) {
+    std::error_code ec;
+    if (std::filesystem::file_size(path, ec) > 0 && !ec) break;
+    ::usleep(1000);
+  }
   int rc = 0;
   const std::string out = run_command(
       "env CLA_FAULT_READ_ERRNO=EIO CLA_FAULT_READ_EVERY=13"

@@ -8,6 +8,12 @@
 // interposer's only-record-on-success rule has a regression scenario:
 // exactly three acquisitions succeed; every failed call must leave no
 // events behind or the trace stops validating.
+//
+// Invoked with "cancel-condwait" it cancels a thread blocked in
+// pthread_cond_wait, so the forced unwind runs through the interposer's
+// hook frame (and that frame's cleanups) before it reaches the thread's
+// own cleanup handler. Exits 0 once the cancelled thread is joined and
+// its mutex is free again.
 #include <errno.h>
 #include <pthread.h>
 #include <time.h>
@@ -73,11 +79,49 @@ int run_errorcheck() {
   return 0;
 }
 
+pthread_mutex_t g_wait_lock = PTHREAD_MUTEX_INITIALIZER;
+pthread_cond_t g_wait_cond = PTHREAD_COND_INITIALIZER;
+bool g_waiting = false;  // guarded by g_wait_lock
+
+void unlock_wait_lock(void*) { pthread_mutex_unlock(&g_wait_lock); }
+
+void* cond_wait_victim(void*) {
+  pthread_mutex_lock(&g_wait_lock);
+  pthread_cleanup_push(&unlock_wait_lock, nullptr);
+  g_waiting = true;
+  for (;;) pthread_cond_wait(&g_wait_cond, &g_wait_lock);  // never signalled
+  pthread_cleanup_pop(1);
+  return nullptr;
+}
+
+int run_cancel_condwait() {
+  pthread_t victim;
+  if (pthread_create(&victim, nullptr, &cond_wait_victim, nullptr) != 0) {
+    return 20;
+  }
+  for (bool waiting = false; !waiting;) {
+    pthread_mutex_lock(&g_wait_lock);  // free only once the victim waits
+    waiting = g_waiting;
+    pthread_mutex_unlock(&g_wait_lock);
+  }
+  if (pthread_cancel(victim) != 0) return 21;
+  void* result = nullptr;
+  if (pthread_join(victim, &result) != 0) return 22;
+  if (result != PTHREAD_CANCELED) return 23;
+  if (pthread_mutex_trylock(&g_wait_lock) != 0) return 24;  // cleanup ran
+  pthread_mutex_unlock(&g_wait_lock);
+  std::printf("cancel ok\n");
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "errorcheck") == 0) {
     return run_errorcheck();
+  }
+  if (argc > 1 && std::strcmp(argv[1], "cancel-condwait") == 0) {
+    return run_cancel_condwait();
   }
   constexpr int kThreads = 4;
   pthread_barrier_init(&g_barrier, nullptr, kThreads);

@@ -1,13 +1,19 @@
 // End-to-end test of the paper's deployment model: an uninstrumented
 // pthread binary runs under LD_PRELOAD=libcla_interpose.so, the flushed
 // .clat trace is loaded and analyzed.
+#include <elf.h>
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "support/analyze.hpp"
 #include "cla/trace/trace_io.hpp"
@@ -183,6 +189,102 @@ TEST_F(InterposeTest, JoinEdgesAllowPathToLeaveMainThread) {
     worker_cp_time += result.path.thread_time(tid);
   }
   EXPECT_GT(worker_cp_time, 0u);
+}
+
+TEST_F(InterposeTest, CancelInsideInterposedCondWaitUnwindsThroughTheHook) {
+  // pthread_cancel's forced unwind starts in the system unwinder and runs
+  // the cleanups of the interposer's pthread_cond_wait frame on its way
+  // to the thread's own cleanup handler. The process must survive it (a
+  // private unwinder copy in the library aborts here) and the trace must
+  // still be closed cleanly, the cancelled thread ending in ThreadExit.
+  ASSERT_EQ(run_demo("cancel-condwait"), 0);
+  const cla::trace::Trace trace = cla::trace::read_trace_file(trace_path_);
+  ASSERT_GE(trace.thread_count(), 2u);
+  EXPECT_EQ(trace.thread_events(1).back().type,
+            cla::trace::EventType::ThreadExit);
+}
+
+// ---- self-containment of the preload library ---------------------------
+
+// The dynamic section's DT_NEEDED entries and the defined global/weak
+// dynamic symbols of a 64-bit ELF shared object, read straight from the
+// file so the check needs no binutils.
+struct ElfDynamicInfo {
+  std::vector<std::string> needed;
+  std::set<std::string> exported;
+};
+
+ElfDynamicInfo read_elf_dynamic_info(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  ElfDynamicInfo info;
+  if (bytes.size() < sizeof(Elf64_Ehdr)) return info;
+  Elf64_Ehdr eh;
+  std::memcpy(&eh, bytes.data(), sizeof eh);
+  if (std::memcmp(eh.e_ident, ELFMAG, SELFMAG) != 0 ||
+      eh.e_ident[EI_CLASS] != ELFCLASS64 ||
+      eh.e_shoff + std::uint64_t{eh.e_shnum} * sizeof(Elf64_Shdr) >
+          bytes.size()) {
+    return info;
+  }
+  std::vector<Elf64_Shdr> sections(eh.e_shnum);
+  std::memcpy(sections.data(), bytes.data() + eh.e_shoff,
+              sections.size() * sizeof(Elf64_Shdr));
+  const auto string_at = [&](const Elf64_Shdr& strtab, std::uint64_t offset) {
+    return std::string(bytes.data() + strtab.sh_offset + offset);
+  };
+  for (const Elf64_Shdr& section : sections) {
+    if (section.sh_link >= sections.size()) continue;
+    const Elf64_Shdr& strtab = sections[section.sh_link];
+    if (section.sh_type == SHT_DYNAMIC) {
+      for (std::uint64_t off = 0; off + sizeof(Elf64_Dyn) <= section.sh_size;
+           off += sizeof(Elf64_Dyn)) {
+        Elf64_Dyn dyn;
+        std::memcpy(&dyn, bytes.data() + section.sh_offset + off, sizeof dyn);
+        if (dyn.d_tag == DT_NULL) break;
+        if (dyn.d_tag == DT_NEEDED) {
+          info.needed.push_back(string_at(strtab, dyn.d_un.d_val));
+        }
+      }
+    } else if (section.sh_type == SHT_DYNSYM) {
+      for (std::uint64_t off = 0; off + sizeof(Elf64_Sym) <= section.sh_size;
+           off += sizeof(Elf64_Sym)) {
+        Elf64_Sym sym;
+        std::memcpy(&sym, bytes.data() + section.sh_offset + off, sizeof sym);
+        const unsigned bind = ELF64_ST_BIND(sym.st_info);
+        if (sym.st_shndx == SHN_UNDEF || bind == STB_LOCAL ||
+            ELF64_ST_VISIBILITY(sym.st_other) != STV_DEFAULT) {
+          continue;
+        }
+        info.exported.insert(string_at(strtab, sym.st_name));
+      }
+    }
+  }
+  return info;
+}
+
+TEST(InterposeLibrary, NeedsNoLibstdcxxAndExportsOnlyTheHooks) {
+  const ElfDynamicInfo info = read_elf_dynamic_info(CLA_INTERPOSE_LIB);
+  ASSERT_FALSE(info.needed.empty()) << "no dynamic section in "
+                                    << CLA_INTERPOSE_LIB;
+  // The C++ runtime is linked in statically: a preloaded process pays no
+  // libstdc++.so load, and the host's own C++ runtime stays its own.
+  // (libgcc_s stays shared: see CancelInsideInterposedCondWait below.)
+  for (const std::string& lib : info.needed) {
+    EXPECT_EQ(lib.find("libstdc++"), std::string::npos) << lib;
+  }
+  // Exactly the interposed entry points: nothing of the private C++
+  // runtime (or of CLA) is visible for a host to bind to.
+  const std::set<std::string> hooks = {
+      "pthread_mutex_lock",     "pthread_mutex_trylock",
+      "pthread_mutex_timedlock", "pthread_mutex_unlock",
+      "pthread_barrier_init",   "pthread_barrier_wait",
+      "pthread_cond_wait",      "pthread_cond_timedwait",
+      "pthread_cond_signal",    "pthread_cond_broadcast",
+      "pthread_create",         "pthread_join",
+      "_exit",                  "_Exit"};
+  EXPECT_EQ(info.exported, hooks);
 }
 
 }  // namespace

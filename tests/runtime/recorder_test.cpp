@@ -8,6 +8,7 @@
 
 #include "cla/trace/salvage.hpp"
 #include "cla/trace/trace_io.hpp"
+#include "cla/util/clock.hpp"
 #include "cla/util/error.hpp"
 
 namespace cla::rt {
@@ -190,9 +191,10 @@ TEST(RecorderStreaming, MultithreadedRoundTripThroughDisk) {
 }
 
 TEST(RecorderStreaming, SmallBuffersFlushIncrementallyWithoutLoss) {
-  // Capacity is clamped to the 64-event minimum: every worker cycles its
-  // double buffer dozens of times, so this exercises publish/flip/flush
-  // plus the drop accounting (any drop is visible in the header).
+  // Capacity is clamped to the 64-event minimum (a 128-slot ring): the
+  // thread wraps its ring dozens of times, so this exercises append,
+  // wake and drain plus the drop accounting (any drop is visible in the
+  // header).
   const std::string path = temp_trace_path("cla_rec_small.clat");
   constexpr int kEvents = 3000;
   std::uint64_t dropped = 0;
@@ -292,6 +294,132 @@ TEST(RecorderStreaming, CrashSpillIsIdempotentFirstCallerWins) {
   cla::trace::SalvageResult got = cla::trace::salvage_trace_file(path);
   EXPECT_FALSE(got.report.clean_close);
   EXPECT_EQ(got.report.events_recovered, 2u);  // start + acquire, once
+  std::remove(path.c_str());
+}
+
+TEST(RecorderStreaming, RingWrapsUnderConcurrentDrainWithoutLossOrReorder) {
+  // 64 requested events make a 128-slot ring that the flusher drains
+  // every 64 appends while the worker keeps writing: each worker wraps its
+  // ring hundreds of times. The worker only waits when the ring nears
+  // full, so nothing drops and the disk must hold every event, in order.
+  const std::string path = temp_trace_path("cla_rec_wrap.clat");
+  constexpr int kWorkers = 2;
+  constexpr std::uint64_t kEventsPerWorker = 60'000;
+  std::uint64_t dropped = 1;
+  {
+    Recorder recorder;
+    recorder.start_streaming(path, /*buffer_events=*/64);
+    const auto parent = recorder.ensure_current_thread();
+    // One worker at a time: event_count() then is that worker's backlog
+    // (plus the two events of the idle main thread).
+    for (int w = 0; w < kWorkers; ++w) {
+      const auto tid = recorder.allocate_thread();
+      recorder.record(trace::EventType::ThreadCreate,
+                      static_cast<trace::ObjectId>(tid));
+      std::thread([&recorder, tid, parent] {
+        recorder.bind_current_thread(tid, parent);
+        for (std::uint64_t i = 0; i < kEventsPerWorker; ++i) {
+          while (recorder.event_count() > 100) std::this_thread::yield();
+          recorder.record(trace::EventType::CondSignal, 9, i);
+        }
+        recorder.thread_exit();
+      }).join();
+    }
+    recorder.thread_exit();
+    recorder.finish_streaming();
+    dropped = recorder.dropped_events();
+  }
+  EXPECT_EQ(dropped, 0u);
+  const trace::Trace t = cla::trace::read_trace_file(path);
+  EXPECT_NO_THROW(t.validate());
+  EXPECT_EQ(t.dropped_events(), 0u);
+  ASSERT_EQ(t.thread_count(), 1u + kWorkers);
+  for (trace::ThreadId tid = 1; tid <= kWorkers; ++tid) {
+    const auto events = t.thread_events(tid);
+    ASSERT_EQ(events.size(), kEventsPerWorker + 2);  // start, signals, exit
+    EXPECT_EQ(events.front().type, trace::EventType::ThreadStart);
+    EXPECT_EQ(events.back().type, trace::EventType::ThreadExit);
+    for (std::uint64_t i = 0; i < kEventsPerWorker; ++i) {
+      const trace::Event& e = events[i + 1];
+      ASSERT_EQ(e.type, trace::EventType::CondSignal) << "thread " << tid;
+      ASSERT_EQ(e.arg, i) << "thread " << tid << " out of order";
+      ASSERT_LE(events[i].ts, e.ts);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(RecorderStreaming, EveryDrainPathWritesNanoseconds) {
+  // The hot path stores raw ticks; the flusher, the clean-exit drain, the
+  // synthesized ThreadExit, the crash spill and collect() each convert to
+  // ns. Every timestamp they produce must fall between two now_ns()
+  // readings taken around the run: an unconverted tick (about 2x the ns
+  // value on a 2 GHz TSC) would land far outside.
+  const auto expect_between = [](const trace::Trace& t, std::uint64_t before,
+                                 std::uint64_t after) {
+    ASSERT_GT(t.event_count(), 0u);
+    for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
+      for (const trace::Event& e : t.thread_events(tid)) {
+        EXPECT_GE(e.ts, before) << to_string(e.type);
+        EXPECT_LE(e.ts, after) << to_string(e.type);
+      }
+    }
+  };
+  const std::string path = temp_trace_path("cla_rec_ns.clat");
+  {
+    const std::uint64_t before = util::now_ns();
+    {
+      Recorder recorder;
+      // 5000 events on a 1024-slot ring: the flusher drains during the
+      // run, finish_streaming drains the rest.
+      recorder.start_streaming(path, /*buffer_events=*/512);
+      recorder.ensure_current_thread();
+      for (int i = 0; i < 5000; ++i) {
+        while (recorder.event_count() > 900) std::this_thread::yield();
+        recorder.record(trace::EventType::CondSignal, 3, i);
+      }
+      util::spin_for_ns(100'000);
+      recorder.finish_streaming();  // no thread_exit(): exit is synthesized
+    }
+    const std::uint64_t after = util::now_ns();
+    const trace::Trace t = cla::trace::read_trace_file(path);
+    EXPECT_EQ(t.event_count(), 5002u);
+    expect_between(t, before, after);
+    // The synthesized exit reuses the last recorded event's time.
+    const auto events = t.thread_events(0);
+    EXPECT_EQ(events.back().type, trace::EventType::ThreadExit);
+    EXPECT_EQ(events.back().ts, events[events.size() - 2].ts);
+    EXPECT_LT(events.back().ts + 50'000, after);
+  }
+  {
+    const std::uint64_t before = util::now_ns();
+    {
+      Recorder recorder;
+      recorder.start_streaming(path, /*buffer_events=*/4096);
+      recorder.ensure_current_thread();
+      recorder.record(trace::EventType::MutexAcquire, 5);
+      recorder.crash_spill();
+    }
+    const std::uint64_t after = util::now_ns();
+    expect_between(cla::trace::salvage_trace_file(path).trace, before, after);
+  }
+  {
+    // collect() shifts the first event to t = 0, so pin the span instead:
+    // at least the spin between the first and last event, at most the
+    // wall time around the whole run.
+    constexpr std::uint64_t kSpinNs = 2'000'000;
+    Recorder recorder;
+    const std::uint64_t before = util::now_ns();
+    recorder.ensure_current_thread();
+    util::spin_for_ns(kSpinNs);
+    recorder.record(trace::EventType::CondSignal, 3);
+    recorder.thread_exit();
+    const std::uint64_t after = util::now_ns();
+    const trace::Trace t = recorder.collect();
+    EXPECT_EQ(t.start_ts(), 0u);
+    EXPECT_GE(t.end_ts(), kSpinNs);
+    EXPECT_LE(t.end_ts(), after - before);
+  }
   std::remove(path.c_str());
 }
 

@@ -29,23 +29,15 @@ namespace {
 using trace::Event;
 using trace::EventType;
 
-constexpr std::uint64_t kUnreleased = ThreadScanState::kUnreleasedTs;
-
-bool is_sync_op(EventType type) noexcept {
-  switch (type) {
-    case EventType::MutexAcquire:
-    case EventType::MutexAcquired:
-    case EventType::MutexReleased:
-    case EventType::BarrierArrive:
-    case EventType::BarrierLeave:
-    case EventType::CondWaitBegin:
-    case EventType::CondWaitEnd:
-    case EventType::CondSignal:
-    case EventType::CondBroadcast:
-      return true;
-    default:
-      return false;
-  }
+/// The record of `section`, released at event `released_idx`.
+CsRecord section_record(trace::ThreadId tid, const trace::Section& section,
+                        std::uint32_t released_idx, std::uint64_t released_ts) {
+  // MutexAcquire's arg carries the acquisition call-stack id when the
+  // trace was recorded with callsite capture (0 / kNoArg = none).
+  const std::uint64_t stack = section.acquire.arg;
+  return CsRecord{tid, section.acquire.idx, section.acquired.idx, released_idx,
+                  section.acquire.ts, section.acquired.ts, released_ts,
+                  stack != trace::kNoArg ? stack : 0, section.contended()};
 }
 
 /// Ownership order of a mutex's sections. It is a strict total order and
@@ -177,109 +169,42 @@ void ThreadScanState::consume(const trace::EventsView& events,
     const Event e = events[i];
     if (i != 0 && e.ts < last_ts_) info.ts_ordered = false;
     last_ts_ = e.ts;
-    if (is_sync_op(e.type)) ++info.sync_ops;
+    const trace::Step step = protocol_.step(i, e);
+    // Sync ops: every pairing event (a violating one too) and signals.
+    if (step.what != trace::Transition::None) ++info.sync_ops;
     switch (e.type) {
       case EventType::ThreadCreate:
         creates.emplace_back(static_cast<trace::ThreadId>(e.object),
                              EventRef{tid, i});
         break;
-      case EventType::MutexAcquire: {
-        auto& p = pending_cs_[e.object];
-        if (!p.open) {  // ignore recursive re-acquire of a held lock
-          // arg carries the acquisition call-stack id when the trace was
-          // recorded with callsite capture (0 / kNoArg = none).
-          const std::uint64_t sid = e.arg != trace::kNoArg ? e.arg : 0;
-          p = PendingCs{i, e.ts, sid, true};
-        }
-        break;
-      }
-      case EventType::MutexAcquired: {
-        // The pending acquire is done with: dropping it keeps pending_cs_
-        // down to the open ones (a later acquire starts a fresh entry).
-        const auto it = pending_cs_.find(e.object);
-        if (it != pending_cs_.end()) {
-          const PendingCs& p = it->second;
-          CsRecord cs;
-          cs.tid = tid;
-          cs.acquire_idx = p.acquire_idx;
-          cs.acquired_idx = i;
-          cs.acquire_ts = p.acquire_ts;
-          cs.acquired_ts = e.ts;
-          cs.released_ts = kUnreleasedTs;  // filled on MutexReleased
-          cs.stack_id = p.stack_id;
-          cs.contended = (e.arg != trace::kNoArg) && (e.arg & 1);
-          sections[e.object].push_back(cs);
-          pending_cs_.erase(it);
-        }
-        break;
-      }
       case EventType::MutexReleased: {
-        // This thread scans its events in order and its sections append in
-        // acquisition order, so its open section is the rearmost one.
         auto& secs = sections[e.object];
-        for (auto it = secs.rbegin(); it != secs.rend(); ++it) {
-          if (it->released_ts == kUnreleasedTs) {
-            it->released_idx = i;
-            it->released_ts = e.ts;
-            break;
-          }
+        if (step.what == trace::Transition::Released) {
+          secs.push_back(section_record(tid, step.section, i, e.ts));
         }
         break;
       }
-      case EventType::BarrierArrive: {
-        auto& p = pending_barrier_[e.object];
-        p.arrive_idx = i;
-        p.arrive_ts = e.ts;
-        p.recorded_episode = e.arg;
-        p.open = true;
-        break;
-      }
-      case EventType::BarrierLeave: {
-        auto& p = pending_barrier_[e.object];
-        if (p.open) {
-          BarrierWaitRecord w;
-          w.tid = tid;
-          w.arrive_idx = p.arrive_idx;
-          w.leave_idx = i;
-          w.arrive_ts = p.arrive_ts;
-          w.leave_ts = e.ts;
-          // An episode recorded by the producer is preferred, but it is
-          // untrusted input: an absurd value (corrupt trace) falls back
-          // to the per-thread wait ordinal, which is always coherent.
-          w.generation = p.recorded_episode != trace::kNoArg &&
-                              p.recorded_episode <= (1u << 24)
-                          ? static_cast<std::uint32_t>(p.recorded_episode)
-                          : p.ordinal;
-          barrier_waits[e.object].push_back(w);
-          ++p.ordinal;
-          p.open = false;
+      case EventType::BarrierLeave:
+        if (step.what == trace::Transition::Left) {
+          const trace::BarrierWait& wait = step.barrier;
+          barrier_waits[e.object].push_back(BarrierWaitRecord{
+              tid, wait.arrive.idx, i, wait.arrive.ts, e.ts, 0,
+              wait.episode_key()});
         }
         break;
-      }
-      case EventType::CondWaitBegin: {
-        pending_cond_ = PendingCond{i, e.ts, true};
-        pending_cond_id_ = e.object;
-        break;
-      }
-      case EventType::CondWaitEnd: {
-        if (pending_cond_.open && pending_cond_id_ == e.object) {
-          CondWaitRecord w;
-          w.tid = tid;
-          w.begin_idx = pending_cond_.begin_idx;
-          w.end_idx = i;
-          w.begin_ts = pending_cond_.begin_ts;
-          w.end_ts = e.ts;
-          cond_waits[e.object].push_back(w);
-          pending_cond_.open = false;
+      case EventType::CondWaitEnd:
+        if (step.what == trace::Transition::WaitEnded) {
+          const trace::CondWait& wait = step.wait;
+          cond_waits[e.object].push_back(
+              CondWaitRecord{tid, wait.begin.idx, i, wait.begin.ts, e.ts});
         }
         break;
-      }
       case EventType::CondSignal:
-      case EventType::CondBroadcast: {
+      case EventType::CondBroadcast:
+        ++info.sync_ops;
         signals[e.object].push_back(CondSignalRecord{
             tid, i, e.ts, e.type == EventType::CondBroadcast});
         break;
-      }
       default:
         break;
     }
@@ -287,30 +212,15 @@ void ThreadScanState::consume(const trace::EventsView& events,
   next_ = limit;
 }
 
-std::uint64_t ThreadScanState::earliest_open_ts() const noexcept {
-  std::uint64_t earliest = ~static_cast<std::uint64_t>(0);
-  for (const auto& [object, secs] : sections) {
-    (void)object;
-    for (const auto& cs : secs) {
-      if (cs.released_ts == kUnreleasedTs && cs.acquire_ts < earliest) {
-        earliest = cs.acquire_ts;
-      }
+void ThreadScanState::close_held_sections(trace::ThreadId tid) {
+  for (const auto& [object, lock] : protocol_.locks()) {
+    if (lock.held.empty()) continue;
+    auto& secs = sections[object];
+    for (const trace::Section& held : lock.held) {
+      secs.push_back(section_record(tid, held, info.exit_idx, info.exit_ts));
+      secs.back().provisional = true;
     }
   }
-  // A pending acquire/arrive/wait-begin with no completing event yet can
-  // still complete in a later round, changing resolutions from its start.
-  for (const auto& [object, p] : pending_cs_) {
-    (void)object;
-    if (p.open && p.acquire_ts < earliest) earliest = p.acquire_ts;
-  }
-  for (const auto& [object, p] : pending_barrier_) {
-    (void)object;
-    if (p.open && p.arrive_ts < earliest) earliest = p.arrive_ts;
-  }
-  if (pending_cond_.open && pending_cond_.begin_ts < earliest) {
-    earliest = pending_cond_.begin_ts;
-  }
-  return earliest;
 }
 
 TraceIndex::TraceIndex(const trace::Trace& t) : TraceIndex(t, nullptr) {}
@@ -359,25 +269,10 @@ void TraceIndex::extend(const trace::TraceView& v,
       if (!inserted && it->second < ref) it->second = ref;
     }
     scan.creates.clear();
-    for (auto it = scan.sections.begin(); it != scan.sections.end();) {
-      // The key is drained even when empty: a mutex seen only released is
-      // still indexed.
-      std::vector<CsRecord>& out = sections[it->first];
-      std::vector<CsRecord>& secs = it->second;
-      auto open = secs.begin();
-      for (const CsRecord& cs : secs) {
-        out.push_back(cs);
-        if (cs.released_ts != kUnreleased) continue;
-        // Thread exited holding the lock — tolerated: the exit is the
-        // release point until the scan sees the real release.
-        out.back().released_ts = scan.info.exit_ts;
-        out.back().released_idx = scan.info.exit_idx;
-        out.back().provisional = true;
-        *open++ = cs;
-      }
-      secs.erase(open, secs.end());
-      it = secs.empty() ? scan.sections.erase(it) : std::next(it);
-    }
+    // A thread that exited holding a lock is tolerated: the exit is the
+    // release point until the scan sees the real release.
+    scan.close_held_sections(tid);
+    drain_into(scan.sections, sections);
     drain_into(scan.barrier_waits, barrier_waits);
     drain_into(scan.cond_waits, cond_waits);
     drain_into(scan.signals, signals);

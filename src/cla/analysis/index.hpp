@@ -15,6 +15,7 @@
 #include <map>
 #include <vector>
 
+#include "cla/trace/protocol.hpp"
 #include "cla/trace/trace.hpp"
 #include "cla/trace/trace_view.hpp"
 
@@ -178,23 +179,16 @@ struct ThreadInfo {
 /// rescan one thread transiently.
 ///
 /// consume() may be called repeatedly as the stream grows; it picks up at
-/// next_index(). Records whose closing event has not arrived yet stay
-/// open (a section's released_ts == kUnreleasedTs).
-///
-/// Callers drain closed records out of the public vectors between
-/// consume() calls: the scan itself only ever revisits open records.
-/// TraceIndex::extend() moves every closed record into the index and
-/// leaves only the open sections behind (it indexes *copies* of those,
-/// closed at thread exit, so a section that closes for real in a later
-/// round is unharmed); the streaming engine aggregates and discards.
+/// next_index(). Pairing follows the thread's trace::ThreadProtocol: a
+/// record lands in the public vectors when the automaton closes it, and
+/// whatever is still open stays in the automaton. Callers drain the
+/// vectors between consume() calls.
 class ThreadScanState {
  public:
-  /// released_ts sentinel of a section still held after the last
-  /// consumed event.
-  static constexpr std::uint64_t kUnreleasedTs = ~static_cast<std::uint64_t>(0);
-
   ThreadInfo info;
   std::vector<std::pair<trace::ThreadId, EventRef>> creates;  ///< child, ref
+  /// Closed sections per mutex. A mutex seen released gets a key even
+  /// when nothing closed, so a mutex seen only released is still indexed.
   std::map<trace::ObjectId, std::vector<CsRecord>> sections;
   std::map<trace::ObjectId, std::vector<BarrierWaitRecord>> barrier_waits;
   std::map<trace::ObjectId, std::vector<CondWaitRecord>> cond_waits;
@@ -214,38 +208,25 @@ class ThreadScanState {
   void consume(const trace::EventsView& events, trace::ThreadId tid,
                std::uint32_t limit);
 
+  /// Adds to `sections` a provisional copy of every section still held,
+  /// released at the last consumed event (the thread's exit once the
+  /// stream is consumed). The automaton keeps them open, so a section that
+  /// closes for real in a later round replaces its copy.
+  void close_held_sections(trace::ThreadId tid);
+
+  /// The pairing state after the last consume.
+  const trace::ThreadProtocol& protocol() const noexcept { return protocol_; }
+
   /// Earliest start timestamp (acquire/arrive/begin) among records still
   /// open after the last consume; ~0 if none. The incremental analyzer's
   /// re-resolution boundary needs it: a record that closes later can
-  /// change resolutions from its start onwards. O(open records) once the
-  /// closed ones are drained: a pending acquire leaves the scan state when
-  /// its MutexAcquired arrives.
-  std::uint64_t earliest_open_ts() const noexcept;
+  /// change resolutions from its start onwards.
+  std::uint64_t earliest_open_ts() const noexcept {
+    return protocol_.earliest_open_ts();
+  }
 
  private:
-  struct PendingCs {
-    std::uint32_t acquire_idx = 0;
-    std::uint64_t acquire_ts = 0;
-    std::uint64_t stack_id = 0;
-    bool open = false;
-  };
-  struct PendingBarrier {
-    std::uint32_t arrive_idx = 0;
-    std::uint64_t arrive_ts = 0;
-    std::uint64_t recorded_episode = trace::kNoArg;
-    std::uint32_t ordinal = 0;  ///< how many waits this thread completed
-    bool open = false;
-  };
-  struct PendingCond {
-    std::uint32_t begin_idx = 0;
-    std::uint64_t begin_ts = 0;
-    bool open = false;
-  };
-
-  std::map<trace::ObjectId, PendingCs> pending_cs_;
-  std::map<trace::ObjectId, PendingBarrier> pending_barrier_;
-  PendingCond pending_cond_;  // waits cannot nest on one thread
-  trace::ObjectId pending_cond_id_ = trace::kNoObject;
+  trace::ThreadProtocol protocol_;
   std::uint32_t next_ = 0;
   std::uint64_t last_ts_ = 0;  ///< timestamp of event next_ - 1
 };

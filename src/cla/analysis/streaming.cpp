@@ -1,12 +1,13 @@
 // Bounded-RSS streaming analysis engine — see streaming.hpp for the
 // phase breakdown and DESIGN §12 for the correctness argument.
 //
-// The sweep mirrors, rule for rule, the resolution semantics of
-// resolve_wakeup() (resolver.cpp) and the record-pairing semantics of
-// ThreadScanState::consume (index.cpp), but holds only carry state:
-// per-mutex "previous owner", per-barrier live episode window, per-cond
-// latest-signal-per-thread, plus the pairing mirrors. Two documented
-// divergences exist, both requiring physically impossible interleavings:
+// The sweep pairs events with one trace::ThreadProtocol per thread, the
+// automaton the index scan uses, so both see the same sections and waits.
+// It resolves wake-ups with the semantics of resolve_wakeup()
+// (resolver.cpp) but holds only carry state: per-mutex "previous owner",
+// per-barrier live episode window, per-cond latest-signal-per-thread.
+// Two documented divergences exist, both requiring physically impossible
+// interleavings:
 //   - a barrier member arriving after another member of the *same*
 //     episode already left (the episode may be mis-resolved), and
 //   - more than kEpisodeWindow distinct barrier generations opening at a
@@ -88,28 +89,6 @@ struct SegPatch {
   std::uint32_t pos = 0;
 };
 
-/// One still-open critical section of a (thread, mutex) pair.
-struct OpenSection {
-  std::uint32_t acquired_idx = 0;
-  std::vector<SegPatch> waiters;  ///< segments blocked on this release
-};
-
-/// Per-(thread, mutex) pairing mirror of ThreadScanState's PendingCs plus
-/// the open-section stack (closes are rearmost-first, i.e. pop_back).
-struct ThreadMutexState {
-  bool acquire_open = false;
-  std::vector<OpenSection> open;
-};
-
-/// Per-(thread, barrier) pairing mirror of PendingBarrier.
-struct ThreadBarrierState {
-  bool open = false;
-  std::uint32_t arrive_idx = 0;
-  std::uint64_t arrive_ts = 0;
-  std::uint64_t recorded_episode = trace::kNoArg;
-  std::uint32_t ordinal = 0;
-};
-
 /// Running best-arriver of one barrier generation. The strict compare
 /// (greater ts, or equal ts and smaller tid) never replaces on an exact
 /// tie, which reproduces the full index's first-record-wins rule.
@@ -130,11 +109,8 @@ struct BarrierCarry {
 /// of the next acquirer in the full index's acquired_ts-sorted order —
 /// the sweep streams Acquired events in exactly that order).
 struct MutexCarry {
-  bool has_last = false;
-  trace::ThreadId last_tid = 0;
-  bool last_released = false;
-  std::uint32_t last_released_idx = 0;
-  std::uint32_t last_open_pos = 0;  ///< stack pos while !last_released
+  EventRef last_acquired;  ///< the section's MutexAcquired; invalid if none
+  EventRef released;       ///< its MutexReleased; invalid while held
 };
 
 /// A BarrierLeave / CondWaitEnd whose resolution waits until the sweep
@@ -171,9 +147,7 @@ class Sweep {
       : view_(view), budget_(budget) {
     const auto thread_count = static_cast<trace::ThreadId>(view.thread_count());
     segs_.resize(thread_count);
-    mutex_states_.resize(thread_count);
-    barrier_states_.resize(thread_count);
-    cond_begin_.resize(thread_count);
+    protocols_.resize(thread_count);
     join_begins_.resize(thread_count);
     creates_.resize(thread_count);
     exit_idx_.resize(thread_count);
@@ -298,57 +272,6 @@ class Sweep {
         joins_.push_back(JoinCandidate{tid, idx, begin_ts, target});
         break;
       }
-      case EventType::MutexAcquire: {
-        auto& st = mutex_states_[tid][events.object_at(idx)];
-        // Recursive re-acquire of a held pending request is ignored, like
-        // ThreadScanState: only the pairing flag matters here.
-        if (!st.acquire_open) st.acquire_open = true;
-        break;
-      }
-      case EventType::MutexAcquired:
-        on_acquired(tid, idx, ts, events);
-        break;
-      case EventType::MutexReleased:
-        on_released(tid, idx, events.object_at(idx));
-        break;
-      case EventType::BarrierArrive: {
-        const trace::ObjectId object = events.object_at(idx);
-        auto& st = barrier_states_[tid][object];
-        st.open = true;
-        st.arrive_idx = idx;
-        st.arrive_ts = ts;
-        st.recorded_episode = events.arg_at(idx);
-        // The episode key is determined here: the ordinal cannot change
-        // before the matching Leave (ThreadScanState increments it there).
-        const std::uint32_t key =
-            st.recorded_episode != trace::kNoArg &&
-                    st.recorded_episode <= (1u << 24)
-                ? static_cast<std::uint32_t>(st.recorded_episode)
-                : st.ordinal;
-        note_arrival(tid, object, key, ts, idx);
-        break;
-      }
-      case EventType::BarrierLeave:
-        on_barrier_leave(tid, idx, ts, events.object_at(idx));
-        break;
-      case EventType::CondWaitBegin:
-        cond_begin_[tid] = {events.object_at(idx), ts, true};
-        break;
-      case EventType::CondWaitEnd: {
-        auto& pending = cond_begin_[tid];
-        if (!pending.open || pending.object != events.object_at(idx)) break;
-        pending.open = false;
-        if (ts == pending.begin_ts) break;  // did not block
-        Deferred d;
-        d.is_barrier = false;
-        d.tid = tid;
-        d.idx = idx;
-        d.ts = ts;
-        d.object = pending.object;
-        d.begin_ts = pending.begin_ts;
-        deferred_.push_back(d);
-        break;
-      }
       case EventType::CondSignal:
       case EventType::CondBroadcast: {
         auto& latest = cond_signals_[events.object_at(idx)][tid];
@@ -356,83 +279,73 @@ class Sweep {
         break;
       }
       default:
+        paired(tid, idx, ts, events.object_at(idx),
+               protocols_[tid].step(idx, events[idx]));
         break;
     }
   }
 
+  /// Acts on what a pairing event opened or closed.
+  void paired(trace::ThreadId tid, std::uint32_t idx, std::uint64_t ts,
+              trace::ObjectId object, const trace::Step& step) {
+    switch (step.what) {
+      case trace::Transition::Acquired:
+        on_acquired(tid, idx, ts, object, step.section);
+        break;
+      case trace::Transition::Released:
+        on_released(tid, idx, object, step.section);
+        break;
+      case trace::Transition::Arrived:
+        note_arrival(tid, object, step.barrier.episode_key(), ts, idx);
+        break;
+      case trace::Transition::Left:
+        deferred_.push_back(Deferred{.is_barrier = true, .tid = tid,
+                                     .idx = idx, .ts = ts, .object = object,
+                                     .key = step.barrier.episode_key(),
+                                     .self_arrive_idx =
+                                         step.barrier.arrive.idx});
+        break;
+      case trace::Transition::WaitEnded:
+        if (ts == step.wait.begin.ts) break;  // did not block
+        deferred_.push_back(Deferred{.tid = tid, .idx = idx, .ts = ts,
+                                     .object = object,
+                                     .begin_ts = step.wait.begin.ts});
+        break;
+      default:
+        break;  // a request, a wait begin, or a violation (no record)
+    }
+  }
+
   void on_acquired(trace::ThreadId tid, std::uint32_t idx, std::uint64_t ts,
-                   const trace::EventsView& events) {
-    const trace::ObjectId object = events.object_at(idx);
-    auto& st = mutex_states_[tid][object];
-    if (!st.acquire_open) return;  // unpaired: no record in the full index
-    st.acquire_open = false;
+                   trace::ObjectId object, const trace::Section& section) {
     MutexCarry& carry = mutex_carry_[object];
-    const std::uint64_t arg = events.arg_at(idx);
-    const bool contended = (arg != trace::kNoArg) && (arg & 1);
-    if (contended && carry.has_last) {
+    if (section.contended() && carry.last_acquired.valid()) {
       // resolve_wakeup(MutexAcquired): releaser = sections[pos-1]'s
       // release event. The sweep streams Acquired events in the sorted
       // section order, so carry == sections[pos-1].
-      if (carry.last_released) {
+      if (carry.released.valid()) {
         emit_boundary(tid, idx, ts, EventType::MutexAcquired, object,
-                      EventRef{carry.last_tid, carry.last_released_idx},
-                      nullptr);
+                      carry.released, nullptr);
       } else {
         // Previous owner still inside: the releaser index is unknown
         // until its MutexReleased (or thread exit) streams by.
-        auto& owner = mutex_states_[carry.last_tid][object];
-        CLA_ASSERT(carry.last_open_pos < owner.open.size(),
-                   "stale open-section reference");
         emit_boundary(tid, idx, ts, EventType::MutexAcquired, object,
-                      EventRef{},
-                      &owner.open[carry.last_open_pos].waiters);
+                      EventRef{}, &waiters_[carry.last_acquired]);
       }
     }
     // This section becomes the new "previous" for the next acquirer.
-    st.open.push_back(OpenSection{idx, {}});
-    carry.has_last = true;
-    carry.last_tid = tid;
-    carry.last_released = false;
-    carry.last_open_pos = static_cast<std::uint32_t>(st.open.size() - 1);
-    ++open_sections_;
+    carry = MutexCarry{EventRef{tid, idx}, EventRef{}};
   }
 
   void on_released(trace::ThreadId tid, std::uint32_t idx,
-                   trace::ObjectId object) {
-    auto& st = mutex_states_[tid][object];
-    if (st.open.empty()) return;  // unpaired release
-    // Rearmost unreleased section closes first (ThreadScanState rule).
-    OpenSection closing = std::move(st.open.back());
-    st.open.pop_back();
-    --open_sections_;
-    patch(closing.waiters, EventRef{tid, idx});
-    MutexCarry& carry = mutex_carry_[object];
-    if (carry.has_last && !carry.last_released && carry.last_tid == tid &&
-        carry.last_open_pos == static_cast<std::uint32_t>(st.open.size())) {
-      carry.last_released = true;
-      carry.last_released_idx = idx;
+                   trace::ObjectId object, const trace::Section& section) {
+    const EventRef acquired{tid, section.acquired.idx};
+    if (const auto it = waiters_.find(acquired); it != waiters_.end()) {
+      patch(it->second, EventRef{tid, idx});
+      waiters_.erase(it);
     }
-  }
-
-  void on_barrier_leave(trace::ThreadId tid, std::uint32_t idx,
-                        std::uint64_t ts, trace::ObjectId object) {
-    auto& st = barrier_states_[tid][object];
-    if (!st.open) return;  // unpaired leave: no record in the full index
-    st.open = false;
-    const std::uint32_t key =
-        st.recorded_episode != trace::kNoArg && st.recorded_episode <= (1u << 24)
-            ? static_cast<std::uint32_t>(st.recorded_episode)
-            : st.ordinal;
-    ++st.ordinal;
-    Deferred d;
-    d.is_barrier = true;
-    d.tid = tid;
-    d.idx = idx;
-    d.ts = ts;
-    d.object = object;
-    d.key = key;
-    d.self_arrive_idx = st.arrive_idx;
-    deferred_.push_back(d);
+    MutexCarry& carry = mutex_carry_[object];
+    if (carry.last_acquired == acquired) carry.released = EventRef{tid, idx};
   }
 
   /// Registers an arrive into its episode window (called on Arrive — the
@@ -536,14 +449,8 @@ class Sweep {
       deferred_.pop_front();
     }
     // Sections never released close at their owner's exit.
-    for (trace::ThreadId tid = 0;
-         tid < static_cast<trace::ThreadId>(view_.thread_count()); ++tid) {
-      for (auto& [object, st] : mutex_states_[tid]) {
-        (void)object;
-        for (OpenSection& open : st.open) {
-          patch(open.waiters, EventRef{tid, exit_idx_[tid]});
-        }
-      }
+    for (const auto& [acquired, waiters] : waiters_) {
+      patch(waiters, EventRef{acquired.tid, exit_idx_[acquired.tid]});
     }
     // The creates map replicates the full index's last-writer-wins merge
     // (tid-ascending, then event order).
@@ -581,7 +488,10 @@ class Sweep {
   void account() {
     std::uint64_t bytes = 0;
     for (const auto& segs : segs_) bytes += segs.capacity() * sizeof(Segment);
-    bytes += open_sections_ * (sizeof(OpenSection) + 2 * sizeof(SegPatch));
+    for (const trace::ThreadProtocol& protocol : protocols_) {
+      bytes += protocol.held_count() *
+               (sizeof(trace::Section) + 2 * sizeof(SegPatch));
+    }
     bytes += deferred_.size() * sizeof(Deferred);
     bytes += joins_.size() * sizeof(JoinCandidate);
     bytes += starts_.size() * sizeof(StartCandidate);
@@ -605,18 +515,12 @@ class Sweep {
     accounted_ = bytes;
   }
 
-  struct PendingCond {
-    trace::ObjectId object = trace::kNoObject;
-    std::uint64_t begin_ts = 0;
-    bool open = false;
-  };
-
   const trace::TraceView& view_;
   Budget& budget_;
   std::vector<std::vector<Segment>> segs_;
-  std::vector<std::map<trace::ObjectId, ThreadMutexState>> mutex_states_;
-  std::vector<std::map<trace::ObjectId, ThreadBarrierState>> barrier_states_;
-  std::vector<PendingCond> cond_begin_;
+  std::vector<trace::ThreadProtocol> protocols_;
+  /// Segments blocked on a still-held section, keyed by its Acquired event.
+  std::map<EventRef, std::vector<SegPatch>> waiters_;
   std::vector<std::map<trace::ObjectId, std::uint64_t>> join_begins_;
   std::vector<std::vector<std::pair<trace::ThreadId, EventRef>>> creates_;
   std::vector<std::uint32_t> exit_idx_;
@@ -629,7 +533,6 @@ class Sweep {
   std::deque<Deferred> deferred_;
   std::vector<JoinCandidate> joins_;
   std::vector<StartCandidate> starts_;
-  std::uint64_t open_sections_ = 0;
   std::uint64_t accounted_ = 0;
 };
 
@@ -660,10 +563,9 @@ void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
   ThreadScanState state;
   std::uint64_t accounted = 0;
 
-  const auto drain = [&](bool final_pass) {
+  const auto drain = [&] {
     const std::lock_guard<std::mutex> lock(totals.mu);
     for (auto& [object, secs] : state.sections) {
-      // Keys are created even before a section closes, like the index.
       auto [it, inserted] = totals.mutexes.try_emplace(object);
       MutexIndex& mi = it->second;
       LockPathTotals& on_path = totals.on_path[object];
@@ -675,22 +577,11 @@ void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
                       2 * kNodeBytes + 2 * thread_count * sizeof(std::uint64_t));
       }
       const std::size_t stacks = mi.callsites.size() + on_path.callsites.size();
-      auto keep = secs.begin();
-      for (auto& cs : secs) {
-        if (cs.released_ts == ThreadScanState::kUnreleasedTs) {
-          if (!final_pass) {
-            *keep++ = cs;
-            continue;
-          }
-          // Thread exited holding the lock: close at exit, exactly as
-          // TraceIndex materialization does.
-          cs.released_ts = state.info.exit_ts;
-          cs.released_idx = state.info.exit_idx;
-        }
+      for (const CsRecord& cs : secs) {
         mi.count(cs);
         on_path.add(cs, path.overlap(tid, cs.acquired_ts, cs.released_ts));
       }
-      secs.erase(keep, secs.end());
+      secs.clear();
       const std::size_t new_stacks =
           mi.callsites.size() + on_path.callsites.size() - stacks;
       budget.charge(new_stacks * (sizeof(SectionTotals) + kNodeBytes));
@@ -721,10 +612,9 @@ void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
   for (trace::ChunkCursor cursor = view.thread_cursor(tid); !cursor.done();) {
     budget.poll("streaming stats rescan");
     state.consume(events, tid, cursor.next(kRescanChunk).end);
-    drain(false);
-    std::uint64_t open = 0;
-    for (const auto& [object, secs] : state.sections) open += secs.size();
-    const std::uint64_t bytes = open * sizeof(CsRecord) + 4096;
+    drain();
+    const std::uint64_t bytes =
+        state.protocol().held_count() * sizeof(trace::Section) + 4096;
     if (bytes > accounted) {
       budget.charge(bytes - accounted);
     } else {
@@ -732,7 +622,9 @@ void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
     }
     accounted = bytes;
   }
-  drain(true);
+  // Thread exited holding a lock: close at exit, exactly as the index does.
+  state.close_held_sections(tid);
+  drain();
   budget.release(accounted);
   totals.threads[tid] = state.info;
 }

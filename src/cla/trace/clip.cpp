@@ -4,16 +4,10 @@
 #include <map>
 #include <vector>
 
+#include "cla/trace/protocol.hpp"
 #include "cla/util/error.hpp"
 
 namespace cla::trace {
-
-namespace {
-
-/// Per-(thread, mutex) protocol state while repairing one thread's stream.
-enum class HoldState { Idle, Acquiring, Held };
-
-}  // namespace
 
 Trace clip_trace(const Trace& t, Window window) {
   CLA_CHECK(window.begin <= window.end, "clip window is inverted");
@@ -32,112 +26,63 @@ Trace clip_trace(const Trace& t, Window window) {
     const std::uint64_t clip_end = std::min(thread_end, window.end);
 
     std::vector<Event> clipped;
-    clipped.push_back(Event{clip_begin, kNoObject, kNoArg,
-                            EventType::ThreadStart, 0, tid});
+    const auto at_begin = [&](EventType type, ObjectId object,
+                              std::uint64_t arg) {
+      clipped.push_back(Event{clip_begin, object, arg, type, 0, tid});
+    };
+    at_begin(EventType::ThreadStart, kNoObject, kNoArg);
 
-    // Locks held when the window opens need synthetic acquisition events;
-    // find them by replaying the prefix.
-    std::map<ObjectId, HoldState> state;
-    for (const Event& e : events) {
-      if (e.ts >= window.begin) break;
-      switch (e.type) {
-        case EventType::MutexAcquire:
-          state[e.object] = HoldState::Acquiring;
-          break;
-        case EventType::MutexAcquired:
-          state[e.object] = HoldState::Held;
-          break;
-        case EventType::MutexReleased:
-          state[e.object] = HoldState::Idle;
-          break;
-        default:
-          break;
-      }
+    // Left edge: replay the prefix, then re-open at the edge every section
+    // it left held (each recursive depth) and every pending request.
+    ThreadProtocol protocol;
+    std::uint32_t body = 0;
+    for (; body < events.size() && events[body].ts < window.begin; ++body) {
+      protocol.step(body, events[body]);
     }
-    for (const auto& [object, hold] : state) {
-      if (hold == HoldState::Held) {
-        clipped.push_back(Event{clip_begin, object, kNoArg,
-                                EventType::MutexAcquire, 0, tid});
-        clipped.push_back(Event{clip_begin, object, 0,
-                                EventType::MutexAcquired, 0, tid});
+    for (const auto& [object, lock] : protocol.locks()) {
+      for (std::size_t depth = 0; depth < lock.held.size(); ++depth) {
+        at_begin(EventType::MutexAcquire, object, kNoArg);
+        at_begin(EventType::MutexAcquired, object, 0);
       }
-      // An Acquire pending at the edge resumes below when its Acquired
-      // event falls inside the window; re-issue the request at the edge.
-      if (hold == HoldState::Acquiring) {
-        clipped.push_back(Event{clip_begin, object, kNoArg,
-                                EventType::MutexAcquire, 0, tid});
-      }
+      if (lock.request) at_begin(EventType::MutexAcquire, object, kNoArg);
     }
 
-    // Body: copy in-window events, tracking state for right-edge repair.
-    // Dangling halves (a BarrierArrive whose Leave is outside, a
-    // CondWaitBegin whose End is outside) are dropped at the end.
-    std::map<ObjectId, HoldState> live = state;
-    std::vector<std::size_t> pending_barrier_arrive;  // indices in `clipped`
-    std::vector<std::size_t> pending_cond_begin;
-    for (const Event& e : events) {
+    // Body: copy the in-window events. Half a barrier or condvar wait says
+    // nothing useful once its blocking part is outside the window: a
+    // Leave/End that closes no in-window Arrive/Begin is dropped here, and
+    // an Arrive/Begin still open at the right edge is dropped below.
+    std::map<std::uint32_t, std::size_t> wait_openings;  // idx -> position
+    for (std::uint32_t i = body; i < events.size(); ++i) {
+      const Event& e = events[i];
       if (e.ts < window.begin || e.ts > window.end) continue;
-      switch (e.type) {
-        case EventType::ThreadStart:
-        case EventType::ThreadExit:
-          continue;  // re-synthesized at the clip edges
-        case EventType::MutexAcquire:
-          live[e.object] = HoldState::Acquiring;
-          break;
-        case EventType::MutexAcquired:
-          // Repair: an Acquired whose Acquire fell before the window got
-          // its synthetic request at the edge already (Acquiring state).
-          live[e.object] = HoldState::Held;
-          break;
-        case EventType::MutexReleased:
-          if (live.count(e.object) == 0 || live[e.object] != HoldState::Held) {
-            // Release of a lock acquired before the window that we did
-            // not see as held (e.g. acquired before any prefix event):
-            // synthesize the acquisition at the window edge.
-            clipped.push_back(Event{clip_begin, e.object, kNoArg,
-                                    EventType::MutexAcquire, 0, tid});
-            clipped.push_back(Event{clip_begin, e.object, 0,
-                                    EventType::MutexAcquired, 0, tid});
-          }
-          live[e.object] = HoldState::Idle;
-          break;
-        case EventType::BarrierArrive:
-          pending_barrier_arrive.push_back(clipped.size());
-          break;
-        case EventType::BarrierLeave:
-          if (!pending_barrier_arrive.empty()) pending_barrier_arrive.pop_back();
-          // A Leave with no in-window Arrive is dropped (half a wait says
-          // nothing useful once its blocking part is outside the window).
-          else continue;
-          break;
-        case EventType::CondWaitBegin:
-          pending_cond_begin.push_back(clipped.size());
-          break;
-        case EventType::CondWaitEnd:
-          if (!pending_cond_begin.empty()) pending_cond_begin.pop_back();
-          else continue;
-          break;
-        default:
-          break;
+      if (e.type == EventType::ThreadStart || e.type == EventType::ThreadExit) {
+        continue;  // re-synthesized at the clip edges
+      }
+      const Step step = protocol.step(i, e);
+      if (step.what == Transition::Arrived ||
+          step.what == Transition::WaitBegun) {
+        wait_openings[i] = clipped.size();
+      } else if (e.type == EventType::BarrierLeave ||
+                 e.type == EventType::CondWaitEnd) {
+        const bool closes_in_window =
+            step.what == Transition::Left
+                ? wait_openings.erase(step.barrier.arrive.idx) > 0
+                : step.what == Transition::WaitEnded &&
+                      wait_openings.erase(step.wait.begin.idx) > 0;
+        if (!closes_in_window) continue;
       }
       clipped.push_back(e);
     }
 
-    // Right edge: drop dangling barrier arrivals / cond-wait begins
-    // (mark-and-sweep from the back to keep indices valid).
-    std::vector<std::size_t> to_drop = pending_barrier_arrive;
-    to_drop.insert(to_drop.end(), pending_cond_begin.begin(),
-                   pending_cond_begin.end());
-    std::sort(to_drop.begin(), to_drop.end(), std::greater<>());
-    for (const std::size_t index : to_drop) {
-      clipped.erase(clipped.begin() + static_cast<std::ptrdiff_t>(index));
+    // Right edge: drop the open halves (back to front keeps positions
+    // valid), then release every held depth.
+    for (auto it = wait_openings.rbegin(); it != wait_openings.rend(); ++it) {
+      clipped.erase(clipped.begin() + static_cast<std::ptrdiff_t>(it->second));
     }
-    // Locks still held at the right edge get a synthetic release.
-    for (const auto& [object, hold] : live) {
-      if (hold == HoldState::Held) {
-        clipped.push_back(Event{clip_end, object, kNoArg,
-                                EventType::MutexReleased, 0, tid});
-      }
+    for (const auto& [object, lock] : protocol.locks()) {
+      clipped.insert(clipped.end(), lock.held.size(),
+                     Event{clip_end, object, kNoArg, EventType::MutexReleased,
+                           0, tid});
     }
     clipped.push_back(
         Event{clip_end, kNoObject, kNoArg, EventType::ThreadExit, 0, tid});

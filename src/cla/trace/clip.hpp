@@ -8,11 +8,12 @@
 //   - events outside [begin, end] are dropped;
 //   - each surviving thread gets a ThreadStart/ThreadExit at the window
 //     edges (so the clipped trace still validates);
-//   - mutex/barrier/cond protocols cut by the window are repaired:
-//     a critical section held across the left edge gets a synthetic
-//     uncontended Acquire/Acquired at the edge, one held across the
-//     right edge gets a synthetic Released, and dangling barrier/cond
-//     halves are dropped.
+//   - mutex/barrier/cond protocols cut by the window are repaired with
+//     the thread's ThreadProtocol (cla/trace/protocol.hpp): the left edge
+//     re-opens the state the prefix left, a synthetic uncontended
+//     Acquire/Acquired per held recursive depth and a re-issued Acquire
+//     per pending request; the right edge releases every held depth; and
+//     dangling barrier/cond halves are dropped.
 #pragma once
 
 #include <cstdint>

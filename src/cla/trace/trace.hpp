@@ -158,6 +158,8 @@ class Trace {
   /// cla::util::ValidationError summarising the violations. The underlying
   /// checker (validate_trace in cla/trace/validate.hpp) reports every
   /// violation as a structured diagnostic instead of stopping at the first.
+  /// Unlike the pipeline's view-based check, it also sees stored per-event
+  /// tids, so it rejects a CLA_E_TID_MISMATCH the pipeline accepts.
   void validate() const;
 
   /// Renders a human-readable dump (debugging aid; O(events) big).

@@ -1,10 +1,11 @@
 #include "cla/trace/validate.hpp"
 
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "cla/trace/protocol.hpp"
 
 namespace cla::trace {
 
@@ -19,13 +20,6 @@ using util::Strictness;
 /// Ids beyond this are treated as corruption, not real thread references
 /// (matches the salvage reader's plausibility caps).
 constexpr std::uint64_t kMaxPlausibleTid = 1u << 20;
-
-/// Per-(thread, mutex) protocol state. Recursive mutexes are allowed:
-/// depth counts nested Acquired/Released pairs.
-struct MutexState {
-  int depth = 0;
-  bool acquiring = false;
-};
 
 /// True for the event types whose `object` field names another thread.
 bool references_thread(EventType type) noexcept {
@@ -42,8 +36,33 @@ std::string event_context(const Event& e) {
   return out;
 }
 
+/// Text of a protocol violation, worded as the historic validator did.
+std::string violation_message(DiagCode code, const Event& e,
+                              const ThreadProtocol& protocol) {
+  const std::string id = std::to_string(e.object);
+  switch (code) {
+    case DiagCode::CLA_E_DOUBLE_ACQUIRE:
+      return "MutexAcquire while already acquiring mutex " + id;
+    case DiagCode::CLA_E_UNPAIRED_ACQUIRED:
+      return "MutexAcquired without MutexAcquire on mutex " + id;
+    case DiagCode::CLA_E_UNPAIRED_UNLOCK:
+      return "MutexReleased without holding mutex " + id;
+    case DiagCode::CLA_E_BARRIER_REENTER:
+      return "BarrierArrive while inside barrier " + id;
+    case DiagCode::CLA_E_UNPAIRED_BARRIER_LEAVE:
+      return "BarrierLeave without BarrierArrive on barrier " + id;
+    case DiagCode::CLA_W_NESTED_COND_WAIT:  // the open wait stays open
+      return "CondWaitBegin while a wait on condvar " +
+             std::to_string(protocol.wait()->cond) + " is still open";
+    default:
+      return "CondWaitEnd without a matching CondWaitBegin on condvar " + id;
+  }
+}
+
 /// The replay core, storage-generic: `TraceLike` is Trace (span streams)
-/// or TraceView (strided column streams) — same checks, same diagnostics.
+/// or TraceView (strided column streams). The checks are the same, with
+/// one exception: a TraceView takes each event's tid from its stream
+/// position, so CLA_E_TID_MISMATCH can only fire on an in-memory Trace.
 template <typename TraceLike>
 bool validate_trace_impl(const TraceLike& trace, DiagnosticSink& sink) {
   const std::uint64_t errors_before = sink.error_count();
@@ -76,9 +95,7 @@ bool validate_trace_impl(const TraceLike& trace, DiagnosticSink& sink) {
                  ", not ThreadExit");
     }
 
-    std::map<ObjectId, MutexState> mutexes;
-    std::map<ObjectId, bool> barrier_inside;  // true between Arrive and Leave
-    std::optional<ObjectId> open_wait;        // condvar of an open CondWaitBegin
+    ThreadProtocol protocol;
     std::uint64_t max_ts = 0;
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const Event& e = stream[i];
@@ -98,99 +115,25 @@ bool validate_trace_impl(const TraceLike& trace, DiagnosticSink& sink) {
         report(Severity::Warning, DiagCode::CLA_W_UNKNOWN_THREAD_REF, i,
                event_context(e) + " references no known thread");
       }
-      // State transitions mirror the repair engine's keep/drop replay: a
-      // violating event leaves the state unchanged (as if dropped), so one
-      // stray event yields one diagnostic instead of a cascade — and a
-      // repaired trace replays cleanly.
-      switch (e.type) {
-        case EventType::ThreadStart:
-          if (i != 0) {
-            report(Severity::Error, DiagCode::CLA_E_STRAY_THREAD_START, i,
-                   "ThreadStart not at the head of the stream");
-          }
-          break;
-        case EventType::ThreadExit:
-          if (i + 1 != stream.size()) {
-            report(Severity::Error, DiagCode::CLA_E_STRAY_THREAD_EXIT, i,
-                   "ThreadExit before the end of the stream");
-          }
-          break;
-        case EventType::MutexAcquire: {
-          auto& st = mutexes[e.object];
-          if (st.acquiring) {
-            report(Severity::Error, DiagCode::CLA_E_DOUBLE_ACQUIRE, i,
-                   "MutexAcquire while already acquiring mutex " +
-                       std::to_string(e.object));
-          } else {
-            st.acquiring = true;
-          }
-          break;
-        }
-        case EventType::MutexAcquired: {
-          auto& st = mutexes[e.object];
-          if (!st.acquiring) {
-            report(Severity::Error, DiagCode::CLA_E_UNPAIRED_ACQUIRED, i,
-                   "MutexAcquired without MutexAcquire on mutex " +
-                       std::to_string(e.object));
-          } else {
-            st.acquiring = false;
-            ++st.depth;
-          }
-          break;
-        }
-        case EventType::MutexReleased: {
-          auto& st = mutexes[e.object];
-          if (st.depth <= 0) {
-            report(Severity::Error, DiagCode::CLA_E_UNPAIRED_UNLOCK, i,
-                   "MutexReleased without holding mutex " +
-                       std::to_string(e.object));
-          } else {
-            --st.depth;
-          }
-          break;
-        }
-        case EventType::BarrierArrive: {
-          auto& inside = barrier_inside[e.object];
-          if (inside) {
-            report(Severity::Error, DiagCode::CLA_E_BARRIER_REENTER, i,
-                   "BarrierArrive while inside barrier " +
-                       std::to_string(e.object));
-          } else {
-            inside = true;
-          }
-          break;
-        }
-        case EventType::BarrierLeave: {
-          auto& inside = barrier_inside[e.object];
-          if (!inside) {
-            report(Severity::Error, DiagCode::CLA_E_UNPAIRED_BARRIER_LEAVE, i,
-                   "BarrierLeave without BarrierArrive on barrier " +
-                       std::to_string(e.object));
-          } else {
-            inside = false;
-          }
-          break;
-        }
-        case EventType::CondWaitBegin:
-          if (open_wait.has_value()) {
-            report(Severity::Warning, DiagCode::CLA_W_NESTED_COND_WAIT, i,
-                   "CondWaitBegin while a wait on condvar " +
-                       std::to_string(*open_wait) + " is still open");
-          } else {
-            open_wait = e.object;
-          }
-          break;
-        case EventType::CondWaitEnd:
-          if (!open_wait.has_value()) {
-            report(Severity::Warning, DiagCode::CLA_W_UNPAIRED_WAIT_END, i,
-                   "CondWaitEnd without a matching CondWaitBegin on condvar " +
-                       std::to_string(e.object));
-          } else {
-            open_wait.reset();
-          }
-          break;
-        default:
-          break;
+      if (e.type == EventType::ThreadStart && i != 0) {
+        report(Severity::Error, DiagCode::CLA_E_STRAY_THREAD_START, i,
+               "ThreadStart not at the head of the stream");
+      }
+      if (e.type == EventType::ThreadExit && i + 1 != stream.size()) {
+        report(Severity::Error, DiagCode::CLA_E_STRAY_THREAD_EXIT, i,
+               "ThreadExit before the end of the stream");
+      }
+      // A violating event leaves the protocol state unchanged (as repair
+      // drops it), so one stray event yields one diagnostic instead of a
+      // cascade — and a repaired trace replays cleanly.
+      const Step step = protocol.step(static_cast<std::uint32_t>(i), e);
+      if (step.what == Transition::Violation) {
+        // Errors are exactly what the historic Trace::validate() threw on;
+        // it tolerated the condvar rules, so they stay warnings.
+        const bool condvar = e.type == EventType::CondWaitBegin ||
+                             e.type == EventType::CondWaitEnd;
+        report(condvar ? Severity::Warning : Severity::Error, step.violation, i,
+               violation_message(step.violation, e, protocol));
       }
     }
 
@@ -198,28 +141,28 @@ bool validate_trace_impl(const TraceLike& trace, DiagnosticSink& sink) {
     // validator tolerated these (it only checked transitions), so they are
     // warnings: strict mode stays compatible, repair mode closes them.
     const std::uint64_t end_idx = stream.size() - 1;
-    for (const auto& [object, st] : mutexes) {
-      if (st.acquiring) {
+    for (const auto& [object, lock] : protocol.locks()) {
+      if (lock.request) {
         report(Severity::Warning, DiagCode::CLA_W_ACQUIRE_PENDING_AT_EXIT,
                end_idx,
                "thread ended while still acquiring mutex " +
                    std::to_string(object));
       }
-      if (st.depth > 0) {
+      if (!lock.held.empty()) {
         report(Severity::Warning, DiagCode::CLA_W_LOCK_HELD_AT_EXIT, end_idx,
                "thread ended still holding mutex " + std::to_string(object));
       }
     }
-    for (const auto& [object, inside] : barrier_inside) {
-      if (inside) {
+    for (const auto& [object, barrier] : protocol.barriers()) {
+      if (barrier.arrival) {
         report(Severity::Warning, DiagCode::CLA_W_OPEN_BARRIER_AT_EXIT, end_idx,
                "thread ended inside barrier " + std::to_string(object));
       }
     }
-    if (open_wait.has_value()) {
+    if (const auto& wait = protocol.wait()) {
       report(Severity::Warning, DiagCode::CLA_W_OPEN_WAIT_AT_EXIT, end_idx,
              "thread ended inside a wait on condvar " +
-                 std::to_string(*open_wait));
+                 std::to_string(wait->cond));
     }
   }
   return sink.error_count() == errors_before;
@@ -300,10 +243,8 @@ RepairSummary repair_trace_semantics(Trace& trace, Strictness mode,
     }
 
     // Replay the protocol, dropping events a partial recording can no
-    // longer support and tracking what is left dangling at the end.
-    std::map<ObjectId, MutexState> mutexes;
-    std::map<ObjectId, std::uint64_t> inside_barrier;  // object -> episode arg
-    std::optional<ObjectId> open_wait;
+    // longer support: exactly the ones the automaton rejects.
+    ThreadProtocol protocol;
     std::vector<Event> kept;
     kept.reserve(events.size() + 4);
     std::uint64_t original_kept = 0;
@@ -311,60 +252,20 @@ RepairSummary repair_trace_semantics(Trace& trace, Strictness mode,
     for (std::size_t i = 0; i < events.size(); ++i) {
       Event e = events[i];
       e.tid = tid;  // a corrupt tid inside an intact chunk body is repaired
-      bool keep = true;
-      switch (e.type) {
-        case EventType::ThreadStart:
-          keep = i == 0;
-          break;
-        case EventType::ThreadExit:
-          // Re-appended once, at the very end.
-          keep = false;
-          if (i + 1 == events.size()) final_exit = e;
-          break;
-        case EventType::MutexAcquire: {
-          auto& st = mutexes[e.object];
-          keep = !st.acquiring;
-          if (keep) st.acquiring = true;
-          break;
-        }
-        case EventType::MutexAcquired: {
-          auto& st = mutexes[e.object];
-          keep = st.acquiring;
-          if (keep) {
-            st.acquiring = false;
-            ++st.depth;
-          }
-          break;
-        }
-        case EventType::MutexReleased: {
-          auto& st = mutexes[e.object];
-          keep = st.depth > 0;
-          if (keep) --st.depth;
-          break;
-        }
-        case EventType::BarrierArrive:
-          keep = !inside_barrier.contains(e.object);
-          if (keep) inside_barrier[e.object] = e.arg;
-          break;
-        case EventType::BarrierLeave:
-          keep = inside_barrier.contains(e.object);
-          if (keep) inside_barrier.erase(e.object);
-          break;
-        case EventType::CondWaitBegin:
-          keep = !open_wait.has_value();
-          if (keep) open_wait = e.object;
-          break;
-        case EventType::CondWaitEnd:
-          keep = open_wait.has_value();
-          if (keep) open_wait.reset();
-          break;
-        default:
-          break;
+      if (e.type == EventType::ThreadExit) {
+        // Re-appended once, at the very end.
+        if (i + 1 == events.size()) final_exit = e;
+        continue;
       }
+      const bool keep =
+          e.type == EventType::ThreadStart
+              ? i == 0
+              : protocol.step(static_cast<std::uint32_t>(i), e).what !=
+                    Transition::Violation;
       if (keep) {
         kept.push_back(e);
         ++original_kept;
-      } else if (e.type != EventType::ThreadExit) {
+      } else {
         ++discarded;
         touched = true;
       }
@@ -376,25 +277,26 @@ RepairSummary repair_trace_semantics(Trace& trace, Strictness mode,
     // condition wait ends, a pending acquire collapses to a zero-length
     // uncontended section, a held lock is released, an open barrier
     // episode is left.
-    if (open_wait.has_value()) {
-      kept.push_back(Event{last_ts, *open_wait, kNoArg, EventType::CondWaitEnd,
-                           0, tid});
+    const auto close = [&](EventType type, ObjectId object, std::uint64_t arg) {
+      kept.push_back(Event{last_ts, object, arg, type, 0, tid});
       ++synthesized;
+    };
+    if (const auto& wait = protocol.wait()) {
+      close(EventType::CondWaitEnd, wait->cond, kNoArg);
     }
-    for (auto& [object, st] : mutexes) {
-      if (st.acquiring) {
-        kept.push_back(Event{last_ts, object, 0, EventType::MutexAcquired, 0, tid});
-        kept.push_back(Event{last_ts, object, kNoArg, EventType::MutexReleased, 0, tid});
-        synthesized += 2;
+    for (const auto& [object, lock] : protocol.locks()) {
+      if (lock.request) {
+        close(EventType::MutexAcquired, object, 0);
+        close(EventType::MutexReleased, object, kNoArg);
       }
-      for (; st.depth > 0; --st.depth) {
-        kept.push_back(Event{last_ts, object, kNoArg, EventType::MutexReleased, 0, tid});
-        ++synthesized;
+      for (std::size_t depth = 0; depth < lock.held.size(); ++depth) {
+        close(EventType::MutexReleased, object, kNoArg);
       }
     }
-    for (const auto& [object, episode] : inside_barrier) {
-      kept.push_back(Event{last_ts, object, episode, EventType::BarrierLeave, 0, tid});
-      ++synthesized;
+    for (const auto& [object, barrier] : protocol.barriers()) {
+      if (barrier.arrival) {
+        close(EventType::BarrierLeave, object, barrier.arrival->arg);
+      }
     }
     if (final_exit.has_value() && final_exit->ts >= last_ts) {
       kept.push_back(*final_exit);
@@ -422,22 +324,19 @@ RepairSummary repair_trace_semantics(Trace& trace, Strictness mode,
                " of its events were unsupportable");
     }
 
-    if (sink != nullptr) {
-      if (clamped > 0) {
-        note(DiagCode::CLA_R_CLAMPED_TIMESTAMPS, Severity::Info, tid,
-             "clamped " + std::to_string(clamped) +
-                 " non-monotone timestamps");
-      }
-      if (discarded > 0) {
-        note(DiagCode::CLA_R_DROPPED_EVENTS, Severity::Info, tid,
-             "dropped " + std::to_string(discarded) +
-                 " protocol-inconsistent events");
-      }
-      if (synthesized > 0) {
-        note(DiagCode::CLA_R_SYNTHESIZED_EVENTS, Severity::Info, tid,
-             "synthesized " + std::to_string(synthesized) +
-                 " events to close the thread's protocol state");
-      }
+    if (clamped > 0) {
+      note(DiagCode::CLA_R_CLAMPED_TIMESTAMPS, Severity::Info, tid,
+           "clamped " + std::to_string(clamped) + " non-monotone timestamps");
+    }
+    if (discarded > 0) {
+      note(DiagCode::CLA_R_DROPPED_EVENTS, Severity::Info, tid,
+           "dropped " + std::to_string(discarded) +
+               " protocol-inconsistent events");
+    }
+    if (synthesized > 0) {
+      note(DiagCode::CLA_R_SYNTHESIZED_EVENTS, Severity::Info, tid,
+           "synthesized " + std::to_string(synthesized) +
+               " events to close the thread's protocol state");
     }
 
     if (synthesized > 0 || touched) ++summary.threads_repaired;

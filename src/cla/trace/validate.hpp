@@ -1,23 +1,24 @@
 // Non-throwing semantic trace validation and the shared repair engine.
 //
-// validate_trace() replays every thread's event protocol and reports ALL
-// violations as structured diagnostics (see cla/util/diagnostics.hpp)
-// instead of throwing on the first: unpaired lock/unlock, re-acquire of a
-// held non-recursive mutex, barrier re-entry, condition waits without a
-// matching end, timestamp regressions, references to unregistered thread
-// ids, and threads that never start or exit. Severity encodes the
-// contract: `error` marks exactly the violations the historic
+// validate_trace() replays every thread's events through its
+// ThreadProtocol (cla/trace/protocol.hpp, the pairing rules the index and
+// the sweep also use) and reports ALL violations as structured diagnostics
+// (see cla/util/diagnostics.hpp) instead of throwing on the first:
+// unpaired lock/unlock, double acquire, barrier re-entry, condition waits
+// without a matching end, timestamp regressions, references to
+// unregistered thread ids, and threads that never start or exit. Severity
+// encodes the contract: `error` marks exactly the violations the historic
 // Trace::validate() threw on, `warning` marks analyzable oddities it
 // tolerated, so strict mode stays behaviour-compatible.
 //
 // repair_trace_semantics() is the deterministic fixer behind
 // --strictness=repair/lenient and trace salvage (salvage.cpp delegates
 // here): clamp timestamps monotone, synthesize missing ThreadStart /
-// ThreadExit / unlock / barrier-leave / cond-end events, drop orphan
-// events the protocol can no longer support, stub referenced-but-lost
-// threads, and — under lenient — drop threads that are mostly garbage.
-// Every repair is itself emitted as a diagnostic so reports can print a
-// trace-health section. After repair, validate_trace() reports no errors.
+// ThreadExit / unlock / barrier-leave / cond-end events, drop exactly the
+// events the automaton rejects, stub referenced-but-lost threads, and —
+// under lenient — drop threads that are mostly garbage. Every repair is
+// itself emitted as a diagnostic so reports can print a trace-health
+// section. After repair, validate_trace() reports no errors.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +32,12 @@ namespace cla::trace {
 /// Replays the whole trace and appends one diagnostic per violation to
 /// `sink` (bounded by the sink's cap). Returns true iff no error- or
 /// fatal-severity diagnostic was produced by this call. The TraceView
-/// overload runs the identical checks read-only over a view (e.g. an
-/// mmap-backed load), producing the same diagnostics.
+/// overload runs the same checks read-only over a view (e.g. an
+/// mmap-backed load), except one: a view takes each event's tid from its
+/// stream position, so CLA_E_TID_MISMATCH fires only on a Trace. So
+/// Trace::validate() (which IncrementalAnalyzer runs when validate = true)
+/// rejects a stored-tid mismatch that the batch pipeline, validating its
+/// view, accepts.
 bool validate_trace(const Trace& trace, util::DiagnosticSink& sink);
 bool validate_trace(const TraceView& view, util::DiagnosticSink& sink);
 

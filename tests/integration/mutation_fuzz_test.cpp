@@ -7,7 +7,9 @@
 // The contract under fuzz:
 //   - the pipeline NEVER crashes: only ValidationError (strict mode) or
 //     a clean report may come out, anything else is a bug;
-//   - repair mode ALWAYS produces a report for every mutated input;
+//   - repair mode ALWAYS produces a report for every mutated input, and
+//     the trace it analyzed replays clean through the validator (DESIGN
+//     §9: "a repaired trace replays clean");
 //   - with a generous deadline armed, no run exceeds it.
 //
 // Mutations are deterministic (fixed per-workload seeds via cla::util::Rng)
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "cla/core/cla.hpp"
+#include "cla/trace/validate.hpp"
 #include "cla/util/error.hpp"
 #include "cla/util/rng.hpp"
 #include "cla/workloads/workload.hpp"
@@ -107,6 +110,19 @@ bool analyze_mutant(const trace::Trace& mutant, util::Strictness strictness,
     if (report.empty()) {
       *failure = "pipeline produced an empty report";
       return false;
+    }
+    if (strictness == util::Strictness::Repair) {
+      // Replay what was analyzed: the view, not trace(). A mutant damaged
+      // only in its stored per-event tids looks clean through the view, so
+      // nothing is repaired and trace() is the borrowed mutant itself.
+      util::DiagnosticSink replay;
+      trace::validate_trace(pipeline.view(), replay);
+      for (const util::Diagnostic& d : replay.diagnostics()) {
+        // Implausibly large thread ids are deliberately not stubbed.
+        if (d.code == util::DiagCode::CLA_W_UNKNOWN_THREAD_REF) continue;
+        *failure = "repaired trace does not replay clean: " + d.to_string();
+        return false;
+      }
     }
     return true;
   } catch (const util::ResourceLimitError& e) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "support/analyze.hpp"
+#include "cla/analysis/index.hpp"
 #include "cla/sim/engine.hpp"
 #include "cla/trace/builder.hpp"
+#include "cla/trace/validate.hpp"
 #include "cla/util/error.hpp"
 
 namespace cla::trace {
@@ -79,6 +81,58 @@ TEST(Clip, RepairsSectionHeldAcrossRightEdge) {
   const auto* l = result.find_lock("L");
   ASSERT_NE(l, nullptr);
   EXPECT_EQ(l->total_hold, 30u);  // [20,50) with a synthetic release
+}
+
+/// Clips `t` to `window` and checks the result validates with no
+/// diagnostics at all; returns mutex 7's sections in ownership order.
+std::vector<analysis::CsRecord> clip_sections(const Trace& t, Window window) {
+  const Trace clipped = clip_trace(t, window);
+  util::DiagnosticSink sink;
+  EXPECT_TRUE(validate_trace(clipped, sink));
+  for (const auto& d : sink.diagnostics()) ADD_FAILURE() << d.to_string();
+  const analysis::TraceIndex index(clipped);
+  return index.mutexes().at(7).sections;
+}
+
+TEST(Clip, ReopensHeldDepthAndPendingRelockAtLeftEdge) {
+  // Recursive mutex 7 is held, and the re-lock's Acquire@20 is still
+  // pending when the window opens at 30.
+  TraceBuilder b;
+  b.thread(0)
+      .start(0)
+      .acquire(7, 5)
+      .acquired(7, 5, false)
+      .acquire(7, 20)
+      .acquired(7, 40, true)
+      .released(7, 50)
+      .released(7, 60)
+      .exit(100);
+  const auto secs = clip_sections(b.finish_unchecked(), Window{30, 90});
+  ASSERT_EQ(secs.size(), 2u);
+  EXPECT_EQ(secs[0].acquired_ts, 30u);  // the outer hold, re-opened
+  EXPECT_EQ(secs[0].released_ts, 60u);
+  EXPECT_EQ(secs[1].acquire_ts, 30u);   // the re-lock, re-issued
+  EXPECT_EQ(secs[1].acquired_ts, 40u);
+  EXPECT_EQ(secs[1].released_ts, 50u);
+}
+
+TEST(Clip, ReleasesEveryHeldDepthAtRightEdge) {
+  TraceBuilder b;
+  b.thread(0)
+      .start(0)
+      .acquire(7, 1)
+      .acquired(7, 1, false)
+      .acquire(7, 10)
+      .acquired(7, 12, false)
+      .released(7, 40)
+      .released(7, 50)
+      .exit(60);
+  const auto secs = clip_sections(b.finish_unchecked(), Window{5, 30});
+  ASSERT_EQ(secs.size(), 2u);
+  EXPECT_EQ(secs[0].acquired_ts, 5u);
+  EXPECT_EQ(secs[1].acquired_ts, 12u);
+  EXPECT_EQ(secs[0].released_ts, 30u);
+  EXPECT_EQ(secs[1].released_ts, 30u);
 }
 
 TEST(Clip, DropsDanglingBarrierArrive) {

@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "cla/util/clock.hpp"
 #include "cla/util/error.hpp"
 
 namespace cla::rt {
@@ -19,15 +20,19 @@ InstrumentedMutex::~InstrumentedMutex() { pthread_mutex_destroy(&mutex_); }
 
 void InstrumentedMutex::lock() {
   Recorder& recorder = Recorder::instance();
-  recorder.record(EventType::MutexAcquire, id());  // MAGIC: acquire the lock
-  bool contended = false;
-  if (pthread_mutex_trylock(&mutex_) == EBUSY) {
-    contended = true;  // MAGIC: lock contention
-    const int rc = pthread_mutex_lock(&mutex_);
-    CLA_CHECK(rc == 0, "pthread_mutex_lock failed");
+  // MAGIC: acquire the lock — one clock read, before the try-lock, so it
+  // never lengthens the critical section.
+  const std::uint64_t arrival = util::ticks();
+  if (pthread_mutex_trylock(&mutex_) != EBUSY) {
+    // MAGIC: obtain the lock, uncontended — one record with the acquire.
+    recorder.record_acquired_at(arrival, id());
+    return;
   }
-  // MAGIC: obtain the lock
-  recorder.record(EventType::MutexAcquired, id(), contended ? 1 : 0);
+  // MAGIC: lock contention
+  const int rc = pthread_mutex_lock(&mutex_);
+  CLA_CHECK(rc == 0, "pthread_mutex_lock failed");
+  recorder.record_at(EventType::MutexAcquire, arrival, id());
+  recorder.record(EventType::MutexAcquired, id(), 1);  // MAGIC: obtain the lock
 }
 
 void InstrumentedMutex::unlock() {
@@ -67,16 +72,18 @@ InstrumentedCond::~InstrumentedCond() { pthread_cond_destroy(&cond_); }
 void InstrumentedCond::wait(InstrumentedMutex& mutex) {
   Recorder& recorder = Recorder::instance();
   // cond_wait atomically releases the mutex; trace that release so lock
-  // hold times stay correct.
-  recorder.record(EventType::MutexReleased, mutex.id());
-  recorder.record(EventType::CondWaitBegin, id(), mutex.id());
+  // hold times stay correct. Release and wait start are one instant.
+  const std::uint64_t begin = util::ticks();
+  recorder.record_at(EventType::MutexReleased, begin, mutex.id());
+  recorder.record_at(EventType::CondWaitBegin, begin, id(), mutex.id());
   pthread_cond_wait(&cond_, mutex.native());
-  // MAGIC: signal received (paper Fig. 4, "woken up by signal").
-  recorder.record(EventType::CondWaitEnd, id(), mutex.id());
-  recorder.record(EventType::MutexAcquire, mutex.id());
-  // The re-acquire may well have contended, but pthread_cond_wait hides
-  // it; record uncontended so the analyzer does not invent a block.
-  recorder.record(EventType::MutexAcquired, mutex.id(), 0);
+  // MAGIC: signal received (paper Fig. 4, "woken up by signal"), and the
+  // mutex re-acquired at the same instant. The re-acquire may well have
+  // contended, but pthread_cond_wait hides it; record it uncontended so
+  // the analyzer does not invent a block.
+  const std::uint64_t end = util::ticks();
+  recorder.record_at(EventType::CondWaitEnd, end, id(), mutex.id());
+  recorder.record_acquired_at(end, mutex.id());
 }
 
 void InstrumentedCond::signal() {

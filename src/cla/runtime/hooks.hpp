@@ -1,9 +1,10 @@
 // Instrumented pthread-style synchronization wrappers (paper Fig. 4).
 //
 // These implement the exact MAGIC() placement the paper describes:
-//   - lock: record "acquire"; try-lock first; on EBUSY record the
-//     contention and fall back to the blocking lock; record "obtain"
-//     with the contended flag;
+//   - lock: read the clock ("acquire"), then try-lock; if it succeeds,
+//     record "acquire" and "obtain" (uncontended) as one record at that
+//     time; on EBUSY fall back to the blocking lock and record "acquire"
+//     at that time plus "obtain" with the contended flag;
 //   - unlock: record "release" AFTER the real unlock so instrumentation
 //     never extends the critical section;
 //   - barrier: record arrival BEFORE the wait (the arrival time is what

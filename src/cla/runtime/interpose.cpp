@@ -16,13 +16,14 @@
 // cla_trace.clat) as checksummed `.clat` chunks while the app runs,
 // converting ticks to ns as it goes, so the trace survives the process.
 // The flusher also takes the recorder's fixed costs off the app: it runs
-// the TSC calibration and pre-faults each new ring. $CLA_TRACE_FORMAT
-// picks the chunk encoding (v2 raw, v3 compact varint);
-// $CLA_BUFFER_EVENTS sizes each thread's ring at twice that many events
-// (default 16384). Fatal signals (SIGSEGV, SIGABRT, SIGBUS, SIGTERM) and
-// _exit/_Exit trigger an async-signal-safe best-effort spill of the
-// rings' undrained tails before the process dies; a torn final chunk is
-// dropped by `cla-analyze --salvage`'s CRC check.
+// the TSC calibration and faults each ring in just ahead of its thread.
+// $CLA_TRACE_FORMAT picks the chunk encoding (v2 raw, v3 compact varint);
+// $CLA_BUFFER_EVENTS sizes each thread's ring at twice that many 16-byte
+// slots (default 16384, a 512 KiB ring). Fatal signals (SIGSEGV,
+// SIGABRT, SIGBUS, SIGTERM) and _exit/_Exit trigger an async-signal-safe
+// best-effort spill of the rings' undrained tails before the process
+// dies; a torn final chunk is dropped by `cla-analyze --salvage`'s CRC
+// check.
 //
 // The library is self-contained: it carries a private static copy of
 // libstdc++ and exports only the interposed entry points below (see
@@ -109,7 +110,9 @@ struct RealPthread {
   void (*exit_now)(int) = resolve<void (*)(int)>("_exit");
 };
 
-RealPthread& real() {
+// Resolved on first use (a hook may run before this library's static
+// initializers); inline, so a hook pays one guard check, not a call.
+__attribute__((always_inline)) inline RealPthread& real() {
   static RealPthread fns;
   return fns;
 }
@@ -264,7 +267,7 @@ std::size_t stack_depth_from_env() {
                                cla::trace::kMaxCallStackDepth);
 }
 
-std::size_t stack_depth() {
+__attribute__((always_inline)) inline std::size_t stack_depth() {
   static const std::size_t depth = stack_depth_from_env();
   return depth;
 }
@@ -314,8 +317,8 @@ struct StackCacheEntry {
 constexpr std::size_t kStackCacheSlots = 64;
 thread_local StackCacheEntry tls_stack_cache[kStackCacheSlots];
 
-std::uint64_t intern_stack(const std::uint64_t* pcs, std::size_t depth) {
-  if (depth == 0) return cla::trace::kNoArg;
+std::uint64_t intern_captured_stack(const std::uint64_t* pcs,
+                                    std::size_t depth) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the pc chain
   for (std::size_t i = 0; i < depth; ++i) {
     h ^= pcs[i];
@@ -333,6 +336,13 @@ std::uint64_t intern_stack(const std::uint64_t* pcs, std::size_t depth) {
   std::copy(pcs, pcs + depth, slot.pcs);
   slot.id = id;
   return id;
+}
+
+// The interned id of a captured stack; kNoArg when none was captured
+// (the default, CLA_STACK_DEPTH unset) without leaving the hook.
+inline std::uint64_t intern_stack(const std::uint64_t* pcs,
+                                  std::size_t depth) {
+  return depth == 0 ? cla::trace::kNoArg : intern_captured_stack(pcs, depth);
 }
 
 // ---- trace lifecycle -----------------------------------------------------
@@ -470,11 +480,42 @@ int missing_real(const char* name, std::atomic<bool>& warned) {
 // lock is actually held (rc == 0, or EOWNERDEAD: a robust mutex was
 // acquired and the caller must recover it). A failed lock (EDEADLK on an
 // error-checking mutex, EINVAL, ETIMEDOUT, ...) records nothing, so lock
-// pairing in the trace can't be corrupted by error paths. The wait-start
-// timestamp (raw ticks, like every hot-path timestamp) is taken before
-// the call and back-dated via record_at, so contended waits still
-// measure from arrival, not from acquisition.
+// pairing in the trace can't be corrupted by error paths.
 bool lock_acquired(int rc) { return rc == 0 || rc == EOWNERDEAD; }
+
+// The lock hooks' shared protocol. The clock is read once on arrival,
+// just before the trylock probe, so the read never lengthens the
+// application's critical section (as the release is read only after the
+// unlock). A probe that acquires records one fused uncontended
+// acquisition (MutexAcquire + MutexAcquired arg 0) at the arrival time.
+// Otherwise the blocking `lock` runs, and a successful one records
+// MutexAcquire back-dated to the arrival, so a contended wait measures
+// from arrival, then MutexAcquired with the contended flag (EBUSY; any
+// other probe failure proves nothing about contention). With no real
+// trylock the blocking call is the whole acquisition. The call stack
+// (`pcs`, captured by the hook) is interned only once held.
+template <typename Lock>
+__attribute__((always_inline)) inline int acquire_recorded(
+    pthread_mutex_t* mutex, const std::uint64_t* pcs, std::size_t captured,
+    Lock&& lock) {
+  Recorder& recorder = Recorder::instance();
+  const bool probe = real().mutex_trylock != nullptr;
+  const std::uint64_t arrival = cla::util::ticks();
+  int rc = probe ? real().mutex_trylock(mutex) : EBUSY;
+  if (probe && lock_acquired(rc)) {
+    recorder.record_acquired_at(arrival, oid(mutex),
+                                intern_stack(pcs, captured));
+    return rc;
+  }
+  const bool contended = probe && rc == EBUSY;
+  rc = lock();
+  if (lock_acquired(rc)) {
+    recorder.record_at(EventType::MutexAcquire, arrival, oid(mutex),
+                       intern_stack(pcs, captured));
+    recorder.record(EventType::MutexAcquired, oid(mutex), contended ? 1 : 0);
+  }
+  return rc;
+}
 
 }  // namespace
 
@@ -486,44 +527,23 @@ int pthread_mutex_lock(pthread_mutex_t* mutex) {
   HookGuard guard;
   if (real().mutex_lock == nullptr) CLA_MISSING_REAL("pthread_mutex_lock");
   if (!guard.armed) return real().mutex_lock(mutex);
-  Recorder& recorder = Recorder::instance();
   std::uint64_t pcs[cla::trace::kMaxCallStackDepth];
   const std::size_t captured = capture_stack(pcs, stack_depth());
-  const std::uint64_t wait_start = cla::util::ticks();
-  bool contended = false;
-  int rc;
-  if (real().mutex_trylock != nullptr) {
-    // Contention probe. EBUSY marks the section contended; any other
-    // trylock failure (EINVAL, EAGAIN recursion limit, ...) proves
-    // nothing about contention, so both fall through to the real
-    // blocking lock and the application sees its verdict.
-    rc = real().mutex_trylock(mutex);
-    if (rc == EBUSY) contended = true;
-    if (!lock_acquired(rc)) rc = real().mutex_lock(mutex);
-  } else {
-    rc = real().mutex_lock(mutex);
-  }
-  if (lock_acquired(rc)) {
-    recorder.record_at(EventType::MutexAcquire, wait_start, oid(mutex),
-                       intern_stack(pcs, captured));
-    recorder.record(EventType::MutexAcquired, oid(mutex), contended ? 1 : 0);
-  }
-  return rc;
+  return acquire_recorded(mutex, pcs, captured,
+                          [mutex] { return real().mutex_lock(mutex); });
 }
 
 int pthread_mutex_trylock(pthread_mutex_t* mutex) {
   HookGuard guard;
   if (real().mutex_trylock == nullptr) CLA_MISSING_REAL("pthread_mutex_trylock");
   if (!guard.armed) return real().mutex_trylock(mutex);
-  Recorder& recorder = Recorder::instance();
   std::uint64_t pcs[cla::trace::kMaxCallStackDepth];
   const std::size_t captured = capture_stack(pcs, stack_depth());
-  const std::uint64_t wait_start = cla::util::ticks();
+  const std::uint64_t arrival = cla::util::ticks();
   const int rc = real().mutex_trylock(mutex);
   if (lock_acquired(rc)) {
-    recorder.record_at(EventType::MutexAcquire, wait_start, oid(mutex),
-                       intern_stack(pcs, captured));
-    recorder.record(EventType::MutexAcquired, oid(mutex), 0);
+    Recorder::instance().record_acquired_at(arrival, oid(mutex),
+                                            intern_stack(pcs, captured));
   }
   return rc;
 }
@@ -533,25 +553,11 @@ int pthread_mutex_timedlock(pthread_mutex_t* mutex,
   HookGuard guard;
   if (real().mutex_timedlock == nullptr) CLA_MISSING_REAL("pthread_mutex_timedlock");
   if (!guard.armed) return real().mutex_timedlock(mutex, abstime);
-  Recorder& recorder = Recorder::instance();
   std::uint64_t pcs[cla::trace::kMaxCallStackDepth];
   const std::size_t captured = capture_stack(pcs, stack_depth());
-  const std::uint64_t wait_start = cla::util::ticks();
-  bool contended = false;
-  int rc;
-  if (real().mutex_trylock != nullptr) {
-    rc = real().mutex_trylock(mutex);
-    if (rc == EBUSY) contended = true;
-    if (!lock_acquired(rc)) rc = real().mutex_timedlock(mutex, abstime);
-  } else {
-    rc = real().mutex_timedlock(mutex, abstime);
-  }
-  if (lock_acquired(rc)) {
-    recorder.record_at(EventType::MutexAcquire, wait_start, oid(mutex),
-                       intern_stack(pcs, captured));
-    recorder.record(EventType::MutexAcquired, oid(mutex), contended ? 1 : 0);
-  }
-  return rc;
+  return acquire_recorded(mutex, pcs, captured, [mutex, abstime] {
+    return real().mutex_timedlock(mutex, abstime);
+  });
 }
 
 int pthread_mutex_unlock(pthread_mutex_t* mutex) {
@@ -601,13 +607,17 @@ int pthread_cond_wait(pthread_cond_t* cond, pthread_mutex_t* mutex) {
   Recorder& recorder = Recorder::instance();
   std::uint64_t pcs[cla::trace::kMaxCallStackDepth];
   const std::size_t captured = capture_stack(pcs, stack_depth());
-  recorder.record(EventType::MutexReleased, oid(mutex));
-  recorder.record(EventType::CondWaitBegin, oid(cond), oid(mutex));
+  // One clock read on each side of the wait, taken while the mutex is
+  // held: the release and the wait start are one instant, and so are
+  // the wake-up and the re-acquire (which may have contended, but the
+  // wait hides it).
+  const std::uint64_t begin = cla::util::ticks();
+  recorder.record_at(EventType::MutexReleased, begin, oid(mutex));
+  recorder.record_at(EventType::CondWaitBegin, begin, oid(cond), oid(mutex));
   const int rc = real().cond_wait(cond, mutex);
-  recorder.record(EventType::CondWaitEnd, oid(cond), oid(mutex));
-  recorder.record(EventType::MutexAcquire, oid(mutex),
-                  intern_stack(pcs, captured));
-  recorder.record(EventType::MutexAcquired, oid(mutex), 0);
+  const std::uint64_t end = cla::util::ticks();
+  recorder.record_at(EventType::CondWaitEnd, end, oid(cond), oid(mutex));
+  recorder.record_acquired_at(end, oid(mutex), intern_stack(pcs, captured));
   return rc;
 }
 
@@ -619,13 +629,17 @@ int pthread_cond_timedwait(pthread_cond_t* cond, pthread_mutex_t* mutex,
   Recorder& recorder = Recorder::instance();
   std::uint64_t pcs[cla::trace::kMaxCallStackDepth];
   const std::size_t captured = capture_stack(pcs, stack_depth());
-  recorder.record(EventType::MutexReleased, oid(mutex));
-  recorder.record(EventType::CondWaitBegin, oid(cond), oid(mutex));
+  // One clock read on each side of the wait, taken while the mutex is
+  // held: the release and the wait start are one instant, and so are
+  // the wake-up and the re-acquire (which may have contended, but the
+  // wait hides it).
+  const std::uint64_t begin = cla::util::ticks();
+  recorder.record_at(EventType::MutexReleased, begin, oid(mutex));
+  recorder.record_at(EventType::CondWaitBegin, begin, oid(cond), oid(mutex));
   const int rc = real().cond_timedwait(cond, mutex, abstime);
-  recorder.record(EventType::CondWaitEnd, oid(cond), oid(mutex));
-  recorder.record(EventType::MutexAcquire, oid(mutex),
-                  intern_stack(pcs, captured));
-  recorder.record(EventType::MutexAcquired, oid(mutex), 0);
+  const std::uint64_t end = cla::util::ticks();
+  recorder.record_at(EventType::CondWaitEnd, end, oid(cond), oid(mutex));
+  recorder.record_acquired_at(end, oid(mutex), intern_stack(pcs, captured));
   return rc;
 }
 

@@ -5,9 +5,11 @@
 #include "cla/runtime/recorder.hpp"
 
 #include <dlfcn.h>
+#include <fcntl.h>
 #include <linux/futex.h>
 #include <pthread.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
@@ -18,22 +20,12 @@
 #include <new>
 #include <set>
 
-#include "cla/util/clock.hpp"
 #include "cla/util/diagnostics.hpp"
 #include "cla/util/error.hpp"
-#include "cla/util/faultinject.hpp"
 
 namespace cla::rt {
 
 namespace {
-
-struct TlsBinding {
-  Recorder* recorder = nullptr;
-  void* buffer = nullptr;
-  std::uint64_t epoch = 0;
-};
-
-thread_local TlsBinding tls_binding;
 
 // Epochs are process-globally unique so a stale TLS binding can never
 // false-match a different (or re-created) Recorder that happens to live
@@ -63,10 +55,6 @@ extern "C" void cla_thread_exit_destructor(void*) {
     recorder->thread_exit_on_destroy();
   }
 }
-
-// Set while the current thread runs recorder-internal machinery; the
-// interposer's HookGuard disarms on it (see current_thread_internal()).
-thread_local bool tls_internal_thread = false;
 
 // Resolves one recorded return address to "symbol+0xoff (module)" via
 // dladdr. Only meaningful in the recording process (the PCs index *its*
@@ -102,23 +90,53 @@ std::string symbolize_pc(std::uint64_t pc) {
 
 constexpr std::size_t kPageBytes = 4096;
 constexpr std::size_t kPrefaultStep = 16 * kPageBytes;
-// Rings drain once this many events are pending (or half the ring, if
+// Rings drain once this many slots are pending (or half the ring, if
 // that is smaller), and every ring drains completely every kSweepNs.
-constexpr std::uint64_t kDrainThreshold = 4096;
+constexpr std::size_t kDrainThreshold = 4096;
 constexpr std::uint64_t kSweepNs = 50'000'000;
+// Events per write_events call: the flusher's batch holds two thresholds'
+// worth, so a threshold drain of fused records is still one chunk; the
+// crash spill's batch lives on a fatal-signal handler's stack.
+constexpr std::size_t kDrainBatchEvents = 2 * kDrainThreshold;
+constexpr std::size_t kSpillBatchEvents = 128;
+
+std::size_t page_round(std::size_t bytes) {
+  return (bytes + kPageBytes - 1) / kPageBytes * kPageBytes;
+}
+
+// Unlinks the regular, singly linked file at `path` and returns an fd
+// that keeps its inode alive, so the writer creates a fresh file instead
+// of truncating this one in place and whoever closes the fd pays for
+// freeing the old blocks. -1 when nothing was unlinked (no file, a
+// symlink, a hard link, a device, no write permission, a failed unlink):
+// the writer's O_TRUNC open then behaves as it always has.
+int detach_replaced_file(const std::string& path) {
+  struct stat named{};
+  if (::lstat(path.c_str(), &named) != 0 || !S_ISREG(named.st_mode) ||
+      named.st_nlink != 1) {
+    return -1;
+  }
+  // O_WRONLY: replacing must need the same permission truncating does.
+  const int fd = ::open(path.c_str(),
+                        O_WRONLY | O_NOFOLLOW | O_NONBLOCK | O_CLOEXEC);
+  if (fd < 0) return -1;
+  struct stat opened{};
+  if (::fstat(fd, &opened) != 0 || opened.st_ino != named.st_ino ||
+      opened.st_dev != named.st_dev || opened.st_nlink != 1 ||
+      ::unlink(path.c_str()) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
 
 }  // namespace
 
-bool Recorder::current_thread_internal() noexcept {
-  return tls_internal_thread;
+Recorder::ScopedInternal::ScopedInternal() noexcept : prev_(tls_internal_) {
+  tls_internal_ = true;
 }
 
-Recorder::ScopedInternal::ScopedInternal() noexcept
-    : prev_(tls_internal_thread) {
-  tls_internal_thread = true;
-}
-
-Recorder::ScopedInternal::~ScopedInternal() { tls_internal_thread = prev_; }
+Recorder::ScopedInternal::~ScopedInternal() { tls_internal_ = prev_; }
 
 /// Legacy unbounded in-memory buffer (collect() mode).
 struct Recorder::ThreadBuffer {
@@ -126,50 +144,21 @@ struct Recorder::ThreadBuffer {
   std::vector<trace::Event> events;
 };
 
-/// Streaming-mode ring: single producer (the owning thread), single
-/// drainer at a time (the flusher; finish_streaming and crash_spill once
-/// it is stopped or parked). The owner stores an event at `head` and
-/// publishes head + 1 with release; the drainer writes [tail, head) and
-/// then advances `tail`. Slots hold raw ticks until the drainer converts
-/// them in place. All hand-off is via the atomics, so the crash handler
-/// can read any ring without locks.
-struct Recorder::StreamBuffer {
-  StreamBuffer(trace::ThreadId id, std::uint32_t slots_in_ring,
-               std::uint32_t wake_every)
-      : tid(id),
-        capacity(slots_in_ring),
-        bytes((slots_in_ring * sizeof(trace::Event) + kPageBytes - 1) /
-              kPageBytes * kPageBytes),
-        // Raw storage: value-initialising the events would zero-fill (and
-        // fault in) the whole ring on the registering application thread.
-        slots(static_cast<trace::Event*>(
-            ::operator new(bytes, std::align_val_t{kPageBytes}))),
-        until_wake(wake_every) {}
-  ~StreamBuffer() { ::operator delete(slots, std::align_val_t{kPageBytes}); }
+Recorder::StreamBuffer::StreamBuffer(trace::ThreadId id,
+                                     std::uint32_t slots_in_ring,
+                                     std::int32_t wake_every)
+    // Raw storage: value-initialising the slots would zero-fill (and
+    // fault in) the whole ring on the registering application thread.
+    : slots(static_cast<Slot*>(
+          ::operator new(page_round(slots_in_ring * sizeof(Slot)),
+                         std::align_val_t{kPageBytes}))),
+      capacity(slots_in_ring),
+      until_wake(wake_every),
+      tid(id),
+      bytes(page_round(slots_in_ring * sizeof(Slot))) {}
 
-  const trace::ThreadId tid;
-  const std::uint32_t capacity;
-  const std::size_t bytes;
-  trace::Event* const slots;
-  std::atomic<std::uint64_t> head{0};
-  std::atomic<std::uint64_t> last_ts{0};  // ticks, for exit synthesis
-  std::atomic<bool> saw_exit{false};
-
-  // Drainer side, on its own cache line: the owner only reads `tail` when
-  // its cached copy says the ring is full.
-  alignas(64) std::atomic<std::uint64_t> tail{0};
-  std::atomic<bool> draining{false};
-
-  // Owner-thread-only state.
-  alignas(64) std::uint64_t tail_cache = 0;
-  std::uint32_t head_slot = 0;
-  std::uint32_t until_wake;    // appends left before the next flusher wake
-  std::uint64_t clamp_ts = 0;  // per-thread monotonic timestamp repair
-};
-
-Recorder& Recorder::instance() {
-  static Recorder recorder;
-  return recorder;
+Recorder::StreamBuffer::~StreamBuffer() {
+  ::operator delete(slots, std::align_val_t{kPageBytes});
 }
 
 Recorder::Recorder() {
@@ -192,22 +181,22 @@ trace::ThreadId Recorder::allocate_thread() {
 
 void Recorder::bind_current_thread(trace::ThreadId tid, trace::ThreadId parent) {
   if (shutdown_.load(std::memory_order_acquire)) return;
-  void* raw = nullptr;
+  Binding binding{this, nullptr, nullptr, 0};
   if (streaming_.load(std::memory_order_acquire)) {
     auto buffer = std::make_unique<StreamBuffer>(
         tid, static_cast<std::uint32_t>(stream_capacity_),
-        static_cast<std::uint32_t>(drain_threshold_));
+        static_cast<std::int32_t>(drain_threshold_));
     StreamBuffer* sb = buffer.get();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       const std::uint32_t slot = stream_count_.load(std::memory_order_relaxed);
       if (slot >= kMaxStreamThreads) return;  // fail soft; records will drop
       stream_owned_.push_back(std::move(buffer));
-      stream_registry_[slot].store(sb, std::memory_order_release);
+      stream_registry_[slot] = sb;
       stream_count_.store(slot + 1, std::memory_order_release);
     }
-    wake_flusher();  // it pre-faults the new ring off this thread
-    raw = sb;
+    wake_flusher();  // it faults in the new ring's head off this thread
+    binding.ring = sb;
     // Arm the per-thread exit destructor: if this thread is cancelled or
     // exits without reaching thread_exit(), the destructor records the
     // missing ThreadExit (value is a non-null sentinel; the destructor
@@ -220,13 +209,14 @@ void Recorder::bind_current_thread(trace::ThreadId tid, trace::ThreadId parent) 
     auto buffer = std::make_unique<ThreadBuffer>();
     buffer->tid = tid;
     buffer->events.reserve(1024);
-    raw = buffer.get();
+    binding.buffer = buffer.get();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       buffers_.push_back(std::move(buffer));
     }
   }
-  tls_binding = TlsBinding{this, raw, epoch_.load(std::memory_order_relaxed)};
+  binding.epoch = epoch_.load(std::memory_order_relaxed);
+  tls_ = binding;
   record(trace::EventType::ThreadStart,
          parent == trace::kNoThread ? trace::kNoObject
                                     : static_cast<trace::ObjectId>(parent));
@@ -234,8 +224,8 @@ void Recorder::bind_current_thread(trace::ThreadId tid, trace::ThreadId parent) 
 
 trace::ThreadId Recorder::ensure_current_thread() {
   if (streaming_.load(std::memory_order_acquire)) {
-    if (StreamBuffer* buffer = current_buffer<StreamBuffer>()) return buffer->tid;
-  } else if (ThreadBuffer* buffer = current_buffer<ThreadBuffer>()) {
+    if (StreamBuffer* ring = bound_ring()) return ring->tid;
+  } else if (ThreadBuffer* buffer = bound_buffer()) {
     return buffer->tid;
   }
   const trace::ThreadId tid = allocate_thread();
@@ -243,14 +233,27 @@ trace::ThreadId Recorder::ensure_current_thread() {
   return tid;
 }
 
-template <typename Buffer>
-Buffer* Recorder::current_buffer() {
-  const TlsBinding& binding = tls_binding;
-  if (binding.recorder != this ||
-      binding.epoch != epoch_.load(std::memory_order_relaxed)) {
-    return nullptr;
-  }
-  return static_cast<Buffer*>(binding.buffer);
+Recorder::StreamBuffer* Recorder::bound_ring() const noexcept {
+  const Binding& binding = tls_;
+  return binding.recorder == this &&
+                 binding.epoch == epoch_.load(std::memory_order_relaxed)
+             ? binding.ring
+             : nullptr;
+}
+
+Recorder::ThreadBuffer* Recorder::bound_buffer() const noexcept {
+  const Binding& binding = tls_;
+  return binding.recorder == this &&
+                 binding.epoch == epoch_.load(std::memory_order_relaxed)
+             ? binding.buffer
+             : nullptr;
+}
+
+void Recorder::end_recording() noexcept {
+  // Async-signal-safe (crash_spill): one lock-free fetch_add and a store.
+  // Every binding goes stale, so later events take append_slow, which
+  // sees shutdown_ and drops.
+  epoch_.store(next_binding_epoch(), std::memory_order_seq_cst);
 }
 
 void Recorder::thread_exit() {
@@ -262,13 +265,13 @@ void Recorder::thread_exit_on_destroy() noexcept {
       shutdown_.load(std::memory_order_acquire)) {
     return;
   }
-  StreamBuffer* buffer = current_buffer<StreamBuffer>();
-  if (buffer == nullptr || buffer->saw_exit.load(std::memory_order_relaxed)) {
+  StreamBuffer* ring = bound_ring();
+  if (ring == nullptr || ring->saw_exit.load(std::memory_order_relaxed)) {
     return;
   }
-  // A fresh timestamp (not last_ts): the thread died *after* its last
-  // recorded event, and the gap is real time its open critical sections
-  // were held.
+  // A fresh timestamp (not the last event's): the thread died *after* its
+  // last recorded event, and the gap is real time its open critical
+  // sections were held.
   record(trace::EventType::ThreadExit, trace::kNoObject);
 }
 
@@ -276,74 +279,43 @@ void Recorder::note_partial_interposition() noexcept {
   warn_partial_interpose_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Recorder::record(trace::EventType type, trace::ObjectId object,
-                      std::uint64_t arg) {
-  record_at(type, util::ticks(), object, arg);
-}
-
-void Recorder::record_at(trace::EventType type, std::uint64_t ts,
-                         trace::ObjectId object, std::uint64_t arg) {
-  if (util::fault::enabled()) util::fault::on_event();
-  if (shutdown_.load(std::memory_order_relaxed)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (streaming_.load(std::memory_order_acquire)) {
-    StreamBuffer* ring = current_buffer<StreamBuffer>();
-    if (ring == nullptr) {
-      ensure_current_thread();
-      ring = current_buffer<StreamBuffer>();
-    }
-    if (ring != nullptr) {
-      stream_append(*ring, trace::Event{ts, object, arg, type, 0, ring->tid});
-      return;
-    }
-  } else {
-    ThreadBuffer* buffer = current_buffer<ThreadBuffer>();
-    if (buffer == nullptr) {
-      ensure_current_thread();
-      buffer = current_buffer<ThreadBuffer>();
-    }
-    if (buffer != nullptr) {
-      buffer->events.push_back(
-          trace::Event{ts, object, arg, type, 0, buffer->tid});
-      return;
-    }
-  }
-  // Binding failed (registry full, or bound during teardown): fail soft.
-  dropped_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Recorder::stream_append(StreamBuffer& ring, const trace::Event& event) {
-  trace::Event e = event;
-  // Per-thread monotone clamp at record time (on ticks: the drainer's
-  // conversion is monotone): the clean-exit repair of collect() never
-  // runs when chunks are already on disk.
-  if (e.ts < ring.clamp_ts) {
-    e.ts = ring.clamp_ts;
-  } else {
-    ring.clamp_ts = e.ts;
-  }
-  const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
-  if (head - ring.tail_cache == ring.capacity) {
-    ring.tail_cache = ring.tail.load(std::memory_order_acquire);
-    if (head - ring.tail_cache == ring.capacity) {
-      // Flusher starved: the ring is full. Drop instead of blocking.
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
+void Recorder::append_slow(std::uint32_t kind, std::uint64_t ts,
+                           trace::ObjectId object, std::uint64_t arg) {
+  if (!shutdown_.load(std::memory_order_acquire)) {
+    if (streaming_.load(std::memory_order_acquire)) {
+      StreamBuffer* ring = bound_ring();
+      if (ring == nullptr) {
+        ensure_current_thread();
+        ring = bound_ring();
+      }
+      if (ring != nullptr) {
+        stream_append(*ring, kind, ts, object, arg);
+        return;
+      }
+    } else {
+      ThreadBuffer* buffer = bound_buffer();
+      if (buffer == nullptr) {
+        ensure_current_thread();
+        buffer = bound_buffer();
+      }
+      if (buffer != nullptr) {
+        if (kind == kFusedAcquire) {
+          buffer->events.push_back(trace::Event{
+              ts, object, arg, trace::EventType::MutexAcquire, 0, buffer->tid});
+          buffer->events.push_back(trace::Event{
+              ts, object, 0, trace::EventType::MutexAcquired, 0, buffer->tid});
+        } else {
+          buffer->events.push_back(trace::Event{
+              ts, object, arg, static_cast<trace::EventType>(kind), 0,
+              buffer->tid});
+        }
+        return;
+      }
     }
   }
-  ring.slots[ring.head_slot] = e;
-  if (++ring.head_slot == ring.capacity) ring.head_slot = 0;
-  ring.head.store(head + 1, std::memory_order_release);
-  ring.last_ts.store(e.ts, std::memory_order_relaxed);
-  if (e.type == trace::EventType::ThreadExit) {
-    ring.saw_exit.store(true, std::memory_order_relaxed);
-    wake_flusher();  // drain the finished thread now, not at process exit
-  } else if (--ring.until_wake == 0) {
-    ring.until_wake = static_cast<std::uint32_t>(drain_threshold_);
-    wake_flusher();
-  }
+  // Shut down, or binding failed (registry full, or bound during
+  // teardown): fail soft.
+  dropped_.fetch_add(events_in(kind), std::memory_order_relaxed);
 }
 
 void Recorder::wake_flusher() noexcept {
@@ -401,11 +373,9 @@ std::size_t Recorder::event_count() const {
     std::size_t total = 0;
     const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
     for (std::uint32_t i = 0; i < n; ++i) {
-      const StreamBuffer* buffer =
-          stream_registry_[i].load(std::memory_order_acquire);
-      if (buffer == nullptr) continue;
-      total += buffer->head.load(std::memory_order_relaxed) -
-               buffer->tail.load(std::memory_order_relaxed);
+      const StreamBuffer* ring = stream_registry_[i];
+      total += ring->head.load(std::memory_order_relaxed) -
+               ring->tail.load(std::memory_order_relaxed);
     }
     return total;
   }
@@ -481,12 +451,23 @@ void Recorder::start_streaming(const std::string& path,
   std::lock_guard<std::mutex> lock(mutex_);
   CLA_CHECK(!streaming_.load(std::memory_order_acquire),
             "recorder is already streaming");
-  sink_ = std::make_unique<trace::ChunkedTraceWriter>(path, version,
-                                                      ring_bytes);  // may throw
+  // Replace a previous trace instead of truncating it here: truncation
+  // frees the old file's blocks on this thread, often the target's main
+  // thread before main(). The flusher closes the last reference instead.
+  const int replaced = detach_replaced_file(path);
+  try {
+    sink_ = std::make_unique<trace::ChunkedTraceWriter>(path, version,
+                                                        ring_bytes);
+  } catch (...) {
+    if (replaced >= 0) ::close(replaced);
+    throw;
+  }
+  replaced_fd_.store(replaced, std::memory_order_relaxed);
   // Twice the requested events per thread: `buffer_events` keeps its
   // meaning of half a thread's buffer capacity.
   stream_capacity_ = 2 * std::clamp<std::size_t>(buffer_events, 64, 1u << 22);
   drain_threshold_ = std::min<std::size_t>(kDrainThreshold, stream_capacity_ / 2);
+  drain_batch_.reset(new std::byte[kDrainBatchEvents * sizeof(trace::Event)]);
   stream_path_ = path;
   stream_version_ = version;
   stream_ring_bytes_ = ring_bytes;
@@ -563,9 +544,6 @@ void Recorder::reinit_child() {
   // buffers they point to; only the forking thread survives, and it
   // re-registers on its next event.
   epoch_.store(next_binding_epoch(), std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kMaxStreamThreads; ++i) {
-    stream_registry_[i].store(nullptr, std::memory_order_relaxed);
-  }
   stream_count_.store(0, std::memory_order_relaxed);
   stream_owned_.clear();
   thread_names_.clear();
@@ -607,9 +585,14 @@ void Recorder::flusher_main() {
   // must not surface as trace events through the interposed hooks.
   ScopedInternal internal;
   // The ~200µs TSC calibration runs here, before the first drain converts
-  // a tick, rather than on the thread that started the recorder.
+  // a tick, rather than on the thread that started the recorder; so does
+  // the release of a replaced trace's inode.
   util::calibrate_clock();
-  std::uint32_t prefaulted = 0;
+  if (const int fd = replaced_fd_.exchange(-1, std::memory_order_relaxed);
+      fd >= 0) {
+    ::close(fd);
+  }
+  auto* batch = reinterpret_cast<trace::Event*>(drain_batch_.get());
   std::uint64_t next_sweep = util::now_ns() + kSweepNs;
   for (;;) {
     const std::uint32_t wake = flusher_wake_.load(std::memory_order_acquire);
@@ -621,21 +604,7 @@ void Recorder::flusher_main() {
       nanosleep(&ts, nullptr);
     }
     const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
-    // Fault in each new ring here so first-touch page faults land off
-    // the application thread. Best effort: on a kernel without
-    // MADV_POPULATE_WRITE the owner simply takes its own faults. In
-    // 64 KiB steps, so a short run's exit never waits for a whole ring.
-    for (; prefaulted < n; ++prefaulted) {
-      const StreamBuffer* ring =
-          stream_registry_[prefaulted].load(std::memory_order_acquire);
-      for (std::size_t off = 0; ring != nullptr && off < ring->bytes &&
-                                !flusher_stop_.load(std::memory_order_relaxed);
-           off += kPrefaultStep) {
-        (void)madvise(reinterpret_cast<char*>(ring->slots) + off,
-                      std::min(kPrefaultStep, ring->bytes - off),
-                      MADV_POPULATE_WRITE);
-      }
-    }
+    for (std::uint32_t i = 0; i < n; ++i) populate_ahead(*stream_registry_[i]);
     const std::uint64_t now = util::now_ns();
     const bool sweep = now >= next_sweep;
     {
@@ -644,15 +613,14 @@ void Recorder::flusher_main() {
       // the rings get duplicated into the child.
       std::lock_guard<std::mutex> gate(flush_gate_);
       for (std::uint32_t i = 0; i < n; ++i) {
-        StreamBuffer* ring = stream_registry_[i].load(std::memory_order_acquire);
-        if (ring == nullptr) continue;
+        StreamBuffer* ring = stream_registry_[i];
         const std::uint64_t pending =
             ring->head.load(std::memory_order_acquire) -
             ring->tail.load(std::memory_order_relaxed);
         if (pending >= drain_threshold_ ||
             (pending > 0 &&
              (sweep || ring->saw_exit.load(std::memory_order_relaxed)))) {
-          drain_ring(*ring);
+          drain_ring(*ring, batch);
         }
       }
       // Refresh the in-place Meta/RuntimeWarnings chunks on the sweep so
@@ -673,36 +641,89 @@ void Recorder::flusher_main() {
   }
 }
 
-void Recorder::drain_ring(StreamBuffer& ring) {
+void Recorder::populate_ahead(StreamBuffer& ring) noexcept {
+  // Fault in the ring about two drain thresholds past its owner's head,
+  // so first-touch page faults land here and not on the application
+  // thread, while a thread that records little keeps most of its ring
+  // untouched. Best effort: on a kernel without MADV_POPULATE_WRITE the
+  // owner simply takes its own faults. In 64 KiB steps that stop when the
+  // flusher is told to, so a short run's exit never waits on them.
+  // Only whole steps below the target: the owner wakes us again long
+  // before it reaches the end of the populated part.
+  const std::uint64_t ahead =
+      ring.head.load(std::memory_order_relaxed) + 2 * drain_threshold_;
+  const std::size_t want =
+      ahead >= ring.capacity ? ring.bytes : ahead * sizeof(Slot);
+  while (ring.populated < ring.bytes &&
+         !flusher_stop_.load(std::memory_order_relaxed)) {
+    const std::size_t len = std::min(kPrefaultStep, ring.bytes - ring.populated);
+    if (ring.populated + len > want) break;
+    (void)madvise(reinterpret_cast<char*>(ring.slots) + ring.populated, len,
+                  MADV_POPULATE_WRITE);
+    ring.populated += len;
+  }
+}
+
+void Recorder::drain_ring(StreamBuffer& ring, trace::Event* batch) {
   ring.draining.store(true, std::memory_order_seq_cst);
   if (shutdown_.load(std::memory_order_seq_cst)) {
     // A crash handler owns the file now. Park with draining set so the
     // handler never writes a ring we may already have started.
     return;
   }
-  write_pending(ring);
+  write_pending(ring, batch, kDrainBatchEvents);
   ring.draining.store(false, std::memory_order_release);
 }
 
-void Recorder::write_pending(StreamBuffer& ring) {
-  // Async-signal-safe: crash_spill calls this too.
+void Recorder::write_pending(StreamBuffer& ring, trace::Event* batch,
+                             std::size_t batch_events) {
+  // Async-signal-safe: crash_spill calls this too. Records are published
+  // whole, so [tail, head) holds complete records only.
   const std::uint64_t head = ring.head.load(std::memory_order_acquire);
-  for (std::uint64_t pos = ring.tail.load(std::memory_order_relaxed);
-       pos < head;) {
-    // [tail, head) is contiguous but for one wrap: at most two chunks.
-    const std::uint64_t slot = pos % ring.capacity;
-    const std::size_t n = std::min(head - pos, ring.capacity - slot);
-    write_ticks(ring.tid, ring.slots + slot, n);
-    pos += n;
+  std::uint64_t pos = ring.tail.load(std::memory_order_relaxed);
+  std::uint32_t at = static_cast<std::uint32_t>(pos % ring.capacity);
+  const auto next = [&ring, &at]() -> const Slot& {
+    const Slot& slot = ring.slots[at];
+    if (++at == ring.capacity) at = 0;
+    return slot;
+  };
+  const double factor = util::ticks_per_ns();
+  std::size_t n = 0;
+  while (pos < head) {
+    const Slot& first = next();
+    const std::uint64_t code = first.word >> kCodeShift;
+    const auto kind =
+        static_cast<std::uint32_t>((first.word >> kKindShift) & kKindMask);
+    trace::ObjectId object = first.word & kObjectMask;
+    std::uint64_t arg = code == kNoArgCode ? trace::kNoArg : code - kArgBias;
+    if (code == kWideCode) {
+      const Slot& second = next();
+      object = second.ts;
+      arg = second.word;
+    }
+    pos += code == kWideCode ? 2 : 1;
+    const std::uint64_t ts = util::ticks_to_ns(first.ts, factor);
+    if (kind == kFusedAcquire) {
+      batch[n++] = trace::Event{ts, object, arg,
+                                trace::EventType::MutexAcquire, 0, ring.tid};
+      batch[n++] = trace::Event{ts, object, 0,
+                                trace::EventType::MutexAcquired, 0, ring.tid};
+    } else {
+      batch[n++] = trace::Event{ts, object, arg,
+                                static_cast<trace::EventType>(kind), 0,
+                                ring.tid};
+    }
+    ring.last_ns = ts;
+    if (n + 2 > batch_events || pos >= head) {
+      write_batch(ring.tid, batch, n);
+      n = 0;
+      ring.tail.store(pos, std::memory_order_release);
+    }
   }
-  ring.tail.store(head, std::memory_order_release);
 }
 
-void Recorder::write_ticks(trace::ThreadId tid, trace::Event* events,
+void Recorder::write_batch(trace::ThreadId tid, const trace::Event* events,
                            std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    events[i].ts = util::ticks_to_ns(events[i].ts);  // in place
-  }
   const std::size_t wrote = sink_->write_events(tid, events, n);
   if (wrote < n) {
     // The sink ran out of retry budget (disk full past the backoff
@@ -721,17 +742,18 @@ void Recorder::finish_streaming() {
   wake_flusher();
   if (flusher_.joinable()) flusher_.join();
   if (shutdown_.exchange(true, std::memory_order_seq_cst)) return;
+  end_recording();
 
+  auto* batch = reinterpret_cast<trace::Event*>(drain_batch_.get());
   const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
   for (std::uint32_t i = 0; i < n; ++i) {
-    StreamBuffer* ring = stream_registry_[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    write_pending(*ring);
+    StreamBuffer* ring = stream_registry_[i];
+    write_pending(*ring, batch, kDrainBatchEvents);
     if (!ring->saw_exit.load(std::memory_order_relaxed)) {
-      trace::Event exit_event{ring->last_ts.load(std::memory_order_relaxed),
-                              trace::kNoObject, trace::kNoArg,
-                              trace::EventType::ThreadExit, 0, ring->tid};
-      write_ticks(ring->tid, &exit_event, 1);
+      const trace::Event exit_event{ring->last_ns, trace::kNoObject,
+                                    trace::kNoArg, trace::EventType::ThreadExit,
+                                    0, ring->tid};
+      write_batch(ring->tid, &exit_event, 1);
     }
   }
   // Lazy frame symbolization: resolve each distinct recorded PC exactly
@@ -786,20 +808,21 @@ void Recorder::crash_spill() {
   // shutdown and drops. Deliberately lock-free and allocation-free: this
   // runs inside fatal-signal handlers.
   if (shutdown_.exchange(true, std::memory_order_seq_cst)) return;
+  end_recording();
   if (!streaming_.load(std::memory_order_acquire) || sink_ == nullptr) return;
   // Teardown write policy: single retry, no backoff stalls, no append
   // locking — a signal handler must never wait on state an interrupted
   // thread owns.
   sink_->set_teardown();
 
+  trace::Event batch[kSpillBatchEvents];
   const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
   for (std::uint32_t i = 0; i < n; ++i) {
-    StreamBuffer* ring = stream_registry_[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
+    StreamBuffer* ring = stream_registry_[i];
     if (ring->draining.load(std::memory_order_seq_cst)) {
       continue;  // the flusher may already be writing this ring
     }
-    write_pending(*ring);
+    write_pending(*ring, batch, kSpillBatchEvents);
   }
   write_stream_status(/*clean_close=*/false);
   // No close(): a concurrent flusher writev must not hit a recycled fd.

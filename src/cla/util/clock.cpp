@@ -69,7 +69,7 @@ double ticks_per_ns() noexcept {
 void calibrate_clock() noexcept { (void)ticks_per_ns(); }
 
 std::uint64_t ticks_to_ns(std::uint64_t t) noexcept {
-  return static_cast<std::uint64_t>(static_cast<double>(t) / ticks_per_ns());
+  return ticks_to_ns(t, ticks_per_ns());
 }
 
 std::uint64_t now_ns() noexcept {

@@ -42,6 +42,13 @@ void calibrate_clock() noexcept;
 /// Monotone in `t`: a later tick never converts to an earlier ns.
 std::uint64_t ticks_to_ns(std::uint64_t t) noexcept;
 
+/// ticks_to_ns() with the factor read once by the caller (ticks_per_ns()),
+/// for loops that convert many timestamps; the same arithmetic, so the
+/// same result.
+inline std::uint64_t ticks_to_ns(std::uint64_t t, double factor) noexcept {
+  return static_cast<std::uint64_t>(static_cast<double>(t) / factor);
+}
+
 /// Busy-spins for approximately `ns` nanoseconds (used by the pthread
 /// execution backend to model compute work without sleeping off-CPU).
 void spin_for_ns(std::uint64_t ns) noexcept;

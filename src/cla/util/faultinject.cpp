@@ -10,6 +10,8 @@
 
 namespace cla::util::fault {
 
+std::atomic<bool> detail::g_enabled{false};
+
 namespace {
 
 struct Config {
@@ -32,7 +34,6 @@ struct Config {
 // Written only by init()/reinit_for_tests() (setup paths), read via the
 // atomics below on hot and signal paths.
 Config g_config;
-std::atomic<bool> g_enabled{false};
 std::atomic<bool> g_initialized{false};
 std::atomic<std::uint64_t> g_bytes_attempted{0};
 std::atomic<std::uint64_t> g_eligible_calls{0};
@@ -89,11 +90,12 @@ void parse_environment() {
   config.short_read =
       static_cast<std::size_t>(env_u64("CLA_FAULT_SHORT_READ", 0));
   g_config = config;
-  g_enabled.store(config.write_faults || config.short_write != 0 ||
-                      config.kill_at_bytes != 0 || config.stall_ms != 0 ||
-                      config.die_at_event != 0 || config.read_faults ||
-                      config.short_read != 0,
-                  std::memory_order_release);
+  detail::g_enabled.store(
+      config.write_faults || config.short_write != 0 ||
+          config.kill_at_bytes != 0 || config.stall_ms != 0 ||
+          config.die_at_event != 0 || config.read_faults ||
+          config.short_read != 0,
+      std::memory_order_release);
 }
 
 }  // namespace
@@ -102,8 +104,6 @@ void init() noexcept {
   if (g_initialized.exchange(true, std::memory_order_acq_rel)) return;
   parse_environment();
 }
-
-bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
 WriteFault on_write(std::size_t bytes) noexcept {
   WriteFault fault;

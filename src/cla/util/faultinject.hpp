@@ -47,10 +47,16 @@
 // single relaxed load of false and nothing else runs.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
 namespace cla::util::fault {
+
+namespace detail {
+/// Set by init() when any knob is active; read through enabled().
+extern std::atomic<bool> g_enabled;
+}  // namespace detail
 
 /// Verdict for one write attempt.
 struct WriteFault {
@@ -66,7 +72,10 @@ struct WriteFault {
 void init() noexcept;
 
 /// True when any fault knob is active. Async-signal-safe after init().
-bool enabled() noexcept;
+/// Inline: the recorder's per-event path asks this on every event.
+inline bool enabled() noexcept {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
 
 /// Consults the write-fault knobs for an attempt of `bytes` bytes and
 /// advances the injection counters. Async-signal-safe after init().

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
 
 #include "support/analyze.hpp"
+#include "support/thread_state.hpp"
 
 namespace cla::rt {
 namespace {
@@ -39,7 +41,26 @@ TEST_F(HooksTest, ContendedLockSetsContendedFlag) {
   Recorder& recorder = Recorder::instance();
   recorder.ensure_current_thread();
   InstrumentedMutex mutex("m");
-  run_instrumented_threads(2, [&](std::uint32_t) {
+  // Start gate: worker 0 takes the lock and keeps it until worker 1 is
+  // asleep on it, so the workers overlap and worker 1's first acquisition
+  // contends however the two are scheduled.
+  std::atomic<bool> gate_held{false};
+  std::atomic<pid_t> waiter{0};
+  run_instrumented_threads(2, [&](std::uint32_t me) {
+    if (me == 0) {
+      mutex.lock();
+      gate_held.store(true);
+      while (waiter.load() == 0 ||
+             !test_support::thread_asleep(waiter.load())) {
+        std::this_thread::yield();
+      }
+      mutex.unlock();
+    } else {
+      while (!gate_held.load()) std::this_thread::yield();
+      waiter.store(test_support::current_tid());
+      mutex.lock();
+      mutex.unlock();
+    }
     for (int i = 0; i < 200; ++i) {
       mutex.lock();
       // Real work plus a yield inside the critical section, so the peer
@@ -90,14 +111,20 @@ TEST_F(HooksTest, CondVarProtocolAnalyzable) {
   InstrumentedMutex mutex("m");
   InstrumentedCond cond("cv");
   bool ready = false;
+  std::atomic<pid_t> waiter{0};
   run_instrumented_threads(2, [&](std::uint32_t me) {
     if (me == 0) {
+      waiter.store(test_support::current_tid());
       mutex.lock();
       while (!ready) cond.wait(mutex);
       mutex.unlock();
     } else {
-      // Give the waiter a chance to sleep first.
-      for (volatile int k = 0; k < 200000; ++k) {}
+      // Let the waiter fall asleep in its wait first: nothing else puts
+      // it to sleep, as the mutex is free until we take it below.
+      while (waiter.load() == 0 ||
+             !test_support::thread_asleep(waiter.load())) {
+        std::this_thread::yield();
+      }
       mutex.lock();
       ready = true;
       mutex.unlock();

@@ -14,12 +14,21 @@
 // hook frame (and that frame's cleanups) before it reaches the thread's
 // own cleanup handler. Exits 0 once the cancelled thread is joined and
 // its mutex is free again.
+//
+// Invoked with "acquire-kinds" the main thread makes one uncontended
+// pthread_mutex_lock and one successful pthread_mutex_trylock, then
+// holds a second mutex until a thread it created is asleep on it, so
+// thread 1's only acquisition is contended.
 #include <errno.h>
 #include <pthread.h>
+#include <sched.h>
 #include <time.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
+
+#include "support/thread_state.hpp"
 
 namespace {
 
@@ -114,6 +123,38 @@ int run_cancel_condwait() {
   return 0;
 }
 
+pthread_mutex_t g_handoff = PTHREAD_MUTEX_INITIALIZER;
+std::atomic<pid_t> g_waiter_tid{0};
+
+void* handoff_waiter(void*) {
+  g_waiter_tid.store(cla::test_support::current_tid());
+  pthread_mutex_lock(&g_handoff);  // main holds it: the probe fails
+  pthread_mutex_unlock(&g_handoff);
+  return nullptr;
+}
+
+int run_acquire_kinds() {
+  pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;
+  if (pthread_mutex_lock(&m) != 0) return 30;
+  if (pthread_mutex_unlock(&m) != 0) return 31;
+  if (pthread_mutex_trylock(&m) != 0) return 32;
+  if (pthread_mutex_unlock(&m) != 0) return 33;
+  if (pthread_mutex_lock(&g_handoff) != 0) return 34;
+  pthread_t waiter;
+  if (pthread_create(&waiter, nullptr, &handoff_waiter, nullptr) != 0) {
+    return 35;
+  }
+  while (g_waiter_tid.load() == 0) sched_yield();
+  // Asleep means blocked in the mutex: its trylock probe already failed.
+  while (!cla::test_support::thread_asleep(g_waiter_tid.load())) {
+    sched_yield();
+  }
+  if (pthread_mutex_unlock(&g_handoff) != 0) return 36;
+  if (pthread_join(waiter, nullptr) != 0) return 37;
+  std::printf("acquire-kinds ok\n");
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -122,6 +163,9 @@ int main(int argc, char** argv) {
   }
   if (argc > 1 && std::strcmp(argv[1], "cancel-condwait") == 0) {
     return run_cancel_condwait();
+  }
+  if (argc > 1 && std::strcmp(argv[1], "acquire-kinds") == 0) {
+    return run_acquire_kinds();
   }
   constexpr int kThreads = 4;
   pthread_barrier_init(&g_barrier, nullptr, kThreads);

@@ -109,6 +109,38 @@ TEST_F(InterposeTest, FailedLockCallsRecordNoEvents) {
   }
 }
 
+TEST_F(InterposeTest, UncontendedAcquisitionIsOneInstantContendedKeepsItsWait) {
+  // A lock or trylock whose probe succeeds is recorded with one clock
+  // read: Acquire and Acquired share a timestamp and Acquired says "not
+  // contended". A lock that had to wait keeps Acquire at the failed probe,
+  // before Acquired, with the contended flag.
+  ASSERT_EQ(run_demo("acquire-kinds"), 0);
+  const cla::trace::Trace trace = cla::trace::read_trace_file(trace_path_);
+  EXPECT_NO_THROW(trace.validate());
+  ASSERT_GE(trace.thread_count(), 2u);
+  const auto acquisitions = [&](cla::trace::ThreadId tid) {
+    std::vector<std::pair<cla::trace::Event, cla::trace::Event>> out;
+    const auto events = trace.thread_events(tid);
+    for (std::size_t i = 1; i < events.size(); ++i) {
+      if (events[i].type != cla::trace::EventType::MutexAcquired) continue;
+      EXPECT_EQ(events[i - 1].type, cla::trace::EventType::MutexAcquire);
+      EXPECT_EQ(events[i - 1].object, events[i].object);
+      out.emplace_back(events[i - 1], events[i]);
+    }
+    return out;
+  };
+  const auto main_thread = acquisitions(0);
+  EXPECT_GE(main_thread.size(), 3u);  // lock, trylock, the hand-off lock
+  for (const auto& [acquire, acquired] : main_thread) {
+    EXPECT_EQ(acquire.ts, acquired.ts);
+    EXPECT_EQ(acquired.arg, 0u);
+  }
+  const auto waiter = acquisitions(1);
+  ASSERT_EQ(waiter.size(), 1u);
+  EXPECT_LT(waiter[0].first.ts, waiter[0].second.ts);
+  EXPECT_EQ(waiter[0].second.arg, 1u);
+}
+
 TEST_F(InterposeTest, StreamsCompactV3WhenRequested) {
   // CLA_TRACE_FORMAT=v3 switches the streamed chunk encoding; the trace
   // must load and analyze identically to a v2 recording.

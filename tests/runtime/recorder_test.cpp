@@ -2,14 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
+#include <random>
 #include <thread>
+#include <vector>
 
 #include "cla/trace/salvage.hpp"
+#include "cla/trace/tailer.hpp"
 #include "cla/trace/trace_io.hpp"
 #include "cla/util/clock.hpp"
 #include "cla/util/error.hpp"
+#include "cla/util/faultinject.hpp"
 
 namespace cla::rt {
 namespace {
@@ -480,6 +488,301 @@ TEST(RecorderStreaming, CollectIsRejectedWhileStreaming) {
   recorder.ensure_current_thread();
   EXPECT_THROW((void)recorder.collect(), cla::util::Error);
   recorder.finish_streaming();
+  std::remove(path.c_str());
+}
+
+// ---- re-recording over an existing trace -----------------------------
+
+// Records `events` CondSignals on `object` into a fresh trace at `path`.
+void record_trace(const std::string& path, trace::ObjectId object,
+                  int events) {
+  Recorder recorder;
+  recorder.start_streaming(path, /*buffer_events=*/4096);
+  recorder.ensure_current_thread();
+  for (int i = 0; i < events; ++i) {
+    while (recorder.event_count() > 6000) std::this_thread::yield();
+    recorder.record(trace::EventType::CondSignal, object);
+  }
+  recorder.thread_exit();
+  recorder.finish_streaming();
+}
+
+std::uint64_t file_inode(const std::string& path) {
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
+// Every event of `t` is on `object` (or is a thread start/exit): nothing
+// of an older trace on another object leaked into it.
+void expect_only_object(const trace::Trace& t, trace::ObjectId object) {
+  for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
+    for (const trace::Event& e : t.thread_events(tid)) {
+      if (e.type == trace::EventType::ThreadStart ||
+          e.type == trace::EventType::ThreadExit) {
+        continue;
+      }
+      EXPECT_EQ(e.object, object) << to_string(e.type);
+    }
+  }
+}
+
+TEST(RecorderStreaming, ReRecordReplacesALargerOldTrace) {
+  // The second recording unlinks the old file and creates a new one
+  // (a new inode) instead of truncating it; the old bytes never show
+  // through the path, whether the new run closes cleanly or spills.
+  const std::string path = temp_trace_path("cla_rec_rerecord.clat");
+  for (const bool spill : {false, true}) {
+    SCOPED_TRACE(spill ? "crash spill" : "clean close");
+    record_trace(path, /*object=*/111, 50'000);
+    const std::uint64_t old_size = std::filesystem::file_size(path);
+    const std::uint64_t old_inode = file_inode(path);
+    {
+      Recorder recorder;
+      recorder.start_streaming(path, /*buffer_events=*/4096);
+      recorder.ensure_current_thread();
+      for (int i = 0; i < 10; ++i) {
+        recorder.record(trace::EventType::CondSignal, 222, i);
+      }
+      if (spill) {
+        recorder.crash_spill();  // before the flusher drained anything
+      } else {
+        recorder.thread_exit();
+        recorder.finish_streaming();
+      }
+    }
+    EXPECT_NE(file_inode(path), old_inode);
+    EXPECT_LT(std::filesystem::file_size(path), old_size);
+    const cla::trace::SalvageResult salvaged =
+        cla::trace::salvage_trace_file(path);
+    EXPECT_EQ(salvaged.report.clean_close, !spill);
+    EXPECT_EQ(salvaged.report.bytes_dropped, 0u);
+    EXPECT_EQ(salvaged.report.chunks_dropped, 0u);
+    EXPECT_EQ(salvaged.report.events_recovered, spill ? 11u : 12u);
+    expect_only_object(salvaged.trace, 222);
+    if (!spill) {  // the strict loader wants the clean-close marker
+      const trace::Trace strict = cla::trace::read_trace_file(path);
+      EXPECT_EQ(strict.event_count(), 12u);
+      expect_only_object(strict, 222);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(RecorderStreaming, LinkedTracePathsAreTruncatedInPlace) {
+  // A symlink or a second hard link means the old file is not ours to
+  // replace: the recording truncates and rewrites the same inode, so the
+  // link still leads to the new trace.
+  const std::string target = temp_trace_path("cla_rec_link_target.clat");
+  for (const bool hard : {false, true}) {
+    SCOPED_TRACE(hard ? "hard link" : "symlink");
+    const std::string link = temp_trace_path("cla_rec_link.clat");
+    std::remove(link.c_str());
+    record_trace(target, /*object=*/111, 50'000);
+    const std::uint64_t old_size = std::filesystem::file_size(target);
+    const std::uint64_t old_inode = file_inode(target);
+    if (hard) {
+      std::filesystem::create_hard_link(target, link);
+    } else {
+      std::filesystem::create_symlink(target, link);
+    }
+    record_trace(link, /*object=*/222, 10);
+    EXPECT_EQ(std::filesystem::is_symlink(link), !hard);
+    EXPECT_EQ(file_inode(target), old_inode);
+    EXPECT_EQ(file_inode(link), old_inode);
+    EXPECT_LT(std::filesystem::file_size(target), old_size);
+    const trace::Trace strict = cla::trace::read_trace_file(target);
+    EXPECT_EQ(strict.event_count(), 12u);
+    expect_only_object(strict, 222);
+    std::remove(link.c_str());
+  }
+  std::remove(target.c_str());
+}
+
+// ---- ring slot codec ---------------------------------------------------
+//
+// A streaming ring stores 16-byte slots: one per record whose object fits
+// 48 bits and whose arg is kNoArg or at most 1021, two otherwise, and one
+// for a fused uncontended acquisition. Whatever the packing, every drain
+// path must put exactly the recorded events on disk.
+
+struct RingRecord {
+  bool fused = false;  // record_acquired_at: MutexAcquire + MutexAcquired
+  trace::EventType type = trace::EventType::CondSignal;
+  std::uint64_t ticks = 0;
+  trace::ObjectId object = 0;
+  std::uint64_t arg = 0;
+};
+
+// The slot fields' edges: the 48-bit object limit and the small-arg codes.
+constexpr trace::ObjectId kEdgeObjects[] = {
+    0, 1, (1ull << 47) - 1, (1ull << 48) - 1, 1ull << 48, trace::kNoObject};
+constexpr std::uint64_t kEdgeArgs[] = {0,    1,    2,          1020,
+                                       1021, 1022, 1023,       1024,
+                                       1ull << 48, trace::kNoArg - 1,
+                                       trace::kNoArg};
+constexpr trace::EventType kRingTypes[] = {
+    trace::EventType::ThreadCreate,  trace::EventType::JoinBegin,
+    trace::EventType::JoinEnd,       trace::EventType::MutexAcquire,
+    trace::EventType::MutexAcquired, trace::EventType::MutexReleased,
+    trace::EventType::BarrierArrive, trace::EventType::BarrierLeave,
+    trace::EventType::CondWaitBegin, trace::EventType::CondWaitEnd,
+    trace::EventType::CondSignal,    trace::EventType::CondBroadcast,
+    trace::EventType::PhaseBegin,    trace::EventType::PhaseEnd};
+
+std::vector<RingRecord> random_records(std::mt19937_64& rng, std::size_t n,
+                                       std::uint64_t first_ticks) {
+  std::vector<RingRecord> out(n);
+  std::uint64_t ticks = first_ticks;
+  for (RingRecord& r : out) {
+    ticks += rng() % 1000;  // equal timestamps included
+    r.ticks = ticks;
+    r.fused = rng() % 4 == 0;
+    r.type = kRingTypes[rng() % std::size(kRingTypes)];
+    r.object = rng() % 2 == 0 ? kEdgeObjects[rng() % std::size(kEdgeObjects)]
+                              : rng() >> (rng() % 64);
+    r.arg = rng() % 2 == 0 ? kEdgeArgs[rng() % std::size(kEdgeArgs)]
+                           : rng() >> (rng() % 64);
+  }
+  return out;
+}
+
+void record_one(Recorder& recorder, const RingRecord& r) {
+  if (r.fused) {
+    recorder.record_acquired_at(r.ticks, r.object, r.arg);
+  } else {
+    recorder.record_at(r.type, r.ticks, r.object, r.arg);
+  }
+}
+
+// The trace events `records` must drain to, for thread `tid`.
+std::vector<trace::Event> expected_events(const std::vector<RingRecord>& records,
+                                          trace::ThreadId tid) {
+  std::vector<trace::Event> out;
+  for (const RingRecord& r : records) {
+    const std::uint64_t ts = util::ticks_to_ns(r.ticks);
+    if (r.fused) {
+      out.push_back({ts, r.object, r.arg, trace::EventType::MutexAcquire, 0, tid});
+      out.push_back({ts, r.object, 0, trace::EventType::MutexAcquired, 0, tid});
+    } else {
+      out.push_back({ts, r.object, r.arg, r.type, 0, tid});
+    }
+  }
+  return out;
+}
+
+enum class DrainPath { Flusher, Finish, CrashSpill };
+
+// Waits until at most `limit` slots are pending. False after 10 s, so a
+// broken ring (a tail that overtook its head reads as always full) fails
+// the test instead of hanging it.
+bool wait_for_room(const Recorder& recorder, std::size_t limit) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (recorder.event_count() > limit) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(RecorderRing, SlotCodecRoundTripsOnEveryDrainPath) {
+  const std::string path = temp_trace_path("cla_ring_codec.clat");
+  for (const std::uint32_t version :
+       {trace::kTraceVersion, trace::kTraceVersionV3}) {
+    for (const DrainPath drain :
+         {DrainPath::Flusher, DrainPath::Finish, DrainPath::CrashSpill}) {
+      SCOPED_TRACE("v" + std::to_string(version) + " drain path " +
+                   std::to_string(static_cast<int>(drain)));
+      std::mt19937_64 rng(version * 10 + static_cast<int>(drain));
+      std::vector<RingRecord> records;
+      {
+        Recorder recorder;
+        // 64 requested events make a 128-slot ring, drained from 64
+        // pending slots on: wide pairs keep landing across the wrap.
+        recorder.start_streaming(path, /*buffer_events=*/64, version);
+        recorder.ensure_current_thread();
+        const auto record_all = [&](std::vector<RingRecord> batch) {
+          for (const RingRecord& r : batch) {
+            // Back-pressure, so the flusher drains while we append and
+            // nothing is dropped.
+            if (!wait_for_room(recorder, 100)) return false;
+            record_one(recorder, r);
+            records.push_back(r);
+          }
+          return true;
+        };
+        if (drain != DrainPath::Finish) {
+          ASSERT_TRUE(record_all(random_records(rng, 20'000, util::ticks())));
+        }
+        if (drain == DrainPath::CrashSpill) {
+          // Let the flusher's sweep empty the ring, then leave a tail
+          // shorter than the drain threshold for the spill to write.
+          ASSERT_TRUE(wait_for_room(recorder, 0));
+        }
+        ASSERT_TRUE(record_all(random_records(
+            rng, 30, records.empty() ? util::ticks() : records.back().ticks)));
+        if (drain == DrainPath::CrashSpill) {
+          recorder.crash_spill();
+        } else {
+          recorder.finish_streaming();
+        }
+        EXPECT_EQ(recorder.dropped_events(), 0u);
+      }
+      // Read back raw: no clean-close requirement (the spill path) and no
+      // repair of the random, protocol-free event mix.
+      cla::trace::TraceTailer tailer(path);
+      cla::trace::TraceTailer::Delta delta;
+      ASSERT_EQ(tailer.poll(delta),
+                cla::trace::TraceTailer::PollStatus::Progress);
+      ASSERT_EQ(delta.chunk.thread_count(), 1u);
+      const auto events = delta.chunk.thread_events(0);
+      const std::vector<trace::Event> want = expected_events(records, 0);
+      // ThreadStart (its object kNoObject, a wide record), the records,
+      // and the synthesized ThreadExit unless the run crashed.
+      const std::size_t extra = drain == DrainPath::CrashSpill ? 1 : 2;
+      ASSERT_EQ(events.size(), want.size() + extra);
+      EXPECT_EQ(events[0].type, trace::EventType::ThreadStart);
+      EXPECT_EQ(events[0].object, trace::kNoObject);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(events[i + 1], want[i]) << "event " << i;
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(RecorderRing, DropsCountTraceEventsNotSlots) {
+  // A stalled flusher lets the 128-slot ring fill: whatever does not fit
+  // is dropped, a fused acquisition counting as the two events it stands
+  // for, so events on disk plus drops equal the events recorded.
+  const std::string path = temp_trace_path("cla_ring_drops.clat");
+  ::setenv("CLA_FAULT_FLUSHER_STALL_MS", "100", 1);
+  util::fault::reinit_for_tests();
+  std::uint64_t recorded = 0;
+  std::uint64_t dropped = 0;
+  {
+    Recorder recorder;
+    recorder.start_streaming(path, /*buffer_events=*/64);
+    recorder.ensure_current_thread();
+    recorded = 1;  // ThreadStart
+    std::mt19937_64 rng(7);
+    for (const RingRecord& r : random_records(rng, 2000, util::ticks())) {
+      record_one(recorder, r);
+      recorded += r.fused ? 2 : 1;
+    }
+    // The stalled flusher empties the ring eventually; then the exit fits.
+    ASSERT_TRUE(wait_for_room(recorder, 0));
+    recorder.thread_exit();
+    recorded += 1;
+    recorder.finish_streaming();
+    dropped = recorder.dropped_events();
+  }
+  ::unsetenv("CLA_FAULT_FLUSHER_STALL_MS");
+  util::fault::reinit_for_tests();
+  const trace::Trace t = cla::trace::read_trace_file(path);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(t.dropped_events(), dropped);
+  EXPECT_EQ(t.event_count() + dropped, recorded);
   std::remove(path.c_str());
 }
 

@@ -16,22 +16,16 @@ std::uint64_t CriticalPath::thread_time(trace::ThreadId tid) const {
 
 std::uint64_t CriticalPath::overlap(trace::ThreadId tid, std::uint64_t begin,
                                     std::uint64_t end) const {
-  if (tid >= per_thread.size() || begin >= end) return 0;
+  if (tid >= per_thread.size()) return 0;
   const auto& ivs = per_thread[tid];
   // First interval that might overlap: the one before the first whose
-  // begin_ts >= begin, then scan forward while interval.begin < end.
+  // begin_ts >= begin.
   auto it = std::lower_bound(
       ivs.begin(), ivs.end(), begin,
       [](const PathInterval& iv, std::uint64_t ts) { return iv.begin_ts < ts; });
   if (it != ivs.begin()) --it;
-  std::uint64_t total = 0;
-  for (; it != ivs.end() && it->begin_ts < end; ++it) {
-    const std::uint64_t lo = std::max(it->begin_ts, begin);
-    const std::uint64_t hi = std::min(it->end_ts, end);
-    if (hi > lo) total += hi - lo;
-  }
-  // Guard against marginal double counting from overlapping raw intervals.
-  return std::min(total, end - begin);
+  const PathInterval* first = ivs.data() + (it - ivs.begin());
+  return OverlapCursor(first, ivs.data() + ivs.size()).overlap(begin, end);
 }
 
 namespace {

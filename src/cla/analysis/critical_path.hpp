@@ -6,6 +6,7 @@
 // there. Everything traversed is the critical path.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -57,6 +58,41 @@ struct CriticalPath {
   /// Overlap between [begin, end) on `tid` and the critical path.
   std::uint64_t overlap(trace::ThreadId tid, std::uint64_t begin,
                         std::uint64_t end) const;
+};
+
+/// Overlap of sections with one thread's path intervals (sorted by begin,
+/// disjoint: CriticalPath::per_thread), for sections visited in
+/// nondecreasing begin order. The list is skipped forward once instead of
+/// binary-searched per section. CriticalPath::overlap is one call on a
+/// cursor started just before the section, so the two agree exactly.
+class OverlapCursor {
+ public:
+  explicit OverlapCursor(const std::vector<PathInterval>& intervals) noexcept
+      : next_(intervals.data()), end_(intervals.data() + intervals.size()) {}
+  OverlapCursor(const PathInterval* first, const PathInterval* last) noexcept
+      : next_(first), end_(last) {}
+
+  /// Overlap of [begin, end) with the intervals. `begin` must not be below
+  /// the previous call's.
+  std::uint64_t overlap(std::uint64_t begin, std::uint64_t end) noexcept {
+    if (begin >= end) return 0;
+    // Intervals ending at or before `begin` overlap no later section.
+    while (next_ != end_ && next_->end_ts <= begin) ++next_;
+    std::uint64_t total = 0;
+    for (const PathInterval* it = next_; it != end_ && it->begin_ts < end;
+         ++it) {
+      const std::uint64_t lo = std::max(it->begin_ts, begin);
+      const std::uint64_t hi = std::min(it->end_ts, end);
+      if (hi > lo) total += hi - lo;
+    }
+    // Guard against marginal double counting from overlapping raw
+    // intervals.
+    return std::min(total, end - begin);
+  }
+
+ private:
+  const PathInterval* next_;
+  const PathInterval* end_;
 };
 
 /// The walk: reconciles the speculatively precomputed per-segment hops

@@ -22,11 +22,24 @@
 // over the same accumulated trace (the determinism suite and the
 // per-round incremental tests pin this).
 //
-// Per-refresh cost is O(appended + tail + path + locks) end to end: no
-// step re-reads closed history. What still grows with history: the
-// barrier/condvar regroup in TraceIndex::extend() (in full whenever they
-// grow), the O(locks) LockStats assembly, and the walk's O(segments)
+// Per-refresh cost, with Options::validate = false (as cla-monitor sets
+// it), is O(appended + tail + path + near-path sections + locks):
+//   - scan: the appended events only;
+//   - index: the drained sections, grouped by mutex once, plus each
+//     mutex's re-sorted tail and each thread's rewritten section-table
+//     suffix;
+//   - DAG: the segments from the boundary on;
+//   - walk: the path, plus clearing an O(segments) visited set;
+//   - TYPE 1: the sections near the path, read from the per-thread
+//     section tables (a CsRecord only for a section with a call stack);
+//   - assembly: O(locks × threads).
+// What still grows with history: the barrier/condvar regroup in
+// TraceIndex::extend() (in full whenever they grow), the assembly and the
 // visited set — small next to the rest (one segment per tens of events).
+// With the default Options::validate = true, every refresh first
+// strict-validates the whole accumulated trace, an O(history) pass that
+// also rejects a trace cut mid-section; callers that refresh a live tail
+// turn it off.
 #pragma once
 
 #include <cstdint>
@@ -71,6 +84,9 @@ class IncrementalAnalyzer {
 
   /// The accumulated trace.
   const trace::Trace& trace() const noexcept { return trace_; }
+
+  /// The index as the last result() refresh left it.
+  const TraceIndex& index() const noexcept { return index_; }
 
   /// Observability: segments kept from the previous round vs re-resolved
   /// in the last result() refresh, and the walk's speculation counters.

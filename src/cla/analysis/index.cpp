@@ -177,13 +177,14 @@ void ThreadScanState::consume(const trace::EventsView& events,
         creates.emplace_back(static_cast<trace::ThreadId>(e.object),
                              EventRef{tid, i});
         break;
-      case EventType::MutexReleased: {
-        auto& secs = sections[e.object];
+      case EventType::MutexReleased:
         if (step.what == trace::Transition::Released) {
-          secs.push_back(section_record(tid, step.section, i, e.ts));
+          sections.push_back(ClosedSection{
+              e.object, section_record(tid, step.section, i, e.ts)});
+        } else {
+          stray_releases.push_back(e.object);
         }
         break;
-      }
       case EventType::BarrierLeave:
         if (step.what == trace::Transition::Left) {
           const trace::BarrierWait& wait = step.barrier;
@@ -214,11 +215,10 @@ void ThreadScanState::consume(const trace::EventsView& events,
 
 void ThreadScanState::close_held_sections(trace::ThreadId tid) {
   for (const auto& [object, lock] : protocol_.locks()) {
-    if (lock.held.empty()) continue;
-    auto& secs = sections[object];
     for (const trace::Section& held : lock.held) {
-      secs.push_back(section_record(tid, held, info.exit_idx, info.exit_ts));
-      secs.back().provisional = true;
+      sections.push_back(ClosedSection{
+          object, section_record(tid, held, info.exit_idx, info.exit_ts)});
+      sections.back().record.provisional = true;
     }
   }
 }
@@ -255,7 +255,6 @@ void TraceIndex::extend(const trace::TraceView& v,
   threads_.resize(thread_count);
 
   // --- drain the scans in thread-id order ---
-  RecordsByObject<CsRecord> sections;
   RecordsByObject<BarrierWaitRecord> barrier_waits;
   RecordsByObject<CondWaitRecord> cond_waits;
   RecordsByObject<CondSignalRecord> signals;
@@ -272,13 +271,12 @@ void TraceIndex::extend(const trace::TraceView& v,
     // A thread that exited holding a lock is tolerated: the exit is the
     // release point until the scan sees the real release.
     scan.close_held_sections(tid);
-    drain_into(scan.sections, sections);
     drain_into(scan.barrier_waits, barrier_waits);
     drain_into(scan.cond_waits, cond_waits);
     drain_into(scan.signals, signals);
   }
 
-  extend_mutexes(std::move(sections), pool);
+  extend_mutexes(scans, pool);
 
   // --- barriers and condvars: full regroup of every grown primitive ---
   for (auto& [object, waits] : barrier_waits) {
@@ -324,127 +322,174 @@ void TraceIndex::extend(const trace::TraceView& v,
   }
 }
 
-void TraceIndex::extend_mutexes(RecordsByObject<CsRecord> added,
+std::uint32_t TraceIndex::slot_for(trace::ObjectId mutex) {
+  const auto [it, inserted] =
+      slot_of_.try_emplace(mutex, static_cast<std::uint32_t>(slots_.size()));
+  if (inserted) {
+    MutexIndex& mi = mutexes_[mutex];
+    mi.id = mutex;
+    mi.slot = it->second;
+    slots_.push_back(&mi);
+  }
+  return it->second;
+}
+
+void TraceIndex::extend_mutexes(std::vector<ThreadScanState>& scans,
                                 util::ThreadPool* pool) {
+  // --- first pass over the drained sections: each one's mutex slot and
+  // the earliest acquisition among them ---
+  const std::size_t thread_count = threads_.size();
+  max_hold_.resize(thread_count, 0);
+  std::vector<std::uint32_t> first_stale(thread_count, npos32);
+  std::vector<std::uint32_t> drained_slots;
+  std::uint64_t from_ts = ~static_cast<std::uint64_t>(0);
+  for (ThreadScanState& scan : scans) {
+    for (const trace::ObjectId mutex : scan.stray_releases) slot_for(mutex);
+    scan.stray_releases.clear();
+    for (const ClosedSection& closed : scan.sections) {
+      drained_slots.push_back(slot_for(closed.mutex));
+      const CsRecord& cs = closed.record;
+      from_ts = std::min(from_ts, cs.acquired_ts);
+      max_hold_[cs.tid] = std::max(max_hold_[cs.tid], cs.hold_time());
+      first_stale[cs.tid] = std::min(first_stale[cs.tid], cs.acquired_idx);
+    }
+  }
+  std::vector<std::size_t> drained_per_slot(slots_.size(), 0);
+  for (const std::uint32_t slot : drained_slots) ++drained_per_slot[slot];
+
   // --- the tail of every mutex: its sections acquired at or after the
   // earliest drained section (of any mutex), plus the drained ones.
   // Sections before that are final and keep their positions. Every
   // provisional section lies in the tail, because each is drained again
   // (same acquired_ts) until its real release. One cut time for all
-  // mutexes keeps each thread's stale position entries a suffix: with
+  // mutexes keeps each thread's stale table entries a suffix: with
   // ordered timestamps, its final sections precede its tail ones.
-  const std::size_t thread_count = threads_.size();
-  max_hold_.resize(thread_count, 0);
-  std::uint64_t from_ts = ~static_cast<std::uint64_t>(0);
-  for (const auto& [object, secs] : added) {
-    mutexes_.try_emplace(object).first->second.id = object;
-    for (const CsRecord& cs : secs) {
-      from_ts = std::min(from_ts, cs.acquired_ts);
-      max_hold_[cs.tid] = std::max(max_hold_[cs.tid], cs.hold_time());
-    }
-  }
   struct Tail {
     MutexIndex* mutex;
     std::size_t cut;
-    std::vector<CsRecord>* added;
   };
   std::vector<Tail> tails;
-  std::vector<std::uint32_t> first_stale(thread_count, npos32);
   std::vector<std::size_t> stale(thread_count, 0);
-  auto next_added = added.begin();
-  for (auto& [object, mi] : mutexes_) {
-    mi.wait_per_thread.resize(thread_count, 0);
-    mi.hold_per_thread.resize(thread_count, 0);
-    std::vector<CsRecord>* more = nullptr;
-    if (next_added != added.end() && next_added->first == object) {
-      more = &(next_added++)->second;
-    }
-    const auto cut = static_cast<std::size_t>(
-        std::lower_bound(mi.sections.begin(), mi.sections.end(), from_ts,
-                         [](const CsRecord& cs, std::uint64_t ts) {
-                           return cs.acquired_ts < ts;
-                         }) -
-        mi.sections.begin());
-    if (cut == mi.sections.size() && (more == nullptr || more->empty())) {
-      continue;
-    }
-    for (std::size_t k = cut; k < mi.sections.size(); ++k) {
-      const CsRecord& cs = mi.sections[k];
+  for (MutexIndex* mi : slots_) {
+    mi->wait_per_thread.resize(thread_count, 0);
+    mi->hold_per_thread.resize(thread_count, 0);
+    // Searched from the end: the loop below visits the tail anyway.
+    const std::vector<CsRecord>& secs = mi->sections;
+    std::size_t cut = secs.size();
+    while (cut > 0 && secs[cut - 1].acquired_ts >= from_ts) --cut;
+    if (cut == secs.size() && drained_per_slot[mi->slot] == 0) continue;
+    for (std::size_t k = cut; k < secs.size(); ++k) {
+      const CsRecord& cs = secs[k];
       first_stale[cs.tid] = std::min(first_stale[cs.tid], cs.acquired_idx);
       ++stale[cs.tid];
     }
-    if (more != nullptr) {
-      for (const CsRecord& cs : *more) {
-        first_stale[cs.tid] = std::min(first_stale[cs.tid], cs.acquired_idx);
-      }
-    }
-    tails.push_back(Tail{&mi, cut, more});
+    tails.push_back(Tail{mi, cut});
   }
 
-  // --- rebuild the tails: drop provisional sections, add the drained
-  // ones, restore ownership order. The totals follow each section that
-  // leaves or joins. ---
+  // --- rebuild the tails: drop provisional sections, put the drained
+  // ones behind the rest, restore ownership order. The totals follow each
+  // section that leaves or joins. ---
+  // Per mutex slot, where its next drained section goes.
+  std::vector<std::size_t> next(slots_.size());
   util::for_each_index(pool, tails.size(), [&](std::size_t k) {
-    const Tail& tail = tails[k];
-    MutexIndex& mi = *tail.mutex;
+    MutexIndex& mi = *tails[k].mutex;
     std::vector<CsRecord>& secs = mi.sections;
-    const auto cut = secs.begin() + static_cast<std::ptrdiff_t>(tail.cut);
+    const auto cut = secs.begin() + static_cast<std::ptrdiff_t>(tails[k].cut);
     for (auto it = cut; it != secs.end(); ++it) {
       if (it->provisional) mi.uncount(*it);
     }
     secs.erase(std::remove_if(cut, secs.end(),
                               [](const CsRecord& cs) { return cs.provisional; }),
                secs.end());
-    if (tail.added != nullptr) {
-      for (const CsRecord& cs : *tail.added) mi.count(cs);
-      if (secs.empty()) {
-        secs.swap(*tail.added);
-      } else {
-        secs.insert(secs.end(), tail.added->begin(), tail.added->end());
-      }
+    next[mi.slot] = secs.size();
+    secs.resize(secs.size() + drained_per_slot[mi.slot]);
+  });
+  std::size_t drained = 0;
+  for (ThreadScanState& scan : scans) {
+    for (const ClosedSection& closed : scan.sections) {
+      MutexIndex& mi = *slots_[drained_slots[drained++]];
+      mi.count(closed.record);
+      mi.sections[next[mi.slot]++] = closed.record;
     }
-    std::sort(secs.begin() + static_cast<std::ptrdiff_t>(tail.cut), secs.end(),
-              owned_before);
+    scan.sections.clear();
+  }
+  util::for_each_index(pool, tails.size(), [&](std::size_t k) {
+    std::vector<CsRecord>& secs = tails[k].mutex->sections;
+    std::sort(secs.begin() + static_cast<std::ptrdiff_t>(tails[k].cut),
+              secs.end(), owned_before);
   });
 
-  // --- re-point the stale position entries ---
-  acquired_pos_.resize(thread_count);
+  // --- each thread's table keeps the entries before its first stale one
+  // and takes the tails' entries back in event order ---
+  sections_.resize(thread_count);
   std::vector<std::size_t> kept(thread_count);
   for (std::size_t tid = 0; tid < thread_count; ++tid) {
-    auto& entries = acquired_pos_[tid];
-    const auto from = std::lower_bound(
-        entries.begin(), entries.end(), first_stale[tid],
-        [](const Position& e, std::uint32_t idx) { return e.idx < idx; });
-    if (static_cast<std::size_t>(entries.end() - from) != stale[tid]) {
+    const std::vector<std::uint32_t>& idx = sections_[tid].acquired_idx;
+    kept[tid] = static_cast<std::size_t>(
+        std::lower_bound(idx.begin(), idx.end(), first_stale[tid]) -
+        idx.begin());
+    if (idx.size() - kept[tid] != stale[tid]) {
       // A final section has a later event index than a tail one
-      // (regressing timestamps): re-index everything.
-      fill_positions(acquired_pos_, thread_count, mutexes_,
-                     &MutexIndex::sections,
-                     [](const CsRecord& cs) { return cs.acquired_idx; });
-      return;
-    }
-    entries.erase(from, entries.end());
-    kept[tid] = entries.size();
-  }
-  for (const Tail& tail : tails) {
-    const std::vector<CsRecord>& secs = tail.mutex->sections;
-    for (std::size_t pos = tail.cut; pos < secs.size(); ++pos) {
-      acquired_pos_[secs[pos].tid].push_back(
-          Position{secs[pos].acquired_idx, static_cast<std::uint32_t>(pos)});
+      // (regressing timestamps): rebuild every table.
+      kept.assign(thread_count, 0);
+      first_stale.assign(thread_count, 0);
+      tails.clear();
+      for (MutexIndex* mi : slots_) tails.push_back(Tail{mi, 0});
+      break;
     }
   }
+  // A counting sort by event index, no comparisons: row_at[tid][i] is
+  // first marked for the tail section acquired at event first_stale[tid]
+  // + i, then replaced by that section's row.
+  std::vector<std::vector<std::uint32_t>> row_at(thread_count);
+  const auto row_of = [&](const CsRecord& cs) -> std::uint32_t& {
+    return row_at[cs.tid][cs.acquired_idx - first_stale[cs.tid]];
+  };
+  for (std::size_t tid = 0; tid < thread_count; ++tid) {
+    const std::size_t events =
+        view_.thread_events(static_cast<trace::ThreadId>(tid)).size();
+    if (first_stale[tid] < events) {
+      row_at[tid].assign(events - first_stale[tid], 0);
+    }
+  }
+  util::for_each_index(pool, tails.size(), [&](std::size_t k) {
+    const std::vector<CsRecord>& secs = tails[k].mutex->sections;
+    for (std::size_t pos = tails[k].cut; pos < secs.size(); ++pos) {
+      row_of(secs[pos]) = 1;
+    }
+  });
   util::for_each_index(pool, thread_count, [&](std::size_t tid) {
-    auto& entries = acquired_pos_[tid];
-    std::sort(entries.begin() + static_cast<std::ptrdiff_t>(kept[tid]),
-              entries.end(),
-              [](const Position& a, const Position& b) { return a.idx < b.idx; });
+    auto row = static_cast<std::uint32_t>(kept[tid]);
+    for (std::uint32_t& at : row_at[tid]) {
+      if (at != 0) at = row++;
+    }
+    SectionTable& table = sections_[tid];
+    table.acquired_idx.resize(row);
+    table.span.resize(row);
+    table.slot.resize(row);
+    table.pos.resize(row);
+    table.flags.resize(row);
+  });
+  util::for_each_index(pool, tails.size(), [&](std::size_t k) {
+    const MutexIndex& mi = *tails[k].mutex;
+    for (std::size_t pos = tails[k].cut; pos < mi.sections.size(); ++pos) {
+      const CsRecord& cs = mi.sections[pos];
+      SectionTable& table = sections_[cs.tid];
+      const std::uint32_t row = row_of(cs);
+      table.acquired_idx[row] = cs.acquired_idx;
+      table.span[row] = SectionTable::Span{cs.acquired_ts, cs.released_ts};
+      table.slot[row] = mi.slot;
+      table.pos[row] = static_cast<std::uint32_t>(pos);
+      table.flags[row] = static_cast<std::uint8_t>(
+          (cs.contended ? SectionTable::kContended : 0) |
+          (cs.stack_id != 0 ? SectionTable::kHasStack : 0));
+    }
   });
 }
 
-const std::vector<TraceIndex::Position>& TraceIndex::thread_sections(
-    trace::ThreadId tid) const {
-  static const std::vector<Position> kNone;
-  return tid < acquired_pos_.size() ? acquired_pos_[tid] : kNone;
+const SectionTable& TraceIndex::thread_sections(trace::ThreadId tid) const {
+  static const SectionTable kNone;
+  return tid < sections_.size() ? sections_[tid] : kNone;
 }
 
 EventRef TraceIndex::create_event(trace::ThreadId child) const {
@@ -454,7 +499,12 @@ EventRef TraceIndex::create_event(trace::ThreadId child) const {
 
 std::uint32_t TraceIndex::section_of(trace::ThreadId tid,
                                      std::uint32_t acquired_idx) const {
-  return find_position(acquired_pos_, tid, acquired_idx);
+  if (tid >= sections_.size()) return npos32;
+  const SectionTable& table = sections_[tid];
+  const auto it = std::lower_bound(table.acquired_idx.begin(),
+                                   table.acquired_idx.end(), acquired_idx);
+  if (it == table.acquired_idx.end() || *it != acquired_idx) return npos32;
+  return table.pos[static_cast<std::size_t>(it - table.acquired_idx.begin())];
 }
 
 std::uint32_t TraceIndex::barrier_wait_of(trace::ThreadId tid,

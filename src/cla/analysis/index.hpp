@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "cla/trace/protocol.hpp"
@@ -92,6 +93,10 @@ struct SectionTotals {
 /// bounded-RSS engine fills the totals alone, leaving `sections` empty.
 struct MutexIndex {
   trace::ObjectId id = trace::kNoObject;
+  /// Dense number of this mutex in a TraceIndex, in order of first
+  /// appearance and never reassigned (SectionTable::slot); 0 in the
+  /// bounded-RSS engine, which keeps no section tables.
+  std::uint32_t slot = 0;
   std::vector<CsRecord> sections;
   SectionTotals totals;
   /// Summed wait and hold time per thread (index = tid), sized to the
@@ -158,6 +163,36 @@ struct CondIndex {
   std::vector<CondWaitRecord> waits;
 };
 
+/// A critical section closed by a thread scan, with the mutex it belongs to.
+struct ClosedSection {
+  trace::ObjectId mutex = trace::kNoObject;
+  CsRecord record;
+};
+
+/// One thread's critical sections in event order (MutexAcquired index
+/// ascending), as parallel columns: the compact copy of each section that
+/// section_of() and the TYPE 1 statistics read, 29 B a section, instead of
+/// the 56-B CsRecord in its mutex's `sections`. TraceIndex::extend() keeps
+/// it equal to a rebuild from TraceIndex::mutexes().
+struct SectionTable {
+  /// Bits of `flags`.
+  static constexpr std::uint8_t kContended = 1;  ///< CsRecord::contended
+  static constexpr std::uint8_t kHasStack = 2;   ///< CsRecord::stack_id != 0
+
+  struct Span {
+    std::uint64_t acquired_ts = 0;
+    std::uint64_t released_ts = 0;
+  };
+
+  std::vector<std::uint32_t> acquired_idx;  ///< ascending
+  std::vector<Span> span;
+  std::vector<std::uint32_t> slot;  ///< MutexIndex::slot of the section's mutex
+  std::vector<std::uint32_t> pos;   ///< index into that mutex's `sections`
+  std::vector<std::uint8_t> flags;
+
+  std::size_t size() const noexcept { return acquired_idx.size(); }
+};
+
 /// Lifecycle facts about one thread.
 struct ThreadInfo {
   std::uint64_t start_ts = 0;
@@ -187,9 +222,12 @@ class ThreadScanState {
  public:
   ThreadInfo info;
   std::vector<std::pair<trace::ThreadId, EventRef>> creates;  ///< child, ref
-  /// Closed sections per mutex. A mutex seen released gets a key even
-  /// when nothing closed, so a mutex seen only released is still indexed.
-  std::map<trace::ObjectId, std::vector<CsRecord>> sections;
+  /// Closed sections of every mutex, in closing order. Consumers group
+  /// them by mutex once, when they drain them.
+  std::vector<ClosedSection> sections;
+  /// Mutexes released with no section to close (a protocol violation). A
+  /// mutex seen only that way is still indexed, with no sections.
+  std::vector<trace::ObjectId> stray_releases;
   std::map<trace::ObjectId, std::vector<BarrierWaitRecord>> barrier_waits;
   std::map<trace::ObjectId, std::vector<CondWaitRecord>> cond_waits;
   std::map<trace::ObjectId, std::vector<CondSignalRecord>> signals;
@@ -244,6 +282,11 @@ class TraceIndex {
  public:
   /// An empty index over no trace; extend() grows it.
   TraceIndex() = default;
+  /// Movable, not copyable: slots point into the index's own mutex map.
+  TraceIndex(const TraceIndex&) = delete;
+  TraceIndex& operator=(const TraceIndex&) = delete;
+  TraceIndex(TraceIndex&&) = default;
+  TraceIndex& operator=(TraceIndex&&) = default;
 
   explicit TraceIndex(const trace::Trace& trace);
   /// The index keeps a view of the trace: temporaries are rejected.
@@ -263,18 +306,21 @@ class TraceIndex {
   /// it covers, and drains `scans` (one per thread, caught up with `view`)
   /// down to their open records.
   ///
-  /// Sections acquired before the earliest drained one are final and keep
-  /// their positions; per mutex, only the tail from there on (retained
-  /// records plus drained ones) is re-sorted, and provisional sections are
-  /// replaced. Each MutexIndex's totals follow: the replaced provisional
-  /// sections are subtracted and the drained ones added. In a live tail
-  /// every drained section starts at or after the incremental analyzer's
-  /// re-resolution boundary, so the cost is O(drained + tail + locks) for
-  /// mutexes. Barrier and condvar records are still regrouped in full
-  /// whenever they grow, the remaining O(history) term of a live refresh
-  /// that uses them. The result is identical to constructing the index
-  /// over `view` from scratch, even when a thread's timestamps regress
-  /// (then at the cost of a full re-index of the section positions).
+  /// The drained sections are grouped by mutex once. Sections acquired
+  /// before the earliest drained one are final and keep their positions;
+  /// per mutex, only the tail from there on (retained records plus drained
+  /// ones) is re-sorted, and provisional sections are replaced. Each
+  /// MutexIndex's totals follow: the replaced provisional sections are
+  /// subtracted and the drained ones added. Each thread's SectionTable
+  /// drops its stale suffix (the entries of tail sections) and takes the
+  /// tails' entries back in event order. In a live tail every drained
+  /// section starts at or after the incremental analyzer's re-resolution
+  /// boundary, so the cost is O(drained + tail + locks) for mutexes.
+  /// Barrier and condvar records are still regrouped in full whenever they
+  /// grow, the remaining O(history) term of a live refresh that uses them.
+  /// The result is identical to constructing the index over `view` from
+  /// scratch, even when a thread's timestamps regress (then at the cost of
+  /// rebuilding every thread's table).
   void extend(const trace::TraceView& view, std::vector<ThreadScanState>& scans,
               util::ThreadPool* pool);
 
@@ -298,7 +344,8 @@ class TraceIndex {
   EventRef create_event(trace::ThreadId child) const;
 
   /// For a MutexAcquired event position, the index of its CsRecord within
-  /// its mutex's `sections` (ownership order); npos32 if unknown.
+  /// its mutex's `sections` (ownership order); npos32 if unknown. A binary
+  /// search of the thread's SectionTable.
   std::uint32_t section_of(trace::ThreadId tid, std::uint32_t acquired_idx) const;
 
   /// For a BarrierLeave event position, the index of its BarrierWaitRecord
@@ -313,16 +360,19 @@ class TraceIndex {
   /// break toward the lowest tid). The paper's walk starts there.
   trace::ThreadId last_finished_thread() const noexcept { return last_thread_; }
 
-  /// Event index -> position in the owning primitive's record vector.
-  struct Position {
-    std::uint32_t idx = 0;
-    std::uint32_t pos = 0;
-  };
+  /// `tid`'s critical sections in event order; empty for a thread past
+  /// the index. Reading a section's times, mutex slot, position and flags
+  /// here touches 29 contiguous-column bytes and neither the event stream
+  /// nor the CsRecord, which is what keeps a refresh's TYPE 1 pass
+  /// O(near-path sections) of sequential reads.
+  const SectionTable& thread_sections(trace::ThreadId tid) const;
 
-  /// `tid`'s critical sections in event order: each entry is a
-  /// MutexAcquired index and the section's position in the sections of
-  /// that event's mutex. Empty for a thread past the index.
-  const std::vector<Position>& thread_sections(trace::ThreadId tid) const;
+  /// The mutex numbered `slot` (MutexIndex::slot, SectionTable::slot).
+  const MutexIndex& mutex_at(std::uint32_t slot) const noexcept {
+    return *slots_[slot];
+  }
+  /// How many mutexes have a slot, i.e. mutexes().size().
+  std::size_t slot_count() const noexcept { return slots_.size(); }
 
   /// An upper bound on the hold time of `tid`'s sections, provisional
   /// ones included (it never shrinks, so a section that was replaced may
@@ -335,12 +385,21 @@ class TraceIndex {
   static constexpr std::uint32_t npos32 = ~static_cast<std::uint32_t>(0);
 
  private:
+  /// BarrierLeave / CondWaitEnd event index -> position of its wait
+  /// record in the primitive's `waits`.
+  struct WaitPosition {
+    std::uint32_t idx = 0;
+    std::uint32_t pos = 0;
+  };
   /// One vector per thread, sorted by event index (lower_bound lookups).
-  using PositionTable = std::vector<std::vector<Position>>;
+  using WaitPositions = std::vector<std::vector<WaitPosition>>;
 
-  /// The mutex half of extend(): splices `added` into each mutex's tail.
-  void extend_mutexes(std::map<trace::ObjectId, std::vector<CsRecord>> added,
+  /// The mutex half of extend(): drains the scans' closed sections into
+  /// each mutex's tail and rewrites the section tables' stale suffixes.
+  void extend_mutexes(std::vector<ThreadScanState>& scans,
                       util::ThreadPool* pool);
+  /// The slot of `mutex`, which gets a MutexIndex if it has none yet.
+  std::uint32_t slot_for(trace::ObjectId mutex);
 
   trace::TraceView view_;
   std::map<trace::ObjectId, MutexIndex> mutexes_;
@@ -348,9 +407,11 @@ class TraceIndex {
   std::map<trace::ObjectId, CondIndex> conds_;
   std::vector<ThreadInfo> threads_;
   std::map<trace::ThreadId, EventRef> creates_;
-  PositionTable acquired_pos_;
-  PositionTable leave_pos_;
-  PositionTable cond_end_pos_;
+  std::vector<MutexIndex*> slots_;  ///< by slot; the map's nodes are stable
+  std::unordered_map<trace::ObjectId, std::uint32_t> slot_of_;
+  std::vector<SectionTable> sections_;  ///< by thread
+  WaitPositions leave_pos_;
+  WaitPositions cond_end_pos_;
   std::vector<std::uint64_t> max_hold_;
   trace::ThreadId last_thread_ = 0;
 };

@@ -17,15 +17,16 @@ const LockStats* AnalysisResult::find_lock(const std::string& lock_name) const {
   return nullptr;
 }
 
-void LockPathTotals::add(const CsRecord& cs, std::uint64_t on_path) {
+void LockPathTotals::add(std::uint64_t on_path, bool contended,
+                         std::uint64_t stack_id) {
   if (on_path == 0) return;
   const auto count = [&](PathTotals& p) {
     p.hold += on_path;
     ++p.invocations;
-    if (cs.contended) ++p.contended;
+    if (contended) ++p.contended;
   };
   count(lock);
-  if (cs.stack_id != 0) count(callsites[cs.stack_id]);
+  if (stack_id != 0) count(callsites[stack_id]);
 }
 
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
@@ -34,50 +35,58 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
   const trace::TraceView& t = index.view();
 
   // --- TYPE 1: the sections that can overlap the path ---
-  // Per thread, walk the merged path intervals and the thread's sections
-  // (event order = acquisition-time order) side by side. A section
+  // Per thread, walk the merged path intervals and the thread's section
+  // table (event order = acquisition-time order) side by side. A section
   // released after an interval's begin b was acquired after
   // b - max_hold(tid), so each interval's window starts there; a cursor
-  // carried across intervals visits each section at most once. A thread
+  // carried across intervals visits each section at most once, and an
+  // OverlapCursor measures it. A visit reads the table's columns only,
+  // plus the CsRecord of a section that carries a call stack. A thread
   // whose timestamps regress has no time order to search: all of its
-  // sections are visited. The overlap arithmetic is CriticalPath::overlap,
-  // and the sums are integers, so the visit order cannot change a figure.
-  std::vector<trace::ObjectId> mutex_ids;
-  std::vector<const MutexIndex*> mutex_list;
-  mutex_ids.reserve(index.mutexes().size());
-  mutex_list.reserve(index.mutexes().size());
-  for (const auto& [id, mi] : index.mutexes()) {
-    mutex_ids.push_back(id);
-    mutex_list.push_back(&mi);
-  }
-  std::vector<LockPathTotals> on_path(mutex_list.size());
+  // sections are visited and measured with CriticalPath::overlap. The sums
+  // are integers, so the visit order cannot change a figure.
+  std::vector<LockPathTotals> by_slot(index.slot_count());
   for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
     if (tid >= path.per_thread.size() || path.per_thread[tid].empty()) continue;
-    const std::vector<TraceIndex::Position>& secs = index.thread_sections(tid);
-    const trace::EventsView& events = t.thread_events(tid);
-    const auto visit = [&](const TraceIndex::Position& p) {
-      const auto slot = static_cast<std::size_t>(
-          std::lower_bound(mutex_ids.begin(), mutex_ids.end(), events.object_at(p.idx)) -
-          mutex_ids.begin());
-      const CsRecord& cs = mutex_list[slot]->sections[p.pos];
-      on_path[slot].add(cs, path.overlap(tid, cs.acquired_ts, cs.released_ts));
+    const SectionTable& secs = index.thread_sections(tid);
+    const auto visit = [&](std::size_t k, std::uint64_t on_path) {
+      if (on_path == 0) return;
+      const std::uint8_t flags = secs.flags[k];
+      const std::uint32_t slot = secs.slot[k];
+      const std::uint64_t stack =
+          (flags & SectionTable::kHasStack) != 0
+              ? index.mutex_at(slot).sections[secs.pos[k]].stack_id
+              : 0;
+      by_slot[slot].add(on_path, (flags & SectionTable::kContended) != 0,
+                        stack);
     };
     if (!index.threads()[tid].ts_ordered) {
-      for (const TraceIndex::Position& p : secs) visit(p);
+      for (std::size_t k = 0; k < secs.size(); ++k) {
+        visit(k, path.overlap(tid, secs.span[k].acquired_ts,
+                              secs.span[k].released_ts));
+      }
       continue;
     }
     const std::uint64_t reach = index.max_hold(tid);
-    auto next = secs.begin();
+    OverlapCursor cursor(path.per_thread[tid]);
+    auto next = secs.span.begin();
     for (const PathInterval& iv : path.per_thread[tid]) {
       const std::uint64_t from = iv.begin_ts > reach ? iv.begin_ts - reach : 0;
-      next = std::lower_bound(next, secs.end(), from,
-                              [&](const TraceIndex::Position& p, std::uint64_t ts) {
-                                return events.ts_at(p.idx) < ts;
-                              });
-      for (; next != secs.end() && events.ts_at(next->idx) < iv.end_ts; ++next) {
-        visit(*next);
+      next = std::lower_bound(
+          next, secs.span.end(), from,
+          [](const SectionTable::Span& s, std::uint64_t ts) {
+            return s.acquired_ts < ts;
+          });
+      for (; next != secs.span.end() && next->acquired_ts < iv.end_ts; ++next) {
+        visit(static_cast<std::size_t>(next - secs.span.begin()),
+              cursor.overlap(next->acquired_ts, next->released_ts));
       }
     }
+  }
+  std::vector<LockPathTotals> on_path;
+  on_path.reserve(by_slot.size());
+  for (const auto& [id, mi] : index.mutexes()) {
+    on_path.push_back(std::move(by_slot[mi.slot]));
   }
 
   // --- barrier and condvar totals: every wait record ---

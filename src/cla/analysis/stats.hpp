@@ -148,8 +148,9 @@ struct LockPathTotals {
   PathTotals lock;
   std::map<std::uint64_t, PathTotals> callsites;  ///< by stack id (!= 0)
 
-  /// Counts `cs` if it overlaps the path by `on_path` > 0 ns.
-  void add(const CsRecord& cs, std::uint64_t on_path);
+  /// Counts a section (its contended flag and stack id, 0 = none) if it
+  /// overlaps the path by `on_path` > 0 ns.
+  void add(std::uint64_t on_path, bool contended, std::uint64_t stack_id);
 };
 
 /// Integer sums over one barrier's waits.
@@ -209,10 +210,13 @@ AnalysisResult assemble_stats(const trace::TraceView& view,
 /// figures come from the index's running MutexIndex totals, read in place.
 /// TYPE 1 visits, per thread, only the sections whose time window can
 /// overlap one of the thread's path intervals (see TraceIndex::max_hold),
-/// each once, and measures it with CriticalPath::overlap; a thread whose
-/// timestamps regress has all of its sections visited. Barrier and
-/// condvar figures still fold every wait record. `pool` is passed on to
-/// assemble_stats; the result is bit-identical at any pool size.
+/// each once, in the thread's SectionTable: a visit reads the table's
+/// columns and, only for a section with a call stack, its CsRecord, and
+/// an OverlapCursor measures it against the thread's intervals. A thread
+/// whose timestamps regress has all of its sections visited and measured
+/// with CriticalPath::overlap. Barrier and condvar figures still fold
+/// every wait record. `pool` is passed on to assemble_stats; the result
+/// is bit-identical at any pool size.
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options = {},
                              util::ThreadPool* pool = nullptr);

@@ -563,29 +563,49 @@ void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
   ThreadScanState state;
   std::uint64_t accounted = 0;
 
+  // The shared totals of `object`, created (and charged) on first use.
+  const auto lock_totals = [&](trace::ObjectId object) {
+    auto [it, inserted] = totals.mutexes.try_emplace(object);
+    MutexIndex& mi = it->second;
+    LockPathTotals& on_path = totals.on_path[object];
+    if (inserted) {
+      mi.id = object;
+      mi.wait_per_thread.resize(thread_count, 0);
+      mi.hold_per_thread.resize(thread_count, 0);
+      budget.charge(sizeof(MutexIndex) + sizeof(LockPathTotals) +
+                    2 * kNodeBytes + 2 * thread_count * sizeof(std::uint64_t));
+    }
+    return std::pair<MutexIndex&, LockPathTotals&>(mi, on_path);
+  };
+
   const auto drain = [&] {
+    // Group the chunk's closed sections by mutex once: one shared-map
+    // lookup per mutex, not per section. The folds are integer sums, so
+    // the order within a mutex cannot change a total.
+    std::sort(state.sections.begin(), state.sections.end(),
+              [](const ClosedSection& a, const ClosedSection& b) {
+                return a.mutex < b.mutex;
+              });
     const std::lock_guard<std::mutex> lock(totals.mu);
-    for (auto& [object, secs] : state.sections) {
-      auto [it, inserted] = totals.mutexes.try_emplace(object);
-      MutexIndex& mi = it->second;
-      LockPathTotals& on_path = totals.on_path[object];
-      if (inserted) {
-        mi.id = object;
-        mi.wait_per_thread.resize(thread_count, 0);
-        mi.hold_per_thread.resize(thread_count, 0);
-        budget.charge(sizeof(MutexIndex) + sizeof(LockPathTotals) +
-                      2 * kNodeBytes + 2 * thread_count * sizeof(std::uint64_t));
-      }
+    for (const trace::ObjectId object : state.stray_releases) {
+      lock_totals(object);
+    }
+    state.stray_releases.clear();
+    for (auto run = state.sections.begin(); run != state.sections.end();) {
+      const trace::ObjectId object = run->mutex;
+      auto [mi, on_path] = lock_totals(object);
       const std::size_t stacks = mi.callsites.size() + on_path.callsites.size();
-      for (const CsRecord& cs : secs) {
+      for (; run != state.sections.end() && run->mutex == object; ++run) {
+        const CsRecord& cs = run->record;
         mi.count(cs);
-        on_path.add(cs, path.overlap(tid, cs.acquired_ts, cs.released_ts));
+        on_path.add(path.overlap(tid, cs.acquired_ts, cs.released_ts),
+                    cs.contended, cs.stack_id);
       }
-      secs.clear();
       const std::size_t new_stacks =
           mi.callsites.size() + on_path.callsites.size() - stacks;
       budget.charge(new_stacks * (sizeof(SectionTotals) + kNodeBytes));
     }
+    state.sections.clear();
     for (auto& [object, waits] : state.barrier_waits) {
       auto [it, inserted] = totals.barriers.try_emplace(object);
       BarrierTotals& bt = it->second;

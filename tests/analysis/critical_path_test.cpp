@@ -131,6 +131,52 @@ TEST(CriticalPath, OverlapComputesPartialIntersections) {
   EXPECT_EQ(path.overlap(5, 0, 10), 0u);  // unknown thread
 }
 
+/// A path whose thread 0 runs on `intervals` (sorted, disjoint).
+CriticalPath path_on(std::vector<PathInterval> intervals) {
+  CriticalPath path;
+  path.per_thread.push_back(std::move(intervals));
+  return path;
+}
+
+/// Feeds every section [begin, end) with begin and end in [0, horizon]
+/// to one cursor, begin ascending, and compares each with overlap().
+void expect_cursor_matches_overlap(const CriticalPath& path,
+                                   std::uint64_t horizon, const char* label) {
+  OverlapCursor cursor(path.per_thread[0]);
+  for (std::uint64_t begin = 0; begin <= horizon; ++begin) {
+    for (std::uint64_t end = 0; end <= horizon; ++end) {
+      ASSERT_EQ(cursor.overlap(begin, end), path.overlap(0, begin, end))
+          << label << " [" << begin << ", " << end << ")";
+    }
+  }
+}
+
+TEST(CriticalPath, OverlapCursorMatchesOverlapOnCraftedShapes) {
+  // Gaps between intervals; every section, nested ones included, is
+  // one of the swept [begin, end) pairs.
+  expect_cursor_matches_overlap(path_on({{0, 2, 5}, {0, 8, 9}, {0, 12, 20}}),
+                                24, "gaps");
+  // Zero-length and touching intervals.
+  expect_cursor_matches_overlap(
+      path_on({{0, 0, 5}, {0, 5, 5}, {0, 5, 10}, {0, 12, 12}, {0, 14, 14}, {0, 14, 18}}),
+      20, "zero-length and touching");
+  // Everything before the first interval, and after the last.
+  expect_cursor_matches_overlap(path_on({{0, 10, 12}}), 16, "one late interval");
+  expect_cursor_matches_overlap(path_on({}), 4, "no intervals");
+
+  // Named shapes, fed in begin order to one cursor.
+  const CriticalPath path = path_on({{0, 10, 20}, {0, 30, 40}, {0, 50, 60}});
+  OverlapCursor cursor(path.per_thread[0]);
+  EXPECT_EQ(cursor.overlap(0, 5), 0u);     // before the first interval
+  EXPECT_EQ(cursor.overlap(2, 10), 0u);    // ends where it begins
+  EXPECT_EQ(cursor.overlap(12, 55), 23u);  // spans three intervals
+  EXPECT_EQ(cursor.overlap(14, 18), 4u);   // nested in the one above
+  EXPECT_EQ(cursor.overlap(35, 35), 0u);   // zero-length section
+  EXPECT_EQ(cursor.overlap(35, 70), 15u);  // past the last interval
+  EXPECT_EQ(path.overlap(0, 12, 55), 23u);
+  EXPECT_EQ(path.overlap(0, 14, 18), 4u);
+}
+
 TEST(CriticalPath, LastFinishedThreadEndsThePath) {
   TraceBuilder b;
   b.thread(0).start(0).exit(10);

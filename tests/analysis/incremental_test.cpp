@@ -14,6 +14,7 @@
 #include "cla/util/error.hpp"
 #include "cla/workloads/workload.hpp"
 #include "support/lock_schedule.hpp"
+#include "support/section_tables.hpp"
 
 namespace cla::analysis {
 namespace {
@@ -183,33 +184,41 @@ void expect_lock_stats_fold(const AnalysisResult& result,
   }
 }
 
-/// Feeds `chunks` to one analyzer and, after every round, compares its
-/// report with one-shot analysis of everything delivered so far, and its
-/// lock figures with a fold over every delivered section.
+/// Feeds `chunks` to one analyzer, inline and then on a 4-worker pool,
+/// and after every round compares its report with one-shot analysis of
+/// everything delivered so far, its lock figures with a fold over every
+/// delivered section, and its index's section tables with a rebuild from
+/// the index's mutexes.
 void expect_every_round_matches(const std::vector<trace::Trace>& chunks,
                                 const std::string& label) {
-  Options options;
-  options.validate = false;  // intermediate rounds clip mid-protocol
-  IncrementalAnalyzer analyzer(options);
-  trace::Trace delivered;
-  for (std::size_t r = 0; r < chunks.size(); ++r) {
-    const trace::Trace& chunk = chunks[r];
-    analyzer.append(chunk);
-    for (trace::ThreadId tid = 0;
-         tid < static_cast<trace::ThreadId>(chunk.thread_count()); ++tid) {
-      const auto events = chunk.thread_events(tid);
-      if (!events.empty()) delivered.append_thread_events(tid, events);
+  std::vector<std::string> want;  // one-shot report per round
+  for (const unsigned workers : {1u, 4u}) {
+    Options options;
+    options.validate = false;  // intermediate rounds clip mid-protocol
+    options.execution.num_threads = workers;
+    IncrementalAnalyzer analyzer(options);
+    trace::Trace delivered;
+    for (std::size_t r = 0; r < chunks.size(); ++r) {
+      const trace::Trace& chunk = chunks[r];
+      analyzer.append(chunk);
+      for (trace::ThreadId tid = 0;
+           tid < static_cast<trace::ThreadId>(chunk.thread_count()); ++tid) {
+        const auto events = chunk.thread_events(tid);
+        if (!events.empty()) delivered.append_thread_events(tid, events);
+      }
+      for (const auto& [object, name] : chunk.object_names()) {
+        delivered.set_object_name(object, name);
+      }
+      for (const auto& [tid, name] : chunk.thread_names()) {
+        delivered.set_thread_name(tid, name);
+      }
+      const std::string where = label + " (" + std::to_string(workers) +
+                                " workers) after round " + std::to_string(r);
+      if (want.size() == r) want.push_back(pipeline_report(delivered, false));
+      ASSERT_EQ(analyzer.report_json(), want[r]) << where;
+      test_support::expect_section_tables_match(analyzer.index(), where);
+      if (workers == 1) expect_lock_stats_fold(analyzer.result(), delivered, where);
     }
-    for (const auto& [object, name] : chunk.object_names()) {
-      delivered.set_object_name(object, name);
-    }
-    for (const auto& [tid, name] : chunk.thread_names()) {
-      delivered.set_thread_name(tid, name);
-    }
-    ASSERT_EQ(analyzer.report_json(), pipeline_report(delivered, false))
-        << label << " after round " << r;
-    expect_lock_stats_fold(analyzer.result(), delivered,
-                           label + " after round " + std::to_string(r));
   }
 }
 

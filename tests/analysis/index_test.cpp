@@ -7,7 +7,9 @@
 #include <string>
 
 #include "cla/trace/builder.hpp"
+#include "cla/util/thread_pool.hpp"
 #include "support/lock_schedule.hpp"
+#include "support/section_tables.hpp"
 
 namespace cla::analysis {
 namespace {
@@ -37,9 +39,12 @@ void expect_totals_fold(const TraceIndex& index, const std::string& label) {
 }
 
 /// Extends one index over `rounds` growing prefixes of `full` (each
-/// thread cut at proportional points) and checks the totals every round.
+/// thread cut at proportional points) and checks the totals and the
+/// section tables every round. A non-null `pool` runs the pooled tail and
+/// table sorts.
 void expect_totals_fold_every_extend(const trace::Trace& full, std::size_t rounds,
-                                     const std::string& label) {
+                                     const std::string& label,
+                                     util::ThreadPool* pool = nullptr) {
   const auto thread_count = static_cast<trace::ThreadId>(full.thread_count());
   std::vector<trace::Trace> prefixes(rounds);
   for (std::size_t r = 0; r < rounds; ++r) {
@@ -57,8 +62,10 @@ void expect_totals_fold_every_extend(const trace::Trace& full, std::size_t round
     for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
       scans[tid].consume(view.thread_events(tid), tid);
     }
-    index.extend(view, scans, nullptr);
-    expect_totals_fold(index, label + " round " + std::to_string(r));
+    index.extend(view, scans, pool);
+    const std::string where = label + " round " + std::to_string(r);
+    expect_totals_fold(index, where);
+    test_support::expect_section_tables_match(index, where);
   }
 }
 
@@ -157,11 +164,13 @@ TEST(TraceIndex, ExtendMatchesOneShotWhenTimestampsRegress) {
     scans[tid].consume(first.thread_events(tid), tid);
   }
   index.extend(first, scans, nullptr);
+  test_support::expect_section_tables_match(index, "first extend");
   const trace::TraceView second(full);
   scans[0].consume(second.thread_events(0), 0);
   // The new section (t=8) re-sorts the one acquired at t=10, but not the
   // one at t=3, which has a later event index.
   index.extend(second, scans, nullptr);
+  test_support::expect_section_tables_match(index, "second extend");
 
   const TraceIndex reference(full);
   const auto& got = index.mutexes().at(9).sections;
@@ -175,20 +184,24 @@ TEST(TraceIndex, ExtendMatchesOneShotWhenTimestampsRegress) {
 }
 
 TEST(TraceIndex, RunningTotalsFoldEveryExtend) {
-  test_support::LockSchedule schedule;
-  schedule.stacks = true;
-  const trace::Trace callsites = test_support::scheduled_locks(schedule);
-  expect_totals_fold_every_extend(callsites, 9, "callsites");
-  expect_totals_fold_every_extend(
-      test_support::with_clock_step_back(callsites, 2, 40, callsites.end_ts() / 5),
-      9, "regressing thread 2");
-  schedule.long_hold = callsites.end_ts() / 3;
-  expect_totals_fold_every_extend(test_support::scheduled_locks(schedule), 9,
-                                  "long hold");
-  schedule = {};
-  schedule.nested = true;
-  expect_totals_fold_every_extend(test_support::scheduled_locks(schedule), 9,
-                                  "nested");
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    const std::string workers = p == nullptr ? " (inline)" : " (4 workers)";
+    test_support::LockSchedule schedule;
+    schedule.stacks = true;
+    const trace::Trace callsites = test_support::scheduled_locks(schedule);
+    expect_totals_fold_every_extend(callsites, 9, "callsites" + workers, p);
+    expect_totals_fold_every_extend(
+        test_support::with_clock_step_back(callsites, 2, 40, callsites.end_ts() / 5),
+        9, "regressing thread 2" + workers, p);
+    schedule.long_hold = callsites.end_ts() / 3;
+    expect_totals_fold_every_extend(test_support::scheduled_locks(schedule), 9,
+                                    "long hold" + workers, p);
+    schedule = {};
+    schedule.nested = true;
+    expect_totals_fold_every_extend(test_support::scheduled_locks(schedule), 9,
+                                    "nested" + workers, p);
+  }
 }
 
 TEST(TraceIndex, RunningTotalsFoldAfterOneShotConstruction) {
@@ -204,6 +217,45 @@ TEST(TraceIndex, RunningTotalsFoldAfterOneShotConstruction) {
   ASSERT_EQ(mi.callsites.size(), 2u);
   EXPECT_EQ(mi.callsites.at(1).invocations, 2u);
   EXPECT_EQ(index.max_hold(1), 3u);  // the section held until exit at t=12
+}
+
+TEST(TraceIndex, HeldSectionTableEntryFollowsEveryExtend) {
+  // Mutex 1 is held across three extends while inner sections on mutex 2
+  // close, so its provisional copy keeps its table row and only its
+  // release point moves: to each round's last event, then to the release.
+  TraceBuilder b;
+  b.thread(0).start(0).acquire(1, 1).acquired(1, 1, false)
+      .lock(2, 2, 2, 3).lock(2, 4, 4, 5).lock(2, 6, 6, 7)
+      .released(1, 8).exit(9);
+  const trace::Trace full = b.finish_unchecked();
+  TraceIndex index;
+  std::vector<ThreadScanState> scans(1);
+  for (const std::size_t events : {6u, 9u, 12u, 14u}) {
+    trace::Trace prefix;
+    prefix.append_thread_events(0, full.thread_events(0).subspan(0, events));
+    const trace::TraceView view(prefix);
+    scans[0].consume(view.thread_events(0), 0);
+    index.extend(view, scans, nullptr);
+    const std::string where = std::to_string(events) + " events";
+    test_support::expect_section_tables_match(index, where);
+    const SectionTable& table = index.thread_sections(0);
+    ASSERT_GE(table.size(), 1u) << where;
+    EXPECT_EQ(table.acquired_idx[0], 2u) << where;
+    const std::uint64_t released =
+        events < 14 ? view.thread_events(0).ts_at(events - 1) : 8u;
+    EXPECT_EQ(table.span[0].released_ts, released) << where;
+  }
+}
+
+TEST(TraceIndex, MutexSeenOnlyReleasedIsIndexed) {
+  TraceBuilder b;
+  b.thread(0).start(0).lock(9, 1, 1, 4).released(5, 6).exit(10);
+  const trace::Trace t = b.finish_unchecked();
+  const TraceIndex index(t);
+  ASSERT_EQ(index.mutexes().count(5), 1u);
+  EXPECT_TRUE(index.mutexes().at(5).sections.empty());
+  EXPECT_EQ(index.mutexes().at(9).sections.size(), 1u);
+  test_support::expect_section_tables_match(index, "stray release");
 }
 
 TEST(TraceIndex, BarrierEpisodesGroupByRecordedGeneration) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "support/analyze.hpp"
+#include "support/lock_schedule.hpp"
 #include "cla/trace/builder.hpp"
 
 namespace cla::analysis {
@@ -69,6 +73,60 @@ TEST(Stats, PartialOverlapCountsOnlyOnPathTime) {
   // [8,14) part of the hold is on the path: 6 of the 14 held units.
   EXPECT_EQ(l->cp_invocations, 1u);
   EXPECT_EQ(l->cp_hold_time, 6u);
+}
+
+/// TYPE 1 figures of `t` equal a fold of CriticalPath::overlap over every
+/// section, per lock and per call stack: the path-driven visit and its
+/// overlap cursor skip and measure nothing differently.
+void expect_type1_fold(const trace::Trace& t, const std::string& label) {
+  Options options;
+  options.validate = false;  // a clock that steps back fails validation
+  const AnalysisResult result = test_support::analyze(t, options);
+  const TraceIndex index(t);
+  std::map<std::pair<trace::ObjectId, std::uint64_t>, PathTotals> want;
+  for (const auto& [id, mi] : index.mutexes()) {
+    for (const CsRecord& cs : mi.sections) {
+      const std::uint64_t on = result.path.overlap(cs.tid, cs.acquired_ts,
+                                                   cs.released_ts);
+      if (on == 0) continue;
+      for (const std::uint64_t stack : {std::uint64_t{0}, cs.stack_id}) {
+        PathTotals& p = want[{id, stack}];
+        p.hold += on;
+        ++p.invocations;
+        p.contended += cs.contended ? 1 : 0;
+        if (cs.stack_id == 0) break;
+      }
+    }
+  }
+  std::size_t checked = 0;
+  for (const LockStats& ls : result.locks) {
+    const PathTotals p = want[{ls.id, 0}];
+    EXPECT_EQ(ls.cp_hold_time, p.hold) << label << " lock " << ls.id;
+    EXPECT_EQ(ls.cp_invocations, p.invocations) << label << " lock " << ls.id;
+    EXPECT_EQ(ls.cp_contended, p.contended) << label << " lock " << ls.id;
+    checked += p.invocations;
+  }
+  for (const CallsiteStats& cs : result.callsites) {
+    const PathTotals p = want[{cs.lock_id, cs.stack_id}];
+    EXPECT_EQ(cs.cp_hold_time, p.hold) << label << " stack " << cs.stack_id;
+    EXPECT_EQ(cs.cp_invocations, p.invocations) << label << " stack " << cs.stack_id;
+  }
+  EXPECT_GT(checked, 0u) << label;
+}
+
+TEST(Stats, Type1MatchesOverlapFoldOnNestedLongAndRegressingSections) {
+  test_support::LockSchedule schedule;
+  schedule.stacks = true;
+  const trace::Trace plain = test_support::scheduled_locks(schedule);
+  expect_type1_fold(plain, "plain");
+  // Thread 2's clock steps back: its sections are visited without a cursor.
+  expect_type1_fold(test_support::with_clock_step_back(plain, 2, 40, plain.end_ts() / 5),
+                    "regressing thread 2");
+  schedule.long_hold = plain.end_ts() / 3;  // one section spans many intervals
+  expect_type1_fold(test_support::scheduled_locks(schedule), "long hold");
+  schedule = {};
+  schedule.nested = true;
+  expect_type1_fold(test_support::scheduled_locks(schedule), "nested");
 }
 
 TEST(Stats, WorkerThreadsOnlyExcludesCoordinators) {

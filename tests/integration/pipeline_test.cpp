@@ -2,11 +2,14 @@
 // must give identical statistics, on both execution backends.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <thread>
 
 #include "cla/core/cla.hpp"
 #include "support/analyze.hpp"
+#include "support/thread_state.hpp"
 
 namespace cla {
 namespace {
@@ -45,12 +48,40 @@ TEST(Pipeline, RunAndAnalyzeConvenienceMatchesManualSteps) {
 }
 
 TEST(Pipeline, PthreadBackendEndToEnd) {
+  // The micro workload on real threads, driven here so that each worker
+  // finishes only once the main thread sleeps in its join. Otherwise a
+  // main thread descheduled for the whole run never blocks in a join,
+  // the path never leaves it, and no lock lies on the path. Once every
+  // worker has started, the join is the only place main can sleep.
   workloads::WorkloadConfig config;
   config.threads = 2;
   config.backend = "pthread";
-  config.params["cs1"] = 200000;  // ~hundreds of microseconds per section
-  config.params["cs2"] = 250000;
-  const auto [run, result, profile] = run_and_analyze("micro", config);
+  const std::uint64_t cs1 = 200000;  // ~hundreds of microseconds per section
+  const std::uint64_t cs2 = 250000;
+  auto backend = workloads::make_workload_backend(config);
+  const exec::MutexHandle l1_handle = backend->create_mutex("L1");
+  const exec::MutexHandle l2_handle = backend->create_mutex("L2");
+  const pid_t main_tid = test_support::current_tid();
+  std::atomic<std::uint32_t> started{0};
+  backend->run(config.threads, [&](exec::Ctx& ctx) {
+    started.fetch_add(1);
+    {
+      exec::ScopedLock guard(ctx, l1_handle);
+      ctx.compute(cs1);
+    }
+    {
+      exec::ScopedLock guard(ctx, l2_handle);
+      ctx.compute(cs2);
+    }
+    while (started.load() < config.threads ||
+           !test_support::thread_asleep(main_tid)) {
+      std::this_thread::yield();
+    }
+  });
+  workloads::WorkloadResult run;
+  run.completion_time = backend->completion_time();
+  run.trace = backend->take_trace();
+  const AnalysisResult result = test_support::analyze(run.trace);
   EXPECT_GT(run.completion_time, 0u);
   // On a loaded single-core machine, a preemption inside either critical
   // section can dwarf the intended 4:5 work ratio, so even the ranking is

@@ -6,43 +6,20 @@
 #include <set>
 #include <sstream>
 
+#include "cla/util/diagnostics.hpp"
+#include "cla/util/table.hpp"
+
 namespace cla::agg {
 
 namespace {
+
+// Fixed-precision rendering (snprintf, deterministic across platforms).
+using util::fixed;
 
 double ratio(std::uint64_t numerator, std::uint64_t denominator) {
   return denominator == 0
              ? 0.0
              : static_cast<double>(numerator) / static_cast<double>(denominator);
-}
-
-// Fixed-precision decimal rendering: snprintf with an explicit format is
-// deterministic across platforms, unlike default ostream double output.
-std::string fixed(double v, int digits = 4) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.*f", digits, v);
-  return buf;
-}
-
-void json_string(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
 }
 
 }  // namespace
@@ -143,19 +120,18 @@ std::string merged_report_json(const MergedReport& report) {
       << ",\"rotations\":" << report.rotations << ",\"hosts\":[";
   for (std::size_t i = 0; i < report.hosts.size(); ++i) {
     if (i > 0) out << ',';
-    json_string(out, report.hosts[i]);
+    out << util::json_quoted(report.hosts[i]);
   }
   out << "],\"labels\":[";
   for (std::size_t i = 0; i < report.labels.size(); ++i) {
     if (i > 0) out << ',';
-    json_string(out, report.labels[i]);
+    out << util::json_quoted(report.labels[i]);
   }
   out << "],\"locks\":[";
   for (std::size_t i = 0; i < report.locks.size(); ++i) {
     const MergedLock& lock = report.locks[i];
     if (i > 0) out << ',';
-    out << "{\"name\":";
-    json_string(out, lock.name);
+    out << "{\"name\":" << util::json_quoted(lock.name);
     out << ",\"runs\":" << lock.runs << ",\"cp_share\":"
         << fixed(lock.cp_share, 6)
         << ",\"cp_contention\":" << fixed(lock.cp_contention, 6)
@@ -214,7 +190,7 @@ DiffResult diff_reports(const MergedReport& baseline,
         lock.cp_share > thresholds.cp_share_abs) {
       result.notes.push_back("lock " + lock.name +
                              " disappeared (baseline cp-share " +
-                             fixed(lock.cp_share) + ")");
+                             fixed(lock.cp_share, 4) + ")");
     }
   }
   std::sort(result.alerts.begin(), result.alerts.end(),
@@ -233,7 +209,8 @@ std::string diff_text(const DiffResult& diff) {
     out << diff.alerts.size() << " regression(s) detected:\n";
     for (const RegressionAlert& alert : diff.alerts) {
       out << "  REGRESSION " << alert.lock << " " << alert.metric << ": "
-          << fixed(alert.baseline) << " -> " << fixed(alert.current) << "\n";
+          << fixed(alert.baseline, 4) << " -> " << fixed(alert.current, 4)
+          << "\n";
     }
   }
   for (const std::string& text : diff.notes) {
@@ -248,17 +225,15 @@ std::string diff_json(const DiffResult& diff) {
   for (std::size_t i = 0; i < diff.alerts.size(); ++i) {
     const RegressionAlert& alert = diff.alerts[i];
     if (i > 0) out << ',';
-    out << "{\"lock\":";
-    json_string(out, alert.lock);
-    out << ",\"metric\":";
-    json_string(out, alert.metric);
+    out << "{\"lock\":" << util::json_quoted(alert.lock);
+    out << ",\"metric\":" << util::json_quoted(alert.metric);
     out << ",\"baseline\":" << fixed(alert.baseline, 6)
         << ",\"current\":" << fixed(alert.current, 6) << '}';
   }
   out << "],\"notes\":[";
   for (std::size_t i = 0; i < diff.notes.size(); ++i) {
     if (i > 0) out << ',';
-    json_string(out, diff.notes[i]);
+    out << util::json_quoted(diff.notes[i]);
   }
   out << "]}";
   return out.str();

@@ -11,6 +11,8 @@
 #include <sstream>
 
 #include "cla/analysis/stats.hpp"
+#include "cla/util/diagnostics.hpp"
+#include "cla/util/framed_io.hpp"
 
 namespace cla::agg {
 
@@ -18,58 +20,20 @@ namespace {
 
 // Hard caps so a corrupt length field is treated as corruption, never as
 // a gigantic allocation (same discipline as the trace chunk reader).
-constexpr std::size_t kMaxString = 1u << 16;
+constexpr std::uint32_t kMaxString = 1u << 16;
 constexpr std::size_t kMaxLocks = 1u << 20;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), 8);
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-struct Reader {
-  const unsigned char* p;
-  std::size_t left;
-
-  bool u32(std::uint32_t& v) {
-    if (left < 4) return false;
-    std::memcpy(&v, p, 4);
-    p += 4;
-    left -= 4;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (left < 8) return false;
-    std::memcpy(&v, p, 8);
-    p += 8;
-    left -= 8;
-    return true;
-  }
-  bool str(std::string& s) {
-    std::uint32_t len = 0;
-    if (!u32(len) || len > kMaxString || left < len) return false;
-    s.assign(reinterpret_cast<const char*>(p), len);
-    p += len;
-    left -= len;
-    return true;
-  }
-};
 
 }  // namespace
 
 std::string encode_run_record(const RunRecord& record) {
+  using util::io::put_str;
+  using util::io::put_u32;
+  using util::io::put_u64;
   std::string out;
   put_u32(out, record.schema);
-  put_string(out, record.run_id);
-  put_string(out, record.host);
-  put_string(out, record.label);
+  put_str(out, record.run_id);
+  put_str(out, record.host);
+  put_str(out, record.label);
   put_u64(out, record.seq);
   put_u64(out, record.wall_ns);
   put_u32(out, record.worker_threads);
@@ -80,7 +44,7 @@ std::string encode_run_record(const RunRecord& record) {
   put_u64(out, record.rotations);
   put_u32(out, static_cast<std::uint32_t>(record.locks.size()));
   for (const LockAgg& lock : record.locks) {
-    put_string(out, lock.name);
+    put_str(out, lock.name);
     put_u64(out, lock.cp_hold_ns);
     put_u64(out, lock.cp_invocations);
     put_u64(out, lock.cp_contended);
@@ -94,11 +58,12 @@ std::string encode_run_record(const RunRecord& record) {
 
 bool decode_run_record(const void* payload, std::size_t bytes,
                        RunRecord& out) {
-  Reader r{static_cast<const unsigned char*>(payload), bytes};
+  util::io::FieldReader r{static_cast<const unsigned char*>(payload), bytes};
+  const auto str = [&r](std::string& s) { return r.str(&s, kMaxString); };
   out = RunRecord{};
   std::uint32_t lock_count = 0;
-  if (!r.u32(out.schema) || !r.str(out.run_id) || !r.str(out.host) ||
-      !r.str(out.label) || !r.u64(out.seq) || !r.u64(out.wall_ns) ||
+  if (!r.u32(out.schema) || !str(out.run_id) || !str(out.host) ||
+      !str(out.label) || !r.u64(out.seq) || !r.u64(out.wall_ns) ||
       !r.u32(out.worker_threads) || !r.u64(out.events) ||
       !r.u64(out.dropped_events) || !r.u64(out.skipped_bytes) ||
       !r.u64(out.windows_shed) || !r.u64(out.rotations) ||
@@ -107,7 +72,7 @@ bool decode_run_record(const void* payload, std::size_t bytes,
   }
   out.locks.resize(lock_count);
   for (LockAgg& lock : out.locks) {
-    if (!r.str(lock.name) || !r.u64(lock.cp_hold_ns) ||
+    if (!str(lock.name) || !r.u64(lock.cp_hold_ns) ||
         !r.u64(lock.cp_invocations) || !r.u64(lock.cp_contended) ||
         !r.u64(lock.invocations) || !r.u64(lock.contended) ||
         !r.u64(lock.wait_ns) || !r.u64(lock.hold_ns)) {
@@ -117,7 +82,7 @@ bool decode_run_record(const void* payload, std::size_t bytes,
   // Trailing bytes are tolerated only for newer same-schema writers that
   // appended fields; a same-or-older schema with trailing garbage is
   // corruption.
-  return r.left == 0 || out.schema > kRunRecordSchema;
+  return r.remaining() == 0 || out.schema > kRunRecordSchema;
 }
 
 RunRecord make_run_record(const analysis::AnalysisResult& result,
@@ -453,32 +418,10 @@ bool parse_report_json(const std::string& text, const RunMeta& meta,
 
 std::string run_record_json(const RunRecord& record) {
   std::ostringstream out;
-  const auto json_string = [&out](const std::string& s) {
-    out << '"';
-    for (const char c : s) {
-      switch (c) {
-        case '"': out << "\\\""; break;
-        case '\\': out << "\\\\"; break;
-        case '\n': out << "\\n"; break;
-        case '\r': out << "\\r"; break;
-        case '\t': out << "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            static const char* hex = "0123456789abcdef";
-            out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-          } else {
-            out << c;
-          }
-      }
-    }
-    out << '"';
-  };
   out << "{\"schema\":" << record.schema << ",\"run_id\":";
-  json_string(record.run_id);
-  out << ",\"host\":";
-  json_string(record.host);
-  out << ",\"label\":";
-  json_string(record.label);
+  out << util::json_quoted(record.run_id);
+  out << ",\"host\":" << util::json_quoted(record.host);
+  out << ",\"label\":" << util::json_quoted(record.label);
   out << ",\"seq\":" << record.seq << ",\"wall_ns\":" << record.wall_ns
       << ",\"worker_threads\":" << record.worker_threads
       << ",\"events\":" << record.events
@@ -489,8 +432,7 @@ std::string run_record_json(const RunRecord& record) {
   for (std::size_t i = 0; i < record.locks.size(); ++i) {
     const LockAgg& lock = record.locks[i];
     if (i > 0) out << ',';
-    out << "{\"name\":";
-    json_string(lock.name);
+    out << "{\"name\":" << util::json_quoted(lock.name);
     out << ",\"cp_hold_ns\":" << lock.cp_hold_ns
         << ",\"cp_invocations\":" << lock.cp_invocations
         << ",\"cp_contended\":" << lock.cp_contended

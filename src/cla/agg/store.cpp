@@ -3,16 +3,16 @@
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 
-#include "cla/util/crc32.hpp"
 #include "cla/util/error.hpp"
 #include "cla/util/faultinject.hpp"
+#include "cla/util/framed_io.hpp"
 
 namespace cla::agg {
 
@@ -27,99 +27,67 @@ enum RecordKind : std::uint32_t {
   kKindRunSummary = 2,
 };
 
-constexpr std::size_t kRecordHeaderBytes = 16;
+using util::io::kFrameHeaderBytes;
+
 // Five used counters plus reserved zeros; fixed size keeps the StoreMeta
 // record rewritable in place (no allocation on a full disk).
 constexpr std::size_t kMetaPayloadBytes = 64;
 constexpr std::uint64_t kMetaOffset = 8;
 constexpr std::uint64_t kFirstAppendOffset =
-    kMetaOffset + kRecordHeaderBytes + kMetaPayloadBytes;
-// A frame whose payload length claims more than this is corruption, not a
-// large record (a whole run summary is a few KB per thousand locks).
-constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
+    kMetaOffset + kFrameHeaderBytes + kMetaPayloadBytes;
 
-// Same retry ladder as the trace writer: wait out ENOSPC-class errors
-// with bounded exponential backoff, give up on anything permanent.
-constexpr unsigned kMaxTransientRetries = 8;
-constexpr std::uint64_t kInitialBackoffNs = 500'000;
-constexpr std::uint64_t kMaxBackoffNs = 64'000'000;
+// Every store read and write takes the disk ladder, fault injection
+// included (framed_io.hpp).
+constexpr util::io::RetryPolicy kStoreRetry = util::io::kDiskRetry;
 
-bool transient_io_errno(int err) noexcept {
-  return err == ENOSPC || err == EAGAIN || err == EWOULDBLOCK ||
-         err == EDQUOT || err == EIO;
-}
-
-void backoff_sleep(std::uint64_t ns) noexcept {
-  struct timespec ts{static_cast<time_t>(ns / 1'000'000'000),
-                     static_cast<long>(ns % 1'000'000'000)};
-  ::nanosleep(&ts, nullptr);
-}
-
-void put_u32(unsigned char* out, std::uint32_t v) { std::memcpy(out, &v, 4); }
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-void put_u64(unsigned char* out, std::uint64_t v) { std::memcpy(out, &v, 8); }
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
-// Renders "CLAR" | kind | payload_bytes | crc | payload into `out`.
-void render_record(std::string& out, std::uint32_t kind, const void* payload,
-                   std::size_t payload_bytes) {
-  unsigned char header[kRecordHeaderBytes];
-  std::memcpy(header, kRecordMagic, 4);
-  put_u32(header + 4, kind);
-  put_u32(header + 8, static_cast<std::uint32_t>(payload_bytes));
-  put_u32(header + 12, util::crc32(payload, payload_bytes));
-  out.append(reinterpret_cast<const char*>(header), sizeof header);
-  out.append(static_cast<const char*>(payload), payload_bytes);
-}
-
-void render_meta_payload(unsigned char* out, const StoreLoss& loss) {
-  std::memset(out, 0, kMetaPayloadBytes);
-  put_u64(out + 0, loss.truncated_records);
-  put_u64(out + 8, loss.truncated_bytes);
-  put_u64(out + 16, loss.skipped_bytes);
-  put_u64(out + 24, loss.failed_appends);
-  put_u64(out + 32, loss.meta_resets);
-}
-
-// Parsed view of one frame inside the scan buffer.
-struct Frame {
-  std::uint32_t kind = 0;
-  std::uint32_t payload_bytes = 0;
-  const unsigned char* payload = nullptr;
-  std::size_t total_bytes = 0;  ///< header + payload
-};
-
-// Validates the frame starting at buf[pos]; CRC-checked.
-bool parse_frame(const unsigned char* buf, std::size_t size, std::size_t pos,
-                 Frame& out) {
-  if (pos + kRecordHeaderBytes > size) return false;
-  const unsigned char* p = buf + pos;
-  if (std::memcmp(p, kRecordMagic, 4) != 0) return false;
-  out.kind = get_u32(p + 4);
-  out.payload_bytes = get_u32(p + 8);
-  if (out.payload_bytes > kMaxPayloadBytes) return false;
-  if (pos + kRecordHeaderBytes + out.payload_bytes > size) return false;
-  out.payload = p + kRecordHeaderBytes;
-  if (util::crc32(out.payload, out.payload_bytes) != get_u32(p + 12)) {
-    return false;
+std::string store_image(const StoreLoss& loss) {
+  std::string image(kStoreMagic, 4);
+  util::io::put_u32(image, kStoreVersion);
+  std::string meta;
+  for (const std::uint64_t counter :
+       {loss.truncated_records, loss.truncated_bytes, loss.skipped_bytes,
+        loss.failed_appends, loss.meta_resets}) {
+    util::io::put_u64(meta, counter);
   }
-  out.total_bytes = kRecordHeaderBytes + out.payload_bytes;
-  return true;
+  meta.resize(kMetaPayloadBytes, '\0');
+  util::io::append_frame(image, kRecordMagic, kKindStoreMeta, meta.data(),
+                         meta.size());
+  return image;
 }
 
-std::string parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
+bool write_at(int fd, const char* bytes, std::size_t len,
+              std::uint64_t offset) {
+  return util::io::write_all(fd, bytes, len, static_cast<std::int64_t>(offset),
+                             kStoreRetry)
+      .ok();
+}
+
+bool read_at(int fd, void* buf, std::size_t len, std::uint64_t offset) {
+  return util::io::read_all(fd, buf, len, offset, kStoreRetry).ok();
+}
+
+// Walks the records in buf[0..size) with the recovery scan's damage
+// policy: anything that does not check Ok is skipped up to the next valid
+// frame. Calls `record(kind, payload, payload_bytes)` per valid frame and
+// returns the offset just past the last one; `resynced` counts the bytes
+// skipped in between and `torn` is set when damage runs to the end.
+template <typename Record>
+std::size_t scan_records(const unsigned char* buf, std::size_t size,
+                         std::uint64_t& resynced, bool& torn, Record record) {
+  std::size_t end = 0;
+  util::io::FrameHeader header;
+  while (end < size) {
+    const std::size_t at =
+        util::io::next_valid_frame(buf, size, end, kRecordMagic, &header);
+    if (at == std::string::npos) {
+      torn = true;
+      break;
+    }
+    resynced += at - end;
+    record(header.kind, buf + at + kFrameHeaderBytes, header.payload_bytes);
+    end = at + kFrameHeaderBytes + header.payload_bytes;
+  }
+  return end;
 }
 
 }  // namespace
@@ -156,7 +124,7 @@ AggStore::AggStore(const std::string& dir, Mode mode) : mode_(mode) {
       unsigned char prefix[4] = {};
       const std::size_t probe = std::min<std::uint64_t>(size, 4);
       if (probe > 0) {
-        CLA_CHECK(robust_pread_all(prefix, probe, 0),
+        CLA_CHECK(read_at(fd_, prefix, probe, 0),
                   "cannot read aggregation store: " + path_);
         CLA_CHECK(std::memcmp(prefix, kStoreMagic, probe) == 0,
                   path_ + " is not an aggregation store");
@@ -170,11 +138,12 @@ AggStore::AggStore(const std::string& dir, Mode mode) : mode_(mode) {
     }
 
     unsigned char preamble[8];
-    CLA_CHECK(robust_pread_all(preamble, sizeof preamble, 0),
+    CLA_CHECK(read_at(fd_, preamble, sizeof preamble, 0),
               "cannot read aggregation store: " + path_);
     CLA_CHECK(std::memcmp(preamble, kStoreMagic, 4) == 0,
               path_ + " is not an aggregation store");
-    const std::uint32_t version = get_u32(preamble + 4);
+    std::uint32_t version = 0;
+    std::memcpy(&version, preamble + 4, 4);
     CLA_CHECK(version == kStoreVersion,
               path_ + ": unsupported aggregation store version " +
                   std::to_string(version));
@@ -227,37 +196,31 @@ void AggStore::open_locked(const std::string& file) {
 }
 
 void AggStore::init_empty() {
-  std::string image;
-  image.append(kStoreMagic, 4);
-  unsigned char version[4];
-  put_u32(version, kStoreVersion);
-  image.append(reinterpret_cast<const char*>(version), 4);
-  unsigned char meta[kMetaPayloadBytes];
-  render_meta_payload(meta, StoreLoss{});
-  render_record(image, kKindStoreMeta, meta, sizeof meta);
+  const std::string image = store_image(StoreLoss{});
   // Clear any torn previous initialization first so a failure below
   // cannot leave stale bytes past what we rewrote.
-  while (::ftruncate(fd_, 0) != 0 && errno == EINTR) {
-  }
-  CLA_CHECK(robust_pwrite_all(fd_, image.data(), image.size(), 0, true),
+  util::io::truncate_to(fd_, 0);
+  CLA_CHECK(write_at(fd_, image.data(), image.size(), 0),
             "cannot initialize aggregation store: " + path_ + ": " +
                 std::strerror(errno));
   end_offset_ = kFirstAppendOffset;
 }
 
 void AggStore::load_meta() {
-  unsigned char frame[kRecordHeaderBytes + kMetaPayloadBytes];
-  CLA_CHECK(robust_pread_all(frame, sizeof frame, kMetaOffset),
+  unsigned char frame[kFrameHeaderBytes + kMetaPayloadBytes];
+  CLA_CHECK(read_at(fd_, frame, sizeof frame, kMetaOffset),
             "cannot read aggregation store metadata: " + path_);
-  Frame parsed;
-  if (parse_frame(frame, sizeof frame, 0, parsed) &&
-      parsed.kind == kKindStoreMeta &&
-      parsed.payload_bytes == kMetaPayloadBytes) {
-    loss_.truncated_records = get_u64(parsed.payload + 0);
-    loss_.truncated_bytes = get_u64(parsed.payload + 8);
-    loss_.skipped_bytes = get_u64(parsed.payload + 16);
-    loss_.failed_appends = get_u64(parsed.payload + 24);
-    loss_.meta_resets = get_u64(parsed.payload + 32);
+  util::io::FrameHeader header;
+  if (util::io::check_frame(frame, sizeof frame, 0, kRecordMagic, header) ==
+          util::io::FrameCheck::Ok &&
+      header.kind == kKindStoreMeta &&
+      header.payload_bytes == kMetaPayloadBytes) {
+    util::io::FieldReader in{frame + kFrameHeaderBytes, kMetaPayloadBytes};
+    for (std::uint64_t* counter :
+         {&loss_.truncated_records, &loss_.truncated_bytes,
+          &loss_.skipped_bytes, &loss_.failed_appends, &loss_.meta_resets}) {
+      in.u64(*counter);
+    }
     return;
   }
   // The loss ledger itself is unreadable. Restarting it from zero would
@@ -272,14 +235,12 @@ void AggStore::load_meta() {
 
 void AggStore::write_meta() {
   if (mode_ != Mode::ReadWrite) return;
-  unsigned char payload[kMetaPayloadBytes];
-  render_meta_payload(payload, loss_);
-  std::string frame;
-  render_record(frame, kKindStoreMeta, payload, sizeof payload);
+  const std::string image = store_image(loss_);
   // Rewrites allocated bytes only — succeeds on a full disk. If even
   // that fails the counters survive in memory for this process' report;
   // the next successful writer persists its own scan's findings.
-  robust_pwrite_all(fd_, frame.data(), frame.size(), kMetaOffset, true);
+  write_at(fd_, image.data() + kMetaOffset, image.size() - kMetaOffset,
+           kMetaOffset);
 }
 
 void AggStore::recovery_scan() {
@@ -292,37 +253,14 @@ void AggStore::recovery_scan() {
   if (size <= kFirstAppendOffset) return;
 
   std::vector<unsigned char> buf(size - kFirstAppendOffset);
-  CLA_CHECK(robust_pread_all(buf.data(), buf.size(), kFirstAppendOffset),
+  CLA_CHECK(read_at(fd_, buf.data(), buf.size(), kFirstAppendOffset),
             "cannot read aggregation store: " + path_);
 
   const StoreLoss before = loss_;
-  std::size_t pos = 0;
   std::uint64_t resynced = 0;
   bool torn_tail = false;
-  while (pos < buf.size()) {
-    Frame frame;
-    if (parse_frame(buf.data(), buf.size(), pos, frame)) {
-      pos += frame.total_bytes;
-      end_offset_ = kFirstAppendOffset + pos;
-      continue;
-    }
-    // Damage at `pos`. Valid data behind it (a frame that parses at some
-    // later offset) makes this mid-file corruption to resync over; damage
-    // running to EOF is a torn tail.
-    std::size_t next = pos + 1;
-    for (; next + kRecordHeaderBytes <= buf.size(); ++next) {
-      if (std::memcmp(buf.data() + next, kRecordMagic, 4) != 0) continue;
-      Frame probe;
-      if (parse_frame(buf.data(), buf.size(), next, probe)) break;
-    }
-    if (next + kRecordHeaderBytes <= buf.size()) {
-      resynced += next - pos;
-      pos = next;
-      continue;
-    }
-    torn_tail = true;
-    break;
-  }
+  end_offset_ += scan_records(buf.data(), buf.size(), resynced, torn_tail,
+                              [](std::uint32_t, const void*, std::size_t) {});
 
   if (resynced > 0) {
     loss_.skipped_bytes += resynced;
@@ -336,9 +274,7 @@ void AggStore::recovery_scan() {
       // Under LOCK_EX nobody is mid-append: the torn frame is crash
       // damage. Remove it so the next append extends a clean tail, and
       // count what was removed.
-      while (::ftruncate(fd_, static_cast<off_t>(end_offset_)) != 0) {
-        if (errno != EINTR) break;
-      }
+      util::io::truncate_to(fd_, end_offset_);
       loss_.truncated_records += 1;
       loss_.truncated_bytes += torn;
       note(util::DiagCode::CLA_W_AGG_TRUNCATED_TAIL,
@@ -355,17 +291,16 @@ bool AggStore::append(const RunRecord& record) {
   CLA_CHECK(mode_ == Mode::ReadWrite,
             "append to read-only aggregation store: " + path_);
   const std::string payload = encode_run_record(record);
-  CLA_CHECK(payload.size() <= kMaxPayloadBytes,
+  CLA_CHECK(payload.size() <= util::io::kMaxFramePayload,
             "run record too large for the aggregation store");
   std::string frame;
-  render_record(frame, kKindRunSummary, payload.data(), payload.size());
-  if (!robust_pwrite_all(fd_, frame.data(), frame.size(), end_offset_, true)) {
+  util::io::append_frame(frame, kRecordMagic, kKindRunSummary, payload.data(),
+                         payload.size());
+  if (!write_at(fd_, frame.data(), frame.size(), end_offset_)) {
     const int err = errno;
     // Roll the file back so a half-written frame cannot masquerade as a
     // torn tail for the next recovery scan — this loss is counted here.
-    while (::ftruncate(fd_, static_cast<off_t>(end_offset_)) != 0) {
-      if (errno != EINTR) break;
-    }
+    util::io::truncate_to(fd_, end_offset_);
     loss_.failed_appends += 1;
     note(util::DiagCode::CLA_W_AGG_APPEND_FAILED,
          "append of run " + record.run_id + " abandoned: " +
@@ -382,36 +317,25 @@ std::vector<RunRecord> AggStore::read_records() {
   std::vector<RunRecord> records;
   if (end_offset_ <= kFirstAppendOffset) return records;
   std::vector<unsigned char> buf(end_offset_ - kFirstAppendOffset);
-  CLA_CHECK(robust_pread_all(buf.data(), buf.size(), kFirstAppendOffset),
+  CLA_CHECK(read_at(fd_, buf.data(), buf.size(), kFirstAppendOffset),
             "cannot read aggregation store: " + path_);
-  std::size_t pos = 0;
-  while (pos < buf.size()) {
-    Frame frame;
-    if (!parse_frame(buf.data(), buf.size(), pos, frame)) {
-      // Mid-file damage the recovery scan already counted as
-      // skipped_bytes: mirror its resync so every record behind the
-      // corruption is still returned.
-      std::size_t next = pos + 1;
-      for (; next + kRecordHeaderBytes <= buf.size(); ++next) {
-        if (std::memcmp(buf.data() + next, kRecordMagic, 4) != 0) continue;
-        Frame probe;
-        if (parse_frame(buf.data(), buf.size(), next, probe)) break;
-      }
-      if (next + kRecordHeaderBytes > buf.size()) break;
-      pos = next;
-      continue;
-    }
-    pos += frame.total_bytes;
-    if (frame.kind != kKindRunSummary) continue;  // forward compatibility
-    RunRecord record;
-    if (decode_run_record(frame.payload, frame.payload_bytes, record)) {
-      records.push_back(std::move(record));
-    } else {
-      note(util::DiagCode::CLA_W_AGG_SKIPPED_BYTES,
-           "undecodable run record (" + std::to_string(frame.total_bytes) +
-               " bytes) skipped");
-    }
-  }
+  // Mid-file damage the recovery scan already counted as skipped_bytes
+  // is resynced over the same way, so every record behind it is returned.
+  std::uint64_t resynced = 0;
+  bool torn = false;
+  scan_records(buf.data(), buf.size(), resynced, torn,
+               [&](std::uint32_t kind, const void* payload, std::size_t bytes) {
+                 if (kind != kKindRunSummary) return;  // forward compatibility
+                 RunRecord record;
+                 if (decode_run_record(payload, bytes, record)) {
+                   records.push_back(std::move(record));
+                 } else {
+                   note(util::DiagCode::CLA_W_AGG_SKIPPED_BYTES,
+                        "undecodable run record (" +
+                            std::to_string(kFrameHeaderBytes + bytes) +
+                            " bytes) skipped");
+                 }
+               });
   return records;
 }
 
@@ -420,17 +344,11 @@ bool AggStore::compact() {
             "compact on read-only aggregation store: " + path_);
   const std::vector<RunRecord> records = merge_duplicates(read_records());
 
-  std::string image;
-  image.append(kStoreMagic, 4);
-  unsigned char version[4];
-  put_u32(version, kStoreVersion);
-  image.append(reinterpret_cast<const char*>(version), 4);
-  unsigned char meta[kMetaPayloadBytes];
-  render_meta_payload(meta, loss_);  // loss history survives compaction
-  render_record(image, kKindStoreMeta, meta, sizeof meta);
+  std::string image = store_image(loss_);  // loss history survives
   for (const RunRecord& record : records) {
     const std::string payload = encode_run_record(record);
-    render_record(image, kKindRunSummary, payload.data(), payload.size());
+    util::io::append_frame(image, kRecordMagic, kKindRunSummary,
+                           payload.data(), payload.size());
   }
 
   const std::string tmp = path_ + ".tmp";
@@ -438,7 +356,7 @@ bool AggStore::compact() {
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (tfd < 0) return false;
   const bool wrote =
-      robust_pwrite_all(tfd, image.data(), image.size(), 0, true) &&
+      write_at(tfd, image.data(), image.size(), 0) &&
       ::fsync(tfd) == 0;
   ::close(tfd);
   if (!wrote || ::rename(tmp.c_str(), path_.c_str()) != 0) {
@@ -446,97 +364,18 @@ bool AggStore::compact() {
     return false;
   }
   // Make the rename itself durable.
-  const int dfd = ::open(parent_dir(path_).c_str(), O_RDONLY | O_CLOEXEC);
+  const int dfd = ::open(std::filesystem::path(path_).parent_path().c_str(),
+                         O_RDONLY | O_CLOEXEC);
   if (dfd >= 0) {
     ::fsync(dfd);
     ::close(dfd);
   }
   // Switch to the new inode: lock it first, then release the old one so
   // blocked writers wake, re-check the path, and find the new file.
-  const int nfd = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
-  CLA_CHECK(nfd >= 0, "cannot reopen compacted aggregation store: " + path_ +
-                          ": " + std::strerror(errno));
-  while (::flock(nfd, LOCK_EX) != 0) {
-    if (errno == EINTR) continue;
-    const int err = errno;
-    ::close(nfd);
-    CLA_CHECK(false, "cannot relock compacted aggregation store: " + path_ +
-                         ": " + std::strerror(err));
-  }
-  ::close(fd_);
-  fd_ = nfd;
+  const int old_fd = fd_;
+  open_locked(path_);
+  ::close(old_fd);
   end_offset_ = image.size();
-  return true;
-}
-
-bool AggStore::robust_pwrite_all(int fd, const void* buf, std::size_t len,
-                                 std::uint64_t offset, bool inject) {
-  const char* p = static_cast<const char*>(buf);
-  std::size_t remaining = len;
-  unsigned retries = 0;
-  std::uint64_t backoff = kInitialBackoffNs;
-  while (remaining > 0) {
-    const util::fault::WriteFault fault =
-        inject && util::fault::enabled() ? util::fault::on_write(remaining)
-                                         : util::fault::WriteFault{};
-    ssize_t wrote;
-    if (fault.fail) {
-      errno = fault.error;
-      wrote = -1;
-    } else {
-      const std::size_t attempt = std::min(remaining, fault.max_bytes);
-      wrote = ::pwrite(fd, p, attempt, static_cast<off_t>(offset));
-    }
-    if (wrote >= 0) {
-      p += wrote;
-      offset += static_cast<std::uint64_t>(wrote);
-      remaining -= static_cast<std::size_t>(wrote);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (!transient_io_errno(errno) || retries >= kMaxTransientRetries) {
-      return false;
-    }
-    ++retries;
-    backoff_sleep(backoff);
-    backoff = std::min(backoff * 2, kMaxBackoffNs);
-  }
-  return true;
-}
-
-bool AggStore::robust_pread_all(void* buf, std::size_t len,
-                                std::uint64_t offset) {
-  char* p = static_cast<char*>(buf);
-  std::size_t remaining = len;
-  unsigned retries = 0;
-  std::uint64_t backoff = kInitialBackoffNs;
-  while (remaining > 0) {
-    const util::fault::ReadFault fault = util::fault::enabled()
-                                            ? util::fault::on_read(remaining)
-                                            : util::fault::ReadFault{};
-    ssize_t got;
-    if (fault.fail) {
-      errno = fault.error;
-      got = -1;
-    } else {
-      const std::size_t attempt = std::min(remaining, fault.max_bytes);
-      got = ::pread(fd_, p, attempt, static_cast<off_t>(offset));
-    }
-    if (got > 0) {
-      p += got;
-      offset += static_cast<std::uint64_t>(got);
-      remaining -= static_cast<std::size_t>(got);
-      continue;
-    }
-    if (got == 0) return false;  // EOF before the expected bytes
-    if (errno == EINTR) continue;
-    if (!transient_io_errno(errno) || retries >= kMaxTransientRetries) {
-      return false;
-    }
-    ++retries;
-    backoff_sleep(backoff);
-    backoff = std::min(backoff * 2, kMaxBackoffNs);
-  }
   return true;
 }
 

@@ -1,7 +1,7 @@
 // Crash-safe append-only aggregation store (`cla-agg`'s persistence).
 //
-// On-disk layout of DIR/agg.claa — the same framing discipline as the
-// `.clat` trace format, so every torn or corrupt byte is detectable:
+// On-disk layout of DIR/agg.claa — the same frame codec as the `.clat`
+// trace format, so every torn or corrupt byte is detectable:
 //
 //   preamble: "CLAG" | u32 version (8 bytes)
 //   StoreMeta record, reserved in place right after the preamble:
@@ -29,6 +29,11 @@
 //   * Read-only opens never truncate and never count a torn tail: under a
 //     shared lock a torn tail may be a concurrent in-flight append, not
 //     crash damage. Only an exclusive-lock open may judge it loss.
+//
+// I/O: framing, payload fields and every read and write go through the
+// layer shared with the `.clat` trace files (util/framed_io.hpp). Store
+// reads and writes all take one ladder: 8 retries sleeping 0.5 -> 64 ms on
+// transient errors, EINTR restarted, fault injection consulted.
 //
 // Locking: flock(2) — LOCK_EX for ReadWrite, LOCK_SH for ReadOnly — with
 // an inode re-check after acquisition (compaction renames a new inode
@@ -112,9 +117,6 @@ class AggStore {
   void load_meta();
   void write_meta();
   void recovery_scan();
-  bool robust_pwrite_all(int fd, const void* buf, std::size_t len,
-                         std::uint64_t offset, bool inject);
-  bool robust_pread_all(void* buf, std::size_t len, std::uint64_t offset);
   void note(util::DiagCode code, const std::string& message);
 
   Mode mode_ = Mode::ReadOnly;

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "cla/util/diagnostics.hpp"
+
 namespace cla::analysis {
 
 namespace {
@@ -39,18 +41,6 @@ std::string embed_json(const std::string& json) {
   return out;
 }
 
-void json_string(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      default: out << ch;
-    }
-  }
-  out << '"';
-}
 
 /// Lane data for the timeline: the same intervals timeline_csv() dumps,
 /// structured per thread for the in-page renderer.
@@ -62,8 +52,7 @@ std::string timeline_json(const TraceIndex& index, const CriticalPath& path) {
   for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
     const ThreadInfo& info = index.threads()[tid];
     if (tid != 0) out << ',';
-    out << "\n  {\"name\": ";
-    json_string(out, t.thread_display_name(tid));
+    out << "\n  {\"name\": " << util::json_quoted(t.thread_display_name(tid));
     out << ", \"start\": " << info.start_ts << ", \"end\": " << info.exit_ts
         << ", \"iv\": [";
     bool first = true;
@@ -73,7 +62,7 @@ std::string timeline_json(const TraceIndex& index, const CriticalPath& path) {
       first = false;
       out << "{\"k\": \"" << kind << "\", \"b\": " << b << ", \"e\": " << e
           << ", \"o\": ";
-      json_string(out, object);
+      out << util::json_quoted(object);
       out << '}';
     };
     for (const auto& [id, mi] : index.mutexes()) {

@@ -8,41 +8,6 @@
 
 namespace cla::analysis {
 
-namespace {
-
-void json_string(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
-
 struct MonitorCore::Source {
   Source(const std::string& path, const trace::TraceTailer::Options& topts)
       : tailer(path, topts) {}
@@ -161,8 +126,7 @@ std::string MonitorCore::ranking_json() {
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     SourceState& state = states_[i];
     if (i > 0) out << ',';
-    out << "{\"path\":";
-    json_string(out, state.path);
+    out << "{\"path\":" << util::json_quoted(state.path);
     out << ",\"generation\":" << state.generation
         << ",\"events\":" << state.events
         << ",\"total_events\":" << state.total_events
@@ -176,8 +140,7 @@ std::string MonitorCore::ranking_json() {
 
     const AnalysisResult* result = snapshot(i);
 
-    out << ",\"last_error\":";
-    json_string(out, state.last_error);
+    out << ",\"last_error\":" << util::json_quoted(state.last_error);
     out << ",\"runtime_warnings\":{";
     bool first = true;
     for (const auto& [code, value] : state.runtime_warnings) {
@@ -196,8 +159,7 @@ std::string MonitorCore::ranking_json() {
       for (std::size_t k = 0; k < n; ++k) {
         const LockStats& ls = result->locks[k];
         if (k > 0) out << ',';
-        out << "{\"name\":";
-        json_string(out, ls.name);
+        out << "{\"name\":" << util::json_quoted(ls.name);
         out << ",\"id\":" << ls.id << ",\"cp_hold_time_ns\":" << ls.cp_hold_time
             << ",\"cp_invocations\":" << ls.cp_invocations
             << ",\"cp_time_fraction\":" << ls.cp_time_fraction

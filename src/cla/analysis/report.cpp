@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "cla/util/stats.hpp"
+#include "cla/util/diagnostics.hpp"
 
 namespace cla::analysis {
 
@@ -184,23 +185,6 @@ std::string render_report(const AnalysisResult& result, const ReportOptions& opt
   return out.str();
 }
 
-namespace {
-
-void json_string(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      default: out << ch;
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
-
 std::string render_json(const AnalysisResult& result,
                         const JsonReportMeta& meta) {
   std::ostringstream out;
@@ -222,8 +206,7 @@ std::string render_json(const AnalysisResult& result,
   out << ",\n  \"locks\": [\n";
   for (std::size_t i = 0; i < result.locks.size(); ++i) {
     const LockStats& ls = result.locks[i];
-    out << "    {\"name\": ";
-    json_string(out, ls.name);
+    out << "    {\"name\": " << util::json_quoted(ls.name);
     out << ", \"critical\": " << (ls.is_critical() ? "true" : "false")
         << ", \"cp_time_fraction\": " << ls.cp_time_fraction
         << ", \"cp_invocations\": " << ls.cp_invocations
@@ -241,12 +224,11 @@ std::string render_json(const AnalysisResult& result,
     out << ",\n  \"callsites\": [\n";
     for (std::size_t i = 0; i < result.callsites.size(); ++i) {
       const CallsiteStats& cs = result.callsites[i];
-      out << "    {\"lock\": ";
-      json_string(out, cs.lock_name);
+      out << "    {\"lock\": " << util::json_quoted(cs.lock_name);
       out << ", \"stack_id\": " << cs.stack_id << ", \"frames\": [";
       for (std::size_t f = 0; f < cs.frames.size(); ++f) {
         if (f != 0) out << ", ";
-        json_string(out, cs.frames[f]);
+        out << util::json_quoted(cs.frames[f]);
       }
       out << "], \"cp_time_fraction\": " << cs.cp_time_fraction
           << ", \"cp_hold_time_ns\": " << cs.cp_hold_time
@@ -263,8 +245,7 @@ std::string render_json(const AnalysisResult& result,
   out << ",\n  \"barriers\": [\n";
   for (std::size_t i = 0; i < result.barriers.size(); ++i) {
     const BarrierStats& bs = result.barriers[i];
-    out << "    {\"name\": ";
-    json_string(out, bs.name);
+    out << "    {\"name\": " << util::json_quoted(bs.name);
     out << ", \"episodes\": " << bs.episodes << ", \"waits\": " << bs.waits
         << ", \"avg_wait_fraction\": " << bs.avg_wait_fraction
         << ", \"cp_crossings\": " << bs.cp_jumps << "}"
@@ -274,8 +255,7 @@ std::string render_json(const AnalysisResult& result,
   if (meta.include_profile) {
     out << ",\n  \"profile\": [\n";
     for (std::size_t i = 0; i < meta.profile.size(); ++i) {
-      out << "    {\"stage\": ";
-      json_string(out, meta.profile[i].first);
+      out << "    {\"stage\": " << util::json_quoted(meta.profile[i].first);
       out << ", \"ns\": " << meta.profile[i].second << "}"
           << (i + 1 < meta.profile.size() ? "," : "") << '\n';
     }

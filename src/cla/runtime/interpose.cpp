@@ -353,14 +353,12 @@ const char* trace_path() {
 }
 
 // $CLA_TRACE_FORMAT selects the streamed `.clat` version: v2 (raw chunks,
-// default) or v3 (compact varint chunks). v1 has no chunk framing and
-// cannot be streamed.
+// default) or v3 (compact varint chunks).
 std::uint32_t trace_format_from_env() {
   const char* raw = std::getenv("CLA_TRACE_FORMAT");
   if (raw == nullptr || *raw == '\0') return cla::trace::kTraceVersion;
   std::uint32_t version = cla::trace::kTraceVersion;
-  if (!cla::trace::parse_trace_format(raw, version) ||
-      version == cla::trace::kTraceVersionLegacy) {
+  if (!cla::trace::parse_trace_format(raw, version)) {
     std::fprintf(stderr,
                  "cla_interpose: ignoring CLA_TRACE_FORMAT=%s (want v2|v3)\n",
                  raw);

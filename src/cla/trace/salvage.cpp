@@ -7,8 +7,8 @@
 #include "cla/trace/trace_io.hpp"
 #include "cla/trace/trace_view.hpp"
 #include "cla/trace/validate.hpp"
-#include "cla/util/crc32.hpp"
 #include "cla/util/error.hpp"
+#include "cla/util/framed_io.hpp"
 
 namespace cla::trace {
 
@@ -40,48 +40,36 @@ void salvage_chunked(const unsigned char* data, std::size_t size, Trace& trace,
                      SalvageReport& report) {
   std::vector<Event> buffer;
   std::size_t pos = 8;
-  // Drops everything from `from` up to the next chunk magic at or after
-  // `scan_from` (the rest of the file if there is none) as one lost chunk.
-  const auto resync = [&](std::size_t from, std::size_t scan_from) {
-    ++report.chunks_dropped;
-    const std::size_t next =
-        scan_from < size ? find_chunk_magic(data + scan_from, size - scan_from)
-                         : std::string::npos;
-    if (next == std::string::npos) {
-      report.torn_tail = true;
-      report.bytes_dropped += size - from;
-      pos = size;
-    } else {
-      report.bytes_dropped += scan_from + next - from;
-      pos = scan_from + next;
-    }
-  };
-
   while (pos < size) {
-    ChunkHeader header;
-    if (size - pos < kChunkHeaderBytes ||
-        std::memcmp(data + pos, kChunkMagic, 4) != 0) {
-      resync(pos, pos + 1);  // no plausible header here
-      continue;
-    }
-    if (!parse_chunk_header(data + pos, header)) {
-      resync(pos, pos + 4);  // corrupt size field: the header is garbage
-      continue;
-    }
-    const std::size_t payload_at = pos + kChunkHeaderBytes;
-    if (size - payload_at < header.payload_bytes) {
+    util::io::FrameHeader header;
+    const util::io::FrameCheck check =
+        util::io::check_frame(data, size, pos, kChunkMagic, header);
+    if (check == util::io::FrameCheck::Truncated) {
       // Torn tail: the final chunk was cut mid-write.
       report.torn_tail = true;
       ++report.chunks_dropped;
       report.bytes_dropped += size - pos;
       return;
     }
-    const unsigned char* payload = data + payload_at;
-    if (util::crc32(payload, header.payload_bytes) != header.crc) {
-      // Checksum failure: its size field is untrustworthy too.
-      resync(pos, pos + 4);
+    if (check != util::io::FrameCheck::Ok) {
+      // Drop everything up to the next chunk magic (the rest of the file
+      // if there is none) as one lost chunk. A bad size or CRC makes the
+      // whole header untrustworthy, so the search starts past its magic.
+      ++report.chunks_dropped;
+      const std::size_t from =
+          pos + (check == util::io::FrameCheck::NoHeader ? 1 : 4);
+      const std::size_t next =
+          from < size
+              ? util::io::find_magic(data + from, size - from, kChunkMagic)
+              : std::string::npos;
+      const std::size_t end = next == std::string::npos ? size : from + next;
+      report.torn_tail |= next == std::string::npos;
+      report.bytes_dropped += end - pos;
+      pos = end;
       continue;
     }
+    const std::size_t payload_at = pos + util::io::kFrameHeaderBytes;
+    const unsigned char* payload = data + payload_at;
     pos = payload_at + header.payload_bytes;
 
     // A CRC-valid chunk that fails to decode (a writer bug, not a torn
@@ -95,7 +83,8 @@ void salvage_chunked(const unsigned char* data, std::size_t size, Trace& trace,
     }
     if (!intact) {
       ++report.chunks_dropped;
-      report.bytes_dropped += kChunkHeaderBytes + header.payload_bytes;
+      report.bytes_dropped +=
+          util::io::kFrameHeaderBytes + header.payload_bytes;
       continue;
     }
     ++report.chunks_recovered;

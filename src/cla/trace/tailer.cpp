@@ -10,8 +10,8 @@
 #include <cstring>
 
 #include "cla/trace/trace_io.hpp"
-#include "cla/util/crc32.hpp"
 #include "cla/util/faultinject.hpp"
+#include "cla/util/framed_io.hpp"
 
 namespace cla::trace {
 
@@ -19,29 +19,15 @@ namespace {
 
 // Bytes scanned per resync step while hunting for the next chunk magic.
 constexpr std::size_t kResyncWindow = 64 * 1024;
-// Read-retry ladder for transient errors (EIO, EAGAIN): 4 attempts with
-// 1/2/4/8ms backoff. The *poll*-level exponential backoff is the caller's
-// job via suggested_backoff_ms(); this ladder only smooths over blips.
-constexpr unsigned kMaxReadRetries = 4;
 // In-place rewritten chunks (Meta, RuntimeWarnings) are small; anything
 // claiming to be one but larger than this is treated as corruption.
 constexpr std::size_t kMaxInplacePayload = 4096;
-
-bool transient_read_errno(int err) noexcept {
-  return err == EIO || err == EAGAIN || err == EWOULDBLOCK;
-}
 
 std::uint64_t monotonic_ns() noexcept {
   struct timespec ts;
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
          static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-void backoff_sleep_ms(std::uint64_t ms) noexcept {
-  struct timespec ts{static_cast<time_t>(ms / 1000),
-                     static_cast<long>(ms % 1000) * 1'000'000};
-  ::nanosleep(&ts, nullptr);
 }
 
 }  // namespace
@@ -62,44 +48,12 @@ TraceTailer::~TraceTailer() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-TraceTailer::ReadResult TraceTailer::robust_pread(void* buf, std::size_t len,
-                                                  std::uint64_t offset,
-                                                  std::size_t& got) {
-  got = 0;
-  char* p = static_cast<char*>(buf);
-  unsigned retries = 0;
-  std::uint64_t backoff = 1;
-  while (got < len) {
-    const std::size_t want = len - got;
-    const util::fault::ReadFault fault =
-        util::fault::enabled() ? util::fault::on_read(want)
-                               : util::fault::ReadFault{};
-    ssize_t n;
-    if (fault.fail) {
-      errno = fault.error;
-      n = -1;
-    } else {
-      n = ::pread(fd_, p + got, std::min(want, fault.max_bytes),
-                  static_cast<off_t>(offset + got));
-    }
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n == 0) return ReadResult::Short;  // EOF before `len`
-    if (errno == EINTR) {
-      ++io_retries_;
-      continue;
-    }
-    if (!transient_read_errno(errno) || retries >= kMaxReadRetries) {
-      return ReadResult::Failed;
-    }
-    ++retries;
-    ++io_retries_;
-    backoff_sleep_ms(backoff);
-    backoff = std::min<std::uint64_t>(backoff * 2, 8);
-  }
-  return ReadResult::Ok;
+util::io::IoResult TraceTailer::read_at(void* buf, std::size_t len,
+                                        std::uint64_t offset) {
+  const util::io::IoResult r =
+      util::io::read_all(fd_, buf, len, offset, util::io::kTailRetry);
+  io_retries_ += r.retries;
+  return r;
 }
 
 bool TraceTailer::open_file() {
@@ -110,7 +64,6 @@ bool TraceTailer::open_file() {
 void TraceTailer::reset_for_rotation() {
   consumed_ = 0;
   preamble_ok_ = false;
-  version_ = 0;
   clean_close_ = false;
   dropped_events_ = 0;
   runtime_warnings_.clear();
@@ -180,25 +133,23 @@ bool TraceTailer::consume_chunk(std::uint32_t kind,
 // after we first consumed them. A rewrite torn mid-read fails CRC and is
 // skipped — the previous good counters stand until the next poll.
 void TraceTailer::refresh_inplace_chunks(Delta& delta, bool& progress) {
-  unsigned char header[kChunkHeaderBytes];
+  unsigned char header[util::io::kFrameHeaderBytes];
   for (const std::uint64_t offset : inplace_offsets_) {
-    std::size_t got = 0;
-    if (robust_pread(header, sizeof header, offset, got) != ReadResult::Ok) {
-      continue;
-    }
-    ChunkHeader h;
-    if (!parse_chunk_header(header, h) ||
+    if (!read_at(header, sizeof header, offset).ok()) continue;
+    util::io::FrameHeader h;
+    if (!util::io::parse_frame_header(header, kChunkMagic, h) ||
         (h.kind != static_cast<std::uint32_t>(ChunkKind::Meta) &&
          h.kind != static_cast<std::uint32_t>(ChunkKind::RuntimeWarnings)) ||
         h.payload_bytes > kMaxInplacePayload) {
       continue;
     }
     payload_buf_.resize(h.payload_bytes);
-    if (robust_pread(payload_buf_.data(), h.payload_bytes,
-                     offset + kChunkHeaderBytes, got) != ReadResult::Ok) {
+    if (!read_at(payload_buf_.data(), h.payload_bytes,
+                 offset + util::io::kFrameHeaderBytes)
+             .ok() ||
+        !util::io::crc_matches(h, payload_buf_.data())) {
       continue;
     }
-    if (util::crc32(payload_buf_.data(), h.payload_bytes) != h.crc) continue;
     if (consume_chunk(h.kind, payload_buf_, delta)) progress = true;
   }
 }
@@ -255,49 +206,48 @@ TraceTailer::PollStatus TraceTailer::poll(Delta& delta) {
   if (!preamble_ok_) {
     if (size < 8) return finish(PollStatus::Idle);
     unsigned char preamble[8];
-    std::size_t got = 0;
-    const ReadResult r = robust_pread(preamble, sizeof preamble, 0, got);
-    if (r == ReadResult::Failed) return finish(PollStatus::IoError);
-    if (r == ReadResult::Short) return finish(PollStatus::Idle);
+    const util::io::IoResult r = read_at(preamble, sizeof preamble, 0);
+    if (r.status == util::io::IoStatus::Failed) {
+      return finish(PollStatus::IoError);
+    }
+    if (r.status == util::io::IoStatus::Short) return finish(PollStatus::Idle);
     std::uint32_t version = 0;
     std::memcpy(&version, preamble + 4, 4);
     if (std::memcmp(preamble, kTraceMagic, 4) != 0 ||
-        !is_supported_trace_version(version) ||
-        version == kTraceVersionLegacy) {
+        !is_writable_trace_version(version)) {
       return finish(PollStatus::IoError);  // v1 has no chunks to tail
     }
-    version_ = version;
     preamble_ok_ = true;
     consumed_ = 8;
   }
 
   refresh_inplace_chunks(delta, progress);
+  // A read that failed past its retries ends the poll; what it decoded
+  // so far still counts.
+  const auto read_failed = [&] {
+    return finish(progress ? PollStatus::Progress : PollStatus::IoError);
+  };
 
   // Main loop: consume complete CRC-valid chunks until the tail runs out,
   // turns out to be torn, or the poll deadline hits.
-  unsigned char header[kChunkHeaderBytes];
-  while (consumed_ + kChunkHeaderBytes <= size) {
+  unsigned char header[util::io::kFrameHeaderBytes];
+  while (consumed_ + util::io::kFrameHeaderBytes <= size) {
     if (deadline_hit(start_ns)) break;
-    std::size_t got = 0;
-    ReadResult r = robust_pread(header, sizeof header, consumed_, got);
-    if (r == ReadResult::Failed) {
-      return finish(progress ? PollStatus::Progress : PollStatus::IoError);
-    }
-    if (r == ReadResult::Short) break;
+    util::io::IoResult r = read_at(header, sizeof header, consumed_);
+    if (r.status == util::io::IoStatus::Failed) return read_failed();
+    if (r.status == util::io::IoStatus::Short) break;
 
-    ChunkHeader h;
-    if (parse_chunk_header(header, h)) {
+    util::io::FrameHeader h;
+    if (util::io::parse_frame_header(header, kChunkMagic, h)) {
       const std::uint64_t chunk_end =
-          consumed_ + kChunkHeaderBytes + h.payload_bytes;
+          consumed_ + util::io::kFrameHeaderBytes + h.payload_bytes;
       if (chunk_end > size) break;  // partial tail: "not yet"
       payload_buf_.resize(h.payload_bytes);
-      r = robust_pread(payload_buf_.data(), h.payload_bytes,
-                       consumed_ + kChunkHeaderBytes, got);
-      if (r == ReadResult::Failed) {
-        return finish(progress ? PollStatus::Progress : PollStatus::IoError);
-      }
-      if (r == ReadResult::Short) break;
-      if (util::crc32(payload_buf_.data(), h.payload_bytes) == h.crc) {
+      r = read_at(payload_buf_.data(), h.payload_bytes,
+                  consumed_ + util::io::kFrameHeaderBytes);
+      if (r.status == util::io::IoStatus::Failed) return read_failed();
+      if (r.status == util::io::IoStatus::Short) break;
+      if (util::io::crc_matches(h, payload_buf_.data())) {
         if (consume_chunk(h.kind, payload_buf_, delta)) progress = true;
         if ((h.kind == static_cast<std::uint32_t>(ChunkKind::Meta) ||
              h.kind ==
@@ -324,17 +274,16 @@ TraceTailer::PollStatus TraceTailer::poll(Delta& delta) {
       const std::size_t want = static_cast<std::size_t>(
           std::min<std::uint64_t>(kResyncWindow, size - scan));
       payload_buf_.resize(want);
-      std::size_t scan_got = 0;
-      if (robust_pread(payload_buf_.data(), want, scan, scan_got) ==
-          ReadResult::Failed) {
-        return finish(progress ? PollStatus::Progress : PollStatus::IoError);
-      }
-      if (scan_got < 4) break;
-      const std::size_t at = find_chunk_magic(payload_buf_.data(), scan_got);
+      const util::io::IoResult window =
+          read_at(payload_buf_.data(), want, scan);
+      if (window.status == util::io::IoStatus::Failed) return read_failed();
+      if (window.done < 4) break;
+      const std::size_t at =
+          util::io::find_magic(payload_buf_.data(), window.done, kChunkMagic);
       if (at != std::string::npos) {
         found = scan + at;
       } else {
-        scan += scan_got - 3;  // keep a 3-byte overlap
+        scan += window.done - 3;  // keep a 3-byte overlap
       }
     }
     if (found == 0) {

@@ -20,9 +20,11 @@
 //                                            fully drained
 //   * a read failed past the retry budget -> IoError, position unchanged
 //
-// Reads go through an EINTR-restarting, bounded-retry pread that consults
-// the CLA_FAULT_READ_* injection knobs (mirroring the write side), so
-// every one of these transitions has a deterministic test.
+// Reads go through the shared retrying loop (util/framed_io.hpp) on the
+// tailer ladder — EINTR restarts, 4 retries sleeping 1/2/4/8 ms on
+// transient errors — and consult the CLA_FAULT_READ_* injection knobs
+// (mirroring the write side), so every one of these transitions has a
+// deterministic test.
 //
 // The in-place Meta/RuntimeWarnings chunks the streaming writer rewrites
 // (drop counters, ring-retirement counts) are re-read on every poll; a
@@ -44,6 +46,7 @@
 #include <vector>
 
 #include "cla/trace/trace.hpp"
+#include "cla/util/framed_io.hpp"
 
 namespace cla::trace {
 
@@ -111,10 +114,9 @@ class TraceTailer {
   std::uint64_t total_skipped_bytes() const noexcept { return skipped_total_; }
 
  private:
-  enum class ReadResult { Ok, Short, Failed };
-
-  ReadResult robust_pread(void* buf, std::size_t len, std::uint64_t offset,
-                          std::size_t& got);
+  /// Reads through the shared retrying loop on the tailer ladder and
+  /// counts its retries.
+  util::io::IoResult read_at(void* buf, std::size_t len, std::uint64_t offset);
   bool open_file();
   void reset_for_rotation();
   bool deadline_hit(std::uint64_t start_ns) const;
@@ -128,7 +130,6 @@ class TraceTailer {
   std::uint64_t consumed_ = 0;
   std::uint64_t generation_ = 0;
   bool preamble_ok_ = false;
-  std::uint32_t version_ = 0;
   bool clean_close_ = false;
   std::uint64_t dropped_events_ = 0;
   std::map<std::uint32_t, std::uint64_t> runtime_warnings_;

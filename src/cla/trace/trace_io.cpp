@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <sys/uio.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,6 +19,7 @@
 #include "cla/util/crc32.hpp"
 #include "cla/util/error.hpp"
 #include "cla/util/faultinject.hpp"
+#include "cla/util/framed_io.hpp"
 
 namespace cla::trace {
 
@@ -30,16 +30,21 @@ namespace {
 // readers stay bounded.
 constexpr std::size_t kEventsPerChunk = 1u << 16;
 
-// ---- fault-tolerant write layer ------------------------------------------
-
-// Retry ladder for transient write errors. Normal mode: ~8 backoffs from
-// 0.5ms doubling to 64ms (~250ms worst case per chunk, paid only while
-// the disk is full/busy). Teardown (crash spill) mode: one 1ms retry —
-// a dying process must not stall inside a signal handler.
-constexpr unsigned kMaxTransientRetries = 8;
+// Retry ladders (framed_io.hpp). Appends take the disk ladder; teardown
+// (crash spill) mode allows one retry, since a dying process must not
+// stall inside a signal handler, and degraded mode none. The in-place
+// rewrites take the same ladder without fault injection. Compaction is
+// opportunistic (an unhealthy disk aborts it and it is retried later), so
+// it takes no retries; its writes are injected so tests can stage a
+// compaction-time ENOSPC, its reads are not.
+constexpr util::io::RetryPolicy kAppendRetry = util::io::kDiskRetry;
 constexpr unsigned kTeardownRetries = 1;
-constexpr std::uint64_t kInitialBackoffNs = 500'000;
-constexpr std::uint64_t kMaxBackoffNs = 64'000'000;
+constexpr util::io::RetryPolicy kInPlaceRetry =
+    util::io::kDiskRetry.without_injection();
+constexpr util::io::RetryPolicy kCompactWriteRetry =
+    util::io::kDiskRetry.with_retries(0);
+constexpr util::io::RetryPolicy kCompactReadRetry =
+    kCompactWriteRetry.without_injection();
 
 // On-disk layout of the in-place region right after the 8-byte preamble:
 // a reserved RuntimeWarnings chunk, then a reserved Meta chunk. Appended
@@ -47,37 +52,17 @@ constexpr std::uint64_t kMaxBackoffNs = 64'000'000;
 constexpr std::size_t kWarnPayloadBytes = 4 + kRuntimeWarningSlots * 12;
 constexpr std::uint64_t kWarnChunkOffset = 8;
 constexpr std::uint64_t kMetaChunkOffset =
-    kWarnChunkOffset + kChunkHeaderBytes + kWarnPayloadBytes;
+    kWarnChunkOffset + util::io::kFrameHeaderBytes + kWarnPayloadBytes;
 constexpr std::size_t kMetaPayloadBytes = 12;
 constexpr std::uint64_t kFirstAppendOffset =
-    kMetaChunkOffset + kChunkHeaderBytes + kMetaPayloadBytes;
+    kMetaChunkOffset + util::io::kFrameHeaderBytes + kMetaPayloadBytes;
 
-// ENOSPC-class conditions worth waiting out; anything else (EBADF, EFBIG,
-// a forcibly revoked fd...) is permanent.
-bool transient_write_errno(int err) noexcept {
-  return err == ENOSPC || err == EAGAIN || err == EWOULDBLOCK ||
-         err == EDQUOT || err == EIO;
-}
-
-void backoff_sleep(std::uint64_t ns) noexcept {
-  struct timespec ts{static_cast<time_t>(ns / 1'000'000'000),
-                     static_cast<long>(ns % 1'000'000'000)};
-  nanosleep(&ts, nullptr);  // async-signal-safe
-}
-
-// Builds a complete chunk image (header + payload) into `out`, which must
-// hold kChunkHeaderBytes + payload_len bytes. Used for the in-place
-// pwrite chunks, which are small and fixed-size.
+// Renders a complete chunk (header + payload) into `out`; used for the
+// in-place pwrite chunks, which are small and fixed-size.
 void render_chunk(unsigned char* out, ChunkKind kind, const void* payload,
                   std::size_t payload_len) noexcept {
-  std::memcpy(out, kChunkMagic, 4);
-  const std::uint32_t kind_raw = static_cast<std::uint32_t>(kind);
-  const std::uint32_t payload_bytes = static_cast<std::uint32_t>(payload_len);
-  const std::uint32_t crc = util::crc32(payload, payload_len);
-  std::memcpy(out + 4, &kind_raw, 4);
-  std::memcpy(out + 8, &payload_bytes, 4);
-  std::memcpy(out + 12, &crc, 4);
-  std::memcpy(out + kChunkHeaderBytes, payload, payload_len);
+  util::io::render_frame(out, kChunkMagic, static_cast<std::uint32_t>(kind),
+                         payload, payload_len);
 }
 
 void render_warn_payload(unsigned char* out, const RuntimeWarning* entries,
@@ -91,101 +76,54 @@ void render_warn_payload(unsigned char* out, const RuntimeWarning* entries,
   }
 }
 
-template <typename T>
-void put(std::ostream& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-void put_string(std::ostream& out, const std::string& s) {
-  CLA_CHECK(s.size() <= std::numeric_limits<std::uint32_t>::max(), "name too long");
-  put(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-// ---- v2 chunk helpers ----------------------------------------------------
-
-template <typename T>
-void append_raw(std::string& buf, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf.append(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-void append_string(std::string& buf, std::string_view s) {
-  CLA_CHECK(s.size() <= std::numeric_limits<std::uint32_t>::max(), "name too long");
-  append_raw(buf, static_cast<std::uint32_t>(s.size()));
-  buf.append(s.data(), s.size());
-}
-
 void put_chunk(std::ostream& out, ChunkKind kind, std::string_view payload) {
-  out.write(kChunkMagic, sizeof kChunkMagic);
-  put(out, static_cast<std::uint32_t>(kind));
-  put(out, static_cast<std::uint32_t>(payload.size()));
-  put(out, util::crc32(payload.data(), payload.size()));
+  unsigned char header[util::io::kFrameHeaderBytes];
+  util::io::render_frame_header(
+      header, kChunkMagic, static_cast<std::uint32_t>(kind),
+      static_cast<std::uint32_t>(payload.size()),
+      util::crc32(payload.data(), payload.size()));
+  out.write(reinterpret_cast<const char*>(header), sizeof header);
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
 }
 
-void write_trace_v1(const Trace& trace, std::ostream& out) {
-  put(out, static_cast<std::uint32_t>(trace.thread_count()));
-  put(out, static_cast<std::uint32_t>(trace.object_names().size()));
-  for (const auto& [object, name] : trace.object_names()) {
-    put(out, object);
-    put_string(out, name);
+// One `{ key, u32 len, bytes }` entry of a name-table chunk; the key is a
+// u32 thread id or a u64 object id / program counter.
+template <typename Key>
+void put_name_entry(std::string& out, Key key, std::string_view name) {
+  if constexpr (sizeof(Key) == 4) {
+    util::io::put_u32(out, key);
+  } else {
+    util::io::put_u64(out, key);
   }
-  put(out, static_cast<std::uint32_t>(trace.thread_names().size()));
-  for (const auto& [tid, name] : trace.thread_names()) {
-    put(out, tid);
-    put_string(out, name);
-  }
-  for (ThreadId tid = 0; tid < trace.thread_count(); ++tid) {
-    const auto events = trace.thread_events(tid);
-    put(out, tid);
-    put(out, static_cast<std::uint64_t>(events.size()));
-    out.write(reinterpret_cast<const char*>(events.data()),
-              static_cast<std::streamsize>(events.size() * sizeof(Event)));
-  }
+  util::io::put_str(out, name);
+}
+
+template <typename Map>
+void put_names_chunk(std::ostream& out, ChunkKind kind, const Map& names) {
+  if (names.empty()) return;
+  std::string payload;
+  util::io::put_u32(payload, static_cast<std::uint32_t>(names.size()));
+  for (const auto& [key, name] : names) put_name_entry(payload, key, name);
+  put_chunk(out, kind, payload);
 }
 
 void write_trace_chunked(const Trace& trace, std::ostream& out,
                          std::uint32_t version) {
-  if (!trace.object_names().empty()) {
-    std::string payload;
-    append_raw(payload, static_cast<std::uint32_t>(trace.object_names().size()));
-    for (const auto& [object, name] : trace.object_names()) {
-      append_raw(payload, object);
-      append_string(payload, name);
-    }
-    put_chunk(out, ChunkKind::ObjectNames, payload);
-  }
-  if (!trace.thread_names().empty()) {
-    std::string payload;
-    append_raw(payload, static_cast<std::uint32_t>(trace.thread_names().size()));
-    for (const auto& [tid, name] : trace.thread_names()) {
-      append_raw(payload, tid);
-      append_string(payload, name);
-    }
-    put_chunk(out, ChunkKind::ThreadNames, payload);
-  }
+  using util::io::put_u32;
+  using util::io::put_u64;
+  put_names_chunk(out, ChunkKind::ObjectNames, trace.object_names());
+  put_names_chunk(out, ChunkKind::ThreadNames, trace.thread_names());
   if (!trace.call_stacks().empty()) {
     std::string payload;
-    append_raw(payload, static_cast<std::uint32_t>(trace.call_stacks().size()));
+    put_u32(payload, static_cast<std::uint32_t>(trace.call_stacks().size()));
     for (const auto& [id, pcs] : trace.call_stacks()) {
-      append_raw(payload, id);
-      append_raw(payload, static_cast<std::uint32_t>(pcs.size()));
-      for (const std::uint64_t pc : pcs) append_raw(payload, pc);
+      put_u64(payload, id);
+      put_u32(payload, static_cast<std::uint32_t>(pcs.size()));
+      for (const std::uint64_t pc : pcs) put_u64(payload, pc);
     }
     put_chunk(out, ChunkKind::CallStacks, payload);
   }
-  if (!trace.frame_symbols().empty()) {
-    std::string payload;
-    append_raw(payload,
-               static_cast<std::uint32_t>(trace.frame_symbols().size()));
-    for (const auto& [pc, name] : trace.frame_symbols()) {
-      append_raw(payload, pc);
-      append_string(payload, name);
-    }
-    put_chunk(out, ChunkKind::FrameSymbols, payload);
-  }
+  put_names_chunk(out, ChunkKind::FrameSymbols, trace.frame_symbols());
   std::string payload;
   for (ThreadId tid = 0; tid < trace.thread_count(); ++tid) {
     const auto events = trace.thread_events(tid);
@@ -198,8 +136,8 @@ void write_trace_chunked(const Trace& trace, std::ostream& out,
         put_chunk(out, ChunkKind::EventsV3, payload);
       } else {
         payload.reserve(8 + n * sizeof(Event));
-        append_raw(payload, tid);
-        append_raw(payload, static_cast<std::uint32_t>(n));
+        put_u32(payload, tid);
+        put_u32(payload, static_cast<std::uint32_t>(n));
         payload.append(reinterpret_cast<const char*>(events.data() + begin),
                        n * sizeof(Event));
         put_chunk(out, ChunkKind::Events, payload);
@@ -208,17 +146,17 @@ void write_trace_chunked(const Trace& trace, std::ostream& out,
   }
   if (!trace.runtime_warnings().empty()) {
     std::string warnings;
-    append_raw(warnings,
-               static_cast<std::uint32_t>(trace.runtime_warnings().size()));
+    put_u32(warnings,
+            static_cast<std::uint32_t>(trace.runtime_warnings().size()));
     for (const auto& [code, value] : trace.runtime_warnings()) {
-      append_raw(warnings, code);
-      append_raw(warnings, value);
+      put_u32(warnings, code);
+      put_u64(warnings, value);
     }
     put_chunk(out, ChunkKind::RuntimeWarnings, warnings);
   }
   std::string meta;
-  append_raw(meta, trace.dropped_events());
-  append_raw(meta, kMetaFlagCleanClose);
+  put_u64(meta, trace.dropped_events());
+  put_u32(meta, kMetaFlagCleanClose);
   put_chunk(out, ChunkKind::Meta, meta);
 }
 
@@ -268,8 +206,8 @@ void encode_events_v3(ThreadId tid, const Event* events, std::size_t count,
   if (count == 0) return;
   CLA_CHECK(count <= std::numeric_limits<std::uint32_t>::max(),
             "events chunk too large for v3 encoding");
-  append_raw(payload, tid);
-  append_raw(payload, static_cast<std::uint32_t>(count));
+  util::io::put_u32(payload, tid);
+  util::io::put_u32(payload, static_cast<std::uint32_t>(count));
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < count; ++i) {
     put_varint(payload,
@@ -292,15 +230,12 @@ void encode_events_v3(ThreadId tid, const Event* events, std::size_t count,
 
 bool peek_events_v3(const void* payload, std::size_t bytes, ThreadId& tid,
                     std::uint32_t& count) {
-  if (bytes < 8) return false;
-  const auto* p = static_cast<const unsigned char*>(payload);
-  std::memcpy(&tid, p, 4);
-  std::memcpy(&count, p + 4, 4);
-  if (tid > (1u << 20)) return false;
+  util::io::FieldReader r{static_cast<const unsigned char*>(payload), bytes};
   // Every event costs at least one varint byte per field group, so a
   // count the payload cannot physically hold is corruption, not a huge
   // allocation request.
-  return bytes - 8 >= 4ull * count;
+  return r.u32(tid) && r.u32(count) && tid <= kMaxThreadId &&
+         r.remaining() >= 4ull * count;
 }
 
 bool decode_events_v3(const void* payload, std::size_t bytes, std::uint64_t* ts,
@@ -336,15 +271,12 @@ bool decode_events_v3(const void* payload, std::size_t bytes, Event* out) {
 }
 
 void write_trace(const Trace& trace, std::ostream& out, std::uint32_t version) {
-  CLA_CHECK(is_supported_trace_version(version),
-            "unsupported trace version " + std::to_string(version));
+  CLA_CHECK(is_writable_trace_version(version),
+            "cannot write trace version " + std::to_string(version) +
+                " (v1 is read-only; write v2 or v3)");
   out.write(kTraceMagic, sizeof kTraceMagic);
-  put(out, version);
-  if (version == kTraceVersionLegacy) {
-    write_trace_v1(trace, out);
-  } else {
-    write_trace_chunked(trace, out, version);
-  }
+  out.write(reinterpret_cast<const char*>(&version), sizeof version);
+  write_trace_chunked(trace, out, version);
   CLA_CHECK(out.good(), "failed writing trace stream");
 }
 
@@ -363,7 +295,7 @@ ChunkedTraceWriter::ChunkedTraceWriter(const std::string& path,
                                        std::uint32_t version,
                                        std::uint64_t ring_bytes)
     : version_(version), path_(path), ring_bytes_(ring_bytes) {
-  CLA_CHECK(version == kTraceVersion || version == kTraceVersionV3,
+  CLA_CHECK(is_writable_trace_version(version),
             "ChunkedTraceWriter needs a chunk-framed version (2 or 3), got " +
                 std::to_string(version));
   util::fault::init();  // parse CLA_FAULT_* while getenv is still safe
@@ -397,7 +329,7 @@ ChunkedTraceWriter::ChunkedTraceWriter(const std::string& path,
   unsigned char meta_payload[kMetaPayloadBytes] = {};
   render_chunk(init + kMetaChunkOffset, ChunkKind::Meta, meta_payload,
                sizeof meta_payload);
-  if (!robust_pwrite(init, sizeof init, 0) ||
+  if (!write_in_place(init, sizeof init, 0) ||
       ::lseek(fd_, static_cast<off_t>(kFirstAppendOffset), SEEK_SET) < 0) {
     failed_.store(true, std::memory_order_relaxed);
   }
@@ -411,110 +343,20 @@ bool ChunkedTraceWriter::lock_appends() noexcept {
   // deadlocking (and teardown mode never calls this at all).
   for (int i = 0; i < 4000; ++i) {
     if (!append_busy_.test_and_set(std::memory_order_acquire)) return true;
-    backoff_sleep(1'000);
+    util::io::sleep_ns(1'000);
   }
   return false;
 }
 
-bool ChunkedTraceWriter::robust_writev(::iovec* iov, int iovcnt,
-                                       std::size_t total) {
-  const bool teardown = teardown_.load(std::memory_order_relaxed);
-  // While degraded (the disk just rejected a full retry ladder) each
-  // chunk gets exactly one cheap attempt, so a persistently full disk
-  // costs the traced app one failed syscall per chunk, not 250ms of
-  // backoff per chunk.
-  const unsigned max_retries =
-      teardown ? kTeardownRetries
-               : (degraded_.load(std::memory_order_relaxed)
-                      ? 0
-                      : kMaxTransientRetries);
-  std::size_t remaining = total;
-  unsigned retries = 0;
-  std::uint64_t backoff = kInitialBackoffNs;
-  while (remaining > 0) {
-    const util::fault::WriteFault fault =
-        util::fault::enabled() ? util::fault::on_write(remaining)
-                               : util::fault::WriteFault{};
-    ssize_t wrote;
-    if (fault.fail) {
-      errno = fault.error;
-      wrote = -1;
-    } else if (fault.max_bytes < remaining) {
-      // Injected short write: submit a clamped iovec copy.
-      struct iovec clamped[8];
-      int clamped_cnt = 0;
-      std::size_t budget = fault.max_bytes;
-      for (int i = 0; i < iovcnt && budget > 0 && clamped_cnt < 8; ++i) {
-        if (iov[i].iov_len == 0) continue;
-        clamped[clamped_cnt] = iov[i];
-        if (clamped[clamped_cnt].iov_len > budget)
-          clamped[clamped_cnt].iov_len = budget;
-        budget -= clamped[clamped_cnt].iov_len;
-        ++clamped_cnt;
-      }
-      wrote = ::writev(fd_, clamped, clamped_cnt);
-    } else {
-      wrote = ::writev(fd_, iov, iovcnt);
-    }
-    if (wrote >= 0) {
-      remaining -= static_cast<std::size_t>(wrote);
-      // Short write: advance the iovec past the consumed bytes and
-      // continue immediately (no retry charged).
-      std::size_t consumed = static_cast<std::size_t>(wrote);
-      for (int i = 0; i < iovcnt && consumed > 0; ++i) {
-        const std::size_t take = std::min(consumed, iov[i].iov_len);
-        iov[i].iov_base = static_cast<char*>(iov[i].iov_base) + take;
-        iov[i].iov_len -= take;
-        consumed -= take;
-      }
-      continue;
-    }
-    if (errno == EINTR) {
-      io_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!transient_write_errno(errno)) {
-      failed_.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    if (retries >= max_retries) return false;
-    ++retries;
-    io_retries_.fetch_add(1, std::memory_order_relaxed);
-    backoff_sleep(backoff);
-    backoff = std::min(backoff * 2, kMaxBackoffNs);
-  }
-  return true;
-}
-
-bool ChunkedTraceWriter::robust_pwrite(const void* buf, std::size_t len,
-                                       std::uint64_t offset) {
-  const unsigned max_retries = teardown_.load(std::memory_order_relaxed)
-                                   ? kTeardownRetries
-                                   : kMaxTransientRetries;
-  const char* p = static_cast<const char*>(buf);
-  std::size_t remaining = len;
-  unsigned retries = 0;
-  std::uint64_t backoff = kInitialBackoffNs;
-  while (remaining > 0) {
-    const ssize_t wrote =
-        ::pwrite(fd_, p, remaining, static_cast<off_t>(offset));
-    if (wrote >= 0) {
-      p += wrote;
-      offset += static_cast<std::uint64_t>(wrote);
-      remaining -= static_cast<std::size_t>(wrote);
-      continue;
-    }
-    if (errno == EINTR) {
-      io_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!transient_write_errno(errno) || retries >= max_retries) return false;
-    ++retries;
-    io_retries_.fetch_add(1, std::memory_order_relaxed);
-    backoff_sleep(backoff);
-    backoff = std::min(backoff * 2, kMaxBackoffNs);
-  }
-  return true;
+bool ChunkedTraceWriter::write_in_place(const void* buf, std::size_t len,
+                                        std::uint64_t offset) {
+  const util::io::IoResult r = util::io::write_all(
+      fd_, buf, len, static_cast<std::int64_t>(offset),
+      teardown_.load(std::memory_order_relaxed)
+          ? kInPlaceRetry.with_retries(kTeardownRetries)
+          : kInPlaceRetry);
+  io_retries_.fetch_add(r.retries, std::memory_order_relaxed);
+  return r.ok();
 }
 
 bool ChunkedTraceWriter::write_chunk(ChunkKind kind, const void* head,
@@ -531,16 +373,11 @@ bool ChunkedTraceWriter::write_chunk(ChunkKind kind, const void* head,
   std::uint32_t crc = util::kCrc32Init;
   crc = util::crc32_update(crc, head, head_len);
   crc = util::crc32_update(crc, body, body_len);
-  crc = util::crc32_final(crc);
-
-  char header[16];
-  std::memcpy(header, kChunkMagic, 4);
-  const std::uint32_t kind_raw = static_cast<std::uint32_t>(kind);
-  const std::uint32_t payload_bytes =
-      static_cast<std::uint32_t>(head_len + body_len);
-  std::memcpy(header + 4, &kind_raw, 4);
-  std::memcpy(header + 8, &payload_bytes, 4);
-  std::memcpy(header + 12, &crc, 4);
+  unsigned char header[util::io::kFrameHeaderBytes];
+  util::io::render_frame_header(header, kChunkMagic,
+                                static_cast<std::uint32_t>(kind),
+                                static_cast<std::uint32_t>(head_len + body_len),
+                                util::crc32_final(crc));
 
   // One writev submission per chunk: concurrent writers (flusher thread
   // vs. crash handler in teardown mode) interleave at chunk granularity,
@@ -553,7 +390,22 @@ bool ChunkedTraceWriter::write_chunk(ChunkKind kind, const void* head,
   const std::size_t total = sizeof header + head_len + body_len;
 
   const off_t start = teardown ? -1 : ::lseek(fd_, 0, SEEK_CUR);
-  const bool ok = robust_writev(iov, iovcnt, total);
+  // While degraded (the disk just rejected a full retry ladder) each
+  // chunk gets exactly one cheap attempt, so a persistently full disk
+  // costs the traced app one failed syscall per chunk, not 250ms of
+  // backoff per chunk.
+  const util::io::IoResult r = util::io::write_all(
+      fd_, iov, iovcnt, util::io::kFilePosition,
+      kAppendRetry.with_retries(
+          teardown ? kTeardownRetries
+                   : (degraded_.load(std::memory_order_relaxed)
+                          ? 0
+                          : kAppendRetry.max_retries)));
+  io_retries_.fetch_add(r.retries, std::memory_order_relaxed);
+  if (!r.ok() && !util::io::transient_errno(r.error)) {
+    failed_.store(true, std::memory_order_relaxed);  // EBADF and the like
+  }
+  const bool ok = r.ok();
   if (ok) {
     degraded_.store(false, std::memory_order_relaxed);
     if (ring_bytes_ != 0 && !teardown && start >= 0) {
@@ -568,7 +420,7 @@ bool ChunkedTraceWriter::write_chunk(ChunkKind kind, const void* head,
     // (CRC-clean chunks only), then drop into counted-drop mode. In
     // teardown mode there is no rollback — a torn final chunk is exactly
     // what salvage's CRC check exists for.
-    if (start >= 0 && ::ftruncate(fd_, start) == 0) {
+    if (start >= 0 && util::io::truncate_to(fd_, start)) {
       ::lseek(fd_, start, SEEK_SET);
     }
     degraded_.store(true, std::memory_order_relaxed);
@@ -576,16 +428,6 @@ bool ChunkedTraceWriter::write_chunk(ChunkKind kind, const void* head,
   }
   if (!teardown) append_busy_.clear(std::memory_order_release);
   return ok;
-}
-
-bool ChunkedTraceWriter::write_events_raw(ThreadId tid, const Event* events,
-                                          std::size_t count) {
-  char head[8];
-  const std::uint32_t n = static_cast<std::uint32_t>(count);
-  std::memcpy(head, &tid, 4);
-  std::memcpy(head + 4, &n, 4);
-  return write_chunk(ChunkKind::Events, head, sizeof head, events,
-                     count * sizeof(Event), count);
 }
 
 std::size_t ChunkedTraceWriter::write_events(ThreadId tid, const Event* events,
@@ -605,51 +447,50 @@ std::size_t ChunkedTraceWriter::write_events(ThreadId tid, const Event* events,
                        v3_scratch_.size(), nullptr, 0, n);
       v3_scratch_busy_.clear(std::memory_order_release);
     } else {
-      ok = write_events_raw(tid, events + begin, n);
+      const std::uint32_t head[2] = {tid, static_cast<std::uint32_t>(n)};
+      ok = write_chunk(ChunkKind::Events, head, sizeof head, events + begin,
+                       n * sizeof(Event), n);
     }
     if (ok) written += n;
   }
   return written;
 }
 
+void ChunkedTraceWriter::write_table_entry(ChunkKind kind,
+                                           const std::string& entry) {
+  const std::uint32_t count = 1;
+  write_chunk(kind, &count, sizeof count, entry.data(), entry.size());
+}
+
 void ChunkedTraceWriter::write_object_name(ObjectId object,
                                            std::string_view name) {
-  std::string payload;
-  append_raw(payload, std::uint32_t{1});
-  append_raw(payload, object);
-  append_string(payload, name);
-  write_chunk(ChunkKind::ObjectNames, payload.data(), payload.size(), nullptr, 0);
+  std::string entry;
+  put_name_entry(entry, object, name);
+  write_table_entry(ChunkKind::ObjectNames, entry);
 }
 
 void ChunkedTraceWriter::write_thread_name(ThreadId tid, std::string_view name) {
-  std::string payload;
-  append_raw(payload, std::uint32_t{1});
-  append_raw(payload, tid);
-  append_string(payload, name);
-  write_chunk(ChunkKind::ThreadNames, payload.data(), payload.size(), nullptr, 0);
+  std::string entry;
+  put_name_entry(entry, tid, name);
+  write_table_entry(ChunkKind::ThreadNames, entry);
 }
 
 void ChunkedTraceWriter::write_call_stack(std::uint64_t stack_id,
                                           const std::uint64_t* pcs,
                                           std::size_t depth) {
   if (depth > kMaxCallStackDepth) depth = kMaxCallStackDepth;
-  std::string payload;
-  append_raw(payload, std::uint32_t{1});
-  append_raw(payload, stack_id);
-  append_raw(payload, static_cast<std::uint32_t>(depth));
-  for (std::size_t i = 0; i < depth; ++i) append_raw(payload, pcs[i]);
-  write_chunk(ChunkKind::CallStacks, payload.data(), payload.size(), nullptr,
-              0);
+  std::string entry;
+  util::io::put_u64(entry, stack_id);
+  util::io::put_u32(entry, static_cast<std::uint32_t>(depth));
+  for (std::size_t i = 0; i < depth; ++i) util::io::put_u64(entry, pcs[i]);
+  write_table_entry(ChunkKind::CallStacks, entry);
 }
 
 void ChunkedTraceWriter::write_frame_symbol(std::uint64_t pc,
                                             std::string_view name) {
-  std::string payload;
-  append_raw(payload, std::uint32_t{1});
-  append_raw(payload, pc);
-  append_string(payload, name);
-  write_chunk(ChunkKind::FrameSymbols, payload.data(), payload.size(), nullptr,
-              0);
+  std::string entry;
+  put_name_entry(entry, pc, name);
+  write_table_entry(ChunkKind::FrameSymbols, entry);
 }
 
 void ChunkedTraceWriter::write_meta(std::uint64_t dropped_events,
@@ -659,9 +500,9 @@ void ChunkedTraceWriter::write_meta(std::uint64_t dropped_events,
   const std::uint32_t flags = clean_close ? kMetaFlagCleanClose : 0;
   std::memcpy(payload, &dropped_events, 8);
   std::memcpy(payload + 8, &flags, 4);
-  unsigned char chunk[kChunkHeaderBytes + kMetaPayloadBytes];
+  unsigned char chunk[util::io::kFrameHeaderBytes + kMetaPayloadBytes];
   render_chunk(chunk, ChunkKind::Meta, payload, sizeof payload);
-  robust_pwrite(chunk, sizeof chunk, kMetaChunkOffset);
+  write_in_place(chunk, sizeof chunk, kMetaChunkOffset);
 }
 
 void ChunkedTraceWriter::write_warnings(const RuntimeWarning* entries,
@@ -669,57 +510,10 @@ void ChunkedTraceWriter::write_warnings(const RuntimeWarning* entries,
   if (fd_ < 0) return;
   unsigned char payload[kWarnPayloadBytes];
   render_warn_payload(payload, entries, count);
-  unsigned char chunk[kChunkHeaderBytes + kWarnPayloadBytes];
+  unsigned char chunk[util::io::kFrameHeaderBytes + kWarnPayloadBytes];
   render_chunk(chunk, ChunkKind::RuntimeWarnings, payload, sizeof payload);
-  robust_pwrite(chunk, sizeof chunk, kWarnChunkOffset);
+  write_in_place(chunk, sizeof chunk, kWarnChunkOffset);
 }
-
-namespace {
-
-// Compaction-local I/O helpers: plain EINTR-restarting loops that fail on
-// the first hard error. Compaction is opportunistic — when the disk is
-// unhealthy it simply aborts and is retried later — so it does not need
-// the appending writers' backoff ladder. Writes still consult the fault
-// injector so tests can stage a compaction-time ENOSPC deterministically.
-bool full_pread(int fd, void* buf, std::size_t len, std::uint64_t offset) {
-  char* p = static_cast<char*>(buf);
-  while (len > 0) {
-    const ssize_t got = ::pread(fd, p, len, static_cast<off_t>(offset));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (got == 0) return false;  // shorter file than the chunk records say
-    p += got;
-    offset += static_cast<std::uint64_t>(got);
-    len -= static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
-bool full_write(int fd, const void* buf, std::size_t len) {
-  const char* p = static_cast<const char*>(buf);
-  while (len > 0) {
-    const util::fault::WriteFault fault =
-        util::fault::enabled() ? util::fault::on_write(len)
-                               : util::fault::WriteFault{};
-    if (fault.fail) {
-      errno = fault.error;
-      return false;
-    }
-    const std::size_t attempt = std::min(len, fault.max_bytes);
-    const ssize_t wrote = ::write(fd, p, attempt);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += wrote;
-    len -= static_cast<std::size_t>(wrote);
-  }
-  return true;
-}
-
-}  // namespace
 
 void ChunkedTraceWriter::maybe_compact() {
   if (kFirstAppendOffset + append_bytes_ <= ring_bytes_) return;
@@ -729,18 +523,19 @@ void ChunkedTraceWriter::maybe_compact() {
   // the retained events attributable) plus the newest event chunks up to
   // half the cap — leaving the other half as append headroom so
   // compactions amortize instead of firing on every chunk.
+  const auto is_events = [](const ChunkRecord& c) {
+    return c.kind == ChunkKind::Events || c.kind == ChunkKind::EventsV3;
+  };
   const std::uint64_t keep_budget = ring_bytes_ / 2;
   std::uint64_t kept_bytes = 0;
   for (const ChunkRecord& c : ring_chunks_) {
-    if (c.kind != ChunkKind::Events && c.kind != ChunkKind::EventsV3) {
-      kept_bytes += c.bytes;
-    }
+    if (!is_events(c)) kept_bytes += c.bytes;
   }
   std::size_t first_kept_event = ring_chunks_.size();
   bool kept_any_events = false;
   for (std::size_t i = ring_chunks_.size(); i-- > 0;) {
     const ChunkRecord& c = ring_chunks_[i];
-    if (c.kind != ChunkKind::Events && c.kind != ChunkKind::EventsV3) continue;
+    if (!is_events(c)) continue;
     if (kept_any_events && kept_bytes + c.bytes > keep_budget) break;
     kept_bytes += c.bytes;
     kept_any_events = true;
@@ -749,9 +544,8 @@ void ChunkedTraceWriter::maybe_compact() {
   std::uint64_t retired_events = 0;
   std::uint64_t retired_chunks = 0;
   for (std::size_t i = 0; i < first_kept_event; ++i) {
-    const ChunkRecord& c = ring_chunks_[i];
-    if (c.kind != ChunkKind::Events && c.kind != ChunkKind::EventsV3) continue;
-    retired_events += c.events;
+    if (!is_events(ring_chunks_[i])) continue;
+    retired_events += ring_chunks_[i].events;
     ++retired_chunks;
   }
   if (!kept_any_events || retired_chunks == 0) {
@@ -781,28 +575,27 @@ void ChunkedTraceWriter::maybe_compact() {
     compact_retry_at_ = append_bytes_ + ring_bytes_ / 4;
   };
 
+  std::vector<unsigned char> copy_buf;
+  const auto copy = [&](std::size_t len, std::uint64_t offset) {
+    copy_buf.resize(len);
+    return util::io::read_all(fd_, copy_buf.data(), len, offset,
+                              kCompactReadRetry)
+               .ok() &&
+           util::io::write_all(tmp_fd, copy_buf.data(), len,
+                               util::io::kFilePosition, kCompactWriteRetry)
+               .ok();
+  };
   // Reserved region first (preamble + in-place warnings/meta), copied
   // verbatim so the latest counters written by write_meta/write_warnings
   // survive the rewrite.
-  unsigned char reserved[kFirstAppendOffset];
-  if (!full_pread(fd_, reserved, sizeof reserved, 0) ||
-      !full_write(tmp_fd, reserved, sizeof reserved)) {
-    abort_compaction();
-    return;
-  }
+  bool ok = copy(kFirstAppendOffset, 0);
   std::vector<ChunkRecord> kept;
   kept.reserve(ring_chunks_.size() - retired_chunks);
-  std::vector<unsigned char> copy_buf;
   std::uint64_t out_offset = kFirstAppendOffset;
-  bool ok = true;
   for (std::size_t i = 0; i < ring_chunks_.size() && ok; ++i) {
     const ChunkRecord& c = ring_chunks_[i];
-    const bool is_events =
-        c.kind == ChunkKind::Events || c.kind == ChunkKind::EventsV3;
-    if (is_events && i < first_kept_event) continue;
-    copy_buf.resize(c.bytes);
-    ok = full_pread(fd_, copy_buf.data(), c.bytes, c.offset) &&
-         full_write(tmp_fd, copy_buf.data(), c.bytes);
+    if (is_events(c) && i < first_kept_event) continue;
+    ok = copy(c.bytes, c.offset);
     if (ok) {
       ChunkRecord moved = c;
       moved.offset = out_offset;
@@ -841,46 +634,17 @@ void ChunkedTraceWriter::close() noexcept {
 
 namespace {
 
-/// Bounds-checked forward reader over one payload. Every get consumes
-/// only on success, so a failed read leaves `pos` after the last whole
-/// field (salvage's bytes-dropped accounting relies on that).
-struct PayloadReader {
-  const unsigned char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  std::size_t remaining() const noexcept { return size - pos; }
-
-  template <typename T>
-  bool get(T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (remaining() < sizeof value) return false;
-    std::memcpy(&value, data + pos, sizeof value);
-    pos += sizeof value;
-    return true;
-  }
-
-  /// Reads a u32-length-prefixed name; `out` may be null (validate only).
-  bool get_name(std::string* out) {
-    std::uint32_t len = 0;
-    if (!get(len) || len > kMaxNameBytes || remaining() < len) return false;
-    if (out != nullptr) {
-      out->assign(reinterpret_cast<const char*>(data + pos), len);
-    }
-    pos += len;
-    return true;
-  }
-};
+using util::io::FieldReader;
 
 /// Applies the `u32 count | count * entry` body of a table chunk.
 /// `entry(reader, apply)` parses one entry and, with `apply`, stores it.
 /// Every entry is checked before any is stored, so a malformed chunk
 /// applies nothing.
 template <typename Entry>
-bool apply_entries(PayloadReader in, Entry entry) {
+bool apply_entries(FieldReader in, Entry entry) {
   std::uint32_t count = 0;
-  if (!in.get(count)) return false;
-  PayloadReader check = in;
+  if (!in.u32(count)) return false;
+  FieldReader check = in;
   for (std::uint32_t i = 0; i < count; ++i) {
     if (!entry(check, false)) return false;
   }
@@ -888,72 +652,59 @@ bool apply_entries(PayloadReader in, Entry entry) {
   return true;
 }
 
+/// Reads one name entry written by put_name_entry; `name` may be null
+/// (validate only).
+template <typename Key>
+bool get_name_entry(FieldReader& r, Key& key, std::string* name) {
+  if constexpr (sizeof(Key) == 4) {
+    if (!r.u32(key)) return false;
+  } else {
+    if (!r.u64(key)) return false;
+  }
+  return r.str(name, kMaxNameBytes);
+}
+
+/// Applies a name-table chunk (`u32 count | count * name entry`) to
+/// `names`.
+template <typename Map>
+bool apply_names(FieldReader in, Map& names) {
+  return apply_entries(in, [&](FieldReader& r, bool apply) {
+    typename Map::key_type key = 0;
+    std::string name;
+    if (!get_name_entry(r, key, apply ? &name : nullptr)) return false;
+    if (apply) names[key] = std::move(name);
+    return true;
+  });
+}
+
 }  // namespace
-
-bool parse_chunk_header(const void* p, ChunkHeader& header) {
-  const auto* bytes = static_cast<const unsigned char*>(p);
-  if (std::memcmp(bytes, kChunkMagic, 4) != 0) return false;
-  std::memcpy(&header.kind, bytes + 4, 4);
-  std::memcpy(&header.payload_bytes, bytes + 8, 4);
-  std::memcpy(&header.crc, bytes + 12, 4);
-  return header.payload_bytes <= kMaxChunkPayload;
-}
-
-std::size_t find_chunk_magic(const void* p, std::size_t bytes) {
-  const std::string_view hay(static_cast<const char*>(p), bytes);
-  return hay.find(std::string_view(kChunkMagic, 4));
-}
 
 bool decode_chunk(std::uint32_t kind, const void* payload, std::size_t bytes,
                   TraceTables& tables, DecodedChunk& out) {
   out = DecodedChunk{};
-  PayloadReader in{static_cast<const unsigned char*>(payload), bytes};
+  FieldReader in{static_cast<const unsigned char*>(payload), bytes};
   switch (static_cast<ChunkKind>(kind)) {
     case ChunkKind::ObjectNames:
-      return apply_entries(in, [&](PayloadReader& r, bool apply) {
-        ObjectId object = 0;
-        std::string name;
-        if (!r.get(object) || !r.get_name(apply ? &name : nullptr)) {
-          return false;
-        }
-        if (apply) tables.object_names[object] = std::move(name);
-        return true;
-      });
+      return apply_names(in, tables.object_names);
     case ChunkKind::ThreadNames:
-      return apply_entries(in, [&](PayloadReader& r, bool apply) {
-        ThreadId tid = 0;
-        std::string name;
-        if (!r.get(tid) || !r.get_name(apply ? &name : nullptr)) {
-          return false;
-        }
-        if (apply) tables.thread_names[tid] = std::move(name);
-        return true;
-      });
+      return apply_names(in, tables.thread_names);
     case ChunkKind::FrameSymbols:
-      return apply_entries(in, [&](PayloadReader& r, bool apply) {
-        std::uint64_t pc = 0;
-        std::string name;
-        if (!r.get(pc) || !r.get_name(apply ? &name : nullptr)) {
-          return false;
-        }
-        if (apply) tables.frame_symbols[pc] = std::move(name);
-        return true;
-      });
+      return apply_names(in, tables.frame_symbols);
     case ChunkKind::CallStacks:
-      return apply_entries(in, [&](PayloadReader& r, bool apply) {
+      return apply_entries(in, [&](FieldReader& r, bool apply) {
         std::uint64_t id = 0;
         std::uint32_t depth = 0;
-        if (!r.get(id) || !r.get(depth) || depth > kMaxCallStackDepth ||
+        if (!r.u64(id) || !r.u32(depth) || depth > kMaxCallStackDepth ||
             r.remaining() < depth * sizeof(std::uint64_t)) {
           return false;
         }
         std::vector<std::uint64_t> pcs(depth);
-        for (std::uint64_t& pc : pcs) r.get(pc);
+        for (std::uint64_t& pc : pcs) r.u64(pc);
         if (apply) tables.call_stacks[id] = std::move(pcs);
         return true;
       });
     case ChunkKind::Events: {
-      if (!in.get(out.tid) || !in.get(out.count) || out.tid > kMaxThreadId ||
+      if (!in.u32(out.tid) || !in.u32(out.count) || out.tid > kMaxThreadId ||
           in.remaining() != std::size_t{out.count} * sizeof(Event)) {
         return false;
       }
@@ -970,18 +721,18 @@ bool decode_chunk(std::uint32_t kind, const void* payload, std::size_t bytes,
     case ChunkKind::Meta: {
       std::uint64_t dropped = 0;
       std::uint32_t flags = 0;
-      if (!in.get(dropped) || !in.get(flags)) return false;
+      if (!in.u64(dropped) || !in.u32(flags)) return false;
       tables.dropped_events = dropped;
       out.clean_close = (flags & kMetaFlagCleanClose) != 0;
       return true;
     }
     case ChunkKind::RuntimeWarnings: {
       std::uint32_t count = 0;
-      if (!in.get(count) || in.remaining() != count * 12ull) return false;
+      if (!in.u32(count) || in.remaining() != count * 12ull) return false;
       for (std::uint32_t i = 0; i < count; ++i) {
         RuntimeWarning w;
-        in.get(w.code);
-        in.get(w.value);
+        in.u32(w.code);
+        in.u64(w.value);
         // Code 0 marks an unused slot of the reserved in-place chunk.
         if (w.code != 0) tables.runtime_warnings[w.code] = w.value;
       }
@@ -1002,7 +753,7 @@ bool unpack_events(const EventsChunk& chunk, Event* out) {
 
 V1Layout parse_v1(const unsigned char* p, std::size_t size,
                   TraceTables& tables) {
-  PayloadReader in{p, size, 8};
+  FieldReader in{p, size, 8};
   V1Layout layout;
   const auto stop = [&](const char* error) {
     layout.end = in.pos;
@@ -1011,36 +762,33 @@ V1Layout parse_v1(const unsigned char* p, std::size_t size,
   };
 
   std::uint32_t thread_count = 0;
-  if (!in.get(thread_count)) return stop("trace stream truncated");
+  if (!in.u32(thread_count)) return stop("trace stream truncated");
   if (thread_count > kMaxThreadId) {
     return stop("implausible thread count in trace");
   }
-  std::uint32_t names = 0;
-  if (!in.get(names)) return stop("trace stream truncated");
-  for (std::uint32_t i = 0; i < names; ++i) {
-    ObjectId object = 0;
-    std::string name;
-    if (!in.get(object) || !in.get_name(&name)) {
-      return stop("trace stream truncated in name record");
+  // The object, then the thread name table: u32 count | count * entry.
+  const auto read_names = [&](auto& names) -> const char* {
+    std::uint32_t count = 0;
+    if (!in.u32(count)) return "trace stream truncated";
+    for (std::uint32_t i = 0; i < count; ++i) {
+      typename std::decay_t<decltype(names)>::key_type key = 0;
+      std::string name;
+      if (!get_name_entry(in, key, &name)) {
+        return "trace stream truncated in name record";
+      }
+      names[key] = std::move(name);
     }
-    tables.object_names[object] = std::move(name);
-  }
-  if (!in.get(names)) return stop("trace stream truncated");
-  for (std::uint32_t i = 0; i < names; ++i) {
-    ThreadId tid = 0;
-    std::string name;
-    if (!in.get(tid) || !in.get_name(&name)) {
-      return stop("trace stream truncated in name record");
-    }
-    tables.thread_names[tid] = std::move(name);
-  }
+    return nullptr;
+  };
+  if (const char* error = read_names(tables.object_names)) return stop(error);
+  if (const char* error = read_names(tables.thread_names)) return stop(error);
 
   for (std::uint32_t block = 0; block < thread_count; ++block) {
     ThreadId tid = 0;
     std::uint64_t declared = 0;
-    if (!in.get(tid)) return stop("trace stream truncated");
+    if (!in.u32(tid)) return stop("trace stream truncated");
     if (tid > kMaxThreadId) return stop("implausible thread id in trace");
-    if (!in.get(declared)) return stop("trace stream truncated");
+    if (!in.u64(declared)) return stop("trace stream truncated");
     // Keep every whole event that is actually present; a block cut short
     // mid-event loses only its final partial record.
     const std::uint64_t count =
@@ -1065,16 +813,15 @@ Trace read_trace_file(const std::string& path) {
 
 void convert_trace_file(const std::string& in_path,
                         const std::string& out_path, std::uint32_t version) {
-  CLA_CHECK(is_supported_trace_version(version),
-            "unsupported trace version " + std::to_string(version));
+  CLA_CHECK(is_writable_trace_version(version),
+            "cannot write trace version " + std::to_string(version) +
+                " (v1 is read-only; write v2 or v3)");
   const Trace trace = read_trace_file(in_path);
   write_trace_file(trace, out_path, version);
 }
 
 bool parse_trace_format(std::string_view text, std::uint32_t& version) {
-  if (text == "v1" || text == "1") {
-    version = kTraceVersionLegacy;
-  } else if (text == "v2" || text == "2") {
+  if (text == "v2" || text == "2") {
     version = kTraceVersion;
   } else if (text == "v3" || text == "3") {
     version = kTraceVersionV3;

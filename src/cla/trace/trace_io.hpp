@@ -1,12 +1,12 @@
 // Versioned binary trace file format (".clat").
 //
-// v1 layout (little-endian), still fully readable:
+// v1 layout (little-endian), legacy and read-only (no writer emits it):
 //   magic "CLAT" | u32 version=1 | u32 thread_count
 //   u32 object_name_count | { u64 object_id, u32 len, bytes }...
 //   u32 thread_name_count | { u32 tid, u32 len, bytes }...
 //   per thread: u32 tid | u64 event_count | event_count * 32-byte Event
 //
-// v2 layout (the current write format) is crash-resilient: after the
+// v2 layout (the default write format) is crash-resilient: after the
 // 8-byte preamble (magic + u32 version=2) the file is a pure append-only
 // sequence of individually checksummed chunks:
 //
@@ -66,6 +66,9 @@
 //
 // The format is what the instrumentation runtime flushes (incrementally
 // in v2/v3) and what `cla-analyze` consumes (paper Fig. 3's trace file).
+// Chunk framing (render, check, resync), the payload field codec and the
+// retrying I/O loop live in one layer shared with the agg store,
+// util/framed_io.hpp, which also lists every call site's retry ladder.
 // The read side is one decoder (decode_chunk and parse_v1 below) behind
 // three readers that differ only in how they react to damage: the strict
 // loader MappedTrace (trace_view.hpp) throws, salvage (salvage.hpp) drops
@@ -79,8 +82,6 @@
 #include <vector>
 
 #include "cla/trace/trace.hpp"
-
-struct iovec;  // <sys/uio.h>; only trace_io.cpp needs the definition
 
 namespace cla::trace {
 
@@ -122,14 +123,15 @@ inline constexpr std::size_t kRuntimeWarningSlots = 8;
 /// process exit). Salvage treats files without it as crashed recordings.
 inline constexpr std::uint32_t kMetaFlagCleanClose = 1u << 0;
 
-/// Hard upper bound on a single chunk's payload; a header whose size
-/// field exceeds it is treated as corruption, not a gigantic allocation.
-inline constexpr std::uint32_t kMaxChunkPayload = 1u << 26;  // 64 MiB
-
-/// Returns true for versions this library can read and write.
+/// Returns true for versions this library can read.
 constexpr bool is_supported_trace_version(std::uint32_t version) noexcept {
   return version == kTraceVersionLegacy || version == kTraceVersion ||
          version == kTraceVersionV3;
+}
+
+/// Returns true for versions this library can write: v1 is read-only.
+constexpr bool is_writable_trace_version(std::uint32_t version) noexcept {
+  return version == kTraceVersion || version == kTraceVersionV3;
 }
 
 // ---- EventsV3 chunk codec ------------------------------------------------
@@ -169,9 +171,9 @@ bool decode_events_v3(const void* payload, std::size_t bytes, std::uint64_t* ts,
 bool decode_events_v3(const void* payload, std::size_t bytes, Event* out);
 
 /// Writes `trace` to a stream / file. Throws cla::util::Error on IO
-/// failure. `version` selects the on-disk format (v2 chunked by default;
-/// v3 for the compact varint encoding; v1 kept for compatibility tests
-/// and old consumers).
+/// failure or a version that is not writable. `version` selects the
+/// on-disk format (v2 chunked by default; v3 for the compact varint
+/// encoding). v1 is read-only.
 void write_trace(const Trace& trace, std::ostream& out,
                  std::uint32_t version = kTraceVersion);
 void write_trace_file(const Trace& trace, const std::string& path,
@@ -193,10 +195,15 @@ void write_trace_file(const Trace& trace, const std::string& path,
 /// spill falls back to a raw v2 Events chunk instead of blocking —
 /// mixed-kind files are legal, so nothing downstream notices.
 ///
-/// Fault tolerance: every append goes through a retrying write loop —
-/// EINTR restarts, short writes continue from where they stopped, and
-/// transient errors (ENOSPC, EAGAIN, EDQUOT, EIO) get a bounded
-/// exponential backoff. When the retry budget is exhausted the partially
+/// Fault tolerance: every read and write goes through the one retrying
+/// loop of util/framed_io.hpp (EINTR restarts, short writes continue,
+/// transient errors back off), each site with a constant ladder:
+///   - appends: 8 retries, 0.5 -> 64 ms (1 in teardown, 0 while
+///     degraded), fault injection consulted;
+///   - in-place Meta/RuntimeWarnings rewrites: the same ladder, injection
+///     not consulted;
+///   - ring compaction: no retries, writes injected, reads not.
+/// When the retry budget of an append is exhausted the partially
 /// written chunk is rolled back (ftruncate to the chunk start) so the
 /// file stays structurally valid, and the writer enters a degraded
 /// counted-drop mode: subsequent appends are single-shot (no backoff
@@ -322,9 +329,8 @@ class ChunkedTraceWriter {
   bool write_chunk(ChunkKind kind, const void* head, std::size_t head_len,
                    const void* body, std::size_t body_len,
                    std::size_t event_count = 0);
-  bool write_events_raw(ThreadId tid, const Event* events, std::size_t count);
-  bool robust_writev(::iovec* iov, int iovcnt, std::size_t total);
-  bool robust_pwrite(const void* buf, std::size_t len, std::uint64_t offset);
+  void write_table_entry(ChunkKind kind, const std::string& entry);
+  bool write_in_place(const void* buf, std::size_t len, std::uint64_t offset);
   bool lock_appends() noexcept;
   void maybe_compact();  // caller holds the append lock
 
@@ -368,28 +374,14 @@ class ChunkedTraceWriter {
 // ---- read side: one decoder for every reader -------------------------
 //
 // MappedTrace (strict), salvage (keeps what is intact) and TraceTailer
-// (live, skips what is malformed) parse chunk headers, resync on the
-// chunk magic and decode payloads only through the functions below.
+// (live, skips what is malformed) check frames and resync on the chunk
+// magic through the shared frame codec (util/framed_io.hpp) and decode
+// payloads only through the functions below.
 
-inline constexpr std::size_t kChunkHeaderBytes = 16;
 /// Longest name (object, thread, frame symbol) a reader accepts.
 inline constexpr std::uint32_t kMaxNameBytes = 1u << 20;
 /// Largest thread id a reader accepts.
 inline constexpr std::uint32_t kMaxThreadId = 1u << 20;
-
-struct ChunkHeader {
-  std::uint32_t kind = 0;
-  std::uint32_t payload_bytes = 0;
-  std::uint32_t crc = 0;
-};
-
-/// Parses the kChunkHeaderBytes-byte header at `p`. False when the magic
-/// is wrong or the payload size exceeds kMaxChunkPayload.
-bool parse_chunk_header(const void* p, ChunkHeader& header);
-
-/// Offset of the first chunk magic within the `bytes` bytes at `p`;
-/// std::string::npos when there is none.
-std::size_t find_chunk_magic(const void* p, std::size_t bytes);
 
 /// One on-disk run of a thread's events, still encoded: raw 32-byte
 /// records (v1 blocks, kind-3 chunks) or a whole EventsV3 payload. Each
@@ -439,14 +431,14 @@ struct V1Layout {
 V1Layout parse_v1(const unsigned char* p, std::size_t size,
                   TraceTables& tables);
 
-/// Rewrites a `.clat` file in `version` (1, 2 or 3), preserving events
-/// and every table the target version carries. Backs `cla-analyze
-/// --convert`.
+/// Rewrites a `.clat` file (any readable version) in `version` (2 or 3),
+/// preserving events and every table. Backs `cla-analyze --convert`.
 void convert_trace_file(const std::string& in_path,
                         const std::string& out_path, std::uint32_t version);
 
-/// Parses a user-facing format name ("v1"/"1", "v2"/"2", "v3"/"3") into a
-/// trace version; false on anything else.
+/// Parses a user-facing target format name ("v2"/"2", "v3"/"3") into a
+/// writable trace version; false on anything else, v1 included (v1 is
+/// read-only).
 bool parse_trace_format(std::string_view text, std::uint32_t& version);
 
 /// Reads a trace back into an owned Trace through the strict loader

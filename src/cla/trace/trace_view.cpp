@@ -17,8 +17,8 @@
 
 #include "cla/trace/trace.hpp"
 #include "cla/trace/trace_io.hpp"
-#include "cla/util/crc32.hpp"
 #include "cla/util/error.hpp"
+#include "cla/util/framed_io.hpp"
 
 namespace cla::trace {
 
@@ -96,6 +96,11 @@ const TraceTables& TraceView::empty_tables() noexcept {
 
 namespace {
 
+// A whole-file load restarts EINTR but takes no retries and no fault
+// injection (the loaders' damage tests stage bytes, not errnos).
+constexpr util::io::RetryPolicy kLoadRetry =
+    util::io::kDiskRetry.with_retries(0).without_injection();
+
 /// The one place the read side opens a trace file by path.
 int open_trace_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -127,13 +132,16 @@ std::vector<unsigned char> read_trace_bytes(const std::string& path) {
   const int fd = open_trace_file(path);
   std::vector<unsigned char> bytes(file_size(fd, path));
   std::size_t got = 0;
-  for (;;) {
-    if (got == bytes.size()) bytes.resize(got + 64 * 1024);  // file grew
-    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) throw_io("cannot read", path, fd);
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
+  for (;;) {  // to end of file, which may lie past the size fstat saw
+    if (got == bytes.size()) bytes.resize(got + 64 * 1024);
+    const util::io::IoResult r =
+        util::io::read_all(fd, bytes.data() + got, bytes.size() - got,
+                           util::io::kFilePosition, kLoadRetry);
+    got += r.done;
+    if (r.status == util::io::IoStatus::Failed) {
+      throw_io("cannot read", path, fd);
+    }
+    if (r.status == util::io::IoStatus::Short) break;
   }
   ::close(fd);
   bytes.resize(got);
@@ -218,6 +226,12 @@ void MappedTrace::load_v1() {
 
 namespace {
 
+/// Strict-load error per util::io::FrameCheck verdict.
+constexpr const char* kFrameErrors[] = {
+    "", "corrupt trace: bad chunk magic",
+    "corrupt trace: implausible chunk size",
+    "trace stream truncated inside chunk", "corrupt trace: chunk CRC mismatch"};
+
 /// Strict-load error for a CRC-valid chunk of `kind` that fails to decode.
 const char* malformed_chunk_message(std::uint32_t kind) {
   switch (static_cast<ChunkKind>(kind)) {
@@ -239,18 +253,13 @@ void MappedTrace::load_chunked() {
   bool clean_close = false;
   std::size_t pos = 8;
   while (pos < size_) {
-    ChunkHeader header;
-    CLA_CHECK(size_ - pos >= kChunkHeaderBytes &&
-                  std::memcmp(data_ + pos, kChunkMagic, 4) == 0,
-              "corrupt trace: bad chunk magic");
-    CLA_CHECK(parse_chunk_header(data_ + pos, header),
-              "corrupt trace: implausible chunk size");
-    CLA_CHECK(size_ - pos - kChunkHeaderBytes >= header.payload_bytes,
-              "trace stream truncated inside chunk");
-    const unsigned char* payload = data_ + pos + kChunkHeaderBytes;
-    CLA_CHECK(util::crc32(payload, header.payload_bytes) == header.crc,
-              "corrupt trace: chunk CRC mismatch");
-    pos += kChunkHeaderBytes + header.payload_bytes;
+    util::io::FrameHeader header;
+    const util::io::FrameCheck check =
+        util::io::check_frame(data_, size_, pos, kChunkMagic, header);
+    CLA_CHECK(check == util::io::FrameCheck::Ok,
+              kFrameErrors[static_cast<int>(check)]);
+    const unsigned char* payload = data_ + pos + util::io::kFrameHeaderBytes;
+    pos += util::io::kFrameHeaderBytes + header.payload_bytes;
 
     DecodedChunk chunk;
     CLA_CHECK(decode_chunk(header.kind, payload, header.payload_bytes,

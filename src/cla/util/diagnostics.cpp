@@ -4,39 +4,36 @@
 
 namespace cla::util {
 
-namespace {
-
 void append_json_string(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
   for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (u < 0x20) {
+      out += "\\u00";
+      out += kHex[u >> 4];
+      out += kHex[u & 0xf];
+    } else {
+      out += c;
     }
   }
   out += '"';
 }
 
-}  // namespace
+std::string json_quoted(std::string_view text) {
+  std::string out;
+  append_json_string(out, text);
+  return out;
+}
 
 std::string_view to_string(Strictness mode) noexcept {
   switch (mode) {

@@ -173,4 +173,13 @@ class DiagnosticSink {
   std::vector<Diagnostic> diagnostics_;
 };
 
+/// Appends `text` to `out` as a quoted JSON string: `"` and `\\` are
+/// escaped, \n \r \t get their short escapes and every other control
+/// character becomes \u00XX. The one escaper behind every JSON writer
+/// (reports, HTML payload, monitor, agg).
+void append_json_string(std::string& out, std::string_view text);
+
+/// append_json_string into a fresh string, for stream writers.
+std::string json_quoted(std::string_view text);
+
 }  // namespace cla::util

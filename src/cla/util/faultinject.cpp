@@ -105,8 +105,8 @@ void init() noexcept {
   parse_environment();
 }
 
-WriteFault on_write(std::size_t bytes) noexcept {
-  WriteFault fault;
+Fault on_write(std::size_t bytes) noexcept {
+  Fault fault;
   if (!enabled()) return fault;
   const std::uint64_t seen =
       g_bytes_attempted.fetch_add(bytes, std::memory_order_relaxed);
@@ -131,8 +131,8 @@ WriteFault on_write(std::size_t bytes) noexcept {
   return fault;
 }
 
-ReadFault on_read(std::size_t bytes) noexcept {
-  ReadFault fault;
+Fault on_read(std::size_t bytes) noexcept {
+  Fault fault;
   if (!enabled()) return fault;
   (void)bytes;
   if (g_config.short_read != 0) fault.max_bytes = g_config.short_read;

@@ -58,11 +58,11 @@ namespace detail {
 extern std::atomic<bool> g_enabled;
 }  // namespace detail
 
-/// Verdict for one write attempt.
-struct WriteFault {
-  bool fail = false;  ///< fail the attempt with `error` instead of writing
+/// Verdict for one read or write attempt.
+struct Fault {
+  bool fail = false;  ///< fail the attempt with `error` instead of doing it
   int error = 0;      ///< errno to report when `fail`
-  /// Cap on the bytes the attempt may consume (short-write clamp);
+  /// Cap on the bytes the attempt may move (short read/write clamp);
   /// SIZE_MAX when unconstrained.
   std::size_t max_bytes = static_cast<std::size_t>(-1);
 };
@@ -79,20 +79,11 @@ inline bool enabled() noexcept {
 
 /// Consults the write-fault knobs for an attempt of `bytes` bytes and
 /// advances the injection counters. Async-signal-safe after init().
-WriteFault on_write(std::size_t bytes) noexcept;
-
-/// Verdict for one read attempt (mirrors WriteFault).
-struct ReadFault {
-  bool fail = false;  ///< fail the attempt with `error` instead of reading
-  int error = 0;      ///< errno to report when `fail`
-  /// Cap on the bytes the attempt may return (short-read clamp);
-  /// SIZE_MAX when unconstrained.
-  std::size_t max_bytes = static_cast<std::size_t>(-1);
-};
+Fault on_write(std::size_t bytes) noexcept;
 
 /// Consults the read-fault knobs for an attempt of `bytes` bytes and
 /// advances the injection counters. Async-signal-safe after init().
-ReadFault on_read(std::size_t bytes) noexcept;
+Fault on_read(std::size_t bytes) noexcept;
 
 /// Milliseconds each flusher sweep must stall (0 = no stall).
 std::uint32_t flusher_stall_ms() noexcept;

@@ -179,6 +179,35 @@ TEST(Cli, AnalyzeRejectsTheRemovedEngineOption) {
   std::remove(path.c_str());
 }
 
+TEST(Cli, V1IsReadOnlyForEveryWriter) {
+  // v1 traces still load, but no tool writes one: --format v1 is a usage
+  // error before anything runs or any file is created.
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto out_path = (dir / "cla_cli_v1_out.clat").string();
+  std::remove(out_path.c_str());
+  int rc = 0;
+  std::string out = run_command(tool("cla-run") +
+                                    " micro --threads 2 --trace-out " +
+                                    out_path + " --format v1",
+                                rc);
+  EXPECT_EQ(rc, 2) << out;
+  EXPECT_NE(out.find("v1 is read-only"), std::string::npos) << out;
+  EXPECT_EQ(out.find("TYPE 1"), std::string::npos) << "ran before refusing";
+  EXPECT_FALSE(std::filesystem::exists(out_path));
+
+  const std::string golden = std::string(CLA_TEST_DATA_DIR) + "/golden_v1.clat";
+  out = run_command(tool("cla-analyze") + " " + golden + " --convert " +
+                        out_path + " --format v1",
+                    rc);
+  EXPECT_EQ(rc, 2) << out;
+  EXPECT_NE(out.find("v1 is read-only"), std::string::npos) << out;
+  EXPECT_FALSE(std::filesystem::exists(out_path));
+  out = run_command(
+      tool("cla-analyze") + " " + golden + " --convert " + out_path, rc);
+  EXPECT_EQ(rc, 0) << out;
+  std::remove(out_path.c_str());
+}
+
 // Writes a well-formed .clat file whose event stream violates the
 // semantic protocol (an unpaired MutexReleased), so the strict validator
 // refuses it while repair mode can fix it.

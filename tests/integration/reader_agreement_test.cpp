@@ -2,8 +2,9 @@
 // read_trace_file, MappedTrace, Pipeline::load_file / load_stream,
 // salvage, the live tailer, a whole-window clip — must yield the same
 // events and the same TraceTables (names, call stacks, frame symbols,
-// runtime warnings, drop count), for v1, v2 and v3. The stream loaders
-// must also keep the strict loader's failure modes.
+// runtime warnings, drop count), for v1, v2 and v3. v1 is read-only, so
+// its cases read the checked-in tests/data/golden_v1.clat. The stream
+// loaders must also keep the strict loader's failure modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,13 +121,15 @@ Trace tail_whole_file(const std::string& path) {
   return acc;
 }
 
-void check_every_reader(std::uint32_t version) {
-  const Trace original = rich_trace();
-  const TraceTables tables = carried_tables(original, version);
-  const std::string path =
-      temp_path("cla_reader_agreement_v" + std::to_string(version) + ".clat");
-  write_trace_file(original, path, version);
+std::string golden_path(const char* name) {
+  return std::string(CLA_TEST_DATA_DIR) + "/" + name;
+}
 
+/// Reads the `.clat` file at `path` (`version`, holding `original`)
+/// through every reader.
+void check_every_reader(const std::string& path, std::uint32_t version,
+                        const Trace& original) {
+  const TraceTables tables = carried_tables(original, version);
   {
     std::ifstream in(path, std::ios::binary);
     expect_same(read_trace(in), original, tables, "read_trace");
@@ -157,15 +160,27 @@ void check_every_reader(std::uint32_t version) {
   }
   {
     const Trace loaded = read_trace_file(path);
-    const Trace clipped =
-        clip_trace(loaded, Window{loaded.start_ts(), loaded.end_ts()});
-    expect_same(clipped, original, tables, "clip_trace");
+    const Window whole{original.start_ts(), original.end_ts()};
+    expect_same(clip_trace(loaded, whole), clip_trace(original, whole), tables,
+                "clip_trace");
   }
+}
+
+void check_every_reader(std::uint32_t version) {
+  const Trace original = rich_trace();
+  // A whole-window clip of this trace is the trace itself.
+  expect_same(clip_trace(original, Window{original.start_ts(), original.end_ts()}),
+              original, original.tables(), "clip_trace identity");
+  const std::string path =
+      temp_path("cla_reader_agreement_v" + std::to_string(version) + ".clat");
+  write_trace_file(original, path, version);
+  check_every_reader(path, version, original);
   std::remove(path.c_str());
 }
 
 TEST(ReaderAgreement, V1FileAgreesAcrossEveryReader) {
-  check_every_reader(kTraceVersionLegacy);
+  check_every_reader(golden_path("golden_v1.clat"), kTraceVersionLegacy,
+                     read_trace_file(golden_path("golden_v2.clat")));
 }
 
 TEST(ReaderAgreement, V2FileAgreesAcrossEveryReader) {
@@ -262,6 +277,12 @@ TEST(ReaderAgreement, MultiChunkThreadsReproduceTheWholeTrace) {
 // ---- strictness of the stream loaders ------------------------------------
 
 std::string serialized(std::uint32_t version = kTraceVersion) {
+  if (version == kTraceVersionLegacy) {
+    std::ifstream in(golden_path("golden_v1.clat"), std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  }
   TraceBuilder b;
   b.name_object(42, "L1");
   b.name_thread(0, "main");
@@ -322,7 +343,7 @@ TEST(ReaderAgreement, StreamLoadersRejectCorruptEventCount) {
   // Patch the v1 thread count to more blocks than the file holds: the
   // load must fail with a truncation error, not a giant allocation.
   std::string bytes = serialized(kTraceVersionLegacy);
-  bytes[8] = 3;  // thread_count (little-endian u32 after magic+version)
+  ++bytes[8];  // thread_count (little-endian u32 after magic+version)
   expect_stream_loaders_reject(bytes, "thread count 3");
 }
 

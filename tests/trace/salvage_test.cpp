@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -37,6 +38,16 @@ std::string serialized(const Trace& trace,
   std::stringstream buffer;
   write_trace(trace, buffer, version);
   return buffer.str();
+}
+
+/// A checked-in fixture's bytes (v1 is read-only, so v1 inputs come from
+/// tests/data/golden_v1.clat).
+std::string fixture_bytes(const char* name) {
+  std::ifstream in(std::string(CLA_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
 }
 
 SalvageResult salvage_bytes(const std::string& bytes) {
@@ -91,8 +102,9 @@ TEST(Salvage, CleanV2FileIsLossless) {
 }
 
 TEST(Salvage, CleanV1FileIsLossless) {
-  const Trace original = sample_trace();
-  SalvageResult got = salvage_bytes(serialized(original, kTraceVersionLegacy));
+  const Trace original =
+      read_trace_file(std::string(CLA_TEST_DATA_DIR) + "/golden_v2.clat");
+  SalvageResult got = salvage_bytes(fixture_bytes("golden_v1.clat"));
   got.trace.validate();
   EXPECT_EQ(got.trace.event_count(), original.event_count());
   EXPECT_TRUE(got.report.clean_close);
@@ -112,8 +124,9 @@ TEST(Salvage, RuntimeDroppedEventsSurvive) {
 // throws cla::util::Error. Nothing may crash or hand out a trace that
 // fails validate().
 TEST(Salvage, TruncationAtEveryByteNeverCrashes) {
-  for (std::uint32_t version : {kTraceVersionLegacy, kTraceVersion}) {
-    const std::string full = serialized(sample_trace(), version);
+  for (const std::string& full :
+       {fixture_bytes("golden_v1.clat"), serialized(sample_trace())}) {
+    ASSERT_GT(full.size(), 8u);
     for (std::size_t cut = 0; cut <= full.size(); ++cut) {
       const std::string prefix = full.substr(0, cut);
       try {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "cla/trace/builder.hpp"
@@ -50,15 +51,17 @@ TEST(TraceIo, StreamRoundTrip) {
 }
 
 TEST(TraceIo, LegacyV1RoundTrip) {
-  // v1 files must stay writable (compat knob) and readable forever.
-  const Trace original = sample_trace();
-  std::stringstream buffer;
-  write_trace(original, buffer, kTraceVersionLegacy);
-  const std::string bytes = buffer.str();
-  EXPECT_EQ(bytes[4], 1);  // on-disk version byte
-  std::stringstream in(bytes);
+  // v1 files stay readable forever, but no writer emits them any more:
+  // the checked-in v1 fixture loads to the same trace as its v2 twin.
+  const std::string data_dir = CLA_TEST_DATA_DIR;
+  std::ifstream file(data_dir + "/golden_v1.clat", std::ios::binary);
+  std::stringstream in;
+  in << file.rdbuf();
+  EXPECT_EQ(in.str()[4], 1);  // on-disk version byte
   const Trace loaded = read_trace(in);
-  expect_equal(original, loaded);
+  expect_equal(read_trace_file(data_dir + "/golden_v2.clat"), loaded);
+  std::stringstream out;
+  EXPECT_THROW(write_trace(loaded, out, kTraceVersionLegacy), util::Error);
 }
 
 TEST(TraceIo, V2RoundTripsDroppedEventCount) {
@@ -279,8 +282,8 @@ TEST(TraceIo, V3DecoderRejectsOverlongVarints) {
 
 TEST(TraceIo, ParseTraceFormat) {
   std::uint32_t version = 0;
-  EXPECT_TRUE(parse_trace_format("v1", version));
-  EXPECT_EQ(version, kTraceVersionLegacy);
+  EXPECT_FALSE(parse_trace_format("v1", version));  // read-only
+  EXPECT_FALSE(parse_trace_format("1", version));
   EXPECT_TRUE(parse_trace_format("v2", version));
   EXPECT_EQ(version, kTraceVersion);
   EXPECT_TRUE(parse_trace_format("v3", version));
@@ -297,13 +300,16 @@ TEST(TraceIo, ConvertTraceFileAcrossAllVersions) {
   const auto src = (dir / "cla_convert_src.clat").string();
   const Trace original = sample_trace();
   write_trace_file(original, src, kTraceVersion);
-  for (std::uint32_t version : {1u, 2u, 3u}) {
+  for (std::uint32_t version : {2u, 3u}) {
     const auto dst =
         (dir / ("cla_convert_v" + std::to_string(version) + ".clat")).string();
     convert_trace_file(src, dst, version);
     expect_equal(original, read_trace_file(dst));
     std::filesystem::remove(dst);
   }
+  const auto v1 = (dir / "cla_convert_v1.clat").string();
+  EXPECT_THROW(convert_trace_file(src, v1, kTraceVersionLegacy), util::Error);
+  EXPECT_FALSE(std::filesystem::exists(v1));
   std::filesystem::remove(src);
 }
 

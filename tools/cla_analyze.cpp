@@ -81,7 +81,7 @@ void print_usage(std::FILE* out, const char* prog) {
       "                  --format picks the target version (default v3).\n"
       "                  The input version is auto-detected, so this both\n"
       "                  compacts v1/v2 traces and expands v3 back to v2\n"
-      "  --format F      target .clat version for --convert: v1 | v2 | v3\n"
+      "  --format F      target .clat version for --convert: v2 | v3\n"
       "  --agg-store DIR append this run's summary to the crash-safe\n"
       "                  cross-run aggregation store in DIR (see cla-agg)\n"
       "  --agg-run-id ID run identity for the store (default: this host\n"
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
       if (const auto format = args.get("format")) {
         if (!cla::trace::parse_trace_format(*format, version)) {
           throw cla::util::ArgsError("invalid --format value '" + *format +
-                                     "' (expected v1, v2 or v3)");
+                                     "' (expected v2 or v3; v1 is read-only)");
         }
       }
       cla::trace::convert_trace_file(args.positional().front(), *out_path,

@@ -58,7 +58,7 @@ void print_usage(const char* prog, std::FILE* out = stdout) {
       "  --json            print the JSON report instead of text\n"
       "  --csv             print TYPE1/TYPE2 tables as CSV\n"
       "  --trace-out FILE  also write the trace to FILE (.clat)\n"
-      "  --format F        .clat version for --trace-out: v1 | v2 | v3\n"
+      "  --format F        .clat version for --trace-out: v2 | v3\n"
       "                    (default v2; v3 is the compact varint format)\n"
       "  --analysis-threads N  worker threads for the analysis pipeline's\n"
       "                    index/stats stages (default 1, 0 = per core)\n"
@@ -322,6 +322,13 @@ int main(int argc, char** argv) {
     if (args.has("format") && !args.has("trace-out")) {
       throw cla::util::ArgsError("--format is only meaningful with --trace-out");
     }
+    std::uint32_t trace_version = cla::trace::kTraceVersion;
+    if (const auto format = args.get("format")) {
+      if (!cla::trace::parse_trace_format(*format, trace_version)) {
+        throw cla::util::ArgsError("invalid --format value '" + *format +
+                                   "' (expected v2 or v3; v1 is read-only)");
+      }
+    }
 
     cla::workloads::WorkloadConfig config;
     config.threads = static_cast<std::uint32_t>(args.get_int("threads", 4));
@@ -386,15 +393,9 @@ int main(int argc, char** argv) {
                 << cla::analysis::render_timeline(index, result.path);
     }
     if (auto path = args.get("trace-out")) {
-      std::uint32_t version = cla::trace::kTraceVersion;
-      if (auto format = args.get("format")) {
-        if (!cla::trace::parse_trace_format(*format, version)) {
-          throw cla::util::ArgsError("invalid --format value '" + *format +
-                                     "' (expected v1, v2 or v3)");
-        }
-      }
-      cla::trace::write_trace_file(run.trace, *path, version);
-      std::printf("\ntrace written to %s (v%u)\n", path->c_str(), version);
+      cla::trace::write_trace_file(run.trace, *path, trace_version);
+      std::printf("\ntrace written to %s (v%u)\n", path->c_str(),
+                  trace_version);
     }
     if (args.has("profile")) {
       std::fputs(profile.to_string().c_str(), stderr);

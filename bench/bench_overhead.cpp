@@ -12,10 +12,16 @@
 #include "cla/runtime/hooks.hpp"
 #include "cla/trace/trace_io.hpp"
 #include "cla/util/clock.hpp"
+#include "support/recording.hpp"
 
 namespace {
 
 using cla::rt::Recorder;
+
+// Each benchmark records into one session of the process-wide recorder,
+// streamed to a temp file with libcla_interpose.so's default ring, as a
+// preloaded app records.
+constexpr std::size_t kInterposerRingEvents = 16384;
 
 void BM_TimestampRead(benchmark::State& state) {
   for (auto _ : state) {
@@ -26,13 +32,12 @@ BENCHMARK(BM_TimestampRead);
 
 void BM_RecorderRecord(benchmark::State& state) {
   Recorder& recorder = Recorder::instance();
-  recorder.reset();
+  cla::test_support::RecordingSession session(recorder, kInterposerRingEvents);
   recorder.ensure_current_thread();
   for (auto _ : state) {
     recorder.record(cla::trace::EventType::MutexAcquire, 42);
   }
   state.SetItemsProcessed(state.iterations());
-  recorder.reset();
 }
 BENCHMARK(BM_RecorderRecord);
 
@@ -48,22 +53,14 @@ BENCHMARK(BM_PlainMutexRoundTrip);
 
 void BM_InstrumentedMutexRoundTrip(benchmark::State& state) {
   Recorder& recorder = Recorder::instance();
-  recorder.reset();
+  cla::test_support::RecordingSession session(recorder, kInterposerRingEvents);
   recorder.ensure_current_thread();
   cla::rt::InstrumentedMutex mutex("bench");
   for (auto _ : state) {
     mutex.lock();
     benchmark::ClobberMemory();
     mutex.unlock();
-    // Keep memory bounded on long runs.
-    if (recorder.event_count() > 8'000'000) {
-      state.PauseTiming();
-      recorder.reset();
-      recorder.ensure_current_thread();
-      state.ResumeTiming();
-    }
   }
-  recorder.reset();
 }
 BENCHMARK(BM_InstrumentedMutexRoundTrip);
 
@@ -85,7 +82,7 @@ BENCHMARK(BM_UninstrumentedWorkload);
 
 void BM_InstrumentedWorkload(benchmark::State& state) {
   Recorder& recorder = Recorder::instance();
-  recorder.reset();
+  cla::test_support::RecordingSession session(recorder, kInterposerRingEvents);
   recorder.ensure_current_thread();
   cla::rt::InstrumentedMutex mutex("bench");
   volatile long counter = 0;
@@ -95,14 +92,7 @@ void BM_InstrumentedWorkload(benchmark::State& state) {
       for (int k = 0; k < 50; ++k) counter = counter + 1;
       mutex.unlock();
     }
-    if (recorder.event_count() > 8'000'000) {
-      state.PauseTiming();
-      recorder.reset();
-      recorder.ensure_current_thread();
-      state.ResumeTiming();
-    }
   }
-  recorder.reset();
 }
 BENCHMARK(BM_InstrumentedWorkload);
 
@@ -119,6 +109,11 @@ struct StackCacheEntry {
   std::uint64_t id = 0;
 };
 thread_local StackCacheEntry tls_bench_stack_cache[64];
+
+// Stack ids are per session: a new one starts with an empty cache.
+void forget_cached_stacks() {
+  for (StackCacheEntry& entry : tls_bench_stack_cache) entry = {};
+}
 
 __attribute__((noinline)) std::size_t bench_capture_stack(std::uint64_t* pcs,
                                                           std::size_t depth) {
@@ -167,8 +162,9 @@ std::uint64_t bench_intern_stack(const std::uint64_t* pcs, std::size_t depth) {
 
 void BM_RecorderRecordWithStackCapture(benchmark::State& state) {
   Recorder& recorder = Recorder::instance();
-  recorder.reset();
+  cla::test_support::RecordingSession session(recorder, kInterposerRingEvents);
   recorder.ensure_current_thread();
+  forget_cached_stacks();
   for (auto _ : state) {
     std::uint64_t pcs[cla::trace::kMaxCallStackDepth];
     const std::size_t captured = bench_capture_stack(pcs, 4);
@@ -176,14 +172,14 @@ void BM_RecorderRecordWithStackCapture(benchmark::State& state) {
     recorder.record(cla::trace::EventType::MutexAcquire, 42, id);
   }
   state.SetItemsProcessed(state.iterations());
-  recorder.reset();
 }
 BENCHMARK(BM_RecorderRecordWithStackCapture);
 
 void BM_InstrumentedMutexRoundTripWithStackCapture(benchmark::State& state) {
   Recorder& recorder = Recorder::instance();
-  recorder.reset();
+  cla::test_support::RecordingSession session(recorder, kInterposerRingEvents);
   recorder.ensure_current_thread();
+  forget_cached_stacks();
   cla::rt::InstrumentedMutex mutex("bench");
   for (auto _ : state) {
     std::uint64_t pcs[cla::trace::kMaxCallStackDepth];
@@ -192,26 +188,20 @@ void BM_InstrumentedMutexRoundTripWithStackCapture(benchmark::State& state) {
     mutex.lock();
     benchmark::ClobberMemory();
     mutex.unlock();
-    if (recorder.event_count() > 8'000'000) {
-      state.PauseTiming();
-      recorder.reset();
-      recorder.ensure_current_thread();
-      state.ResumeTiming();
-    }
   }
-  recorder.reset();
 }
 BENCHMARK(BM_InstrumentedMutexRoundTripWithStackCapture);
 
 void BM_TraceSerialization(benchmark::State& state) {
+  // A ring that holds every record, so the loaded trace has them all.
   Recorder& recorder = Recorder::instance();
-  recorder.reset();
+  cla::test_support::RecordingSession session(recorder, 1 << 17);
   recorder.ensure_current_thread();
   for (int i = 0; i < 100'000; ++i) {
     recorder.record(cla::trace::EventType::MutexAcquire, 42);
   }
   recorder.thread_exit();
-  const cla::trace::Trace trace = recorder.collect();
+  const cla::trace::Trace trace = session.finish();
   for (auto _ : state) {
     std::ostringstream out;
     cla::trace::write_trace(trace, out);

@@ -6,8 +6,9 @@
 //
 // The program is a small producer/consumer pipeline: one producer feeds
 // work through a condvar-signalled queue to three consumers that share a
-// results lock. After the run, the trace is flushed to disk, reloaded,
-// and analyzed — exactly what `cla-analyze` does for preloaded apps.
+// results lock. The recorder streams the run to the trace file as it
+// goes, exactly as the interposer does for a preloaded app; after the
+// run the file is analyzed the way `cla-analyze` does.
 #include <cstdio>
 #include <deque>
 
@@ -19,7 +20,7 @@ int main(int argc, char** argv) {
   const std::string path = argc > 1 ? argv[1] : "record_pthreads.clat";
 
   rt::Recorder& recorder = rt::Recorder::instance();
-  recorder.reset();
+  recorder.start_streaming(path, /*buffer_events=*/16384);
   recorder.ensure_current_thread();
   recorder.name_thread(0, "main");
 
@@ -73,15 +74,14 @@ int main(int argc, char** argv) {
     std::printf("pipeline result: %ld\n", results);
   }
 
-  // Flush -> file -> reload -> analyze (what cla-analyze does).
-  const trace::Trace recorded = recorder.collect();
-  trace::write_trace_file(recorded, path);
-  std::printf("trace written to %s (%zu events)\n", path.c_str(),
-              recorded.event_count());
+  // Close the trace (clean-close marker, dropped-event count), then
+  // analyze the file (what cla-analyze does).
+  recorder.finish_streaming();
+  std::printf("trace written to %s (%llu events dropped)\n", path.c_str(),
+              static_cast<unsigned long long>(recorder.dropped_events()));
 
-  const trace::Trace loaded = trace::read_trace_file(path);
   Pipeline pipeline;
-  pipeline.use_trace(loaded);
+  pipeline.load_file(path);
   const AnalysisResult result = pipeline.take_result();
   std::printf("\n%s", analysis::render_report(result, {.top_locks = 4}).c_str());
   return 0;

@@ -1,7 +1,14 @@
+#include <stdlib.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <deque>
+#include <filesystem>
 
 #include "cla/exec/backend.hpp"
 #include "cla/runtime/hooks.hpp"
+#include "cla/trace/trace_io.hpp"
 #include "cla/util/clock.hpp"
 #include "cla/util/error.hpp"
 
@@ -9,17 +16,51 @@ namespace cla::exec {
 
 namespace {
 
-/// Backend over real POSIX threads with Fig. 4 instrumentation.
+// Events per thread for the recording ring (2 x 16-byte slots each, so
+// 8 MiB, faulted in only as far as a thread records). The busiest worker
+// of a default-scale run (radiosity) records up to ~350k events, so a
+// whole run fits even when the flusher gets no core until the end.
+constexpr std::size_t kRingEvents = std::size_t{1} << 18;
+
+// Creates an empty file of a fresh name in the temp directory.
+std::string make_temp_trace() {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "cla_pthread_XXXXXX.clat")
+          .string();
+  const int fd = ::mkstemps(path.data(), 5);
+  CLA_CHECK(fd >= 0, "cannot create a trace file in the temp directory: " +
+                         std::string(std::strerror(errno)));
+  ::close(fd);
+  return path;
+}
+
+/// Backend over real POSIX threads with Fig. 4 instrumentation. It
+/// records like the LD_PRELOAD interposer does: one session of the
+/// process-wide recorder streams to a temp file, which run() loads back
+/// through the strict loader and deletes.
 ///
 /// compute(units) busy-spins for units * compute_unit_ns so CPU time maps
 /// linearly onto the workload's abstract work units.
 class PthreadBackend final : public Backend {
  public:
   explicit PthreadBackend(std::uint64_t compute_unit_ns)
-      : compute_unit_ns_(compute_unit_ns) {
-    // Single-shot global recorder: make sure no stale state leaks in.
-    rt::Recorder::instance().reset();
-    rt::Recorder::instance().ensure_current_thread();
+      : compute_unit_ns_(compute_unit_ns), trace_path_(make_temp_trace()) {
+    // Open before the first primitive is named: names reach the trace
+    // only while a session is open.
+    rt::Recorder& recorder = rt::Recorder::instance();
+    try {
+      recorder.start_streaming(trace_path_, kRingEvents);
+    } catch (...) {
+      ::unlink(trace_path_.c_str());
+      throw;
+    }
+    recorder.ensure_current_thread();
+  }
+
+  ~PthreadBackend() override {
+    if (trace_path_.empty()) return;  // run() closed the session
+    rt::Recorder::instance().finish_streaming();
+    ::unlink(trace_path_.c_str());
   }
 
   MutexHandle create_mutex(std::string name) override {
@@ -47,6 +88,7 @@ class PthreadBackend final : public Backend {
  private:
   friend class PthreadCtx;
   std::uint64_t compute_unit_ns_;
+  std::string trace_path_;  // the open session's file; empty once run
   // deques: stable addresses, required because object ids are addresses.
   std::deque<rt::InstrumentedMutex> mutexes_;
   std::deque<rt::InstrumentedBarrier> barriers_;
@@ -93,12 +135,17 @@ class PthreadCtx final : public Ctx {
 void PthreadBackend::run(std::uint32_t thread_count,
                          const std::function<void(Ctx&)>& body) {
   CLA_CHECK(thread_count > 0, "need at least one worker thread");
+  CLA_CHECK(!trace_path_.empty(), "a pthread backend runs once");
   rt::run_instrumented_threads(thread_count, [this, &body](std::uint32_t i) {
     PthreadCtx ctx(*this, i);
     body(ctx);
   });
-  rt::Recorder::instance().thread_exit();
-  trace_ = rt::Recorder::instance().collect();
+  rt::Recorder& recorder = rt::Recorder::instance();
+  recorder.thread_exit();
+  recorder.finish_streaming();
+  trace_ = trace::read_trace_file(trace_path_);
+  ::unlink(trace_path_.c_str());
+  trace_path_.clear();
   completion_time_ = trace_.end_ts() - trace_.start_ts();
 }
 

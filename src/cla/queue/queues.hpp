@@ -8,9 +8,13 @@
 // Thread safety: all mutation happens inside the critical sections guarded
 // by the backend mutexes. On the pthread backend those are real pthread
 // mutexes; on the simulator tasks are serialized, so the same discipline
-// holds trivially.
+// holds trivially. The two-lock queue's ends meet at one link while it
+// holds only its dummy node, so its links are atomic: an enqueue publishes
+// a node with a release store under the tail lock, and a dequeue reads it
+// with an acquire load under the head lock.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -106,7 +110,7 @@ class TwoLockQueue {
   ~TwoLockQueue() {
     Node* node = head_;
     while (node != nullptr) {
-      Node* next = node->next;
+      Node* next = node->next.load(std::memory_order_relaxed);
       delete node;
       node = next;
     }
@@ -116,10 +120,10 @@ class TwoLockQueue {
   TwoLockQueue& operator=(const TwoLockQueue&) = delete;
 
   void enqueue(exec::Ctx& ctx, T value) {
-    Node* node = new Node{std::move(value), nullptr};
+    Node* node = new Node{std::move(value)};
     exec::ScopedLock guard(ctx, tail_lock_);
     if (cs_work_ > 0) ctx.compute(cs_work_);
-    tail_->next = node;
+    tail_->next.store(node, std::memory_order_release);
     tail_ = node;
   }
 
@@ -131,15 +135,15 @@ class TwoLockQueue {
     Node* first = nullptr;
     Node* last = nullptr;
     for (T& value : values) {
-      Node* node = new Node{std::move(value), nullptr};
+      Node* node = new Node{std::move(value)};
       if (first == nullptr) first = node;
-      else last->next = node;
+      else last->next.store(node, std::memory_order_relaxed);
       last = node;
     }
     exec::ScopedLock guard(ctx, tail_lock_);
     if (cs_work_ > 0) ctx.compute(cs_work_);
     if (item_cs > 0) ctx.compute(item_cs * values.size());
-    tail_->next = first;
+    tail_->next.store(first, std::memory_order_release);
     tail_ = last;
   }
 
@@ -150,19 +154,20 @@ class TwoLockQueue {
     std::vector<Node*> freed;
     {
       exec::ScopedLock guard(ctx, head_lock_);
-      if (head_->next == nullptr) {
+      Node* node = head_->next.load(std::memory_order_acquire);
+      if (node == nullptr) {
         if (cs_work_ > 0) ctx.compute(std::max<std::uint64_t>(1, cs_work_ / 4));
         return out;
       }
       if (cs_work_ > 0) ctx.compute(cs_work_);
       std::size_t taken = 0;
-      while (taken < max_items && head_->next != nullptr) {
-        Node* node = head_->next;
+      while (taken < max_items && node != nullptr) {
         out.push_back(std::move(node->value));
         freed.push_back(head_);
-        head_->next = nullptr;
+        head_->next.store(nullptr, std::memory_order_relaxed);
         head_ = node;
         ++taken;
+        node = head_->next.load(std::memory_order_acquire);
       }
       if (item_cs > 0) ctx.compute(item_cs * taken);
     }
@@ -175,14 +180,14 @@ class TwoLockQueue {
     std::optional<T> value;
     {
       exec::ScopedLock guard(ctx, head_lock_);
-      node = head_->next;
+      node = head_->next.load(std::memory_order_acquire);
       if (node == nullptr) {
         if (cs_work_ > 0) ctx.compute(std::max<std::uint64_t>(1, cs_work_ / 4));
         return std::nullopt;
       }
       if (cs_work_ > 0) ctx.compute(cs_work_);
       value = std::move(node->value);
-      head_->next = nullptr;  // old dummy is detached below
+      head_->next.store(nullptr, std::memory_order_relaxed);  // old dummy
       std::swap(head_, node); // new dummy is the dequeued node
     }
     delete node;  // the old dummy, freed outside the critical section
@@ -192,7 +197,7 @@ class TwoLockQueue {
  private:
   struct Node {
     T value{};
-    Node* next = nullptr;
+    std::atomic<Node*> next{nullptr};
   };
 
   exec::MutexHandle head_lock_;

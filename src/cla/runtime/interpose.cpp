@@ -10,7 +10,7 @@
 // routine (resolved once with dlsym(RTLD_NEXT, ...)). Synchronization
 // object ids are the objects' addresses.
 //
-// Crash resilience: recording runs in the Recorder's streaming mode —
+// Crash resilience: recording runs in one Recorder session —
 // each thread appends raw clock ticks to its own bounded ring, and the
 // recorder's flusher thread drains the rings to $CLA_TRACE_FILE (default
 // cla_trace.clat) as checksummed `.clat` chunks while the app runs,
@@ -23,7 +23,8 @@
 // SIGABRT, SIGBUS, SIGTERM) and _exit/_Exit trigger an async-signal-safe
 // best-effort spill of the rings' undrained tails before the process
 // dies; a torn final chunk is dropped by `cla-analyze --salvage`'s CRC
-// check.
+// check. A trace file that cannot be opened costs the app nothing but
+// one stderr line: recording is off and no file is written.
 //
 // The library is self-contained: it carries a private static copy of
 // libstdc++ and exports only the interposed entry points below (see
@@ -368,8 +369,6 @@ std::uint32_t trace_format_from_env() {
 }
 
 struct FlushAtExit {
-  bool streaming = false;
-
   FlushAtExit() {
     // Resolve real symbols and register the main thread as thread 0
     // before the application creates any threads. The guard keeps the
@@ -381,12 +380,13 @@ struct FlushAtExit {
       recorder.start_streaming(trace_path(), buffer_events_from_env(),
                                trace_format_from_env(),
                                ring_bytes_from_env());
-      streaming = true;
     } catch (const std::exception& e) {
+      // No session: every hook's record drops, and nothing is written.
       std::fprintf(stderr,
-                   "cla_interpose: cannot stream to %s (%s); "
-                   "falling back to in-memory recording\n",
+                   "cla_interpose: cannot write trace %s (%s); "
+                   "recording is off\n",
                    trace_path(), e.what());
+      return;
     }
     recorder.ensure_current_thread();
     install_signal_handlers();
@@ -395,30 +395,16 @@ struct FlushAtExit {
   ~FlushAtExit() {
     HookGuard guard;  // recorder may lock/join during teardown
     Recorder& recorder = Recorder::instance();
-    if (streaming) {
-      const std::uint64_t dropped = recorder.dropped_events();
-      // stream_path(), not the env var: a forked child streams to its own
-      // <path>.<pid> file (and may have stopped streaming if that open
-      // failed).
-      const std::string path = recorder.stream_path();
-      recorder.finish_streaming();
-      if (recorder.streaming()) {
-        std::fprintf(stderr, "cla_interpose: trace written to %s%s\n",
-                     path.c_str(),
-                     dropped > 0 ? " (some events dropped; see header)" : "");
-      }
-      return;
-    }
-    if (recorder.event_count() == 0) return;
-    try {
-      cla::trace::Trace trace = recorder.collect();
-      cla::trace::write_trace_file(trace, trace_path());
-      std::fprintf(stderr, "cla_interpose: wrote %zu events to %s\n",
-                   trace.event_count(), trace_path());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cla_interpose: failed to write trace: %s\n",
-                   e.what());
-    }
+    // Not streaming: the trace never opened, here or in a forked child.
+    if (!recorder.streaming()) return;
+    const std::uint64_t dropped = recorder.dropped_events();
+    // stream_path(), not the env var: a forked child streams to its own
+    // <path>.<pid> file.
+    const std::string path = recorder.stream_path();
+    recorder.finish_streaming();
+    std::fprintf(stderr, "cla_interpose: trace written to %s%s\n",
+                 path.c_str(),
+                 dropped > 0 ? " (some events dropped; see header)" : "");
   }
 };
 

@@ -36,7 +36,7 @@ std::uint64_t next_binding_epoch() {
   return g_binding_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-// The recorder currently in streaming mode (at most one per process in
+// The recorder that last opened a session (at most one per process in
 // practice — the interposer singleton; a later start_streaming wins).
 // The atfork handlers and the TSD thread-exit destructor dispatch through
 // this pointer because both are process-global registrations.
@@ -138,12 +138,6 @@ Recorder::ScopedInternal::ScopedInternal() noexcept : prev_(tls_internal_) {
 
 Recorder::ScopedInternal::~ScopedInternal() { tls_internal_ = prev_; }
 
-/// Legacy unbounded in-memory buffer (collect() mode).
-struct Recorder::ThreadBuffer {
-  trace::ThreadId tid = 0;
-  std::vector<trace::Event> events;
-};
-
 Recorder::StreamBuffer::StreamBuffer(trace::ThreadId id,
                                      std::uint32_t slots_in_ring,
                                      std::int32_t wake_every)
@@ -180,54 +174,39 @@ trace::ThreadId Recorder::allocate_thread() {
 }
 
 void Recorder::bind_current_thread(trace::ThreadId tid, trace::ThreadId parent) {
-  if (shutdown_.load(std::memory_order_acquire)) return;
-  Binding binding{this, nullptr, nullptr, 0};
-  if (streaming_.load(std::memory_order_acquire)) {
-    auto buffer = std::make_unique<StreamBuffer>(
-        tid, static_cast<std::uint32_t>(stream_capacity_),
-        static_cast<std::int32_t>(drain_threshold_));
-    StreamBuffer* sb = buffer.get();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const std::uint32_t slot = stream_count_.load(std::memory_order_relaxed);
-      if (slot >= kMaxStreamThreads) return;  // fail soft; records will drop
-      stream_owned_.push_back(std::move(buffer));
-      stream_registry_[slot] = sb;
-      stream_count_.store(slot + 1, std::memory_order_release);
-    }
-    wake_flusher();  // it faults in the new ring's head off this thread
-    binding.ring = sb;
-    // Arm the per-thread exit destructor: if this thread is cancelled or
-    // exits without reaching thread_exit(), the destructor records the
-    // missing ThreadExit (value is a non-null sentinel; the destructor
-    // resolves the recorder through g_stream_recorder).
-    std::call_once(g_thread_exit_key_once, [] {
-      pthread_key_create(&g_thread_exit_key, cla_thread_exit_destructor);
-    });
-    pthread_setspecific(g_thread_exit_key, reinterpret_cast<void*>(1));
-  } else {
-    auto buffer = std::make_unique<ThreadBuffer>();
-    buffer->tid = tid;
-    buffer->events.reserve(1024);
-    binding.buffer = buffer.get();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      buffers_.push_back(std::move(buffer));
-    }
+  if (!streaming_.load(std::memory_order_acquire) ||
+      shutdown_.load(std::memory_order_acquire)) {
+    return;
   }
-  binding.epoch = epoch_.load(std::memory_order_relaxed);
-  tls_ = binding;
+  auto buffer = std::make_unique<StreamBuffer>(
+      tid, static_cast<std::uint32_t>(stream_capacity_),
+      static_cast<std::int32_t>(drain_threshold_));
+  StreamBuffer* sb = buffer.get();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const std::uint32_t slot = stream_count_.load(std::memory_order_relaxed);
+    if (slot >= kMaxStreamThreads) return;  // fail soft; records will drop
+    stream_owned_.push_back(std::move(buffer));
+    stream_registry_[slot] = sb;
+    stream_count_.store(slot + 1, std::memory_order_release);
+  }
+  wake_flusher();  // it faults in the new ring's head off this thread
+  // Arm the per-thread exit destructor: if this thread is cancelled or
+  // exits without reaching thread_exit(), the destructor records the
+  // missing ThreadExit (value is a non-null sentinel; the destructor
+  // resolves the recorder through g_stream_recorder).
+  std::call_once(g_thread_exit_key_once, [] {
+    pthread_key_create(&g_thread_exit_key, cla_thread_exit_destructor);
+  });
+  pthread_setspecific(g_thread_exit_key, reinterpret_cast<void*>(1));
+  tls_ = Binding{this, sb, epoch_.load(std::memory_order_relaxed)};
   record(trace::EventType::ThreadStart,
          parent == trace::kNoThread ? trace::kNoObject
                                     : static_cast<trace::ObjectId>(parent));
 }
 
 trace::ThreadId Recorder::ensure_current_thread() {
-  if (streaming_.load(std::memory_order_acquire)) {
-    if (StreamBuffer* ring = bound_ring()) return ring->tid;
-  } else if (ThreadBuffer* buffer = bound_buffer()) {
-    return buffer->tid;
-  }
+  if (StreamBuffer* ring = bound_ring()) return ring->tid;
   const trace::ThreadId tid = allocate_thread();
   bind_current_thread(tid, trace::kNoThread);
   return tid;
@@ -238,14 +217,6 @@ Recorder::StreamBuffer* Recorder::bound_ring() const noexcept {
   return binding.recorder == this &&
                  binding.epoch == epoch_.load(std::memory_order_relaxed)
              ? binding.ring
-             : nullptr;
-}
-
-Recorder::ThreadBuffer* Recorder::bound_buffer() const noexcept {
-  const Binding& binding = tls_;
-  return binding.recorder == this &&
-                 binding.epoch == epoch_.load(std::memory_order_relaxed)
-             ? binding.buffer
              : nullptr;
 }
 
@@ -261,10 +232,9 @@ void Recorder::thread_exit() {
 }
 
 void Recorder::thread_exit_on_destroy() noexcept {
-  if (!streaming_.load(std::memory_order_acquire) ||
-      shutdown_.load(std::memory_order_acquire)) {
-    return;
-  }
+  // A bound ring means an open session; shutdown_ covers the moment
+  // before a finish or crash spill invalidates the bindings.
+  if (shutdown_.load(std::memory_order_acquire)) return;
   StreamBuffer* ring = bound_ring();
   if (ring == nullptr || ring->saw_exit.load(std::memory_order_relaxed)) {
     return;
@@ -281,39 +251,19 @@ void Recorder::note_partial_interposition() noexcept {
 
 void Recorder::append_slow(std::uint32_t kind, std::uint64_t ts,
                            trace::ObjectId object, std::uint64_t arg) {
-  if (!shutdown_.load(std::memory_order_acquire)) {
-    if (streaming_.load(std::memory_order_acquire)) {
-      StreamBuffer* ring = bound_ring();
-      if (ring == nullptr) {
-        ensure_current_thread();
-        ring = bound_ring();
-      }
-      if (ring != nullptr) {
-        stream_append(*ring, kind, ts, object, arg);
-        return;
-      }
-    } else {
-      ThreadBuffer* buffer = bound_buffer();
-      if (buffer == nullptr) {
-        ensure_current_thread();
-        buffer = bound_buffer();
-      }
-      if (buffer != nullptr) {
-        if (kind == kFusedAcquire) {
-          buffer->events.push_back(trace::Event{
-              ts, object, arg, trace::EventType::MutexAcquire, 0, buffer->tid});
-          buffer->events.push_back(trace::Event{
-              ts, object, 0, trace::EventType::MutexAcquired, 0, buffer->tid});
-        } else {
-          buffer->events.push_back(trace::Event{
-              ts, object, arg, static_cast<trace::EventType>(kind), 0,
-              buffer->tid});
-        }
-        return;
-      }
+  if (streaming_.load(std::memory_order_acquire) &&
+      !shutdown_.load(std::memory_order_acquire)) {
+    StreamBuffer* ring = bound_ring();
+    if (ring == nullptr) {
+      ensure_current_thread();
+      ring = bound_ring();
+    }
+    if (ring != nullptr) {
+      stream_append(*ring, kind, ts, object, arg);
+      return;
     }
   }
-  // Shut down, or binding failed (registry full, or bound during
+  // No open session, or binding failed (registry full, or bound during
   // teardown): fail soft.
   dropped_.fetch_add(events_in(kind), std::memory_order_relaxed);
 }
@@ -331,8 +281,7 @@ void Recorder::name_object(trace::ObjectId object, std::string name) {
     if (it->second == name) return;  // idempotent re-registration
     it->second = name;               // last write wins
   }
-  if (streaming_.load(std::memory_order_acquire) && sink_ != nullptr &&
-      !shutdown_.load(std::memory_order_acquire)) {
+  if (sink_ != nullptr && !shutdown_.load(std::memory_order_acquire)) {
     sink_->write_object_name(object, name);
   }
 }
@@ -344,8 +293,7 @@ void Recorder::name_thread(trace::ThreadId tid, std::string name) {
     if (it->second == name) return;
     it->second = name;
   }
-  if (streaming_.load(std::memory_order_acquire) && sink_ != nullptr &&
-      !shutdown_.load(std::memory_order_acquire)) {
+  if (sink_ != nullptr && !shutdown_.load(std::memory_order_acquire)) {
     sink_->write_thread_name(tid, name);
   }
 }
@@ -361,96 +309,53 @@ std::uint64_t Recorder::register_call_stack(const std::uint64_t* pcs,
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t next_id = call_stack_ids_.size() + 1;
   auto [it, inserted] = call_stack_ids_.try_emplace(std::move(chain), next_id);
-  if (inserted && streaming_.load(std::memory_order_acquire) &&
-      sink_ != nullptr && !shutdown_.load(std::memory_order_acquire)) {
+  if (inserted && sink_ != nullptr &&
+      !shutdown_.load(std::memory_order_acquire)) {
     sink_->write_call_stack(it->second, it->first.data(), it->first.size());
   }
   return it->second;
 }
 
 std::size_t Recorder::event_count() const {
-  if (streaming_.load(std::memory_order_acquire)) {
-    std::size_t total = 0;
-    const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const StreamBuffer* ring = stream_registry_[i];
-      total += ring->head.load(std::memory_order_relaxed) -
-               ring->tail.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
   std::size_t total = 0;
-  for (const auto& buffer : buffers_) total += buffer->events.size();
+  const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const StreamBuffer* ring = stream_registry_[i];
+    total += ring->head.load(std::memory_order_relaxed) -
+             ring->tail.load(std::memory_order_relaxed);
+  }
   return total;
 }
 
-trace::Trace Recorder::collect() {
-  CLA_CHECK(!streaming_.load(std::memory_order_acquire),
-            "collect() is invalid in streaming mode (the trace is on disk)");
-  std::unique_lock<std::mutex> lock(mutex_);
-  trace::Trace out;
-
-  std::uint64_t min_ts = ~0ull;
-  for (auto& buffer : buffers_) {
-    // Ticks to ns, then per-thread monotone repair: rdtsc can regress
-    // slightly on some VMs, and repairing before the shift below keeps it
-    // from propagating an underflow.
-    std::uint64_t floor = 0;
-    for (auto& event : buffer->events) {
-      event.ts = std::max(util::ticks_to_ns(event.ts), floor);
-      floor = event.ts;
-    }
-    if (!buffer->events.empty()) min_ts = std::min(min_ts, buffer->events.front().ts);
-  }
-
-  for (auto& buffer : buffers_) {
-    if (buffer->events.empty()) continue;
-    for (auto& event : buffer->events) event.ts -= min_ts;
-    if (buffer->events.back().type != trace::EventType::ThreadExit) {
-      buffer->events.push_back(trace::Event{buffer->events.back().ts,
-                                            trace::kNoObject, trace::kNoArg,
-                                            trace::EventType::ThreadExit, 0,
-                                            buffer->tid});
-    }
-    out.add_thread_stream(buffer->tid, std::move(buffer->events));
-  }
-  for (auto& [object, name] : object_names_) out.set_object_name(object, name);
-  for (auto& [tid, name] : thread_names_) out.set_thread_name(tid, name);
-  for (const auto& [chain, id] : call_stack_ids_) {
-    out.set_call_stack(id, chain);
-    for (const std::uint64_t pc : chain) {
-      if (std::string sym = symbolize_pc(pc); !sym.empty()) {
-        out.set_frame_symbol(pc, std::move(sym));
-      }
-    }
-  }
-  out.set_dropped_events(dropped_.load(std::memory_order_relaxed));
-  lock.unlock();
-  reset();  // the buffers are consumed; the next run starts at thread 0
-  return out;
-}
-
-void Recorder::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  buffers_.clear();
-  object_names_.clear();
+void Recorder::clear_session(bool keep_objects) {
+  // Invalidate every thread binding *before* freeing the rings they
+  // point to; a thread re-registers on its next event.
+  epoch_.store(next_binding_epoch(), std::memory_order_relaxed);
+  stream_count_.store(0, std::memory_order_relaxed);
+  stream_owned_.clear();
   thread_names_.clear();
-  call_stack_ids_.clear();
   next_tid_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
-  epoch_.store(next_binding_epoch(), std::memory_order_relaxed);
+  io_dropped_.store(0, std::memory_order_relaxed);
+  warn_forks_.store(0, std::memory_order_relaxed);
+  if (keep_objects) return;
+  object_names_.clear();
+  call_stack_ids_.clear();
+  warn_partial_interpose_.store(0, std::memory_order_relaxed);
 }
 
-// ---- streaming mode ------------------------------------------------------
+// ---- sessions --------------------------------------------------------------
 
 void Recorder::start_streaming(const std::string& path,
                                std::size_t buffer_events,
                                std::uint32_t version,
                                std::uint64_t ring_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  CLA_CHECK(!streaming_.load(std::memory_order_acquire),
+  const bool rearm = finished_.load(std::memory_order_acquire);
+  CLA_CHECK(rearm || !streaming_.load(std::memory_order_acquire),
             "recorder is already streaming");
+  CLA_CHECK(rearm || !shutdown_.load(std::memory_order_acquire),
+            "recorder was shut down by a crash spill");
   // Replace a previous trace instead of truncating it here: truncation
   // frees the old file's blocks on this thread, often the target's main
   // thread before main(). The flusher closes the last reference instead.
@@ -463,6 +368,11 @@ void Recorder::start_streaming(const std::string& path,
     throw;
   }
   replaced_fd_.store(replaced, std::memory_order_relaxed);
+  if (rearm) {
+    clear_session(/*keep_objects=*/false);
+    finished_.store(false, std::memory_order_relaxed);
+    shutdown_.store(false, std::memory_order_release);
+  }
   // Twice the requested events per thread: `buffer_events` keeps its
   // meaning of half a thread's buffer capacity.
   stream_capacity_ = 2 * std::clamp<std::size_t>(buffer_events, 64, 1u << 22);
@@ -473,7 +383,6 @@ void Recorder::start_streaming(const std::string& path,
   stream_ring_bytes_ = ring_bytes;
   flusher_stop_.store(false, std::memory_order_release);
   streaming_.store(true, std::memory_order_release);
-  epoch_.store(next_binding_epoch(), std::memory_order_relaxed);  // rebind legacy TLS
   g_stream_recorder.store(this, std::memory_order_release);
   // One process-wide registration; the handlers dispatch through
   // g_stream_recorder so later recorders (unit tests) are covered too.
@@ -540,17 +449,8 @@ void Recorder::reinit_child() {
   // handle still claims joinable, so reset the handle in place (join or
   // assignment would be UB / terminate).
   new (&flusher_) std::thread();
-  // Invalidate every inherited thread binding *before* freeing the
-  // buffers they point to; only the forking thread survives, and it
-  // re-registers on its next event.
-  epoch_.store(next_binding_epoch(), std::memory_order_relaxed);
-  stream_count_.store(0, std::memory_order_relaxed);
-  stream_owned_.clear();
-  thread_names_.clear();
-  next_tid_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-  io_dropped_.store(0, std::memory_order_relaxed);
-  warn_forks_.store(0, std::memory_order_relaxed);
+  // Only the forking thread survives; it re-registers on its next event.
+  clear_session(/*keep_objects=*/true);
   // Drop the inherited sink (its close() only releases the shared fd —
   // the parent's already-flushed chunks stay untouched) and open this
   // process's own trace file. Nested forks compound the suffix.
@@ -760,20 +660,19 @@ void Recorder::finish_streaming() {
   // once, here on the clean-exit path — never on the lock hot path. The
   // crash-spill handler skips this entirely (dladdr allocates and is not
   // async-signal-safe); a salvaged trace simply reports hex frames.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::set<std::uint64_t> pcs;
-    for (const auto& [chain, id] : call_stack_ids_) {
-      pcs.insert(chain.begin(), chain.end());
-    }
-    for (const std::uint64_t pc : pcs) {
-      if (const std::string sym = symbolize_pc(pc); !sym.empty()) {
-        sink_->write_frame_symbol(pc, sym);
-      }
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::set<std::uint64_t> pcs;
+  for (const auto& [chain, id] : call_stack_ids_) {
+    pcs.insert(chain.begin(), chain.end());
+  }
+  for (const std::uint64_t pc : pcs) {
+    if (const std::string sym = symbolize_pc(pc); !sym.empty()) {
+      sink_->write_frame_symbol(pc, sym);
     }
   }
   write_stream_status(/*clean_close=*/true);
   sink_->close();
+  finished_.store(true, std::memory_order_release);  // re-arms start_streaming
 }
 
 void Recorder::write_stream_status(bool clean_close) {
@@ -806,7 +705,9 @@ void Recorder::write_stream_status(bool clean_close) {
 void Recorder::crash_spill() {
   // First caller wins; everyone else (including any racing recorder) sees
   // shutdown and drops. Deliberately lock-free and allocation-free: this
-  // runs inside fatal-signal handlers.
+  // runs inside fatal-signal handlers. A spill between sessions ends
+  // recording for good too: no later start_streaming() re-arms.
+  finished_.store(false, std::memory_order_seq_cst);
   if (shutdown_.exchange(true, std::memory_order_seq_cst)) return;
   end_recording();
   if (!streaming_.load(std::memory_order_acquire) || sink_ == nullptr) return;

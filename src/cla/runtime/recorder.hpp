@@ -1,55 +1,54 @@
 // Event recorder — the in-process half of the instrumentation module
 // (paper §IV.A).
 //
-// Threads register once and then append events to a thread-local buffer
+// Threads register once and then append events to a thread-local ring
 // with at most one raw clock read (util::ticks()) per MAGIC() point; no
 // locks are taken on the hot path. Ticks become nanoseconds only when a
-// buffer is drained, with the one calibrated factor (util::ticks_to_ns),
-// so traces on disk and from collect() are in ns.
+// ring is drained, with the one calibrated factor (util::ticks_to_ns),
+// so traces on disk are in ns.
 //
 // An uncontended mutex acquisition — the common case — is one record:
 // record_acquired_at() stands for MutexAcquire + MutexAcquired (arg 0) at
 // one timestamp, and every drain path expands it back into those two
 // events, so readers never see the difference.
 //
-// Two collection modes:
+// One store: a recording session (start_streaming .. finish_streaming)
+// gives each thread one bounded SPSC ring of 16-byte slots. A slot holds
+// the raw ticks and one packed word: the object in the low 48 bits, the
+// event kind (or "fused acquisition") and a small-arg code (kNoArg, or
+// an arg up to 1021). A record whose object or arg does not fit
+// (kNoObject, a condvar's mutex address, a large episode or stack id)
+// takes a second slot holding both in full; the pair may straddle the
+// wrap and is published with the same single `head` store. The drainer
+// decodes the pending range [tail, head) into trace events, writes them
+// to a ChunkedTraceWriter (`.clat` v2/v3 chunks) and advances `tail`, so
+// app threads never block on IO. A full ring drops and counts the
+// record's events instead of blocking or growing. The drainer is a
+// dedicated flusher thread that sleeps on a futex. A thread wakes it
+// each time it has filled another drain threshold's worth of slots
+// (4096, or half the ring if that is less), and when it registers or
+// exits. On a wake the flusher drains every ring holding at least the
+// threshold, or whose thread has exited; every ~50 ms it drains every
+// ring completely and refreshes the Meta/RuntimeWarnings chunks.
+// crash_spill() writes every ring not mid-drain with only
+// async-signal-safe operations (decoding through a fixed stack batch),
+// so a fatal-signal handler can save the run's tail; finish_streaming()
+// is the clean-exit path (wakes and stops the flusher, drains the rest,
+// synthesizes missing ThreadExit events and a clean-close Meta chunk).
+// Outside a session the recorder drops and counts what it is handed.
 //
-//  * Legacy in-memory mode (default): buffers grow until the run ends and
-//    collect() converts and stitches them into a trace::Trace.
+// A clean finish re-arms the recorder: the next start_streaming() opens
+// a fresh session, which is how one process records several runs; a
+// crash spill shuts it down for good.
 //
-//  * Streaming mode (start_streaming): each thread owns one bounded SPSC
-//    ring of 16-byte slots. A slot holds the raw ticks and one packed
-//    word: the object in the low 48 bits, the event kind (or "fused
-//    acquisition") and a small-arg code (kNoArg, or an arg up to 1021).
-//    A record whose object or arg does not fit (kNoObject, a condvar's
-//    mutex address, a large episode or stack id) takes a second slot
-//    holding both in full; the pair may straddle the wrap and is
-//    published with the same single `head` store. The drainer decodes the
-//    pending range [tail, head) into trace events, writes them to a
-//    ChunkedTraceWriter (`.clat` v2/v3 chunks) and advances `tail`, so
-//    app threads never block on IO. A full ring drops and counts the
-//    record's events instead of blocking or growing. The drainer is a
-//    dedicated flusher thread that sleeps on a futex. A thread wakes it
-//    each time it has filled another drain threshold's worth of slots
-//    (4096, or half the ring if that is less), and when it registers or
-//    exits. On a wake the flusher drains every ring holding at least the
-//    threshold, or whose thread has exited; every ~50 ms it drains every
-//    ring completely and refreshes the Meta/RuntimeWarnings chunks.
-//    crash_spill() writes every ring not mid-drain with only
-//    async-signal-safe operations (decoding through a fixed stack batch),
-//    so a fatal-signal handler can save the run's tail; finish_streaming()
-//    is the clean-exit path (wakes and stops the flusher, drains the
-//    rest, synthesizes missing ThreadExit events and a clean-close Meta
-//    chunk).
-//
-//    The recorder's fixed costs stay off the application's threads and
-//    its start-up: ring storage is allocated raw (never zero-filled) and
-//    the flusher faults each ring in with MADV_POPULATE_WRITE only about
-//    two drain thresholds ahead of its owner, advancing on every wake, so
-//    a thread that records little never pays for a whole ring. The
-//    flusher, not the constructor, runs the TSC calibration before its
-//    first drain, and it closes the replaced trace file (see
-//    start_streaming) so the old inode is freed on its clock.
+// The recorder's fixed costs stay off the application's threads and its
+// start-up: ring storage is allocated raw (never zero-filled) and the
+// flusher faults each ring in with MADV_POPULATE_WRITE only about two
+// drain thresholds ahead of its owner, advancing on every wake, so a
+// thread that records little never pays for a whole ring. The flusher,
+// not the constructor, runs the TSC calibration before its first drain,
+// and it closes the replaced trace file (see start_streaming) so the old
+// inode is freed on its clock.
 //
 // The per-event path is inline and makes no call: the thread-local ring
 // lookup, the space check, one or two slot stores and the `head` release
@@ -57,15 +56,15 @@
 // epoch), so the flags are only read on the slow path.
 //
 // Recording never aborts the host application: if a thread cannot be
-// bound (registration races teardown) or a buffer has no room, the event
+// bound (registration races teardown) or a ring has no room, the event
 // is dropped and counted; the count travels in the trace header.
 //
-// Hostile-process survival (streaming mode):
+// Hostile-process survival:
 //
 //  * fork(): pthread_atfork handlers quiesce the flusher and registration
 //    around the fork. The parent resumes untouched (and counts the fork
 //    in a CLA_W_FORKED_CHILD warning); the child — which inherits the
-//    buffers but not the flusher thread — drops all inherited bindings
+//    rings but not the flusher thread — drops all inherited bindings
 //    and re-targets a fresh `<path>.<pid>` trace file, so parent and
 //    child each produce one valid stream with no duplicated events.
 //
@@ -89,7 +88,6 @@
 #include <thread>
 #include <vector>
 
-#include "cla/trace/trace.hpp"
 #include "cla/trace/trace_io.hpp"
 #include "cla/util/clock.hpp"
 #include "cla/util/faultinject.hpp"
@@ -168,8 +166,9 @@ class Recorder {
   /// Records with an explicit timestamp in raw util::ticks() (used when
   /// the timestamp must be taken before other bookkeeping, e.g. a lock's
   /// wait start). Converted to ns when drained. Fails soft:
-  /// if the thread cannot be bound or the buffers are full, the event is
-  /// dropped and dropped_events() incremented — never UB, never a throw.
+  /// if no session is open, the thread cannot be bound or its ring is
+  /// full, the event is dropped and dropped_events() incremented — never
+  /// UB, never a throw.
   void record_at(trace::EventType type, std::uint64_t ts,
                  trace::ObjectId object, std::uint64_t arg = trace::kNoArg) {
     append(static_cast<std::uint32_t>(type), ts, object, arg);
@@ -190,7 +189,7 @@ class Recorder {
 
   /// Interns an acquisition call stack (`pcs[0..depth)`, innermost frame
   /// first) and returns its stable id (>= 1); identical chains dedupe to
-  /// one id. In streaming mode the first sighting emits a CallStacks
+  /// one id, and the first sighting in a session emits a CallStacks
   /// chunk. Takes mutex_ — callers (the interposer's lock hooks) are on a
   /// slow path already (about to block on a mutex) and must not hold
   /// recorder-internal locks. Returns 0 (= "no stack") when depth is 0 or
@@ -198,32 +197,19 @@ class Recorder {
   std::uint64_t register_call_stack(const std::uint64_t* pcs,
                                     std::size_t depth);
 
-  /// Events dropped at record time since the last reset/collect.
+  /// Events dropped in this session (at record time or by failed writes).
   std::uint64_t dropped_events() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Buffered, not yet drained: events in legacy mode; in streaming mode
-  /// occupied ring slots (one per record, two for a wide one), the
-  /// measure of how close the rings are to dropping.
+  /// Occupied ring slots not yet drained (one per record, two for a wide
+  /// one): the measure of how close the rings are to dropping.
   std::size_t event_count() const;
 
-  // ---- legacy in-memory collection ----
+  // ---- recording sessions ----
 
-  /// Assembles the trace: ticks are converted to ns and shifted so the
-  /// earliest event is at t=0, and any thread missing a ThreadExit gets
-  /// one at its last event's timestamp. Buffers are consumed. Only valid
-  /// outside streaming mode.
-  trace::Trace collect();
-
-  /// Drops all buffered events and thread bindings (between runs). The
-  /// calling thread must re-register afterwards.
-  void reset();
-
-  // ---- streaming (crash-resilient) mode ----
-
-  /// Switches to streaming mode: opens `path` as a chunked trace (v2 raw
-  /// chunks or compact v3 per `version`) and starts the flusher thread.
+  /// Opens a session: opens `path` as a chunked trace (v2 raw chunks or
+  /// compact v3 per `version`) and starts the flusher thread.
   /// Every thread's ring holds 2 x `buffer_events` slots (clamped to
   /// [64, 1<<22] first), 32 bytes per requested event. A non-zero
   /// `ring_bytes` caps the trace's on-disk size: the writer retires the
@@ -233,24 +219,30 @@ class Recorder {
   /// place, and the flusher closes the last reference to it, so freeing
   /// the old trace's blocks stays off the calling thread; any other file
   /// (a symlink, a hard link, a device) is truncated as before. Must be
-  /// called before any thread registers events to be streamed; throws
-  /// cla::util::Error if the file cannot be opened or `version` is not a
-  /// chunked format.
+  /// called before any thread registers events to be streamed. After a
+  /// clean finish_streaming() it opens a fresh session: thread ids restart
+  /// at 0, and the names, call stacks and counters of the finished one
+  /// are forgotten (no thread of it may still be recording). Throws
+  /// cla::util::Error if a session is open, crash_spill() ran, the file
+  /// cannot be opened or `version` is not a chunked format.
   void start_streaming(const std::string& path, std::size_t buffer_events,
                        std::uint32_t version = trace::kTraceVersion,
                        std::uint64_t ring_bytes = 0);
 
+  /// True once a session has opened, also after it finished; false again
+  /// only in a forked child whose own trace file could not be opened.
   bool streaming() const noexcept {
     return streaming_.load(std::memory_order_acquire);
   }
 
   /// Path of the stream this process is writing (the fork handler gives
-  /// each child its own `<path>.<pid>`). Empty outside streaming mode.
+  /// each child its own `<path>.<pid>`). Empty before the first session.
   const std::string& stream_path() const noexcept { return stream_path_; }
 
   /// Clean-exit path: stops the flusher, drains every ring, synthesizes
   /// missing ThreadExit events, writes the clean-close Meta chunk and
-  /// closes the file. Idempotent.
+  /// closes the file. Later records drop until the next start_streaming().
+  /// Idempotent.
   void finish_streaming();
 
   /// Best-effort crash-time spill; async-signal-safe (no locks, no
@@ -261,14 +253,13 @@ class Recorder {
   /// caller wins, later callers return immediately.
   void crash_spill();
 
-  /// True once crash_spill() ran (recording is permanently shut down).
+  /// True once the session ended: finish_streaming() (until the next
+  /// start_streaming()) or crash_spill() (for good).
   bool shut_down() const noexcept {
     return shutdown_.load(std::memory_order_acquire);
   }
 
  private:
-  struct ThreadBuffer;  // legacy unbounded buffer
-
   // ---- ring slot format ----
   //
   // A record's first slot holds the raw ticks and a packed word:
@@ -296,7 +287,7 @@ class Recorder {
                     kFusedAcquire,
                 "every EventType must fit the slot's kind field");
 
-  /// Streaming-mode ring: single producer (the owning thread), single
+  /// A thread's ring: single producer (the owning thread), single
   /// drainer at a time (the flusher; finish_streaming and crash_spill once
   /// it is stopped or parked). The owner stores a record's one or two
   /// slots at `head` and publishes the new head with release; the drainer
@@ -326,13 +317,12 @@ class Recorder {
     std::size_t populated = 0;     // bytes the flusher has faulted in
   };
 
-  // The calling thread's buffer: valid only while `recorder` is this and
+  // The calling thread's ring: valid only while `recorder` is this and
   // `epoch` is the recorder's current one. Aggregate, so the thread-local
   // below is constant-initialized and read without a TLS wrapper call.
   struct Binding {
     Recorder* recorder;
-    StreamBuffer* ring;     // streaming mode
-    ThreadBuffer* buffer;   // legacy mode
+    StreamBuffer* ring;
     std::uint64_t epoch;
   };
   static constinit inline thread_local Binding tls_{};
@@ -342,7 +332,7 @@ class Recorder {
 
   // The per-event path. A thread bound to this recorder's current epoch
   // stores into its ring inline; everything else (a thread's first event,
-  // legacy mode, shutdown, a stale binding) goes through append_slow.
+  // no open session, shutdown, a stale binding) goes through append_slow.
   // always_inline: in a large caller (the interposer's lock hooks) the
   // compiler would otherwise emit a call here.
   [[gnu::always_inline]] void append(std::uint32_t kind, std::uint64_t ts,
@@ -366,8 +356,7 @@ class Recorder {
                                             trace::ObjectId object,
                                             std::uint64_t arg) {
     // Per-thread monotone clamp at record time (on ticks: the drainer's
-    // conversion is monotone): the clean-exit repair of collect() never
-    // runs when chunks are already on disk.
+    // conversion is monotone): chunks already on disk are never repaired.
     if (ts < ring.clamp_ts) {
       ts = ring.clamp_ts;
     } else {
@@ -417,8 +406,11 @@ class Recorder {
   void append_slow(std::uint32_t kind, std::uint64_t ts,
                    trace::ObjectId object, std::uint64_t arg);
   StreamBuffer* bound_ring() const noexcept;
-  ThreadBuffer* bound_buffer() const noexcept;
   void end_recording() noexcept;  // invalidates every thread's binding
+  // Forgets the session's threads (bindings, rings, ids, thread names)
+  // and zeroes its loss counters; `keep_objects` keeps the object names
+  // and call stacks, which a forked child replays into its own trace.
+  void clear_session(bool keep_objects);
   void wake_flusher() noexcept;
   void flusher_main();
   void populate_ahead(StreamBuffer& ring) noexcept;
@@ -446,11 +438,10 @@ class Recorder {
   std::size_t drain_threshold_ = 0;  // slots
 
   alignas(64) std::atomic<std::uint64_t> dropped_{0};
-  mutable std::mutex mutex_;  // guards registration and collection only
+  mutable std::mutex mutex_;  // guards registration and session changes
   // Held by the flusher around each drain sweep so the fork handler can
   // quiesce in-flight IO (lock order: mutex_ then flush_gate_).
   std::mutex flush_gate_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
   std::atomic<trace::ThreadId> next_tid_{0};
   std::map<trace::ObjectId, std::string> object_names_;
   std::map<trace::ThreadId, std::string> thread_names_;
@@ -468,6 +459,8 @@ class Recorder {
   static constexpr std::size_t kMaxStreamThreads = 4096;
   std::atomic<bool> streaming_{false};
   std::atomic<bool> shutdown_{false};
+  // Set by a clean finish, so start_streaming() may open the next session.
+  std::atomic<bool> finished_{false};
   std::atomic<bool> flusher_stop_{false};
   std::atomic<std::uint32_t> flusher_wake_{0};  // futex word; bumped per wake
   std::size_t stream_capacity_ = 0;  // ring slots per thread

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 
 #include "support/analyze.hpp"
 #include "cla/util/error.hpp"
@@ -92,6 +93,26 @@ TEST(PthreadBackend, ComputeUnitsScaleRuntime) {
   auto backend = make_pthread_backend(/*compute_unit_ns=*/10);
   backend->run(1, [&](Ctx& ctx) { ctx.compute(1'000'000); });  // ~10 ms
   EXPECT_GE(backend->completion_time(), 5'000'000u);
+}
+
+TEST(PthreadBackend, BackToBackRunsRecordTwoValidSessions) {
+  // Each pthread backend records one session of the process-wide
+  // recorder, and the next opens a fresh one, also after a backend that
+  // was dropped without running.
+  { auto idle = make_pthread_backend(); }
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    auto backend = make_pthread_backend();
+    simple_workload(*backend, 3);
+    const trace::Trace trace = backend->take_trace();
+    EXPECT_NO_THROW(trace.validate());
+    EXPECT_EQ(trace.thread_count(), 4u);
+    EXPECT_EQ(trace.dropped_events(), 0u);
+    const auto result = test_support::analyze(trace);
+    const analysis::LockStats* lock = result.find_lock("L");
+    ASSERT_NE(lock, nullptr);
+    EXPECT_EQ(lock->invocations, 15u);
+  }
 }
 
 }  // namespace

@@ -9,15 +9,16 @@
 #include <thread>
 
 #include "support/analyze.hpp"
+#include "support/recording.hpp"
 #include "support/thread_state.hpp"
 
 namespace cla::rt {
 namespace {
 
+// Each case records one session of the process-wide recorder.
 class HooksTest : public ::testing::Test {
  protected:
-  void SetUp() override { Recorder::instance().reset(); }
-  void TearDown() override { Recorder::instance().reset(); }
+  test_support::RecordingSession session_;
 };
 
 TEST_F(HooksTest, MutexProtocolEventsInOrder) {
@@ -27,7 +28,7 @@ TEST_F(HooksTest, MutexProtocolEventsInOrder) {
   mutex.lock();
   mutex.unlock();
   recorder.thread_exit();
-  const trace::Trace t = recorder.collect();
+  const trace::Trace t = session_.finish();
   const auto events = t.thread_events(0);
   ASSERT_EQ(events.size(), 5u);
   EXPECT_EQ(events[1].type, trace::EventType::MutexAcquire);
@@ -72,7 +73,7 @@ TEST_F(HooksTest, ContendedLockSetsContendedFlag) {
     }
   });
   recorder.thread_exit();
-  const trace::Trace t = recorder.collect();
+  const trace::Trace t = session_.finish();
   std::size_t contended = 0;
   for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
     for (const auto& e : t.thread_events(tid)) {
@@ -94,7 +95,7 @@ TEST_F(HooksTest, BarrierRecordsEpisodes) {
     barrier.wait();
   });
   recorder.thread_exit();
-  const trace::Trace t = recorder.collect();
+  const trace::Trace t = session_.finish();
   std::set<std::uint64_t> episodes;
   for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
     for (const auto& e : t.thread_events(tid)) {
@@ -132,7 +133,7 @@ TEST_F(HooksTest, CondVarProtocolAnalyzable) {
     }
   });
   recorder.thread_exit();
-  const trace::Trace t = recorder.collect();
+  const trace::Trace t = session_.finish();
   EXPECT_NO_THROW(t.validate());
   const auto result = test_support::analyze(t);
   EXPECT_GT(result.completion_time, 0u);
@@ -149,7 +150,7 @@ TEST_F(HooksTest, CoordinatorRecordsCreateAndJoinEdges) {
     for (int k = 0; k < 1000; ++k) sink += k;
   });
   recorder.thread_exit();
-  const trace::Trace t = recorder.collect();
+  const trace::Trace t = session_.finish();
   EXPECT_EQ(t.thread_count(), 4u);
   std::size_t creates = 0;
   std::size_t join_ends = 0;

@@ -296,6 +296,32 @@ ElfDynamicInfo read_elf_dynamic_info(const std::string& path) {
   return info;
 }
 
+TEST_F(InterposeTest, UnopenableTraceFileRecordsNothing) {
+  // A trace path in a missing directory: the app runs and exits 0, no
+  // file appears, and stderr holds one line, naming the path, that says
+  // recording is off; nothing retries the write at exit.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "cla_interpose_no_such_dir";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "trace.clat").string();
+  const std::string err = trace_path_ + ".stderr";
+  const std::string command = "CLA_TRACE_FILE=" + path +
+                              " LD_PRELOAD=" CLA_INTERPOSE_LIB
+                              " " CLA_DEMO_APP " > /dev/null 2> " + err;
+  ASSERT_EQ(std::system(command.c_str()), 0);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  std::ifstream in(err);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("cla_interpose:", 0) == 0) lines.push_back(line);
+  }
+  std::remove(err.c_str());
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find(path), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("recording is off"), std::string::npos) << lines[0];
+}
+
 TEST(InterposeLibrary, NeedsNoLibstdcxxAndExportsOnlyTheHooks) {
   const ElfDynamicInfo info = read_elf_dynamic_info(CLA_INTERPOSE_LIB);
   ASSERT_FALSE(info.needed.empty()) << "no dynamic section in "

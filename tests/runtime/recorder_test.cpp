@@ -18,14 +18,15 @@
 #include "cla/util/clock.hpp"
 #include "cla/util/error.hpp"
 #include "cla/util/faultinject.hpp"
+#include "support/recording.hpp"
 
 namespace cla::rt {
 namespace {
 
+// Each case records one session of the process-wide recorder.
 class RecorderTest : public ::testing::Test {
  protected:
-  void SetUp() override { Recorder::instance().reset(); }
-  void TearDown() override { Recorder::instance().reset(); }
+  test_support::RecordingSession session_;
 };
 
 TEST_F(RecorderTest, EnsureCurrentThreadAssignsDenseIds) {
@@ -43,21 +44,12 @@ TEST_F(RecorderTest, RecordsEventsForCurrentThread) {
   recorder.record(trace::EventType::MutexAcquired, 42, 0);
   recorder.record(trace::EventType::MutexReleased, 42);
   recorder.thread_exit();
-  EXPECT_EQ(recorder.event_count(), 5u);  // start + 3 + exit
-  const trace::Trace t = recorder.collect();
+  const trace::Trace t = session_.finish();
+  EXPECT_EQ(t.event_count(), 5u);  // start + 3 + exit
   EXPECT_NO_THROW(t.validate());
   const auto events = t.thread_events(0);
   EXPECT_EQ(events.front().type, trace::EventType::ThreadStart);
   EXPECT_EQ(events.back().type, trace::EventType::ThreadExit);
-}
-
-TEST_F(RecorderTest, CollectNormalizesTimestampsToZero) {
-  Recorder& recorder = Recorder::instance();
-  recorder.ensure_current_thread();
-  recorder.record(trace::EventType::MutexAcquire, 1);
-  recorder.thread_exit();
-  const trace::Trace t = recorder.collect();
-  EXPECT_EQ(t.start_ts(), 0u);
 }
 
 TEST_F(RecorderTest, CollectAppendsMissingThreadExit) {
@@ -65,7 +57,7 @@ TEST_F(RecorderTest, CollectAppendsMissingThreadExit) {
   recorder.ensure_current_thread();
   recorder.record(trace::EventType::MutexAcquire, 1);
   // no explicit thread_exit
-  const trace::Trace t = recorder.collect();
+  const trace::Trace t = session_.finish();
   EXPECT_EQ(t.thread_events(0).back().type, trace::EventType::ThreadExit);
 }
 
@@ -85,7 +77,7 @@ TEST_F(RecorderTest, MultipleOsThreadsGetDistinctIds) {
   worker.join();
   recorder.thread_exit();
   EXPECT_EQ(child_tid, 1u);
-  const trace::Trace t = recorder.collect();
+  const trace::Trace t = session_.finish();
   EXPECT_EQ(t.thread_count(), 2u);
   // Child records its parent in ThreadStart.object.
   EXPECT_EQ(t.thread_events(1).front().object, static_cast<trace::ObjectId>(0));
@@ -97,20 +89,10 @@ TEST_F(RecorderTest, NamesSurviveCollection) {
   recorder.name_object(42, "Qlock");
   recorder.name_thread(0, "main");
   recorder.thread_exit();
-  const trace::Trace t = recorder.collect();
+  const trace::Trace t = session_.finish();
   ASSERT_NE(t.object_name(42), nullptr);
   EXPECT_EQ(*t.object_name(42), "Qlock");
   EXPECT_EQ(t.thread_display_name(0), "main");
-}
-
-TEST_F(RecorderTest, CollectResetsForNextRun) {
-  Recorder& recorder = Recorder::instance();
-  recorder.ensure_current_thread();
-  recorder.thread_exit();
-  (void)recorder.collect();
-  EXPECT_EQ(recorder.event_count(), 0u);
-  // A fresh registration starts at thread 0 again.
-  EXPECT_EQ(recorder.ensure_current_thread(), 0u);
 }
 
 TEST_F(RecorderTest, NameRegistrationDedupesLastWriteWins) {
@@ -122,7 +104,7 @@ TEST_F(RecorderTest, NameRegistrationDedupesLastWriteWins) {
   recorder.name_thread(0, "a");
   recorder.name_thread(0, "b");
   recorder.thread_exit();
-  const trace::Trace t = recorder.collect();
+  const trace::Trace t = session_.finish();
   ASSERT_NE(t.object_name(42), nullptr);
   EXPECT_EQ(*t.object_name(42), "second");
   EXPECT_EQ(t.thread_display_name(0), "b");
@@ -137,7 +119,7 @@ TEST_F(RecorderTest, PerThreadTimestampsAreMonotone) {
     recorder.record(trace::EventType::MutexReleased, 1);
   }
   recorder.thread_exit();
-  const trace::Trace t = recorder.collect();
+  const trace::Trace t = session_.finish();
   const auto events = t.thread_events(0);
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_GE(events[i].ts, events[i - 1].ts);
@@ -146,9 +128,8 @@ TEST_F(RecorderTest, PerThreadTimestampsAreMonotone) {
 
 // ---- streaming (crash-resilient) mode -----------------------------------
 //
-// These tests use their own Recorder instances (not the singleton):
-// streaming is a one-way door per recorder — finish_streaming closes the
-// trace file for good.
+// These tests use their own Recorder instances (not the singleton), so
+// each starts from a recorder that never recorded.
 
 std::string temp_trace_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -359,10 +340,11 @@ TEST(RecorderStreaming, RingWrapsUnderConcurrentDrainWithoutLossOrReorder) {
 
 TEST(RecorderStreaming, EveryDrainPathWritesNanoseconds) {
   // The hot path stores raw ticks; the flusher, the clean-exit drain, the
-  // synthesized ThreadExit, the crash spill and collect() each convert to
-  // ns. Every timestamp they produce must fall between two now_ns()
-  // readings taken around the run: an unconverted tick (about 2x the ns
-  // value on a 2 GHz TSC) would land far outside.
+  // synthesized ThreadExit and the crash spill each convert to ns, and a
+  // session loaded back keeps those ns. Every timestamp they produce must
+  // fall between two now_ns() readings taken around the run: an
+  // unconverted tick (about 2x the ns value on a 2 GHz TSC) would land
+  // far outside.
   const auto expect_between = [](const trace::Trace& t, std::uint64_t before,
                                  std::uint64_t after) {
     ASSERT_GT(t.event_count(), 0u);
@@ -412,27 +394,30 @@ TEST(RecorderStreaming, EveryDrainPathWritesNanoseconds) {
     expect_between(cla::trace::salvage_trace_file(path).trace, before, after);
   }
   {
-    // collect() shifts the first event to t = 0, so pin the span instead:
-    // at least the spin between the first and last event, at most the
-    // wall time around the whole run.
+    // A session through the test helper, with a recorded ThreadExit: the
+    // loaded trace keeps absolute ns and the spin between its events.
     constexpr std::uint64_t kSpinNs = 2'000'000;
     Recorder recorder;
     const std::uint64_t before = util::now_ns();
-    recorder.ensure_current_thread();
-    util::spin_for_ns(kSpinNs);
-    recorder.record(trace::EventType::CondSignal, 3);
-    recorder.thread_exit();
+    trace::Trace t;
+    {
+      test_support::RecordingSession session(recorder);
+      recorder.ensure_current_thread();
+      util::spin_for_ns(kSpinNs);
+      recorder.record(trace::EventType::CondSignal, 3);
+      recorder.thread_exit();
+      t = session.finish();
+    }
     const std::uint64_t after = util::now_ns();
-    const trace::Trace t = recorder.collect();
-    EXPECT_EQ(t.start_ts(), 0u);
-    EXPECT_GE(t.end_ts(), kSpinNs);
-    EXPECT_LE(t.end_ts(), after - before);
+    expect_between(t, before, after);
+    EXPECT_GE(t.end_ts() - t.start_ts(), kSpinNs);
   }
   std::remove(path.c_str());
 }
 
 TEST(RecorderCallStacks, InternsDedupesClampsAndSurvivesCollect) {
   Recorder recorder;
+  test_support::RecordingSession session(recorder);
   recorder.ensure_current_thread();
   const std::uint64_t a[2] = {0x10, 0x20};
   const std::uint64_t b[2] = {0x10, 0x30};
@@ -456,7 +441,7 @@ TEST(RecorderCallStacks, InternsDedupesClampsAndSurvivesCollect) {
   recorder.record(trace::EventType::MutexAcquire, 7, id_a);
   recorder.record(trace::EventType::MutexAcquired, 7, 0);
   recorder.record(trace::EventType::MutexReleased, 7);
-  trace::Trace trace = recorder.collect();
+  trace::Trace trace = session.finish();
   ASSERT_EQ(trace.call_stacks().size(), 3u);
   EXPECT_EQ(trace.call_stacks().at(id_a),
             (std::vector<std::uint64_t>{0x10, 0x20}));
@@ -478,16 +463,6 @@ TEST(RecorderCallStacks, StreamingModeEmitsChunksOnFirstSighting) {
   const trace::Trace loaded = cla::trace::read_trace_file(path);
   ASSERT_EQ(loaded.call_stacks().size(), 1u);
   EXPECT_EQ(loaded.call_stacks().at(id), (std::vector<std::uint64_t>{0x99}));
-  std::remove(path.c_str());
-}
-
-TEST(RecorderStreaming, CollectIsRejectedWhileStreaming) {
-  const std::string path = temp_trace_path("cla_rec_collect.clat");
-  Recorder recorder;
-  recorder.start_streaming(path, 4096);
-  recorder.ensure_current_thread();
-  EXPECT_THROW((void)recorder.collect(), cla::util::Error);
-  recorder.finish_streaming();
   std::remove(path.c_str());
 }
 
@@ -783,6 +758,75 @@ TEST(RecorderRing, DropsCountTraceEventsNotSlots) {
   EXPECT_GT(dropped, 0u);
   EXPECT_EQ(t.dropped_events(), dropped);
   EXPECT_EQ(t.event_count() + dropped, recorded);
+  std::remove(path.c_str());
+}
+
+// ---- one recorder, several sessions ------------------------------------
+
+TEST(RecorderStreaming, FinishedSessionRearms) {
+  // One recorder, two sessions: the second starts at thread 0 and carries
+  // none of the first's object names, call stacks or drops.
+  Recorder recorder;
+  const std::uint64_t pcs[1] = {0x77};
+  {
+    // A stalled flusher and a 128-slot ring: the first session drops.
+    ::setenv("CLA_FAULT_FLUSHER_STALL_MS", "100", 1);
+    util::fault::reinit_for_tests();
+    test_support::RecordingSession first(recorder, /*buffer_events=*/64);
+    const auto parent = recorder.ensure_current_thread();
+    EXPECT_EQ(parent, 0u);
+    const auto child = recorder.allocate_thread();
+    std::thread([&recorder, child, parent] {
+      recorder.bind_current_thread(child, parent);
+      recorder.thread_exit();
+    }).join();
+    recorder.name_object(7, "first_lock");
+    recorder.name_thread(parent, "first_main");
+    EXPECT_EQ(recorder.register_call_stack(pcs, 1), 1u);
+    for (int i = 0; i < 1000; ++i) {
+      recorder.record(trace::EventType::CondSignal, 7, i);
+    }
+    ASSERT_TRUE(wait_for_room(recorder, 0));
+    recorder.thread_exit();
+    const trace::Trace t = first.finish();
+    ::unsetenv("CLA_FAULT_FLUSHER_STALL_MS");
+    util::fault::reinit_for_tests();
+    EXPECT_EQ(t.thread_count(), 2u);
+    EXPECT_NE(t.object_name(7), nullptr);
+    EXPECT_EQ(t.call_stacks().size(), 1u);
+    EXPECT_GT(t.dropped_events(), 0u);
+  }
+  {
+    test_support::RecordingSession second(recorder);
+    EXPECT_EQ(recorder.dropped_events(), 0u);
+    EXPECT_EQ(recorder.ensure_current_thread(), 0u);
+    EXPECT_EQ(recorder.allocate_thread(), 1u);
+    const std::uint64_t other[1] = {0x88};
+    EXPECT_EQ(recorder.register_call_stack(other, 1), 1u);  // a fresh table
+    recorder.record(trace::EventType::CondSignal, 9);
+    recorder.thread_exit();
+    const trace::Trace t = second.finish();
+    EXPECT_NO_THROW(t.validate());
+    ASSERT_EQ(t.thread_count(), 1u);
+    EXPECT_EQ(t.event_count(), 3u);  // start, signal, exit
+    EXPECT_EQ(t.object_name(7), nullptr);
+    EXPECT_NE(t.thread_display_name(0), "first_main");
+    ASSERT_EQ(t.call_stacks().size(), 1u);
+    EXPECT_EQ(t.call_stacks().at(1), (std::vector<std::uint64_t>{0x88}));
+    EXPECT_EQ(t.dropped_events(), 0u);
+  }
+  // A crash spill ends recording for good, whether it lands in a session
+  // or between two.
+  const std::string path = temp_trace_path("cla_rec_rearm.clat");
+  recorder.start_streaming(path, 4096);
+  recorder.crash_spill();
+  EXPECT_THROW(recorder.start_streaming(path, 4096), cla::util::Error);
+  Recorder idle;
+  {
+    test_support::RecordingSession session(idle);
+  }
+  idle.crash_spill();
+  EXPECT_THROW(idle.start_streaming(path, 4096), cla::util::Error);
   std::remove(path.c_str());
 }
 

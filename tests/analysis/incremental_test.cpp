@@ -14,6 +14,7 @@
 #include "cla/util/error.hpp"
 #include "cla/workloads/workload.hpp"
 #include "support/lock_schedule.hpp"
+#include "support/oracle.hpp"
 #include "support/section_tables.hpp"
 
 namespace cla::analysis {
@@ -127,68 +128,11 @@ std::string pipeline_report(const trace::Trace& trace, bool validate = true) {
   return pipeline.report_json();
 }
 
-/// Checks `result`'s per-lock and per-callsite figures against a fold
-/// over every section of `trace` — Table 2's definitions applied
-/// directly, independent of the index's totals and of which sections the
-/// TYPE 1 pass chose to visit.
-void expect_lock_stats_fold(const AnalysisResult& result,
-                            const trace::Trace& trace, const std::string& label) {
-  const TraceIndex index(trace);
-  struct Fold {
-    std::uint64_t invocations = 0, contended = 0, wait = 0, hold = 0;
-    std::uint64_t cp_invocations = 0, cp_contended = 0, cp_hold = 0;
-  };
-  std::map<std::pair<trace::ObjectId, std::uint64_t>, Fold> want;  // stack 0 = lock
-  for (const auto& [id, mi] : index.mutexes()) {
-    want[{id, 0}];
-    for (const CsRecord& cs : mi.sections) {
-      const std::uint64_t on_path =
-          result.path.overlap(cs.tid, cs.acquired_ts, cs.released_ts);
-      const auto add = [&](Fold& f) {
-        ++f.invocations;
-        f.contended += cs.contended ? 1 : 0;
-        f.wait += cs.wait_time();
-        f.hold += cs.hold_time();
-        if (on_path == 0) return;
-        ++f.cp_invocations;
-        f.cp_contended += cs.contended ? 1 : 0;
-        f.cp_hold += on_path;
-      };
-      add(want[{id, 0}]);
-      if (cs.stack_id != 0) add(want[{id, cs.stack_id}]);
-    }
-  }
-  std::map<std::pair<trace::ObjectId, std::uint64_t>, Fold> got;
-  for (const LockStats& ls : result.locks) {
-    got[{ls.id, 0}] = Fold{ls.invocations,    ls.contended,      ls.total_wait,
-                           ls.total_hold,     ls.cp_invocations, ls.cp_contended,
-                           ls.cp_hold_time};
-  }
-  for (const CallsiteStats& cs : result.callsites) {
-    got[{cs.lock_id, cs.stack_id}] =
-        Fold{cs.invocations,    cs.contended,      cs.total_wait,  cs.total_hold,
-             cs.cp_invocations, cs.cp_contended, cs.cp_hold_time};
-  }
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (const auto& [key, f] : want) {
-    const Fold& g = got[key];
-    const std::string where = label + " lock " + std::to_string(key.first) +
-                              " stack " + std::to_string(key.second);
-    EXPECT_EQ(g.invocations, f.invocations) << where;
-    EXPECT_EQ(g.contended, f.contended) << where;
-    EXPECT_EQ(g.wait, f.wait) << where;
-    EXPECT_EQ(g.hold, f.hold) << where;
-    EXPECT_EQ(g.cp_invocations, f.cp_invocations) << where;
-    EXPECT_EQ(g.cp_contended, f.cp_contended) << where;
-    EXPECT_EQ(g.cp_hold, f.cp_hold) << where;
-  }
-}
-
 /// Feeds `chunks` to one analyzer, inline and then on a 4-worker pool,
 /// and after every round compares its report with one-shot analysis of
-/// everything delivered so far, its lock figures with a fold over every
-/// delivered section, and its index's section tables with a rebuild from
-/// the index's mutexes.
+/// everything delivered so far, its lock figures with the oracle's fold
+/// over every delivered section, and its index's section tables with a
+/// rebuild from the index's mutexes.
 void expect_every_round_matches(const std::vector<trace::Trace>& chunks,
                                 const std::string& label) {
   std::vector<std::string> want;  // one-shot report per round
@@ -217,7 +161,11 @@ void expect_every_round_matches(const std::vector<trace::Trace>& chunks,
       if (want.size() == r) want.push_back(pipeline_report(delivered, false));
       ASSERT_EQ(analyzer.report_json(), want[r]) << where;
       test_support::expect_section_tables_match(analyzer.index(), where);
-      if (workers == 1) expect_lock_stats_fold(analyzer.result(), delivered, where);
+      if (workers == 1) {
+        test_support::expect_table2(
+            analyzer.result(), test_support::Oracle(trace::TraceView(delivered)),
+            where);
+      }
     }
   }
 }

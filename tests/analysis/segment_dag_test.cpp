@@ -4,7 +4,7 @@
 // tests pin (a) its structural contract (segment 0 at event 0, blocking
 // boundaries in bijection with segments past it, hop landing rules) and
 // (b) that the speculative merge walk reproduces the paper's event-level
-// backward walk (support/reference_walk.hpp) *exactly* — same intervals,
+// backward walk (support/oracle.hpp) *exactly* — same intervals,
 // same jumps, same endpoints — with and without a thread pool.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include "cla/analysis/segment_dag.hpp"
 #include "cla/util/thread_pool.hpp"
 #include "cla/workloads/workload.hpp"
-#include "support/reference_walk.hpp"
+#include "support/oracle.hpp"
 
 namespace cla::analysis {
 namespace {
@@ -25,39 +25,6 @@ trace::Trace make_trace(const char* workload, unsigned threads = 8) {
   config.threads = threads;
   config.scale = 0.25;
   return workloads::run_workload(workload, config).trace;
-}
-
-void expect_same_path(const CriticalPath& a, const CriticalPath& b,
-                      const char* label) {
-  EXPECT_EQ(a.start_ts, b.start_ts) << label;
-  EXPECT_EQ(a.end_ts, b.end_ts) << label;
-  EXPECT_EQ(a.last_thread, b.last_thread) << label;
-  ASSERT_EQ(a.intervals.size(), b.intervals.size()) << label;
-  for (std::size_t i = 0; i < a.intervals.size(); ++i) {
-    EXPECT_EQ(a.intervals[i].tid, b.intervals[i].tid) << label << " #" << i;
-    EXPECT_EQ(a.intervals[i].begin_ts, b.intervals[i].begin_ts)
-        << label << " #" << i;
-    EXPECT_EQ(a.intervals[i].end_ts, b.intervals[i].end_ts)
-        << label << " #" << i;
-  }
-  ASSERT_EQ(a.jumps.size(), b.jumps.size()) << label;
-  for (std::size_t i = 0; i < a.jumps.size(); ++i) {
-    EXPECT_EQ(a.jumps[i].from, b.jumps[i].from) << label << " #" << i;
-    EXPECT_EQ(a.jumps[i].to, b.jumps[i].to) << label << " #" << i;
-    EXPECT_EQ(a.jumps[i].kind, b.jumps[i].kind) << label << " #" << i;
-    EXPECT_EQ(a.jumps[i].object, b.jumps[i].object) << label << " #" << i;
-  }
-  ASSERT_EQ(a.per_thread.size(), b.per_thread.size()) << label;
-  for (std::size_t t = 0; t < a.per_thread.size(); ++t) {
-    ASSERT_EQ(a.per_thread[t].size(), b.per_thread[t].size())
-        << label << " tid " << t;
-    for (std::size_t i = 0; i < a.per_thread[t].size(); ++i) {
-      EXPECT_EQ(a.per_thread[t][i].begin_ts, b.per_thread[t][i].begin_ts)
-          << label << " tid " << t << " #" << i;
-      EXPECT_EQ(a.per_thread[t][i].end_ts, b.per_thread[t][i].end_ts)
-          << label << " tid " << t << " #" << i;
-    }
-  }
 }
 
 TEST(SegmentDagTest, StructuralInvariants) {
@@ -125,13 +92,14 @@ TEST(SegmentDagTest, DagWalkMatchesSequentialWalk) {
     const trace::Trace trace = make_trace(workload);
     const trace::TraceView view(trace);
     const TraceIndex index(view);
-    const CriticalPath reference = test_support::reference_walk(index);
+    const CriticalPath reference =
+        test_support::reference_walk(index, test_support::Oracle(view));
 
     const SegmentDag dag = SegmentDag::build(index, nullptr);
     DagWalkStats stats;
     const CriticalPath inline_walk =
         compute_critical_path(dag, nullptr, nullptr, &stats);
-    expect_same_path(reference, inline_walk, workload);
+    test_support::expect_same_path(reference, inline_walk, workload);
     EXPECT_EQ(stats.jumps_taken, reference.jumps.size()) << workload;
     EXPECT_EQ(stats.segments, dag.segment_count()) << workload;
 
@@ -140,7 +108,7 @@ TEST(SegmentDagTest, DagWalkMatchesSequentialWalk) {
       const SegmentDag pooled_dag = SegmentDag::build(index, &pool);
       const CriticalPath pooled_walk =
           compute_critical_path(pooled_dag, &pool, nullptr, nullptr);
-      expect_same_path(reference, pooled_walk, workload);
+      test_support::expect_same_path(reference, pooled_walk, workload);
     }
   }
 }

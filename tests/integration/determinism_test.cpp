@@ -2,8 +2,9 @@
 // walk must be pure performance changes. For every bundled workload, the
 // pipeline at every worker count, and bounded to a memory budget, must
 // produce report output byte-identical to the statistics of the paper's
-// event-level backward walk (support/reference_walk.hpp), and the
-// incremental analyzer fed the trace in halves must agree too.
+// event-level backward walk (support/oracle.hpp), with lock figures equal
+// to the oracle's fold, and the incremental analyzer fed the trace in
+// halves must agree too.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,7 +12,7 @@
 
 #include "cla/core/cla.hpp"
 #include "support/analyze.hpp"
-#include "support/reference_walk.hpp"
+#include "support/oracle.hpp"
 #include "cla/analysis/incremental.hpp"
 #include "cla/util/rng.hpp"
 #include "cla/workloads/workload.hpp"
@@ -34,8 +35,10 @@ TEST_P(DeterminismTest, DagWalkIsByteIdenticalToSequentialAtAnyWorkerCount) {
   // Reference: the event-level walk, then the statistics over its path.
   const trace::TraceView view(trace);
   const analysis::TraceIndex index(view);
-  const analysis::AnalysisResult reference =
-      analysis::compute_stats(index, test_support::reference_walk(index));
+  const test_support::Oracle oracle(view);
+  const analysis::AnalysisResult reference = analysis::compute_stats(
+      index, test_support::reference_walk(index, oracle));
+  test_support::expect_table2(reference, oracle, GetParam());
   const analysis::SegmentDag dag = analysis::SegmentDag::build(index, nullptr);
   analysis::JsonReportMeta meta;
   meta.has_dag = true;

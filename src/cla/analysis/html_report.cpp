@@ -67,9 +67,12 @@ std::string timeline_json(const TraceIndex& index, const CriticalPath& path) {
     };
     for (const auto& [id, mi] : index.mutexes()) {
       const std::string name = t.object_display_name(id, "mutex");
-      for (const CsRecord& cs : mi.sections) {
-        if (cs.tid != tid) continue;
-        if (cs.contended) emit("wait", cs.acquire_ts, cs.acquired_ts, name);
+      for (const auto& [acquired_ts, section] : mi.order) {
+        if (section.tid != tid) continue;
+        const SectionRow& cs = index.row(section);
+        if (cs.contended()) {
+          emit("wait", index.acquire_ts(section), cs.acquired_ts, name);
+        }
         const bool on_path =
             path.overlap(tid, cs.acquired_ts, cs.released_ts) > 0;
         emit(on_path ? "csp" : "cs", cs.acquired_ts, cs.released_ts, name);

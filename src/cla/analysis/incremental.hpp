@@ -5,7 +5,8 @@
 //   - one resumable ThreadScanState per thread (the O(events) forward
 //     scan never revisits an event; it holds only open records),
 //   - one TraceIndex, extended in place every round, which holds each
-//     closed record once and keeps running per-mutex TYPE 2 totals, and
+//     closed section once, as a row of its thread's section table, and
+//     keeps running per-mutex TYPE 2 totals, and
 //   - one SegmentDag, extended in place every round.
 // On update it computes a *re-resolution boundary*: the earliest
 // timestamp whose wake-up resolution could have changed, which is the
@@ -13,8 +14,10 @@
 // appended one, for a thread whose timestamps regress) and (b) the
 // start of any record still open after the previous round (an open
 // critical section that closes later moves its waiters' releaser).
-// The index keeps every mutex's sections acquired before the boundary in
-// place and re-sorts at most the tail; the DAG keeps the segments
+// The index replaces the rows of sections that were still held and
+// merges the new ones into each mutex's ownership order from the first
+// entry that sorts after them, never before the boundary; the DAG keeps
+// the segments
 // beginning before the boundary, with their hops, and rediscovers the
 // rest against the extended index. The walk runs on the extended DAG and
 // compute_stats reads the index's totals plus the sections near the
@@ -25,13 +28,13 @@
 // Per-refresh cost, with Options::validate = false (as cla-monitor sets
 // it), is O(appended + tail + path + near-path sections + locks):
 //   - scan: the appended events only;
-//   - index: the drained sections, grouped by mutex once, plus each
-//     mutex's re-sorted tail and each thread's rewritten section-table
-//     suffix;
+//   - index: the drained sections, plus each grown mutex's merged
+//     order tail;
 //   - DAG: the segments from the boundary on;
 //   - walk: the path, plus clearing an O(segments) visited set;
 //   - TYPE 1: the sections near the path, read from the per-thread
-//     section tables (a CsRecord only for a section with a call stack);
+//     section tables (and a section's MutexAcquire arg only if it carries
+//     a call stack);
 //   - assembly: O(locks × threads).
 // What still grows with history: the barrier/condvar regroup in
 // TraceIndex::extend() (in full whenever they grow), the assembly and the

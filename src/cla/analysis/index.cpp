@@ -7,20 +7,22 @@
 
 namespace cla::analysis {
 
-void MutexIndex::count(const CsRecord& cs) {
-  totals.add(cs);
-  wait_per_thread[cs.tid] += cs.wait_time();
-  hold_per_thread[cs.tid] += cs.hold_time();
-  if (cs.stack_id != 0) callsites[cs.stack_id].add(cs);
+void MutexIndex::count(const SectionRow& row, const trace::EventsView& events) {
+  const std::uint64_t wait = row.wait_time(events);
+  totals.add(row, wait);
+  wait_per_thread[events.tid()] += wait;
+  hold_per_thread[events.tid()] += row.hold_time();
+  if (row.has_stack()) callsites[row.stack_id(events)].add(row, wait);
 }
 
-void MutexIndex::uncount(const CsRecord& cs) {
-  totals.subtract(cs);
-  wait_per_thread[cs.tid] -= cs.wait_time();
-  hold_per_thread[cs.tid] -= cs.hold_time();
-  if (cs.stack_id == 0) return;
-  const auto it = callsites.find(cs.stack_id);
-  it->second.subtract(cs);
+void MutexIndex::uncount(const SectionRow& row, const trace::EventsView& events) {
+  const std::uint64_t wait = row.wait_time(events);
+  totals.subtract(row, wait);
+  wait_per_thread[events.tid()] -= wait;
+  hold_per_thread[events.tid()] -= row.hold_time();
+  if (!row.has_stack()) return;
+  const auto it = callsites.find(row.stack_id(events));
+  it->second.subtract(row, wait);
   if (it->second.invocations == 0) callsites.erase(it);
 }
 
@@ -29,27 +31,31 @@ namespace {
 using trace::Event;
 using trace::EventType;
 
-/// The record of `section`, released at event `released_idx`.
-CsRecord section_record(trace::ThreadId tid, const trace::Section& section,
-                        std::uint32_t released_idx, std::uint64_t released_ts) {
+/// The row of `section`, released at event `released_idx`; no slot yet.
+SectionRow section_row(const trace::Section& section, std::uint32_t released_idx,
+                       std::uint64_t released_ts, std::uint8_t flags) {
   // MutexAcquire's arg carries the acquisition call-stack id when the
   // trace was recorded with callsite capture (0 / kNoArg = none).
   const std::uint64_t stack = section.acquire.arg;
-  return CsRecord{tid, section.acquire.idx, section.acquired.idx, released_idx,
-                  section.acquire.ts, section.acquired.ts, released_ts,
-                  stack != trace::kNoArg ? stack : 0, section.contended()};
+  if (stack != 0 && stack != trace::kNoArg) flags |= SectionRow::kHasStack;
+  if (section.contended()) flags |= SectionRow::kContended;
+  return SectionRow{section.acquired.ts, released_ts, section.acquire.idx,
+                    section.acquired.idx, released_idx, 0, flags};
 }
 
-/// Ownership order of a mutex's sections. It is a strict total order and
-/// equals a thread-id-ordered merge followed by a stable sort on
-/// acquired_ts (a thread's sections scan in acquired_idx order).
-bool owned_before(const CsRecord& a, const CsRecord& b) noexcept {
-  if (a.acquired_ts != b.acquired_ts) return a.acquired_ts < b.acquired_ts;
-  if (a.tid != b.tid) return a.tid < b.tid;
-  return a.acquired_idx < b.acquired_idx;
+/// Puts `row` into `rows` in acquired_idx order. A scan closes sections in
+/// release order, which only nesting takes out of acquisition order.
+void insert_in_event_order(SectionTable& rows, const SectionRow& row) {
+  const bool last = rows.empty() || rows.back().acquired_idx < row.acquired_idx;
+  rows.insert(last ? rows.end()
+                   : std::upper_bound(rows.begin(), rows.end(), row.acquired_idx,
+                                      [](std::uint32_t idx, const SectionRow& r) {
+                                        return idx < r.acquired_idx;
+                                      }),
+              row);
 }
 
-/// Time order of a condvar's signals, ties as for owned_before.
+/// Time order of a condvar's signals, ties toward the lower (tid, idx).
 bool signalled_before(const CondSignalRecord& a,
                       const CondSignalRecord& b) noexcept {
   if (a.ts != b.ts) return a.ts < b.ts;
@@ -179,8 +185,7 @@ void ThreadScanState::consume(const trace::EventsView& events,
         break;
       case EventType::MutexReleased:
         if (step.what == trace::Transition::Released) {
-          sections.push_back(ClosedSection{
-              e.object, section_record(tid, step.section, i, e.ts)});
+          insert_in_event_order(sections, section_row(step.section, i, e.ts, 0));
         } else {
           stray_releases.push_back(e.object);
         }
@@ -213,12 +218,12 @@ void ThreadScanState::consume(const trace::EventsView& events,
   next_ = limit;
 }
 
-void ThreadScanState::close_held_sections(trace::ThreadId tid) {
+void ThreadScanState::close_held_sections() {
   for (const auto& [object, lock] : protocol_.locks()) {
     for (const trace::Section& held : lock.held) {
-      sections.push_back(ClosedSection{
-          object, section_record(tid, held, info.exit_idx, info.exit_ts)});
-      sections.back().record.provisional = true;
+      insert_in_event_order(sections,
+                            section_row(held, info.exit_idx, info.exit_ts,
+                                        SectionRow::kProvisional));
     }
   }
 }
@@ -270,7 +275,7 @@ void TraceIndex::extend(const trace::TraceView& v,
     scan.creates.clear();
     // A thread that exited holding a lock is tolerated: the exit is the
     // release point until the scan sees the real release.
-    scan.close_held_sections(tid);
+    scan.close_held_sections();
     drain_into(scan.barrier_waits, barrier_waits);
     drain_into(scan.cond_waits, cond_waits);
     drain_into(scan.signals, signals);
@@ -329,6 +334,8 @@ std::uint32_t TraceIndex::slot_for(trace::ObjectId mutex) {
     MutexIndex& mi = mutexes_[mutex];
     mi.id = mutex;
     mi.slot = it->second;
+    mi.wait_per_thread.resize(threads_.size(), 0);
+    mi.hold_per_thread.resize(threads_.size(), 0);
     slots_.push_back(&mi);
   }
   return it->second;
@@ -336,154 +343,71 @@ std::uint32_t TraceIndex::slot_for(trace::ObjectId mutex) {
 
 void TraceIndex::extend_mutexes(std::vector<ThreadScanState>& scans,
                                 util::ThreadPool* pool) {
-  // --- first pass over the drained sections: each one's mutex slot and
-  // the earliest acquisition among them ---
   const std::size_t thread_count = threads_.size();
   max_hold_.resize(thread_count, 0);
-  std::vector<std::uint32_t> first_stale(thread_count, npos32);
-  std::vector<std::uint32_t> drained_slots;
-  std::uint64_t from_ts = ~static_cast<std::uint64_t>(0);
-  for (ThreadScanState& scan : scans) {
-    for (const trace::ObjectId mutex : scan.stray_releases) slot_for(mutex);
-    scan.stray_releases.clear();
-    for (const ClosedSection& closed : scan.sections) {
-      drained_slots.push_back(slot_for(closed.mutex));
-      const CsRecord& cs = closed.record;
-      from_ts = std::min(from_ts, cs.acquired_ts);
-      max_hold_[cs.tid] = std::max(max_hold_[cs.tid], cs.hold_time());
-      first_stale[cs.tid] = std::min(first_stale[cs.tid], cs.acquired_idx);
-    }
-  }
-  std::vector<std::size_t> drained_per_slot(slots_.size(), 0);
-  for (const std::uint32_t slot : drained_slots) ++drained_per_slot[slot];
-
-  // --- the tail of every mutex: its sections acquired at or after the
-  // earliest drained section (of any mutex), plus the drained ones.
-  // Sections before that are final and keep their positions. Every
-  // provisional section lies in the tail, because each is drained again
-  // (same acquired_ts) until its real release. One cut time for all
-  // mutexes keeps each thread's stale table entries a suffix: with
-  // ordered timestamps, its final sections precede its tail ones.
-  struct Tail {
-    MutexIndex* mutex;
-    std::size_t cut;
-  };
-  std::vector<Tail> tails;
-  std::vector<std::size_t> stale(thread_count, 0);
+  sections_.resize(thread_count);
   for (MutexIndex* mi : slots_) {
     mi->wait_per_thread.resize(thread_count, 0);
     mi->hold_per_thread.resize(thread_count, 0);
-    // Searched from the end: the loop below visits the tail anyway.
-    const std::vector<CsRecord>& secs = mi->sections;
-    std::size_t cut = secs.size();
-    while (cut > 0 && secs[cut - 1].acquired_ts >= from_ts) --cut;
-    if (cut == secs.size() && drained_per_slot[mi->slot] == 0) continue;
-    for (std::size_t k = cut; k < secs.size(); ++k) {
-      const CsRecord& cs = secs[k];
-      first_stale[cs.tid] = std::min(first_stale[cs.tid], cs.acquired_idx);
-      ++stale[cs.tid];
-    }
-    tails.push_back(Tail{mi, cut});
   }
+  // Per slot, how much of its order is sorted already.
+  std::vector<std::size_t> sorted(slots_.size());
+  for (const MutexIndex* mi : slots_) sorted[mi->slot] = mi->order.size();
 
-  // --- rebuild the tails: drop provisional sections, put the drained
-  // ones behind the rest, restore ownership order. The totals follow each
-  // section that leaves or joins. ---
-  // Per mutex slot, where its next drained section goes.
-  std::vector<std::size_t> next(slots_.size());
-  util::for_each_index(pool, tails.size(), [&](std::size_t k) {
-    MutexIndex& mi = *tails[k].mutex;
-    std::vector<CsRecord>& secs = mi.sections;
-    const auto cut = secs.begin() + static_cast<std::ptrdiff_t>(tails[k].cut);
-    for (auto it = cut; it != secs.end(); ++it) {
-      if (it->provisional) mi.uncount(*it);
-    }
-    secs.erase(std::remove_if(cut, secs.end(),
-                              [](const CsRecord& cs) { return cs.provisional; }),
-               secs.end());
-    next[mi.slot] = secs.size();
-    secs.resize(secs.size() + drained_per_slot[mi.slot]);
-  });
-  std::size_t drained = 0;
-  for (ThreadScanState& scan : scans) {
-    for (const ClosedSection& closed : scan.sections) {
-      MutexIndex& mi = *slots_[drained_slots[drained++]];
-      mi.count(closed.record);
-      mi.sections[next[mi.slot]++] = closed.record;
-    }
-    scan.sections.clear();
-  }
-  util::for_each_index(pool, tails.size(), [&](std::size_t k) {
-    std::vector<CsRecord>& secs = tails[k].mutex->sections;
-    std::sort(secs.begin() + static_cast<std::ptrdiff_t>(tails[k].cut),
-              secs.end(), owned_before);
-  });
-
-  // --- each thread's table keeps the entries before its first stale one
-  // and takes the tails' entries back in event order ---
-  sections_.resize(thread_count);
-  std::vector<std::size_t> kept(thread_count);
-  for (std::size_t tid = 0; tid < thread_count; ++tid) {
-    const std::vector<std::uint32_t>& idx = sections_[tid].acquired_idx;
-    kept[tid] = static_cast<std::size_t>(
-        std::lower_bound(idx.begin(), idx.end(), first_stale[tid]) -
-        idx.begin());
-    if (idx.size() - kept[tid] != stale[tid]) {
-      // A final section has a later event index than a tail one
-      // (regressing timestamps): rebuild every table.
-      kept.assign(thread_count, 0);
-      first_stale.assign(thread_count, 0);
-      tails.clear();
-      for (MutexIndex* mi : slots_) tails.push_back(Tail{mi, 0});
-      break;
-    }
-  }
-  // A counting sort by event index, no comparisons: row_at[tid][i] is
-  // first marked for the tail section acquired at event first_stale[tid]
-  // + i, then replaced by that section's row.
-  std::vector<std::vector<std::uint32_t>> row_at(thread_count);
-  const auto row_of = [&](const CsRecord& cs) -> std::uint32_t& {
-    return row_at[cs.tid][cs.acquired_idx - first_stale[cs.tid]];
-  };
-  for (std::size_t tid = 0; tid < thread_count; ++tid) {
-    const std::size_t events =
-        view_.thread_events(static_cast<trace::ThreadId>(tid)).size();
-    if (first_stale[tid] < events) {
-      row_at[tid].assign(events - first_stale[tid], 0);
-    }
-  }
-  util::for_each_index(pool, tails.size(), [&](std::size_t k) {
-    const std::vector<CsRecord>& secs = tails[k].mutex->sections;
-    for (std::size_t pos = tails[k].cut; pos < secs.size(); ++pos) {
-      row_of(secs[pos]) = 1;
-    }
-  });
-  util::for_each_index(pool, thread_count, [&](std::size_t tid) {
-    auto row = static_cast<std::uint32_t>(kept[tid]);
-    for (std::uint32_t& at : row_at[tid]) {
-      if (at != 0) at = row++;
-    }
+  for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
+    ThreadScanState& scan = scans[tid];
+    for (const trace::ObjectId mutex : scan.stray_releases) slot_for(mutex);
+    scan.stray_releases.clear();
+    SectionTable& drained = scan.sections;
     SectionTable& table = sections_[tid];
-    table.acquired_idx.resize(row);
-    table.span.resize(row);
-    table.slot.resize(row);
-    table.pos.resize(row);
-    table.flags.resize(row);
-  });
-  util::for_each_index(pool, tails.size(), [&](std::size_t k) {
-    const MutexIndex& mi = *tails[k].mutex;
-    for (std::size_t pos = tails[k].cut; pos < mi.sections.size(); ++pos) {
-      const CsRecord& cs = mi.sections[pos];
-      SectionTable& table = sections_[cs.tid];
-      const std::uint32_t row = row_of(cs);
-      table.acquired_idx[row] = cs.acquired_idx;
-      table.span[row] = SectionTable::Span{cs.acquired_ts, cs.released_ts};
-      table.slot[row] = mi.slot;
-      table.pos[row] = static_cast<std::uint32_t>(pos);
-      table.flags[row] = static_cast<std::uint8_t>(
-          (cs.contended ? SectionTable::kContended : 0) |
-          (cs.stack_id != 0 ? SectionTable::kHasStack : 0));
+    const trace::EventsView& events = view_.thread_events(tid);
+    std::uint64_t& max_hold = max_hold_[tid];
+    // Rows acquired no later than the table's last one replace provisional
+    // rows: each section still held at the last extend left one, and the
+    // rest of the drained rows were acquired since.
+    std::size_t k = 0;
+    for (; k < drained.size() && !table.empty() &&
+           drained[k].acquired_idx <= table.back().acquired_idx;
+         ++k) {
+      const std::uint32_t at = row_of(tid, drained[k].acquired_idx);
+      CLA_ASSERT(at != npos32 && table[at].provisional(),
+                 "a drained section replaces no provisional row");
+      MutexIndex& mi = *slots_[table[at].slot];
+      mi.uncount(table[at], events);
+      drained[k].slot = table[at].slot;
+      table[at] = drained[k];
+      mi.count(table[at], events);
+      max_hold = std::max(max_hold, table[at].hold_time());
     }
+    const std::size_t first_new = table.size();
+    if (table.empty()) {
+      table = std::move(drained);
+    } else {
+      table.insert(table.end(), drained.begin() + static_cast<std::ptrdiff_t>(k),
+                   drained.end());
+    }
+    drained.clear();
+    for (std::size_t r = first_new; r < table.size(); ++r) {
+      SectionRow& row = table[r];
+      row.slot = slot_for(events.object_at(row.acquired_idx));
+      MutexIndex& mi = *slots_[row.slot];
+      mi.count(row, events);
+      mi.order.push_back(OwnedSection{
+          row.acquired_ts, SectionRef{tid, static_cast<std::uint32_t>(r)}});
+      max_hold = std::max(max_hold, row.hold_time());
+    }
+  }
+
+  // --- each mutex sorts its new references and merges them in from the
+  // first old one that sorts after the earliest of them ---
+  sorted.resize(slots_.size(), 0);
+  util::for_each_index(pool, slots_.size(), [&](std::size_t slot) {
+    auto& order = slots_[slot]->order;
+    if (order.size() == sorted[slot]) return;
+    const auto fresh = order.begin() + static_cast<std::ptrdiff_t>(sorted[slot]);
+    std::sort(fresh, order.end());
+    std::inplace_merge(std::upper_bound(order.begin(), fresh, *fresh), fresh,
+                       order.end());
   });
 }
 
@@ -497,14 +421,25 @@ EventRef TraceIndex::create_event(trace::ThreadId child) const {
   return it == creates_.end() ? EventRef{} : it->second;
 }
 
-std::uint32_t TraceIndex::section_of(trace::ThreadId tid,
-                                     std::uint32_t acquired_idx) const {
+std::uint32_t TraceIndex::row_of(trace::ThreadId tid,
+                                 std::uint32_t acquired_idx) const {
   if (tid >= sections_.size()) return npos32;
-  const SectionTable& table = sections_[tid];
-  const auto it = std::lower_bound(table.acquired_idx.begin(),
-                                   table.acquired_idx.end(), acquired_idx);
-  if (it == table.acquired_idx.end() || *it != acquired_idx) return npos32;
-  return table.pos[static_cast<std::size_t>(it - table.acquired_idx.begin())];
+  const SectionTable& rows = sections_[tid];
+  const auto it = std::lower_bound(
+      rows.begin(), rows.end(), acquired_idx,
+      [](const SectionRow& r, std::uint32_t idx) { return r.acquired_idx < idx; });
+  return it != rows.end() && it->acquired_idx == acquired_idx
+             ? static_cast<std::uint32_t>(it - rows.begin())
+             : npos32;
+}
+
+std::optional<SectionRef> TraceIndex::previous_owner(SectionRef section) const {
+  const SectionRow& r = row(section);
+  const auto& order = slots_[r.slot]->order;
+  const auto it = std::lower_bound(order.begin(), order.end(),
+                                   OwnedSection{r.acquired_ts, section});
+  if (it == order.begin()) return std::nullopt;
+  return (it - 1)->section;
 }
 
 std::uint32_t TraceIndex::barrier_wait_of(trace::ThreadId tid,

@@ -3,7 +3,9 @@
 // The critical-lock algorithm (paper Fig. 2) needs, for every blocking
 // wake-up, "the segment that released me". This index precomputes the
 // per-primitive structures that make that lookup O(log n):
-//   - per-mutex critical sections in acquisition order (owner chain),
+//   - per-thread section tables, the one record of each critical
+//     section, and per-mutex ownership orders of references into them
+//     (the owner chain),
 //   - per-barrier episodes with their last arriver,
 //   - per-condvar signal lists and wait records,
 //   - thread lifecycle (create/join/exit) relations.
@@ -13,12 +15,14 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "cla/trace/protocol.hpp"
 #include "cla/trace/trace.hpp"
 #include "cla/trace/trace_view.hpp"
+#include "cla/util/mapped_allocator.hpp"
 
 namespace cla::util {
 class ThreadPool;
@@ -36,25 +40,65 @@ struct EventRef {
   friend auto operator<=>(const EventRef&, const EventRef&) = default;
 };
 
-/// One execution of a critical section (MutexAcquire/Acquired/Released).
-struct CsRecord {
-  trace::ThreadId tid = 0;
+/// One execution of a critical section (MutexAcquire/Acquired/Released):
+/// a row of its thread's SectionTable, the one place a closed section is
+/// kept. The request time and the acquisition call-stack id are not
+/// copied: they are the timestamp and arg of the MutexAcquire at
+/// `acquire_idx` (TraceIndex::acquire_ts, TraceIndex::stack_id).
+struct SectionRow {
+  /// Bits of `flags`.
+  static constexpr std::uint8_t kContended = 1;    ///< the request waited
+  static constexpr std::uint8_t kHasStack = 2;     ///< MutexAcquire's arg is a stack id
+  /// Still held at the end of the indexed stream, so released at the
+  /// thread's last event for now; the next TraceIndex::extend() replaces
+  /// the row in place.
+  static constexpr std::uint8_t kProvisional = 4;
+
+  std::uint64_t acquired_ts = 0;  ///< lock obtained
+  std::uint64_t released_ts = 0;  ///< lock released
   std::uint32_t acquire_idx = 0;
   std::uint32_t acquired_idx = 0;
   std::uint32_t released_idx = 0;
-  std::uint64_t acquire_ts = 0;   ///< request issued
-  std::uint64_t acquired_ts = 0;  ///< lock obtained
-  std::uint64_t released_ts = 0;  ///< lock released
-  /// Acquisition call-stack id from MutexAcquire's arg (the trace's
-  /// CallStacks table); 0 when the trace carries no callsite capture.
-  std::uint64_t stack_id = 0;
-  bool contended = false;
-  /// Still held at the end of the indexed stream, so closed at the
-  /// thread's exit for now; the next TraceIndex::extend() replaces it.
-  bool provisional = false;
+  /// MutexIndex::slot of the section's mutex; set by TraceIndex::extend().
+  std::uint32_t slot = 0;
+  std::uint8_t flags = 0;
 
-  std::uint64_t wait_time() const noexcept { return acquired_ts - acquire_ts; }
+  bool contended() const noexcept { return (flags & kContended) != 0; }
+  bool has_stack() const noexcept { return (flags & kHasStack) != 0; }
+  bool provisional() const noexcept { return (flags & kProvisional) != 0; }
   std::uint64_t hold_time() const noexcept { return released_ts - acquired_ts; }
+  /// Request to acquisition, `events` being the section's thread's.
+  std::uint64_t wait_time(const trace::EventsView& events) const noexcept {
+    return acquired_ts - events.ts_at(acquire_idx);
+  }
+  /// The acquisition call-stack id (the trace's CallStacks table); 0 when
+  /// the trace carries no callsite capture.
+  std::uint64_t stack_id(const trace::EventsView& events) const noexcept {
+    return has_stack() ? events.arg_at(acquire_idx) : 0;
+  }
+};
+
+/// One thread's critical sections in event order (acquired_idx
+/// ascending).
+using SectionTable = std::vector<SectionRow, util::MappedAllocator<SectionRow>>;
+
+/// A section named by its thread and its row in that thread's table.
+struct SectionRef {
+  trace::ThreadId tid = 0;
+  std::uint32_t row = 0;
+
+  friend auto operator<=>(const SectionRef&, const SectionRef&) = default;
+};
+
+/// An entry of a mutex's ownership order: a section's reference, with its
+/// acquired_ts beside it as the sort key so sorting and searching read the
+/// order alone. (acquired_ts, tid, row) is the ownership order (acquired_ts,
+/// tid, acquired_idx), since one thread's rows are in acquired_idx order.
+struct OwnedSection {
+  std::uint64_t acquired_ts = 0;
+  SectionRef section;
+
+  friend auto operator<=>(const OwnedSection&, const OwnedSection&) = default;
 };
 
 /// Integer sums over a set of critical sections — the inputs of the
@@ -63,55 +107,56 @@ struct CsRecord {
 struct SectionTotals {
   std::uint64_t invocations = 0;
   std::uint64_t contended = 0;
-  std::uint64_t wait = 0;  ///< ns, summed wait_time()
-  std::uint64_t hold = 0;  ///< ns, summed hold_time()
+  std::uint64_t wait = 0;  ///< ns, summed request-to-acquired time
+  std::uint64_t hold = 0;  ///< ns, summed SectionRow::hold_time()
 
-  void add(const CsRecord& cs) noexcept {
+  void add(const SectionRow& row, std::uint64_t wait_time) noexcept {
     ++invocations;
-    contended += cs.contended ? 1 : 0;
-    wait += cs.wait_time();
-    hold += cs.hold_time();
+    contended += row.contended() ? 1 : 0;
+    wait += wait_time;
+    hold += row.hold_time();
   }
-  void subtract(const CsRecord& cs) noexcept {
+  void subtract(const SectionRow& row, std::uint64_t wait_time) noexcept {
     --invocations;
-    contended -= cs.contended ? 1 : 0;
-    wait -= cs.wait_time();
-    hold -= cs.hold_time();
+    contended -= row.contended() ? 1 : 0;
+    wait -= wait_time;
+    hold -= row.hold_time();
   }
   friend bool operator==(const SectionTotals&, const SectionTotals&) = default;
 };
 
-/// All critical sections of one mutex in ownership order: sorted by
-/// (acquired_ts, tid, acquired_idx). sections[k-1] released the lock that
-/// sections[k] obtained — the paper's "thread holding the same lock
-/// adjacently before the blocked thread".
+/// One mutex: its sections in ownership order, and running totals over
+/// them. `order` holds the mutex's sections sorted by (acquired_ts, tid,
+/// acquired_idx). order[k-1] released the lock that order[k] obtained —
+/// the paper's "thread holding the same lock adjacently before the
+/// blocked thread".
 ///
-/// The totals are running sums over `sections`, kept by
-/// TraceIndex::extend(): it subtracts the sections it takes out of a
-/// mutex's tail (provisional ones) and adds the ones it puts in, so
-/// compute_stats reads TYPE 2 figures without visiting any section. The
-/// bounded-RSS engine fills the totals alone, leaving `sections` empty.
+/// The totals are running sums kept by TraceIndex::extend(): it subtracts
+/// a provisional row before replacing it and adds every row it puts in,
+/// so compute_stats reads TYPE 2 figures without visiting any section.
+/// The bounded-RSS engine fills the totals alone and keeps no `order`.
 struct MutexIndex {
   trace::ObjectId id = trace::kNoObject;
   /// Dense number of this mutex in a TraceIndex, in order of first
-  /// appearance and never reassigned (SectionTable::slot); 0 in the
+  /// appearance and never reassigned (SectionRow::slot); 0 in the
   /// bounded-RSS engine, which keeps no section tables.
   std::uint32_t slot = 0;
-  std::vector<CsRecord> sections;
+  std::vector<OwnedSection, util::MappedAllocator<OwnedSection>> order;
   SectionTotals totals;
   /// Summed wait and hold time per thread (index = tid), sized to the
   /// index's thread count.
   std::vector<std::uint64_t> wait_per_thread;
   std::vector<std::uint64_t> hold_per_thread;
-  /// Totals per acquisition call stack (CsRecord::stack_id != 0). A stack
-  /// id whose sections all left the index has no entry.
+  /// Totals per acquisition call stack (SectionRow::kHasStack). A stack id
+  /// whose sections all left the index has no entry.
   std::map<std::uint64_t, SectionTotals> callsites;
 
-  /// Adds `cs` to the running totals (not to `sections`). The per-thread
-  /// vectors must already cover cs.tid.
-  void count(const CsRecord& cs);
-  /// Takes `cs`, counted earlier, back out of the running totals.
-  void uncount(const CsRecord& cs);
+  /// Adds `row`, a section of thread events.tid(), to the running totals
+  /// (not to `order`). The per-thread vectors must already cover the
+  /// thread.
+  void count(const SectionRow& row, const trace::EventsView& events);
+  /// Takes `row`, counted earlier, back out of the running totals.
+  void uncount(const SectionRow& row, const trace::EventsView& events);
 };
 
 /// One thread's passage through a barrier (Arrive .. Leave).
@@ -163,36 +208,6 @@ struct CondIndex {
   std::vector<CondWaitRecord> waits;
 };
 
-/// A critical section closed by a thread scan, with the mutex it belongs to.
-struct ClosedSection {
-  trace::ObjectId mutex = trace::kNoObject;
-  CsRecord record;
-};
-
-/// One thread's critical sections in event order (MutexAcquired index
-/// ascending), as parallel columns: the compact copy of each section that
-/// section_of() and the TYPE 1 statistics read, 29 B a section, instead of
-/// the 56-B CsRecord in its mutex's `sections`. TraceIndex::extend() keeps
-/// it equal to a rebuild from TraceIndex::mutexes().
-struct SectionTable {
-  /// Bits of `flags`.
-  static constexpr std::uint8_t kContended = 1;  ///< CsRecord::contended
-  static constexpr std::uint8_t kHasStack = 2;   ///< CsRecord::stack_id != 0
-
-  struct Span {
-    std::uint64_t acquired_ts = 0;
-    std::uint64_t released_ts = 0;
-  };
-
-  std::vector<std::uint32_t> acquired_idx;  ///< ascending
-  std::vector<Span> span;
-  std::vector<std::uint32_t> slot;  ///< MutexIndex::slot of the section's mutex
-  std::vector<std::uint32_t> pos;   ///< index into that mutex's `sections`
-  std::vector<std::uint8_t> flags;
-
-  std::size_t size() const noexcept { return acquired_idx.size(); }
-};
-
 /// Lifecycle facts about one thread.
 struct ThreadInfo {
   std::uint64_t start_ts = 0;
@@ -222,9 +237,10 @@ class ThreadScanState {
  public:
   ThreadInfo info;
   std::vector<std::pair<trace::ThreadId, EventRef>> creates;  ///< child, ref
-  /// Closed sections of every mutex, in closing order. Consumers group
-  /// them by mutex once, when they drain them.
-  std::vector<ClosedSection> sections;
+  /// Closed sections, in event order (acquired_idx ascending), with no
+  /// mutex slot yet: a row's mutex is the object of its MutexAcquired.
+  /// Consumers drain the rows in place.
+  SectionTable sections;
   /// Mutexes released with no section to close (a protocol violation). A
   /// mutex seen only that way is still indexed, with no sections.
   std::vector<trace::ObjectId> stray_releases;
@@ -246,11 +262,11 @@ class ThreadScanState {
   void consume(const trace::EventsView& events, trace::ThreadId tid,
                std::uint32_t limit);
 
-  /// Adds to `sections` a provisional copy of every section still held,
+  /// Adds to `sections` a provisional row for every section still held,
   /// released at the last consumed event (the thread's exit once the
   /// stream is consumed). The automaton keeps them open, so a section that
-  /// closes for real in a later round replaces its copy.
-  void close_held_sections(trace::ThreadId tid);
+  /// closes for real in a later round replaces its row.
+  void close_held_sections();
 
   /// The pairing state after the last consume.
   const trace::ThreadProtocol& protocol() const noexcept { return protocol_; }
@@ -306,21 +322,15 @@ class TraceIndex {
   /// it covers, and drains `scans` (one per thread, caught up with `view`)
   /// down to their open records.
   ///
-  /// The drained sections are grouped by mutex once. Sections acquired
-  /// before the earliest drained one are final and keep their positions;
-  /// per mutex, only the tail from there on (retained records plus drained
-  /// ones) is re-sorted, and provisional sections are replaced. Each
-  /// MutexIndex's totals follow: the replaced provisional sections are
-  /// subtracted and the drained ones added. Each thread's SectionTable
-  /// drops its stale suffix (the entries of tail sections) and takes the
-  /// tails' entries back in event order. In a live tail every drained
-  /// section starts at or after the incremental analyzer's re-resolution
-  /// boundary, so the cost is O(drained + tail + locks) for mutexes.
-  /// Barrier and condvar records are still regrouped in full whenever they
-  /// grow, the remaining O(history) term of a live refresh that uses them.
+  /// A drained row either replaces the provisional row of a section still
+  /// held at the last extend (same acquired_idx and place in the order) or
+  /// was acquired after every row of its thread's table and is appended;
+  /// the totals subtract a replaced row and add every drained one. Each
+  /// mutex sorts its new references and merges them into its order, so a
+  /// live tail costs O(drained + merged tail + locks) for mutexes. Barrier
+  /// and condvar records are still regrouped in full whenever they grow.
   /// The result is identical to constructing the index over `view` from
-  /// scratch, even when a thread's timestamps regress (then at the cost of
-  /// rebuilding every thread's table).
+  /// scratch, even when a thread's timestamps regress.
   void extend(const trace::TraceView& view, std::vector<ThreadScanState>& scans,
               util::ThreadPool* pool);
 
@@ -343,10 +353,14 @@ class TraceIndex {
   /// the trace does not record it.
   EventRef create_event(trace::ThreadId child) const;
 
-  /// For a MutexAcquired event position, the index of its CsRecord within
-  /// its mutex's `sections` (ownership order); npos32 if unknown. A binary
-  /// search of the thread's SectionTable.
-  std::uint32_t section_of(trace::ThreadId tid, std::uint32_t acquired_idx) const;
+  /// For a MutexAcquired event position, the row of its section in the
+  /// thread's table; npos32 if unknown. A binary search of the table.
+  std::uint32_t row_of(trace::ThreadId tid, std::uint32_t acquired_idx) const;
+
+  /// The section just before `section` in its mutex's ownership order:
+  /// the one that released the lock to it. Null for the mutex's first
+  /// section. A binary search of the order.
+  std::optional<SectionRef> previous_owner(SectionRef section) const;
 
   /// For a BarrierLeave event position, the index of its BarrierWaitRecord
   /// within its barrier's `waits`; npos32 if unknown.
@@ -361,17 +375,20 @@ class TraceIndex {
   trace::ThreadId last_finished_thread() const noexcept { return last_thread_; }
 
   /// `tid`'s critical sections in event order; empty for a thread past
-  /// the index. Reading a section's times, mutex slot, position and flags
-  /// here touches 29 contiguous-column bytes and neither the event stream
-  /// nor the CsRecord, which is what keeps a refresh's TYPE 1 pass
-  /// O(near-path sections) of sequential reads.
+  /// the index. A refresh's TYPE 1 pass reads a near-path section's times,
+  /// slot and flags here, in one row, without touching the event stream.
   const SectionTable& thread_sections(trace::ThreadId tid) const;
 
-  /// The mutex numbered `slot` (MutexIndex::slot, SectionTable::slot).
-  const MutexIndex& mutex_at(std::uint32_t slot) const noexcept {
-    return *slots_[slot];
+  const SectionRow& row(SectionRef section) const noexcept {
+    return sections_[section.tid][section.row];
   }
-  /// How many mutexes have a slot, i.e. mutexes().size().
+  /// When `section` requested its mutex: its MutexAcquire's timestamp.
+  std::uint64_t acquire_ts(SectionRef section) const {
+    return view_.thread_events(section.tid).ts_at(row(section).acquire_idx);
+  }
+
+  /// How many mutexes have a slot (MutexIndex::slot, SectionRow::slot),
+  /// i.e. mutexes().size().
   std::size_t slot_count() const noexcept { return slots_.size(); }
 
   /// An upper bound on the hold time of `tid`'s sections, provisional
@@ -394,8 +411,8 @@ class TraceIndex {
   /// One vector per thread, sorted by event index (lower_bound lookups).
   using WaitPositions = std::vector<std::vector<WaitPosition>>;
 
-  /// The mutex half of extend(): drains the scans' closed sections into
-  /// each mutex's tail and rewrites the section tables' stale suffixes.
+  /// The mutex half of extend(): drains the scans' rows into the section
+  /// tables, the totals and each mutex's order.
   void extend_mutexes(std::vector<ThreadScanState>& scans,
                       util::ThreadPool* pool);
   /// The slot of `mutex`, which gets a MutexIndex if it has none yet.

@@ -2,6 +2,8 @@
 
 #include "cla/analysis/html_report.hpp"
 #include "cla/analysis/streaming.hpp"
+#include <sys/resource.h>
+
 #include <sstream>
 #include <utility>
 
@@ -51,6 +53,9 @@ std::string PipelineProfile::to_string() const {
     out << timing.ns << " ns\n";
   }
   out << "  total     " << total_ns() << " ns\n";
+  // The whole process's high-water mark (Linux reports it in KiB).
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) == 0) out << "  peak rss  " << usage.ru_maxrss << " KiB\n";
   return out.str();
 }
 

@@ -101,7 +101,8 @@ struct PipelineProfile {
   std::uint64_t total_ns() const noexcept;
   /// Nanoseconds spent in `stage` (0 if it never ran).
   std::uint64_t stage_ns(Stage stage) const noexcept;
-  /// Human-readable per-stage breakdown (the --profile output).
+  /// Human-readable per-stage breakdown (the --profile output), ending
+  /// with the process's peak resident set size so far.
   std::string to_string() const;
 };
 

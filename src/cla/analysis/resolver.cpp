@@ -83,12 +83,11 @@ Resolution resolve_wakeup(const TraceIndex& index, trace::ThreadId tid,
       const bool contended = (arg != trace::kNoArg) && (arg & 1);
       if (!contended) break;
       r.blocked = true;
-      auto mit = index.mutexes().find(events.object_at(idx));
-      if (mit == index.mutexes().end()) break;
-      const auto pos = index.section_of(tid, idx);
-      if (pos == TraceIndex::npos32 || pos == 0) break;
-      const CsRecord& prev = mit->second.sections[pos - 1];
-      r.releaser = EventRef{prev.tid, prev.released_idx};
+      const std::uint32_t row = index.row_of(tid, idx);
+      if (row == TraceIndex::npos32) break;
+      const auto prev = index.previous_owner(SectionRef{tid, row});
+      if (!prev) break;
+      r.releaser = EventRef{prev->tid, index.row(*prev).released_idx};
       break;
     }
     case EventType::BarrierLeave: {

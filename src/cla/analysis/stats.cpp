@@ -40,8 +40,8 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
   // released after an interval's begin b was acquired after
   // b - max_hold(tid), so each interval's window starts there; a cursor
   // carried across intervals visits each section at most once, and an
-  // OverlapCursor measures it. A visit reads the table's columns only,
-  // plus the CsRecord of a section that carries a call stack. A thread
+  // OverlapCursor measures it. A visit reads the section's table row,
+  // plus its MutexAcquire's arg if it carries a call stack. A thread
   // whose timestamps regress has no time order to search: all of its
   // sections are visited and measured with CriticalPath::overlap. The sums
   // are integers, so the visit order cannot change a figure.
@@ -49,37 +49,28 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
   for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
     if (tid >= path.per_thread.size() || path.per_thread[tid].empty()) continue;
     const SectionTable& secs = index.thread_sections(tid);
-    const auto visit = [&](std::size_t k, std::uint64_t on_path) {
+    const trace::EventsView& events = t.thread_events(tid);
+    const auto visit = [&](const SectionRow& row, std::uint64_t on_path) {
       if (on_path == 0) return;
-      const std::uint8_t flags = secs.flags[k];
-      const std::uint32_t slot = secs.slot[k];
-      const std::uint64_t stack =
-          (flags & SectionTable::kHasStack) != 0
-              ? index.mutex_at(slot).sections[secs.pos[k]].stack_id
-              : 0;
-      by_slot[slot].add(on_path, (flags & SectionTable::kContended) != 0,
-                        stack);
+      by_slot[row.slot].add(on_path, row.contended(), row.stack_id(events));
     };
     if (!index.threads()[tid].ts_ordered) {
-      for (std::size_t k = 0; k < secs.size(); ++k) {
-        visit(k, path.overlap(tid, secs.span[k].acquired_ts,
-                              secs.span[k].released_ts));
+      for (const SectionRow& row : secs) {
+        visit(row, path.overlap(tid, row.acquired_ts, row.released_ts));
       }
       continue;
     }
     const std::uint64_t reach = index.max_hold(tid);
     OverlapCursor cursor(path.per_thread[tid]);
-    auto next = secs.span.begin();
+    auto next = secs.begin();
     for (const PathInterval& iv : path.per_thread[tid]) {
       const std::uint64_t from = iv.begin_ts > reach ? iv.begin_ts - reach : 0;
-      next = std::lower_bound(
-          next, secs.span.end(), from,
-          [](const SectionTable::Span& s, std::uint64_t ts) {
-            return s.acquired_ts < ts;
-          });
-      for (; next != secs.span.end() && next->acquired_ts < iv.end_ts; ++next) {
-        visit(static_cast<std::size_t>(next - secs.span.begin()),
-              cursor.overlap(next->acquired_ts, next->released_ts));
+      next = std::lower_bound(next, secs.end(), from,
+                              [](const SectionRow& row, std::uint64_t ts) {
+                                return row.acquired_ts < ts;
+                              });
+      for (; next != secs.end() && next->acquired_ts < iv.end_ts; ++next) {
+        visit(*next, cursor.overlap(next->acquired_ts, next->released_ts));
       }
     }
   }

@@ -54,7 +54,7 @@ struct LockStats {
 };
 
 /// Per-(lock, acquisition callsite) statistics. Populated only when the
-/// trace carries callsite capture (CsRecord::stack_id != 0); traces
+/// trace carries callsite capture (SectionRow::kHasStack); traces
 /// recorded with CLA_STACK_DEPTH=0 — and every pre-callsite trace —
 /// produce an empty vector.
 struct CallsiteStats {
@@ -181,8 +181,8 @@ struct CondTotals {
 
 /// The integer totals every figure of an AnalysisResult derives from.
 /// compute_stats points these at a TraceIndex; the bounded-RSS engine
-/// fills its own from per-thread rescans (MutexIndex with empty
-/// `sections`).
+/// fills its own from per-thread rescans (MutexIndex with an empty
+/// `order`).
 struct StatsInputs {
   const std::vector<ThreadInfo>& threads;  ///< index = tid
   const std::map<trace::ObjectId, MutexIndex>& mutexes;
@@ -210,9 +210,9 @@ AnalysisResult assemble_stats(const trace::TraceView& view,
 /// figures come from the index's running MutexIndex totals, read in place.
 /// TYPE 1 visits, per thread, only the sections whose time window can
 /// overlap one of the thread's path intervals (see TraceIndex::max_hold),
-/// each once, in the thread's SectionTable: a visit reads the table's
-/// columns and, only for a section with a call stack, its CsRecord, and
-/// an OverlapCursor measures it against the thread's intervals. A thread
+/// each once, in the thread's SectionTable: a visit reads the section's
+/// row and, only for a section with a call stack, its MutexAcquire's arg,
+/// and an OverlapCursor measures it against the thread's intervals. A thread
 /// whose timestamps regress has all of its sections visited and measured
 /// with CriticalPath::overlap. Barrier and condvar figures still fold
 /// every wait record. `pool` is passed on to assemble_stats; the result

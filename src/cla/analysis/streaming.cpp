@@ -20,6 +20,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -105,9 +106,9 @@ struct BarrierCarry {
   std::uint64_t episodes_completed = 0;        ///< distinct keys with a wait
 };
 
-/// Per-mutex carry: the most recently *acquired* section (= sections[pos-1]
-/// of the next acquirer in the full index's acquired_ts-sorted order —
-/// the sweep streams Acquired events in exactly that order).
+/// Per-mutex carry: the most recently *acquired* section (the full
+/// index's previous_owner() of the next acquirer in its acquired_ts-sorted
+/// order — the sweep streams Acquired events in exactly that order).
 struct MutexCarry {
   EventRef last_acquired;  ///< the section's MutexAcquired; invalid if none
   EventRef released;       ///< its MutexReleased; invalid while held
@@ -320,9 +321,9 @@ class Sweep {
                    trace::ObjectId object, const trace::Section& section) {
     MutexCarry& carry = mutex_carry_[object];
     if (section.contended() && carry.last_acquired.valid()) {
-      // resolve_wakeup(MutexAcquired): releaser = sections[pos-1]'s
+      // resolve_wakeup(MutexAcquired): releaser = the previous owner's
       // release event. The sweep streams Acquired events in the sorted
-      // section order, so carry == sections[pos-1].
+      // ownership order, so carry == previous_owner().
       if (carry.released.valid()) {
         emit_boundary(tid, idx, ts, EventType::MutexAcquired, object,
                       carry.released, nullptr);
@@ -545,7 +546,7 @@ struct RescanTotals {
 
   std::mutex mu;  ///< guards the maps (threads[tid] is per-task)
   std::vector<ThreadInfo> threads;
-  std::map<trace::ObjectId, MutexIndex> mutexes;  ///< sections stay empty
+  std::map<trace::ObjectId, MutexIndex> mutexes;  ///< `order` stays empty
   std::map<trace::ObjectId, LockPathTotals> on_path;
   std::map<trace::ObjectId, BarrierTotals> barriers;
   std::map<trace::ObjectId, CondTotals> conds;
@@ -563,11 +564,16 @@ void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
   ThreadScanState state;
   std::uint64_t accounted = 0;
 
-  // The shared totals of `object`, created (and charged) on first use.
+  // The shared totals of `object`, created (and charged) on first use and
+  // remembered for this thread: the map nodes are stable, so each mutex
+  // costs one shared-map lookup per thread, not one per section.
+  std::unordered_map<trace::ObjectId, std::pair<MutexIndex*, LockPathTotals*>>
+      seen;
   const auto lock_totals = [&](trace::ObjectId object) {
+    auto& found = seen[object];
+    if (found.first != nullptr) return found;
     auto [it, inserted] = totals.mutexes.try_emplace(object);
     MutexIndex& mi = it->second;
-    LockPathTotals& on_path = totals.on_path[object];
     if (inserted) {
       mi.id = object;
       mi.wait_per_thread.resize(thread_count, 0);
@@ -575,35 +581,29 @@ void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
       budget.charge(sizeof(MutexIndex) + sizeof(LockPathTotals) +
                     2 * kNodeBytes + 2 * thread_count * sizeof(std::uint64_t));
     }
-    return std::pair<MutexIndex&, LockPathTotals&>(mi, on_path);
+    found = {&mi, &totals.on_path[object]};
+    return found;
   };
 
   const auto drain = [&] {
-    // Group the chunk's closed sections by mutex once: one shared-map
-    // lookup per mutex, not per section. The folds are integer sums, so
-    // the order within a mutex cannot change a total.
-    std::sort(state.sections.begin(), state.sections.end(),
-              [](const ClosedSection& a, const ClosedSection& b) {
-                return a.mutex < b.mutex;
-              });
+    // The folds are integer sums, so the order of the rows cannot change
+    // a total.
     const std::lock_guard<std::mutex> lock(totals.mu);
     for (const trace::ObjectId object : state.stray_releases) {
       lock_totals(object);
     }
     state.stray_releases.clear();
-    for (auto run = state.sections.begin(); run != state.sections.end();) {
-      const trace::ObjectId object = run->mutex;
-      auto [mi, on_path] = lock_totals(object);
-      const std::size_t stacks = mi.callsites.size() + on_path.callsites.size();
-      for (; run != state.sections.end() && run->mutex == object; ++run) {
-        const CsRecord& cs = run->record;
-        mi.count(cs);
-        on_path.add(path.overlap(tid, cs.acquired_ts, cs.released_ts),
-                    cs.contended, cs.stack_id);
-      }
+    for (const SectionRow& row : state.sections) {
+      const auto [mi, on_path] = lock_totals(events.object_at(row.acquired_idx));
+      const std::size_t stacks = mi->callsites.size() + on_path->callsites.size();
+      mi->count(row, events);
+      on_path->add(path.overlap(tid, row.acquired_ts, row.released_ts),
+                   row.contended(), row.stack_id(events));
       const std::size_t new_stacks =
-          mi.callsites.size() + on_path.callsites.size() - stacks;
-      budget.charge(new_stacks * (sizeof(SectionTotals) + kNodeBytes));
+          mi->callsites.size() + on_path->callsites.size() - stacks;
+      if (new_stacks != 0) {
+        budget.charge(new_stacks * (sizeof(SectionTotals) + kNodeBytes));
+      }
     }
     state.sections.clear();
     for (auto& [object, waits] : state.barrier_waits) {
@@ -643,7 +643,7 @@ void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
     accounted = bytes;
   }
   // Thread exited holding a lock: close at exit, exactly as the index does.
-  state.close_held_sections(tid);
+  state.close_held_sections();
   drain();
   budget.release(accounted);
   totals.threads[tid] = state.info;

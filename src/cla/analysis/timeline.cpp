@@ -67,10 +67,12 @@ std::string render_timeline(const TraceIndex& index, const CriticalPath& path,
     }
     for (const auto& [id, mi] : index.mutexes()) {
       (void)id;
-      for (const CsRecord& cs : mi.sections) {
-        if (cs.tid != tid) continue;
-        if (cs.contended)
-          paint(lane, width, t0, t1, cs.acquire_ts, cs.acquired_ts, '.');
+      for (const auto& [acquired_ts, section] : mi.order) {
+        if (section.tid != tid) continue;
+        const SectionRow& cs = index.row(section);
+        if (cs.contended())
+          paint(lane, width, t0, t1, index.acquire_ts(section), cs.acquired_ts,
+                '.');
         const bool on_path =
             options.mark_critical_path &&
             path.overlap(tid, cs.acquired_ts, cs.released_ts) > 0;
@@ -97,16 +99,18 @@ std::string timeline_csv(const TraceIndex& index, const CriticalPath& path) {
   std::ostringstream out;
   out << "thread,kind,begin_ts,end_ts,object,on_critical_path\n";
   for (const auto& [id, mi] : index.mutexes()) {
-    for (const CsRecord& cs : mi.sections) {
-      const bool on_path = path.overlap(cs.tid, cs.acquired_ts, cs.released_ts) > 0;
-      if (cs.contended) {
-        out << t.thread_display_name(cs.tid) << ",wait," << cs.acquire_ts << ','
-            << cs.acquired_ts << ',' << t.object_display_name(id, "mutex")
-            << ",0\n";
+    for (const auto& [acquired_ts, section] : mi.order) {
+      const SectionRow& cs = index.row(section);
+      const bool on_path =
+          path.overlap(section.tid, cs.acquired_ts, cs.released_ts) > 0;
+      if (cs.contended()) {
+        out << t.thread_display_name(section.tid) << ",wait,"
+            << index.acquire_ts(section) << ',' << cs.acquired_ts << ','
+            << t.object_display_name(id, "mutex") << ",0\n";
       }
-      out << t.thread_display_name(cs.tid) << ",cs," << cs.acquired_ts << ','
-          << cs.released_ts << ',' << t.object_display_name(id, "mutex") << ','
-          << (on_path ? 1 : 0) << '\n';
+      out << t.thread_display_name(section.tid) << ",cs," << cs.acquired_ts
+          << ',' << cs.released_ts << ',' << t.object_display_name(id, "mutex")
+          << ',' << (on_path ? 1 : 0) << '\n';
     }
   }
   for (const auto& [id, bi] : index.barriers()) {

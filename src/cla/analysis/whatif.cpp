@@ -117,9 +117,11 @@ WhatIfReplay replay_shrink(const SegmentDag& dag, const TraceIndex& index,
   {
     std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> raw(
         thread_count);
-    for (const CsRecord& cs : index.mutexes().at(lock_id).sections) {
+    for (const OwnedSection& owned : index.mutexes().at(lock_id).order) {
+      const SectionRef section = owned.section;
+      const SectionRow& cs = index.row(section);
       if (cs.released_ts > cs.acquired_ts) {
-        raw[cs.tid].emplace_back(cs.acquired_ts, cs.released_ts);
+        raw[section.tid].emplace_back(cs.acquired_ts, cs.released_ts);
       }
     }
     for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
@@ -160,10 +162,9 @@ WhatIfReplay replay_shrink(const SegmentDag& dag, const TraceIndex& index,
       dep.wait_begin_idx = s.begin_idx;
       switch (s.kind) {
         case trace::EventType::MutexAcquired: {
-          const std::uint32_t pos = index.section_of(tid, s.begin_idx);
-          if (pos != TraceIndex::npos32) {
-            dep.wait_begin_idx =
-                index.mutexes().at(s.object).sections[pos].acquire_idx;
+          const std::uint32_t row = index.row_of(tid, s.begin_idx);
+          if (row != TraceIndex::npos32) {
+            dep.wait_begin_idx = index.thread_sections(tid)[row].acquire_idx;
           }
           break;
         }

@@ -5,9 +5,7 @@
 
 namespace cla::util {
 
-void throw_error(const char* file, int line, const std::string& message) {
-  throw Error(std::string(file) + ":" + std::to_string(line) + ": " + message);
-}
+void throw_error(const std::string& message) { throw Error(message); }
 
 void assert_fail(const char* file, int line, const char* expr, const std::string& message) {
   std::fprintf(stderr, "CLA internal error at %s:%d: assertion `%s` failed: %s\n",

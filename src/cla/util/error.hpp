@@ -43,8 +43,8 @@ class TraceIoError : public Error {
   int errno_ = 0;
 };
 
-/// Builds an Error message with "file:line: " prefix and throws it.
-[[noreturn]] void throw_error(const char* file, int line, const std::string& message);
+/// Throws an Error carrying `message`: the reason, for the user to read.
+[[noreturn]] void throw_error(const std::string& message);
 
 /// Aborts with a diagnostic; used for internal invariant violations.
 [[noreturn]] void assert_fail(const char* file, int line, const char* expr, const std::string& message);
@@ -52,9 +52,9 @@ class TraceIoError : public Error {
 }  // namespace cla::util
 
 /// Throws cla::util::Error if `cond` does not hold (recoverable failure).
-#define CLA_CHECK(cond, msg)                                 \
-  do {                                                       \
-    if (!(cond)) ::cla::util::throw_error(__FILE__, __LINE__, (msg)); \
+#define CLA_CHECK(cond, msg)                          \
+  do {                                                \
+    if (!(cond)) ::cla::util::throw_error((msg));     \
   } while (0)
 
 /// Aborts if `cond` does not hold (internal invariant; a CLA bug).

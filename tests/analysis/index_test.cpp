@@ -24,12 +24,17 @@ void expect_totals_fold(const TraceIndex& index, const std::string& label) {
     std::vector<std::uint64_t> wait(index.threads().size(), 0);
     std::vector<std::uint64_t> hold(index.threads().size(), 0);
     std::map<std::uint64_t, SectionTotals> callsites;
-    for (const CsRecord& cs : mi.sections) {
-      totals.add(cs);
-      wait[cs.tid] += cs.wait_time();
-      hold[cs.tid] += cs.hold_time();
-      if (cs.stack_id != 0) callsites[cs.stack_id].add(cs);
-      EXPECT_LE(cs.hold_time(), index.max_hold(cs.tid)) << label << " mutex " << id;
+    for (const auto& [acquired_ts, section] : mi.order) {
+      const SectionRow& row = index.row(section);
+      const trace::EventsView& events = index.view().thread_events(section.tid);
+      const std::uint64_t wait_time = row.acquired_ts - index.acquire_ts(section);
+      totals.add(row, wait_time);
+      wait[section.tid] += wait_time;
+      hold[section.tid] += row.hold_time();
+      const std::uint64_t stack = row.stack_id(events);
+      if (stack != 0) callsites[stack].add(row, wait_time);
+      EXPECT_LE(row.hold_time(), index.max_hold(section.tid))
+          << label << " mutex " << id;
     }
     EXPECT_EQ(mi.totals, totals) << label << " mutex " << id;
     EXPECT_EQ(mi.wait_per_thread, wait) << label << " mutex " << id;
@@ -76,12 +81,16 @@ TEST(TraceIndex, PairsCriticalSections) {
   const TraceIndex index(t);
   ASSERT_EQ(index.mutexes().size(), 1u);
   const MutexIndex& mi = index.mutexes().at(9);
-  ASSERT_EQ(mi.sections.size(), 2u);
-  EXPECT_EQ(mi.sections[0].acquired_ts, 1u);
-  EXPECT_EQ(mi.sections[0].released_ts, 4u);
-  EXPECT_EQ(mi.sections[0].hold_time(), 3u);
-  EXPECT_EQ(mi.sections[0].wait_time(), 0u);
-  EXPECT_EQ(mi.sections[1].acquired_ts, 6u);
+  ASSERT_EQ(mi.order.size(), 2u);
+  const SectionRow& first = index.row(mi.order[0].section);
+  EXPECT_EQ(first.acquired_ts, 1u);
+  EXPECT_EQ(first.released_ts, 4u);
+  EXPECT_EQ(first.hold_time(), 3u);
+  EXPECT_EQ(index.acquire_ts(mi.order[0].section), 1u);
+  EXPECT_EQ(first.acquire_idx, 1u);
+  EXPECT_EQ(first.released_idx, 3u);
+  EXPECT_FALSE(first.provisional());
+  EXPECT_EQ(index.row(mi.order[1].section).acquired_ts, 6u);
 }
 
 TEST(TraceIndex, OrdersSectionsAcrossThreadsByAcquisition) {
@@ -91,9 +100,10 @@ TEST(TraceIndex, OrdersSectionsAcrossThreadsByAcquisition) {
   const trace::Trace t = b.finish_unchecked();
   const TraceIndex index(t);
   const MutexIndex& mi = index.mutexes().at(9);
-  ASSERT_EQ(mi.sections.size(), 2u);
-  EXPECT_EQ(mi.sections[0].tid, 1u);  // acquired at 0
-  EXPECT_EQ(mi.sections[1].tid, 0u);  // acquired at 5
+  ASSERT_EQ(mi.order.size(), 2u);
+  EXPECT_EQ(mi.order[0].section.tid, 1u);  // acquired at 0
+  EXPECT_EQ(mi.order[1].section.tid, 0u);  // acquired at 5
+  EXPECT_EQ(index.previous_owner(mi.order[1].section), mi.order[0].section);
 }
 
 TEST(TraceIndex, ContendedFlagComesFromEventArg) {
@@ -102,8 +112,8 @@ TEST(TraceIndex, ContendedFlagComesFromEventArg) {
   const trace::Trace t_owned = b.finish();
   const TraceIndex index(t_owned);
   const MutexIndex& mi = index.mutexes().at(9);
-  EXPECT_TRUE(mi.sections[0].contended);
-  EXPECT_FALSE(mi.sections[1].contended);
+  EXPECT_TRUE(index.row(mi.order[0].section).contended());
+  EXPECT_FALSE(index.row(mi.order[1].section).contended());
 }
 
 TEST(TraceIndex, UnreleasedSectionClosedAtThreadExit) {
@@ -112,8 +122,10 @@ TEST(TraceIndex, UnreleasedSectionClosedAtThreadExit) {
   const trace::Trace t = b.finish_unchecked();
   const TraceIndex index(t);
   const MutexIndex& mi = index.mutexes().at(9);
-  ASSERT_EQ(mi.sections.size(), 1u);
-  EXPECT_EQ(mi.sections[0].released_ts, 15u);
+  ASSERT_EQ(mi.order.size(), 1u);
+  EXPECT_EQ(index.row(mi.order[0].section).released_ts, 15u);
+  EXPECT_EQ(index.row(mi.order[0].section).released_idx, 3u);
+  EXPECT_TRUE(index.row(mi.order[0].section).provisional());
 }
 
 TEST(TraceIndex, SectionOfLookup) {
@@ -122,11 +134,11 @@ TEST(TraceIndex, SectionOfLookup) {
   const trace::Trace t_owned = b.finish();
   const TraceIndex index(t_owned);
   // MutexAcquired is event index 2 (start, acquire, acquired, ...).
-  EXPECT_EQ(index.section_of(0, 2), 0u);
-  EXPECT_EQ(index.section_of(0, 1), TraceIndex::npos32);
-  // Positions are held per thread: a thread past the trace has none.
-  EXPECT_EQ(index.section_of(1, 2), TraceIndex::npos32);
-  EXPECT_EQ(index.section_of(trace::kNoThread, 2), TraceIndex::npos32);
+  EXPECT_EQ(index.row_of(0, 2), 0u);
+  EXPECT_EQ(index.row_of(0, 1), TraceIndex::npos32);
+  // Rows are held per thread: a thread past the trace has none.
+  EXPECT_EQ(index.row_of(1, 2), TraceIndex::npos32);
+  EXPECT_EQ(index.row_of(trace::kNoThread, 2), TraceIndex::npos32);
 }
 
 TEST(TraceIndex, EqualAcquisitionTimesOrderByThreadThenEvent) {
@@ -138,13 +150,15 @@ TEST(TraceIndex, EqualAcquisitionTimesOrderByThreadThenEvent) {
   const TraceIndex index(t);
   // Ownership order is (acquired_ts, tid, acquired_idx); MutexAcquired
   // events sit at indices 2 and 5.
-  EXPECT_EQ(index.section_of(0, 2), 0u);
-  EXPECT_EQ(index.section_of(1, 2), 1u);
-  EXPECT_EQ(index.section_of(1, 5), 2u);
+  EXPECT_EQ(index.row_of(0, 2), 0u);
+  EXPECT_EQ(index.row_of(1, 2), 0u);
+  EXPECT_EQ(index.row_of(1, 5), 1u);
   const MutexIndex& mi = index.mutexes().at(9);
-  ASSERT_EQ(mi.sections.size(), 3u);
-  EXPECT_EQ(mi.sections[0].tid, 0u);
-  EXPECT_EQ(mi.sections[2].acquired_idx, 5u);
+  ASSERT_EQ(mi.order.size(), 3u);
+  EXPECT_EQ(mi.order[0].section, (SectionRef{0, 0}));
+  EXPECT_EQ(mi.order[1].section, (SectionRef{1, 0}));
+  EXPECT_EQ(mi.order[2].section, (SectionRef{1, 1}));
+  EXPECT_EQ(index.row(mi.order[2].section).acquired_idx, 5u);
 }
 
 TEST(TraceIndex, ExtendMatchesOneShotWhenTimestampsRegress) {
@@ -167,19 +181,20 @@ TEST(TraceIndex, ExtendMatchesOneShotWhenTimestampsRegress) {
   test_support::expect_section_tables_match(index, "first extend");
   const trace::TraceView second(full);
   scans[0].consume(second.thread_events(0), 0);
-  // The new section (t=8) re-sorts the one acquired at t=10, but not the
-  // one at t=3, which has a later event index.
+  // The new section (t=8) merges into the order between the one acquired
+  // at t=3 and the one at t=10; thread 0's table just appends it.
   index.extend(second, scans, nullptr);
   test_support::expect_section_tables_match(index, "second extend");
 
   const TraceIndex reference(full);
-  const auto& got = index.mutexes().at(9).sections;
-  const auto& want = reference.mutexes().at(9).sections;
+  const auto& got = index.mutexes().at(9).order;
+  const auto& want = reference.mutexes().at(9).order;
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t k = 0; k < want.size(); ++k) {
-    EXPECT_EQ(got[k].tid, want[k].tid) << k;
-    EXPECT_EQ(got[k].acquired_idx, want[k].acquired_idx) << k;
-    EXPECT_EQ(index.section_of(want[k].tid, want[k].acquired_idx), k);
+    EXPECT_EQ(got[k], want[k]) << k;
+    EXPECT_EQ(index.row(got[k].section).acquired_idx,
+              reference.row(want[k].section).acquired_idx)
+        << k;
   }
 }
 
@@ -240,10 +255,11 @@ TEST(TraceIndex, HeldSectionTableEntryFollowsEveryExtend) {
     test_support::expect_section_tables_match(index, where);
     const SectionTable& table = index.thread_sections(0);
     ASSERT_GE(table.size(), 1u) << where;
-    EXPECT_EQ(table.acquired_idx[0], 2u) << where;
+    EXPECT_EQ(table[0].acquired_idx, 2u) << where;
     const std::uint64_t released =
         events < 14 ? view.thread_events(0).ts_at(events - 1) : 8u;
-    EXPECT_EQ(table.span[0].released_ts, released) << where;
+    EXPECT_EQ(table[0].released_ts, released) << where;
+    EXPECT_EQ(table[0].provisional(), events < 14) << where;
   }
 }
 
@@ -253,8 +269,8 @@ TEST(TraceIndex, MutexSeenOnlyReleasedIsIndexed) {
   const trace::Trace t = b.finish_unchecked();
   const TraceIndex index(t);
   ASSERT_EQ(index.mutexes().count(5), 1u);
-  EXPECT_TRUE(index.mutexes().at(5).sections.empty());
-  EXPECT_EQ(index.mutexes().at(9).sections.size(), 1u);
+  EXPECT_TRUE(index.mutexes().at(5).order.empty());
+  EXPECT_EQ(index.mutexes().at(9).order.size(), 1u);
   test_support::expect_section_tables_match(index, "stray release");
 }
 

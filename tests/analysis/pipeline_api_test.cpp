@@ -61,7 +61,8 @@ TEST(PipelineApi, ProfileRecordsEveryStageInOrder) {
 
   const std::string rendered = profile.to_string();
   for (const char* name :
-       {"validate", "index", "builddag", "walk", "stats", "report", "total"}) {
+       {"validate", "index", "builddag", "walk", "stats", "report", "total",
+        "peak rss"}) {
     EXPECT_NE(rendered.find(name), std::string::npos) << name;
   }
 }

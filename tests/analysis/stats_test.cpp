@@ -85,16 +85,19 @@ void expect_type1_fold(const trace::Trace& t, const std::string& label) {
   const TraceIndex index(t);
   std::map<std::pair<trace::ObjectId, std::uint64_t>, PathTotals> want;
   for (const auto& [id, mi] : index.mutexes()) {
-    for (const CsRecord& cs : mi.sections) {
-      const std::uint64_t on = result.path.overlap(cs.tid, cs.acquired_ts,
+    for (const auto& [acquired_ts, section] : mi.order) {
+      const SectionRow& cs = index.row(section);
+      const std::uint64_t on = result.path.overlap(section.tid, cs.acquired_ts,
                                                    cs.released_ts);
       if (on == 0) continue;
-      for (const std::uint64_t stack : {std::uint64_t{0}, cs.stack_id}) {
+      const std::uint64_t stack_id =
+          cs.stack_id(index.view().thread_events(section.tid));
+      for (const std::uint64_t stack : {std::uint64_t{0}, stack_id}) {
         PathTotals& p = want[{id, stack}];
         p.hold += on;
         ++p.invocations;
-        p.contended += cs.contended ? 1 : 0;
-        if (cs.stack_id == 0) break;
+        p.contended += cs.contended() ? 1 : 0;
+        if (stack_id == 0) break;
       }
     }
   }

@@ -148,6 +148,11 @@ TEST(Cli, AnalyzeSalvageRecoversTruncatedTrace) {
   const std::string strict_out =
       run_command(tool("cla-analyze") + " " + path, rc);
   EXPECT_EQ(rc, 1) << strict_out;
+  // The error gives its reason, not where in the sources the check sits.
+  EXPECT_NE(strict_out.find("cla-analyze: trace stream truncated"),
+            std::string::npos)
+      << strict_out;
+  EXPECT_EQ(strict_out.find(".cpp:"), std::string::npos) << strict_out;
   const std::string salvage_out =
       run_command(tool("cla-analyze") + " " + path + " --salvage --top 2", rc);
   EXPECT_EQ(rc, 3) << salvage_out;

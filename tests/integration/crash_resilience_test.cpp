@@ -91,9 +91,13 @@ TEST_F(CrashResilienceTest, CleanRunLoadsStrictlyAndSalvagesLosslessly) {
   expect_dominant_lock_ranks_first(strict);
 
   cla::trace::SalvageResult got = salvage();
-  EXPECT_TRUE(got.report.clean_close);
-  EXPECT_FALSE(got.report.lossy());
-  EXPECT_EQ(got.trace.event_count(), strict.event_count());
+  // A clean run can still be lossy when the recorder drops events under a
+  // flood (its ring is full); the report and the drop count say so.
+  const std::string why = got.report.to_string() + "\nrecorder dropped " +
+                          std::to_string(strict.dropped_events()) + " events";
+  EXPECT_TRUE(got.report.clean_close) << why;
+  EXPECT_FALSE(got.report.lossy()) << why;
+  EXPECT_EQ(got.trace.event_count(), strict.event_count()) << why;
 }
 
 TEST_F(CrashResilienceTest, SegfaultedRunSalvages) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "support/analyze.hpp"
-#include "cla/analysis/index.hpp"
+#include "support/oracle.hpp"
 #include "cla/sim/engine.hpp"
 #include "cla/trace/builder.hpp"
 #include "cla/trace/validate.hpp"
@@ -85,13 +85,13 @@ TEST(Clip, RepairsSectionHeldAcrossRightEdge) {
 
 /// Clips `t` to `window` and checks the result validates with no
 /// diagnostics at all; returns mutex 7's sections in ownership order.
-std::vector<analysis::CsRecord> clip_sections(const Trace& t, Window window) {
+std::vector<test_support::OracleSection> clip_sections(const Trace& t,
+                                                       Window window) {
   const Trace clipped = clip_trace(t, window);
   util::DiagnosticSink sink;
   EXPECT_TRUE(validate_trace(clipped, sink));
   for (const auto& d : sink.diagnostics()) ADD_FAILURE() << d.to_string();
-  const analysis::TraceIndex index(clipped);
-  return index.mutexes().at(7).sections;
+  return test_support::Oracle(TraceView(clipped)).locks().at(7);
 }
 
 TEST(Clip, ReopensHeldDepthAndPendingRelockAtLeftEdge) {

@@ -46,7 +46,8 @@ void print_usage(std::FILE* out, const char* prog) {
       "  --max-rss-mb N  bound the analysis working set to ~N MiB by\n"
       "                  routing through the streaming engine (exit 4 if\n"
       "                  the bound cannot be met)\n"
-      "  --profile       print the per-stage timing breakdown to stderr\n"
+      "  --profile       print the per-stage timing breakdown and the peak\n"
+      "                  RSS to stderr\n"
       "  --top N         show only the top-N locks\n"
       "  --report F      output format: text (default) | json | csv | html.\n"
       "                  html is a single self-contained file (flame graph\n"

@@ -62,7 +62,8 @@ void print_usage(const char* prog, std::FILE* out = stdout) {
       "                    (default v2; v3 is the compact varint format)\n"
       "  --analysis-threads N  worker threads for the analysis pipeline's\n"
       "                    index/stats stages (default 1, 0 = per core)\n"
-      "  --profile         print the analysis per-stage timing to stderr\n"
+      "  --profile         print the analysis per-stage timing and the peak\n"
+      "                    RSS to stderr\n"
       "  --version         print the tool version and supported .clat range\n"
       "supervised execution (everything after --exec is the command):\n"
       "  %s [options] --exec <command> [args...]\n"

@@ -256,42 +256,26 @@ TEST(Incremental, RegressingThreadMatchesOneShotEveryRound) {
   expect_every_round_matches(split_trace(full, kRounds), "regressing thread 2");
 }
 
+// The three hand-cut traces of support/lock_schedule.hpp, each delivered
+// in the two rounds whose cut it was written for.
+
 TEST(Incremental, RegressedSectionReResolvesEarlierWakeups) {
-  // Thread 0's second round steps its clock back to t=100 and adds a
-  // section on mutex 7 ahead of thread 1's contended one (t=105): that
-  // wake-up, far before thread 0's first new event, gains a releaser.
-  trace::TraceBuilder b;
-  b.thread(0).start(0).lock(5, 400, 400, 500).lock(6, 510, 510, 520).lock(7, 100, 100, 110).exit(120);
-  b.thread(1).start(0, trace::kNoThread).lock(7, 95, 105, 115).exit(1000);
-  expect_every_round_matches(rounds_at(b.finish_unchecked(), {{4, 5}, {11, 5}}),
+  expect_every_round_matches(rounds_at(test_support::regressed_section(),
+                                       test_support::kRegressedSectionCut),
                              "regressed section");
 }
 
 TEST(Incremental, RegressedThreadGainsASegmentBeforeALandedHop) {
-  // Thread 0's clock steps back at event 4. Its contended wake-up at
-  // t=950 (event 2) finds a releaser only when thread 2's section on
-  // mutex 5 arrives, and becomes a segment below event 5, where thread
-  // 1's hop (to thread 0's release of mutex 6 at t=50) lands.
-  trace::TraceBuilder b;
-  b.thread(0).start(0).lock(5, 900, 950, 960).lock(6, 20, 30, 50).exit(60);
-  b.thread(1).start(0, trace::kNoThread).lock(6, 35, 55, 70).exit(2000);
-  b.thread(2).start(0, trace::kNoThread).lock(5, 910, 920, 940).exit(945);
-  expect_every_round_matches(rounds_at(b.finish_unchecked(), {{8, 5, 1}, {8, 5, 5}}),
-                             "regressed thread, landed hop");
+  expect_every_round_matches(
+      rounds_at(test_support::regressed_thread_landed_hop(),
+                test_support::kThreeThreadCut),
+      "regressed thread, landed hop");
 }
 
 TEST(Incremental, RetainedHopToALaterReleaserLandsInANewSegment) {
-  // Overlapping sections on mutex 6: thread 1 obtains it (t=30) while
-  // thread 0 still holds it until t=100, so thread 1's hop goes forward
-  // in time. Thread 0's wake-up at t=60 becomes a segment when thread 2's
-  // section on mutex 5 arrives — after the boundary (t=45) but below the
-  // releaser, so the retained hop must land in the new segment.
-  trace::TraceBuilder b;
-  b.thread(0).start(0).acquire(6, 10).acquired(6, 10, false).lock(5, 50, 60, 70).released(6, 100).exit(110);
-  b.thread(1).start(0, trace::kNoThread).lock(6, 20, 30, 40).exit(2000);
-  b.thread(2).start(0, trace::kNoThread).lock(5, 45, 55, 58).exit(59);
-  expect_every_round_matches(rounds_at(b.finish_unchecked(), {{8, 5, 1}, {8, 5, 5}}),
-                             "late hop");
+  expect_every_round_matches(
+      rounds_at(test_support::late_hop(), test_support::kThreeThreadCut),
+      "late hop");
 }
 
 TEST(Incremental, ManyRoundsMatchOneShot) {

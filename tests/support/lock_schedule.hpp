@@ -115,4 +115,48 @@ inline trace::Trace with_clock_step_back(const trace::Trace& trace,
   return out;
 }
 
+// Hand-cut traces whose live analysis must re-resolve wake-ups before the
+// cut. Each comes with the two-round cut it was written for: cut[r][tid]
+// is how many of thread tid's events have arrived after round r.
+
+/// Thread 0's second round steps its clock back to t=100 and adds a
+/// section on mutex 7 ahead of thread 1's contended one (t=105): that
+/// wake-up, far before thread 0's first new event, gains a releaser.
+inline trace::Trace regressed_section() {
+  trace::TraceBuilder b;
+  b.thread(0).start(0).lock(5, 400, 400, 500).lock(6, 510, 510, 520).lock(7, 100, 100, 110).exit(120);
+  b.thread(1).start(0, trace::kNoThread).lock(7, 95, 105, 115).exit(1000);
+  return b.finish_unchecked();
+}
+inline const std::vector<std::vector<std::size_t>> kRegressedSectionCut = {
+    {4, 5}, {11, 5}};
+
+/// Thread 0's clock steps back at event 4. Its contended wake-up at t=950
+/// (event 2) finds a releaser only when thread 2's section on mutex 5
+/// arrives, and becomes a segment below event 5, where thread 1's hop (to
+/// thread 0's release of mutex 6 at t=50) lands.
+inline trace::Trace regressed_thread_landed_hop() {
+  trace::TraceBuilder b;
+  b.thread(0).start(0).lock(5, 900, 950, 960).lock(6, 20, 30, 50).exit(60);
+  b.thread(1).start(0, trace::kNoThread).lock(6, 35, 55, 70).exit(2000);
+  b.thread(2).start(0, trace::kNoThread).lock(5, 910, 920, 940).exit(945);
+  return b.finish_unchecked();
+}
+
+/// Overlapping sections on mutex 6: thread 1 obtains it (t=30) while
+/// thread 0 still holds it until t=100, so thread 1's hop goes forward in
+/// time. Thread 0's wake-up at t=60 becomes a segment when thread 2's
+/// section on mutex 5 arrives: after the boundary (t=45) but below the
+/// releaser, so the hop must land in the new segment.
+inline trace::Trace late_hop() {
+  trace::TraceBuilder b;
+  b.thread(0).start(0).acquire(6, 10).acquired(6, 10, false).lock(5, 50, 60, 70).released(6, 100).exit(110);
+  b.thread(1).start(0, trace::kNoThread).lock(6, 20, 30, 40).exit(2000);
+  b.thread(2).start(0, trace::kNoThread).lock(5, 45, 55, 58).exit(59);
+  return b.finish_unchecked();
+}
+/// The two-round cut both three-thread traces are delivered in.
+inline const std::vector<std::vector<std::size_t>> kThreeThreadCut = {
+    {8, 5, 1}, {8, 5, 5}};
+
 }  // namespace cla::test_support

@@ -95,15 +95,16 @@ class OverlapCursor {
   const PathInterval* end_;
 };
 
-/// The walk: reconciles the speculatively precomputed per-segment hops
-/// into the critical path. The hop table and the per-thread interval
-/// finalization fan out across `pool`; the merge itself is a cheap
-/// O(path-segments) chain stitch. Produces output bit-identical to the
-/// paper's event-by-event walk at any worker count (the determinism suite
+/// The walk: stitches the segments' hops into the critical path, looking
+/// up where a hop lands only when it takes that hop (a search of the
+/// target thread's segments back from where the walk last left it), plus
+/// clearing an O(segments) visited set. The per-thread interval
+/// finalization fans out across `pool`. Produces output bit-identical to
+/// the paper's event-by-event walk at any worker count (the oracle suite
 /// pins this against a reference walk). A non-null `deadline` is polled
 /// periodically; when it expires the walk aborts with a
-/// cla::util::ResourceLimitError. `stats_out` (optional) receives the
-/// speculation counters.
+/// cla::util::ResourceLimitError. `stats_out` (optional) receives the hop
+/// counters.
 CriticalPath compute_critical_path(const SegmentDag& dag,
                                    util::ThreadPool* pool,
                                    const util::Deadline* deadline = nullptr,

@@ -30,7 +30,8 @@
 //   - scan: the appended events only;
 //   - index: the drained sections, plus each grown mutex's merged
 //     order tail;
-//   - DAG: the segments from the boundary on;
+//   - DAG: the events from the boundary on (a retained segment keeps
+//     its releaser; the walk looks up where a hop lands);
 //   - walk: the path, plus clearing an O(segments) visited set;
 //   - TYPE 1: the sections near the path, read from the per-thread
 //     section tables (and a section's MutexAcquire arg only if it carries
@@ -92,7 +93,7 @@ class IncrementalAnalyzer {
   const TraceIndex& index() const noexcept { return index_; }
 
   /// Observability: segments kept from the previous round vs re-resolved
-  /// in the last result() refresh, and the walk's speculation counters.
+  /// in the last result() refresh, and the walk's hop counters.
   std::uint64_t retained_segments() const noexcept { return retained_; }
   std::uint64_t rescanned_segments() const noexcept { return rescanned_; }
   const DagWalkStats& walk_stats() const noexcept { return walk_stats_; }

@@ -8,9 +8,10 @@
 // Trace. `index`, `builddag` and `stats` fan out across an
 // ExecutionPolicy-sized worker pool and are bit-identical to the
 // sequential computation at any thread count. `builddag` condenses the
-// trace into the segment DAG (segment_dag.hpp) with every hop
-// speculatively resolved in parallel; `walk` then merges the hop chain
-// into the critical path — byte-for-byte the path of the paper's
+// trace into the segment DAG (segment_dag.hpp), one task per thread, each
+// segment keeping the releaser its blocking wake-up hops to; `walk` then
+// follows the hops back from the last thread's exit, looking up where
+// each hop it takes lands — byte-for-byte the path of the paper's
 // event-by-event backward walk.
 //
 // A non-zero ResourceLimits::max_rss_mb reroutes the analysis through the
@@ -156,8 +157,8 @@ class Pipeline {
   Pipeline& validate_stage();
   /// Per-primitive forward indexing (parallel across trace threads).
   Pipeline& index_stage();
-  /// Segment-DAG construction: shard-parallel boundary discovery plus
-  /// chunked speculative hop resolution (see segment_dag.hpp).
+  /// Segment-DAG construction: shard-parallel boundary discovery (see
+  /// segment_dag.hpp).
   Pipeline& dag_stage();
   /// Backward critical-path construction: the merge walk over the DAG.
   Pipeline& walk_stage();

@@ -17,6 +17,8 @@
 //   start   -> the parent's ThreadCreate.
 #pragma once
 
+#include <cstdint>
+
 #include "cla/analysis/index.hpp"
 
 namespace cla::analysis {
@@ -32,7 +34,13 @@ struct Resolution {
 /// Events that are not wake-ups resolve to {invalid, false}. This is the
 /// single statement of the resolution rules: the segment-DAG builder
 /// resolves every hop here.
+///
+/// `row_cursor` is for a caller that resolves one thread's wake-ups in
+/// event order: a row of `tid`'s section table at or before the section of
+/// every MutexAcquired it will still ask about. The mutex rule then steps
+/// it forward instead of binary-searching the table (TraceIndex::row_of).
 Resolution resolve_wakeup(const TraceIndex& index, trace::ThreadId tid,
-                          std::uint32_t idx);
+                          std::uint32_t idx,
+                          std::uint32_t* row_cursor = nullptr);
 
 }  // namespace cla::analysis

@@ -4,18 +4,17 @@
 // consecutive blocking wake-ups: it begins either at the thread's first
 // event or at a wake-up that actually blocked and has a known releaser
 // (exactly the positions where the paper's backward walk jumps threads).
-// Each segment stores the hop its begin event would take — precomputed
-// for *every* segment, speculatively, because path membership is only
-// known after the merge walk consumed the chain. The DAG therefore holds
-// everything the backward critical-path construction needs, at a fraction
-// of the per-event footprint: typical traces have one segment per tens to
-// thousands of events.
+// Each segment stores the releaser its begin event hops to; the walk
+// finds where a hop lands only when it takes that hop (a search of the
+// target thread's segments), since it takes only a small share of them. The DAG therefore holds everything the backward critical-path
+// construction needs, at a fraction of the per-event footprint: typical
+// traces have one segment per tens to thousands of events.
 //
-// Segments are built shard-parallel straight from the trace's columns
-// (one task per thread, plus a chunked hop-resolution pass), and the DAG
-// is storage-agnostic — it only keeps a TraceView. It can also grow in
-// place as a live trace appends (extend()), which is how the incremental
-// analyzer keeps one DAG across rounds. See DESIGN §12.
+// Segments are discovered shard-parallel straight from the trace's
+// columns (one task per thread), and the DAG is storage-agnostic — it
+// only keeps a TraceView. It can also grow in place as a live trace
+// appends (extend()), which is how the incremental analyzer keeps one DAG
+// across rounds. See DESIGN §12.
 #pragma once
 
 #include <cstdint>
@@ -32,29 +31,24 @@ namespace cla::analysis {
 
 /// One node of the DAG. Edges: to the previous segment on the same thread
 /// (implicit, local index - 1) and, when the begin event blocked, to the
-/// segment containing its releaser (jump_to / jump_seg).
+/// segment containing the event just below its releaser (segment 0 when
+/// the releaser is its thread's first event), which the walk looks up.
 struct Segment {
   std::uint32_t begin_idx = 0;   ///< event index where the segment starts
   std::uint64_t begin_ts = 0;    ///< timestamp of that event
   EventRef jump_to;              ///< releaser event; invalid = no blocking hop
-  std::uint64_t jump_ts = 0;     ///< timestamp of the releaser event
-  std::uint32_t jump_seg = 0;    ///< local index of the segment the walk
-                                 ///< lands in after the hop (the segment
-                                 ///< containing jump_to.index - 1, or
-                                 ///< segment 0 when the releaser is the
-                                 ///< target thread's first event)
   trace::EventType kind = trace::EventType::ThreadStart;  ///< begin type
   trace::ObjectId object = trace::kNoObject;  ///< begin event's object
 
   bool has_jump() const noexcept { return jump_to.valid(); }
 };
 
-/// Counters from the speculative parallel walk (reported in the JSON
-/// schema-2 "dag" block and by bench_analysis_core).
+/// Counters from the merge walk (the JSON schema-2 "dag" block reports
+/// `segments`; perfbench reads the hop counts).
 struct DagWalkStats {
   std::uint64_t segments = 0;           ///< nodes in the DAG
   std::uint64_t jumps_taken = 0;        ///< hops the merge walk consumed
-  std::uint64_t speculation_misses = 0; ///< precomputed hops never consumed
+  std::uint64_t speculation_misses = 0; ///< the DAG's hops it did not take
   std::uint64_t merge_steps = 0;        ///< merge-walk iterations
 };
 
@@ -73,32 +67,27 @@ class SegmentDag {
   /// the trace this DAG covers. Every segment that begins at or after
   /// `boundary` is dropped (a binary search per thread: begin_ts ascends),
   /// then one shard per thread scans its type column from `boundary` on
-  /// for blocking wake-ups (via resolve_wakeup), and a chunked pass
-  /// resolves the landing segment of each new hop. A retained segment
-  /// keeps its landing segment, which cannot move while the releaser
-  /// lies before the boundary, since dropping only ever removes segments
-  /// from a thread's end; a retained hop to a releaser at or after the
-  /// boundary is resolved again. The caller picks `boundary` so that no
-  /// wake-up before it resolves differently against `index`: the
-  /// incremental analyzer's re-resolution boundary, or 0.
+  /// for blocking wake-ups (via resolve_wakeup). A thread whose timestamps
+  /// regress has no time order to cut at and is rediscovered from its
+  /// first event. The caller picks `boundary` so that no wake-up before it
+  /// resolves differently against `index`: the incremental analyzer's
+  /// re-resolution boundary, or 0. A retained segment keeps its releaser;
+  /// where its hop lands is not stored, so nothing else needs revisiting.
   ///
-  /// The cost is O(threads + rescanned events + new segments), plus a full
-  /// rediscovery of any thread whose timestamps regress (then every hop is
-  /// resolved again). The result is identical to build() over `index`. A
-  /// null pool (or a pool of size 1) runs inline, bit-identically. A
-  /// non-null deadline is polled periodically; after a throw the DAG is
-  /// unusable until rebuilt.
+  /// The cost is O(threads + rescanned events), plus the full history of
+  /// a thread whose timestamps regress. The result is identical to
+  /// build() over `index`. A null pool (or a pool of size 1) runs inline,
+  /// bit-identically. A non-null deadline is polled periodically; after a
+  /// throw the DAG is unusable until rebuilt.
   void extend(const TraceIndex& index, std::uint64_t boundary,
               util::ThreadPool* pool, const util::Deadline* deadline = nullptr);
 
   /// Assembles a DAG from externally built per-thread segment vectors
-  /// (each sorted by begin_idx, hops unresolved) — the bounded-RSS engine
-  /// constructs segments itself and only needs the hop-resolution pass.
-  /// `last_thread` is the walk's start thread.
+  /// (each sorted by begin_idx) — the bounded-RSS engine discovers
+  /// segments in its own sweep. `last_thread` is the walk's start thread.
   SegmentDag(trace::TraceView view,
              std::vector<std::vector<Segment>> threads,
-             trace::ThreadId last_thread, util::ThreadPool* pool,
-             const util::Deadline* deadline = nullptr);
+             trace::ThreadId last_thread);
 
   const trace::TraceView& view() const noexcept { return view_; }
   std::size_t thread_count() const noexcept { return threads_.size(); }
@@ -119,21 +108,12 @@ class SegmentDag {
   }
 
  private:
-  /// Resolves the landing segment of every hop in segments [from[tid],
-  /// end) of each thread and of the retained late hops whose releaser
-  /// lies at or after `boundary`; refreshes the offsets.
-  void resolve_hops(const std::vector<std::uint32_t>& from,
-                    std::uint64_t boundary, util::ThreadPool* pool,
-                    const util::Deadline* deadline);
-  void resolve_hop(Segment& s) const;
+  /// Refreshes offsets_ and total_ from the per-thread counts.
+  void number_segments();
 
   trace::TraceView view_;
   std::vector<std::vector<Segment>> threads_;
   std::vector<std::size_t> offsets_;  ///< prefix sums of per-thread counts
-  /// Per thread, the local indices of segments whose releaser is later
-  /// than their begin (only malformed traces have them): the retained
-  /// hops extend() may have to resolve again.
-  std::vector<std::vector<std::uint32_t>> late_hops_;
   trace::ThreadId last_thread_ = 0;
   std::size_t total_ = 0;
   std::size_t hops_ = 0;

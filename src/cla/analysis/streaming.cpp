@@ -667,9 +667,9 @@ StreamingOutcome analyze_streaming(const trace::TraceView& view,
   const trace::ThreadId last_thread = sweep.last_finished_thread();
   out.timings.sweep_ns = util::now_ns() - t0;
 
-  // --- phase 2: hop resolution over the retained segments ---
+  // --- phase 2: the retained segments become the DAG ---
   t0 = util::now_ns();
-  SegmentDag dag(view, sweep.take_segments(), last_thread, pool, deadline);
+  SegmentDag dag(view, sweep.take_segments(), last_thread);
   budget.charge(dag.segment_count() * sizeof(Segment));
   out.timings.dag_ns = util::now_ns() - t0;
 

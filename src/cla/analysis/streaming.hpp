@@ -8,9 +8,8 @@
 //   1. sweep   — one k-way cursor sweep over the per-thread event columns
 //                in (ts, tid) order resolves every blocking wake-up with
 //                O(open records) of carry state and emits segments only;
-//   2. dag     — the retained segments become a SegmentDag (hop
-//                resolution pass as usual);
-//   3. walk    — the speculative merge walk produces the critical path;
+//   2. dag     — the retained segments become a SegmentDag;
+//   3. walk    — the merge walk produces the critical path;
 //   4. stats   — per-thread rescans fold every closed record into
 //                integer totals (MutexIndex with no sections, as the full
 //                index keeps them) using transient per-thread state;
@@ -55,7 +54,7 @@ struct StreamingOutcome {
 
 /// Runs the streaming engine end to end. `budget_bytes` bounds the
 /// retained analysis state (0 = account but never abort); `pool` fans out
-/// the hop resolution and the per-thread stats rescans.
+/// the walk's interval merge and the per-thread stats rescans.
 StreamingOutcome analyze_streaming(const trace::TraceView& view,
                                    const StatsOptions& options,
                                    util::ThreadPool* pool,

@@ -1,6 +1,5 @@
 #include "cla/util/thread_pool.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -123,18 +122,6 @@ void ThreadPool::parallel_for(std::size_t n,
     error = impl_->error;
   }
   if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::parallel_for_chunks(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
-  const std::size_t chunks = (n + grain - 1) / grain;
-  parallel_for(chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunk * grain;
-    fn(begin, std::min(begin + grain, n));
-  });
 }
 
 void for_each_index(ThreadPool* pool, std::size_t n,

@@ -41,15 +41,6 @@ class ThreadPool {
   /// not yet started when it was thrown are skipped.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Chunked variant for fine-grained index spaces (per-segment loops):
-  /// runs fn(begin, end) over consecutive half-open ranges of at most
-  /// `grain` indices, so the atomic-cursor cost amortizes over a whole
-  /// chunk. Same determinism contract and exception behaviour as
-  /// parallel_for; grain 0 is treated as 1.
-  void parallel_for_chunks(
-      std::size_t n, std::size_t grain,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
   /// Installs a cooperative deadline: every subsequent parallel_for polls
   /// it between iterations and aborts the job with a ResourceLimitError
   /// (rethrown on the caller) once it expires or is cancelled. Copies

@@ -2,8 +2,8 @@
 //
 // The DAG is the parallel engine's intermediate representation; these
 // tests pin (a) its structural contract (segment 0 at event 0, blocking
-// boundaries in bijection with segments past it, hop landing rules) and
-// (b) that the speculative merge walk reproduces the paper's event-level
+// boundaries in bijection with segments past it, releasers inside their
+// thread) and (b) that the merge walk reproduces the paper's event-level
 // backward walk (support/oracle.hpp) *exactly* — same intervals,
 // same jumps, same endpoints — with and without a thread pool.
 #include <gtest/gtest.h>
@@ -49,11 +49,8 @@ TEST(SegmentDagTest, StructuralInvariants) {
       }
       EXPECT_EQ(s.begin_ts, view.thread_events(tid).ts_at(s.begin_idx));
       if (s.has_jump()) {
-        const trace::ThreadId target = s.jump_to.tid;
-        const std::uint32_t j = s.jump_to.index;
-        EXPECT_EQ(s.jump_ts, view.thread_events(target).ts_at(j));
-        // Landing rule: the walker resumes scanning below the releaser.
-        EXPECT_EQ(s.jump_seg, dag.segment_at(target, j == 0 ? 0 : j - 1));
+        ASSERT_LT(s.jump_to.tid, view.thread_count());
+        EXPECT_LT(s.jump_to.index, view.thread_events(s.jump_to.tid).size());
       }
       // segment_at maps the begin event back to this segment.
       EXPECT_EQ(dag.segment_at(tid, s.begin_idx), i) << "tid " << tid;
@@ -81,8 +78,6 @@ TEST(SegmentDagTest, PooledBuildMatchesInlineBuild) {
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].begin_idx, b[i].begin_idx);
       EXPECT_EQ(a[i].jump_to, b[i].jump_to);
-      EXPECT_EQ(a[i].jump_ts, b[i].jump_ts);
-      EXPECT_EQ(a[i].jump_seg, b[i].jump_seg);
     }
   }
 }

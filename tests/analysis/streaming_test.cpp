@@ -2,8 +2,13 @@
 // pipeline, budget enforcement, and the pipeline routing (max_rss_mb).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "cla/analysis/index.hpp"
 #include "cla/analysis/pipeline.hpp"
 #include "cla/analysis/report.hpp"
+#include "cla/analysis/segment_dag.hpp"
 #include "cla/analysis/streaming.hpp"
 #include "cla/util/error.hpp"
 #include "cla/util/guard.hpp"
@@ -105,6 +110,39 @@ TEST(Streaming, PeakBytesStaysUnderTheBudget) {
         analyze_streaming(view, options, nullptr, 64ull << 20);
     EXPECT_GT(out.peak_bytes, 0u);
     EXPECT_LE(out.peak_bytes, 64ull << 20);
+  }
+}
+
+TEST(Streaming, BudgetBelowTheIndexEnginesStateMatches) {
+  // Both engines hold every event; the budget bounds the analysis state on
+  // top of them. Here it is half of what the index engine keeps on the
+  // same trace (its section rows, the mutexes' ownership orders and the
+  // DAG's segments), yet the bounded engine completes under it with the
+  // unbounded report.
+  workloads::WorkloadConfig config;
+  config.threads = 8;
+  const trace::Trace trace = workloads::run_workload("ldap", config).trace;
+  const trace::TraceView view(trace);
+  const TraceIndex index(view);
+  const SegmentDag dag = SegmentDag::build(index, nullptr);
+  std::uint64_t index_bytes = dag.segment_count() * sizeof(Segment);
+  for (trace::ThreadId tid = 0; tid < view.thread_count(); ++tid) {
+    index_bytes += index.thread_sections(tid).size() * sizeof(SectionRow);
+  }
+  for (const auto& [id, mutex] : index.mutexes()) {
+    index_bytes += mutex.order.size() * sizeof(OwnedSection);
+  }
+  const std::uint64_t budget = index_bytes / 2;
+
+  Pipeline reference;
+  reference.use_trace(trace);
+  const std::string expected = render_json(reference.result());
+  for (const unsigned workers : {1u, 4u}) {
+    util::ThreadPool pool(workers);
+    const StreamingOutcome out =
+        analyze_streaming(view, StatsOptions{}, &pool, budget);
+    EXPECT_LE(out.peak_bytes, budget) << workers << " workers";
+    EXPECT_EQ(render_json(out.result), expected) << workers << " workers";
   }
 }
 

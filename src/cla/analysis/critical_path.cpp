@@ -30,34 +30,6 @@ std::uint64_t CriticalPath::overlap(trace::ThreadId tid, std::uint64_t begin,
 
 namespace {
 
-/// The segment of `segs` holding event `idx`, searched from `hint`, the
-/// segment the walk last left this thread from (past the end if none). The
-/// walk's time never increases, so on a trace whose hops all go back in
-/// time it lands at or below where it left: the search gallops back 1, 2,
-/// 4, ... segments from the hint, then binary-searches the last stride. A
-/// landing above the hint (a hop forward in time, which only a malformed
-/// trace has) is binary-searched above it.
-std::uint32_t landing_segment(const std::vector<Segment>& segs,
-                              std::uint32_t idx, std::size_t hint) {
-  const auto after = [&](std::size_t k) { return segs[k].begin_idx > idx; };
-  std::size_t lo = 0;            // the answer is >= lo ...
-  std::size_t hi = segs.size();  // ... and < hi
-  if (hint < hi && !after(hint)) {
-    lo = hint;
-  } else if (hint < hi) {
-    hi = hint;
-    std::size_t step = 1;
-    for (; step <= hi && after(hi - step); step *= 2) hi -= step;
-    if (step <= hi) lo = hi - step;
-  }
-  // Segment 0 begins at event 0, so segs[lo] holds or precedes idx.
-  const auto it = std::upper_bound(
-      segs.begin() + static_cast<std::ptrdiff_t>(lo),
-      segs.begin() + static_cast<std::ptrdiff_t>(hi), idx,
-      [](std::uint32_t i, const Segment& s) { return i < s.begin_idx; });
-  return static_cast<std::uint32_t>((it - segs.begin()) - 1);
-}
-
 /// Tail of the walk: reverse the emission order into chronological order
 /// and build the per-thread merged interval lists.
 /// Each thread's list depends only on that thread's intervals, so the
@@ -113,8 +85,6 @@ CriticalPath compute_critical_path(const SegmentDag& dag,
   // wake-up twice) — segment begins and blocking wake-ups are in
   // bijection, so guarding per segment guards exactly the same event set.
   std::vector<std::uint8_t> visited(dag.segment_count(), 0);
-  // Per thread, the segment the walk last left it from.
-  std::vector<std::size_t> left_from(dag.thread_count(), ~std::size_t{0});
   DagWalkStats stats;
   stats.segments = dag.segment_count();
   for (;;) {
@@ -135,11 +105,9 @@ CriticalPath compute_critical_path(const SegmentDag& dag,
       // is the target's first event), so the hop lands in the segment
       // holding that event.
       const std::uint32_t j = s.jump_to.index;
-      left_from[tid] = local;
       tid = s.jump_to.tid;
       cur_time = std::min(cur_time, t.thread_events(tid).ts_at(j));
-      local = landing_segment(dag.thread_segments(tid), j == 0 ? 0 : j - 1,
-                              left_from[tid]);
+      local = dag.segment_at(tid, j == 0 ? 0 : j - 1);
       continue;
     }
     if (s.begin_idx == 0) {

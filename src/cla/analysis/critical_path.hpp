@@ -96,8 +96,8 @@ class OverlapCursor {
 };
 
 /// The walk: stitches the segments' hops into the critical path, looking
-/// up where a hop lands only when it takes that hop (a search of the
-/// target thread's segments back from where the walk last left it), plus
+/// up where a hop lands only when it takes that hop (a binary search of the
+/// target thread's segments, SegmentDag::segment_at), plus
 /// clearing an O(segments) visited set. The per-thread interval
 /// finalization fans out across `pool`. Produces output bit-identical to
 /// the paper's event-by-event walk at any worker count (the oracle suite

@@ -40,7 +40,7 @@ EventRef match_cond_signal(const CondIndex& ci, const CondWaitRecord& wait) {
 }  // namespace
 
 Resolution resolve_wakeup(const TraceIndex& index, trace::ThreadId tid,
-                          std::uint32_t idx, std::uint32_t* row_cursor) {
+                          std::uint32_t idx, std::uint32_t& row_cursor) {
   const trace::TraceView& t = index.view();
   CLA_ASSERT(tid < t.thread_count(), "resolve_wakeup thread out of range");
   const trace::EventsView& events = t.thread_events(tid);
@@ -83,16 +83,10 @@ Resolution resolve_wakeup(const TraceIndex& index, trace::ThreadId tid,
       const bool contended = (arg != trace::kNoArg) && (arg & 1);
       if (!contended) break;
       r.blocked = true;
-      std::uint32_t row = TraceIndex::npos32;
-      if (row_cursor == nullptr) {
-        row = index.row_of(tid, idx);
-      } else {
-        const SectionTable& rows = index.thread_sections(tid);
-        std::uint32_t& at = *row_cursor;
-        while (at < rows.size() && rows[at].acquired_idx < idx) ++at;
-        if (at < rows.size() && rows[at].acquired_idx == idx) row = at;
-      }
-      if (row == TraceIndex::npos32) break;
+      const SectionTable& rows = index.thread_sections(tid);
+      std::uint32_t& row = row_cursor;
+      while (row < rows.size() && rows[row].acquired_idx < idx) ++row;
+      if (row == rows.size() || rows[row].acquired_idx != idx) break;
       const auto prev = index.previous_owner(SectionRef{tid, row});
       if (!prev) break;
       r.releaser = EventRef{prev->tid, index.row(*prev).released_idx};

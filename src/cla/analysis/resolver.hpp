@@ -35,12 +35,12 @@ struct Resolution {
 /// single statement of the resolution rules: the segment-DAG builder
 /// resolves every hop here.
 ///
-/// `row_cursor` is for a caller that resolves one thread's wake-ups in
-/// event order: a row of `tid`'s section table at or before the section of
-/// every MutexAcquired it will still ask about. The mutex rule then steps
-/// it forward instead of binary-searching the table (TraceIndex::row_of).
+/// `row_cursor` is a row of `tid`'s section table at or before the section
+/// of every MutexAcquired the caller will still ask about; the mutex rule
+/// steps it forward to the section of `idx`. A caller that resolves one
+/// thread's wake-ups in event order keeps one cursor for all of them; one
+/// that resolves a single event passes a cursor at row 0.
 Resolution resolve_wakeup(const TraceIndex& index, trace::ThreadId tid,
-                          std::uint32_t idx,
-                          std::uint32_t* row_cursor = nullptr);
+                          std::uint32_t idx, std::uint32_t& row_cursor);
 
 }  // namespace cla::analysis

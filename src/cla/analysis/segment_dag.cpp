@@ -124,7 +124,7 @@ void SegmentDag::extend(const TraceIndex& index, std::uint64_t boundary,
       }
       const trace::EventType type = events.type_at(i);
       if (!trace::is_wakeup(type)) continue;
-      const Resolution r = resolve_wakeup(index, tid, i, &row);
+      const Resolution r = resolve_wakeup(index, tid, i, row);
       if (!r.blocked || !r.releaser.valid()) continue;
       ++new_hops[tid];
       if (i == 0) {

@@ -9,12 +9,19 @@ namespace {
 
 using trace::TraceBuilder;
 
+/// Resolves one event, with a row cursor at the start of its thread's table.
+Resolution resolve(const TraceIndex& index, trace::ThreadId tid,
+                   std::uint32_t idx) {
+  std::uint32_t row = 0;
+  return resolve_wakeup(index, tid, idx, row);
+}
+
 TEST(Resolver, UncontendedAcquireDoesNotBlock) {
   TraceBuilder b;
   b.thread(0).start(0).lock(9, 1, 1, 4).exit(10);
   const trace::Trace t = b.finish();
   const TraceIndex index(t);
-  const Resolution r = resolve_wakeup(index, 0, 2);  // MutexAcquired
+  const Resolution r = resolve(index, 0, 2);  // MutexAcquired
   EXPECT_FALSE(r.blocked);
   EXPECT_FALSE(r.releaser.valid());
 }
@@ -25,7 +32,7 @@ TEST(Resolver, ContendedAcquireResolvesToPreviousHolder) {
   b.thread(1).start(0, trace::kNoThread).lock(9, 1, 5, 9).exit(20);
   const trace::Trace t = b.finish_unchecked();
   const TraceIndex index(t);
-  const Resolution r = resolve_wakeup(index, 1, 2);  // thread 1's MutexAcquired
+  const Resolution r = resolve(index, 1, 2);  // thread 1's MutexAcquired
   EXPECT_TRUE(r.blocked);
   ASSERT_TRUE(r.releaser.valid());
   EXPECT_EQ(r.releaser.tid, 0u);
@@ -33,12 +40,28 @@ TEST(Resolver, ContendedAcquireResolvesToPreviousHolder) {
             trace::EventType::MutexReleased);
 }
 
+TEST(Resolver, OneRowCursorStepsThroughAThreadsAcquires) {
+  TraceBuilder b;
+  b.thread(0).start(0).lock(9, 0, 0, 5).lock(8, 6, 6, 12).exit(30);
+  b.thread(1).start(0, trace::kNoThread).lock(9, 1, 5, 9).lock(8, 10, 12, 14).exit(30);
+  const trace::Trace t = b.finish_unchecked();
+  const TraceIndex index(t);
+  std::uint32_t row = 0;
+  const Resolution first = resolve_wakeup(index, 1, 2, row);
+  EXPECT_EQ(row, 0u);
+  EXPECT_EQ(first.releaser, (EventRef{0, 3}));
+  const Resolution second = resolve_wakeup(index, 1, 5, row);
+  EXPECT_EQ(row, 1u);
+  EXPECT_TRUE(second.blocked);
+  EXPECT_EQ(second.releaser, (EventRef{0, 6}));
+}
+
 TEST(Resolver, FirstContendedAcquireWithoutPredecessorHasNoReleaser) {
   TraceBuilder b;  // contended flag set but nobody held the lock before
   b.thread(0).start(0).lock(9, 1, 3, 5).exit(10);
   const trace::Trace t_owned = b.finish();
   const TraceIndex index(t_owned);
-  const Resolution r = resolve_wakeup(index, 0, 2);
+  const Resolution r = resolve(index, 0, 2);
   EXPECT_TRUE(r.blocked);
   EXPECT_FALSE(r.releaser.valid());
 }
@@ -50,14 +73,14 @@ TEST(Resolver, BarrierBlockedThreadsResolveToLastArriver) {
   const trace::Trace t = b.finish_unchecked();
   const TraceIndex index(t);
   // Thread 0 arrived at 2, left at 6 -> blocked, released by T1's arrival.
-  const Resolution r0 = resolve_wakeup(index, 0, 2);  // BarrierLeave
+  const Resolution r0 = resolve(index, 0, 2);  // BarrierLeave
   EXPECT_TRUE(r0.blocked);
   ASSERT_TRUE(r0.releaser.valid());
   EXPECT_EQ(r0.releaser.tid, 1u);
   EXPECT_EQ(t.thread_events(1)[r0.releaser.index].type,
             trace::EventType::BarrierArrive);
   // The last arriver itself never blocked.
-  const Resolution r1 = resolve_wakeup(index, 1, 2);
+  const Resolution r1 = resolve(index, 1, 2);
   EXPECT_FALSE(r1.blocked);
 }
 
@@ -68,11 +91,11 @@ TEST(Resolver, BarrierEpisodesResolveIndependently) {
   const trace::Trace t = b.finish_unchecked();
   const TraceIndex index(t);
   // Episode 1: thread 0 arrives last (8); thread 1 blocked.
-  const Resolution r1 = resolve_wakeup(index, 1, 4);  // second BarrierLeave of T1
+  const Resolution r1 = resolve(index, 1, 4);  // second BarrierLeave of T1
   EXPECT_TRUE(r1.blocked);
   ASSERT_TRUE(r1.releaser.valid());
   EXPECT_EQ(r1.releaser.tid, 0u);
-  const Resolution r0 = resolve_wakeup(index, 0, 4);
+  const Resolution r0 = resolve(index, 0, 4);
   EXPECT_FALSE(r0.blocked);
 }
 
@@ -86,7 +109,7 @@ TEST(Resolver, CondWaitResolvesToMatchingSignal) {
   const trace::Trace t = b.finish_unchecked();
   const TraceIndex index(t);
   // CondWaitEnd is event index 5 of thread 0.
-  const Resolution r = resolve_wakeup(index, 0, 5);
+  const Resolution r = resolve(index, 0, 5);
   EXPECT_TRUE(r.blocked);
   ASSERT_TRUE(r.releaser.valid());
   EXPECT_EQ(r.releaser.tid, 1u);
@@ -108,7 +131,7 @@ TEST(Resolver, CondWaitPicksLatestSignalInsideWindow) {
       .exit(12);
   const trace::Trace t_owned = b.finish_unchecked();
   const TraceIndex index(t_owned);
-  const Resolution r = resolve_wakeup(index, 0, 5);
+  const Resolution r = resolve(index, 0, 5);
   ASSERT_TRUE(r.releaser.valid());
   // index 2 = the t=8 signal (start, signal@4, signal@8, signal@11, exit)
   EXPECT_EQ(r.releaser.index, 2u);
@@ -124,7 +147,7 @@ TEST(Resolver, CondWaitIgnoresOwnThreadSignals) {
   b.thread(1).start(0, trace::kNoThread).cond_signal(8, 7).exit(11);
   const trace::Trace t_owned = b.finish_unchecked();
   const TraceIndex index(t_owned);
-  const Resolution r = resolve_wakeup(index, 0, 6);  // CondWaitEnd
+  const Resolution r = resolve(index, 0, 6);  // CondWaitEnd
   ASSERT_TRUE(r.releaser.valid());
   EXPECT_EQ(r.releaser.tid, 1u);
 }
@@ -135,7 +158,7 @@ TEST(Resolver, JoinBlockedResolvesToTargetExit) {
   b.thread(1).start(0, 0).exit(8);
   const trace::Trace t = b.finish();
   const TraceIndex index(t);
-  const Resolution r = resolve_wakeup(index, 0, 3);  // JoinEnd
+  const Resolution r = resolve(index, 0, 3);  // JoinEnd
   EXPECT_TRUE(r.blocked);
   ASSERT_TRUE(r.releaser.valid());
   EXPECT_EQ(r.releaser.tid, 1u);
@@ -149,7 +172,7 @@ TEST(Resolver, JoinOfAlreadyFinishedThreadDoesNotBlock) {
   b.thread(1).start(0, 0).exit(5);
   const trace::Trace t_owned = b.finish();
   const TraceIndex index(t_owned);
-  const Resolution r = resolve_wakeup(index, 0, 3);
+  const Resolution r = resolve(index, 0, 3);
   EXPECT_FALSE(r.blocked);
 }
 
@@ -159,7 +182,7 @@ TEST(Resolver, ThreadStartResolvesToParentCreate) {
   b.thread(1).start(2, 0).exit(8);
   const trace::Trace t = b.finish();
   const TraceIndex index(t);
-  const Resolution r = resolve_wakeup(index, 1, 0);  // ThreadStart of T1
+  const Resolution r = resolve(index, 1, 0);  // ThreadStart of T1
   EXPECT_TRUE(r.blocked);
   ASSERT_TRUE(r.releaser.valid());
   EXPECT_EQ(r.releaser.tid, 0u);
@@ -172,7 +195,7 @@ TEST(Resolver, InitialThreadStartHasNoReleaser) {
   b.thread(0).start(0).exit(10);
   const trace::Trace t_owned = b.finish();
   const TraceIndex index(t_owned);
-  const Resolution r = resolve_wakeup(index, 0, 0);
+  const Resolution r = resolve(index, 0, 0);
   EXPECT_FALSE(r.blocked);
   EXPECT_FALSE(r.releaser.valid());
 }

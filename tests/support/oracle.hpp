@@ -255,7 +255,8 @@ inline analysis::CriticalPath reference_walk(const analysis::TraceIndex& index,
         r.blocked = e.arg != trace::kNoArg && (e.arg & 1) != 0;
         if (r.blocked) r.releaser = oracle.releaser(tid, idx);
       } else {
-        r = analysis::resolve_wakeup(index, tid, idx);
+        std::uint32_t row = 0;
+        r = analysis::resolve_wakeup(index, tid, idx, row);
       }
       const EventRef here{tid, idx};
       if (r.blocked && r.releaser.valid() && !jumped_from.contains(here)) {

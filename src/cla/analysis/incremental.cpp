@@ -63,6 +63,17 @@ void IncrementalAnalyzer::refresh() {
   // shed the window instead of dying.
   const util::Deadline deadline =
       util::Deadline::after_ms(options_.limits.deadline_ms);
+  // The walk record and the TYPE 1 sums describe the last result's path.
+  // A refresh that throws leaves no result, and the next one starts them
+  // afresh.
+  CriticalPath previous;
+  if (result_.has_value()) {
+    previous = std::move(result_->path);
+    result_.reset();
+  } else {
+    walk_record_ = WalkRecord{};
+    path_sums_ = PathSums{};
+  }
   if (options_.limits.max_events != 0 &&
       trace_.event_count() > options_.limits.max_events) {
     throw util::ResourceLimitError(
@@ -125,10 +136,21 @@ void IncrementalAnalyzer::refresh() {
   rescanned_ = dag_.segment_count() - retained_;
   deadline.check("incremental-builddag");
 
+  // Splice the walk onto the last refresh's path and bring the TYPE 1
+  // sums along. Every retained segment began before the boundary, except
+  // on a thread whose timestamps regress, which the DAG rediscovers in
+  // full: then nothing is spliced.
+  const bool ordered =
+      std::all_of(index_.threads().begin(), index_.threads().end(),
+                  [](const ThreadInfo& info) { return info.ts_ordered; });
   CriticalPath path =
-      compute_critical_path(dag_, pool_.get(), nullptr, &walk_stats_);
+      compute_critical_path(dag_, walk_record_, std::move(previous),
+                            ordered ? boundary : 0, pool_.get(), nullptr,
+                            &walk_stats_);
   deadline.check("incremental-walk");
-  result_ = compute_stats(index_, std::move(path), options_.stats, pool_.get());
+  path_sums_.update(index_, path, walk_record_.changed_from(), boundary);
+  result_ = compute_stats(index_, std::move(path), path_sums_, options_.stats,
+                          pool_.get());
   dirty_ = false;
 }
 

@@ -19,27 +19,35 @@
 // entry that sorts after them, never before the boundary; the DAG keeps
 // the segments
 // beginning before the boundary, with their hops, and rediscovers the
-// rest against the extended index. The walk runs on the extended DAG and
-// compute_stats reads the index's totals plus the sections near the
-// path, so reports are byte-identical to a from-scratch cla::Pipeline
-// over the same accumulated trace (the determinism suite and the
-// per-round incremental tests pin this).
+// rest against the extended index. The walk runs on the extended DAG down
+// to where it meets the last refresh's path and reuses the path below
+// (a WalkRecord); the TYPE 1 sums keep every section's figures that ended
+// before its thread's path intervals or rows could have changed (a
+// PathSums) and compute_stats reads the index's totals, so reports are
+// byte-identical to a from-scratch cla::Pipeline over the same
+// accumulated trace (the determinism suite and the per-round
+// incremental and oracle tests pin this).
 //
 // Per-refresh cost, with Options::validate = false (as cla-monitor sets
-// it), is O(appended + tail + path + near-path sections + locks):
+// it), is O(appended + tail + new path + locks × threads):
 //   - scan: the appended events only;
 //   - index: the drained sections, plus each grown mutex's merged
 //     order tail;
 //   - DAG: the events from the boundary on (a retained segment keeps
 //     its releaser; the walk looks up where a hop lands);
-//   - walk: the path, plus clearing an O(segments) visited set;
-//   - TYPE 1: the sections near the path, read from the per-thread
-//     section tables (and a section's MutexAcquire arg only if it carries
-//     a call stack);
-//   - assembly: O(locks × threads).
+//   - walk: the steps from the new end down to the last refresh's path
+//     (a hash lookup each), the dropped and new path intervals, and each
+//     changed thread's merged intervals from where they change;
+//   - TYPE 1: per thread, the sections acquired after the earlier of the
+//     boundary and where its path intervals change, less its longest
+//     hold, that lie near the path (read from the section tables);
+//   - assembly: O(locks × threads): every thread's duration grows each
+//     round, so every lock's TYPE 2 averages change.
 // What still grows with history: the barrier/condvar regroup in
-// TraceIndex::extend() (in full whenever they grow), the assembly and the
-// visited set — small next to the rest (one segment per tens of events).
+// TraceIndex::extend() (in full whenever they grow), the assembly, and a
+// walk that cannot splice (a thread whose timestamps regress turns
+// splicing off) — small next to the rest (one segment per tens of
+// events).
 // With the default Options::validate = true, every refresh first
 // strict-validates the whole accumulated trace, an O(history) pass that
 // also rejects a trace cut mid-section; callers that refresh a live tail
@@ -52,6 +60,7 @@
 #include <string>
 #include <vector>
 
+#include "cla/analysis/critical_path.hpp"
 #include "cla/analysis/index.hpp"
 #include "cla/analysis/pipeline.hpp"
 #include "cla/analysis/segment_dag.hpp"
@@ -93,7 +102,8 @@ class IncrementalAnalyzer {
   const TraceIndex& index() const noexcept { return index_; }
 
   /// Observability: segments kept from the previous round vs re-resolved
-  /// in the last result() refresh, and the walk's hop counters.
+  /// in the last result() refresh, and the walk's hop counters (with the
+  /// path steps it reused from the previous refresh's walk).
   std::uint64_t retained_segments() const noexcept { return retained_; }
   std::uint64_t rescanned_segments() const noexcept { return rescanned_; }
   const DagWalkStats& walk_stats() const noexcept { return walk_stats_; }
@@ -107,6 +117,8 @@ class IncrementalAnalyzer {
   std::vector<ThreadScanState> scans_;
   TraceIndex index_;
   SegmentDag dag_;
+  WalkRecord walk_record_;
+  PathSums path_sums_;
   std::optional<AnalysisResult> result_;
   DagWalkStats walk_stats_;
   std::uint64_t retained_ = 0;

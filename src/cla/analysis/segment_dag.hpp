@@ -50,6 +50,9 @@ struct DagWalkStats {
   std::uint64_t jumps_taken = 0;        ///< hops the merge walk consumed
   std::uint64_t speculation_misses = 0; ///< the DAG's hops it did not take
   std::uint64_t merge_steps = 0;        ///< merge-walk iterations
+  /// Path steps a spliced walk reused from the previous walk instead of
+  /// walking them (compute_critical_path with a WalkRecord).
+  std::uint64_t reused_steps = 0;
 };
 
 /// The segment DAG of one trace. Cheap to copy is a non-goal (it owns the

@@ -11,6 +11,38 @@ namespace cla::analysis {
 
 using util::safe_ratio;
 
+namespace {
+
+/// Ranks `items` by cp_hold_time, then total_wait, both descending, then
+/// `tie_before` (which must order any two items strictly). It sorts
+/// (key, position) pairs and then moves each item once, rather than
+/// swapping whole items inside the sort.
+template <typename T, typename TieBefore>
+void rank(std::vector<T>& items, TieBefore tie_before) {
+  struct Key {
+    std::uint64_t hold = 0;
+    std::uint64_t wait = 0;
+    std::uint32_t pos = 0;
+  };
+  std::vector<Key> keys;
+  keys.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    keys.push_back(Key{items[i].cp_hold_time, items[i].total_wait,
+                       static_cast<std::uint32_t>(i)});
+  }
+  std::sort(keys.begin(), keys.end(), [&](const Key& a, const Key& b) {
+    if (a.hold != b.hold) return a.hold > b.hold;
+    if (a.wait != b.wait) return a.wait > b.wait;
+    return tie_before(items[a.pos], items[b.pos]);
+  });
+  std::vector<T> ranked;
+  ranked.reserve(items.size());
+  for (const Key& k : keys) ranked.push_back(std::move(items[k.pos]));
+  items = std::move(ranked);
+}
+
+}  // namespace
+
 const LockStats* AnalysisResult::find_lock(const std::string& lock_name) const {
   for (const auto& ls : locks)
     if (ls.name == lock_name) return &ls;
@@ -29,55 +61,120 @@ void LockPathTotals::add(std::uint64_t on_path, bool contended,
   if (stack_id != 0) count(callsites[stack_id]);
 }
 
-AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
-                             const StatsOptions& options,
-                             util::ThreadPool* pool) {
-  const trace::TraceView& t = index.view();
+void LockPathTotals::remove(std::uint64_t on_path, bool contended,
+                            std::uint64_t stack_id) {
+  if (on_path == 0) return;
+  const auto uncount = [&](PathTotals& p) {
+    p.hold -= on_path;
+    --p.invocations;
+    if (contended) --p.contended;
+  };
+  uncount(lock);
+  if (stack_id == 0) return;
+  const auto it = callsites.find(stack_id);
+  uncount(it->second);
+  if (it->second.invocations == 0) callsites.erase(it);
+}
 
-  // --- TYPE 1: the sections that can overlap the path ---
-  // Per thread, walk the merged path intervals and the thread's section
-  // table (event order = acquisition-time order) side by side. A section
-  // released after an interval's begin b was acquired after
-  // b - max_hold(tid), so each interval's window starts there; a cursor
-  // carried across intervals visits each section at most once, and an
-  // OverlapCursor measures it. A visit reads the section's table row,
-  // plus its MutexAcquire's arg if it carries a call stack. A thread
-  // whose timestamps regress has no time order to search: all of its
-  // sections are visited and measured with CriticalPath::overlap. The sums
-  // are integers, so the visit order cannot change a figure.
-  std::vector<LockPathTotals> by_slot(index.slot_count());
+void PathSums::update(const TraceIndex& index, const CriticalPath& path,
+                      const std::vector<std::uint64_t>& changed_from,
+                      std::uint64_t boundary) {
+  const trace::TraceView& t = index.view();
+  by_slot_.resize(index.slot_count());
+  visits_.resize(t.thread_count());
   for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-    if (tid >= path.per_thread.size() || path.per_thread[tid].empty()) continue;
+    std::vector<Visit>& visits = visits_[tid];
+    const bool on_path =
+        tid < path.per_thread.size() && !path.per_thread[tid].empty();
+    if (!on_path && visits.empty()) continue;
     const SectionTable& secs = index.thread_sections(tid);
+    const bool ordered = index.threads()[tid].ts_ordered;
+    const std::uint64_t reach = index.max_hold(tid);
+
+    // A section acquired before `changed - reach` was released before
+    // `changed`, where neither its row nor the path around it can have
+    // changed: its visit stands. The rest are subtracted and revisited.
+    std::size_t cut = 0;
+    if (ordered) {
+      const std::uint64_t changed = std::min(
+          boundary, tid < changed_from.size() ? changed_from[tid] : 0);
+      if (changed > reach) {
+        cut = static_cast<std::size_t>(
+            std::lower_bound(secs.begin(), secs.end(), changed - reach,
+                             [](const SectionRow& row, std::uint64_t ts) {
+                               return row.acquired_ts < ts;
+                             }) -
+            secs.begin());
+      }
+    }
     const trace::EventsView& events = t.thread_events(tid);
-    const auto visit = [&](const SectionRow& row, std::uint64_t on_path) {
-      if (on_path == 0) return;
-      by_slot[row.slot].add(on_path, row.contended(), row.stack_id(events));
+    const auto stale = std::partition_point(
+        visits.begin(), visits.end(),
+        [&](const Visit& v) { return v.row < cut; });
+    for (auto it = stale; it != visits.end(); ++it) {
+      const SectionRow& row = secs[it->row];
+      by_slot_[row.slot].remove(it->on_path, row.contended(),
+                                row.stack_id(events));
+    }
+    visits.erase(stale, visits.end());
+    if (!on_path || cut == secs.size()) continue;
+
+    const auto visit = [&](std::size_t r, std::uint64_t overlap) {
+      if (overlap == 0) return;
+      const SectionRow& row = secs[r];
+      by_slot_[row.slot].add(overlap, row.contended(), row.stack_id(events));
+      visits.push_back(Visit{overlap, static_cast<std::uint32_t>(r)});
     };
-    if (!index.threads()[tid].ts_ordered) {
-      for (const SectionRow& row : secs) {
-        visit(row, path.overlap(tid, row.acquired_ts, row.released_ts));
+    if (!ordered) {
+      for (std::size_t r = 0; r < secs.size(); ++r) {
+        visit(r, path.overlap(tid, secs[r].acquired_ts, secs[r].released_ts));
       }
       continue;
     }
-    const std::uint64_t reach = index.max_hold(tid);
-    OverlapCursor cursor(path.per_thread[tid]);
-    auto next = secs.begin();
-    for (const PathInterval& iv : path.per_thread[tid]) {
-      const std::uint64_t from = iv.begin_ts > reach ? iv.begin_ts - reach : 0;
+    // Walk the path intervals and the section table side by side. A
+    // section released after an interval's begin b was acquired after
+    // b - reach, so each interval's window starts there; a cursor carried
+    // across intervals visits each section at most once, and an
+    // OverlapCursor measures it. Intervals that end by the first
+    // revisited section's acquisition overlap none of them.
+    const std::vector<PathInterval>& ivs = path.per_thread[tid];
+    const auto first_iv = std::partition_point(
+        ivs.begin(), ivs.end(), [&](const PathInterval& iv) {
+          return iv.end_ts <= secs[cut].acquired_ts;
+        });
+    const PathInterval* ivs_end = ivs.data() + ivs.size();
+    OverlapCursor cursor(ivs.data() + (first_iv - ivs.begin()), ivs_end);
+    auto next = secs.begin() + static_cast<std::ptrdiff_t>(cut);
+    for (auto iv = first_iv; iv != ivs.end(); ++iv) {
+      const std::uint64_t from = iv->begin_ts > reach ? iv->begin_ts - reach : 0;
       next = std::lower_bound(next, secs.end(), from,
                               [](const SectionRow& row, std::uint64_t ts) {
                                 return row.acquired_ts < ts;
                               });
-      for (; next != secs.end() && next->acquired_ts < iv.end_ts; ++next) {
-        visit(*next, cursor.overlap(next->acquired_ts, next->released_ts));
+      for (; next != secs.end() && next->acquired_ts < iv->end_ts; ++next) {
+        visit(static_cast<std::size_t>(next - secs.begin()),
+              cursor.overlap(next->acquired_ts, next->released_ts));
       }
     }
   }
-  std::vector<LockPathTotals> on_path;
-  on_path.reserve(by_slot.size());
+}
+
+AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
+                             const StatsOptions& options,
+                             util::ThreadPool* pool) {
+  PathSums sums;
+  sums.update(index, path, {}, 0);
+  return compute_stats(index, std::move(path), sums, options, pool);
+}
+
+AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
+                             const PathSums& sums, const StatsOptions& options,
+                             util::ThreadPool* pool) {
+  const trace::TraceView& t = index.view();
+  std::vector<const LockPathTotals*> on_path;
+  on_path.reserve(index.mutexes().size());
   for (const auto& [id, mi] : index.mutexes()) {
-    on_path.push_back(std::move(by_slot[mi.slot]));
+    on_path.push_back(&sums.by_slot()[mi.slot]);
   }
 
   // --- barrier and condvar totals: every wait record ---
@@ -155,7 +252,7 @@ AnalysisResult assemble_stats(const trace::TraceView& t,
   std::vector<std::vector<CallsiteStats>> callsites_per_lock(mutexes.size());
   const auto compute_lock = [&](std::size_t k) {
     const auto& [id, mi] = *mutexes[k];
-    const LockPathTotals& on_path = inputs.on_path[k];
+    const LockPathTotals& on_path = *inputs.on_path[k];
     LockStats ls;
     ls.id = id;
     ls.name = t.object_display_name(id, "mutex");
@@ -209,13 +306,10 @@ AnalysisResult assemble_stats(const trace::TraceView& t,
       result.threads[tid].lock_hold_time += mi.hold_per_thread[tid];
     }
   }
-  std::sort(result.locks.begin(), result.locks.end(),
-            [](const LockStats& a, const LockStats& b) {
-              if (a.cp_hold_time != b.cp_hold_time)
-                return a.cp_hold_time > b.cp_hold_time;
-              if (a.total_wait != b.total_wait) return a.total_wait > b.total_wait;
-              return a.name < b.name;
-            });
+  rank(result.locks, [](const LockStats& a, const LockStats& b) {
+    if (a.name != b.name) return a.name < b.name;
+    return a.id < b.id;
+  });
 
   // Merge the per-lock callsite groups; iteration order (lock slot, then
   // stack id) is fixed, and the final sort is a strict ranking, so the
@@ -242,14 +336,11 @@ AnalysisResult assemble_stats(const trace::TraceView& t,
       }
       result.callsites.push_back(std::move(g));
     }
-  std::sort(result.callsites.begin(), result.callsites.end(),
-            [](const CallsiteStats& a, const CallsiteStats& b) {
-              if (a.cp_hold_time != b.cp_hold_time)
-                return a.cp_hold_time > b.cp_hold_time;
-              if (a.total_wait != b.total_wait) return a.total_wait > b.total_wait;
-              if (a.lock_name != b.lock_name) return a.lock_name < b.lock_name;
-              return a.stack_id < b.stack_id;
-            });
+  rank(result.callsites, [](const CallsiteStats& a, const CallsiteStats& b) {
+    if (a.lock_name != b.lock_name) return a.lock_name < b.lock_name;
+    if (a.stack_id != b.stack_id) return a.stack_id < b.stack_id;
+    return a.lock_id < b.lock_id;
+  });
 
   // --- barrier and condvar stats ---
   for (const auto& [id, bt] : inputs.barriers) {

@@ -151,6 +151,9 @@ struct LockPathTotals {
   /// Counts a section (its contended flag and stack id, 0 = none) if it
   /// overlaps the path by `on_path` > 0 ns.
   void add(std::uint64_t on_path, bool contended, std::uint64_t stack_id);
+  /// Takes back an add() of the same figures; a callsite whose last
+  /// section goes is erased, as if it had never been added.
+  void remove(std::uint64_t on_path, bool contended, std::uint64_t stack_id);
 };
 
 /// Integer sums over one barrier's waits.
@@ -187,7 +190,7 @@ struct StatsInputs {
   const std::vector<ThreadInfo>& threads;  ///< index = tid
   const std::map<trace::ObjectId, MutexIndex>& mutexes;
   /// One entry per mutex, in `mutexes` order.
-  const std::vector<LockPathTotals>& on_path;
+  const std::vector<const LockPathTotals*>& on_path;
   const std::map<trace::ObjectId, BarrierTotals>& barriers;
   const std::map<trace::ObjectId, CondTotals>& conds;
 };
@@ -203,20 +206,69 @@ AnalysisResult assemble_stats(const trace::TraceView& view,
                               const StatsOptions& options,
                               util::ThreadPool* pool);
 
-/// Computes all statistics for a trace whose path was already walked.
+/// The TYPE 1 sums: per mutex slot, the on-path totals of the sections
+/// that overlap the path, plus per thread the list of those sections
+/// (row and overlap), so that a live analyzer can bring
+/// the sums from one refresh's path to the next by revisiting only what
+/// may have changed. A fresh PathSums holds the sums of an empty path.
+class PathSums {
+ public:
+  /// Brings the sums to `path` over `index`. Since the last update, the
+  /// index may have grown by TraceIndex::extend(), with every row acquired
+  /// before `boundary` (0 = none) unchanged, and each thread's merged path
+  /// intervals may have changed from changed_from[tid] on (a missing
+  /// entry counts as 0). Per thread whose timestamps are ordered, the
+  /// sections acquired before min(changed_from, boundary) - max_hold(tid)
+  /// ended before that instant, so they keep their figures; the visits
+  /// from there on are subtracted and those sections revisited: per path
+  /// interval, the ones acquired after its begin minus max_hold, each
+  /// once, measured by an OverlapCursor. A thread whose timestamps regress
+  /// is revisited in full and measured with CriticalPath::overlap. The
+  /// sums are integers, so subtracting is exact and the visit order
+  /// cannot change a figure.
+  void update(const TraceIndex& index, const CriticalPath& path,
+              const std::vector<std::uint64_t>& changed_from,
+              std::uint64_t boundary);
+
+  /// Index = MutexIndex::slot.
+  const std::vector<LockPathTotals>& by_slot() const noexcept {
+    return by_slot_;
+  }
+
+ private:
+  /// A section that overlaps the path, and its overlap. Its slot,
+  /// contended flag and stack id are read back from the row: a row keeps
+  /// its index, and a provisional row that TraceIndex::extend() replaces
+  /// keeps its section's MutexAcquire, so those never change.
+  struct Visit {
+    std::uint64_t on_path = 0;
+    std::uint32_t row = 0;
+  };
+
+  std::vector<std::vector<Visit>> visits_;  ///< per thread, row order
+  std::vector<LockPathTotals> by_slot_;
+};
+
+/// Computes all statistics for a trace whose path was already walked,
+/// taking the TYPE 1 sums from `sums`, brought to `path` by
+/// PathSums::update.
 ///
-/// Cost: O(path + near-path sections + locks × threads + barriers and
-/// condvars), independent of how many sections lie off the path. TYPE 2
-/// figures come from the index's running MutexIndex totals, read in place.
-/// TYPE 1 visits, per thread, only the sections whose time window can
+/// Cost: O(locks × threads + barriers and condvars) on top of the update,
+/// independent of how many sections lie off the path. TYPE 2 figures come
+/// from the index's running MutexIndex totals, read in place. Barrier and
+/// condvar figures still fold every wait record. `pool` is passed on to
+/// assemble_stats; the result is bit-identical at any pool size.
+AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
+                             const PathSums& sums,
+                             const StatsOptions& options = {},
+                             util::ThreadPool* pool = nullptr);
+
+/// compute_stats with the sums of a fresh PathSums updated to `path`: the
+/// TYPE 1 pass visits, per thread, only the sections whose time window can
 /// overlap one of the thread's path intervals (see TraceIndex::max_hold),
-/// each once, in the thread's SectionTable: a visit reads the section's
-/// row and, only for a section with a call stack, its MutexAcquire's arg,
-/// and an OverlapCursor measures it against the thread's intervals. A thread
-/// whose timestamps regress has all of its sections visited and measured
-/// with CriticalPath::overlap. Barrier and condvar figures still fold
-/// every wait record. `pool` is passed on to assemble_stats; the result
-/// is bit-identical at any pool size.
+/// each once, reading the section's row (and its MutexAcquire's arg only
+/// for a section with a call stack). Cost: O(path + near-path sections)
+/// on top of the above.
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options = {},
                              util::ThreadPool* pool = nullptr);

@@ -199,7 +199,18 @@ class Sweep {
       process(tid, idx, ts);
       const trace::EventsView& events = view_.thread_events(tid);
       if (++cursor[tid] < events.size()) {
-        heap.emplace_back(events.ts_at(cursor[tid]), tid);
+        // The merge needs each thread in time order; strict validation
+        // rejects a clock that steps back and repair clamps it, so only an
+        // unvalidated trace gets here with one.
+        const std::uint64_t next_ts = events.ts_at(cursor[tid]);
+        if (next_ts < ts) {
+          throw util::ValidationError(
+              "bounded analysis: thread " + std::to_string(tid) +
+              "'s timestamp " + std::to_string(next_ts) +
+              " goes backwards at event " + std::to_string(cursor[tid]) +
+              " (CLA_E_TS_REGRESSION)");
+        }
+        heap.emplace_back(next_ts, tid);
         std::push_heap(heap.begin(), heap.end(), heap_greater);
       }
     }
@@ -690,9 +701,9 @@ StreamingOutcome analyze_streaming(const trace::TraceView& view,
                   totals);
   });
   for (auto& [id, bt] : totals.barriers) bt.episodes = sweep.episodes_of(id);
-  std::vector<LockPathTotals> on_path;
+  std::vector<const LockPathTotals*> on_path;
   on_path.reserve(totals.on_path.size());
-  for (auto& [id, lock] : totals.on_path) on_path.push_back(std::move(lock));
+  for (const auto& [id, lock] : totals.on_path) on_path.push_back(&lock);
   out.result = assemble_stats(view,
                               StatsInputs{totals.threads, totals.mutexes,
                                           on_path, totals.barriers,

@@ -17,10 +17,13 @@
 //                turns them into the report's figures.
 //
 // Retained state is byte-accounted against `budget_bytes`; exceeding the
-// budget aborts with a ResourceLimitError (CLI exit code 4). The report
-// is byte-identical to the unbounded pipeline's on well-formed traces
-// (the determinism suite pins this); see DESIGN §12 for the two
-// documented divergences on physically impossible interleavings.
+// budget aborts with a ResourceLimitError (CLI exit code 4). The sweep
+// needs each thread in time order, so a thread whose timestamps regress
+// (only an unvalidated trace has one) is refused with a ValidationError
+// naming CLA_E_TS_REGRESSION. The report is byte-identical to the
+// unbounded pipeline's on well-formed traces (the determinism suite pins
+// this); see DESIGN §12 for the documented divergences on physically
+// impossible interleavings.
 #pragma once
 
 #include <cstdint>

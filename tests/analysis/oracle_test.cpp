@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "cla/analysis/index.hpp"
 #include "cla/analysis/pipeline.hpp"
 #include "cla/trace/trace_view.hpp"
+#include "cla/util/error.hpp"
 #include "cla/util/rng.hpp"
 #include "cla/workloads/workload.hpp"
 #include "support/lock_schedule.hpp"
@@ -46,10 +48,10 @@ void expect_batch_matches_oracle(const trace::Trace& trace, bool validate,
   }
 }
 
-trace::Trace workload_trace(const char* name) {
+trace::Trace workload_trace(const char* name, double scale = 0.25) {
   workloads::WorkloadConfig config;
   config.threads = 8;
-  config.scale = 0.25;
+  config.scale = scale;
   return workloads::run_workload(name, config).trace;
 }
 
@@ -110,40 +112,109 @@ std::vector<trace::Trace> random_cuts(const trace::Trace& full,
   return chunks;
 }
 
-/// Feeds `chunks` to one analyzer, inline and then on a 4-worker pool; after
-/// every round its path must be the oracle walk over everything delivered
-/// so far, and its lock figures the oracle's fold.
-void expect_rounds_match_oracle(const std::vector<trace::Trace>& chunks,
-                                const std::string& label) {
+/// Cuts `full` into `rounds` time slices: round r delivers, per thread,
+/// the events before the first one stamped at or after r+1 rounds' share
+/// of the trace's span (the last round delivers the rest). A thread whose
+/// clock steps back holds its events until a later one reaches the slice's
+/// end, so no chunk rewinds its thread. Names ride on the first chunk.
+std::vector<trace::Trace> time_slices(const trace::Trace& full,
+                                      std::size_t rounds) {
+  std::uint64_t first = ~static_cast<std::uint64_t>(0);
+  for (trace::ThreadId tid = 0;
+       tid < static_cast<trace::ThreadId>(full.thread_count()); ++tid) {
+    const auto events = full.thread_events(tid);
+    if (!events.empty()) first = std::min(first, events.front().ts);
+  }
+  const std::uint64_t span = full.end_ts() - first;
+  std::vector<trace::Trace> chunks(rounds);
+  for (trace::ThreadId tid = 0;
+       tid < static_cast<trace::ThreadId>(full.thread_count()); ++tid) {
+    const auto events = full.thread_events(tid);
+    std::size_t begin = 0;
+    for (std::size_t r = 0; r < rounds; ++r) {
+      std::size_t end = events.size();
+      if (r + 1 < rounds) {
+        const std::uint64_t until = first + span * (r + 1) / rounds;
+        end = begin;
+        while (end < events.size() && events[end].ts < until) ++end;
+      }
+      if (end > begin) {
+        chunks[r].append_thread_events(tid, events.subspan(begin, end - begin));
+      }
+      begin = end;
+    }
+  }
+  for (const auto& [object, name] : full.object_names()) {
+    chunks[0].set_object_name(object, name);
+  }
+  for (const auto& [tid, name] : full.thread_names()) {
+    chunks[0].set_thread_name(tid, name);
+  }
+  return chunks;
+}
+
+/// What the inline analyzer's walks reused over a run of rounds.
+struct Reuse {
+  std::uint64_t reused = 0;    ///< steps reused from the previous walk
+  std::uint64_t previous = 0;  ///< steps the previous walks had
+  std::size_t regressed_rounds = 0;     ///< rounds after a clock stepped back
+  std::uint64_t regressed_reused = 0;   ///< steps reused in those rounds
+};
+
+/// Feeds `chunks` to two analyzers, inline and on a 4-worker pool; after
+/// every round each one's path must be the oracle walk over everything
+/// delivered so far, and its lock figures the oracle's fold. Returns what
+/// the inline analyzer's walks reused.
+Reuse expect_rounds_match_oracle(const std::vector<trace::Trace>& chunks,
+                                 const std::string& label) {
+  std::vector<std::unique_ptr<IncrementalAnalyzer>> analyzers;
   for (const unsigned workers : {1u, 4u}) {
     Options options;
     options.validate = false;  // rounds cut sections and waits in two
     options.execution.num_threads = workers;
-    IncrementalAnalyzer analyzer(options);
-    trace::Trace delivered;
-    for (std::size_t r = 0; r < chunks.size(); ++r) {
-      const trace::Trace& chunk = chunks[r];
-      analyzer.append(chunk);
-      for (trace::ThreadId tid = 0;
-           tid < static_cast<trace::ThreadId>(chunk.thread_count()); ++tid) {
-        const auto events = chunk.thread_events(tid);
-        if (!events.empty()) delivered.append_thread_events(tid, events);
-      }
-      for (const auto& [object, name] : chunk.object_names()) {
-        delivered.set_object_name(object, name);
-      }
-      if (delivered.thread_count() == 0) continue;
-      const trace::TraceView view(delivered);
-      const test_support::Oracle oracle(view);
-      const TraceIndex index(view);
-      const std::string where = label + " (" + std::to_string(workers) +
+    analyzers.push_back(std::make_unique<IncrementalAnalyzer>(options));
+  }
+  Reuse reuse;
+  std::uint64_t last_steps = 0;
+  trace::Trace delivered;
+  for (std::size_t r = 0; r < chunks.size(); ++r) {
+    const trace::Trace& chunk = chunks[r];
+    for (const auto& analyzer : analyzers) analyzer->append(chunk);
+    for (trace::ThreadId tid = 0;
+         tid < static_cast<trace::ThreadId>(chunk.thread_count()); ++tid) {
+      const auto events = chunk.thread_events(tid);
+      if (!events.empty()) delivered.append_thread_events(tid, events);
+    }
+    for (const auto& [object, name] : chunk.object_names()) {
+      delivered.set_object_name(object, name);
+    }
+    if (delivered.thread_count() == 0) continue;
+    const trace::TraceView view(delivered);
+    const test_support::Oracle oracle(view);
+    const TraceIndex index(view);
+    const CriticalPath want = test_support::reference_walk(index, oracle);
+    for (std::size_t k = 0; k < analyzers.size(); ++k) {
+      const std::string where = label + " (" + (k == 0 ? "1" : "4") +
                                 " workers) after round " + std::to_string(r);
-      const AnalysisResult& got = analyzer.result();
-      test_support::expect_same_path(test_support::reference_walk(index, oracle),
-                                     got.path, where);
+      const AnalysisResult& got = analyzers[k]->result();
+      test_support::expect_same_path(want, got.path, where);
       test_support::expect_table2(got, oracle, where);
     }
+    if (chunk.event_count() == 0) continue;  // nothing was walked
+    const DagWalkStats& walk = analyzers[0]->walk_stats();
+    if (last_steps != 0) {
+      reuse.reused += walk.reused_steps;
+      reuse.previous += last_steps;
+    }
+    last_steps = walk.merge_steps + walk.reused_steps;
+    const auto& threads = analyzers[0]->index().threads();
+    if (std::any_of(threads.begin(), threads.end(),
+                    [](const ThreadInfo& info) { return !info.ts_ordered; })) {
+      ++reuse.regressed_rounds;
+      reuse.regressed_reused += walk.reused_steps;
+    }
   }
+  return reuse;
 }
 
 TEST(Oracle, BatchMatchesOnEverySimWorkload) {
@@ -158,12 +229,31 @@ TEST(Oracle, BoundedBatchMatches) {
     expect_batch_matches_oracle(workload_trace(name), true,
                                 std::string(name) + ", bounded", 64);
   }
-  // Not the regressing-clock schedule: the bounded sweep merges threads in
-  // timestamp order, so a thread whose clock steps back is a documented
-  // divergence (DESIGN §12) that only an unvalidated trace can reach.
   for (const auto& [name, trace] : schedules()) {
-    if (name == "regressing thread 2") continue;
-    expect_batch_matches_oracle(trace, false, name + ", bounded", 64);
+    if (name != "regressing thread 2") {
+      expect_batch_matches_oracle(trace, false, name + ", bounded", 64);
+      continue;
+    }
+    // The bounded sweep merges the threads in timestamp order, so it
+    // refuses a thread whose clock steps back; only an unvalidated trace
+    // reaches it with one.
+    for (const unsigned workers : {1u, 4u}) {
+      Options options;
+      options.validate = false;
+      options.execution.num_threads = workers;
+      options.limits.max_rss_mb = 64;
+      Pipeline pipeline(options);
+      pipeline.use_trace(trace);
+      try {
+        (void)pipeline.result();
+        ADD_FAILURE() << name << " (" << workers
+                      << " workers): the bounded engine took the trace";
+      } catch (const util::ValidationError& e) {
+        EXPECT_NE(std::string(e.what()).find("CLA_E_TS_REGRESSION"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
   }
 }
 
@@ -188,6 +278,35 @@ TEST(Oracle, IncrementalMatchesAtRandomCuts) {
       expect_rounds_match_oracle(
           random_cuts(c.trace, 6, seed),
           c.name + " (seed " + std::to_string(seed) + ")");
+    }
+  }
+}
+
+TEST(Oracle, IncrementalSplicesMatchOverManyRounds) {
+  constexpr std::size_t kRounds = 40;
+  std::vector<std::pair<std::string, trace::Trace>> cases = schedules();
+  // ldap at full scale: a path of a few hundred steps, as a monitor sees.
+  cases.emplace_back("ldap", workload_trace("ldap", 1.0));
+  for (const char* name : {"radiosity", "tsp"}) {
+    cases.emplace_back(name, workload_trace(name));
+  }
+  for (const auto& [name, trace] : cases) {
+    const Reuse sliced =
+        expect_rounds_match_oracle(time_slices(trace, kRounds),
+                                   name + ", time slices");
+    expect_rounds_match_oracle(random_cuts(trace, kRounds, 7),
+                               name + ", random cuts");
+    if (name == "ldap") {
+      // Each slice moves the end a little: most of the path stays.
+      EXPECT_GE(static_cast<double>(sliced.reused),
+                0.9 * static_cast<double>(sliced.previous))
+          << sliced.reused << " of " << sliced.previous << " steps reused";
+    }
+    if (name == "regressing thread 2") {
+      // Once a thread's clock steps back the DAG rediscovers that thread
+      // in full, so no walk may splice.
+      EXPECT_GT(sliced.regressed_rounds, 0u);
+      EXPECT_EQ(sliced.regressed_reused, 0u);
     }
   }
 }

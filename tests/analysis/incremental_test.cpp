@@ -278,6 +278,31 @@ TEST(Incremental, RetainedHopToALaterReleaserLandsInANewSegment) {
       "late hop");
 }
 
+TEST(Incremental, HopCycleAtOneInstantIsNotSpliced) {
+  // Each second walk reaches the first walk's state in thread 1's segment,
+  // but the first walk's path below it went through the cycle guard
+  // differently: in one the second walk already took a hop the first took
+  // below that state, in the other the first found a hop taken above it.
+  // Neither walk may splice there.
+  const std::vector<std::pair<trace::Trace, std::vector<std::vector<std::size_t>>>>
+      cases = {
+          {test_support::hop_cycle(50, 40), test_support::kCycleEnteredAtThread0Cut},
+          {test_support::hop_cycle(50, 60), test_support::kCycleEnteredAtThread1Cut}};
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const auto chunks = rounds_at(cases[k].first, cases[k].second);
+    const std::string label = "hop cycle " + std::to_string(k);
+    expect_every_round_matches(chunks, label);
+    Options options;
+    options.validate = false;
+    IncrementalAnalyzer analyzer(options);
+    for (const trace::Trace& chunk : chunks) {
+      analyzer.append(chunk);
+      (void)analyzer.result();
+    }
+    EXPECT_EQ(analyzer.walk_stats().reused_steps, 0u) << label;
+  }
+}
+
 TEST(Incremental, ManyRoundsMatchOneShot) {
   const trace::Trace full = workload_trace("tsp");
   const auto chunks = split_trace(full, 5);

@@ -159,4 +159,31 @@ inline trace::Trace late_hop() {
 inline const std::vector<std::vector<std::size_t>> kThreeThreadCut = {
     {8, 5, 1}, {8, 5, 5}};
 
+/// Two wake-ups at one instant whose hops land in each other's segments:
+/// thread 0 obtains mutex 1 at t=10 from thread 1, which obtains mutex 2
+/// at t=10 from thread 0; thread 2 obtains mutex 3 at t=10 from thread 1
+/// (inside thread 1's segment). A walk that enters the cycle at one of
+/// the two takes the other's hop, then finds its own taken (the cycle
+/// guard), so where a walk enters decides which thread starts the path.
+/// Thread 0 exits at `t0_exit`, thread 2 at `t2_exit`.
+inline trace::Trace hop_cycle(std::uint64_t t0_exit, std::uint64_t t2_exit) {
+  trace::TraceBuilder b;
+  b.thread(0).start(0).acquire(2, 1).acquired(2, 1, false).acquire(1, 5).acquired(1, 10, true).released(2, 10).released(1, 12).exit(t0_exit);
+  b.thread(1).start(0, trace::kNoThread).acquire(1, 1).acquired(1, 1, false).acquire(3, 1).acquired(3, 1, false).acquire(2, 5).acquired(2, 10, true).released(1, 10).released(3, 10).released(2, 11).exit(15);
+  b.thread(2).start(0, trace::kNoThread).acquire(3, 5).acquired(3, 10, true).released(3, 30).exit(t2_exit);
+  return b.finish_unchecked();
+}
+/// hop_cycle(50, 40) in two rounds: thread 2 ends the first, so its walk
+/// enters the cycle at thread 1; thread 0's exit ends the second, so that
+/// walk enters at thread 0 and has taken thread 0's hop when it reaches
+/// the first walk's state in thread 1's segment.
+inline const std::vector<std::vector<std::size_t>> kCycleEnteredAtThread0Cut = {
+    {7, 11, 5}, {8, 11, 5}};
+/// hop_cycle(50, 60) in two rounds: thread 0 ends the first, whose walk
+/// enters the cycle at thread 0; thread 2's exit ends the second, so that
+/// walk enters at thread 1, where the first walk then found thread 0's
+/// hop taken above it.
+inline const std::vector<std::vector<std::size_t>> kCycleEnteredAtThread1Cut = {
+    {8, 11, 4}, {8, 11, 5}};
+
 }  // namespace cla::test_support

@@ -3,7 +3,8 @@
 // per-lock, per-callsite and per-thread lock figure its fold over the
 // sections it paired from the raw event columns, at 1 and 4 workers. Batch
 // analysis is checked unbounded and under an RSS budget; incremental
-// analysis after every round of a trace cut at random points.
+// analysis after every round of a trace cut at random points or into time
+// slices, which is where each refresh's walk splices onto the last one's.
 #include <gtest/gtest.h>
 
 #include <algorithm>

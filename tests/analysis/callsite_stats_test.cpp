@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cla/analysis/report.hpp"
 #include "support/analyze.hpp"
@@ -87,6 +89,46 @@ TEST(CallsiteStats, GroupsSectionsByLockAndStack) {
   EXPECT_GE(top.cp_hold_time, result.callsites[1].cp_hold_time);
   EXPECT_GE(result.callsites[1].cp_hold_time,
             result.callsites[2].cp_hold_time);
+}
+
+TEST(CallsiteStats, RankingBreaksTiesByLockNameThenStackThenLockId) {
+  // One thread, so every 5-ns section is on the path and every callsite
+  // ties on CP hold time and total wait. Locks 10 and 20 share a name, so
+  // their callsites order by stack id before lock id; lock 30's name
+  // sorts first although its id is the largest named one, and the
+  // unnamed lock 5 sorts as "mutex@5".
+  trace::TraceBuilder b;
+  b.name_object(10, "same");
+  b.name_object(20, "same");
+  b.name_object(30, "a");
+  b.thread(0)
+      .start(0)
+      .lock_at(10, 2, 100, 100, 105)
+      .lock_at(20, 1, 110, 110, 115)
+      .lock_at(10, 3, 120, 120, 125)
+      .lock_at(20, 3, 130, 130, 135)
+      .lock_at(30, 4, 140, 140, 145)
+      .lock_at(5, 1, 150, 150, 155)
+      .exit(200);
+  trace::Trace trace = b.finish();
+  for (std::uint64_t stack = 1; stack <= 4; ++stack) {
+    trace.set_call_stack(stack, {0x1000 + stack});
+  }
+  const std::vector<std::pair<trace::ObjectId, std::uint64_t>> want = {
+      {30, 4}, {5, 1}, {20, 1}, {10, 2}, {10, 3}, {20, 3}};
+  for (const unsigned workers : {1u, 4u}) {
+    Options options;
+    options.execution.num_threads = workers;
+    const auto result = cla::test_support::analyze(trace, options);
+    ASSERT_EQ(result.callsites.size(), want.size()) << workers;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const CallsiteStats& cs = result.callsites[k];
+      EXPECT_EQ(cs.lock_id, want[k].first) << workers << " #" << k;
+      EXPECT_EQ(cs.stack_id, want[k].second) << workers << " #" << k;
+      EXPECT_EQ(cs.cp_hold_time, 5u) << workers << " #" << k;
+      EXPECT_EQ(cs.total_wait, 0u) << workers << " #" << k;
+    }
+  }
 }
 
 TEST(CallsiteStats, UnsymbolizedFramesFallBackToHex) {

@@ -206,6 +206,77 @@ TEST(Incremental, LateThreadChunkMatchesOneShotEveryRound) {
   }
 }
 
+TEST(Incremental, LateNamesAndLocksMatchOneShotEveryRound) {
+  // Thread 0 runs last and never blocks, and each round ends between two
+  // of its passes over locks 1, 2, 3 and 5 (5 ns each, uncontended), so
+  // those tie on CP hold time and wait and rank by name, then id. Names
+  // arrive with later rounds: a rename flips the tie order, the unnamed
+  // "mutex@5" is named, lock 4 is first used mid-stream, and a chunk
+  // carries names only.
+  trace::TraceBuilder b;
+  auto t0 = b.thread(0).start(0);
+  constexpr std::uint64_t kPass = 100;
+  constexpr std::size_t kPasses = 8;
+  for (std::uint64_t p = 0; p < kPasses; ++p) {
+    const std::uint64_t at = 10 + p * kPass;
+    for (const trace::ObjectId lock : {1, 2, 3, 5}) {
+      t0.lock_uncontended(lock, at + 10 * lock, at + 10 * lock + 5);
+    }
+    if (p >= kPasses / 2) t0.lock_uncontended(4, at + 60, at + 63);
+  }
+  t0.exit(10 + kPasses * kPass);
+  auto t1 = b.thread(1).start(0, trace::kNoThread);
+  for (std::uint64_t p = 0; p < kPasses; ++p) {
+    t1.lock(6, 20 + p * kPass, 25 + p * kPass, 40 + p * kPass);
+  }
+  t1.exit(kPasses * kPass);
+  const trace::Trace full = b.finish();
+
+  // Two passes a round.
+  std::vector<trace::Trace> chunks;
+  for (std::size_t r = 0; r < kPasses / 2; ++r) {
+    const std::uint64_t from = r * 2 * kPass;
+    const std::uint64_t to = r + 1 == kPasses / 2 ? ~std::uint64_t{0}
+                                                  : (r + 1) * 2 * kPass;
+    trace::Trace& chunk = chunks.emplace_back();
+    for (trace::ThreadId tid = 0; tid < 2; ++tid) {
+      std::vector<trace::Event> slice;
+      for (const trace::Event& e : full.thread_events(tid)) {
+        if (e.ts >= from && e.ts < to) slice.push_back(e);
+      }
+      chunk.append_thread_events(tid, slice);
+    }
+  }
+  chunks[0].set_object_name(1, "a");
+  chunks[0].set_object_name(2, "b");
+  chunks[0].set_object_name(3, "c");
+  chunks[1].set_object_name(1, "d");  // now 3 "a", 2 "b", 1 "d"
+  chunks[1].set_object_name(3, "a");
+  chunks[2].set_object_name(4, "b");  // first used this round
+  chunks[2].set_object_name(5, "aa");
+  trace::Trace names_only;
+  names_only.set_object_name(2, "0");
+  names_only.set_object_name(6, "e");
+  chunks.insert(chunks.begin() + 3, std::move(names_only));
+  expect_every_round_matches(chunks, "late names");
+
+  // The rounds do exercise the renames: the ties order by the names
+  // delivered so far.
+  Options options;
+  options.validate = false;
+  IncrementalAnalyzer analyzer(options);
+  const std::vector<std::vector<trace::ObjectId>> tied = {
+      {1, 2, 3, 5}, {3, 2, 1, 5}, {3, 5, 2, 1}, {2, 3, 5, 1}, {2, 3, 5, 1}};
+  for (std::size_t r = 0; r < chunks.size(); ++r) {
+    analyzer.append(chunks[r]);
+    std::vector<trace::ObjectId> order;
+    for (const LockStats& ls : analyzer.result().locks) {
+      if (ls.id != 4 && ls.id != 6) order.push_back(ls.id);
+    }
+    EXPECT_EQ(order, tied[r]) << "round " << r;
+  }
+}
+
 // The simulated workloads carry no call stacks, nest no locks and hold
 // none for long; these scripted traces do, and check every round.
 

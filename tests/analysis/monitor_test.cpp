@@ -8,15 +8,20 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <initializer_list>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cla/analysis/monitor.hpp"
+#include "cla/analysis/pipeline.hpp"
 #include "cla/trace/trace.hpp"
 #include "cla/trace/trace_io.hpp"
+#include "cla/util/diagnostics.hpp"
 
 namespace {
 
@@ -45,6 +50,65 @@ std::vector<Event> worker_stream(ThreadId tid, std::size_t pairs,
   }
   add(EventType::ThreadExit, cla::trace::kNoObject, cla::trace::kNoArg);
   return events;
+}
+
+/// `passes` rounds of thread `tid` over `locks`, each section held 7 ns
+/// and uncontended, from `ts0` on; with a ThreadStart first and a
+/// ThreadExit last when asked.
+std::vector<Event> lock_passes(ThreadId tid, std::initializer_list<std::uint64_t> locks,
+                               std::size_t passes, std::uint64_t ts0,
+                               bool start, bool exit) {
+  std::vector<Event> events;
+  std::uint64_t ts = ts0;
+  const auto add = [&](EventType type, std::uint64_t object,
+                       std::uint64_t arg) {
+    events.push_back(Event{ts++, object, arg, type, 0, tid});
+  };
+  if (start) add(EventType::ThreadStart, cla::trace::kNoObject, cla::trace::kNoArg);
+  for (std::size_t p = 0; p < passes; ++p) {
+    for (const std::uint64_t lock : locks) {
+      add(EventType::MutexAcquire, lock, cla::trace::kNoArg);
+      add(EventType::MutexAcquired, lock, 0);
+      ts += 6;
+      add(EventType::MutexReleased, lock, cla::trace::kNoArg);
+      ts += 3;
+    }
+  }
+  if (exit) add(EventType::ThreadExit, cla::trace::kNoObject, cla::trace::kNoArg);
+  return events;
+}
+
+/// The tail of ranking_json() for one source, from "completion_time_ns"
+/// on, rendered from a batch analysis of `trace` with the monitor's field
+/// order and its stream precision of 12 significant digits.
+std::string batch_ranking_tail(const cla::trace::Trace& trace, std::size_t top) {
+  cla::analysis::Options options;
+  options.validate = false;
+  cla::analysis::Pipeline pipeline(options);
+  pipeline.use_trace(trace);
+  const cla::analysis::AnalysisResult& result = pipeline.result();
+  std::ostringstream out;
+  out.precision(12);
+  out << ",\"completion_time_ns\":" << result.completion_time
+      << ",\"worker_threads\":" << result.worker_threads << ",\"locks\":[";
+  for (std::size_t k = 0; k < std::min(top, result.locks.size()); ++k) {
+    const cla::analysis::LockStats& ls = result.locks[k];
+    if (k > 0) out << ',';
+    out << "{\"name\":" << cla::util::json_quoted(ls.name) << ",\"id\":" << ls.id
+        << ",\"cp_hold_time_ns\":" << ls.cp_hold_time
+        << ",\"cp_invocations\":" << ls.cp_invocations
+        << ",\"cp_time_fraction\":" << ls.cp_time_fraction
+        << ",\"invocations\":" << ls.invocations
+        << ",\"total_wait_ns\":" << ls.total_wait
+        << ",\"total_hold_ns\":" << ls.total_hold << '}';
+  }
+  out << "]}]}";
+  return out.str();
+}
+
+std::string ranking_tail(const std::string& json) {
+  const std::size_t at = json.find(",\"completion_time_ns\":");
+  return at == std::string::npos ? json : json.substr(at);
 }
 
 class MonitorCoreTest : public ::testing::Test {
@@ -113,6 +177,47 @@ TEST_F(MonitorCoreTest, NameChunkInAnEventFreePollStillNamesTheLock) {
   const std::string json = core.ranking_json();
   EXPECT_NE(json.find("\"lock_one\""), std::string::npos) << json;
   EXPECT_EQ(json.find("mutex@1"), std::string::npos) << json;
+}
+
+TEST_F(MonitorCoreTest, NamesWrittenAfterEventsRerankLikeABatchRun) {
+  // The locks tie on CP hold time and wait, so names written after their
+  // events reorder the ranking; every refresh must match a batch run
+  // over what the writer has written so far.
+  MonitorCore::Options options;
+  options.top = 3;
+  MonitorCore core({path_}, options);
+  ChunkedTraceWriter writer(path_, cla::trace::kTraceVersionV3);
+  cla::trace::Trace written;
+  const auto write = [&](const std::vector<Event>& events) {
+    ASSERT_EQ(writer.write_events(0, events.data(), events.size()), events.size());
+    written.append_thread_events(0, events);
+  };
+  const auto name = [&](std::uint64_t lock, const std::string& text) {
+    writer.write_object_name(lock, text);
+    written.set_object_name(lock, text);
+  };
+
+  write(lock_passes(0, {1, 2, 3, 4}, 3, 10, true, false));
+  ASSERT_TRUE(core.step());
+  std::string json = core.ranking_json();
+  EXPECT_EQ(ranking_tail(json), batch_ranking_tail(written, options.top));
+  EXPECT_NE(json.find("\"mutex@1\""), std::string::npos) << json;
+
+  name(4, "alpha");
+  name(1, "ze\"ta");
+  ASSERT_TRUE(core.step());
+  json = core.ranking_json();
+  EXPECT_EQ(ranking_tail(json), batch_ranking_tail(written, options.top));
+  EXPECT_NE(json.find("\"locks\":[{\"name\":\"alpha\""), std::string::npos) << json;
+
+  // Lock 7 is first used now, and lock 2 takes lock 4's name.
+  write(lock_passes(0, {7, 1, 2, 3, 4}, 2, 1000, false, true));
+  name(2, "alpha");
+  ASSERT_TRUE(core.step());
+  json = core.ranking_json();
+  EXPECT_EQ(ranking_tail(json), batch_ranking_tail(written, options.top));
+  EXPECT_NE(json.find("\"name\":\"alpha\",\"id\":2"), std::string::npos) << json;
+  EXPECT_EQ(core.ranking_json(), json);  // an idle refresh renders the same bytes
 }
 
 TEST_F(MonitorCoreTest, RotationResetsTheWindowAndCountsAsLoss) {

@@ -4,6 +4,8 @@
 
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "support/analyze.hpp"
 #include "support/lock_schedule.hpp"
@@ -167,6 +169,50 @@ TEST(Stats, LocksSortedByCpHoldTime) {
   ASSERT_EQ(result.locks.size(), 2u);
   EXPECT_EQ(result.locks[0].name, "big");
   EXPECT_EQ(result.locks[1].name, "small");
+}
+
+TEST(Stats, RankingBreaksTiesByNameThenId) {
+  // Thread 0 runs last and never blocks, so the path is its whole life
+  // and each of its 5-ns sections is on it: every lock but 70 has the
+  // same CP hold time, and all but 60 the same total wait. Lock 60's wait
+  // comes from threads 1 and 2, which contend for it off the path.
+  TraceBuilder b;
+  b.name_object(10, "c");
+  b.name_object(20, "b");
+  b.name_object(30, "a");
+  b.name_object(40, "b");  // the same name as lock 20
+  b.name_object(60, "zz");
+  b.name_object(70, "zzz");
+  b.thread(0)
+      .start(0)
+      .lock_uncontended(10, 100, 105)
+      .lock_uncontended(20, 110, 115)
+      .lock_uncontended(30, 120, 125)
+      .lock_uncontended(40, 130, 135)
+      .lock_uncontended(50, 140, 145)  // unnamed: "mutex@50"
+      .lock_uncontended(60, 150, 155)
+      .lock_uncontended(70, 160, 170)
+      .exit(200);
+  b.thread(1).start(0, trace::kNoThread).lock(60, 0, 0, 10).exit(20);
+  b.thread(2).start(0, trace::kNoThread).lock(60, 2, 10, 12).exit(20);
+  const trace::Trace t = b.finish();
+  for (const unsigned workers : {1u, 4u}) {
+    Options options;
+    options.execution.num_threads = workers;
+    const AnalysisResult result = test_support::analyze(t, options);
+    // Hold first, then wait, then name, then id.
+    const std::vector<std::pair<std::string, trace::ObjectId>> want = {
+        {"zzz", 70}, {"zz", 60}, {"a", 30}, {"b", 20},
+        {"b", 40},   {"c", 10},  {"mutex@50", 50}};
+    ASSERT_EQ(result.locks.size(), want.size()) << workers;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(result.locks[k].name, want[k].first) << workers << " #" << k;
+      EXPECT_EQ(result.locks[k].id, want[k].second) << workers << " #" << k;
+    }
+    EXPECT_EQ(result.locks[1].cp_hold_time, result.locks[2].cp_hold_time);
+    EXPECT_GT(result.locks[1].total_wait, 0u);
+    EXPECT_EQ(result.locks[2].total_wait, 0u);
+  }
 }
 
 TEST(Stats, BarrierStatsAggregate) {

@@ -105,7 +105,7 @@ void BM_ParallelIndexStats(benchmark::State& state) {
       cla::analysis::SegmentDag::build(seq_index, nullptr), nullptr);
   for (auto _ : state) {
     cla::analysis::TraceIndex index(trace, &pool);
-    auto result = cla::analysis::compute_stats(index, path, {}, &pool);
+    auto result = cla::analysis::compute_stats(index, path);
     benchmark::DoNotOptimize(result.locks.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

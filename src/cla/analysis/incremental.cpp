@@ -30,7 +30,10 @@ void IncrementalAnalyzer::append(const trace::Trace& chunk) {
     trace_.append_thread_events(tid, events);
     dirty_ = true;
   }
-  if (trace_.tables().merge(chunk.tables())) dirty_ = true;
+  if (trace_.tables().merge(chunk.tables())) {
+    dirty_ = true;
+    names_changed_ = true;
+  }
   if (chunk.dropped_events() != 0) {
     trace_.set_dropped_events(trace_.dropped_events() +
                               chunk.dropped_events());
@@ -69,11 +72,15 @@ void IncrementalAnalyzer::refresh() {
   CriticalPath previous;
   if (result_.has_value()) {
     previous = std::move(result_->path);
+    lock_table_.take_back(std::move(result_->locks));
     result_.reset();
   } else {
     walk_record_ = WalkRecord{};
     path_sums_ = PathSums{};
+    lock_table_ = LockTable{};
   }
+  if (names_changed_) lock_table_.forget_names();
+  names_changed_ = false;
   if (options_.limits.max_events != 0 &&
       trace_.event_count() > options_.limits.max_events) {
     throw util::ResourceLimitError(
@@ -149,8 +156,8 @@ void IncrementalAnalyzer::refresh() {
                             &walk_stats_);
   deadline.check("incremental-walk");
   path_sums_.update(index_, path, walk_record_.changed_from(), boundary);
-  result_ = compute_stats(index_, std::move(path), path_sums_, options_.stats,
-                          pool_.get());
+  result_ = compute_stats(index_, std::move(path), path_sums_, lock_table_,
+                          options_.stats);
   dirty_ = false;
 }
 

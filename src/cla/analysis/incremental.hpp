@@ -119,11 +119,13 @@ class IncrementalAnalyzer {
   SegmentDag dag_;
   WalkRecord walk_record_;
   PathSums path_sums_;
+  LockTable lock_table_;
   std::optional<AnalysisResult> result_;
   DagWalkStats walk_stats_;
   std::uint64_t retained_ = 0;
   std::uint64_t rescanned_ = 0;
   bool dirty_ = false;
+  bool names_changed_ = false;  ///< the tables changed since the last refresh
 };
 
 }  // namespace cla::analysis

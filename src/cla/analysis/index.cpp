@@ -7,19 +7,21 @@
 
 namespace cla::analysis {
 
-void MutexIndex::count(const SectionRow& row, const trace::EventsView& events) {
+void MutexIndex::count(const SectionRow& row, const trace::EventsView& events,
+                       SlotTimes& times) {
   const std::uint64_t wait = row.wait_time(events);
   totals.add(row, wait);
-  wait_per_thread[events.tid()] += wait;
-  hold_per_thread[events.tid()] += row.hold_time();
+  times.wait[slot] += wait;
+  times.hold[slot] += row.hold_time();
   if (row.has_stack()) callsites[row.stack_id(events)].add(row, wait);
 }
 
-void MutexIndex::uncount(const SectionRow& row, const trace::EventsView& events) {
+void MutexIndex::uncount(const SectionRow& row, const trace::EventsView& events,
+                         SlotTimes& times) {
   const std::uint64_t wait = row.wait_time(events);
   totals.subtract(row, wait);
-  wait_per_thread[events.tid()] -= wait;
-  hold_per_thread[events.tid()] -= row.hold_time();
+  times.wait[slot] -= wait;
+  times.hold[slot] -= row.hold_time();
   if (!row.has_stack()) return;
   const auto it = callsites.find(row.stack_id(events));
   it->second.subtract(row, wait);
@@ -334,9 +336,9 @@ std::uint32_t TraceIndex::slot_for(trace::ObjectId mutex) {
     MutexIndex& mi = mutexes_[mutex];
     mi.id = mutex;
     mi.slot = it->second;
-    mi.wait_per_thread.resize(threads_.size(), 0);
-    mi.hold_per_thread.resize(threads_.size(), 0);
     slots_.push_back(&mi);
+    sorted_.push_back(0);
+    for (SlotTimes& times : slot_times_) times.resize(slots_.size());
   }
   return it->second;
 }
@@ -346,13 +348,10 @@ void TraceIndex::extend_mutexes(std::vector<ThreadScanState>& scans,
   const std::size_t thread_count = threads_.size();
   max_hold_.resize(thread_count, 0);
   sections_.resize(thread_count);
-  for (MutexIndex* mi : slots_) {
-    mi->wait_per_thread.resize(thread_count, 0);
-    mi->hold_per_thread.resize(thread_count, 0);
-  }
-  // Per slot, how much of its order is sorted already.
-  std::vector<std::size_t> sorted(slots_.size());
-  for (const MutexIndex* mi : slots_) sorted[mi->slot] = mi->order.size();
+  slot_times_.resize(thread_count);
+  for (SlotTimes& times : slot_times_) times.resize(slots_.size());
+  // The slots whose order grows, each once.
+  std::vector<std::uint32_t> grown;
 
   for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
     ThreadScanState& scan = scans[tid];
@@ -361,6 +360,7 @@ void TraceIndex::extend_mutexes(std::vector<ThreadScanState>& scans,
     SectionTable& drained = scan.sections;
     SectionTable& table = sections_[tid];
     const trace::EventsView& events = view_.thread_events(tid);
+    SlotTimes& times = slot_times_[tid];
     std::uint64_t& max_hold = max_hold_[tid];
     // Rows acquired no later than the table's last one replace provisional
     // rows: each section still held at the last extend left one, and the
@@ -373,10 +373,10 @@ void TraceIndex::extend_mutexes(std::vector<ThreadScanState>& scans,
       CLA_ASSERT(at != npos32 && table[at].provisional(),
                  "a drained section replaces no provisional row");
       MutexIndex& mi = *slots_[table[at].slot];
-      mi.uncount(table[at], events);
+      mi.uncount(table[at], events, times);
       drained[k].slot = table[at].slot;
       table[at] = drained[k];
-      mi.count(table[at], events);
+      mi.count(table[at], events, times);
       max_hold = std::max(max_hold, table[at].hold_time());
     }
     const std::size_t first_new = table.size();
@@ -391,23 +391,27 @@ void TraceIndex::extend_mutexes(std::vector<ThreadScanState>& scans,
       SectionRow& row = table[r];
       row.slot = slot_for(events.object_at(row.acquired_idx));
       MutexIndex& mi = *slots_[row.slot];
-      mi.count(row, events);
+      mi.count(row, events, times);
+      if (mi.order.size() == sorted_[row.slot]) grown.push_back(row.slot);
       mi.order.push_back(OwnedSection{
           row.acquired_ts, SectionRef{tid, static_cast<std::uint32_t>(r)}});
       max_hold = std::max(max_hold, row.hold_time());
     }
   }
 
-  // --- each mutex sorts its new references and merges them in from the
-  // first old one that sorts after the earliest of them ---
-  sorted.resize(slots_.size(), 0);
-  util::for_each_index(pool, slots_.size(), [&](std::size_t slot) {
+  // --- each grown mutex sorts its new references and merges them in from
+  // the first old one that sorts after the earliest of them; a live tail
+  // usually sorts after every old one and needs no merge ---
+  util::for_each_index(pool, grown.size(), [&](std::size_t g) {
+    const std::uint32_t slot = grown[g];
     auto& order = slots_[slot]->order;
-    if (order.size() == sorted[slot]) return;
-    const auto fresh = order.begin() + static_cast<std::ptrdiff_t>(sorted[slot]);
+    const auto fresh = order.begin() + static_cast<std::ptrdiff_t>(sorted_[slot]);
     std::sort(fresh, order.end());
-    std::inplace_merge(std::upper_bound(order.begin(), fresh, *fresh), fresh,
-                       order.end());
+    if (fresh != order.begin() && *fresh < *(fresh - 1)) {
+      std::inplace_merge(std::upper_bound(order.begin(), fresh, *fresh), fresh,
+                         order.end());
+    }
+    sorted_[slot] = order.size();
   });
 }
 

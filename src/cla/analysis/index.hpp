@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -125,6 +126,19 @@ struct SectionTotals {
   friend bool operator==(const SectionTotals&, const SectionTotals&) = default;
 };
 
+/// One thread's summed wait and hold time per mutex, index =
+/// MutexIndex::slot: the per-thread inputs of the TYPE 2 averages, laid out
+/// so that one pass over a thread's times serves every lock.
+struct SlotTimes {
+  std::vector<std::uint64_t> wait;
+  std::vector<std::uint64_t> hold;
+
+  void resize(std::size_t slots) {
+    wait.resize(slots, 0);
+    hold.resize(slots, 0);
+  }
+};
+
 /// One mutex: its sections in ownership order, and running totals over
 /// them. `order` holds the mutex's sections sorted by (acquired_ts, tid,
 /// acquired_idx). order[k-1] released the lock that order[k] obtained —
@@ -137,26 +151,24 @@ struct SectionTotals {
 /// The bounded-RSS engine fills the totals alone and keeps no `order`.
 struct MutexIndex {
   trace::ObjectId id = trace::kNoObject;
-  /// Dense number of this mutex in a TraceIndex, in order of first
-  /// appearance and never reassigned (SectionRow::slot); 0 in the
-  /// bounded-RSS engine, which keeps no section tables.
+  /// Dense number of this mutex, in order of first appearance and never
+  /// reassigned (SectionRow::slot, SlotTimes). The bounded-RSS engine
+  /// numbers its mutexes in the order its rescans first meet them.
   std::uint32_t slot = 0;
   std::vector<OwnedSection, util::MappedAllocator<OwnedSection>> order;
   SectionTotals totals;
-  /// Summed wait and hold time per thread (index = tid), sized to the
-  /// index's thread count.
-  std::vector<std::uint64_t> wait_per_thread;
-  std::vector<std::uint64_t> hold_per_thread;
   /// Totals per acquisition call stack (SectionRow::kHasStack). A stack id
   /// whose sections all left the index has no entry.
   std::map<std::uint64_t, SectionTotals> callsites;
 
   /// Adds `row`, a section of thread events.tid(), to the running totals
-  /// (not to `order`). The per-thread vectors must already cover the
-  /// thread.
-  void count(const SectionRow& row, const trace::EventsView& events);
+  /// (not to `order`), its wait and hold time to that thread's `times`,
+  /// which must already cover `slot`.
+  void count(const SectionRow& row, const trace::EventsView& events,
+             SlotTimes& times);
   /// Takes `row`, counted earlier, back out of the running totals.
-  void uncount(const SectionRow& row, const trace::EventsView& events);
+  void uncount(const SectionRow& row, const trace::EventsView& events,
+               SlotTimes& times);
 };
 
 /// One thread's passage through a barrier (Arrive .. Leave).
@@ -390,6 +402,13 @@ class TraceIndex {
   /// How many mutexes have a slot (MutexIndex::slot, SectionRow::slot),
   /// i.e. mutexes().size().
   std::size_t slot_count() const noexcept { return slots_.size(); }
+  /// The mutexes by slot.
+  std::span<const MutexIndex* const> slots() const noexcept { return slots_; }
+  /// Per thread (index = tid), its wait and hold time by mutex slot, each
+  /// sized to slot_count().
+  const std::vector<SlotTimes>& slot_times() const noexcept {
+    return slot_times_;
+  }
 
   /// An upper bound on the hold time of `tid`'s sections, provisional
   /// ones included (it never shrinks, so a section that was replaced may
@@ -425,6 +444,10 @@ class TraceIndex {
   std::vector<ThreadInfo> threads_;
   std::map<trace::ThreadId, EventRef> creates_;
   std::vector<MutexIndex*> slots_;  ///< by slot; the map's nodes are stable
+  /// By slot: the length of the mutex's order, all of it sorted, when the
+  /// running extend began; equal to order.size() between extends.
+  std::vector<std::size_t> sorted_;
+  std::vector<SlotTimes> slot_times_;  ///< by thread
   std::unordered_map<trace::ObjectId, std::uint32_t> slot_of_;
   std::vector<SectionTable> sections_;  ///< by thread
   WaitPositions leave_pos_;

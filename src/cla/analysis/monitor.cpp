@@ -1,7 +1,8 @@
 #include "cla/analysis/monitor.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
+#include <string_view>
 
 #include "cla/util/diagnostics.hpp"
 #include "cla/util/error.hpp"
@@ -119,61 +120,100 @@ bool MonitorCore::step() {
   return any_progress;
 }
 
-std::string MonitorCore::ranking_json() {
-  std::ostringstream out;
-  out.precision(12);
-  out << "{\"schema\":1,\"sources\":[";
+namespace {
+
+void append_number(std::string& out, std::uint64_t value) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+/// As an ostream with precision(12) writes `value` (printf's "%.12g").
+void append_number(std::string& out, double value) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value,
+                                std::chars_format::general, 12)
+                      .ptr);
+}
+
+void append_field(std::string& out, std::string_view key, std::uint64_t value) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  append_number(out, value);
+}
+
+void append_field(std::string& out, std::string_view key, bool value) {
+  out += ",\"";
+  out += key;
+  out += value ? "\":true" : "\":false";
+}
+
+}  // namespace
+
+const std::string& MonitorCore::ranking_json() {
+  std::string& out = json_;
+  out.clear();
+  out += "{\"schema\":1,\"sources\":[";
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     SourceState& state = states_[i];
-    if (i > 0) out << ',';
-    out << "{\"path\":" << util::json_quoted(state.path);
-    out << ",\"generation\":" << state.generation
-        << ",\"events\":" << state.events
-        << ",\"total_events\":" << state.total_events
-        << ",\"dropped_events\":" << state.dropped_events
-        << ",\"skipped_bytes\":" << state.skipped_bytes
-        << ",\"rotations\":" << state.rotations
-        << ",\"windows_shed\":" << state.windows_shed
-        << ",\"io_errors\":" << state.io_errors
-        << ",\"writer_finished\":" << (state.writer_finished ? "true" : "false")
-        << ",\"removed\":" << (state.removed ? "true" : "false");
+    if (i > 0) out += ',';
+    out += "{\"path\":";
+    out += util::json_quoted(state.path);
+    append_field(out, "generation", state.generation);
+    append_field(out, "events", state.events);
+    append_field(out, "total_events", state.total_events);
+    append_field(out, "dropped_events", state.dropped_events);
+    append_field(out, "skipped_bytes", state.skipped_bytes);
+    append_field(out, "rotations", state.rotations);
+    append_field(out, "windows_shed", state.windows_shed);
+    append_field(out, "io_errors", state.io_errors);
+    append_field(out, "writer_finished", state.writer_finished);
+    append_field(out, "removed", state.removed);
 
     const AnalysisResult* result = snapshot(i);
 
-    out << ",\"last_error\":" << util::json_quoted(state.last_error);
-    out << ",\"runtime_warnings\":{";
+    out += ",\"last_error\":";
+    out += util::json_quoted(state.last_error);
+    out += ",\"runtime_warnings\":{";
     bool first = true;
     for (const auto& [code, value] : state.runtime_warnings) {
       if (value == 0) continue;
-      if (!first) out << ',';
+      if (!first) out += ',';
       first = false;
-      out << '"' << util::to_string(static_cast<util::DiagCode>(code))
-          << "\":" << value;
+      out += '"';
+      out += util::to_string(static_cast<util::DiagCode>(code));
+      out += "\":";
+      append_number(out, value);
     }
-    out << '}';
+    out += '}';
 
     if (result != nullptr) {
-      out << ",\"completion_time_ns\":" << result->completion_time
-          << ",\"worker_threads\":" << result->worker_threads << ",\"locks\":[";
+      append_field(out, "completion_time_ns", result->completion_time);
+      append_field(out, "worker_threads", result->worker_threads);
+      out += ",\"locks\":[";
       const std::size_t n = std::min(options_.top, result->locks.size());
       for (std::size_t k = 0; k < n; ++k) {
         const LockStats& ls = result->locks[k];
-        if (k > 0) out << ',';
-        out << "{\"name\":" << util::json_quoted(ls.name);
-        out << ",\"id\":" << ls.id << ",\"cp_hold_time_ns\":" << ls.cp_hold_time
-            << ",\"cp_invocations\":" << ls.cp_invocations
-            << ",\"cp_time_fraction\":" << ls.cp_time_fraction
-            << ",\"invocations\":" << ls.invocations
-            << ",\"total_wait_ns\":" << ls.total_wait
-            << ",\"total_hold_ns\":" << ls.total_hold << '}';
+        if (k > 0) out += ',';
+        out += "{\"name\":";
+        out += util::json_quoted(ls.name);
+        append_field(out, "id", ls.id);
+        append_field(out, "cp_hold_time_ns", ls.cp_hold_time);
+        append_field(out, "cp_invocations", ls.cp_invocations);
+        out += ",\"cp_time_fraction\":";
+        append_number(out, ls.cp_time_fraction);
+        append_field(out, "invocations", ls.invocations);
+        append_field(out, "total_wait_ns", ls.total_wait);
+        append_field(out, "total_hold_ns", ls.total_hold);
+        out += '}';
       }
-      out << "]}";
+      out += "]}";
     } else {
-      out << ",\"completion_time_ns\":0,\"worker_threads\":0,\"locks\":[]}";
+      out += ",\"completion_time_ns\":0,\"worker_threads\":0,\"locks\":[]}";
     }
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 const AnalysisResult* MonitorCore::snapshot(std::size_t i) {

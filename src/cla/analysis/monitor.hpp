@@ -79,8 +79,9 @@ class MonitorCore {
   /// Refreshes every source's analysis and serializes the rolling
   /// rankings (top-N locks by CP-Time per source, plus health counters).
   /// Analysis failures degrade to a shed or an error string in the JSON;
-  /// this never throws and always returns a complete document.
-  std::string ranking_json();
+  /// this never throws and always returns a complete document. The
+  /// document lives in one buffer that the next call renders over.
+  const std::string& ranking_json();
 
   /// Refreshes and returns source `i`'s current analysis, or nullptr when
   /// the window is empty or the refresh had to shed (budget breach,
@@ -110,6 +111,7 @@ class MonitorCore {
   Options options_;
   std::vector<std::unique_ptr<Source>> sources_;
   std::vector<SourceState> states_;
+  std::string json_;  ///< ranking_json()'s buffer
 };
 
 }  // namespace cla::analysis

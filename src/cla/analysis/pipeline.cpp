@@ -304,7 +304,7 @@ Pipeline& Pipeline::stats_stage() {
   walk_stage();
   const std::uint64_t start = util::now_ns();
   deadline().check("stats");
-  result_ = compute_stats(*index_, std::move(*path_), options_.stats, pool());
+  result_ = compute_stats(*index_, std::move(*path_), options_.stats);
   path_.reset();  // the path now lives inside the result
   record(Stage::Stats, start);
   return *this;

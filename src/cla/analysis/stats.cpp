@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <numeric>
+#include <tuple>
 
 #include "cla/util/stats.hpp"
-#include "cla/util/thread_pool.hpp"
 
 namespace cla::analysis {
 
@@ -13,35 +14,77 @@ using util::safe_ratio;
 
 namespace {
 
-/// Ranks `items` by cp_hold_time, then total_wait, both descending, then
-/// `tie_before` (which must order any two items strictly). It sorts
-/// (key, position) pairs and then moves each item once, rather than
-/// swapping whole items inside the sort.
-template <typename T, typename TieBefore>
-void rank(std::vector<T>& items, TieBefore tie_before) {
-  struct Key {
-    std::uint64_t hold = 0;
-    std::uint64_t wait = 0;
-    std::uint32_t pos = 0;
-  };
-  std::vector<Key> keys;
-  keys.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    keys.push_back(Key{items[i].cp_hold_time, items[i].total_wait,
-                       static_cast<std::uint32_t>(i)});
-  }
-  std::sort(keys.begin(), keys.end(), [&](const Key& a, const Key& b) {
-    if (a.hold != b.hold) return a.hold > b.hold;
-    if (a.wait != b.wait) return a.wait > b.wait;
-    return tie_before(items[a.pos], items[b.pos]);
-  });
-  std::vector<T> ranked;
-  ranked.reserve(items.size());
-  for (const Key& k : keys) ranked.push_back(std::move(items[k.pos]));
-  items = std::move(ranked);
+/// A ranking entry of a lock or a callsite: its CP hold time and total
+/// wait, both descending, then its lock's name rank, then two ids (a lock:
+/// its id; a callsite: its stack id, then its lock's id). `pos` is the
+/// position of what it ranks.
+struct RankKey {
+  std::uint64_t hold = 0;
+  std::uint64_t wait = 0;
+  std::uint32_t name_rank = 0;
+  std::uint32_t pos = 0;
+  std::uint64_t first_id = 0;
+  std::uint64_t second_id = 0;
+};
+
+bool ranks_before(const RankKey& a, const RankKey& b) noexcept {
+  return std::tie(b.hold, b.wait, a.name_rank, a.first_id, a.second_id) <
+         std::tie(a.hold, a.wait, b.name_rank, b.first_id, b.second_id);
+}
+
+/// Ranks `kept`, keys in ranking order already, together with `moved`:
+/// sorts `moved` and merges the two. O(kept + moved log moved).
+std::vector<RankKey> rank_keys(const std::vector<RankKey>& kept,
+                               std::vector<RankKey>& moved) {
+  std::sort(moved.begin(), moved.end(), ranks_before);
+  std::vector<RankKey> ranked(kept.size() + moved.size());
+  std::merge(kept.begin(), kept.end(), moved.begin(), moved.end(),
+             ranked.begin(), ranks_before);
+  return ranked;
 }
 
 }  // namespace
+
+void LockTable::take_back(std::vector<LockStats>&& locks) {
+  if (!lent_ || locks.size() != slot_at_.size()) return;
+  rows_ = std::move(locks);
+  lent_ = false;
+}
+
+bool LockTable::name_rows(const trace::TraceView& view,
+                          std::span<const MutexIndex* const> mutexes) {
+  if (lent_) {
+    rows_.clear();
+    slot_at_.clear();
+    lent_ = false;
+  }
+  bool named = stale_names_;
+  if (stale_names_) {
+    for (LockStats& row : rows_) row.name = view.object_display_name(row.id, "mutex");
+    stale_names_ = false;
+  }
+  for (std::size_t slot = rows_.size(); slot < mutexes.size(); ++slot) {
+    LockStats& row = rows_.emplace_back();
+    row.id = mutexes[slot]->id;
+    row.name = view.object_display_name(row.id, "mutex");
+    slot_at_.push_back(static_cast<std::uint32_t>(slot));
+    named = true;
+  }
+  if (!named) return false;
+  std::vector<std::uint32_t> by_name(rows_.size());
+  std::iota(by_name.begin(), by_name.end(), 0u);
+  std::sort(by_name.begin(), by_name.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return rows_[a].name < rows_[b].name;
+            });
+  name_rank_.resize(rows_.size());
+  std::uint32_t rank = 0;
+  for (std::size_t k = 0; k < by_name.size(); ++k) {
+    if (k > 0 && rows_[by_name[k]].name != rows_[by_name[k - 1]].name) ++rank;
+    name_rank_[slot_at_[by_name[k]]] = rank;
+  }
+  return true;
+}
 
 const LockStats* AnalysisResult::find_lock(const std::string& lock_name) const {
   for (const auto& ls : locks)
@@ -160,22 +203,17 @@ void PathSums::update(const TraceIndex& index, const CriticalPath& path,
 }
 
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
-                             const StatsOptions& options,
-                             util::ThreadPool* pool) {
+                             const StatsOptions& options) {
   PathSums sums;
   sums.update(index, path, {}, 0);
-  return compute_stats(index, std::move(path), sums, options, pool);
+  LockTable table;
+  return compute_stats(index, std::move(path), sums, table, options);
 }
 
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
-                             const PathSums& sums, const StatsOptions& options,
-                             util::ThreadPool* pool) {
+                             const PathSums& sums, LockTable& table,
+                             const StatsOptions& options) {
   const trace::TraceView& t = index.view();
-  std::vector<const LockPathTotals*> on_path;
-  on_path.reserve(index.mutexes().size());
-  for (const auto& [id, mi] : index.mutexes()) {
-    on_path.push_back(&sums.by_slot()[mi.slot]);
-  }
 
   // --- barrier and condvar totals: every wait record ---
   std::map<trace::ObjectId, BarrierTotals> barriers;
@@ -192,15 +230,16 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
     for (const auto& w : ci.waits) ct.add(w);
   }
 
-  return assemble_stats(
-      t, StatsInputs{index.threads(), index.mutexes(), on_path, barriers, conds},
-      std::move(path), options, pool);
+  return assemble_stats(t,
+                        StatsInputs{index.threads(), index.slots(),
+                                    sums.by_slot(), index.slot_times(),
+                                    barriers, conds},
+                        std::move(path), options, table);
 }
 
 AnalysisResult assemble_stats(const trace::TraceView& t,
                               const StatsInputs& inputs, CriticalPath path,
-                              const StatsOptions& options,
-                              util::ThreadPool* pool) {
+                              const StatsOptions& options, LockTable& table) {
   AnalysisResult result;
   result.completion_time = path.length();
 
@@ -225,37 +264,55 @@ AnalysisResult assemble_stats(const trace::TraceView& t,
   }
   result.worker_threads = workers;
   const auto worker_count = static_cast<double>(workers);
-
-  // Mean over the worker threads of per_thread[tid] / duration(tid).
-  const auto avg_fraction = [&](const std::vector<std::uint64_t>& per_thread) {
-    double sum = 0.0;
-    for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-      if (!is_worker[tid]) continue;
-      sum += safe_ratio(static_cast<double>(per_thread[tid]),
-                        static_cast<double>(inputs.threads[tid].duration()));
-    }
-    return sum / worker_count;
-  };
-
   const double cp_len = static_cast<double>(path.length());
 
-  // --- per-lock stats ---
-  // One task per lock, each writing only its own pre-sized slot; tasks
-  // read but never write shared state, so the result is
-  // scheduling-independent.
-  std::vector<const std::pair<const trace::ObjectId, MutexIndex>*> mutexes;
-  mutexes.reserve(inputs.mutexes.size());
-  for (const auto& entry : inputs.mutexes) mutexes.push_back(&entry);
-  result.locks.resize(mutexes.size());
-  // Per-lock callsite groups in stack-id order (slot per lock so the
-  // fan-out stays write-disjoint); merged after the barrier below.
-  std::vector<std::vector<CallsiteStats>> callsites_per_lock(mutexes.size());
-  const auto compute_lock = [&](std::size_t k) {
-    const auto& [id, mi] = *mutexes[k];
-    const LockPathTotals& on_path = *inputs.on_path[k];
-    LockStats ls;
-    ls.id = id;
-    ls.name = t.object_display_name(id, "mutex");
+  // --- per-thread lock times, one pass per thread over all locks: each
+  // lock's sum of per_thread[tid] / duration(tid) over the worker threads
+  // still runs in tid order. A zero duration would add safe_ratio's 0.0,
+  // which changes no sum. The times go to doubles first, so that the
+  // divisions vectorize ---
+  const std::size_t slots = inputs.mutexes.size();
+  std::vector<double> wait_sum(slots, 0.0);
+  std::vector<double> hold_sum(slots, 0.0);
+  std::vector<double> wait(slots);
+  std::vector<double> hold(slots);
+  for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
+    const SlotTimes& times = inputs.slot_times[tid];
+    ThreadStats& ts = result.threads[tid];
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      ts.lock_wait_time += times.wait[slot];
+      ts.lock_hold_time += times.hold[slot];
+      wait[slot] = static_cast<double>(times.wait[slot]);
+      hold[slot] = static_cast<double>(times.hold[slot]);
+    }
+    const auto duration = static_cast<double>(inputs.threads[tid].duration());
+    if (!is_worker[tid] || duration == 0.0) continue;
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      wait_sum[slot] += wait[slot] / duration;
+      hold_sum[slot] += hold[slot] / duration;
+    }
+  }
+
+  // --- per-lock stats, in place in the table's rows, and the callsites
+  // in (row, stack id) order. The rows are in the last ranking's order, so
+  // the keys of the locks whose hold and wait did not change are in order
+  // still, unless names were looked up and ranked again ---
+  const bool renamed = table.name_rows(t, inputs.mutexes);
+  std::vector<RankKey> kept_keys;
+  std::vector<RankKey> moved_keys;
+  std::vector<RankKey> callsite_keys;
+  std::vector<CallsiteStats> callsites;
+  for (std::size_t pos = 0; pos < slots; ++pos) {
+    const std::uint32_t slot = table.slot_at_[pos];
+    const MutexIndex& mi = *inputs.mutexes[slot];
+    const LockPathTotals& on_path = inputs.on_path[slot];
+    const std::uint32_t name_rank = table.name_rank_[slot];
+    LockStats& ls = table.rows_[pos];
+    const RankKey key{on_path.lock.hold, mi.totals.wait, name_rank,
+                      static_cast<std::uint32_t>(pos), mi.id, 0};
+    const bool moved = renamed || ls.cp_hold_time != key.hold ||
+                       ls.total_wait != key.wait;
+    (moved ? moved_keys : kept_keys).push_back(key);
     ls.invocations = mi.totals.invocations;
     ls.contended = mi.totals.contended;
     ls.total_wait = mi.totals.wait;
@@ -263,11 +320,24 @@ AnalysisResult assemble_stats(const trace::TraceView& t,
     ls.cp_hold_time = on_path.lock.hold;
     ls.cp_invocations = on_path.lock.invocations;
     ls.cp_contended = on_path.lock.contended;
+    ls.avg_wait_fraction = wait_sum[slot] / worker_count;
+    ls.avg_hold_fraction = hold_sum[slot] / worker_count;
+    ls.avg_invocations = static_cast<double>(ls.invocations) / worker_count;
+    ls.avg_contention_prob =
+        safe_ratio(static_cast<double>(ls.contended),
+                   static_cast<double>(ls.invocations));
+    ls.cp_time_fraction = safe_ratio(static_cast<double>(ls.cp_hold_time), cp_len);
+    ls.cp_contention_prob =
+        safe_ratio(static_cast<double>(ls.cp_contended),
+                   static_cast<double>(ls.cp_invocations));
+    ls.invocation_increase =
+        safe_ratio(static_cast<double>(ls.cp_invocations), ls.avg_invocations);
+    ls.hold_increase = safe_ratio(ls.cp_time_fraction, ls.avg_hold_fraction);
 
     // Callsite breakdown — only for sections that carried a stack id.
     for (const auto& [sid, totals] : mi.callsites) {
       CallsiteStats g;
-      g.lock_id = id;
+      g.lock_id = mi.id;
       g.lock_name = ls.name;
       g.stack_id = sid;
       g.invocations = totals.invocations;
@@ -280,69 +350,74 @@ AnalysisResult assemble_stats(const trace::TraceView& t,
         g.cp_invocations = it->second.invocations;
         g.cp_contended = it->second.contended;
       }
-      callsites_per_lock[k].push_back(std::move(g));
-    }
-
-    ls.avg_wait_fraction = avg_fraction(mi.wait_per_thread);
-    ls.avg_hold_fraction = avg_fraction(mi.hold_per_thread);
-    ls.avg_invocations = static_cast<double>(ls.invocations) / worker_count;
-    ls.avg_contention_prob =
-        safe_ratio(static_cast<double>(ls.contended),
-                   static_cast<double>(ls.invocations));
-
-    ls.cp_time_fraction = safe_ratio(static_cast<double>(ls.cp_hold_time), cp_len);
-    ls.cp_contention_prob =
-        safe_ratio(static_cast<double>(ls.cp_contended),
-                   static_cast<double>(ls.cp_invocations));
-    ls.invocation_increase =
-        safe_ratio(static_cast<double>(ls.cp_invocations), ls.avg_invocations);
-    ls.hold_increase = safe_ratio(ls.cp_time_fraction, ls.avg_hold_fraction);
-    result.locks[k] = std::move(ls);
-  };
-  util::for_each_index(pool, mutexes.size(), compute_lock);
-  for (const auto& [id, mi] : inputs.mutexes) {
-    for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-      result.threads[tid].lock_wait_time += mi.wait_per_thread[tid];
-      result.threads[tid].lock_hold_time += mi.hold_per_thread[tid];
+      g.cp_time_fraction = safe_ratio(static_cast<double>(g.cp_hold_time), cp_len);
+      callsite_keys.push_back(
+          RankKey{g.cp_hold_time, g.total_wait, name_rank,
+                  static_cast<std::uint32_t>(callsites.size()), sid, mi.id});
+      callsites.push_back(std::move(g));
     }
   }
-  rank(result.locks, [](const LockStats& a, const LockStats& b) {
-    if (a.name != b.name) return a.name < b.name;
-    return a.id < b.id;
-  });
 
-  // Merge the per-lock callsite groups; iteration order (lock slot, then
-  // stack id) is fixed, and the final sort is a strict ranking, so the
-  // result is pool-independent. Frames resolve against the trace's symbol
-  // table here, falling back to raw hex PCs (crash spills carry none).
+  // --- rankings: the rows whose rank changed move, following the cycles
+  // of the permutation; the result takes the rows, and the table takes
+  // them back with take_back() ---
+  const std::vector<RankKey> lock_keys = rank_keys(kept_keys, moved_keys);
+  std::vector<LockStats>& rows = table.rows_;
+  std::vector<std::uint32_t>& slot_at = table.slot_at_;
+  std::vector<std::uint32_t> from(slots);  // position k takes row from[k]
+  for (std::size_t k = 0; k < slots; ++k) from[k] = lock_keys[k].pos;
+  for (std::size_t k = 0; k < slots; ++k) {
+    if (from[k] == k) continue;
+    LockStats row = std::move(rows[k]);
+    const std::uint32_t slot = slot_at[k];
+    std::size_t j = k;
+    for (std::size_t next = from[j]; next != k; j = next, next = from[j]) {
+      rows[j] = std::move(rows[next]);
+      slot_at[j] = slot_at[next];
+      from[j] = static_cast<std::uint32_t>(j);
+    }
+    rows[j] = std::move(row);
+    slot_at[j] = slot;
+    from[j] = static_cast<std::uint32_t>(j);
+  }
+  result.locks = std::move(rows);
+  table.lent_ = true;
+
+  // Frames resolve against the trace's symbol table, falling back to raw
+  // hex PCs (crash spills carry none).
+  callsite_keys = rank_keys({}, callsite_keys);
   const auto& stack_table = t.call_stacks();
   const auto& symbol_table = t.frame_symbols();
-  for (auto& groups : callsites_per_lock)
-    for (CallsiteStats& g : groups) {
-      g.cp_time_fraction =
-          safe_ratio(static_cast<double>(g.cp_hold_time), cp_len);
-      if (auto it = stack_table.find(g.stack_id); it != stack_table.end()) {
-        g.frames.reserve(it->second.size());
-        for (std::uint64_t pc : it->second) {
-          if (auto sym = symbol_table.find(pc); sym != symbol_table.end()) {
-            g.frames.push_back(sym->second);
-          } else {
-            char buf[2 + 16 + 1];
-            std::snprintf(buf, sizeof(buf), "0x%llx",
-                          static_cast<unsigned long long>(pc));
-            g.frames.emplace_back(buf);
-          }
+  result.callsites.reserve(callsites.size());
+  for (const RankKey& k : callsite_keys) {
+    CallsiteStats& g = callsites[k.pos];
+    if (auto it = stack_table.find(g.stack_id); it != stack_table.end()) {
+      g.frames.reserve(it->second.size());
+      for (std::uint64_t pc : it->second) {
+        if (auto sym = symbol_table.find(pc); sym != symbol_table.end()) {
+          g.frames.push_back(sym->second);
+        } else {
+          char buf[2 + 16 + 1];
+          std::snprintf(buf, sizeof(buf), "0x%llx",
+                        static_cast<unsigned long long>(pc));
+          g.frames.emplace_back(buf);
         }
       }
-      result.callsites.push_back(std::move(g));
     }
-  rank(result.callsites, [](const CallsiteStats& a, const CallsiteStats& b) {
-    if (a.lock_name != b.lock_name) return a.lock_name < b.lock_name;
-    if (a.stack_id != b.stack_id) return a.stack_id < b.stack_id;
-    return a.lock_id < b.lock_id;
-  });
+    result.callsites.push_back(std::move(g));
+  }
 
   // --- barrier and condvar stats ---
+  // Mean over the worker threads of per_thread[tid] / duration(tid).
+  const auto avg_fraction = [&](const std::vector<std::uint64_t>& per_thread) {
+    double sum = 0.0;
+    for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
+      if (!is_worker[tid]) continue;
+      sum += safe_ratio(static_cast<double>(per_thread[tid]),
+                        static_cast<double>(inputs.threads[tid].duration()));
+    }
+    return sum / worker_count;
+  };
   for (const auto& [id, bt] : inputs.barriers) {
     BarrierStats bs;
     bs.id = id;

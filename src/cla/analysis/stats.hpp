@@ -15,6 +15,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -188,23 +189,64 @@ struct CondTotals {
 /// `order`).
 struct StatsInputs {
   const std::vector<ThreadInfo>& threads;  ///< index = tid
-  const std::map<trace::ObjectId, MutexIndex>& mutexes;
-  /// One entry per mutex, in `mutexes` order.
-  const std::vector<const LockPathTotals*>& on_path;
+  std::span<const MutexIndex* const> mutexes;  ///< index = MutexIndex::slot
+  std::span<const LockPathTotals> on_path;     ///< index = slot
+  /// Index = tid; each thread's times cover every slot.
+  const std::vector<SlotTimes>& slot_times;
   const std::map<trace::ObjectId, BarrierTotals>& barriers;
   const std::map<trace::ObjectId, CondTotals>& conds;
+};
+
+/// The lock rows of the Table 2 figures, with what stays between
+/// refreshes: each lock's display name, the rank of that name among all
+/// of them (equal names, equal ranks), and the rows in the last ranking's
+/// order. assemble_stats rewrites every row's figures in place, moves only
+/// the rows whose rank changed, and looks names up, and ranks them, only
+/// in a fresh table, when a mutex appears, or after forget_names(). The
+/// batch engines assemble into a fresh table; a live analyzer keeps one
+/// and hands each result's `locks` back before the next refresh.
+class LockTable {
+ public:
+  /// The trace's name tables changed: look every name up again.
+  void forget_names() noexcept { stale_names_ = true; }
+
+  /// Takes back the `locks` of the last result assembled with this table.
+  /// Without them, the next assembly starts the rows afresh.
+  void take_back(std::vector<LockStats>&& locks);
+
+ private:
+  friend AnalysisResult assemble_stats(const trace::TraceView& view,
+                                       const StatsInputs& inputs,
+                                       CriticalPath path,
+                                       const StatsOptions& options,
+                                       LockTable& table);
+
+  /// Gives every slot of `mutexes` a row that carries its id and current
+  /// display name, and ranks the names if any was looked up: then it
+  /// returns true.
+  bool name_rows(const trace::TraceView& view,
+                 std::span<const MutexIndex* const> mutexes);
+
+  std::vector<LockStats> rows_;           ///< in the last ranking's order
+  std::vector<std::uint32_t> slot_at_;    ///< the slot of each row
+  std::vector<std::uint32_t> name_rank_;  ///< by slot
+  bool stale_names_ = false;
+  bool lent_ = false;  ///< rows_ went to a result and did not come back
 };
 
 /// Turns the totals plus the walked path into the Table 2 figures: the
 /// per-thread averages, the ratios, the rankings, callsite frames and the
 /// path's barrier/condvar crossings. The only place those figures are
-/// computed, so every engine's floating-point sums run in one order. The
-/// per-lock assembly fans out across `pool` (null = inline), one task per
-/// lock writing its own slot, so the result is pool-independent.
+/// computed, so every engine's floating-point sums run in one order; each
+/// lock's TYPE 2 averages sum over the threads in tid order. Locks rank by
+/// (cp_hold_time desc, total_wait desc, name, lock id), callsites by
+/// (cp_hold_time desc, total_wait desc, lock name, stack id, lock id),
+/// sorting integer keys (the names by their rank in `table`).
+/// Cost: O(locks × threads) for the averages, O(locks log locks) for the
+/// ranking, plus looking up and ranking the names when `table` has to.
 AnalysisResult assemble_stats(const trace::TraceView& view,
                               const StatsInputs& inputs, CriticalPath path,
-                              const StatsOptions& options,
-                              util::ThreadPool* pool);
+                              const StatsOptions& options, LockTable& table);
 
 /// The TYPE 1 sums: per mutex slot, the on-path totals of the sections
 /// that overlap the path, plus per thread the list of those sections
@@ -251,26 +293,23 @@ class PathSums {
 
 /// Computes all statistics for a trace whose path was already walked,
 /// taking the TYPE 1 sums from `sums`, brought to `path` by
-/// PathSums::update.
+/// PathSums::update, and assembling the lock rows in `table`.
 ///
 /// Cost: O(locks × threads + barriers and condvars) on top of the update,
 /// independent of how many sections lie off the path. TYPE 2 figures come
-/// from the index's running MutexIndex totals, read in place. Barrier and
-/// condvar figures still fold every wait record. `pool` is passed on to
-/// assemble_stats; the result is bit-identical at any pool size.
+/// from the index's running MutexIndex totals and SlotTimes, read in
+/// place. Barrier and condvar figures still fold every wait record.
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
-                             const PathSums& sums,
-                             const StatsOptions& options = {},
-                             util::ThreadPool* pool = nullptr);
+                             const PathSums& sums, LockTable& table,
+                             const StatsOptions& options = {});
 
-/// compute_stats with the sums of a fresh PathSums updated to `path`: the
-/// TYPE 1 pass visits, per thread, only the sections whose time window can
-/// overlap one of the thread's path intervals (see TraceIndex::max_hold),
-/// each once, reading the section's row (and its MutexAcquire's arg only
-/// for a section with a call stack). Cost: O(path + near-path sections)
-/// on top of the above.
+/// compute_stats with the sums of a fresh PathSums updated to `path` and a
+/// fresh LockTable: the TYPE 1 pass visits, per thread, only the sections
+/// whose time window can overlap one of the thread's path intervals (see
+/// TraceIndex::max_hold), each once, reading the section's row (and its
+/// MutexAcquire's arg only for a section with a call stack). Cost:
+/// O(path + near-path sections) on top of the above.
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
-                             const StatsOptions& options = {},
-                             util::ThreadPool* pool = nullptr);
+                             const StatsOptions& options = {});
 
 }  // namespace cla::analysis

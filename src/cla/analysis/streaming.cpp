@@ -553,11 +553,15 @@ class Sweep {
 /// order in which threads' chunks land cannot change a total; the
 /// floating-point figures are all computed afterwards, by assemble_stats.
 struct RescanTotals {
-  explicit RescanTotals(std::size_t thread_count) : threads(thread_count) {}
+  explicit RescanTotals(std::size_t thread_count)
+      : threads(thread_count), times(thread_count) {}
 
-  std::mutex mu;  ///< guards the maps (threads[tid] is per-task)
+  std::mutex mu;  ///< guards the maps (threads[tid], times[tid] are per-task)
   std::vector<ThreadInfo> threads;
-  std::map<trace::ObjectId, MutexIndex> mutexes;  ///< `order` stays empty
+  std::vector<SlotTimes> times;
+  /// `order` stays empty; slots are numbered in first-use order, which
+  /// no figure depends on.
+  std::map<trace::ObjectId, MutexIndex> mutexes;
   std::map<trace::ObjectId, LockPathTotals> on_path;
   std::map<trace::ObjectId, BarrierTotals> barriers;
   std::map<trace::ObjectId, CondTotals> conds;
@@ -587,8 +591,7 @@ void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
     MutexIndex& mi = it->second;
     if (inserted) {
       mi.id = object;
-      mi.wait_per_thread.resize(thread_count, 0);
-      mi.hold_per_thread.resize(thread_count, 0);
+      mi.slot = static_cast<std::uint32_t>(totals.mutexes.size() - 1);
       budget.charge(sizeof(MutexIndex) + sizeof(LockPathTotals) +
                     2 * kNodeBytes + 2 * thread_count * sizeof(std::uint64_t));
     }
@@ -604,10 +607,12 @@ void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
       lock_totals(object);
     }
     state.stray_releases.clear();
+    SlotTimes& times = totals.times[tid];
     for (const SectionRow& row : state.sections) {
       const auto [mi, on_path] = lock_totals(events.object_at(row.acquired_idx));
       const std::size_t stacks = mi->callsites.size() + on_path->callsites.size();
-      mi->count(row, events);
+      if (mi->slot >= times.wait.size()) times.resize(totals.mutexes.size());
+      mi->count(row, events, times);
       on_path->add(path.overlap(tid, row.acquired_ts, row.released_ts),
                    row.contended(), row.stack_id(events));
       const std::size_t new_stacks =
@@ -701,14 +706,20 @@ StreamingOutcome analyze_streaming(const trace::TraceView& view,
                   totals);
   });
   for (auto& [id, bt] : totals.barriers) bt.episodes = sweep.episodes_of(id);
-  std::vector<const LockPathTotals*> on_path;
-  on_path.reserve(totals.on_path.size());
-  for (const auto& [id, lock] : totals.on_path) on_path.push_back(&lock);
+  const std::size_t slots = totals.mutexes.size();
+  std::vector<const MutexIndex*> mutexes(slots);
+  std::vector<LockPathTotals> on_path(slots);
+  for (const auto& [id, mi] : totals.mutexes) {
+    mutexes[mi.slot] = &mi;
+    on_path[mi.slot] = std::move(totals.on_path[id]);
+  }
+  for (SlotTimes& times : totals.times) times.resize(slots);
+  LockTable table;
   out.result = assemble_stats(view,
-                              StatsInputs{totals.threads, totals.mutexes,
-                                          on_path, totals.barriers,
+                              StatsInputs{totals.threads, mutexes, on_path,
+                                          totals.times, totals.barriers,
                                           totals.conds},
-                              std::move(path), options, pool);
+                              std::move(path), options, table);
   out.timings.stats_ns = util::now_ns() - t0;
   out.peak_bytes = budget.peak();
   return out;

@@ -58,10 +58,6 @@ double percentile(std::vector<double> samples, double q) {
   return samples[lo] + (samples[hi] - samples[lo]) * frac;
 }
 
-double safe_ratio(double numerator, double denominator) noexcept {
-  return denominator == 0.0 ? 0.0 : numerator / denominator;
-}
-
 std::string percent_string(double fraction) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.2f%%", fraction * 100.0);

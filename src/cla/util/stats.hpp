@@ -38,7 +38,10 @@ class OnlineStats {
 double percentile(std::vector<double> samples, double q);
 
 /// Ratio helper that maps x/0 to 0 instead of NaN (for empty traces).
-double safe_ratio(double numerator, double denominator) noexcept;
+/// Inline: the TYPE 2 averages call it once per lock and thread.
+inline double safe_ratio(double numerator, double denominator) noexcept {
+  return denominator == 0.0 ? 0.0 : numerator / denominator;
+}
 
 /// Formats a fraction as a percent string with two decimals, e.g. "36.36%".
 std::string percent_string(double fraction);

@@ -37,8 +37,14 @@ void expect_totals_fold(const TraceIndex& index, const std::string& label) {
           << label << " mutex " << id;
     }
     EXPECT_EQ(mi.totals, totals) << label << " mutex " << id;
-    EXPECT_EQ(mi.wait_per_thread, wait) << label << " mutex " << id;
-    EXPECT_EQ(mi.hold_per_thread, hold) << label << " mutex " << id;
+    ASSERT_EQ(index.slot_times().size(), index.threads().size()) << label;
+    for (std::size_t tid = 0; tid < wait.size(); ++tid) {
+      const SlotTimes& times = index.slot_times()[tid];
+      ASSERT_EQ(times.wait.size(), index.slot_count()) << label;
+      ASSERT_EQ(times.hold.size(), index.slot_count()) << label;
+      EXPECT_EQ(times.wait[mi.slot], wait[tid]) << label << " mutex " << id;
+      EXPECT_EQ(times.hold[mi.slot], hold[tid]) << label << " mutex " << id;
+    }
     EXPECT_EQ(mi.callsites, callsites) << label << " mutex " << id;
   }
 }

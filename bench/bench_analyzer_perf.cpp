@@ -24,8 +24,8 @@ const cla::trace::Trace& radiosity_trace() {
 
 // Large synthetic trace for the parallel executor: 8 worker threads, 64
 // locks, ~1M events of globally disjoint critical sections. Big enough
-// that the per-thread indexing and per-lock statistics shards dominate
-// over merge and pool overhead.
+// that the per-thread indexing shards dominate over merge and pool
+// overhead.
 const cla::trace::Trace& big_synthetic_trace() {
   static const cla::trace::Trace trace = [] {
     constexpr std::uint32_t kWorkers = 8;
@@ -94,8 +94,9 @@ void BM_FullAnalysis(benchmark::State& state) {
 BENCHMARK(BM_FullAnalysis);
 
 void BM_ParallelIndexStats(benchmark::State& state) {
-  // The sharded executor's parallel stages (per-thread indexing, per-lock
-  // statistics) at 1/2/4/8 workers on the ~1M-event synthetic trace. The
+  // The sharded executor's parallel index stage (per-thread scans and
+  // per-mutex sorts), then the statistics, which run inline, at 1/2/4/8
+  // workers on the ~1M-event synthetic trace. The
   // acceptance shape: >= 1.8x over Arg(1) at Arg(8) on an 8-core host,
   // while staying bit-identical (see integration/determinism_test.cpp).
   const auto& trace = big_synthetic_trace();

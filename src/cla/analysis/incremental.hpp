@@ -23,7 +23,8 @@
 // to where it meets the last refresh's path and reuses the path below
 // (a WalkRecord); the TYPE 1 sums keep every section's figures that ended
 // before its thread's path intervals or rows could have changed (a
-// PathSums) and compute_stats reads the index's totals, so reports are
+// PathSums); compute_stats reads the index's totals and rewrites the lock
+// rows of the last result in place (a LockTable), so reports are
 // byte-identical to a from-scratch cla::Pipeline over the same
 // accumulated trace (the determinism suite and the per-round
 // incremental and oracle tests pin this).
@@ -31,8 +32,9 @@
 // Per-refresh cost, with Options::validate = false (as cla-monitor sets
 // it), is O(appended + tail + new path + locks × threads):
 //   - scan: the appended events only;
-//   - index: the drained sections, plus each grown mutex's merged
-//     order tail;
+//   - index: the drained sections, plus each grown mutex's new
+//     references, merged into its order only when one sorts before the
+//     old tail;
 //   - DAG: the events from the boundary on (a retained segment keeps
 //     its releaser; the walk looks up where a hop lands);
 //   - walk: the steps from the new end down to the last refresh's path
@@ -41,13 +43,17 @@
 //   - TYPE 1: per thread, the sections acquired after the earlier of the
 //     boundary and where its path intervals change, less its longest
 //     hold, that lie near the path (read from the section tables);
-//   - assembly: O(locks × threads): every thread's duration grows each
-//     round, so every lock's TYPE 2 averages change.
+//   - assembly: O(locks × threads) divisions, one pass per thread over
+//     its times by mutex slot: every thread's duration grows each round,
+//     so every lock's TYPE 2 averages change. The lock rows, names and
+//     name ranks stay in a LockTable between refreshes; the ranking sorts
+//     only the locks whose hold or wait changed and merges them into the
+//     rest, and moves only the rows whose rank changed.
 // What still grows with history: the barrier/condvar regroup in
-// TraceIndex::extend() (in full whenever they grow), the assembly, and a
-// walk that cannot splice (a thread whose timestamps regress turns
-// splicing off) — small next to the rest (one segment per tens of
-// events).
+// TraceIndex::extend() (in full whenever they grow), the assembly's
+// divisions (locks × threads, not history), and a walk that cannot
+// splice (a thread whose timestamps regress turns splicing off) — small
+// next to the rest (one segment per tens of events).
 // With the default Options::validate = true, every refresh first
 // strict-validates the whole accumulated trace, an O(history) pass that
 // also rejects a trace cut mid-section; callers that refresh a live tail

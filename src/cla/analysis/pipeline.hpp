@@ -5,9 +5,10 @@
 //
 // `load` parses a .clat file (or stream) with the one strict loader,
 // trace::MappedTrace, and analyzes it in place without copying it into a
-// Trace. `index`, `builddag` and `stats` fan out across an
-// ExecutionPolicy-sized worker pool and are bit-identical to the
-// sequential computation at any thread count. `builddag` condenses the
+// Trace. `index` and `builddag` fan out across an ExecutionPolicy-sized
+// worker pool, as do the walk's interval merge and the bounded engine's
+// stats rescans, and are bit-identical to the sequential computation at
+// any thread count. `builddag` condenses the
 // trace into the segment DAG (segment_dag.hpp), one task per thread, each
 // segment keeping the releaser its blocking wake-up hops to; `walk` then
 // follows the hops back from the last thread's exit, looking up where

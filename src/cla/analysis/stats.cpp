@@ -63,6 +63,8 @@ bool LockTable::name_rows(const trace::TraceView& view,
     for (LockStats& row : rows_) row.name = view.object_display_name(row.id, "mutex");
     stale_names_ = false;
   }
+  rows_.reserve(mutexes.size());
+  slot_at_.reserve(mutexes.size());
   for (std::size_t slot = rows_.size(); slot < mutexes.size(); ++slot) {
     LockStats& row = rows_.emplace_back();
     row.id = mutexes[slot]->id;

@@ -242,8 +242,10 @@ class LockTable {
 /// (cp_hold_time desc, total_wait desc, name, lock id), callsites by
 /// (cp_hold_time desc, total_wait desc, lock name, stack id, lock id),
 /// sorting integer keys (the names by their rank in `table`).
-/// Cost: O(locks × threads) for the averages, O(locks log locks) for the
-/// ranking, plus looking up and ranking the names when `table` has to.
+/// Cost: O(locks × threads) for the averages and O(locks + m log m) for
+/// the ranking, m being the locks whose hold or wait changed since the
+/// table's last assembly (all of them in a fresh table), plus looking up
+/// and ranking the names when `table` has to.
 AnalysisResult assemble_stats(const trace::TraceView& view,
                               const StatsInputs& inputs, CriticalPath path,
                               const StatsOptions& options, LockTable& table);

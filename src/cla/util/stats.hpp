@@ -38,7 +38,7 @@ class OnlineStats {
 double percentile(std::vector<double> samples, double q);
 
 /// Ratio helper that maps x/0 to 0 instead of NaN (for empty traces).
-/// Inline: the TYPE 2 averages call it once per lock and thread.
+/// Inline: the Table 2 assembly calls it several times per lock.
 inline double safe_ratio(double numerator, double denominator) noexcept {
   return denominator == 0.0 ? 0.0 : numerator / denominator;
 }

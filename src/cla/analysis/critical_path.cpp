@@ -76,6 +76,7 @@ CriticalPath compute_critical_path(const SegmentDag& dag,
                                    const util::Deadline* deadline,
                                    DagWalkStats* stats_out) {
   WalkRecord record;
+  record.keep_ = false;
   return compute_critical_path(dag, record, CriticalPath{}, 0, pool, deadline,
                                stats_out);
 }
@@ -121,7 +122,15 @@ CriticalPath compute_critical_path(const SegmentDag& dag, WalkRecord& record,
   // same wake-up twice) — segment begins and blocking wake-ups are in
   // bijection, so guarding per segment guards exactly the same event set.
   record.taken_.resize(dag.segment_count(), 0);
+  // A batch walk's record is dropped on return: its steps are counted,
+  // not stored, and its hop marks stay set.
+  const bool keep = record.keep_;
   std::vector<WalkStep> fresh;
+  std::uint32_t walked = 0;  // steps taken so far
+  const auto take = [&](const WalkStep& step) {
+    if (keep) fresh.push_back(step);
+    ++walked;
+  };
   std::vector<PathInterval> intervals;
   std::vector<PathJump> jumps;
   std::uint64_t start_ts = 0;
@@ -162,7 +171,7 @@ CriticalPath compute_critical_path(const SegmentDag& dag, WalkRecord& record,
     }
     if (s.has_jump() && step.first_visit) {
       if (recorded != kNone) clash = std::min(clash, recorded);
-      record.taken_[g] = static_cast<std::uint32_t>(fresh.size() + 1);
+      record.taken_[g] = walked + 1;
       if (cur_time > s.begin_ts) {
         intervals.push_back(PathInterval{tid, s.begin_ts, cur_time});
         step.emitted = true;
@@ -177,7 +186,7 @@ CriticalPath compute_critical_path(const SegmentDag& dag, WalkRecord& record,
       tid = s.jump_to.tid;
       const std::uint64_t landing = t.thread_events(tid).ts_at(j);
       step.reach = std::max(step.reach, landing);
-      fresh.push_back(step);
+      take(step);
       cur_time = std::min(cur_time, landing);
       local = dag.segment_at(tid, j == 0 ? 0 : j - 1);
       continue;
@@ -190,14 +199,14 @@ CriticalPath compute_critical_path(const SegmentDag& dag, WalkRecord& record,
         step.emitted = true;
       }
       start_ts = s.begin_ts;
-      fresh.push_back(step);
+      take(step);
       break;
     }
     // Cycle guard: this segment's hop was already consumed; the event-level
     // walk keeps scanning backwards, which lands in the previous segment
     // on the same thread (every segment with begin_idx > 0 has a hop, so
     // local 0 always takes the terminal branch above).
-    fresh.push_back(step);
+    take(step);
     --local;
   }
   for (const WalkStep& f : fresh) {
@@ -325,7 +334,7 @@ CriticalPath compute_critical_path(const SegmentDag& dag, WalkRecord& record,
     stats.segments = dag.segment_count();
     stats.jumps_taken = path.jumps.size();
     stats.speculation_misses = dag.hop_count() - stats.jumps_taken;
-    stats.merge_steps = m;
+    stats.merge_steps = walked;
     stats.reused_steps = kept;
     *stats_out = stats;
   }

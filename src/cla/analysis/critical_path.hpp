@@ -115,6 +115,10 @@ class WalkRecord {
   }
 
  private:
+  friend CriticalPath compute_critical_path(const SegmentDag&,
+                                            util::ThreadPool*,
+                                            const util::Deadline*,
+                                            DagWalkStats*);
   friend CriticalPath compute_critical_path(const SegmentDag&, WalkRecord&,
                                             CriticalPath, std::uint64_t,
                                             util::ThreadPool*,
@@ -181,6 +185,8 @@ class WalkRecord {
   /// 0 if none; cleared after each walk.
   std::vector<std::uint32_t> taken_;
   std::vector<std::uint64_t> changed_from_;
+  /// False for a batch walk's record, which no later walk reads.
+  bool keep_ = true;
 };
 
 /// The walk: stitches the segments' hops into the critical path, looking
@@ -191,7 +197,8 @@ class WalkRecord {
 /// pins this against a reference walk). A non-null `deadline` is polled
 /// periodically; when it expires the walk aborts with a
 /// cla::util::ResourceLimitError. `stats_out` (optional) receives the hop
-/// counters. A batch walk: the spliced walk below with an empty record.
+/// counters. A batch walk: the spliced walk below with an empty record,
+/// which stores no steps since no walk splices onto it.
 CriticalPath compute_critical_path(const SegmentDag& dag,
                                    util::ThreadPool* pool,
                                    const util::Deadline* deadline = nullptr,

@@ -49,6 +49,10 @@
 //     name ranks stay in a LockTable between refreshes; the ranking sorts
 //     only the locks whose hold or wait changed and merges them into the
 //     rest, and moves only the rows whose rank changed.
+//   - memory: the accumulated trace's per-thread streams, the section
+//     tables and the orders are util::GrowArrays, so when one outgrows
+//     its storage its pages are remapped, not copied, and each writer
+//     finds the next few pages faulted in.
 // What still grows with history: the barrier/condvar regroup in
 // TraceIndex::extend() (in full whenever they grow), the assembly's
 // divisions (locks × threads, not history), and a walk that cannot

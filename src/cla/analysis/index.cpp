@@ -383,8 +383,7 @@ void TraceIndex::extend_mutexes(std::vector<ThreadScanState>& scans,
     if (table.empty()) {
       table = std::move(drained);
     } else {
-      table.insert(table.end(), drained.begin() + static_cast<std::ptrdiff_t>(k),
-                   drained.end());
+      table.append(drained.begin() + k, drained.end());
     }
     drained.clear();
     for (std::size_t r = first_new; r < table.size(); ++r) {

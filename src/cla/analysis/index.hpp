@@ -23,7 +23,7 @@
 #include "cla/trace/protocol.hpp"
 #include "cla/trace/trace.hpp"
 #include "cla/trace/trace_view.hpp"
-#include "cla/util/mapped_allocator.hpp"
+#include "cla/util/grow_array.hpp"
 
 namespace cla::util {
 class ThreadPool;
@@ -81,7 +81,7 @@ struct SectionRow {
 
 /// One thread's critical sections in event order (acquired_idx
 /// ascending).
-using SectionTable = std::vector<SectionRow, util::MappedAllocator<SectionRow>>;
+using SectionTable = util::GrowArray<SectionRow>;
 
 /// A section named by its thread and its row in that thread's table.
 struct SectionRef {
@@ -155,7 +155,7 @@ struct MutexIndex {
   /// reassigned (SectionRow::slot, SlotTimes). The bounded-RSS engine
   /// numbers its mutexes in the order its rescans first meet them.
   std::uint32_t slot = 0;
-  std::vector<OwnedSection, util::MappedAllocator<OwnedSection>> order;
+  util::GrowArray<OwnedSection> order;
   SectionTotals totals;
   /// Totals per acquisition call stack (SectionRow::kHasStack). A stack id
   /// whose sections all left the index has no entry.

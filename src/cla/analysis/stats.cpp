@@ -168,7 +168,7 @@ void PathSums::update(const TraceIndex& index, const CriticalPath& path,
       if (overlap == 0) return;
       const SectionRow& row = secs[r];
       by_slot_[row.slot].add(overlap, row.contended(), row.stack_id(events));
-      visits.push_back(Visit{overlap, static_cast<std::uint32_t>(r)});
+      if (keep_) visits.push_back(Visit{overlap, static_cast<std::uint32_t>(r)});
     };
     if (!ordered) {
       for (std::size_t r = 0; r < secs.size(); ++r) {
@@ -207,6 +207,7 @@ void PathSums::update(const TraceIndex& index, const CriticalPath& path,
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options) {
   PathSums sums;
+  sums.keep_ = false;
   sums.update(index, path, {}, 0);
   LockTable table;
   return compute_stats(index, std::move(path), sums, table, options);

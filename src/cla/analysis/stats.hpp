@@ -280,6 +280,9 @@ class PathSums {
   }
 
  private:
+  friend AnalysisResult compute_stats(const TraceIndex&, CriticalPath,
+                                      const StatsOptions&);
+
   /// A section that overlaps the path, and its overlap. Its slot,
   /// contended flag and stack id are read back from the row: a row keeps
   /// its index, and a provisional row that TraceIndex::extend() replaces
@@ -291,6 +294,9 @@ class PathSums {
 
   std::vector<std::vector<Visit>> visits_;  ///< per thread, row order
   std::vector<LockPathTotals> by_slot_;
+  /// False for a batch pass's sums, which no later update reads: the
+  /// visits then go unlisted.
+  bool keep_ = true;
 };
 
 /// Computes all statistics for a trace whose path was already walked,
@@ -309,8 +315,9 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
 /// fresh LockTable: the TYPE 1 pass visits, per thread, only the sections
 /// whose time window can overlap one of the thread's path intervals (see
 /// TraceIndex::max_hold), each once, reading the section's row (and its
-/// MutexAcquire's arg only for a section with a call stack). Cost:
-/// O(path + near-path sections) on top of the above.
+/// MutexAcquire's arg only for a section with a call stack). The sums
+/// list no visits: nothing updates them again. Cost: O(path + near-path
+/// sections) on top of the above.
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options = {});
 

@@ -25,7 +25,7 @@ Trace clip_trace(const Trace& t, Window window) {
     const std::uint64_t clip_begin = std::max(thread_begin, window.begin);
     const std::uint64_t clip_end = std::min(thread_end, window.end);
 
-    std::vector<Event> clipped;
+    util::GrowArray<Event>& clipped = out.thread_stream(tid);
     const auto at_begin = [&](EventType type, ObjectId object,
                               std::uint64_t arg) {
       clipped.push_back(Event{clip_begin, object, arg, type, 0, tid});
@@ -74,22 +74,29 @@ Trace clip_trace(const Trace& t, Window window) {
       clipped.push_back(e);
     }
 
-    // Right edge: drop the open halves (back to front keeps positions
-    // valid), then release every held depth.
-    for (auto it = wait_openings.rbegin(); it != wait_openings.rend(); ++it) {
-      clipped.erase(clipped.begin() + static_cast<std::ptrdiff_t>(it->second));
+    // Right edge: drop the open halves (their positions ascend), then
+    // release every held depth.
+    std::size_t keep = 0;
+    auto open_half = wait_openings.begin();
+    for (std::size_t k = 0; k < clipped.size(); ++k) {
+      if (open_half != wait_openings.end() && open_half->second == k) {
+        ++open_half;
+        continue;
+      }
+      clipped[keep++] = clipped[k];
     }
+    clipped.resize(keep);
     for (const auto& [object, lock] : protocol.locks()) {
-      clipped.insert(clipped.end(), lock.held.size(),
-                     Event{clip_end, object, kNoArg, EventType::MutexReleased,
-                           0, tid});
+      for (std::size_t depth = 0; depth < lock.held.size(); ++depth) {
+        clipped.push_back(Event{clip_end, object, kNoArg,
+                                EventType::MutexReleased, 0, tid});
+      }
     }
     clipped.push_back(
         Event{clip_end, kNoObject, kNoArg, EventType::ThreadExit, 0, tid});
 
     std::stable_sort(clipped.begin(), clipped.end(),
                      [](const Event& a, const Event& b) { return a.ts < b.ts; });
-    out.add_thread_stream(tid, std::move(clipped));
   }
   return out;
 }

@@ -67,36 +67,36 @@ bool TraceTables::merge(const TraceTables& other) {
 }
 
 void Trace::add(const Event& event) {
-  if (event.tid >= threads_.size()) threads_.resize(event.tid + 1);
-  threads_[event.tid].push_back(event);
+  thread_stream(event.tid).push_back(event);
 }
 
 void Trace::add_thread_stream(ThreadId tid, std::vector<Event> events) {
-  if (tid >= threads_.size()) threads_.resize(tid + 1);
-  auto& stream = threads_[tid];
-  if (stream.empty()) {
-    stream = std::move(events);
-  } else {
-    stream.insert(stream.end(), events.begin(), events.end());
+  auto& stream = thread_stream(tid);
+  const bool was_empty = stream.empty();
+  stream.append(events);
+  if (!was_empty) {
     std::stable_sort(stream.begin(), stream.end(),
                      [](const Event& a, const Event& b) { return a.ts < b.ts; });
   }
 }
 
 void Trace::append_thread_events(ThreadId tid, std::span<const Event> events) {
-  if (tid >= threads_.size()) threads_.resize(tid + 1);
-  auto& stream = threads_[tid];
-  stream.insert(stream.end(), events.begin(), events.end());
+  thread_stream(tid).append(events);
 }
 
 void Trace::reserve_thread_events(ThreadId tid, std::size_t count) {
+  auto& stream = thread_stream(tid);
+  stream.reserve(stream.size() + count);
+}
+
+util::GrowArray<Event>& Trace::thread_stream(ThreadId tid) {
   if (tid >= threads_.size()) threads_.resize(tid + 1);
-  threads_[tid].reserve(threads_[tid].size() + count);
+  return threads_[tid];
 }
 
 std::span<const Event> Trace::thread_events(ThreadId tid) const {
   CLA_CHECK(tid < threads_.size(), "thread id out of range");
-  return threads_[tid];
+  return {threads_[tid].data(), threads_[tid].size()};
 }
 
 std::size_t Trace::event_count() const noexcept {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cla/trace/event.hpp"
+#include "cla/util/grow_array.hpp"
 
 namespace cla::trace {
 
@@ -57,8 +58,8 @@ class Trace {
   /// non-decreasing timestamp order per thread (enforced by validate()).
   void add(const Event& event);
 
-  /// Appends a whole per-thread stream (used by trace readers and the
-  /// runtime flush path). Stream must be sorted by timestamp.
+  /// Appends a whole per-thread stream, sorted by timestamp; a thread that
+  /// already had events is re-sorted (stable) by timestamp.
   void add_thread_stream(ThreadId tid, std::vector<Event> events);
 
   /// Appends a chunk to a thread's stream without re-sorting; chunks must
@@ -67,8 +68,13 @@ class Trace {
   void append_thread_events(ThreadId tid, std::span<const Event> events);
 
   /// Pre-sizes a thread's stream (when the count is known up front, so
-  /// the vector grows exactly once).
+  /// the stream grows exactly once).
   void reserve_thread_events(ThreadId tid, std::size_t count);
+
+  /// `tid`'s stream, added empty if the trace has none yet, for a producer
+  /// that builds it in place (repair, clip, materialize()) instead of
+  /// handing over a copy. It must end sorted by timestamp.
+  util::GrowArray<Event>& thread_stream(ThreadId tid);
 
   std::size_t thread_count() const noexcept { return threads_.size(); }
   std::span<const Event> thread_events(ThreadId tid) const;
@@ -166,7 +172,7 @@ class Trace {
   std::string dump() const;
 
  private:
-  std::vector<std::vector<Event>> threads_;
+  std::vector<util::GrowArray<Event>> threads_;
   TraceTables tables_;
 };
 

@@ -74,14 +74,11 @@ std::string TraceView::thread_display_name(ThreadId tid) const {
 
 Trace TraceView::materialize() const {
   Trace trace;
-  std::vector<Event> buffer;
   for (ThreadId tid = 0; tid < threads_.size(); ++tid) {
     const EventsView& events = threads_[tid];
-    trace.reserve_thread_events(tid, events.size());
-    buffer.clear();
-    buffer.reserve(events.size());
-    for (std::size_t i = 0; i < events.size(); ++i) buffer.push_back(events[i]);
-    trace.append_thread_events(tid, buffer);
+    util::GrowArray<Event>& stream = trace.thread_stream(tid);
+    stream.resize(events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) stream[i] = events[i];
   }
   trace.tables() = *tables_;
   return trace;

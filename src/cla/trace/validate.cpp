@@ -243,9 +243,10 @@ RepairSummary repair_trace_semantics(Trace& trace, Strictness mode,
     }
 
     // Replay the protocol, dropping events a partial recording can no
-    // longer support: exactly the ones the automaton rejects.
+    // longer support: exactly the ones the automaton rejects. The kept
+    // events go straight into the repaired trace.
     ThreadProtocol protocol;
-    std::vector<Event> kept;
+    util::GrowArray<Event>& kept = repaired.thread_stream(tid);
     kept.reserve(events.size() + 4);
     std::uint64_t original_kept = 0;
     std::optional<Event> final_exit;
@@ -343,7 +344,6 @@ RepairSummary repair_trace_semantics(Trace& trace, Strictness mode,
     summary.synthesized_events += synthesized;
     summary.events_discarded += discarded;
     summary.timestamps_clamped += clamped;
-    repaired.add_thread_stream(tid, std::move(kept));
   }
 
   repaired.tables() = std::move(trace.tables());

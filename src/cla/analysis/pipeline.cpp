@@ -142,7 +142,6 @@ void Pipeline::adopt_mapped(std::unique_ptr<trace::MappedTrace> mapped) {
   deadline().check("load");
   check_event_budget(mapped->view().event_count());
   owned_trace_.reset();
-  trace_ = nullptr;
   mapped_ = std::move(mapped);
   view_ = mapped_->view();
   has_trace_ = true;
@@ -151,17 +150,13 @@ void Pipeline::adopt_mapped(std::unique_ptr<trace::MappedTrace> mapped) {
 void Pipeline::adopt_salvaged(trace::SalvageResult salvaged) {
   check_event_budget(salvaged.trace.event_count());
   salvage_report_ = std::move(salvaged.report);
-  owned_trace_ = std::move(salvaged.trace);
-  trace_ = &*owned_trace_;
-  adopt_trace_storage();
+  adopt_owned(std::move(salvaged.trace));
 }
 
 Pipeline& Pipeline::use_trace(trace::Trace&& trace) {
   reset_stages();
   salvage_report_.reset();
-  owned_trace_ = std::move(trace);
-  trace_ = &*owned_trace_;
-  adopt_trace_storage();
+  adopt_owned(std::move(trace));
   return *this;
 }
 
@@ -169,39 +164,23 @@ Pipeline& Pipeline::use_trace(const trace::Trace& trace) {
   reset_stages();
   salvage_report_.reset();
   owned_trace_.reset();
-  trace_ = &trace;
-  adopt_trace_storage();
+  mapped_.reset();
+  view_ = trace::TraceView(trace);
+  has_trace_ = true;
   return *this;
 }
 
-void Pipeline::adopt_trace_storage() {
+void Pipeline::adopt_owned(trace::Trace&& trace) {
+  owned_trace_ = std::move(trace);
   mapped_.reset();
-  view_ = trace::TraceView(*trace_);
+  view_ = trace::TraceView(*owned_trace_);
   has_trace_ = true;
-}
-
-trace::Trace& Pipeline::materialize_owned() {
-  if (!owned_trace_.has_value() || trace_ != &*owned_trace_) {
-    owned_trace_ = trace_ != nullptr ? *trace_ : view_.materialize();
-    trace_ = &*owned_trace_;
-  }
-  return *owned_trace_;
 }
 
 const trace::TraceView& Pipeline::view() const {
   CLA_CHECK(has_trace_,
             "pipeline has no trace: call load_file/load_stream/use_trace first");
   return view_;
-}
-
-const trace::Trace& Pipeline::trace() {
-  CLA_CHECK(has_trace_,
-            "pipeline has no trace: call load_file/load_stream/use_trace first");
-  // After load_file/load_stream the first call materializes an owned
-  // copy; the loaded bytes (and any views into them) stay alive, so
-  // existing stage results keep their backing store.
-  if (trace_ == nullptr) materialize_owned();
-  return *trace_;
 }
 
 Pipeline& Pipeline::validate_stage() {
@@ -239,15 +218,15 @@ Pipeline& Pipeline::validate_stage() {
         "trace is irreparable: " +
         std::to_string(sink_.fatal_count()) + " fatal diagnostic(s)");
   } else if (!sink_.empty()) {
-    // Repair / lenient: fix the trace on a private copy (a borrowed or
-    // mapped trace is never mutated) and log every fix. A diagnostics-free
-    // trace skips this entirely, so clean inputs analyze byte-identically
-    // to strict — and the mmap fast path stays zero-copy.
-    trace::Trace& fixed = materialize_owned();
-    const trace::RepairSummary summary =
-        trace::repair_trace_semantics(fixed, effective, &sink_);
-    repaired_ = summary.changed();
-    adopt_trace_storage();
+    // Repair / lenient: repair reads the view (a borrowed or mapped trace
+    // is never mutated), writes the fixed trace once, and the analysis
+    // rebinds onto it; every fix is logged. A diagnostics-free trace
+    // skips this entirely, so clean inputs analyze byte-identically to
+    // strict — and the mmap fast path stays zero-copy.
+    trace::RepairResult fixed =
+        trace::repair_trace_semantics(v, effective, &sink_);
+    repaired_ = fixed.summary.changed();
+    adopt_owned(std::move(fixed.trace));
   }
   validated_ = true;
   record(Stage::Validate, start);
@@ -258,7 +237,7 @@ Pipeline& Pipeline::index_stage() {
   if (index_.has_value()) return *this;
   if (options_.validate) validate_stage();
   // Bind the view only after validation: the repair path may have moved
-  // the analysis onto a private fixed-up copy.
+  // the analysis onto the repaired trace.
   const trace::TraceView& v = view();
   const std::uint64_t start = util::now_ns();
   deadline().check("index");

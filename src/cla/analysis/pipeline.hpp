@@ -148,9 +148,10 @@ class Pipeline {
   /// Semantic validation per options.strictness. Strict: collects every
   /// violation into diagnostics() and throws cla::util::ValidationError
   /// if any reached error severity. Repair/Lenient: additionally runs the
-  /// deterministic repair engine on a private copy of the trace (the
-  /// borrowed original is never mutated) and records each fix as an
-  /// info-severity diagnostic. A trace whose Meta chunk declares dropped
+  /// deterministic repair engine over view() (the loaded or borrowed
+  /// original is never mutated), rebinds view() onto the repaired trace
+  /// it writes, and records each fix as an info-severity diagnostic. A
+  /// trace whose Meta chunk declares dropped
   /// events is treated as repair even under strict: the recorder already
   /// accounted for the loss, so the expected semantic holes are mended
   /// rather than rejected. Runs even when options.validate is false
@@ -170,12 +171,9 @@ class Pipeline {
 
   // --- outputs (run any outstanding prerequisite stages) ---
 
-  /// The loaded trace as a storage-agnostic view (the analysis input).
+  /// The loaded trace as a storage-agnostic view (the analysis input);
+  /// after a repair, the repaired trace.
   const trace::TraceView& view() const;
-  /// The loaded trace as an owned, mutable-representation Trace. After
-  /// load_file/load_stream the first call materializes a copy (the view
-  /// stays cheap); use view() unless a Trace is specifically required.
-  const trace::Trace& trace();
   const TraceIndex& trace_index();
   /// The segment DAG (builds it on demand).
   const SegmentDag& segment_dag();
@@ -246,17 +244,13 @@ class Pipeline {
   /// Makes a parsed file / stream, or a salvaged trace, the input.
   void adopt_mapped(std::unique_ptr<trace::MappedTrace> mapped);
   void adopt_salvaged(trace::SalvageResult salvaged);
-  /// Rebinds view_ (and drops any loaded file) onto an owned/borrowed
-  /// Trace.
-  void adopt_trace_storage();
-  /// Ensures owned_trace_ holds a mutable copy of the current view (the
-  /// repair path and trace() need one in mmap mode).
-  trace::Trace& materialize_owned();
+  /// Makes `trace` (salvaged, adopted or repaired) the owned input:
+  /// rebinds view_ onto it and drops any loaded file.
+  void adopt_owned(trace::Trace&& trace);
 
   Options options_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::optional<trace::Trace> owned_trace_;
-  const trace::Trace* trace_ = nullptr;
   std::unique_ptr<trace::MappedTrace> mapped_;
   trace::TraceView view_;
   bool has_trace_ = false;

@@ -57,6 +57,7 @@ using util::DiagnosticSink;
 using util::ResourceLimits;
 using util::Severity;
 using util::Strictness;
+using trace::RepairResult;
 using trace::RepairSummary;
 using trace::repair_trace_semantics;
 using trace::validate_trace;

@@ -9,17 +9,17 @@
 
 namespace cla::trace {
 
-Trace clip_trace(const Trace& t, Window window) {
+Trace clip_trace(const TraceView& t, Window window) {
   CLA_CHECK(window.begin <= window.end, "clip window is inverted");
   Trace out;
   out.tables() = t.tables();
 
   for (ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-    const auto events = t.thread_events(tid);
+    const EventsView& events = t.thread_events(tid);
     if (events.empty()) continue;
     const std::uint64_t thread_begin = events.front().ts;
     const std::uint64_t thread_end = events.back().ts;
-    // A thread entirely outside the window disappears from the clip.
+    // A thread entirely outside the window has no events in the clip.
     if (thread_end < window.begin || thread_begin > window.end) continue;
 
     const std::uint64_t clip_begin = std::max(thread_begin, window.begin);
@@ -98,10 +98,21 @@ Trace clip_trace(const Trace& t, Window window) {
     std::stable_sort(clipped.begin(), clipped.end(),
                      [](const Event& a, const Event& b) { return a.ts < b.ts; });
   }
+
+  // Stream positions are tids, so a thread outside the window below one
+  // inside it keeps its slot, as an idle Start/Exit pair.
+  for (ThreadId tid = 0; tid < out.thread_count(); ++tid) {
+    util::GrowArray<Event>& stream = out.thread_stream(tid);
+    if (!stream.empty()) continue;
+    for (const EventType type :
+         {EventType::ThreadStart, EventType::ThreadExit}) {
+      stream.push_back(Event{window.begin, kNoObject, kNoArg, type, 0, tid});
+    }
+  }
   return out;
 }
 
-std::optional<Window> find_phase(const Trace& t, std::size_t phase_index) {
+std::optional<Window> find_phase(const TraceView& t, std::size_t phase_index) {
   // Collect all markers across threads, in timestamp order.
   std::vector<std::pair<std::uint64_t, bool>> markers;  // (ts, is_begin)
   for (ThreadId tid = 0; tid < t.thread_count(); ++tid) {
@@ -125,7 +136,7 @@ std::optional<Window> find_phase(const Trace& t, std::size_t phase_index) {
   return std::nullopt;
 }
 
-Trace clip_to_phase(const Trace& t, std::size_t phase_index) {
+Trace clip_to_phase(const TraceView& t, std::size_t phase_index) {
   const auto window = find_phase(t, phase_index);
   CLA_CHECK(window.has_value(),
             "trace has no recorded phase " + std::to_string(phase_index));

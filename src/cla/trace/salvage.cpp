@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "cla/trace/trace_io.hpp"
@@ -19,11 +20,8 @@ namespace {
 void salvage_v1(const unsigned char* data, std::size_t size, Trace& trace,
                 SalvageReport& report) {
   const V1Layout layout = parse_v1(data, size, trace.tables());
-  std::vector<Event> buffer;
   for (const EventsChunk& block : layout.blocks) {
-    buffer.resize(block.count);
-    unpack_events(block, buffer.data());
-    trace.append_thread_events(block.tid, buffer);
+    append_events(block, trace.thread_stream(block.tid));  // raw: never fails
     report.events_recovered += block.count;
   }
   if (layout.error != nullptr) {
@@ -38,7 +36,6 @@ void salvage_v1(const unsigned char* data, std::size_t size, Trace& trace,
 
 void salvage_chunked(const unsigned char* data, std::size_t size, Trace& trace,
                      SalvageReport& report) {
-  std::vector<Event> buffer;
   std::size_t pos = 8;
   while (pos < size) {
     util::io::FrameHeader header;
@@ -73,13 +70,18 @@ void salvage_chunked(const unsigned char* data, std::size_t size, Trace& trace,
     pos = payload_at + header.payload_bytes;
 
     // A CRC-valid chunk that fails to decode (a writer bug, not a torn
-    // file) applies nothing and is counted as dropped.
+    // file) applies nothing and is counted as dropped. An event run
+    // decodes straight into its stream; a thread's first run goes through
+    // `fresh`, so a run that fails leaves no empty stream behind.
     DecodedChunk chunk;
     bool intact = decode_chunk(header.kind, payload, header.payload_bytes,
                                trace.tables(), chunk);
     if (intact && chunk.data != nullptr) {
-      buffer.resize(chunk.count);
-      intact = unpack_events(chunk, buffer.data());
+      util::GrowArray<Event> fresh;
+      const bool known = chunk.tid < trace.thread_count();
+      intact =
+          append_events(chunk, known ? trace.thread_stream(chunk.tid) : fresh);
+      if (intact && !known) trace.thread_stream(chunk.tid) = std::move(fresh);
     }
     if (!intact) {
       ++report.chunks_dropped;
@@ -89,10 +91,7 @@ void salvage_chunked(const unsigned char* data, std::size_t size, Trace& trace,
     }
     ++report.chunks_recovered;
     report.clean_close |= chunk.clean_close;
-    if (chunk.data != nullptr) {
-      trace.append_thread_events(chunk.tid, buffer);
-      report.events_recovered += chunk.count;
-    }
+    report.events_recovered += chunk.count;
   }
 }
 
@@ -113,7 +112,7 @@ SalvageResult salvage_bytes(const std::vector<unsigned char>& bytes) {
   CLA_CHECK(out.report.events_recovered > 0,
             "nothing to salvage: no intact events in trace");
   out.report.runtime_dropped_events = out.trace.dropped_events();
-  repair_trace(out.trace, out.report);
+  out.trace = repair_trace(TraceView(out.trace), out.report);
   return out;
 }
 
@@ -121,15 +120,16 @@ SalvageResult salvage_bytes(const std::vector<unsigned char>& bytes) {
 
 // ---- repair --------------------------------------------------------------
 
-void repair_trace(Trace& trace, SalvageReport& report) {
+Trace repair_trace(const TraceView& view, SalvageReport& report) {
   // The protocol replay lives in the shared repair engine (validate.cpp)
   // so --strictness=repair and salvage fix traces identically; only the
   // bookkeeping is mapped back onto the salvage report here.
-  const RepairSummary summary =
-      repair_trace_semantics(trace, util::Strictness::Repair, nullptr);
-  report.synthesized_events += summary.synthesized_events;
-  report.events_discarded += summary.events_discarded;
-  report.threads_repaired += summary.threads_repaired;
+  RepairResult repaired =
+      repair_trace_semantics(view, util::Strictness::Repair, nullptr);
+  report.synthesized_events += repaired.summary.synthesized_events;
+  report.events_discarded += repaired.summary.events_discarded;
+  report.threads_repaired += repaired.summary.threads_repaired;
+  return std::move(repaired.trace);
 }
 
 // ---- entry points --------------------------------------------------------

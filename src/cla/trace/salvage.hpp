@@ -25,6 +25,7 @@
 #include <string>
 
 #include "cla/trace/trace.hpp"
+#include "cla/trace/trace_view.hpp"
 
 namespace cla::trace {
 
@@ -65,11 +66,12 @@ struct SalvageResult {
 SalvageResult salvage_trace(std::istream& in);
 SalvageResult salvage_trace_file(const std::string& path);
 
-/// The repair half of salvage, exposed for reuse and tests: mutates
-/// `trace` until validate() passes, accumulating what it did into
-/// `report` (synthesized_events, threads_repaired). Thin wrapper over
-/// repair_trace_semantics() in cla/trace/validate.hpp, which is also what
-/// `cla-analyze --strictness=repair` runs.
-void repair_trace(Trace& trace, SalvageReport& report);
+/// The repair half of salvage, exposed for reuse and tests: returns the
+/// viewed trace fixed until validate() passes, accumulating what it did
+/// into `report` (synthesized_events, events_discarded,
+/// threads_repaired). Thin wrapper over repair_trace_semantics() in
+/// cla/trace/validate.hpp, which is also what `cla-analyze
+/// --strictness=repair` runs.
+Trace repair_trace(const TraceView& view, SalvageReport& report);
 
 }  // namespace cla::trace

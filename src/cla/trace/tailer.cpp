@@ -92,10 +92,12 @@ bool TraceTailer::consume_chunk(std::uint32_t kind,
   switch (static_cast<ChunkKind>(kind)) {
     case ChunkKind::Events:
     case ChunkKind::EventsV3:
-      if (chunk.count == 0) return false;
-      event_buf_.resize(chunk.count);
-      if (!unpack_events(chunk, event_buf_.data())) return false;
-      delta.chunk.append_thread_events(chunk.tid, event_buf_);
+      // A run that fails to decode leaves at most an empty stream, which
+      // IncrementalAnalyzer::append skips.
+      if (chunk.count == 0 ||
+          !append_events(chunk, delta.chunk.thread_stream(chunk.tid))) {
+        return false;
+      }
       delta.events += chunk.count;
       return true;
     case ChunkKind::Meta: {

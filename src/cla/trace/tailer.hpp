@@ -141,7 +141,6 @@ class TraceTailer {
   std::uint64_t io_retries_ = 0;
   std::uint64_t skipped_total_ = 0;
   std::vector<unsigned char> payload_buf_;
-  std::vector<Event> event_buf_;
 };
 
 }  // namespace cla::trace

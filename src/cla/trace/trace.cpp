@@ -84,11 +84,6 @@ void Trace::append_thread_events(ThreadId tid, std::span<const Event> events) {
   thread_stream(tid).append(events);
 }
 
-void Trace::reserve_thread_events(ThreadId tid, std::size_t count) {
-  auto& stream = thread_stream(tid);
-  stream.reserve(stream.size() + count);
-}
-
 util::GrowArray<Event>& Trace::thread_stream(ThreadId tid) {
   if (tid >= threads_.size()) threads_.resize(tid + 1);
   return threads_[tid];
@@ -138,7 +133,7 @@ std::string Trace::thread_display_name(ThreadId tid) const {
 
 void Trace::validate() const {
   util::DiagnosticSink sink;
-  if (validate_trace(*this, sink)) return;
+  if (validate_trace(TraceView(*this), sink)) return;
   std::string message = "trace failed validation: " +
                         std::to_string(sink.error_count()) +
                         " error-severity diagnostic(s)";

@@ -64,16 +64,13 @@ class Trace {
 
   /// Appends a chunk to a thread's stream without re-sorting; chunks must
   /// arrive in timestamp order (the on-disk order of a thread's event
-  /// chunks). Used by salvage, the live tailer and materialize().
+  /// chunks). Used by the incremental analyzer to accumulate live deltas.
   void append_thread_events(ThreadId tid, std::span<const Event> events);
 
-  /// Pre-sizes a thread's stream (when the count is known up front, so
-  /// the stream grows exactly once).
-  void reserve_thread_events(ThreadId tid, std::size_t count);
-
   /// `tid`'s stream, added empty if the trace has none yet, for a producer
-  /// that builds it in place (repair, clip, materialize()) instead of
-  /// handing over a copy. It must end sorted by timestamp.
+  /// that builds it in place (repair, clip, salvage, the live tailer,
+  /// materialize()) instead of handing over a copy. It must end sorted by
+  /// timestamp.
   util::GrowArray<Event>& thread_stream(ThreadId tid);
 
   std::size_t thread_count() const noexcept { return threads_.size(); }
@@ -161,11 +158,11 @@ class Trace {
   TraceTables& tables() noexcept { return tables_; }
 
   /// Checks the structural invariants above; throws
-  /// cla::util::ValidationError summarising the violations. The underlying
-  /// checker (validate_trace in cla/trace/validate.hpp) reports every
-  /// violation as a structured diagnostic instead of stopping at the first.
-  /// Unlike the pipeline's view-based check, it also sees stored per-event
-  /// tids, so it rejects a CLA_E_TID_MISMATCH the pipeline accepts.
+  /// cla::util::ValidationError summarising the violations. A thin wrapper
+  /// over validate_trace(TraceView(*this), ...) (cla/trace/validate.hpp),
+  /// the pipeline's own check, which reports every violation as a
+  /// structured diagnostic instead of stopping at the first. Like every
+  /// reader it takes an event's thread from its stream, not its stored tid.
   void validate() const;
 
   /// Renders a human-readable dump (debugging aid; O(events) big).

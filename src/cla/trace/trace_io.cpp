@@ -742,12 +742,19 @@ bool decode_chunk(std::uint32_t kind, const void* payload, std::size_t bytes,
   return true;  // unknown kind from a newer minor writer: nothing to apply
 }
 
-bool unpack_events(const EventsChunk& chunk, Event* out) {
-  // An empty run may come with a null `out`; a v3 one must be bare.
+bool append_events(const EventsChunk& chunk, util::GrowArray<Event>& out) {
+  // An empty v3 run must be bare.
   if (chunk.count == 0) return !chunk.v3 || chunk.bytes == 8;
-  if (chunk.v3) return decode_events_v3(chunk.data, chunk.bytes, out);
-  std::memcpy(out, chunk.data, std::size_t{chunk.count} * sizeof(Event));
-  for (std::uint32_t i = 0; i < chunk.count; ++i) out[i].tid = chunk.tid;
+  const std::size_t at = out.size();
+  out.resize(at + chunk.count);
+  Event* events = out.data() + at;
+  if (chunk.v3) {
+    if (decode_events_v3(chunk.data, chunk.bytes, events)) return true;
+    out.resize(at);
+    return false;
+  }
+  std::memcpy(events, chunk.data, std::size_t{chunk.count} * sizeof(Event));
+  for (std::uint32_t i = 0; i < chunk.count; ++i) events[i].tid = chunk.tid;
   return true;
 }
 

@@ -412,9 +412,10 @@ struct DecodedChunk : EventsChunk {
 bool decode_chunk(std::uint32_t kind, const void* payload, std::size_t bytes,
                   TraceTables& tables, DecodedChunk& out);
 
-/// Copies `chunk`'s events into `out[0..chunk.count)` with their tid set,
-/// decoding v3 varints. False on a malformed v3 encoding.
-bool unpack_events(const EventsChunk& chunk, Event* out);
+/// Appends `chunk`'s events to `out` with their tid set, decoding v3
+/// varints in place. False on a malformed v3 encoding, and `out` is then
+/// left as it was.
+bool append_events(const EventsChunk& chunk, util::GrowArray<Event>& out);
 
 /// A v1 file parsed as far as it is intact.
 struct V1Layout {

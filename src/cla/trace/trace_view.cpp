@@ -318,13 +318,11 @@ void MappedTrace::build_views(
     } else {
       // Several raw runs, or raw chunks mixed into a v3 file (crash-spill
       // fallback): compact into one owned AoS buffer, in file order.
-      std::vector<Event>& events = compacted_[tid];
-      events.resize(total);
-      std::size_t off = 0;
+      util::GrowArray<Event>& events = compacted_[tid];
+      events.reserve(total);
       for (const EventsChunk& s : segs) {
-        CLA_CHECK(unpack_events(s, events.data() + off),
+        CLA_CHECK(append_events(s, events),
                   "corrupt trace: bad v3 events chunk encoding");
-        off += s.count;
       }
       view_.threads_.emplace_back(events.data(), total, tid);
     }

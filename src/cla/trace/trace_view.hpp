@@ -16,8 +16,9 @@
 // nothing. It stays valid while its backing store lives and is not
 // modified — the Trace it borrows, or the MappedTrace that produced it
 // (which keeps the file bytes and any decoded columns alive). Paths
-// that must mutate (repair, phase clipping) call materialize() to get a
-// private Trace copy and drop the view.
+// that rewrite a trace (validation's repair, phase clipping, salvage's
+// repair) read a view and write a new Trace; only a caller that wants
+// an owned copy of the events as they are calls materialize().
 #pragma once
 
 #include <algorithm>
@@ -275,7 +276,7 @@ class TraceView {
   const TraceTables& tables() const noexcept { return *tables_; }
 
   /// Deep-copies the viewed events and names into an owning, mutable
-  /// Trace (the escape hatch for repair / phase clipping).
+  /// Trace (behind read_trace() and read_trace_file()).
   Trace materialize() const;
 
  private:
@@ -348,7 +349,7 @@ class MappedTrace {
   std::vector<unsigned char> owned_;           // data_ otherwise
   std::uint32_t version_ = 0;
   std::vector<SoaColumns> soa_;               // v3-decoded threads
-  std::vector<std::vector<Event>> compacted_;  // multi-chunk / mixed threads
+  std::vector<util::GrowArray<Event>> compacted_;  // multi-chunk / mixed
   TraceTables tables_;
   TraceView view_;
 };

@@ -3,7 +3,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "cla/trace/protocol.hpp"
 
@@ -59,12 +58,9 @@ std::string violation_message(DiagCode code, const Event& e,
   }
 }
 
-/// The replay core, storage-generic: `TraceLike` is Trace (span streams)
-/// or TraceView (strided column streams). The checks are the same, with
-/// one exception: a TraceView takes each event's tid from its stream
-/// position, so CLA_E_TID_MISMATCH can only fire on an in-memory Trace.
-template <typename TraceLike>
-bool validate_trace_impl(const TraceLike& trace, DiagnosticSink& sink) {
+}  // namespace
+
+bool validate_trace(const TraceView& trace, DiagnosticSink& sink) {
   const std::uint64_t errors_before = sink.error_count();
   if (trace.thread_count() == 0 || trace.event_count() == 0) {
     sink.report(Severity::Fatal, DiagCode::CLA_E_NO_THREADS, Diagnostic::kNoTid,
@@ -74,7 +70,7 @@ bool validate_trace_impl(const TraceLike& trace, DiagnosticSink& sink) {
 
   const std::size_t thread_count = trace.thread_count();
   for (ThreadId tid = 0; tid < thread_count; ++tid) {
-    const auto stream = trace.thread_events(tid);
+    const EventsView& stream = trace.thread_events(tid);
     auto report = [&](Severity severity, DiagCode code, std::uint64_t event,
                       std::string message) {
       sink.report(severity, code, tid, event, std::move(message));
@@ -99,11 +95,6 @@ bool validate_trace_impl(const TraceLike& trace, DiagnosticSink& sink) {
     std::uint64_t max_ts = 0;
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const Event& e = stream[i];
-      if (e.tid != tid) {
-        report(Severity::Error, DiagCode::CLA_E_TID_MISMATCH, i,
-               "event carries tid " + std::to_string(e.tid) +
-                   " inside thread " + std::to_string(tid) + "'s stream");
-      }
       if (e.ts < max_ts) {
         report(Severity::Error, DiagCode::CLA_E_TS_REGRESSION, i,
                "timestamp " + std::to_string(e.ts) + " goes backwards (" +
@@ -168,19 +159,10 @@ bool validate_trace_impl(const TraceLike& trace, DiagnosticSink& sink) {
   return sink.error_count() == errors_before;
 }
 
-}  // namespace
-
-bool validate_trace(const Trace& trace, DiagnosticSink& sink) {
-  return validate_trace_impl(trace, sink);
-}
-
-bool validate_trace(const TraceView& view, DiagnosticSink& sink) {
-  return validate_trace_impl(view, sink);
-}
-
-RepairSummary repair_trace_semantics(Trace& trace, Strictness mode,
-                                     DiagnosticSink* sink) {
-  RepairSummary summary;
+RepairResult repair_trace_semantics(const TraceView& view, Strictness mode,
+                                    DiagnosticSink* sink) {
+  RepairResult out;
+  RepairSummary& summary = out.summary;
   auto note = [&](DiagCode code, Severity severity, ThreadId tid,
                   std::string message) {
     if (sink != nullptr) {
@@ -193,69 +175,70 @@ RepairSummary repair_trace_semantics(Trace& trace, Strictness mode,
   // were lost entirely (e.g. every chunk torn away) get stubbed so the
   // references stay resolvable. Implausibly large ids are corruption, not
   // references, and are left to the resolver's bounds checks.
-  std::size_t needed_threads = trace.thread_count();
-  for (ThreadId tid = 0; tid < trace.thread_count(); ++tid) {
-    for (const Event& e : trace.thread_events(tid)) {
+  std::size_t thread_count = view.thread_count();
+  for (ThreadId tid = 0; tid < view.thread_count(); ++tid) {
+    for (const Event& e : view.thread_events(tid)) {
       if (references_thread(e.type) && e.object < kMaxPlausibleTid &&
-          e.object + 1 > needed_threads) {
-        needed_threads = static_cast<std::size_t>(e.object) + 1;
+          e.object + 1 > thread_count) {
+        thread_count = static_cast<std::size_t>(e.object) + 1;
       }
     }
   }
-  if (needed_threads > trace.thread_count()) {
-    trace.reserve_thread_events(static_cast<ThreadId>(needed_threads - 1), 0);
-  }
 
-  Trace repaired;
-  for (ThreadId tid = 0; tid < trace.thread_count(); ++tid) {
-    const auto span = trace.thread_events(tid);
-    std::vector<Event> events(span.begin(), span.end());
+  for (ThreadId tid = 0; tid < thread_count; ++tid) {
+    const EventsView stream =
+        tid < view.thread_count() ? view.thread_events(tid) : EventsView();
     std::uint64_t synthesized = 0;
     std::uint64_t discarded = 0;
     std::uint64_t clamped = 0;
     bool touched = false;
 
-    if (events.empty()) {
-      // Every event of this thread was lost; keep the slot resolvable
-      // (other threads' ThreadCreate/Join events may reference it).
-      events.push_back(Event{0, kNoObject, kNoArg, EventType::ThreadStart, 0, tid});
-      events.push_back(Event{0, kNoObject, kNoArg, EventType::ThreadExit, 0, tid});
+    // The stream as repair reads it: a lost one (other threads'
+    // ThreadCreate/Join events may reference it) as a Start/Exit pair at
+    // 0, one that does not begin with ThreadStart with one put in front.
+    const bool lost = stream.empty();
+    if (lost) {
       synthesized += 2;
       ++summary.threads_stubbed;
       note(DiagCode::CLA_R_STUBBED_THREAD, Severity::Info, tid,
            "thread stream lost; stubbed with a Start/Exit pair");
     }
-
-    // Clamp per-thread timestamps monotone (raw clock regressions are
-    // normally repaired by the clean-exit flush, which a crash skipped).
-    for (std::size_t i = 1; i < events.size(); ++i) {
-      if (events[i].ts < events[i - 1].ts) {
-        events[i].ts = events[i - 1].ts;
-        touched = true;
-        ++clamped;
+    const std::size_t lead =
+        !lost && stream.type_at(0) != EventType::ThreadStart ? 1 : 0;
+    synthesized += lead;
+    const std::size_t count = lost ? 2 : stream.size() + lead;
+    const auto event_at = [&](std::size_t i) {
+      if (lost || i < lead) {
+        const bool exit = lost && i == 1;
+        return Event{lost ? 0 : stream.ts_at(0), kNoObject, kNoArg,
+                     exit ? EventType::ThreadExit : EventType::ThreadStart, 0,
+                     tid};
       }
-    }
-
-    if (events.front().type != EventType::ThreadStart) {
-      events.insert(events.begin(), Event{events.front().ts, kNoObject, kNoArg,
-                                          EventType::ThreadStart, 0, tid});
-      ++synthesized;
-    }
+      return stream[i - lead];
+    };
 
     // Replay the protocol, dropping events a partial recording can no
     // longer support: exactly the ones the automaton rejects. The kept
     // events go straight into the repaired trace.
     ThreadProtocol protocol;
-    util::GrowArray<Event>& kept = repaired.thread_stream(tid);
-    kept.reserve(events.size() + 4);
+    util::GrowArray<Event>& kept = out.trace.thread_stream(tid);
+    kept.reserve(count + 4);
     std::uint64_t original_kept = 0;
     std::optional<Event> final_exit;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      Event e = events[i];
-      e.tid = tid;  // a corrupt tid inside an intact chunk body is repaired
+    std::uint64_t max_ts = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      Event e = event_at(i);
+      // Clamp per-thread timestamps monotone (raw clock regressions are
+      // normally repaired by the clean-exit flush, which a crash skipped).
+      if (e.ts < max_ts) {
+        e.ts = max_ts;
+        touched = true;
+        ++clamped;
+      }
+      max_ts = e.ts;
       if (e.type == EventType::ThreadExit) {
         // Re-appended once, at the very end.
-        if (i + 1 == events.size()) final_exit = e;
+        if (i + 1 == count) final_exit = e;
         continue;
       }
       const bool keep =
@@ -346,9 +329,8 @@ RepairSummary repair_trace_semantics(Trace& trace, Strictness mode,
     summary.timestamps_clamped += clamped;
   }
 
-  repaired.tables() = std::move(trace.tables());
-  trace = std::move(repaired);
-  return summary;
+  out.trace.tables() = view.tables();
+  return out;
 }
 
 }  // namespace cla::trace

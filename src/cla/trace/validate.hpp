@@ -1,4 +1,6 @@
 // Non-throwing semantic trace validation and the shared repair engine.
+// Both read a TraceView, so a Trace, a mapped `.clat` file and a salvaged
+// trace are checked and fixed by the same code.
 //
 // validate_trace() replays every thread's events through its
 // ThreadProtocol (cla/trace/protocol.hpp, the pairing rules the index and
@@ -7,18 +9,19 @@
 // unpaired lock/unlock, double acquire, barrier re-entry, condition waits
 // without a matching end, timestamp regressions, references to
 // unregistered thread ids, and threads that never start or exit. Severity
-// encodes the contract: `error` marks exactly the violations the historic
-// Trace::validate() threw on, `warning` marks analyzable oddities it
-// tolerated, so strict mode stays behaviour-compatible.
+// encodes the contract: `error` marks exactly the violations
+// Trace::validate() throws on, `warning` marks analyzable oddities it
+// tolerates.
 //
 // repair_trace_semantics() is the deterministic fixer behind
 // --strictness=repair/lenient and trace salvage (salvage.cpp delegates
 // here): clamp timestamps monotone, synthesize missing ThreadStart /
 // ThreadExit / unlock / barrier-leave / cond-end events, drop exactly the
 // events the automaton rejects, stub referenced-but-lost threads, and —
-// under lenient — drop threads that are mostly garbage. Every repair is
-// itself emitted as a diagnostic so reports can print a trace-health
-// section. After repair, validate_trace() reports no errors.
+// under lenient — drop threads that are mostly garbage. It writes each
+// fixed event once, into a new Trace, and reports every repair as a
+// diagnostic so reports can print a trace-health section. After repair,
+// validate_trace() reports no errors.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +34,9 @@ namespace cla::trace {
 
 /// Replays the whole trace and appends one diagnostic per violation to
 /// `sink` (bounded by the sink's cap). Returns true iff no error- or
-/// fatal-severity diagnostic was produced by this call. The TraceView
-/// overload runs the same checks read-only over a view (e.g. an
-/// mmap-backed load), except one: a view takes each event's tid from its
-/// stream position, so CLA_E_TID_MISMATCH fires only on a Trace. So
-/// Trace::validate() (which IncrementalAnalyzer runs when validate = true)
-/// rejects a stored-tid mismatch that the batch pipeline, validating its
-/// view, accepts.
-bool validate_trace(const Trace& trace, util::DiagnosticSink& sink);
+/// fatal-severity diagnostic was produced by this call. A view takes each
+/// event's tid from its stream position, so no tid stored in an event is
+/// read (CLA_E_TID_MISMATCH is never reported).
 bool validate_trace(const TraceView& view, util::DiagnosticSink& sink);
 
 /// What repair_trace_semantics() did to a trace.
@@ -57,14 +55,22 @@ struct RepairSummary {
   }
 };
 
-/// Deterministically rewrites `trace` until validate_trace() reports no
-/// error-severity diagnostics. `mode` selects how aggressive the fixes
-/// are: Repair keeps every thread (synthesizing and dropping events as
+/// A repaired trace and what repair did to it.
+struct RepairResult {
+  Trace trace;
+  RepairSummary summary;
+};
+
+/// Deterministically rewrites the viewed trace into a new Trace on which
+/// validate_trace() reports no error-severity diagnostics; the viewed
+/// trace is not touched. `mode` selects how aggressive the fixes are:
+/// Repair keeps every thread (synthesizing and dropping events as
 /// needed); Lenient additionally replaces threads whose stream is mostly
 /// unsupportable with a stub Start/Exit pair. (Strict performs the same
 /// repairs as Repair; callers enforce strictness *before* repairing.)
 /// Each repair action is reported to `sink` (may be null).
-RepairSummary repair_trace_semantics(Trace& trace, util::Strictness mode,
-                                     util::DiagnosticSink* sink);
+RepairResult repair_trace_semantics(const TraceView& view,
+                                    util::Strictness mode,
+                                    util::DiagnosticSink* sink);
 
 }  // namespace cla::trace

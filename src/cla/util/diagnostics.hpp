@@ -53,7 +53,7 @@ enum class DiagCode : std::uint16_t {
   CLA_E_STRAY_THREAD_START = 12,  ///< ThreadStart not at stream head
   CLA_E_DANGLING_THREAD = 13,  ///< last event is not ThreadExit
   CLA_E_STRAY_THREAD_EXIT = 14,   ///< ThreadExit before the stream end
-  CLA_E_TID_MISMATCH = 15,     ///< event's tid field disagrees with stream
+  CLA_E_TID_MISMATCH = 15,     ///< retired: no check reads a stored tid
   CLA_E_TS_REGRESSION = 16,    ///< per-thread timestamps go backwards
   CLA_E_DOUBLE_ACQUIRE = 17,   ///< MutexAcquire while already acquiring
   CLA_E_UNPAIRED_ACQUIRED = 18,  ///< MutexAcquired without MutexAcquire

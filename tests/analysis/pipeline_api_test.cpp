@@ -114,7 +114,7 @@ TEST(PipelineApi, LoadStreamFeedsTheFullPipeline) {
 TEST(PipelineApi, MissingTraceIsACleanError) {
   Pipeline pipeline;
   EXPECT_THROW(pipeline.result(), util::Error);
-  EXPECT_THROW(pipeline.trace(), util::Error);
+  EXPECT_THROW(pipeline.view(), util::Error);
 }
 
 TEST(PipelineApi, LoadFileMissingIsACleanError) {

@@ -358,6 +358,37 @@ TEST(CliExitCodes, FullContract) {
   std::remove(broken_path.c_str());
 }
 
+TEST(CliExitCodes, PhaseClipOfAValidTraceAnalyzes) {
+  // T0 marks phase 0 over [10, 50]; T1 (1..5) lies wholly before it and
+  // T2 (2..90) overlaps it. The trace validates, so its clip must too.
+  using cla::trace::Event;
+  using cla::trace::EventType;
+  cla::trace::Trace trace;
+  const auto add = [&](std::uint64_t ts, EventType type,
+                       cla::trace::ThreadId tid) {
+    trace.add(Event{ts, cla::trace::kNoObject, cla::trace::kNoArg, type, 0,
+                    tid});
+  };
+  add(0, EventType::ThreadStart, 0);
+  add(10, EventType::PhaseBegin, 0);
+  add(50, EventType::PhaseEnd, 0);
+  add(100, EventType::ThreadExit, 0);
+  add(1, EventType::ThreadStart, 1);
+  add(5, EventType::ThreadExit, 1);
+  add(2, EventType::ThreadStart, 2);
+  add(90, EventType::ThreadExit, 2);
+  const auto path =
+      (std::filesystem::temp_directory_path() / "cla_cli_phase_gap.clat")
+          .string();
+  cla::trace::write_trace_file(trace, path);
+  int rc = 0;
+  const std::string out =
+      run_command(tool("cla-analyze") + " " + path + " --phase 0", rc);
+  EXPECT_EQ(rc, 0) << out;
+  EXPECT_EQ(out.find("CLA_E_EMPTY_THREAD"), std::string::npos) << out;
+  std::remove(path.c_str());
+}
+
 TEST(CliExitCodes, DiagnosticsJsonOnDamagedTrace) {
   const auto path = write_semantically_broken_trace("cla_cli_diagjson.clat");
   int rc = 0;

@@ -112,9 +112,9 @@ bool analyze_mutant(const trace::Trace& mutant, util::Strictness strictness,
       return false;
     }
     if (strictness == util::Strictness::Repair) {
-      // Replay what was analyzed: the view, not trace(). A mutant damaged
-      // only in its stored per-event tids looks clean through the view, so
-      // nothing is repaired and trace() is the borrowed mutant itself.
+      // Replay what was analyzed: the view. A mutant damaged only in its
+      // stored per-event tids is clean (no check reads a stored tid), so
+      // nothing is repaired and the view is of the borrowed mutant itself.
       util::DiagnosticSink replay;
       trace::validate_trace(pipeline.view(), replay);
       for (const util::Diagnostic& d : replay.diagnostics()) {

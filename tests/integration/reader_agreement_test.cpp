@@ -2,9 +2,10 @@
 // read_trace_file, MappedTrace, Pipeline::load_file / load_stream,
 // salvage, the live tailer, a whole-window clip — must yield the same
 // events and the same TraceTables (names, call stacks, frame symbols,
-// runtime warnings, drop count), for v1, v2 and v3. v1 is read-only, so
-// its cases read the checked-in tests/data/golden_v1.clat. The stream
-// loaders must also keep the strict loader's failure modes.
+// runtime warnings, drop count), for v1, v2 and v3; and repair and clip
+// must give the same trace from each of those readers' views. v1 is
+// read-only, so its cases read the checked-in tests/data/golden_v1.clat.
+// The stream loaders must also keep the strict loader's failure modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "cla/trace/tailer.hpp"
 #include "cla/trace/trace_io.hpp"
 #include "cla/trace/trace_view.hpp"
+#include "cla/trace/validate.hpp"
 #include "cla/util/diagnostics.hpp"
 #include "cla/util/error.hpp"
 
@@ -161,15 +163,37 @@ void check_every_reader(const std::string& path, std::uint32_t version,
   {
     const Trace loaded = read_trace_file(path);
     const Window whole{original.start_ts(), original.end_ts()};
-    expect_same(clip_trace(loaded, whole), clip_trace(original, whole), tables,
-                "clip_trace");
+    expect_same(clip_trace(TraceView(loaded), whole),
+                clip_trace(TraceView(original), whole), tables, "clip_trace");
+  }
+
+  // Repair and clip read every entry point's view alike: v1/v2 events in
+  // the file bytes, v3 columns, a salvaged trace, accumulated deltas.
+  const Trace repaired =
+      repair_trace_semantics(TraceView(original), util::Strictness::Repair,
+                             nullptr)
+          .trace;
+  const Window cut{45, 250};  // cuts sections at both edges
+  const Trace clipped = clip_trace(TraceView(original), cut);
+  const auto check_fixers = [&](const TraceView& view,
+                                const std::string& name) {
+    expect_same(
+        repair_trace_semantics(view, util::Strictness::Repair, nullptr).trace,
+        repaired, tables, name + " repaired");
+    expect_same(clip_trace(view, cut), clipped, tables, name + " clipped");
+  };
+  check_fixers(MappedTrace(path).view(), "MappedTrace");
+  check_fixers(TraceView(salvage_trace_file(path).trace), "salvage");
+  if (version != kTraceVersionLegacy) {
+    check_fixers(TraceView(tail_whole_file(path)), "TraceTailer");
   }
 }
 
 void check_every_reader(std::uint32_t version) {
   const Trace original = rich_trace();
   // A whole-window clip of this trace is the trace itself.
-  expect_same(clip_trace(original, Window{original.start_ts(), original.end_ts()}),
+  expect_same(clip_trace(TraceView(original),
+                         Window{original.start_ts(), original.end_ts()}),
               original, original.tables(), "clip_trace identity");
   const std::string path =
       temp_path("cla_reader_agreement_v" + std::to_string(version) + ".clat");

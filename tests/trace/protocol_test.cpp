@@ -264,7 +264,7 @@ void expect_one_wait(Pipeline& pipeline, const char* where) {
 TEST(TraceProtocol, NestedWaitBeginKeepsTheFirst) {
   const Trace trace = cond_trace(ev(EventType::CondWaitBegin, kC, 50));
   util::DiagnosticSink sink;
-  validate_trace(trace, sink);
+  validate_trace(TraceView(trace), sink);
   ASSERT_EQ(sink.diagnostics().size(), 1u);
   EXPECT_EQ(sink.diagnostics()[0].code, DiagCode::CLA_W_NESTED_COND_WAIT);
 
@@ -280,7 +280,7 @@ TEST(TraceProtocol, NestedWaitBeginKeepsTheFirst) {
 TEST(TraceProtocol, WaitEndOnAnotherCondvarLeavesTheWaitOpen) {
   const Trace trace = cond_trace(ev(EventType::CondWaitEnd, kOtherC, 50));
   util::DiagnosticSink sink;
-  validate_trace(trace, sink);
+  validate_trace(TraceView(trace), sink);
   ASSERT_EQ(sink.diagnostics().size(), 1u);
   EXPECT_EQ(sink.diagnostics()[0].code, DiagCode::CLA_W_UNPAIRED_WAIT_END);
   EXPECT_EQ(sink.diagnostics()[0].event, 2u);
@@ -288,7 +288,7 @@ TEST(TraceProtocol, WaitEndOnAnotherCondvarLeavesTheWaitOpen) {
   Pipeline batch(with(util::Strictness::Repair));
   batch.use_trace(trace);
   expect_one_wait(batch, "repair");
-  for (const Event& e : batch.trace().thread_events(0)) {
+  for (const Event& e : batch.view().thread_events(0)) {
     EXPECT_NE(e.object, kOtherC) << "repair kept the foreign CondWaitEnd";
   }
   const std::string want = batch.report_json();

@@ -211,7 +211,7 @@ TEST(Salvage, RepairClosesDanglingCriticalSection) {
   };
   trace.append_thread_events(0, events);
   SalvageReport report;
-  repair_trace(trace, report);
+  trace = repair_trace(TraceView(trace), report);
   trace.validate();
   const auto repaired = trace.thread_events(0);
   ASSERT_EQ(repaired.size(), 5u);
@@ -232,7 +232,7 @@ TEST(Salvage, RepairResolvesPendingAcquire) {
   };
   trace.append_thread_events(0, events);
   SalvageReport report;
-  repair_trace(trace, report);
+  trace = repair_trace(TraceView(trace), report);
   trace.validate();
   const auto repaired = trace.thread_events(0);
   ASSERT_EQ(repaired.size(), 5u);
@@ -251,7 +251,7 @@ TEST(Salvage, RepairStubsThreadsWithNoSurvivingEvents) {
   };
   trace.append_thread_events(1, events);
   SalvageReport report;
-  repair_trace(trace, report);
+  trace = repair_trace(TraceView(trace), report);
   trace.validate();
   ASSERT_EQ(trace.thread_count(), 2u);
   ASSERT_EQ(trace.thread_events(0).size(), 2u);
@@ -270,7 +270,7 @@ TEST(Salvage, RepairClampsNonMonotoneTimestamps) {
   };
   trace.append_thread_events(0, events);
   SalvageReport report;
-  repair_trace(trace, report);
+  trace = repair_trace(TraceView(trace), report);
   trace.validate();  // would throw on a backwards timestamp
   EXPECT_GE(trace.thread_events(0)[1].ts, 10u);
 }
@@ -279,7 +279,7 @@ TEST(Salvage, RepairPreservesCleanTraces) {
   Trace trace = sample_trace();
   const std::size_t before = trace.event_count();
   SalvageReport report;
-  repair_trace(trace, report);
+  trace = repair_trace(TraceView(trace), report);
   trace.validate();
   EXPECT_EQ(trace.event_count(), before);
   EXPECT_EQ(report.synthesized_events, 0u);

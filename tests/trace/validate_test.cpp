@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "cla/analysis/pipeline.hpp"
 #include "cla/trace/builder.hpp"
 #include "cla/trace/salvage.hpp"
 #include "cla/trace/trace.hpp"
@@ -48,14 +50,14 @@ TEST(ValidateTrace, CleanTraceProducesNoDiagnostics) {
   t0.start(0).lock_uncontended(1, 2, 5).exit(30);
   const Trace trace = b.finish_unchecked();
   DiagnosticSink sink;
-  EXPECT_TRUE(validate_trace(trace, sink));
+  EXPECT_TRUE(validate_trace(TraceView(trace), sink));
   EXPECT_TRUE(sink.empty());
 }
 
 TEST(ValidateTrace, EmptyTraceIsFatal) {
   Trace trace;
   DiagnosticSink sink;
-  EXPECT_FALSE(validate_trace(trace, sink));
+  EXPECT_FALSE(validate_trace(TraceView(trace), sink));
   EXPECT_EQ(sink.fatal_count(), 1u);
   EXPECT_TRUE(has_code(sink, DiagCode::CLA_E_NO_THREADS));
 }
@@ -69,7 +71,7 @@ TEST(ValidateTrace, ReportsAllViolationsNotJustTheFirst) {
   trace.add(make(5, EventType::CondSignal, 0, 9));      // ts goes backwards
   trace.add(make(20, EventType::MutexAcquire, 0, 7));   // dangling acquire
   DiagnosticSink sink;
-  EXPECT_FALSE(validate_trace(trace, sink));
+  EXPECT_FALSE(validate_trace(TraceView(trace), sink));
   EXPECT_TRUE(has_code(sink, DiagCode::CLA_E_UNPAIRED_UNLOCK));
   EXPECT_TRUE(has_code(sink, DiagCode::CLA_E_TS_REGRESSION));
   EXPECT_TRUE(has_code(sink, DiagCode::CLA_E_DANGLING_THREAD));
@@ -83,7 +85,7 @@ TEST(ValidateTrace, ViolationsCarryThreadAndEventLocation) {
   trace.add(make(10, EventType::MutexReleased, 0, 7));
   trace.add(make(20, EventType::ThreadExit, 0));
   DiagnosticSink sink;
-  EXPECT_FALSE(validate_trace(trace, sink));
+  EXPECT_FALSE(validate_trace(TraceView(trace), sink));
   ASSERT_EQ(sink.diagnostics().size(), 1u);
   const auto& d = sink.diagnostics().front();
   EXPECT_EQ(d.code, DiagCode::CLA_E_UNPAIRED_UNLOCK);
@@ -105,7 +107,7 @@ TEST(ValidateTrace, ToleratedOdditiesAreWarnings) {
   trace.add(make(8, EventType::CondWaitBegin, 0, 9)); // never ends
   trace.add(make(9, EventType::ThreadExit, 0));       // lock still held
   DiagnosticSink sink;
-  EXPECT_TRUE(validate_trace(trace, sink));  // warnings only
+  EXPECT_TRUE(validate_trace(TraceView(trace), sink));  // warnings only
   EXPECT_EQ(sink.error_count(), 0u);
   EXPECT_TRUE(has_code(sink, DiagCode::CLA_W_UNPAIRED_WAIT_END));
   EXPECT_TRUE(has_code(sink, DiagCode::CLA_W_UNKNOWN_THREAD_REF));
@@ -131,6 +133,25 @@ TEST(ValidateTrace, StrictValidateThrowsValidationErrorListingAll) {
   }
 }
 
+TEST(ValidateTrace, StoredTidsAreReadByNoValidation) {
+  // Thread 1's events carry tid 0. A thread is its stream position, so
+  // Trace::validate(), validate_trace and the pipeline all accept it.
+  TraceBuilder b;
+  b.thread(0).start(0).create(1, 1).join(1, 2, 20).exit(30);
+  b.thread(1).start(1, 0).lock_uncontended(7, 3, 9).exit(19);
+  Trace trace = b.finish();
+  for (Event& e : trace.thread_stream(1)) e.tid = 0;
+
+  EXPECT_NO_THROW(trace.validate());
+  DiagnosticSink sink;
+  EXPECT_TRUE(validate_trace(TraceView(trace), sink));
+  EXPECT_TRUE(sink.empty()) << sink.to_string();
+  analysis::Pipeline pipeline;
+  pipeline.use_trace(trace);
+  EXPECT_NO_THROW(pipeline.validate_stage());
+  EXPECT_TRUE(pipeline.diagnostics().empty());
+}
+
 TEST(RepairSemantics, DropsOrphansClosesDanglingAndClampsTimestamps) {
   Trace trace;
   trace.add(make(0, EventType::ThreadStart, 0));
@@ -139,8 +160,8 @@ TEST(RepairSemantics, DropsOrphansClosesDanglingAndClampsTimestamps) {
   trace.add(make(20, EventType::MutexAcquire, 0, 7));
   trace.add(make(22, EventType::MutexAcquired, 0, 7));  // held at the end
   DiagnosticSink sink;
-  const RepairSummary summary =
-      repair_trace_semantics(trace, Strictness::Repair, &sink);
+  const auto [fixed, summary] =
+      repair_trace_semantics(TraceView(trace), Strictness::Repair, &sink);
   EXPECT_EQ(summary.events_discarded, 1u);
   EXPECT_EQ(summary.timestamps_clamped, 1u);
   // A released for the held mutex plus the missing ThreadExit.
@@ -153,9 +174,9 @@ TEST(RepairSemantics, DropsOrphansClosesDanglingAndClampsTimestamps) {
 
   // The repaired trace replays with zero error-severity diagnostics.
   DiagnosticSink after;
-  EXPECT_TRUE(validate_trace(trace, after));
+  EXPECT_TRUE(validate_trace(TraceView(fixed), after));
   EXPECT_EQ(after.error_count(), 0u);
-  EXPECT_NO_THROW(trace.validate());
+  EXPECT_NO_THROW(fixed.validate());
 }
 
 TEST(RepairSemantics, ClosesDanglingCondWait) {
@@ -164,15 +185,16 @@ TEST(RepairSemantics, ClosesDanglingCondWait) {
   trace.add(make(5, EventType::CondWaitBegin, 0, 9, 7));
   // The recording died inside the wait: no CondWaitEnd, no ThreadExit.
   DiagnosticSink sink;
-  repair_trace_semantics(trace, Strictness::Repair, &sink);
-  const auto events = trace.thread_events(0);
+  const Trace fixed =
+      repair_trace_semantics(TraceView(trace), Strictness::Repair, &sink).trace;
+  const auto events = fixed.thread_events(0);
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[1].type, EventType::CondWaitBegin);
   EXPECT_EQ(events[2].type, EventType::CondWaitEnd);
   EXPECT_EQ(events[2].object, 9u);
   EXPECT_EQ(events[3].type, EventType::ThreadExit);
   DiagnosticSink after;
-  EXPECT_TRUE(validate_trace(trace, after));
+  EXPECT_TRUE(validate_trace(TraceView(fixed), after));
   EXPECT_TRUE(after.empty());  // no warnings left either
 }
 
@@ -188,12 +210,12 @@ TEST(RepairSemantics, StubsThreadsReferencedButLost) {
   trace.add(make(20, EventType::ThreadExit, 0));
   ASSERT_EQ(trace.thread_count(), 1u);
   DiagnosticSink sink;
-  const RepairSummary summary =
-      repair_trace_semantics(trace, Strictness::Repair, &sink);
-  EXPECT_EQ(trace.thread_count(), 4u);
+  const auto [fixed, summary] =
+      repair_trace_semantics(TraceView(trace), Strictness::Repair, &sink);
+  EXPECT_EQ(fixed.thread_count(), 4u);
   EXPECT_EQ(summary.threads_stubbed, 3u);
   EXPECT_EQ(count_code(sink, DiagCode::CLA_R_STUBBED_THREAD), 3u);
-  EXPECT_NO_THROW(trace.validate());
+  EXPECT_NO_THROW(fixed.validate());
 }
 
 TEST(RepairSemantics, IgnoresImplausiblyLargeThreadRefs) {
@@ -202,8 +224,9 @@ TEST(RepairSemantics, IgnoresImplausiblyLargeThreadRefs) {
   trace.add(make(2, EventType::ThreadCreate, 0, (1u << 20) + 5));  // garbage
   trace.add(make(20, EventType::ThreadExit, 0));
   DiagnosticSink sink;
-  repair_trace_semantics(trace, Strictness::Repair, &sink);
-  EXPECT_EQ(trace.thread_count(), 1u);  // no billion-thread allocation
+  const Trace fixed =
+      repair_trace_semantics(TraceView(trace), Strictness::Repair, &sink).trace;
+  EXPECT_EQ(fixed.thread_count(), 1u);  // no billion-thread allocation
 }
 
 TEST(RepairSemantics, LenientDropsMostlyGarbageThreads) {
@@ -220,34 +243,37 @@ TEST(RepairSemantics, LenientDropsMostlyGarbageThreads) {
     trace.add(make(ts, EventType::MutexReleased, 1, 9));  // never acquired
   }
 
-  Trace repaired_copy = trace;  // compare the two policies on one input
+  // Compare the two policies on one input.
   DiagnosticSink repair_sink;
-  const RepairSummary repair_summary =
-      repair_trace_semantics(repaired_copy, Strictness::Repair, &repair_sink);
-  EXPECT_EQ(repair_summary.threads_dropped, 0u);
-  EXPECT_GT(repaired_copy.thread_events(1).size(), 2u);
+  const RepairResult repaired =
+      repair_trace_semantics(TraceView(trace), Strictness::Repair, &repair_sink);
+  EXPECT_EQ(repaired.summary.threads_dropped, 0u);
+  EXPECT_GT(repaired.trace.thread_events(1).size(), 2u);
 
   DiagnosticSink lenient_sink;
-  const RepairSummary lenient_summary =
-      repair_trace_semantics(trace, Strictness::Lenient, &lenient_sink);
-  EXPECT_EQ(lenient_summary.threads_dropped, 1u);
+  const RepairResult lenient = repair_trace_semantics(
+      TraceView(trace), Strictness::Lenient, &lenient_sink);
+  EXPECT_EQ(lenient.summary.threads_dropped, 1u);
   EXPECT_TRUE(has_code(lenient_sink, DiagCode::CLA_R_DROPPED_THREAD));
-  EXPECT_EQ(trace.thread_events(1).size(), 2u);  // stub Start/Exit pair
-  EXPECT_NO_THROW(trace.validate());
+  EXPECT_EQ(lenient.trace.thread_events(1).size(), 2u);  // stub Start/Exit
+  EXPECT_NO_THROW(lenient.trace.validate());
 }
 
 TEST(RepairSemantics, CleanTraceIsUntouched) {
   TraceBuilder b;
   auto t0 = b.thread(0);
   t0.start(0).lock_uncontended(1, 2, 5).exit(30);
-  Trace trace = b.finish();
-  const std::size_t events_before = trace.event_count();
+  const Trace trace = b.finish();
   DiagnosticSink sink;
-  const RepairSummary summary =
-      repair_trace_semantics(trace, Strictness::Repair, &sink);
+  const auto [fixed, summary] =
+      repair_trace_semantics(TraceView(trace), Strictness::Repair, &sink);
   EXPECT_FALSE(summary.changed());
   EXPECT_TRUE(sink.empty());
-  EXPECT_EQ(trace.event_count(), events_before);
+  ASSERT_EQ(fixed.thread_count(), trace.thread_count());
+  const auto before = trace.thread_events(0);
+  const auto after = fixed.thread_events(0);
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), after.begin(),
+                         after.end()));
 }
 
 TEST(SalvageAudit, SalvagedTracePassesRepairValidationWithZeroErrors) {
@@ -280,7 +306,7 @@ TEST(SalvageAudit, SalvagedTracePassesRepairValidationWithZeroErrors) {
     }
     ++audited;
     DiagnosticSink sink;
-    EXPECT_TRUE(validate_trace(result.trace, sink))
+    EXPECT_TRUE(validate_trace(TraceView(result.trace), sink))
         << "salvaged prefix of " << keep << " bytes fails repair validation:\n"
         << sink.to_string();
     EXPECT_EQ(sink.error_count(), 0u);
@@ -296,7 +322,7 @@ TEST(DiagnosticsGolden, JsonRenderingIsByteStable) {
   trace.add(make(10, EventType::MutexReleased, 0, 7));
   trace.add(make(20, EventType::ThreadExit, 0));
   DiagnosticSink sink;
-  repair_trace_semantics(trace, Strictness::Repair, &sink);
+  repair_trace_semantics(TraceView(trace), Strictness::Repair, &sink);
   EXPECT_EQ(sink.to_json(),
             "{\n"
             "  \"counts\": {\"info\": 1, \"warning\": 0, \"error\": 0, "

@@ -123,13 +123,14 @@ TEST(Radiosity, RecordsClippablePhases) {
   // Three begin/end pairs were recorded; each clips to a valid trace
   // whose analysis still sees the task-queue locks.
   for (std::size_t phase = 0; phase < 3; ++phase) {
-    const trace::Trace clipped = trace::clip_to_phase(run.trace, phase);
+    const trace::Trace clipped =
+        trace::clip_to_phase(trace::TraceView(run.trace), phase);
     EXPECT_NO_THROW(clipped.validate()) << "phase " << phase;
     const auto result = test_support::analyze(clipped);
     EXPECT_NE(result.find_lock("tq[0].qlock"), nullptr) << "phase " << phase;
     EXPECT_LT(result.completion_time, run.completion_time);
   }
-  EXPECT_FALSE(trace::find_phase(run.trace, 3).has_value());
+  EXPECT_FALSE(trace::find_phase(trace::TraceView(run.trace), 3).has_value());
 }
 
 TEST(Radiosity, Tq0DominatesAtHighThreadCounts) {

@@ -263,20 +263,21 @@ int main(int argc, char** argv) {
     bool lossy_salvage = false;
     cla::Pipeline pipeline(options);
     if (args.has("phase")) {
-      // Phase clipping rewrites the trace, so load eagerly and clip before
-      // handing the trace to the pipeline.
-      cla::trace::Trace trace;
+      // Phase clipping writes a new trace: clip the view of the mapped (or
+      // salvaged) file and hand the clip to the pipeline.
+      const auto clip = [&](const cla::trace::TraceView& view) {
+        pipeline.use_trace(cla::trace::clip_to_phase(
+            view, static_cast<std::size_t>(args.get_int("phase", 0))));
+      };
       if (options.load.salvage) {
-        cla::trace::SalvageResult salvaged =
+        const cla::trace::SalvageResult salvaged =
             cla::trace::salvage_trace_file(args.positional().front());
         std::fputs(salvaged.report.to_string().c_str(), stderr);
         lossy_salvage = salvaged.report.lossy();
-        trace = std::move(salvaged.trace);
+        clip(cla::trace::TraceView(salvaged.trace));
       } else {
-        trace = cla::trace::read_trace_file(args.positional().front());
+        clip(cla::trace::MappedTrace(args.positional().front()).view());
       }
-      pipeline.use_trace(cla::trace::clip_to_phase(
-          trace, static_cast<std::size_t>(args.get_int("phase", 0))));
     } else {
       pipeline.load_file(args.positional().front());
       if (const auto& report = pipeline.salvage_report()) {

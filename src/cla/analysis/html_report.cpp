@@ -1,6 +1,9 @@
 #include "cla/analysis/html_report.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "cla/util/diagnostics.hpp"
 
@@ -78,12 +81,17 @@ std::string timeline_json(const TraceIndex& index, const CriticalPath& path) {
         emit(on_path ? "csp" : "cs", cs.acquired_ts, cs.released_ts, name);
       }
     }
-    for (const auto& [id, bi] : index.barriers()) {
-      const std::string name = t.object_display_name(id, "barrier");
-      for (const auto& w : bi.waits) {
-        if (w.tid != tid) continue;
-        emit("bar", w.arrive_ts, w.leave_ts, name);
-      }
+    // The thread's barrier waits, barrier by barrier, each in event order.
+    const std::vector<BarrierWaitRecord>& waits = index.thread_barrier_waits(tid);
+    std::vector<std::pair<trace::ObjectId, std::uint32_t>> by_barrier;
+    for (std::uint32_t row = 0; row < waits.size(); ++row) {
+      by_barrier.emplace_back(
+          t.thread_events(tid).object_at(waits[row].leave_idx), row);
+    }
+    std::sort(by_barrier.begin(), by_barrier.end());
+    for (const auto& [id, row] : by_barrier) {
+      emit("bar", waits[row].arrive_ts, waits[row].leave_ts,
+           t.object_display_name(id, "barrier"));
     }
     out << "], \"cp\": [";
     if (tid < path.per_thread.size()) {

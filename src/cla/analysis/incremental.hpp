@@ -5,8 +5,9 @@
 //   - one resumable ThreadScanState per thread (the O(events) forward
 //     scan never revisits an event; it holds only open records),
 //   - one TraceIndex, extended in place every round, which holds each
-//     closed section once, as a row of its thread's section table, and
-//     keeps running per-mutex TYPE 2 totals, and
+//     closed section, barrier wait and condvar wait once, as a row of its
+//     thread's table for that kind, and keeps running per-mutex TYPE 2
+//     totals and per-barrier and per-condvar totals, and
 //   - one SegmentDag, extended in place every round.
 // On update it computes a *re-resolution boundary*: the earliest
 // timestamp whose wake-up resolution could have changed, which is the
@@ -32,9 +33,10 @@
 // Per-refresh cost, with Options::validate = false (as cla-monitor sets
 // it), is O(appended + tail + new path + locks × threads):
 //   - scan: the appended events only;
-//   - index: the drained sections, plus each grown mutex's new
-//     references, merged into its order only when one sorts before the
-//     old tail;
+//   - index: the drained sections and waits, plus each grown mutex's new
+//     references and each grown condvar's new signals, merged into its
+//     order or signal list only when one sorts before the old tail; a
+//     barrier wait updates its episode's last arriver in place;
 //   - DAG: the events from the boundary on (a retained segment keeps
 //     its releaser; the walk looks up where a hop lands);
 //   - walk: the steps from the new end down to the last refresh's path
@@ -53,11 +55,10 @@
 //     tables and the orders are util::GrowArrays, so when one outgrows
 //     its storage its pages are remapped, not copied, and each writer
 //     finds the next few pages faulted in.
-// What still grows with history: the barrier/condvar regroup in
-// TraceIndex::extend() (in full whenever they grow), the assembly's
-// divisions (locks × threads, not history), and a walk that cannot
-// splice (a thread whose timestamps regress turns splicing off) — small
-// next to the rest (one segment per tens of events).
+// Beyond the tail, a refresh pays the assembly's divisions ((locks +
+// barriers) × threads, which do not grow with history) and, once a
+// thread's timestamps regress, a full walk: that turns splicing off, and
+// is the one part that still grows with history.
 // With the default Options::validate = true, every refresh first
 // strict-validates the whole accumulated trace, an O(history) pass that
 // also rejects a trace cut mid-section; callers that refresh a live tail

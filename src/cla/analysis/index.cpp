@@ -28,6 +28,19 @@ void MutexIndex::uncount(const SectionRow& row, const trace::EventsView& events,
   if (it->second.invocations == 0) callsites.erase(it);
 }
 
+void BarrierIndex::add(trace::ThreadId tid, std::uint32_t row,
+                       const BarrierWaitRecord& w) {
+  totals.add(tid, w);
+  const BarrierEpisode arriver{w.arrive_ts, tid, row};
+  const auto [it, inserted] = episodes.try_emplace(w.generation, arriver);
+  BarrierEpisode& last = it->second;
+  if (!inserted && (w.arrive_ts > last.arrive_ts ||
+                    (w.arrive_ts == last.arrive_ts && tid < last.tid))) {
+    last = arriver;
+  }
+  totals.episodes = episodes.size();
+}
+
 namespace {
 
 using trace::Event;
@@ -57,95 +70,38 @@ void insert_in_event_order(SectionTable& rows, const SectionRow& row) {
               row);
 }
 
-/// Time order of a condvar's signals, ties toward the lower (tid, idx).
-bool signalled_before(const CondSignalRecord& a,
-                      const CondSignalRecord& b) noexcept {
-  if (a.ts != b.ts) return a.ts < b.ts;
-  if (a.tid != b.tid) return a.tid < b.tid;
-  return a.idx < b.idx;
-}
-
-template <typename Record>
-using RecordsByObject = std::map<trace::ObjectId, std::vector<Record>>;
-
-/// Moves every record of `from` onto the end of its object's list in `to`.
-template <typename Record>
-void drain_into(RecordsByObject<Record>& from, RecordsByObject<Record>& to) {
-  for (auto& [object, records] : from) {
-    auto& dst = to[object];
-    dst.insert(dst.end(), records.begin(), records.end());
-  }
-  from.clear();
-}
-
-/// Appends `added` (in thread-id order) to `records`, which are grouped by
-/// thread: each thread's new records land after its old ones, exactly
-/// where a thread-id-ordered merge from scratch puts them.
-template <typename Record>
-void merge_by_thread(std::vector<Record>& records,
-                     const std::vector<Record>& added) {
-  const auto old = static_cast<std::ptrdiff_t>(records.size());
-  records.insert(records.end(), added.begin(), added.end());
-  std::inplace_merge(records.begin(), records.begin() + old, records.end(),
-                     [](const Record& a, const Record& b) { return a.tid < b.tid; });
-}
-
-/// Groups a barrier's waits into episodes and finds each episode's last
-/// arriver. Episodes are numbered densely in order of first appearance:
-/// clipped traces keep the original generation counters, which need not
-/// start at zero.
-void build_episodes(BarrierIndex& bi) {
-  std::map<std::uint32_t, std::uint32_t> dense;  // generation -> episode
-  for (auto& w : bi.waits) {
-    w.episode = dense.try_emplace(w.generation,
-                                  static_cast<std::uint32_t>(dense.size()))
-                    .first->second;
-  }
-  bi.episodes.assign(dense.size(), BarrierEpisode{});
-  for (std::uint32_t wi = 0; wi < bi.waits.size(); ++wi) {
-    bi.episodes[bi.waits[wi].episode].waits.push_back(wi);
-  }
-  for (auto& ep : bi.episodes) {
-    ep.last_arriver = ep.waits.front();
-    for (std::uint32_t wi : ep.waits) {
-      const auto& cand = bi.waits[wi];
-      const auto& best = bi.waits[ep.last_arriver];
-      if (cand.arrive_ts > best.arrive_ts ||
-          (cand.arrive_ts == best.arrive_ts && cand.tid < best.tid)) {
-        ep.last_arriver = wi;
-      }
-    }
+/// Sorts the entries of `list` past its sorted first `sorted`, and merges
+/// them in from the first old entry that sorts after the earliest of them;
+/// a live tail usually sorts after every old entry and needs no merge.
+/// Mutex orders and condvar signal lists grow this way.
+template <typename List>
+void merge_tail(List& list, std::size_t sorted) {
+  const auto fresh = list.begin() + static_cast<std::ptrdiff_t>(sorted);
+  std::sort(fresh, list.end());
+  if (fresh != list.begin() && fresh != list.end() && *fresh < *(fresh - 1)) {
+    std::inplace_merge(std::upper_bound(list.begin(), fresh, *fresh), fresh,
+                       list.end());
   }
 }
 
-/// Rebuilds a position table from scratch over every record of `objects`.
-template <typename Table, typename Index, typename Records, typename EventIdx>
-void fill_positions(Table& table, std::size_t threads,
-                    const std::map<trace::ObjectId, Index>& objects,
-                    Records Index::*records, EventIdx event_idx) {
-  table.assign(threads, {});
-  for (const auto& [object, index] : objects) {
-    (void)object;
-    const auto& recs = index.*records;
-    for (std::uint32_t pos = 0; pos < recs.size(); ++pos) {
-      table[recs[pos].tid].push_back({event_idx(recs[pos]), pos});
-    }
-  }
-  for (auto& entries : table) {
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.idx < b.idx; });
-  }
-}
-
-template <typename Table>
-std::uint32_t find_position(const Table& table, trace::ThreadId tid,
-                            std::uint32_t idx) {
-  if (tid >= table.size()) return TraceIndex::npos32;
-  const auto& entries = table[tid];
+/// The row of `rows`, ascending in `key`, whose `key` is `idx`; npos32 if
+/// there is none.
+template <typename Row>
+std::uint32_t find_row(std::span<const Row> rows, std::uint32_t Row::*key,
+                       std::uint32_t idx) {
   const auto it = std::lower_bound(
-      entries.begin(), entries.end(), idx,
-      [](const auto& e, std::uint32_t i) { return e.idx < i; });
-  return it != entries.end() && it->idx == idx ? it->pos : TraceIndex::npos32;
+      rows.begin(), rows.end(), idx,
+      [key](const Row& r, std::uint32_t i) { return r.*key < i; });
+  return it != rows.end() && (*it).*key == idx
+             ? static_cast<std::uint32_t>(it - rows.begin())
+             : TraceIndex::npos32;
+}
+
+/// `tables[tid]`, or an empty table for a tid past them.
+template <typename Table>
+const Table& table_of(const std::vector<Table>& tables, trace::ThreadId tid) {
+  static const Table kNone;
+  return tid < tables.size() ? tables[tid] : kNone;
 }
 
 }  // namespace
@@ -195,23 +151,21 @@ void ThreadScanState::consume(const trace::EventsView& events,
       case EventType::BarrierLeave:
         if (step.what == trace::Transition::Left) {
           const trace::BarrierWait& wait = step.barrier;
-          barrier_waits[e.object].push_back(BarrierWaitRecord{
-              tid, wait.arrive.idx, i, wait.arrive.ts, e.ts, 0,
-              wait.episode_key()});
+          barrier_waits.push_back(BarrierWaitRecord{
+              wait.arrive.ts, e.ts, wait.arrive.idx, i, wait.episode_key()});
         }
         break;
       case EventType::CondWaitEnd:
         if (step.what == trace::Transition::WaitEnded) {
           const trace::CondWait& wait = step.wait;
-          cond_waits[e.object].push_back(
-              CondWaitRecord{tid, wait.begin.idx, i, wait.begin.ts, e.ts});
+          cond_waits.push_back(
+              CondWaitRecord{wait.begin.ts, e.ts, wait.begin.idx, i});
         }
         break;
       case EventType::CondSignal:
       case EventType::CondBroadcast:
         ++info.sync_ops;
-        signals[e.object].push_back(CondSignalRecord{
-            tid, i, e.ts, e.type == EventType::CondBroadcast});
+        signals.push_back(CondSignalRecord{e.ts, tid, i});
         break;
       default:
         break;
@@ -262,9 +216,6 @@ void TraceIndex::extend(const trace::TraceView& v,
   threads_.resize(thread_count);
 
   // --- drain the scans in thread-id order ---
-  RecordsByObject<BarrierWaitRecord> barrier_waits;
-  RecordsByObject<CondWaitRecord> cond_waits;
-  RecordsByObject<CondSignalRecord> signals;
   for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
     ThreadScanState& scan = scans[tid];
     threads_[tid] = scan.info;
@@ -278,42 +229,10 @@ void TraceIndex::extend(const trace::TraceView& v,
     // A thread that exited holding a lock is tolerated: the exit is the
     // release point until the scan sees the real release.
     scan.close_held_sections();
-    drain_into(scan.barrier_waits, barrier_waits);
-    drain_into(scan.cond_waits, cond_waits);
-    drain_into(scan.signals, signals);
   }
 
   extend_mutexes(scans, pool);
-
-  // --- barriers and condvars: full regroup of every grown primitive ---
-  for (auto& [object, waits] : barrier_waits) {
-    BarrierIndex& bi = barriers_[object];
-    bi.id = object;
-    merge_by_thread(bi.waits, waits);
-    build_episodes(bi);
-  }
-  for (auto& [object, waits] : cond_waits) {
-    CondIndex& ci = conds_[object];
-    ci.id = object;
-    merge_by_thread(ci.waits, waits);
-  }
-  for (auto& [object, sigs] : signals) {
-    CondIndex& ci = conds_[object];
-    ci.id = object;
-    std::sort(sigs.begin(), sigs.end(), signalled_before);
-    const auto old = static_cast<std::ptrdiff_t>(ci.signals.size());
-    ci.signals.insert(ci.signals.end(), sigs.begin(), sigs.end());
-    std::inplace_merge(ci.signals.begin(), ci.signals.begin() + old,
-                       ci.signals.end(), signalled_before);
-  }
-  if (!barrier_waits.empty()) {
-    fill_positions(leave_pos_, thread_count, barriers_, &BarrierIndex::waits,
-                   [](const BarrierWaitRecord& w) { return w.leave_idx; });
-  }
-  if (!cond_waits.empty()) {
-    fill_positions(cond_end_pos_, thread_count, conds_, &CondIndex::waits,
-                   [](const CondWaitRecord& w) { return w.end_idx; });
-  }
+  extend_waits(scans);
 
   // Last finished thread (max exit ts, ties toward lower tid). Empty
   // placeholder threads never win: the critical-path walk starts here and
@@ -404,19 +323,67 @@ void TraceIndex::extend_mutexes(std::vector<ThreadScanState>& scans,
   util::for_each_index(pool, grown.size(), [&](std::size_t g) {
     const std::uint32_t slot = grown[g];
     auto& order = slots_[slot]->order;
-    const auto fresh = order.begin() + static_cast<std::ptrdiff_t>(sorted_[slot]);
-    std::sort(fresh, order.end());
-    if (fresh != order.begin() && *fresh < *(fresh - 1)) {
-      std::inplace_merge(std::upper_bound(order.begin(), fresh, *fresh), fresh,
-                         order.end());
-    }
+    merge_tail(order, sorted_[slot]);
     sorted_[slot] = order.size();
   });
 }
 
+void TraceIndex::extend_waits(std::vector<ThreadScanState>& scans) {
+  const std::size_t thread_count = threads_.size();
+  barrier_waits_.resize(thread_count);
+  cond_waits_.resize(thread_count);
+  const auto cond = [this](trace::ObjectId id) -> CondIndex& {
+    CondIndex& ci = conds_[id];
+    ci.id = id;
+    return ci;
+  };
+  // The condvars whose signal list grows, each once: until the merge, a
+  // grown list is longer than its sorted part, totals.signals.
+  std::vector<CondIndex*> grown;
+
+  for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
+    ThreadScanState& scan = scans[tid];
+    const trace::EventsView& events = view_.thread_events(tid);
+    std::vector<BarrierWaitRecord>& barrier_table = barrier_waits_[tid];
+    for (const BarrierWaitRecord& w : scan.barrier_waits) {
+      const trace::ObjectId id = events.object_at(w.leave_idx);
+      BarrierIndex& bi = barriers_[id];
+      bi.id = id;
+      bi.add(tid, static_cast<std::uint32_t>(barrier_table.size()), w);
+      barrier_table.push_back(w);
+    }
+    scan.barrier_waits.clear();
+    for (const CondWaitRecord& w : scan.cond_waits) {
+      cond(events.object_at(w.end_idx)).totals.add(w);
+      cond_waits_[tid].push_back(w);
+    }
+    scan.cond_waits.clear();
+    for (const CondSignalRecord& s : scan.signals) {
+      CondIndex& ci = cond(events.object_at(s.idx));
+      if (ci.signals.size() == ci.totals.signals) grown.push_back(&ci);
+      ci.signals.push_back(s);
+    }
+    scan.signals.clear();
+  }
+
+  for (CondIndex* ci : grown) {
+    merge_tail(ci->signals, ci->totals.signals);
+    ci->totals.signals = ci->signals.size();
+  }
+}
+
 const SectionTable& TraceIndex::thread_sections(trace::ThreadId tid) const {
-  static const SectionTable kNone;
-  return tid < sections_.size() ? sections_[tid] : kNone;
+  return table_of(sections_, tid);
+}
+
+const std::vector<BarrierWaitRecord>& TraceIndex::thread_barrier_waits(
+    trace::ThreadId tid) const {
+  return table_of(barrier_waits_, tid);
+}
+
+const std::vector<CondWaitRecord>& TraceIndex::thread_cond_waits(
+    trace::ThreadId tid) const {
+  return table_of(cond_waits_, tid);
 }
 
 EventRef TraceIndex::create_event(trace::ThreadId child) const {
@@ -426,14 +393,8 @@ EventRef TraceIndex::create_event(trace::ThreadId child) const {
 
 std::uint32_t TraceIndex::row_of(trace::ThreadId tid,
                                  std::uint32_t acquired_idx) const {
-  if (tid >= sections_.size()) return npos32;
-  const SectionTable& rows = sections_[tid];
-  const auto it = std::lower_bound(
-      rows.begin(), rows.end(), acquired_idx,
-      [](const SectionRow& r, std::uint32_t idx) { return r.acquired_idx < idx; });
-  return it != rows.end() && it->acquired_idx == acquired_idx
-             ? static_cast<std::uint32_t>(it - rows.begin())
-             : npos32;
+  return find_row<SectionRow>(thread_sections(tid), &SectionRow::acquired_idx,
+                              acquired_idx);
 }
 
 std::optional<SectionRef> TraceIndex::previous_owner(SectionRef section) const {
@@ -447,12 +408,14 @@ std::optional<SectionRef> TraceIndex::previous_owner(SectionRef section) const {
 
 std::uint32_t TraceIndex::barrier_wait_of(trace::ThreadId tid,
                                           std::uint32_t leave_idx) const {
-  return find_position(leave_pos_, tid, leave_idx);
+  return find_row<BarrierWaitRecord>(thread_barrier_waits(tid),
+                                     &BarrierWaitRecord::leave_idx, leave_idx);
 }
 
 std::uint32_t TraceIndex::cond_wait_of(trace::ThreadId tid,
                                        std::uint32_t end_idx) const {
-  return find_position(cond_end_pos_, tid, end_idx);
+  return find_row<CondWaitRecord>(thread_cond_waits(tid),
+                                  &CondWaitRecord::end_idx, end_idx);
 }
 
 }  // namespace cla::analysis

@@ -3,14 +3,17 @@
 // The critical-lock algorithm (paper Fig. 2) needs, for every blocking
 // wake-up, "the segment that released me". This index precomputes the
 // per-primitive structures that make that lookup O(log n):
-//   - per-thread section tables, the one record of each critical
-//     section, and per-mutex ownership orders of references into them
+//   - per-thread tables, one per kind of record, that hold each closed
+//     critical section, barrier wait and condvar wait once, in event order,
+//   - per-mutex ownership orders of references into the section tables
 //     (the owner chain),
 //   - per-barrier episodes with their last arriver,
-//   - per-condvar signal lists and wait records,
+//   - per-condvar signal lists in time order,
 //   - thread lifecycle (create/join/exit) relations.
 // The index can also grow in place as a live trace appends (extend()),
-// which is how the incremental analyzer keeps one index across rounds.
+// which is how the incremental analyzer keeps one index across rounds:
+// new records go at the tails of their tables, and each primitive's state
+// is updated from the new records alone.
 #pragma once
 
 #include <cstdint>
@@ -171,53 +174,104 @@ struct MutexIndex {
                SlotTimes& times);
 };
 
-/// One thread's passage through a barrier (Arrive .. Leave).
+/// One thread's passage through a barrier (Arrive .. Leave): a row of its
+/// thread's barrier table. The barrier is the object of the BarrierLeave
+/// at `leave_idx`.
 struct BarrierWaitRecord {
-  trace::ThreadId tid = 0;
-  std::uint32_t arrive_idx = 0;
-  std::uint32_t leave_idx = 0;
   std::uint64_t arrive_ts = 0;
   std::uint64_t leave_ts = 0;
-  std::uint32_t episode = 0;     ///< dense index into BarrierIndex::episodes
-  /// The producer's generation number, or the per-thread wait ordinal when
-  /// none was recorded; TraceIndex numbers episodes densely from it.
+  std::uint32_t arrive_idx = 0;
+  std::uint32_t leave_idx = 0;
+  /// The key of the wait's episode (trace::BarrierWait::episode_key()):
+  /// the producer's generation number, or the per-thread wait ordinal when
+  /// none was recorded.
   std::uint32_t generation = 0;
+
+  std::uint64_t wait_time() const noexcept { return leave_ts - arrive_ts; }
 };
 
-/// One barrier generation: which waits belong to it and who arrived last
-/// ("the thread reaching the same barrier lastly is the desired one").
-struct BarrierEpisode {
-  std::vector<std::uint32_t> waits;  ///< indices into BarrierIndex::waits
-  std::uint32_t last_arriver = 0;    ///< index into BarrierIndex::waits
-};
-
-struct BarrierIndex {
-  trace::ObjectId id = trace::kNoObject;
-  std::vector<BarrierWaitRecord> waits;
-  std::vector<BarrierEpisode> episodes;
-};
-
-/// A signal/broadcast on a condition variable.
-struct CondSignalRecord {
-  trace::ThreadId tid = 0;
-  std::uint32_t idx = 0;
-  std::uint64_t ts = 0;
-  bool broadcast = false;
-};
-
-/// A wait on a condition variable (WaitBegin .. WaitEnd).
+/// A wait on a condition variable (WaitBegin .. WaitEnd): a row of its
+/// thread's condvar table. The condvar is the object of the CondWaitEnd at
+/// `end_idx`.
 struct CondWaitRecord {
-  trace::ThreadId tid = 0;
-  std::uint32_t begin_idx = 0;
-  std::uint32_t end_idx = 0;
   std::uint64_t begin_ts = 0;
   std::uint64_t end_ts = 0;
+  std::uint32_t begin_idx = 0;
+  std::uint32_t end_idx = 0;
+
+  std::uint64_t wait_time() const noexcept { return end_ts - begin_ts; }
 };
 
+/// A signal/broadcast on a condition variable. (ts, tid, idx) is the
+/// order of a condvar's signals.
+struct CondSignalRecord {
+  std::uint64_t ts = 0;
+  trace::ThreadId tid = 0;
+  std::uint32_t idx = 0;
+
+  friend auto operator<=>(const CondSignalRecord&,
+                          const CondSignalRecord&) = default;
+};
+
+/// Integer sums over one barrier's waits.
+struct BarrierTotals {
+  std::uint64_t episodes = 0;
+  std::uint64_t waits = 0;
+  std::uint64_t wait = 0;  ///< ns, summed
+  /// Index = tid; a thread past its end has not waited.
+  std::vector<std::uint64_t> wait_per_thread;
+
+  void add(trace::ThreadId tid, const BarrierWaitRecord& w) {
+    ++waits;
+    wait += w.wait_time();
+    if (tid >= wait_per_thread.size()) wait_per_thread.resize(tid + 1, 0);
+    wait_per_thread[tid] += w.wait_time();
+  }
+};
+
+/// Integer sums over one condition variable's waits and signals.
+struct CondTotals {
+  std::uint64_t waits = 0;
+  std::uint64_t signals = 0;
+  std::uint64_t wait = 0;  ///< ns, summed
+
+  void add(const CondWaitRecord& w) {
+    ++waits;
+    wait += w.wait_time();
+  }
+};
+
+/// Who arrived last in one barrier generation ("the thread reaching the
+/// same barrier lastly is the desired one"): row `row` of thread `tid`'s
+/// barrier table, which arrived at `arrive_ts`.
+struct BarrierEpisode {
+  std::uint64_t arrive_ts = 0;
+  trace::ThreadId tid = 0;
+  std::uint32_t row = 0;
+};
+
+/// One barrier: its episodes by generation, and running totals over its
+/// waits. The bounded-RSS engine fills the totals alone.
+struct BarrierIndex {
+  trace::ObjectId id = trace::kNoObject;
+  std::map<std::uint32_t, BarrierEpisode> episodes;
+  BarrierTotals totals;
+
+  /// Adds `w`, row `row` of thread `tid`'s barrier table, to its episode
+  /// and to the totals. An episode's last arriver is its latest arrival,
+  /// ties toward the lower tid, then toward the earlier row, so the order
+  /// in which waits are added cannot change it.
+  void add(trace::ThreadId tid, std::uint32_t row, const BarrierWaitRecord& w);
+};
+
+/// One condition variable: its signals in (ts, tid, idx) order, and
+/// running totals over its waits and signals. TraceIndex::extend() keeps
+/// `totals.signals` at the length of the sorted `signals` between extends;
+/// the bounded-RSS engine fills the totals alone.
 struct CondIndex {
   trace::ObjectId id = trace::kNoObject;
-  std::vector<CondSignalRecord> signals;  ///< sorted by ts
-  std::vector<CondWaitRecord> waits;
+  std::vector<CondSignalRecord> signals;
+  CondTotals totals;
 };
 
 /// Lifecycle facts about one thread.
@@ -256,9 +310,12 @@ class ThreadScanState {
   /// Mutexes released with no section to close (a protocol violation). A
   /// mutex seen only that way is still indexed, with no sections.
   std::vector<trace::ObjectId> stray_releases;
-  std::map<trace::ObjectId, std::vector<BarrierWaitRecord>> barrier_waits;
-  std::map<trace::ObjectId, std::vector<CondWaitRecord>> cond_waits;
-  std::map<trace::ObjectId, std::vector<CondSignalRecord>> signals;
+  /// Closed barrier and condvar waits, each in event order (leave_idx,
+  /// end_idx ascending), and signals, in event order. A record's object is
+  /// that of its BarrierLeave, CondWaitEnd or signal event.
+  std::vector<BarrierWaitRecord> barrier_waits;
+  std::vector<CondWaitRecord> cond_waits;
+  std::vector<CondSignalRecord> signals;
 
   /// Index of the first event consume() has not seen yet.
   std::uint32_t next_index() const noexcept { return next_; }
@@ -338,11 +395,14 @@ class TraceIndex {
   /// held at the last extend (same acquired_idx and place in the order) or
   /// was acquired after every row of its thread's table and is appended;
   /// the totals subtract a replaced row and add every drained one. Each
-  /// mutex sorts its new references and merges them into its order, so a
-  /// live tail costs O(drained + merged tail + locks) for mutexes. Barrier
-  /// and condvar records are still regrouped in full whenever they grow.
-  /// The result is identical to constructing the index over `view` from
-  /// scratch, even when a thread's timestamps regress.
+  /// mutex sorts its new references and merges them into its order. A
+  /// drained barrier or condvar wait is appended to its thread's table and
+  /// added to its primitive's running totals (and a barrier wait to its
+  /// episode); each grown condvar sorts its new signals and merges them
+  /// into its list the way a mutex does. So a live tail costs O(drained +
+  /// merged tails + locks). The result is identical to constructing the
+  /// index over `view` from scratch, even when a thread's timestamps
+  /// regress.
   void extend(const trace::TraceView& view, std::vector<ThreadScanState>& scans,
               util::ThreadPool* pool);
 
@@ -374,12 +434,12 @@ class TraceIndex {
   /// section. A binary search of the order.
   std::optional<SectionRef> previous_owner(SectionRef section) const;
 
-  /// For a BarrierLeave event position, the index of its BarrierWaitRecord
-  /// within its barrier's `waits`; npos32 if unknown.
+  /// For a BarrierLeave event position, the row of its wait in the
+  /// thread's barrier table; npos32 if unknown. A binary search.
   std::uint32_t barrier_wait_of(trace::ThreadId tid, std::uint32_t leave_idx) const;
 
-  /// For a CondWaitEnd event position, the index of its CondWaitRecord
-  /// within its condvar's `waits`; npos32 if unknown.
+  /// For a CondWaitEnd event position, the row of its wait in the thread's
+  /// condvar table; npos32 if unknown. A binary search.
   std::uint32_t cond_wait_of(trace::ThreadId tid, std::uint32_t end_idx) const;
 
   /// The thread that finished last (maximum ThreadExit timestamp; ties
@@ -390,6 +450,12 @@ class TraceIndex {
   /// the index. A refresh's TYPE 1 pass reads a near-path section's times,
   /// slot and flags here, in one row, without touching the event stream.
   const SectionTable& thread_sections(trace::ThreadId tid) const;
+
+  /// `tid`'s barrier waits and condvar waits, each in event order; empty
+  /// for a thread past the index.
+  const std::vector<BarrierWaitRecord>& thread_barrier_waits(
+      trace::ThreadId tid) const;
+  const std::vector<CondWaitRecord>& thread_cond_waits(trace::ThreadId tid) const;
 
   const SectionRow& row(SectionRef section) const noexcept {
     return sections_[section.tid][section.row];
@@ -421,19 +487,14 @@ class TraceIndex {
   static constexpr std::uint32_t npos32 = ~static_cast<std::uint32_t>(0);
 
  private:
-  /// BarrierLeave / CondWaitEnd event index -> position of its wait
-  /// record in the primitive's `waits`.
-  struct WaitPosition {
-    std::uint32_t idx = 0;
-    std::uint32_t pos = 0;
-  };
-  /// One vector per thread, sorted by event index (lower_bound lookups).
-  using WaitPositions = std::vector<std::vector<WaitPosition>>;
-
   /// The mutex half of extend(): drains the scans' rows into the section
   /// tables, the totals and each mutex's order.
   void extend_mutexes(std::vector<ThreadScanState>& scans,
                       util::ThreadPool* pool);
+  /// The barrier and condvar half of extend(): appends the scans' waits to
+  /// the thread tables, adds them to their primitives, and merges the new
+  /// signals into each condvar's list.
+  void extend_waits(std::vector<ThreadScanState>& scans);
   /// The slot of `mutex`, which gets a MutexIndex if it has none yet.
   std::uint32_t slot_for(trace::ObjectId mutex);
 
@@ -450,8 +511,8 @@ class TraceIndex {
   std::vector<SlotTimes> slot_times_;  ///< by thread
   std::unordered_map<trace::ObjectId, std::uint32_t> slot_of_;
   std::vector<SectionTable> sections_;  ///< by thread
-  WaitPositions leave_pos_;
-  WaitPositions cond_end_pos_;
+  std::vector<std::vector<BarrierWaitRecord>> barrier_waits_;  ///< by thread
+  std::vector<std::vector<CondWaitRecord>> cond_waits_;        ///< by thread
   std::vector<std::uint64_t> max_hold_;
   trace::ThreadId last_thread_ = 0;
 };

@@ -10,31 +10,21 @@ namespace {
 
 using trace::EventType;
 
-/// Latest signal/broadcast of `ci` with ts in (begin, end], preferring a
-/// different thread than `waiter`; falls back to the latest signal <= end.
-EventRef match_cond_signal(const CondIndex& ci, const CondWaitRecord& wait) {
-  EventRef best{};
-  // signals are sorted by ts; walk the range (begin_ts, end_ts] backwards.
-  auto upper = std::upper_bound(
-      ci.signals.begin(), ci.signals.end(), wait.end_ts,
+/// Latest signal/broadcast in `signals` (a condvar's, in time order) at or
+/// before the end of `waiter`'s `wait`, from a different thread than
+/// `waiter` (a thread cannot signal itself awake). That is the latest
+/// foreign signal in the wait's window (begin, end] when there is one, and
+/// otherwise, under timestamp skew, the latest foreign one before it.
+EventRef match_cond_signal(const std::vector<CondSignalRecord>& signals,
+                           trace::ThreadId waiter, const CondWaitRecord& wait) {
+  auto it = std::upper_bound(
+      signals.begin(), signals.end(), wait.end_ts,
       [](std::uint64_t ts, const CondSignalRecord& s) { return ts < s.ts; });
-  for (auto it = upper; it != ci.signals.begin();) {
+  while (it != signals.begin()) {
     --it;
-    if (it->ts <= wait.begin_ts) break;
-    if (it->tid == wait.tid) continue;  // a thread cannot signal itself awake
-    best = EventRef{it->tid, it->idx};
-    break;
+    if (it->tid != waiter) return EventRef{it->tid, it->idx};
   }
-  if (!best.valid()) {
-    // Timestamp skew fallback: latest foreign signal at or before wake-up.
-    for (auto it = upper; it != ci.signals.begin();) {
-      --it;
-      if (it->tid == wait.tid) continue;
-      best = EventRef{it->tid, it->idx};
-      break;
-    }
-  }
-  return best;
+  return EventRef{};
 }
 
 }  // namespace
@@ -93,32 +83,26 @@ Resolution resolve_wakeup(const TraceIndex& index, trace::ThreadId tid,
       break;
     }
     case EventType::BarrierLeave: {
-      auto bit = index.barriers().find(events.object_at(idx));
-      if (bit == index.barriers().end()) break;
-      const auto wpos = index.barrier_wait_of(tid, idx);
-      if (wpos == TraceIndex::npos32) break;
-      const BarrierIndex& bi = bit->second;
-      const BarrierWaitRecord& w = bi.waits[wpos];
-      CLA_ASSERT(w.episode < bi.episodes.size(), "barrier episode out of range");
-      const BarrierEpisode& ep = bi.episodes[w.episode];
-      if (ep.waits.empty()) break;
-      const BarrierWaitRecord& last = bi.waits[ep.last_arriver];
-      if (last.tid == tid && ep.last_arriver == wpos) {
-        // The last arriver never blocked; the path stays on its thread.
-        break;
-      }
+      const std::uint32_t row = index.barrier_wait_of(tid, idx);
+      if (row == TraceIndex::npos32) break;
+      const BarrierWaitRecord& wait = index.thread_barrier_waits(tid)[row];
+      const BarrierEpisode& last = index.barriers()
+                                       .at(events.object_at(idx))
+                                       .episodes.at(wait.generation);
+      // The last arriver never blocked; the path stays on its thread.
+      if (last.tid == tid && last.row == row) break;
       r.blocked = true;
-      r.releaser = EventRef{last.tid, last.arrive_idx};
+      r.releaser = EventRef{
+          last.tid, index.thread_barrier_waits(last.tid)[last.row].arrive_idx};
       break;
     }
     case EventType::CondWaitEnd: {
-      auto cit = index.conds().find(events.object_at(idx));
-      if (cit == index.conds().end()) break;
-      const auto wpos = index.cond_wait_of(tid, idx);
-      if (wpos == TraceIndex::npos32) break;
-      const CondWaitRecord& wait = cit->second.waits[wpos];
+      const std::uint32_t row = index.cond_wait_of(tid, idx);
+      if (row == TraceIndex::npos32) break;
+      const CondWaitRecord& wait = index.thread_cond_waits(tid)[row];
       if (wait.end_ts == wait.begin_ts) break;  // did not block
-      const EventRef signal = match_cond_signal(cit->second, wait);
+      const EventRef signal = match_cond_signal(
+          index.conds().at(events.object_at(idx)).signals, tid, wait);
       if (signal.valid()) {
         r.blocked = true;
         r.releaser = signal;

@@ -216,27 +216,10 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const PathSums& sums, LockTable& table,
                              const StatsOptions& options) {
-  const trace::TraceView& t = index.view();
-
-  // --- barrier and condvar totals: every wait record ---
-  std::map<trace::ObjectId, BarrierTotals> barriers;
-  for (const auto& [id, bi] : index.barriers()) {
-    BarrierTotals& bt = barriers[id];
-    bt.episodes = bi.episodes.size();
-    bt.wait_per_thread.assign(t.thread_count(), 0);
-    for (const auto& w : bi.waits) bt.add(w);
-  }
-  std::map<trace::ObjectId, CondTotals> conds;
-  for (const auto& [id, ci] : index.conds()) {
-    CondTotals& ct = conds[id];
-    ct.signals = ci.signals.size();
-    for (const auto& w : ci.waits) ct.add(w);
-  }
-
-  return assemble_stats(t,
+  return assemble_stats(index.view(),
                         StatsInputs{index.threads(), index.slots(),
                                     sums.by_slot(), index.slot_times(),
-                                    barriers, conds},
+                                    index.barriers(), index.conds()},
                         std::move(path), options, table);
 }
 
@@ -416,12 +399,14 @@ AnalysisResult assemble_stats(const trace::TraceView& t,
     double sum = 0.0;
     for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
       if (!is_worker[tid]) continue;
-      sum += safe_ratio(static_cast<double>(per_thread[tid]),
+      const std::uint64_t time = tid < per_thread.size() ? per_thread[tid] : 0;
+      sum += safe_ratio(static_cast<double>(time),
                         static_cast<double>(inputs.threads[tid].duration()));
     }
     return sum / worker_count;
   };
-  for (const auto& [id, bt] : inputs.barriers) {
+  for (const auto& [id, bi] : inputs.barriers) {
+    const BarrierTotals& bt = bi.totals;
     BarrierStats bs;
     bs.id = id;
     bs.name = t.object_display_name(id, "barrier");
@@ -431,7 +416,8 @@ AnalysisResult assemble_stats(const trace::TraceView& t,
     bs.avg_wait_fraction = avg_fraction(bt.wait_per_thread);
     result.barriers.push_back(std::move(bs));
   }
-  for (const auto& [id, ct] : inputs.conds) {
+  for (const auto& [id, ci] : inputs.conds) {
+    const CondTotals& ct = ci.totals;
     CondStats cs;
     cs.id = id;
     cs.name = t.object_display_name(id, "cond");

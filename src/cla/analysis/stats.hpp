@@ -157,44 +157,19 @@ struct LockPathTotals {
   void remove(std::uint64_t on_path, bool contended, std::uint64_t stack_id);
 };
 
-/// Integer sums over one barrier's waits.
-struct BarrierTotals {
-  std::uint64_t episodes = 0;
-  std::uint64_t waits = 0;
-  std::uint64_t wait = 0;                      ///< ns, summed
-  std::vector<std::uint64_t> wait_per_thread;  ///< index = tid, pre-sized
-
-  void add(const BarrierWaitRecord& w) {
-    ++waits;
-    wait += w.leave_ts - w.arrive_ts;
-    wait_per_thread[w.tid] += w.leave_ts - w.arrive_ts;
-  }
-};
-
-/// Integer sums over one condition variable's waits and signals.
-struct CondTotals {
-  std::uint64_t waits = 0;
-  std::uint64_t signals = 0;
-  std::uint64_t wait = 0;  ///< ns, summed
-
-  void add(const CondWaitRecord& w) {
-    ++waits;
-    wait += w.end_ts - w.begin_ts;
-  }
-};
-
 /// The integer totals every figure of an AnalysisResult derives from.
 /// compute_stats points these at a TraceIndex; the bounded-RSS engine
-/// fills its own from per-thread rescans (MutexIndex with an empty
-/// `order`).
+/// fills its own from per-thread rescans (a MutexIndex with an empty
+/// `order`, barriers and condvars with their totals alone).
 struct StatsInputs {
   const std::vector<ThreadInfo>& threads;  ///< index = tid
   std::span<const MutexIndex* const> mutexes;  ///< index = MutexIndex::slot
   std::span<const LockPathTotals> on_path;     ///< index = slot
   /// Index = tid; each thread's times cover every slot.
   const std::vector<SlotTimes>& slot_times;
-  const std::map<trace::ObjectId, BarrierTotals>& barriers;
-  const std::map<trace::ObjectId, CondTotals>& conds;
+  /// Read for their totals alone.
+  const std::map<trace::ObjectId, BarrierIndex>& barriers;
+  const std::map<trace::ObjectId, CondIndex>& conds;
 };
 
 /// The lock rows of the Table 2 figures, with what stays between
@@ -303,10 +278,10 @@ class PathSums {
 /// taking the TYPE 1 sums from `sums`, brought to `path` by
 /// PathSums::update, and assembling the lock rows in `table`.
 ///
-/// Cost: O(locks × threads + barriers and condvars) on top of the update,
+/// Cost: O((locks + barriers) × threads + condvars) on top of the update,
 /// independent of how many sections lie off the path. TYPE 2 figures come
 /// from the index's running MutexIndex totals and SlotTimes, read in
-/// place. Barrier and condvar figures still fold every wait record.
+/// place, as are the barrier and condvar totals.
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const PathSums& sums, LockTable& table,
                              const StatsOptions& options = {});

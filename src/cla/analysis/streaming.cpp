@@ -563,8 +563,9 @@ struct RescanTotals {
   /// no figure depends on.
   std::map<trace::ObjectId, MutexIndex> mutexes;
   std::map<trace::ObjectId, LockPathTotals> on_path;
-  std::map<trace::ObjectId, BarrierTotals> barriers;
-  std::map<trace::ObjectId, CondTotals> conds;
+  /// Totals alone, as `mutexes`.
+  std::map<trace::ObjectId, BarrierIndex> barriers;
+  std::map<trace::ObjectId, CondIndex> conds;
 };
 
 /// Pass 2: per-thread chunked rescan folding each closed record into the
@@ -622,26 +623,24 @@ void rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
       }
     }
     state.sections.clear();
-    for (auto& [object, waits] : state.barrier_waits) {
-      auto [it, inserted] = totals.barriers.try_emplace(object);
-      BarrierTotals& bt = it->second;
+    for (const BarrierWaitRecord& w : state.barrier_waits) {
+      auto [it, inserted] =
+          totals.barriers.try_emplace(events.object_at(w.leave_idx));
       if (inserted) {
-        bt.wait_per_thread.resize(thread_count, 0);
-        budget.charge(sizeof(BarrierTotals) + kNodeBytes +
+        budget.charge(sizeof(BarrierIndex) + kNodeBytes +
                       thread_count * sizeof(std::uint64_t));
       }
-      for (const auto& w : waits) bt.add(w);
-      waits.clear();
+      it->second.totals.add(tid, w);
     }
-    for (auto& [object, waits] : state.cond_waits) {
-      CondTotals& ct = totals.conds[object];
-      for (const auto& w : waits) ct.add(w);
-      waits.clear();
+    state.barrier_waits.clear();
+    for (const CondWaitRecord& w : state.cond_waits) {
+      totals.conds[events.object_at(w.end_idx)].totals.add(w);
     }
-    for (auto& [object, sigs] : state.signals) {
-      totals.conds[object].signals += sigs.size();
-      sigs.clear();
+    state.cond_waits.clear();
+    for (const CondSignalRecord& s : state.signals) {
+      ++totals.conds[events.object_at(s.idx)].totals.signals;
     }
+    state.signals.clear();
     state.creates.clear();
   };
 
@@ -705,7 +704,9 @@ StreamingOutcome analyze_streaming(const trace::TraceView& view,
     rescan_thread(view, static_cast<trace::ThreadId>(tid), path, budget,
                   totals);
   });
-  for (auto& [id, bt] : totals.barriers) bt.episodes = sweep.episodes_of(id);
+  for (auto& [id, bi] : totals.barriers) {
+    bi.totals.episodes = sweep.episodes_of(id);
+  }
   const std::size_t slots = totals.mutexes.size();
   std::vector<const MutexIndex*> mutexes(slots);
   std::vector<LockPathTotals> on_path(slots);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 namespace cla::analysis {
@@ -80,12 +81,8 @@ std::string render_timeline(const TraceIndex& index, const CriticalPath& path,
               on_path ? '=' : '#');
       }
     }
-    for (const auto& [id, bi] : index.barriers()) {
-      (void)id;
-      for (const auto& w : bi.waits) {
-        if (w.tid != tid) continue;
-        paint(lane, width, t0, t1, w.arrive_ts, w.leave_ts, 'B');
-      }
+    for (const BarrierWaitRecord& w : index.thread_barrier_waits(tid)) {
+      paint(lane, width, t0, t1, w.arrive_ts, w.leave_ts, 'B');
     }
     std::string name = t.thread_display_name(tid);
     name.resize(8, ' ');
@@ -113,41 +110,25 @@ std::string timeline_csv(const TraceIndex& index, const CriticalPath& path) {
           << ',' << (on_path ? 1 : 0) << '\n';
     }
   }
-  for (const auto& [id, bi] : index.barriers()) {
-    for (const auto& w : bi.waits) {
-      out << t.thread_display_name(w.tid) << ",barrier," << w.arrive_ts << ','
-          << w.leave_ts << ',' << t.object_display_name(id, "barrier") << ",0\n";
+  // Barrier waits barrier by barrier, then thread by thread, each in event
+  // order.
+  std::vector<std::tuple<trace::ObjectId, trace::ThreadId, std::uint32_t>> waits;
+  for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
+    const std::vector<BarrierWaitRecord>& rows = index.thread_barrier_waits(tid);
+    for (std::uint32_t row = 0; row < rows.size(); ++row) {
+      waits.emplace_back(t.thread_events(tid).object_at(rows[row].leave_idx),
+                         tid, row);
     }
+  }
+  std::sort(waits.begin(), waits.end());
+  for (const auto& [id, tid, row] : waits) {
+    const BarrierWaitRecord& w = index.thread_barrier_waits(tid)[row];
+    out << t.thread_display_name(tid) << ",barrier," << w.arrive_ts << ','
+        << w.leave_ts << ',' << t.object_display_name(id, "barrier") << ",0\n";
   }
   for (const auto& iv : path.intervals) {
     out << t.thread_display_name(iv.tid) << ",critical_path," << iv.begin_ts
         << ',' << iv.end_ts << ",,1\n";
-  }
-  return out.str();
-}
-
-std::string dag_segments_csv(const SegmentDag& dag) {
-  const trace::TraceView& t = dag.view();
-  std::ostringstream out;
-  out << "thread,segment,begin_idx,begin_ts,kind,object,jump_thread,jump_idx\n";
-  for (trace::ThreadId tid = 0;
-       tid < static_cast<trace::ThreadId>(dag.thread_count()); ++tid) {
-    const auto& segs = dag.thread_segments(tid);
-    for (std::size_t k = 0; k < segs.size(); ++k) {
-      const Segment& s = segs[k];
-      out << t.thread_display_name(tid) << ',' << k << ',' << s.begin_idx
-          << ',' << s.begin_ts << ',' << trace::to_string(s.kind) << ',';
-      if (s.object != trace::kNoObject) {
-        out << t.object_display_name(s.object, "object");
-      }
-      out << ',';
-      if (s.has_jump()) {
-        out << t.thread_display_name(s.jump_to.tid) << ',' << s.jump_to.index;
-      } else {
-        out << ',';
-      }
-      out << '\n';
-    }
   }
   return out.str();
 }

@@ -8,7 +8,6 @@
 
 #include "cla/analysis/critical_path.hpp"
 #include "cla/analysis/index.hpp"
-#include "cla/analysis/segment_dag.hpp"
 
 namespace cla::analysis {
 
@@ -25,10 +24,5 @@ std::string render_timeline(const TraceIndex& index, const CriticalPath& path,
 
 /// CSV rows: thread,kind,begin_ts,end_ts,object,on_critical_path.
 std::string timeline_csv(const TraceIndex& index, const CriticalPath& path);
-
-/// CSV dump of the segment DAG for plotting / live tailing:
-/// thread,segment,begin_idx,begin_ts,kind,object,jump_thread,jump_idx.
-/// Non-blocking (hop-free) segments leave the jump columns empty.
-std::string dag_segments_csv(const SegmentDag& dag);
 
 }  // namespace cla::analysis

@@ -169,18 +169,16 @@ WhatIfReplay replay_shrink(const SegmentDag& dag, const TraceIndex& index,
           break;
         }
         case trace::EventType::BarrierLeave: {
-          const std::uint32_t pos = index.barrier_wait_of(tid, s.begin_idx);
-          if (pos != TraceIndex::npos32) {
-            dep.wait_begin_idx =
-                index.barriers().at(s.object).waits[pos].arrive_idx;
+          const std::uint32_t row = index.barrier_wait_of(tid, s.begin_idx);
+          if (row != TraceIndex::npos32) {
+            dep.wait_begin_idx = index.thread_barrier_waits(tid)[row].arrive_idx;
           }
           break;
         }
         case trace::EventType::CondWaitEnd: {
-          const std::uint32_t pos = index.cond_wait_of(tid, s.begin_idx);
-          if (pos != TraceIndex::npos32) {
-            dep.wait_begin_idx =
-                index.conds().at(s.object).waits[pos].begin_idx;
+          const std::uint32_t row = index.cond_wait_of(tid, s.begin_idx);
+          if (row != TraceIndex::npos32) {
+            dep.wait_begin_idx = index.thread_cond_waits(tid)[row].begin_idx;
           }
           break;
         }

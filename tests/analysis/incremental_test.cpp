@@ -130,9 +130,10 @@ std::string pipeline_report(const trace::Trace& trace, bool validate = true) {
 
 /// Feeds `chunks` to one analyzer, inline and then on a 4-worker pool,
 /// and after every round compares its report with one-shot analysis of
-/// everything delivered so far, its lock figures with the oracle's fold
-/// over every delivered section, and its index's section tables with a
-/// rebuild from the index's mutexes.
+/// everything delivered so far, its path with the oracle's walk and its
+/// lock figures with the oracle's fold over every delivered section, and
+/// its index's section and wait tables with their invariants
+/// (support/section_tables.hpp).
 void expect_every_round_matches(const std::vector<trace::Trace>& chunks,
                                 const std::string& label) {
   std::vector<std::string> want;  // one-shot report per round
@@ -161,10 +162,14 @@ void expect_every_round_matches(const std::vector<trace::Trace>& chunks,
       if (want.size() == r) want.push_back(pipeline_report(delivered, false));
       ASSERT_EQ(analyzer.report_json(), want[r]) << where;
       test_support::expect_section_tables_match(analyzer.index(), where);
+      test_support::expect_wait_tables_match(analyzer.index(), where);
       if (workers == 1) {
-        test_support::expect_table2(
-            analyzer.result(), test_support::Oracle(trace::TraceView(delivered)),
-            where);
+        const trace::TraceView view(delivered);
+        const test_support::Oracle oracle(view);
+        test_support::expect_same_path(
+            test_support::reference_walk(TraceIndex(view), oracle),
+            analyzer.result().path, where);
+        test_support::expect_table2(analyzer.result(), oracle, where);
       }
     }
   }
@@ -325,6 +330,28 @@ TEST(Incremental, RegressingThreadMatchesOneShotEveryRound) {
   const trace::Trace full = test_support::with_clock_step_back(
       plain, 2, step_at, plain.end_ts() / 5);
   expect_every_round_matches(split_trace(full, kRounds), "regressing thread 2");
+}
+
+TEST(Incremental, CondvarWaitsMatchOneShotEveryRound) {
+  // Blocking waits, a broadcast that wakes three waiters, a wake-up with
+  // no signal in its window and a wait that does not block, in every
+  // period; the slices cut waits open and deliver signals after waits.
+  const trace::Trace full = test_support::producer_consumer();
+  expect_every_round_matches(time_slices(full, 16), "condvar");
+  // The producer's signals of one slice arrive after the next slice's
+  // signals of thread 4, so the signal list merges them in.
+  expect_every_round_matches(time_slices(full, 5, 1, 1),
+                             "condvar (late producer)");
+  expect_every_round_matches(split_trace(full, 7), "condvar (split)");
+}
+
+TEST(Incremental, LateBarrierArrivalMatchesOneShotEveryRound) {
+  // Each of two episodes gains its last arriver a round after the other
+  // workers left it, which moves their wake-ups onto the new arrival.
+  const trace::Trace full = test_support::late_barrier_arrivals();
+  expect_every_round_matches(
+      rounds_at(full, test_support::kLateArrivalCut), "late barrier arrival");
+  expect_every_round_matches(time_slices(full, 12), "barrier");
 }
 
 // The three hand-cut traces of support/lock_schedule.hpp, each delivered

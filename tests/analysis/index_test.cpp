@@ -51,8 +51,8 @@ void expect_totals_fold(const TraceIndex& index, const std::string& label) {
 
 /// Extends one index over `rounds` growing prefixes of `full` (each
 /// thread cut at proportional points) and checks the totals and the
-/// section tables every round. A non-null `pool` runs the pooled tail and
-/// table sorts.
+/// section and wait tables every round. A non-null `pool` runs the pooled
+/// tail and table sorts.
 void expect_totals_fold_every_extend(const trace::Trace& full, std::size_t rounds,
                                      const std::string& label,
                                      util::ThreadPool* pool = nullptr) {
@@ -77,6 +77,7 @@ void expect_totals_fold_every_extend(const trace::Trace& full, std::size_t round
     const std::string where = label + " round " + std::to_string(r);
     expect_totals_fold(index, where);
     test_support::expect_section_tables_match(index, where);
+    test_support::expect_wait_tables_match(index, where);
   }
 }
 
@@ -222,6 +223,10 @@ TEST(TraceIndex, RunningTotalsFoldEveryExtend) {
     schedule.nested = true;
     expect_totals_fold_every_extend(test_support::scheduled_locks(schedule), 9,
                                     "nested" + workers, p);
+    expect_totals_fold_every_extend(test_support::producer_consumer(), 9,
+                                    "condvar" + workers, p);
+    expect_totals_fold_every_extend(test_support::late_barrier_arrivals(), 5,
+                                    "barrier" + workers, p);
   }
 }
 
@@ -280,6 +285,17 @@ TEST(TraceIndex, MutexSeenOnlyReleasedIsIndexed) {
   test_support::expect_section_tables_match(index, "stray release");
 }
 
+/// How many of `index`'s barrier waits fall in each episode, by key.
+std::map<std::uint32_t, std::size_t> waits_per_episode(const TraceIndex& index) {
+  std::map<std::uint32_t, std::size_t> out;
+  for (trace::ThreadId tid = 0; tid < index.threads().size(); ++tid) {
+    for (const BarrierWaitRecord& w : index.thread_barrier_waits(tid)) {
+      ++out[w.generation];
+    }
+  }
+  return out;
+}
+
 TEST(TraceIndex, BarrierEpisodesGroupByRecordedGeneration) {
   TraceBuilder b;
   b.thread(0).start(0).barrier(7, 1, 5, 0).barrier(7, 8, 12, 1).exit(20);
@@ -288,10 +304,11 @@ TEST(TraceIndex, BarrierEpisodesGroupByRecordedGeneration) {
   const TraceIndex index(t_owned);
   const BarrierIndex& bi = index.barriers().at(7);
   ASSERT_EQ(bi.episodes.size(), 2u);
-  EXPECT_EQ(bi.episodes[0].waits.size(), 2u);
-  EXPECT_EQ(bi.episodes[1].waits.size(), 2u);
+  const std::map<std::uint32_t, std::size_t> two_each = {{0, 2}, {1, 2}};
+  EXPECT_EQ(waits_per_episode(index), two_each);
   // Last arriver of episode 0 arrived at t=5 on thread 1.
-  EXPECT_EQ(bi.waits[bi.episodes[0].last_arriver].tid, 1u);
+  EXPECT_EQ(bi.episodes.at(0).tid, 1u);
+  EXPECT_EQ(index.thread_barrier_waits(1)[bi.episodes.at(0).row].arrive_ts, 5u);
 }
 
 TEST(TraceIndex, BarrierEpisodesFallBackToPerThreadOrdinal) {
@@ -302,7 +319,7 @@ TEST(TraceIndex, BarrierEpisodesFallBackToPerThreadOrdinal) {
   const TraceIndex index(t_owned);
   const BarrierIndex& bi = index.barriers().at(7);
   ASSERT_EQ(bi.episodes.size(), 2u);
-  EXPECT_EQ(bi.episodes[0].waits.size(), 2u);
+  EXPECT_EQ(waits_per_episode(index).at(0), 2u);
 }
 
 TEST(TraceIndex, CondWaitsAndSignalsIndexed) {
@@ -315,9 +332,12 @@ TEST(TraceIndex, CondWaitsAndSignalsIndexed) {
   const trace::Trace t_owned = b.finish_unchecked();
   const TraceIndex index(t_owned);
   const CondIndex& ci = index.conds().at(8);
-  ASSERT_EQ(ci.waits.size(), 1u);
-  EXPECT_EQ(ci.waits[0].begin_ts, 2u);
-  EXPECT_EQ(ci.waits[0].end_ts, 9u);
+  EXPECT_EQ(ci.totals.waits, 1u);
+  const auto& waits = index.thread_cond_waits(0);
+  ASSERT_EQ(waits.size(), 1u);
+  EXPECT_EQ(waits[0].begin_ts, 2u);
+  EXPECT_EQ(waits[0].end_ts, 9u);
+  EXPECT_TRUE(index.thread_cond_waits(1).empty());
   ASSERT_EQ(ci.signals.size(), 1u);
   EXPECT_EQ(ci.signals[0].tid, 1u);
 }

@@ -1,9 +1,11 @@
-// Scripted lock workloads for the index and incremental-analysis tests.
+// Scripted workloads for the index and incremental-analysis tests.
 //
 // Unlike the simulated workloads, these traces carry acquisition
 // call-stack ids, nested locks, a lock held for a large share of the run,
-// or a thread whose clock steps back: the shapes that exercise the
-// index's running totals and the path-driven TYPE 1 visit.
+// a thread whose clock steps back, condvar waits, or a barrier whose last
+// arriver is delivered late: the shapes that exercise the index's running
+// totals, the path-driven TYPE 1 visit and the barrier and condvar
+// wake-up rules.
 #pragma once
 
 #include <algorithm>
@@ -185,5 +187,113 @@ inline const std::vector<std::vector<std::size_t>> kCycleEnteredAtThread0Cut = {
 /// hop taken above it.
 inline const std::vector<std::vector<std::size_t>> kCycleEnteredAtThread1Cut = {
     {8, 11, 4}, {8, 11, 5}};
+
+/// Producer/consumer on condvar kNotEmpty under mutex kQueueLock: thread 0
+/// spawns and joins, thread 1 produces, threads 2..4 consume. Each of
+/// `periods` periods (1000 ns apart) has
+///   - thread 4 signalling, then waiting with no signal in its window, so
+///     the latest foreign signal before the window wakes it (none in the
+///     first period: that wait does not block, and its own signal cannot
+///     wake it);
+///   - threads 2 and 3 waiting on two signals: 2 is woken by the first, 3
+///     by the second, the latest in its window;
+///   - threads 2, 3 and 4 woken together by one broadcast;
+///   - thread 4 waiting without blocking (the wait ends as it begins).
+/// The producer's first two signals wait for the queue lock that threads
+/// 4 and 2 take back on waking, and thread 0 ends joining thread 4, so the
+/// critical path crosses a signal, a broadcast and a fallback wake-up in
+/// every period.
+inline constexpr trace::ObjectId kQueueLock = 1;
+inline constexpr trace::ObjectId kNotEmpty = 21;
+inline trace::Trace producer_consumer(std::size_t periods = 8) {
+  trace::TraceBuilder b;
+  b.thread(0).start(0);
+  for (trace::ThreadId tid = 1; tid <= 4; ++tid) {
+    b.thread(0).create(tid, tid);
+    b.thread(tid).start(tid, 0);
+  }
+  // The producer signals (or broadcasts) at `at` + 2, holding the lock.
+  const auto signal = [&](std::uint64_t acquire, std::uint64_t at,
+                          bool broadcast) {
+    auto producer = b.thread(1);
+    producer.acquire(kQueueLock, acquire).acquired(kQueueLock, at, at > acquire);
+    if (broadcast) {
+      producer.cond_broadcast(kNotEmpty, at + 2);
+    } else {
+      producer.cond_signal(kNotEmpty, at + 2);
+    }
+    producer.released(kQueueLock, at + 4);
+  };
+  // Lock at `at`, wait from at + 1 to `end`, unlock at end + 1.
+  const auto wait = [&](trace::ThreadId tid, std::uint64_t at, std::uint64_t end) {
+    b.thread(tid)
+        .acquire(kQueueLock, at)
+        .acquired(kQueueLock, at, false)
+        .cond_wait(kNotEmpty, kQueueLock, at + 1, end)
+        .released(kQueueLock, end + 1);
+  };
+  std::uint64_t base = 100;
+  for (std::size_t p = 0; p < periods; ++p, base += 1000) {
+    wait(2, base + 1, base + 15);
+    wait(3, base + 3, base + 35);
+    b.thread(4)
+        .acquire(kQueueLock, base + 5)
+        .acquired(kQueueLock, base + 5, false)
+        .cond_signal(kNotEmpty, base + 5)
+        .cond_wait(kNotEmpty, kQueueLock, base + 6, base + 8)
+        .released(kQueueLock, base + 9);
+    signal(base + 8, base + 10, false);
+    signal(base + 15, base + 17, false);
+    wait(2, base + 40, base + 65);
+    wait(3, base + 42, base + 67);
+    wait(4, base + 44, base + 69);
+    signal(base + 60, base + 60, true);
+    wait(4, base + 80, base + 81);
+  }
+  for (trace::ThreadId tid = 1; tid <= 4; ++tid) {
+    const std::uint64_t exit = tid == 4 ? base + 50 : base + tid;
+    b.thread(tid).exit(exit);
+    b.thread(0).join(tid, base + 10, std::max(base + 10, exit + 1));
+  }
+  b.thread(0).exit(base + 52);
+  return b.finish_unchecked();
+}
+
+/// Workers 1..3 pass barrier kBarrier four times, recording generations
+/// 0..3. In episode e, worker 1 + e % 3 arrives last, 40 ns after the
+/// first, and everyone leaves after it arrives; in episode 3, worker 3
+/// arrives at the same instant as the last arriver, worker 1, and loses
+/// the tie to the lower tid. Thread 0 spawns and joins.
+inline constexpr trace::ObjectId kBarrier = 31;
+inline trace::Trace late_barrier_arrivals() {
+  trace::TraceBuilder b;
+  b.thread(0).start(0);
+  for (trace::ThreadId tid = 1; tid <= 3; ++tid) {
+    b.thread(0).create(tid, tid);
+    b.thread(tid).start(tid, 0);
+  }
+  std::uint64_t base = 100;
+  for (std::uint64_t e = 0; e < 4; ++e, base += 100) {
+    const trace::ThreadId last = 1 + static_cast<trace::ThreadId>(e % 3);
+    for (trace::ThreadId tid = 1; tid <= 3; ++tid) {
+      const bool late = tid == last || (e == 3 && tid == 3);
+      b.thread(tid).barrier(kBarrier, late ? base + 50 : base + 10 * tid,
+                            base + 60 + tid, e);
+    }
+  }
+  std::uint64_t joined = base;
+  for (trace::ThreadId tid = 1; tid <= 3; ++tid) {
+    b.thread(tid).exit(base + tid);
+    b.thread(0).join(tid, joined, base + tid + 1);
+    joined = base + tid + 1;
+  }
+  b.thread(0).exit(joined + 1);
+  return b.finish_unchecked();
+}
+/// The three-round cut late_barrier_arrivals() was written for: episode
+/// 1's last arriver (worker 2) arrives in round 1, after the other workers
+/// left that episode in round 0, and episode 2's (worker 3) in round 2.
+inline const std::vector<std::vector<std::size_t>> kLateArrivalCut = {
+    {4, 5, 3, 5}, {4, 7, 7, 5}, {11, 10, 10, 10}};
 
 }  // namespace cla::test_support

@@ -10,11 +10,23 @@
 //     acquired_idx). The section before a contended acquisition released
 //     the lock to it: "the thread holding the same lock adjacently before
 //     the blocked thread" (§III.A).
+//   - Barrier waits (BarrierArrive -> BarrierLeave on one barrier; a second
+//     arrival before the leave is ignored) group into episodes by the
+//     recorded generation, or by the thread's wait ordinal when none is
+//     recorded (DESIGN §3). A wait's releaser is the arrival of its
+//     episode's last arriver, "the thread reaching the same barrier
+//     lastly" (§III.A): the latest arrival, ties toward the lower tid. The
+//     last arriver itself did not block.
+//   - Condvar waits (CondWaitBegin -> CondWaitEnd on one condvar, one open
+//     per thread) are woken by the latest signal or broadcast of another
+//     thread in (begin, end], else by the latest one at or before end
+//     (DESIGN §3); a wait that ended when it began, or that no signal can
+//     have woken, did not block.
 //   - The walk (§III.A, Fig. 2): from the last event of the last thread to
 //     finish, walk each thread's stream backwards and jump to the releaser
-//     of every wake-up that blocked. Mutex releasers come from the
-//     ownership order above; the other wake-ups (thread start, join,
-//     barrier, condvar) are resolved by resolve_wakeup().
+//     of every wake-up that blocked. Mutex, barrier and condvar releasers
+//     come from the rules above; thread start and join are resolved by
+//     resolve_wakeup().
 //   - Table 2: the per-lock and per-callsite integer figures folded over
 //     every section, with each section's overlap with the path measured
 //     against every path interval of its thread.
@@ -25,6 +37,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <string>
@@ -82,6 +95,8 @@ class Oracle {
       }
     }
     threads_ = view.thread_count();
+    resolve_barrier_waits();
+    resolve_cond_waits();
     for (auto& [lock, sections] : locks_) {
       std::sort(sections.begin(), sections.end(),
                 [](const OracleSection& a, const OracleSection& b) {
@@ -112,6 +127,13 @@ class Oracle {
   analysis::EventRef releaser(trace::ThreadId tid, std::uint32_t acquired_idx) const {
     const auto it = releasers_.find(analysis::EventRef{tid, acquired_idx});
     return it == releasers_.end() ? analysis::EventRef{} : it->second;
+  }
+
+  /// The resolution of the BarrierLeave or CondWaitEnd at (tid, idx);
+  /// {invalid, not blocked} for one that closes no wait.
+  analysis::Resolution wait_wakeup(trace::ThreadId tid, std::uint32_t idx) const {
+    const auto it = wait_wakeups_.find(analysis::EventRef{tid, idx});
+    return it == wait_wakeups_.end() ? analysis::Resolution{} : it->second;
   }
 
   /// Table 2 over every section, on-path figures measured against `path`.
@@ -171,11 +193,70 @@ class Oracle {
     std::uint64_t ts;
     std::uint64_t arg;
   };
+  /// A barrier or condvar wait, from its opening to its closing event.
+  struct Wait {
+    trace::ThreadId tid;
+    Open begin;
+    std::uint32_t end_idx;
+    std::uint64_t end_ts;
+    std::uint32_t episode;  ///< barriers only
+  };
+  /// A signal or broadcast; (ts, tid, idx) orders "latest".
+  struct Signal {
+    std::uint64_t ts;
+    trace::ThreadId tid;
+    std::uint32_t idx;
+    auto operator<=>(const Signal&) const = default;
+  };
+
+  void resolve_barrier_waits() {
+    for (const auto& [barrier, waits] : barrier_waits_) {
+      std::map<std::uint32_t, const Wait*> last;  // by episode
+      for (const Wait& w : waits) {
+        const Wait*& l = last[w.episode];
+        if (l == nullptr || w.begin.ts > l->begin.ts ||
+            (w.begin.ts == l->begin.ts &&
+             (w.tid < l->tid || (w.tid == l->tid && w.end_idx < l->end_idx)))) {
+          l = &w;
+        }
+      }
+      for (const Wait& w : waits) {
+        const Wait* l = last.at(w.episode);
+        analysis::Resolution& r = wait_wakeups_[analysis::EventRef{w.tid, w.end_idx}];
+        if (l == &w) continue;
+        r.blocked = true;
+        r.releaser = analysis::EventRef{l->tid, l->begin.idx};
+      }
+    }
+  }
+
+  void resolve_cond_waits() {
+    for (const auto& [cond, waits] : cond_waits_) {
+      const std::vector<Signal>& signals = signals_[cond];
+      for (const Wait& w : waits) {
+        analysis::Resolution& r = wait_wakeups_[analysis::EventRef{w.tid, w.end_idx}];
+        if (w.end_ts == w.begin.ts) continue;
+        std::optional<Signal> inside, before;
+        for (const Signal& s : signals) {
+          if (s.tid == w.tid || s.ts > w.end_ts) continue;
+          if (!before || *before < s) before = s;
+          if (s.ts > w.begin.ts && (!inside || *inside < s)) inside = s;
+        }
+        const std::optional<Signal>& by = inside ? inside : before;
+        if (!by) continue;
+        r.blocked = true;
+        r.releaser = analysis::EventRef{by->tid, by->idx};
+      }
+    }
+  }
 
   void pair_thread(const trace::EventsView& events, trace::ThreadId tid) {
     using trace::EventType;
     std::map<trace::ObjectId, Open> requests;
     std::map<trace::ObjectId, std::vector<std::pair<Open, Open>>> held;
+    std::map<trace::ObjectId, Open> arrivals;
+    std::map<trace::ObjectId, std::uint32_t> completed;  // waits per barrier
+    std::optional<std::pair<trace::ObjectId, Open>> cond_wait;
     const auto close = [&](trace::ObjectId lock, const Open& acquire,
                            const Open& acquired, std::uint32_t idx,
                            std::uint64_t ts) {
@@ -185,29 +266,56 @@ class Oracle {
           acquired.arg != trace::kNoArg && (acquired.arg & 1) != 0});
     };
     for (std::uint32_t i = 0; i < events.size(); ++i) {
-      const trace::ObjectId lock = events.object_at(i);
+      const trace::ObjectId object = events.object_at(i);
       const Open here{i, events.ts_at(i), events.arg_at(i)};
       switch (events.type_at(i)) {
         case EventType::MutexAcquire:
-          requests.try_emplace(lock, here);  // a second request is ignored
+          requests.try_emplace(object, here);  // a second request is ignored
           break;
         case EventType::MutexAcquired: {
-          const auto it = requests.find(lock);
+          const auto it = requests.find(object);
           if (it == requests.end()) break;
-          held[lock].emplace_back(it->second, here);
+          held[object].emplace_back(it->second, here);
           requests.erase(it);
           break;
         }
         case EventType::MutexReleased: {
-          auto& open = held[lock];
+          auto& open = held[object];
           if (open.empty()) {
-            locks_[lock];  // a stray release still names the mutex
+            locks_[object];  // a stray release still names the mutex
             break;
           }
-          close(lock, open.back().first, open.back().second, i, here.ts);
+          close(object, open.back().first, open.back().second, i, here.ts);
           open.pop_back();
           break;
         }
+        case EventType::BarrierArrive:
+          arrivals.try_emplace(object, here);  // a second arrival is ignored
+          break;
+        case EventType::BarrierLeave: {
+          const auto it = arrivals.find(object);
+          if (it == arrivals.end()) break;
+          const std::uint32_t ordinal = completed[object]++;
+          const std::uint64_t recorded = it->second.arg;
+          barrier_waits_[object].push_back(Wait{
+              tid, it->second, i, here.ts,
+              recorded <= (1u << 24) ? static_cast<std::uint32_t>(recorded)
+                                     : ordinal});
+          arrivals.erase(it);
+          break;
+        }
+        case EventType::CondWaitBegin:
+          if (!cond_wait) cond_wait.emplace(object, here);  // nested: ignored
+          break;
+        case EventType::CondWaitEnd:
+          if (!cond_wait || cond_wait->first != object) break;
+          cond_waits_[object].push_back(Wait{tid, cond_wait->second, i, here.ts, 0});
+          cond_wait.reset();
+          break;
+        case EventType::CondSignal:
+        case EventType::CondBroadcast:
+          signals_[object].push_back(Signal{here.ts, tid, i});
+          break;
         default:
           break;
       }
@@ -222,13 +330,17 @@ class Oracle {
 
   std::map<trace::ObjectId, std::vector<OracleSection>> locks_;
   std::map<analysis::EventRef, analysis::EventRef> releasers_;
+  std::map<trace::ObjectId, std::vector<Wait>> barrier_waits_;
+  std::map<trace::ObjectId, std::vector<Wait>> cond_waits_;
+  std::map<trace::ObjectId, std::vector<Signal>> signals_;
+  std::map<analysis::EventRef, analysis::Resolution> wait_wakeups_;
   std::size_t threads_ = 0;
   trace::ThreadId last_thread_ = 0;
   std::uint64_t last_exit_ = 0;
 };
 
 /// The paper's event-by-event backward walk (§III.A, Fig. 2). `index`
-/// resolves the wake-ups that are not mutex acquisitions.
+/// resolves thread starts and joins; the oracle, every other wake-up.
 inline analysis::CriticalPath reference_walk(const analysis::TraceIndex& index,
                                              const Oracle& oracle) {
   using analysis::EventRef;
@@ -254,6 +366,9 @@ inline analysis::CriticalPath reference_walk(const analysis::TraceIndex& index,
       if (e.type == trace::EventType::MutexAcquired) {
         r.blocked = e.arg != trace::kNoArg && (e.arg & 1) != 0;
         if (r.blocked) r.releaser = oracle.releaser(tid, idx);
+      } else if (e.type == trace::EventType::BarrierLeave ||
+                 e.type == trace::EventType::CondWaitEnd) {
+        r = oracle.wait_wakeup(tid, idx);
       } else {
         std::uint32_t row = 0;
         r = analysis::resolve_wakeup(index, tid, idx, row);

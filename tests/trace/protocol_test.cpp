@@ -255,7 +255,9 @@ Options with(util::Strictness strictness, std::uint64_t max_rss_mb = 0) {
 }
 
 void expect_one_wait(Pipeline& pipeline, const char* where) {
-  const auto& waits = pipeline.trace_index().conds().at(kC).waits;
+  const analysis::TraceIndex& index = pipeline.trace_index();
+  EXPECT_EQ(index.conds().at(kC).totals.waits, 1u) << where;
+  const auto& waits = index.thread_cond_waits(0);
   ASSERT_EQ(waits.size(), 1u) << where;
   EXPECT_EQ(waits[0].begin_ts, 10u) << where;
   EXPECT_EQ(waits[0].end_ts, 80u) << where;
@@ -319,10 +321,12 @@ TEST(TraceProtocol, BarrierReArriveKeepsTheFirstArrival) {
   unvalidated.validate = false;
   Pipeline batch(unvalidated);
   batch.use_trace(trace);
-  const auto& waits = batch.trace_index().barriers().at(kB).waits;
-  ASSERT_EQ(waits.size(), 2u);
-  EXPECT_EQ(waits[0].tid, 0u);
+  const analysis::TraceIndex& index = batch.trace_index();
+  EXPECT_EQ(index.barriers().at(kB).totals.waits, 2u);
+  const auto& waits = index.thread_barrier_waits(0);
+  ASSERT_EQ(waits.size(), 1u);
   EXPECT_EQ(waits[0].arrive_ts, 10u);
+  EXPECT_EQ(index.thread_barrier_waits(1).size(), 1u);
   EXPECT_GT(batch.result().path.thread_time(1), 0u);
 
   unvalidated.limits.max_rss_mb = 64;
